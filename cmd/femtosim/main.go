@@ -57,7 +57,6 @@ func run(args []string, w io.Writer) (retErr error) {
 		delta     = fs.Float64("delta", 0.3, "sensing miss-detection probability")
 		bound     = fs.Bool("bound", false, "track the eq. (23) upper bound (interfering + proposed)")
 		dual      = fs.Bool("dual", false, "use the distributed dual subgradient solver (Tables I/II) instead of the price-equilibrium default")
-		warm      = fs.Bool("warmstart", false, "carry dual multipliers across slots (same results, fewer solver iterations)")
 		warmStats = fs.Bool("warmstats", false, "collect per-slot solver iteration statistics and print a WARMSTATS line")
 		dualTrace = fs.Bool("dualtrace", false, "print the dual-variable convergence trace of the first slot")
 		dualIters = fs.Int("dualiters", 600, "dual iterations for -dualtrace")
@@ -138,7 +137,7 @@ func run(args []string, w io.Writer) (retErr error) {
 		}
 		return runMetro(out, cfg, spec, sch, *seed, *runs, *gops,
 			sim.Parallelism{Workers: *workers, Shards: *shards}, *asJSON,
-			*dual, *warm, *warmStats)
+			*dual, *warmStats)
 	}
 
 	var net *netmodel.Network
@@ -183,7 +182,6 @@ func run(args []string, w io.Writer) (retErr error) {
 			TrackBeliefs:        *beliefs,
 			EstimateUtilization: *estimate,
 			UseDualSolver:       *dual,
-			WarmStart:           *warm,
 			SolveStats:          *warmStats,
 			Recorder:            recorders[r],
 		})
@@ -268,7 +266,7 @@ func run(args []string, w io.Writer) (retErr error) {
 // harness cross-checks that.
 func runMetro(out *safeio.Writer, cfg netmodel.Config, spec netmodel.TopologySpec,
 	sch sim.Scheme, seed uint64, runs, gops int, parallel sim.Parallelism, asJSON bool,
-	dual, warm, warmStats bool) error {
+	dual, warmStats bool) error {
 	if runs < 1 {
 		return fmt.Errorf("metro: runs=%d", runs)
 	}
@@ -285,7 +283,6 @@ func runMetro(out *safeio.Writer, cfg netmodel.Config, spec netmodel.TopologySpe
 			Scheme:        sch,
 			Parallel:      parallel,
 			UseDualSolver: dual,
-			WarmStart:     warm,
 			SolveStats:    warmStats,
 		})
 		if err != nil {
@@ -326,10 +323,9 @@ func runMetro(out *safeio.Writer, cfg netmodel.Config, spec netmodel.TopologySpe
 	return out.Err()
 }
 
-// printWarmStats emits the machine-parsed WARMSTATS line that
-// scripts/bench_warmstart.sh consumes. The PSNR is printed to full
-// precision because the bench gate cross-checks that warm and cold runs
-// agree bitwise, mirroring the SHARDSTATS contract.
+// printWarmStats emits the machine-parsable WARMSTATS line: the solver
+// iteration statistics of the run's warm-started sessions, with the PSNR
+// printed to full precision, mirroring the SHARDSTATS contract.
 func printWarmStats(out *safeio.Writer, w *sim.WarmStartReport, dual bool, psnr float64) {
 	if w == nil {
 		return

@@ -159,7 +159,7 @@ func (e *EquilibriumSolver) solveInto(in *Instance, alloc *Allocation) error {
 // allocator calls it directly with its own workspace so the per-FBS
 // equilibrium memo survives across its many Q evaluations of the same base
 // instance; the caller is responsible for bumpEqEpoch whenever the base
-// instance (anything but G) changes.
+// instance (anything but G) changes, and for the workspace price seed.
 //
 //femtovet:hotpath
 //femtovet:borrows in, alloc, ws
@@ -168,7 +168,9 @@ func (e *EquilibriumSolver) solveIntoWS(in *Instance, alloc *Allocation, ws *sol
 }
 
 // solveSessionWS is the full equilibrium solve on a caller-held workspace
-// with an optional cross-slot session; sess == nil is the legacy cold path,
+// with an optional cross-slot session. The outer price seed comes from the
+// session when one is given, else from the workspace (eqL0 while eqSeeded,
+// set by the greedy allocator); with neither it is the cold path,
 // bit-identical to the pre-session solver.
 //
 //femtovet:hotpath
@@ -305,10 +307,10 @@ func (e *EquilibriumSolver) solveSessionWS(in *Instance, alloc *Allocation, ws *
 		return total
 	}
 
-	warm := false
+	warm, seed := ws.eqSeeded, ws.eqL0
 	if sess != nil {
 		sess.observe(in)
-		warm = sess.seeding && sess.haveL0
+		warm, seed = sess.seeding && sess.haveL0, sess.l0
 	}
 	lo := lambdaFloor
 	l0 := lo
@@ -317,18 +319,18 @@ func (e *EquilibriumSolver) solveSessionWS(in *Instance, alloc *Allocation, ws *
 		trivial = false
 		solved := false
 		if warm {
-			// Warm bracket around the previous slot's clearing price: under
-			// the Markov channel correlation it rarely moves by more than
-			// 2x per slot, so [l0/2, 2*l0] usually brackets and half the
-			// cold depth resolves it to comparable relative precision. The
-			// expansion guard trips when the carried price is far off
-			// (correlation assumption failed) and falls back to the cold
-			// global bracket.
-			wlo := 0.5 * sess.l0
+			// Warm bracket around the seed price (the previous slot's, or
+			// the greedy base solve's): under the Markov channel
+			// correlation it rarely moves by more than 2x, so [l0/2, 2*l0]
+			// usually brackets and half the cold depth resolves it to
+			// comparable relative precision. The expansion guard trips when
+			// the seed is far off (correlation assumption failed) and falls
+			// back to the cold global bracket.
+			wlo := 0.5 * seed
 			if wlo < lambdaFloor {
 				wlo = lambdaFloor
 			}
-			whi := 2 * sess.l0
+			whi := 2 * seed
 			if whi <= wlo {
 				whi = 1
 			}
@@ -359,7 +361,7 @@ func (e *EquilibriumSolver) solveSessionWS(in *Instance, alloc *Allocation, ws *
 				}
 				l0 = whi
 				solved = true
-			} else {
+			} else if sess != nil {
 				sess.stats.Restarts++
 			}
 		}
@@ -391,6 +393,12 @@ func (e *EquilibriumSolver) solveSessionWS(in *Instance, alloc *Allocation, ws *
 			sess.l0 = l0
 			sess.haveL0 = true
 			sess.note(outerProbes, warm, false)
+		}
+	}
+	if !ws.eqSeeded {
+		ws.eqL0 = 0
+		if !trivial {
+			ws.eqL0 = l0
 		}
 	}
 

@@ -69,6 +69,61 @@ func FuzzWaterfill(f *testing.F) {
 	})
 }
 
+// FuzzSolverSession drives a warm session through a random slot sequence —
+// Markov-correlated G drift, instance shape changes every shapeEvery slots,
+// and at slot sabotageAt the carried prices scaled by 10^logScale, which
+// blows the equilibrium bracket far off the clearing price and sends the
+// dual iteration into its divergence guard — and checks every warm solve
+// against the session-less cold solve of the same instance, bit for bit.
+func FuzzSolverSession(f *testing.F) {
+	// seed, slots, shapeEvery (0: never), sabotageAt, logScale, dual.
+	f.Add(uint64(1), uint8(12), uint8(0), uint8(255), 0.0, false)
+	f.Add(uint64(2), uint8(12), uint8(0), uint8(255), 0.0, true)
+	f.Add(uint64(3), uint8(16), uint8(5), uint8(7), 9.0, false)
+	f.Add(uint64(4), uint8(16), uint8(4), uint8(6), 6.0, true)
+	f.Add(uint64(5), uint8(10), uint8(3), uint8(2), -9.0, false)
+	f.Add(uint64(6), uint8(10), uint8(0), uint8(3), -6.0, true)
+	f.Fuzz(func(t *testing.T, seed uint64, slots, shapeEvery, sabotageAt uint8, logScale float64, dual bool) {
+		if slots > 24 || math.IsNaN(logScale) || math.Abs(logScale) > 12 {
+			return
+		}
+		var solver WarmSolver = &EquilibriumSolver{}
+		if dual {
+			solver = NewDualSolver()
+		}
+		s := rng.New(seed)
+		shape := func() (*Instance, *markovTrace) {
+			n := 1 + s.IntN(3)
+			return randomInstance(s, n+s.IntN(3*n), n), newMarkovTrace(s, n)
+		}
+		in, tr := shape()
+		sess := NewSolverSession()
+		warm, cold := &Allocation{}, &Allocation{}
+		for slot := 0; slot < int(slots); slot++ {
+			if shapeEvery > 0 && slot > 0 && slot%int(shapeEvery) == 0 {
+				in, tr = shape()
+			}
+			tr.step(in.G)
+			if slot == int(sabotageAt) {
+				scale := math.Pow(10, logScale)
+				sess.l0 *= scale
+				for i := range sess.lambda {
+					sess.lambda[i] *= scale
+				}
+			}
+			if err := solver.SolveWarmInto(in, warm, sess); err != nil {
+				t.Fatalf("slot %d warm: %v", slot, err)
+			}
+			if err := solver.SolveInto(in, cold); err != nil {
+				t.Fatalf("slot %d cold: %v", slot, err)
+			}
+			if !sameAllocation(warm, cold) {
+				t.Fatalf("slot %d: warm allocation differs from cold", slot)
+			}
+		}
+	})
+}
+
 // FuzzGreedyChannels throws degenerate channel-allocation problems at Table
 // III: zero users (must fail validation, never panic), all-busy channels
 // (every posterior 0), perfect-sensing posteriors pinned to 0 or 1 (the

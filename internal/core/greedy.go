@@ -92,7 +92,9 @@ type GreedyResult struct {
 	// omega_l only holds optimal pairs not conflicting with earlier steps.
 	UpperBound float64
 	// PaperUpperBound is the literal eq. (23) bound with the full vertex
-	// degree D(l): Q(pi_L) + sum_l D(l)*Delta_l. Always >= UpperBound.
+	// degree D(l): Q(pi_L) + sum_l D(l)*Delta_l. Always >= UpperBound. In
+	// both bounds a step whose measured gain is negative (solver noise)
+	// contributes no slack.
 	PaperUpperBound float64
 	// LowerBoundFactor is Theorem 2's guarantee 1/(1+Dmax): the greedy
 	// value is at least this fraction of the optimum.
@@ -203,6 +205,12 @@ func (g *GreedyAllocator) Allocate(p *ChannelProblem) (*GreedyResult, error) {
 	if r.cur, err = g.q(r, res.G); err != nil {
 		return nil, err
 	}
+	// Every later equilibrium solve of this call — each Q evaluation and
+	// the final allocation — brackets its common price around the base
+	// Q(∅) solve's. One seed for all of them, never chained from candidate
+	// to candidate: identical brackets give identical leading probes, which
+	// the per-FBS memo answers for every FBS the candidate leaves alone.
+	ws.eqSeeded = r.eq != nil && ws.eqL0 > 0
 
 	if g.lazy {
 		err = g.runLazy(r)
@@ -343,7 +351,12 @@ func (g *GreedyAllocator) take(r *greedyRun, best int, gain float64) error {
 		LiveDegree: live,
 	})
 	r.cur += gain
-	r.slack.full += float64(deg) * gain
+	// Q is nondecreasing in G, so a negative gain is solver noise; like the
+	// live term above, it adds no slack (a negative D(l)*Delta_l would pull
+	// the literal bound below the tightened one).
+	if gain > 0 {
+		r.slack.full += float64(deg) * gain
+	}
 	r.kill(best)
 	for _, nb := range r.p.Graph.Neighbors(fbs) {
 		r.kill(nb*r.nCh + chIdx)

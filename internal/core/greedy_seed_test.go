@@ -1,0 +1,202 @@
+package core
+
+// Property gate for the seeded greedy Q-evaluations: Allocate brackets the
+// common price of every Q(.) solve after the base one around the base
+// Q(∅) clearing price. The seed changes how the outer bisection walks, never
+// the result — the association repair absorbs the price difference — so the
+// seeded allocator must reproduce a cold reference bit for bit on every
+// field of the result, across the paper's path, random interference graphs,
+// and connected components cut from generated metros.
+
+import (
+	"fmt"
+	"math"
+	"reflect"
+	"testing"
+
+	"femtocr/internal/igraph"
+	"femtocr/internal/netmodel"
+	"femtocr/internal/rng"
+)
+
+// coldQ hides the equilibrium solver's concrete type from the greedy
+// allocator, which then evaluates every Q(.) as a plain cold SolveInto: no
+// price seed and no per-FBS memo. It is the reference the seeded allocator
+// must reproduce.
+type coldQ struct{ IntoSolver }
+
+// greedyDiff names the first field where two greedy results differ, or
+// returns "" when they are bitwise equal.
+func greedyDiff(a, b *GreedyResult) string {
+	bitsEq := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	switch {
+	case !reflect.DeepEqual(a.Assigned, b.Assigned):
+		return fmt.Sprintf("Assigned %v vs %v", a.Assigned, b.Assigned)
+	case len(a.G) != len(b.G):
+		return "len(G)"
+	case !bitsEq(a.Value, b.Value):
+		return fmt.Sprintf("Value %v vs %v", a.Value, b.Value)
+	case !bitsEq(a.UpperBound, b.UpperBound):
+		return fmt.Sprintf("UpperBound %v vs %v", a.UpperBound, b.UpperBound)
+	case !bitsEq(a.PaperUpperBound, b.PaperUpperBound):
+		return fmt.Sprintf("PaperUpperBound %v vs %v", a.PaperUpperBound, b.PaperUpperBound)
+	case !reflect.DeepEqual(a.Steps, b.Steps):
+		return fmt.Sprintf("Steps %+v vs %+v", a.Steps, b.Steps)
+	case a.Evaluations != b.Evaluations:
+		return fmt.Sprintf("Evaluations %d vs %d", a.Evaluations, b.Evaluations)
+	}
+	for i := range a.G {
+		if !bitsEq(a.G[i], b.G[i]) {
+			return fmt.Sprintf("G[%d] %v vs %v", i, a.G[i], b.G[i])
+		}
+	}
+	for j := range a.Alloc.MBS {
+		if a.Alloc.MBS[j] != b.Alloc.MBS[j] || !bitsEq(a.Alloc.Rho0[j], b.Alloc.Rho0[j]) ||
+			!bitsEq(a.Alloc.Rho1[j], b.Alloc.Rho1[j]) {
+			return fmt.Sprintf("Alloc user %d", j)
+		}
+	}
+	return ""
+}
+
+// randomChannels draws 1..maxCh accessed channels with posteriors in
+// (0, 1].
+func randomChannels(s *rng.Stream, maxCh int) ([]int, []float64) {
+	m := 1 + s.IntN(maxCh)
+	chs := make([]int, m)
+	pas := make([]float64, m)
+	for c := range chs {
+		chs[c] = c + 1
+		pas[c] = 1 - s.Float64()
+	}
+	return chs, pas
+}
+
+// randomGraphProblem puts 1-3 users on each of n FBSs under an Erdős–Rényi
+// interference graph of edge probability p.
+func randomGraphProblem(s *rng.Stream, n int, p float64) *ChannelProblem {
+	fbsOf := make([]int, 0, 3*n)
+	for i := 1; i <= n; i++ {
+		for u := 1 + s.IntN(3); u > 0; u-- {
+			fbsOf = append(fbsOf, i)
+		}
+	}
+	in := randomInstance(s, len(fbsOf), n)
+	copy(in.FBS, fbsOf)
+	g := igraph.New(n)
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			if s.Float64() < p {
+				if err := g.AddEdge(u, v); err != nil {
+					panic(err)
+				}
+			}
+		}
+	}
+	chs, pas := randomChannels(s, 5)
+	return &ChannelProblem{Base: in, Graph: g, Channels: chs, Posteriors: pas}
+}
+
+// metroProblems cuts every connected component of up to maxFBS femtocells
+// out of a generated metro and builds a slot problem on it the way the
+// engine does (rates from the RD slope and band capacities, success
+// probabilities from the links), with qualities drawn between each user's
+// base layer and ceiling.
+func metroProblems(t *testing.T, s *rng.Stream, spec netmodel.TopologySpec, maxFBS int) []*ChannelProblem {
+	t.Helper()
+	net, err := netmodel.NewNetwork(netmodel.DefaultConfig(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards, err := net.Partition()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []*ChannelProblem
+	for i := range shards {
+		if len(shards[i].FBSs) > maxFBS {
+			continue
+		}
+		sub, err := net.Subnetwork(&shards[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := sub.K()
+		in := &Instance{
+			W: make([]float64, k), R0: make([]float64, k), R1: make([]float64, k),
+			PS0: make([]float64, k), PS1: make([]float64, k), FBS: make([]int, k),
+			G: make([]float64, sub.NumFBS), WMax: make([]float64, k),
+		}
+		for j, u := range sub.Users {
+			in.R0[j] = u.Seq.RD.Beta * sub.Band.B0() / float64(sub.T)
+			in.R1[j] = u.Seq.RD.Beta * sub.Band.B1() / float64(sub.T)
+			in.PS0[j] = u.MBSLink.SuccessProbability()
+			in.PS1[j] = u.FBSLink.SuccessProbability()
+			in.WMax[j] = u.Seq.MaxPSNR()
+			in.W[j] = u.Seq.RD.Alpha + 0.9*s.Float64()*(in.WMax[j]-u.Seq.RD.Alpha)
+			in.FBS[j] = u.FBS
+		}
+		chs, pas := randomChannels(s, sub.Band.M())
+		out = append(out, &ChannelProblem{Base: in, Graph: sub.Graph, Channels: chs, Posteriors: pas})
+	}
+	return out
+}
+
+func TestGreedySeededMatchesCold(t *testing.T) {
+	scale := 1
+	if raceEnabled {
+		scale = 5 // the cold reference has no memo; keep -race runs short
+	}
+	s := rng.New(2026)
+	type named struct {
+		name string
+		p    *ChannelProblem
+	}
+	var problems []named
+	for i := 0; i < 120/scale; i++ {
+		problems = append(problems, named{fmt.Sprintf("path-%d", i), interferingProblem(s, 1+s.IntN(5))})
+	}
+	for i := 0; i < 80/scale; i++ {
+		n := 2 + s.IntN(5)
+		problems = append(problems, named{fmt.Sprintf("random-%d", i), randomGraphProblem(s, n, 0.2+0.6*s.Float64())})
+	}
+	for _, metro := range []struct {
+		name string
+		spec netmodel.TopologySpec
+	}{
+		{"poisson", netmodel.MetroPoissonSpec(60, 2)},
+		{"grid", netmodel.MetroGridSpec(2, 3, 2)},
+	} {
+		cut := metroProblems(t, s, metro.spec, 8)
+		if len(cut) == 0 {
+			t.Fatalf("%s metro yielded no components to test", metro.name)
+		}
+		for i, p := range cut {
+			if i%scale == 0 {
+				problems = append(problems, named{fmt.Sprintf("%s-%d", metro.name, i), p})
+			}
+		}
+	}
+
+	for _, lazy := range []bool{true, false} {
+		var opts []GreedyOption
+		if lazy {
+			opts = append(opts, WithLazyEvaluation())
+		}
+		seeded := NewGreedyAllocator(&EquilibriumSolver{}, opts...)
+		cold := NewGreedyAllocator(coldQ{&EquilibriumSolver{}}, opts...)
+		for _, tc := range problems {
+			got, err := seeded.Allocate(tc.p)
+			if err != nil {
+				t.Fatalf("%s lazy=%v: %v", tc.name, lazy, err)
+			}
+			want, err := cold.Allocate(tc.p)
+			if err != nil {
+				t.Fatalf("%s lazy=%v: %v", tc.name, lazy, err)
+			}
+			if d := greedyDiff(got, want); d != "" {
+				t.Errorf("%s lazy=%v: seeded differs from cold: %s", tc.name, lazy, d)
+			}
+		}
+	}
+}

@@ -72,6 +72,16 @@ type solveWorkspace struct {
 	eqMemo  []eqMemoEntry
 	eqEpoch uint32
 
+	// Outer-price seed of the session-less equilibrium solves on this
+	// workspace (see exact.go solveSessionWS). An unseeded solve records its
+	// clearing common price in eqL0 (0 when uncontended); while eqSeeded is
+	// set, solves bracket their outer bisection around eqL0 instead and
+	// leave it untouched. The greedy allocator seeds once per Allocate from
+	// its base Q(∅) solve; putWorkspace clears the flag, so a pooled
+	// workspace is never seeded.
+	eqL0     float64
+	eqSeeded bool
+
 	// polishRho0/polishRho1 snapshot an allocation's shares so a rejected
 	// association flip restores them instead of re-water-filling.
 	polishRho0, polishRho1 []float64
@@ -166,8 +176,12 @@ func (ws *solveWorkspace) eqMemoPut(fbs int, l0f, gf float64, li float64, mask u
 // after which the next solve regrows them once.
 var workspacePool = sync.Pool{New: func() any { return new(solveWorkspace) }}
 
-func getWorkspace() *solveWorkspace   { return workspacePool.Get().(*solveWorkspace) }
-func putWorkspace(ws *solveWorkspace) { workspacePool.Put(ws) }
+func getWorkspace() *solveWorkspace { return workspacePool.Get().(*solveWorkspace) }
+
+func putWorkspace(ws *solveWorkspace) {
+	ws.eqSeeded = false
+	workspacePool.Put(ws)
+}
 
 // growF returns a float64 slice of length n, reusing buf's backing array
 // when it is large enough. Contents are unspecified.

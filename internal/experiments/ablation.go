@@ -53,7 +53,6 @@ func AblationBelief(p Params) (*stats.Figure, error) {
 			Seed:         p.BaseSeed + uint64(r),
 			GOPs:         p.GOPs,
 			TrackBeliefs: track,
-			WarmStart:    p.WarmStart,
 		})
 		if err != nil {
 			return fmt.Errorf("factor=%v beliefs=%v run %d: %w", factors[fi], track, r, err)
@@ -105,7 +104,6 @@ func AblationSensorPolicy(p Params) (*stats.Figure, error) {
 			Seed:         p.BaseSeed + uint64(r),
 			GOPs:         p.GOPs,
 			SensorPolicy: pol,
-			WarmStart:    p.WarmStart,
 		})
 		if err != nil {
 			return fmt.Errorf("policy=%v run %d: %w", pol, r, err)
@@ -155,7 +153,6 @@ func AblationSolver(p Params) (*SolverComparison, error) {
 				Seed:          p.BaseSeed + uint64(r),
 				GOPs:          p.GOPs,
 				UseDualSolver: useDual,
-				WarmStart:     p.WarmStart,
 			})
 			if err != nil {
 				return fmt.Errorf("dual=%v run %d: %w", useDual, r, err)

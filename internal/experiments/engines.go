@@ -37,7 +37,7 @@ func EngineComparison(p Params) (*stats.Figure, error) {
 		sch := schs[i/p.Runs]
 		r := i % p.Runs
 		seed := p.BaseSeed + uint64(r)
-		rr, err := sim.Run(net, sim.Options{Seed: seed, GOPs: p.GOPs, Scheme: sch, WarmStart: p.WarmStart})
+		rr, err := sim.Run(net, sim.Options{Seed: seed, GOPs: p.GOPs, Scheme: sch})
 		if err != nil {
 			return fmt.Errorf("rate engine scheme=%v run %d: %w", sch, r, err)
 		}

@@ -45,12 +45,6 @@ type Params struct {
 	// Config is the scenario configuration; zero value means the paper's
 	// defaults.
 	Config netmodel.Config
-	// WarmStart forwards sim.Options.WarmStart to every replication, so
-	// each run's engine carries dual multipliers across consecutive slots.
-	// Figure data is identical either way — the sim layer guarantees
-	// warm-started runs reproduce cold allocations exactly — so this is
-	// purely a wall-clock knob for large sweeps.
-	WarmStart bool
 }
 
 // PaperParams returns the evaluation scale of §V: 10 runs, 20 GOPs each,
@@ -103,7 +97,6 @@ func replicate(p Params, net *netmodel.Network, scheme sim.Scheme, trackBound bo
 			GOPs:       p.GOPs,
 			Scheme:     scheme,
 			TrackBound: track,
-			WarmStart:  p.WarmStart,
 		})
 		if err != nil {
 			return fmt.Errorf("scheme=%v run %d: %w", scheme, r, err)
@@ -173,7 +166,6 @@ func sweep(p Params, title, xLabel string, xs []float64,
 			GOPs:       p.GOPs,
 			Scheme:     sch,
 			TrackBound: track,
-			WarmStart:  p.WarmStart,
 		})
 		if err != nil {
 			return fmt.Errorf("x=%v scheme=%v run %d: %w", xs[xi], sch, r, err)

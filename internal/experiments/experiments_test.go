@@ -2,12 +2,10 @@ package experiments
 
 import (
 	"errors"
-	"reflect"
 	"strings"
 	"testing"
 
 	"femtocr/internal/sim"
-	"femtocr/internal/stats"
 )
 
 func TestParamsValidation(t *testing.T) {
@@ -155,29 +153,5 @@ func TestPaperParams(t *testing.T) {
 	p := PaperParams()
 	if p.Runs != 10 || p.GOPs != 20 {
 		t.Fatalf("paper scale = %d runs x %d GOPs, want 10 x 20", p.Runs, p.GOPs)
-	}
-}
-
-func TestWarmStartGridMatchesCold(t *testing.T) {
-	// Params.WarmStart is a pure speed knob: every figure row must be
-	// bitwise-identical to the cold grid. Fig5 covers the bound-tracking
-	// relax solves as well as the slot solves.
-	for _, driver := range []struct {
-		name string
-		run  func(Params) (*stats.Figure, error)
-	}{{"Fig3", Fig3}, {"Fig5", Fig5}} {
-		cold, err := driver.run(QuickParams())
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := QuickParams()
-		p.WarmStart = true
-		warm, err := driver.run(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(warm, cold) {
-			t.Errorf("%s: warm-started grid differs from cold", driver.name)
-		}
 	}
 }

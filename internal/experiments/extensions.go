@@ -43,7 +43,7 @@ func GammaTradeoff(p Params) (*stats.Figure, error) {
 	slots := make([]cell, len(gammas)*p.Runs)
 	err = runGrid(len(slots), p.workers(), func(i int) error {
 		gi, r := i/p.Runs, i%p.Runs
-		res, err := sim.Run(nets[gi], sim.Options{Seed: p.BaseSeed + uint64(r), GOPs: p.GOPs, WarmStart: p.WarmStart})
+		res, err := sim.Run(nets[gi], sim.Options{Seed: p.BaseSeed + uint64(r), GOPs: p.GOPs})
 		if err != nil {
 			return fmt.Errorf("gamma=%v run %d: %w", gammas[gi], r, err)
 		}
@@ -123,7 +123,6 @@ func Scalability(p Params, sizes []int) ([]ScalePoint, error) {
 				Seed:       p.BaseSeed + uint64(r),
 				GOPs:       p.GOPs,
 				TrackBound: true,
-				WarmStart:  p.WarmStart,
 			})
 			if err != nil {
 				return fmt.Errorf("N=%d run %d: %w", n, r, err)
@@ -143,7 +142,6 @@ func Scalability(p Params, sizes []int) ([]ScalePoint, error) {
 			}
 			res, err := sim.Run(net, sim.Options{
 				Seed: p.BaseSeed + uint64(r), GOPs: p.GOPs, Scheme: sch,
-				WarmStart: p.WarmStart,
 			})
 			if err != nil {
 				return fmt.Errorf("N=%d scheme=%v run %d: %w", n, sch, r, err)
@@ -201,7 +199,7 @@ func DeadlineSweep(p Params) (*stats.Figure, error) {
 	slots := make([]float64, len(deadlines)*p.Runs)
 	err = runGrid(len(slots), p.workers(), func(i int) error {
 		ti, r := i/p.Runs, i%p.Runs
-		res, err := sim.Run(nets[ti], sim.Options{Seed: p.BaseSeed + uint64(r), GOPs: p.GOPs, WarmStart: p.WarmStart})
+		res, err := sim.Run(nets[ti], sim.Options{Seed: p.BaseSeed + uint64(r), GOPs: p.GOPs})
 		if err != nil {
 			return fmt.Errorf("T=%d run %d: %w", deadlines[ti], r, err)
 		}
@@ -259,7 +257,7 @@ func UserCapacity(p Params, sizes []int) (*stats.Figure, error) {
 	slots := make([]cell, len(sizes)*p.Runs)
 	err = runGrid(len(slots), p.workers(), func(i int) error {
 		ki, r := i/p.Runs, i%p.Runs
-		res, err := sim.Run(nets[ki], sim.Options{Seed: p.BaseSeed + uint64(r), GOPs: p.GOPs, WarmStart: p.WarmStart})
+		res, err := sim.Run(nets[ki], sim.Options{Seed: p.BaseSeed + uint64(r), GOPs: p.GOPs})
 		if err != nil {
 			return fmt.Errorf("K=%d run %d: %w", sizes[ki], r, err)
 		}
@@ -319,7 +317,7 @@ func SchemeFrontier(p Params) (*stats.Figure, error) {
 	err = runGrid(len(slots), p.workers(), func(i int) error {
 		sch := schs[i/p.Runs]
 		r := i % p.Runs
-		res, err := sim.Run(net, sim.Options{Seed: p.BaseSeed + uint64(r), GOPs: p.GOPs, Scheme: sch, WarmStart: p.WarmStart})
+		res, err := sim.Run(net, sim.Options{Seed: p.BaseSeed + uint64(r), GOPs: p.GOPs, Scheme: sch})
 		if err != nil {
 			return fmt.Errorf("scheme=%v run %d: %w", sch, r, err)
 		}

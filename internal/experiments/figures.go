@@ -41,10 +41,9 @@ func perUserFigure(p Params, title string, build func(netmodel.Config) (*netmode
 		sch := schs[i/p.Runs]
 		r := i % p.Runs
 		res, err := sim.Run(net, sim.Options{
-			Seed:      p.BaseSeed + uint64(r),
-			GOPs:      p.GOPs,
-			Scheme:    sch,
-			WarmStart: p.WarmStart,
+			Seed:   p.BaseSeed + uint64(r),
+			GOPs:   p.GOPs,
+			Scheme: sch,
 		})
 		if err != nil {
 			return fmt.Errorf("scheme=%v run %d: %w", sch, r, err)

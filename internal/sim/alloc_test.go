@@ -23,11 +23,12 @@ func TestSlotStepSteadyStateAllocs(t *testing.T) {
 		// the per-slot steady state is zero.
 		{"proposed-single", false, Options{Scheme: Proposed}, 1},
 		{"proposed-single-dual", false, Options{Scheme: Proposed, UseDualSolver: true}, 1},
-		// Warm-started sessions must not add a single allocation to the
-		// steady-state slot: seeds are written into pooled workspaces and
-		// carried multipliers live in session-owned slices.
-		{"proposed-single-warm", false, Options{Scheme: Proposed, WarmStart: true}, 1},
-		{"proposed-single-dual-warm", false, Options{Scheme: Proposed, UseDualSolver: true, WarmStart: true}, 1},
+		// Every Proposed row above runs warm: seeds are written into pooled
+		// workspaces and carried multipliers live in session-owned slices.
+		// Recording solve statistics must not add an allocation either —
+		// the histogram is allocated once at construction.
+		{"proposed-single-stats", false, Options{Scheme: Proposed, SolveStats: true}, 1},
+		{"proposed-single-dual-stats", false, Options{Scheme: Proposed, UseDualSolver: true, SolveStats: true}, 1},
 		// The greedy channel allocation returns a fresh result per slot
 		// (~17 allocs observed); anything near the pre-rework ~5900 means
 		// per-evaluation scratch is being rebuilt again.

@@ -7,16 +7,18 @@ import "femtocr/internal/core"
 // DualSolver the iteration unit is subgradient iterations; for the
 // EquilibriumSolver it is outer demand probes. Either way cold and warm runs
 // of the same seed report the same solve count, so the cold/warm iteration
-// ratio is the warm-start speedup BENCH_warmstart gates on.
+// ratio is the warm-start speedup (TestWarmReportStats gates it).
 type WarmStartReport struct {
-	// Mode is "warm" when the run seeded solves across slots and "cold"
-	// when it only recorded the baseline.
+	// Mode is "warm" for every engine run; "cold" marks the cold reference
+	// the equivalence tests build, which only records the baseline.
 	Mode string
 	// Stats carries the session counters of the slot-level solves.
 	Stats core.SessionStats
 	// RelaxStats carries the counters of the TrackBound relaxation solves,
 	// which run through their own session (a different problem family must
-	// not thrash the slot session's carried state); nil unless TrackBound.
+	// not thrash the slot session's carried state); nil unless the run
+	// tracks that bound (TrackBound with Proposed on an interfering
+	// network).
 	RelaxStats *core.SessionStats `json:",omitempty"`
 	// IterMean and the quantiles summarize iterations per slot solve.
 	IterMean float64
@@ -101,16 +103,16 @@ func (e *engine) warmReport() *WarmStartReport {
 	if !e.opts.SolveStats || e.session == nil {
 		return nil
 	}
-	mode := "cold"
-	if e.opts.WarmStart {
-		mode = "warm"
+	mode := "warm"
+	if e.opts.coldSolves {
+		mode = "cold"
 	}
 	w := &WarmStartReport{
 		Mode:  mode,
 		Stats: e.session.Stats(),
 		Hist:  e.session.HistCopy(),
 	}
-	if e.relaxSession != nil && e.opts.TrackBound {
+	if e.relaxSession != nil {
 		rs := e.relaxSession.Stats()
 		w.RelaxStats = &rs
 	}

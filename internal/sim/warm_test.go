@@ -1,12 +1,13 @@
 package sim
 
 // Warm-start equivalence gates at the simulation layer. The cross-slot
-// solver sessions change only how many subgradient iterations each slot
-// burns; every simulated quantity — allocations, realized losses, PSNR
-// trajectories — must be identical with WarmStart on and off, across the
-// full config grid and the sharded runner. Any config where they differ is
-// a bug in the warm path, not tolerance noise, because the discrete repair
-// step is required to absorb converged-multiplier differences exactly.
+// solver sessions and the seeded greedy Q evaluations change only how many
+// iterations each solve burns; every simulated quantity — allocations,
+// realized losses, PSNR trajectories — must be identical to the cold
+// reference (Options.coldSolves), across the full config grid and the
+// sharded runner. Any config where they differ is a bug in the warm path,
+// not tolerance noise, because the discrete repair step is required to
+// absorb converged-price differences exactly.
 
 import (
 	"reflect"
@@ -64,18 +65,19 @@ func warmConfigs(t *testing.T) []struct {
 }
 
 // TestWarmStartMatchesColdAcrossConfigs is the snapshot-diff gate of the
-// warm-start tentpole: over the 16 sim configs, a WarmStart run must equal
-// the cold run field for field (Warm is instrumentation metadata and is
-// cleared before the comparison).
+// always-on warm starts: over the 16 sim configs, an engine run must equal
+// the cold reference field for field (Warm is instrumentation metadata and
+// is cleared before the comparison).
 func TestWarmStartMatchesColdAcrossConfigs(t *testing.T) {
 	for _, tc := range warmConfigs(t) {
 		t.Run(tc.name, func(t *testing.T) {
-			cold, err := Run(tc.net, tc.opts)
+			coldOpts := tc.opts
+			coldOpts.coldSolves = true
+			cold, err := Run(tc.net, coldOpts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			warmOpts := tc.opts
-			warmOpts.WarmStart = true
 			warmOpts.SolveStats = true
 			warm, err := Run(tc.net, warmOpts)
 			if err != nil {
@@ -89,20 +91,46 @@ func TestWarmStartMatchesColdAcrossConfigs(t *testing.T) {
 	}
 }
 
-// TestWarmStartDefaultOffIsLegacyPath pins that the zero-value options
-// never construct sessions: the engine keeps the exact legacy SolveInto
-// wiring and reports no warm metadata.
-func TestWarmStartDefaultOffIsLegacyPath(t *testing.T) {
-	net := benchNet(t, false)
-	opts := Options{Seed: 1, GOPs: 1, Scheme: Proposed}
-	e, err := newEngine(net, opts.withDefaults())
-	if err != nil {
-		t.Fatal(err)
+// TestEngineSessionWiring pins which sessions an engine carries: the
+// zero-value options warm-start the slot solves, the relaxation session
+// (and its buffers) exist only where the relaxation bound is tracked, the
+// cold reference carries none, and no warm metadata is reported without
+// SolveStats.
+func TestEngineSessionWiring(t *testing.T) {
+	single := benchNet(t, false)
+	interf := benchNet(t, true)
+	for _, tc := range []struct {
+		name                  string
+		net                   *netmodel.Network
+		opts                  Options
+		session, relaxSession bool
+		relaxBuffers          bool
+	}{
+		{"single", single, Options{Scheme: Proposed}, true, false, false},
+		{"single-bound", single, Options{Scheme: Proposed, TrackBound: true}, true, false, false},
+		{"interf", interf, Options{Scheme: Proposed}, true, false, false},
+		{"interf-bound", interf, Options{Scheme: Proposed, TrackBound: true}, true, true, true},
+		{"interf-dual-bound", interf, Options{Scheme: Proposed, UseDualSolver: true, TrackBound: true}, true, true, true},
+		{"heuristic2-bound", interf, Options{Scheme: Heuristic2, TrackBound: true}, false, false, false},
+		{"cold-reference", interf, Options{Scheme: Proposed, TrackBound: true, coldSolves: true}, false, false, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, err := newEngine(tc.net, tc.opts.withDefaults())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := e.session != nil && e.warmSolver != nil; got != tc.session {
+				t.Errorf("slot session present = %v, want %v", got, tc.session)
+			}
+			if got := e.relaxSession != nil; got != tc.relaxSession {
+				t.Errorf("relaxation session present = %v, want %v", got, tc.relaxSession)
+			}
+			if got := e.relaxAlloc != nil && e.relaxG != nil; got != tc.relaxBuffers {
+				t.Errorf("relaxation buffers present = %v, want %v", got, tc.relaxBuffers)
+			}
+		})
 	}
-	if e.warmSolver != nil || e.session != nil || e.relaxSession != nil {
-		t.Fatal("sessions constructed without WarmStart/SolveStats")
-	}
-	res, err := Run(net, Options{Seed: 1, GOPs: 1, Scheme: Proposed})
+	res, err := Run(single, Options{Seed: 1, GOPs: 1, Scheme: Proposed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,13 +145,13 @@ func TestWarmStartDefaultOffIsLegacyPath(t *testing.T) {
 func TestWarmReportStats(t *testing.T) {
 	net := benchNet(t, false)
 	base := Options{Seed: 1, GOPs: 4, Scheme: Proposed, UseDualSolver: true, SolveStats: true}
-	cold, err := Run(net, base)
+	coldOpts := base
+	coldOpts.coldSolves = true
+	cold, err := Run(net, coldOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warmOpts := base
-	warmOpts.WarmStart = true
-	warm, err := Run(net, warmOpts)
+	warm, err := Run(net, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +197,7 @@ func TestWarmReportStats(t *testing.T) {
 // report must account for every shard's solves.
 func TestShardedWarmMatchesUnsharded(t *testing.T) {
 	net := benchNet(t, false)
-	base := Options{Seed: 1000, GOPs: 4, Scheme: Proposed, WarmStart: true, SolveStats: true}
+	base := Options{Seed: 1000, GOPs: 4, Scheme: Proposed, SolveStats: true}
 	ref, err := Run(net, base)
 	if err != nil {
 		t.Fatal(err)
