@@ -44,10 +44,7 @@ func TestSolveIntoSteadyStateAllocs(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			is, ok := tc.solver.(IntoSolver)
-			if !ok {
-				t.Fatalf("%T does not implement IntoSolver", tc.solver)
-			}
+			is := tc.solver
 			out := NewAllocation(in.K())
 			if err := is.SolveInto(in, out); err != nil { // warm the pool
 				t.Fatal(err)

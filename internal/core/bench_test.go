@@ -34,7 +34,7 @@ func BenchmarkDualSolver(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := solver.Solve(in); err != nil {
+		if _, err := solve(solver, in); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -46,7 +46,7 @@ func BenchmarkDualSolverConstantStep(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := solver.Solve(in); err != nil {
+		if _, err := solve(solver, in); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -58,7 +58,7 @@ func BenchmarkEquilibriumSolver(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := solver.Solve(in); err != nil {
+		if _, err := solve(solver, in); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -70,7 +70,7 @@ func BenchmarkBruteForceSolver(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := solver.Solve(in); err != nil {
+		if _, err := solve(solver, in); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -81,7 +81,7 @@ func BenchmarkHeuristic1(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := (Heuristic1{}).Solve(in); err != nil {
+		if _, err := solve(Heuristic1{}, in); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -92,7 +92,7 @@ func BenchmarkHeuristic2(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := (Heuristic2{}).Solve(in); err != nil {
+		if _, err := solve(Heuristic2{}, in); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -49,9 +49,9 @@ func TestCapsRespectedByAllSolvers(t *testing.T) {
 			in.WMax[j] = in.W[j] + 3*s.Float64()
 		}
 		for _, solver := range []Solver{NewDualSolver(), &EquilibriumSolver{}, &BruteForceSolver{}} {
-			alloc, err := solver.Solve(in)
+			alloc, err := solve(solver, in)
 			if err != nil {
-				t.Fatalf("trial %d %s: %v", trial, solver.Name(), err)
+				t.Fatalf("trial %d %T: %v", trial, solver, err)
 			}
 			for j := 0; j < in.K(); j++ {
 				room := in.WMax[j] - in.W[j]
@@ -62,8 +62,8 @@ func TestCapsRespectedByAllSolvers(t *testing.T) {
 					gain = alloc.Rho1[j] * in.effR1(j)
 				}
 				if gain > room+1e-6 {
-					t.Fatalf("trial %d %s: user %d gain %v exceeds headroom %v",
-						trial, solver.Name(), j, gain, room)
+					t.Fatalf("trial %d %T: user %d gain %v exceeds headroom %v",
+						trial, solver, j, gain, room)
 				}
 			}
 		}
@@ -83,11 +83,11 @@ func TestCappedEquilibriumMatchesBrute(t *testing.T) {
 		for j := range in.WMax {
 			in.WMax[j] = in.W[j] + 2*s.Float64() // often binding
 		}
-		ba, err := brute.Solve(in)
+		ba, err := solve(brute, in)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ea, err := eq.Solve(in)
+		ea, err := solve(eq, in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +106,7 @@ func TestCappedEquilibriumMatchesBrute(t *testing.T) {
 func TestSaturatedUserYieldsToOthers(t *testing.T) {
 	in := cappedInstance()
 	in.WMax[0] = in.W[0] // user 0 is at its ceiling
-	alloc, err := (&BruteForceSolver{}).Solve(in)
+	alloc, err := solve(&BruteForceSolver{}, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestSaturatedUserYieldsToOthers(t *testing.T) {
 // objective.
 func TestCapImprovesRealizedObjective(t *testing.T) {
 	in := cappedInstance()
-	withCaps, err := (&BruteForceSolver{}).Solve(in)
+	withCaps, err := solve(&BruteForceSolver{}, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestCapImprovesRealizedObjective(t *testing.T) {
 		W: in.W, R0: in.R0, R1: in.R1, PS0: in.PS0, PS1: in.PS1,
 		FBS: in.FBS, G: in.G,
 	}
-	oblivious, err := (&BruteForceSolver{}).Solve(uncapped)
+	oblivious, err := solve(&BruteForceSolver{}, uncapped)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,16 +19,12 @@ type DualSolver struct {
 	stepScale   float64 // auto-step fraction of the price scale
 	phi         float64 // termination threshold on squared dual movement
 	maxIter     int
-	diminishing bool // s_tau = s/sqrt(1+tau)
-	trace       bool // record per-iteration dual values
+	diminishing bool        // s_tau = s/sqrt(1+tau)
+	report      *DualReport // non-nil: every solve fills it (WithTrace)
 	lambdaMin   float64
 }
 
-var (
-	_ Solver     = (*DualSolver)(nil)
-	_ IntoSolver = (*DualSolver)(nil)
-	_ WarmSolver = (*DualSolver)(nil)
-)
+var _ WarmSolver = (*DualSolver)(nil)
 
 // Warm-start tuning constants.
 //
@@ -74,8 +70,12 @@ func WithMaxIter(n int) DualOption { return func(d *DualSolver) { d.maxIter = n 
 // plain constant-step subgradient of the paper.
 func WithConstantStep() DualOption { return func(d *DualSolver) { d.diminishing = false } }
 
-// WithTrace records the dual-variable trajectory (Fig. 4(a)).
-func WithTrace() DualOption { return func(d *DualSolver) { d.trace = true } }
+// WithTrace makes every solve fill r with its dual-iteration diagnostics:
+// the final prices, the iteration count, and the per-iteration price
+// trajectory (Fig. 4(a)). Each solve overwrites r. A tracing solver writes
+// to one caller-owned report, so it is a single-owner diagnostic, not safe
+// for concurrent use.
+func WithTrace(r *DualReport) DualOption { return func(d *DualSolver) { d.report = r } }
 
 // NewDualSolver builds the solver with sensible defaults: auto step,
 // phi = 1e-14, 2000 iteration cap, diminishing steps.
@@ -93,12 +93,9 @@ func NewDualSolver(opts ...DualOption) *DualSolver {
 	return d
 }
 
-// Name identifies the scheme.
-func (d *DualSolver) Name() string { return "Proposed" }
-
-// DualReport carries diagnostics of one solve: the final prices
-// [lambda_0, lambda_1..lambda_N], the number of subgradient iterations, and
-// (when tracing) the per-iteration price trajectory.
+// DualReport carries diagnostics of one solve (see WithTrace): the final
+// prices [lambda_0, lambda_1..lambda_N], the number of subgradient
+// iterations, and the per-iteration price trajectory.
 type DualReport struct {
 	Lambda     []float64
 	Iterations int
@@ -115,32 +112,18 @@ func (r *DualReport) captureTrace(lambda []float64) {
 
 // captureLambda copies the final prices into the report.
 //
-//femtovet:coldpath -- diagnostic, once per SolveDetailed; the price copy must escape into the report
+//femtovet:coldpath -- diagnostic, once per traced solve; the price copy must escape into the report
 func (r *DualReport) captureLambda(lambda []float64) {
 	r.Lambda = append([]float64(nil), lambda...)
 }
 
-// Solve returns a feasible allocation for the slot's problem.
-func (d *DualSolver) Solve(in *Instance) (*Allocation, error) {
-	if err := in.Validate(); err != nil {
-		return nil, err
-	}
-	alloc := NewAllocation(in.K())
-	if err := d.solveInto(in, alloc, nil, nil); err != nil {
-		return nil, err
-	}
-	return alloc, nil
-}
-
-// SolveInto solves the slot's problem into a caller-owned allocation.
+// SolveInto solves the slot's problem into a caller-owned allocation: the
+// cold path, SolveWarmInto without a session.
 //
 //femtovet:hotpath
 //femtovet:borrows in, out
 func (d *DualSolver) SolveInto(in *Instance, out *Allocation) error {
-	if err := in.Validate(); err != nil {
-		return err
-	}
-	return d.solveInto(in, out, nil, nil)
+	return d.SolveWarmInto(in, out, nil)
 }
 
 // SolveWarmInto is SolveInto seeded from a cross-slot session: when sess
@@ -149,7 +132,8 @@ func (d *DualSolver) SolveInto(in *Instance, out *Allocation) error {
 // the last cold start converged at) instead of the cold 2*scale heuristic.
 // A nil session, a seeding-disabled session, or a negative phi (the
 // never-terminate tracing mode) degrades to the cold path; shape changes and
-// the divergence guard re-cold-start automatically. See SolverSession.
+// the divergence guard re-cold-start automatically. A non-nil session also
+// records iteration statistics. See SolverSession.
 //
 //femtovet:hotpath
 //femtovet:borrows in, out, sess
@@ -157,42 +141,10 @@ func (d *DualSolver) SolveWarmInto(in *Instance, out *Allocation, sess *SolverSe
 	if err := in.Validate(); err != nil {
 		return err
 	}
-	return d.solveInto(in, out, nil, sess)
-}
-
-// SolveDetailed additionally returns the dual-iteration diagnostics.
-func (d *DualSolver) SolveDetailed(in *Instance) (*Allocation, *DualReport, error) {
-	if err := in.Validate(); err != nil {
-		return nil, nil, err
+	report := d.report
+	if report != nil {
+		*report = DualReport{}
 	}
-	alloc := NewAllocation(in.K())
-	report := &DualReport{}
-	if err := d.solveInto(in, alloc, report, nil); err != nil {
-		return nil, nil, err
-	}
-	return alloc, report, nil
-}
-
-// SolveWarmDetailed is SolveWarmInto with the dual-iteration diagnostics,
-// for tests and instrumentation of the warm path.
-func (d *DualSolver) SolveWarmDetailed(in *Instance, sess *SolverSession) (*Allocation, *DualReport, error) {
-	if err := in.Validate(); err != nil {
-		return nil, nil, err
-	}
-	alloc := NewAllocation(in.K())
-	report := &DualReport{}
-	if err := d.solveInto(in, alloc, report, sess); err != nil {
-		return nil, nil, err
-	}
-	return alloc, report, nil
-}
-
-// solveInto runs the dual iteration on pooled workspace scratch, writing
-// the repaired allocation into out and, when report is non-nil, the
-// diagnostics into report. A non-nil sess records iteration statistics and,
-// when its seeding is enabled, warm-starts the iteration; sess == nil is the
-// legacy cold path, bit-identical to the pre-session solver.
-func (d *DualSolver) solveInto(in *Instance, out *Allocation, report *DualReport, sess *SolverSession) error {
 	ws := getWorkspace()
 	defer putWorkspace(ws)
 
@@ -254,11 +206,8 @@ func (d *DualSolver) solveInto(in *Instance, out *Allocation, report *DualReport
 				lambda[i] = 0
 			}
 			if report != nil {
-				report.Iterations = 0
 				report.Converged = true
-				if d.trace {
-					report.captureTrace(lambda)
-				}
+				report.captureTrace(lambda)
 				report.captureLambda(lambda)
 			}
 			sess.note(0, false, true)
@@ -301,10 +250,7 @@ func (d *DualSolver) solveInto(in *Instance, out *Allocation, report *DualReport
 		}
 	}
 	if report != nil {
-		report.Iterations = 0
-		if d.trace {
-			report.captureTrace(lambda)
-		}
+		report.captureTrace(lambda)
 	}
 
 	final, performed, converged := d.iterate(in, ws, lambda, next, sums, scale, tauStart, relTol, report)
@@ -322,9 +268,7 @@ func (d *DualSolver) solveInto(in *Instance, out *Allocation, report *DualReport
 		if report != nil {
 			report.Iterations = 0
 			report.Converged = false
-			if d.trace {
-				report.captureTrace(lambda)
-			}
+			report.captureTrace(lambda)
 		}
 		final, performed, converged = d.iterate(in, ws, lambda, next, sums, scale, 0, 0, report)
 		totalIters += performed
@@ -430,9 +374,7 @@ func (d *DualSolver) iterate(in *Instance, ws *solveWorkspace, lambda, next, sum
 		performed = it + 1
 		if report != nil {
 			report.Iterations = performed
-			if d.trace {
-				report.captureTrace(lambda)
-			}
+			report.captureTrace(lambda)
 		}
 		if move <= d.phi || relOK {
 			converged = true

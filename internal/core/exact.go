@@ -11,43 +11,22 @@ import (
 // exponential in the number of users and intended as the ground-truth
 // reference for tests, small scenarios, and the optimality-gap experiments.
 type BruteForceSolver struct {
-	// MaxUsers guards against accidental exponential blow-ups; Solve
+	// MaxUsers guards against accidental exponential blow-ups; SolveInto
 	// returns an error beyond it. Zero means the default of 20.
 	MaxUsers int
 }
 
-var (
-	_ Solver     = (*BruteForceSolver)(nil)
-	_ IntoSolver = (*BruteForceSolver)(nil)
-)
+var _ Solver = (*BruteForceSolver)(nil)
 
-// Name identifies the scheme.
-func (b *BruteForceSolver) Name() string { return "Optimal" }
-
-// Solve enumerates associations and returns the best allocation.
-func (b *BruteForceSolver) Solve(in *Instance) (*Allocation, error) {
-	if err := in.Validate(); err != nil {
-		return nil, err
-	}
-	best := NewAllocation(in.K())
-	if err := b.solveInto(in, best); err != nil {
-		return nil, err
-	}
-	return best, nil
-}
-
-// SolveInto enumerates associations into a caller-owned allocation.
+// SolveInto enumerates associations and writes the best allocation into a
+// caller-owned one.
 //
 //femtovet:hotpath
-//femtovet:borrows in, out
-func (b *BruteForceSolver) SolveInto(in *Instance, out *Allocation) error {
+//femtovet:borrows in, best
+func (b *BruteForceSolver) SolveInto(in *Instance, best *Allocation) error {
 	if err := in.Validate(); err != nil {
 		return err
 	}
-	return b.solveInto(in, out)
-}
-
-func (b *BruteForceSolver) solveInto(in *Instance, best *Allocation) error {
 	limit := b.MaxUsers
 	if limit == 0 {
 		limit = 20
@@ -94,36 +73,15 @@ type EquilibriumSolver struct {
 	Iters int
 }
 
-var (
-	_ Solver     = (*EquilibriumSolver)(nil)
-	_ IntoSolver = (*EquilibriumSolver)(nil)
-	_ WarmSolver = (*EquilibriumSolver)(nil)
-)
+var _ WarmSolver = (*EquilibriumSolver)(nil)
 
-// Name identifies the scheme.
-func (e *EquilibriumSolver) Name() string { return "Proposed" }
-
-// Solve returns a feasible near-optimal allocation.
-func (e *EquilibriumSolver) Solve(in *Instance) (*Allocation, error) {
-	if err := in.Validate(); err != nil {
-		return nil, err
-	}
-	alloc := NewAllocation(in.K())
-	if err := e.solveInto(in, alloc); err != nil {
-		return nil, err
-	}
-	return alloc, nil
-}
-
-// SolveInto solves the slot's problem into a caller-owned allocation.
+// SolveInto solves the slot's problem into a caller-owned allocation: the
+// cold path, SolveWarmInto without a session.
 //
 //femtovet:hotpath
 //femtovet:borrows in, out
 func (e *EquilibriumSolver) SolveInto(in *Instance, out *Allocation) error {
-	if err := in.Validate(); err != nil {
-		return err
-	}
-	return e.solveInto(in, out)
+	return e.SolveWarmInto(in, out, nil)
 }
 
 // SolveWarmInto is SolveInto seeded from a cross-slot session: when sess
@@ -142,40 +100,26 @@ func (e *EquilibriumSolver) SolveWarmInto(in *Instance, out *Allocation, sess *S
 	}
 	ws := getWorkspace()
 	defer putWorkspace(ws)
-	ws.bumpEqEpoch()
-	return e.solveSessionWS(in, out, ws, sess)
-}
-
-func (e *EquilibriumSolver) solveInto(in *Instance, alloc *Allocation) error {
-	ws := getWorkspace()
-	defer putWorkspace(ws)
 	// A pooled workspace may carry another instance's equilibrium memo;
 	// start a fresh epoch so no stale entry can hit.
 	ws.bumpEqEpoch()
-	return e.solveIntoWS(in, alloc, ws)
+	return e.solveWS(in, out, ws, sess)
 }
 
-// solveIntoWS is solveInto on a caller-held workspace. The greedy channel
-// allocator calls it directly with its own workspace so the per-FBS
-// equilibrium memo survives across its many Q evaluations of the same base
-// instance; the caller is responsible for bumpEqEpoch whenever the base
-// instance (anything but G) changes, and for the workspace price seed.
-//
-//femtovet:hotpath
-//femtovet:borrows in, alloc, ws
-func (e *EquilibriumSolver) solveIntoWS(in *Instance, alloc *Allocation, ws *solveWorkspace) error {
-	return e.solveSessionWS(in, alloc, ws, nil)
-}
-
-// solveSessionWS is the full equilibrium solve on a caller-held workspace
+// solveWS is the full equilibrium solve on a caller-held workspace
 // with an optional cross-slot session. The outer price seed comes from the
 // session when one is given, else from the workspace (eqL0 while eqSeeded,
-// set by the greedy allocator); with neither it is the cold path,
-// bit-identical to the pre-session solver.
+// set by the greedy allocator); with neither it is the cold path.
+//
+// The greedy channel allocator calls it with its own workspace and no
+// session, so the per-FBS equilibrium memo survives across its many Q
+// evaluations of the same base instance; such a caller is responsible for
+// bumpEqEpoch whenever the base instance (anything but G) changes, and for
+// the workspace price seed.
 //
 //femtovet:hotpath
 //femtovet:borrows in, alloc, ws, sess
-func (e *EquilibriumSolver) solveSessionWS(in *Instance, alloc *Allocation, ws *solveWorkspace, sess *SolverSession) error {
+func (e *EquilibriumSolver) solveWS(in *Instance, alloc *Allocation, ws *solveWorkspace, sess *SolverSession) error {
 	iters := e.Iters
 	if iters == 0 {
 		iters = 45

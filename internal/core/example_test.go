@@ -27,9 +27,8 @@ func exampleInstance() *core.Instance {
 // prices by projected subgradient, and the final association is binary
 // (Theorem 1).
 func ExampleDualSolver() {
-	solver := core.NewDualSolver()
-	alloc, err := solver.Solve(exampleInstance())
-	if err != nil {
+	alloc := &core.Allocation{}
+	if err := core.NewDualSolver().SolveInto(exampleInstance(), alloc); err != nil {
 		panic(err)
 	}
 	onMBS := 0

@@ -135,9 +135,6 @@ func NewGreedyAllocator(solver Solver, opts ...GreedyOption) *GreedyAllocator {
 	return g
 }
 
-// Name identifies the scheme.
-func (g *GreedyAllocator) Name() string { return "Proposed" }
-
 // greedyRun bundles one Allocate call's state: the problem, the candidate
 // set keyed by pairIdx over the workspace's alive buffer, and the running
 // objective. Everything scratch lives on the pooled workspace; everything
@@ -234,11 +231,9 @@ func (g *GreedyAllocator) Allocate(p *ChannelProblem) (*GreedyResult, error) {
 	*inst = *p.Base
 	inst.G = res.G
 	if r.eq != nil {
-		err = r.eq.solveIntoWS(inst, final, ws)
-	} else if is, ok := g.solver.(IntoSolver); ok {
-		err = is.SolveInto(inst, final)
+		err = r.eq.solveWS(inst, final, ws, nil)
 	} else {
-		final, err = g.solver.Solve(inst)
+		err = g.solver.SolveInto(inst, final)
 	}
 	if err != nil {
 		return nil, err
@@ -252,29 +247,23 @@ func (g *GreedyAllocator) Allocate(p *ChannelProblem) (*GreedyResult, error) {
 // into workspace scratch. gvec may alias workspace memory; it is only read
 // during the solve. The default equilibrium solver runs directly on the
 // run's workspace — already validated and epoch-bumped by Allocate — so its
-// per-FBS memo carries over between evaluations.
+// per-FBS memo carries over between evaluations; any other solver is a
+// plain SolveInto.
 func (g *GreedyAllocator) q(r *greedyRun, gvec []float64) (float64, error) {
 	r.res.Evaluations++
 	inst := &r.ws.qInstance
 	*inst = *r.p.Base
 	inst.G = gvec
+	var err error
 	if r.eq != nil {
-		if err := r.eq.solveIntoWS(inst, &r.ws.qAlloc, r.ws); err != nil {
-			return 0, err
-		}
-		return objectiveCached(inst, &r.ws.qAlloc, r.ws.logW), nil
+		err = r.eq.solveWS(inst, &r.ws.qAlloc, r.ws, nil)
+	} else {
+		err = g.solver.SolveInto(inst, &r.ws.qAlloc)
 	}
-	if is, ok := g.solver.(IntoSolver); ok {
-		if err := is.SolveInto(inst, &r.ws.qAlloc); err != nil {
-			return 0, err
-		}
-		return objectiveCached(inst, &r.ws.qAlloc, r.ws.logW), nil
-	}
-	alloc, err := g.solver.Solve(inst)
 	if err != nil {
 		return 0, err
 	}
-	return objectiveCached(inst, alloc, r.ws.logW), nil
+	return objectiveCached(inst, &r.ws.qAlloc, r.ws.logW), nil
 }
 
 // gainOf returns the marginal gain of allocating candidate idx on top of the
@@ -498,12 +487,12 @@ func ExhaustiveChannelOptimum(p *ChannelProblem, solver Solver) (float64, error)
 		}
 	}
 	best := math.Inf(-1)
+	alloc := NewAllocation(p.Base.K())
 	var rec func(c int, g []float64) error
 	rec = func(c int, g []float64) error {
 		if c == len(p.Channels) {
 			withG := p.Base.WithG(g)
-			alloc, err := solver.Solve(withG)
-			if err != nil {
+			if err := solver.SolveInto(withG, alloc); err != nil {
 				return err
 			}
 			if v := alloc.Objective(withG); v > best {

@@ -23,7 +23,7 @@ import (
 // allocator, which then evaluates every Q(.) as a plain cold SolveInto: no
 // price seed and no per-FBS memo. It is the reference the seeded allocator
 // must reproduce.
-type coldQ struct{ IntoSolver }
+type coldQ struct{ Solver }
 
 // greedyDiff names the first field where two greedy results differ, or
 // returns "" when they are bitwise equal.

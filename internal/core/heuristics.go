@@ -7,37 +7,17 @@ package core
 // coordination across users.
 type Heuristic1 struct{}
 
-var (
-	_ Solver     = Heuristic1{}
-	_ IntoSolver = Heuristic1{}
-)
+var _ Solver = Heuristic1{}
 
-// Name identifies the scheme.
-func (Heuristic1) Name() string { return "Heuristic 1" }
-
-// Solve splits each resource equally among the users that selected it.
-func (h Heuristic1) Solve(in *Instance) (*Allocation, error) {
-	if err := in.Validate(); err != nil {
-		return nil, err
-	}
-	alloc := NewAllocation(in.K())
-	h.solveInto(in, alloc)
-	return alloc, nil
-}
-
-// SolveInto solves into a caller-owned allocation.
+// SolveInto splits each resource equally among the users that selected it,
+// writing the allocation into a caller-owned one.
 //
 //femtovet:hotpath
-//femtovet:borrows in, out
-func (h Heuristic1) SolveInto(in *Instance, out *Allocation) error {
+//femtovet:borrows in, alloc
+func (Heuristic1) SolveInto(in *Instance, alloc *Allocation) error {
 	if err := in.Validate(); err != nil {
 		return err
 	}
-	h.solveInto(in, out)
-	return nil
-}
-
-func (Heuristic1) solveInto(in *Instance, alloc *Allocation) {
 	k := in.K()
 	alloc.resize(k)
 	// Each user compares the expected per-unit-time quality rate of the two
@@ -70,6 +50,7 @@ func (Heuristic1) solveInto(in *Instance, alloc *Allocation) {
 			alloc.Rho1[j] = 1 / float64(fbsCount[in.FBS[j]-1])
 		}
 	}
+	return nil
 }
 
 // Heuristic2 is the paper's second baseline, exploiting multiuser
@@ -79,37 +60,17 @@ func (Heuristic1) solveInto(in *Instance, alloc *Allocation) {
 // globally by the base stations rather than locally by users.
 type Heuristic2 struct{}
 
-var (
-	_ Solver     = Heuristic2{}
-	_ IntoSolver = Heuristic2{}
-)
+var _ Solver = Heuristic2{}
 
-// Name identifies the scheme.
-func (Heuristic2) Name() string { return "Heuristic 2" }
-
-// Solve grants whole slots to the best-channel users.
-func (h Heuristic2) Solve(in *Instance) (*Allocation, error) {
-	if err := in.Validate(); err != nil {
-		return nil, err
-	}
-	alloc := NewAllocation(in.K())
-	h.solveInto(in, alloc)
-	return alloc, nil
-}
-
-// SolveInto solves into a caller-owned allocation.
+// SolveInto grants whole slots to the best-channel users, writing the
+// allocation into a caller-owned one.
 //
 //femtovet:hotpath
-//femtovet:borrows in, out
-func (h Heuristic2) SolveInto(in *Instance, out *Allocation) error {
+//femtovet:borrows in, alloc
+func (Heuristic2) SolveInto(in *Instance, alloc *Allocation) error {
 	if err := in.Validate(); err != nil {
 		return err
 	}
-	h.solveInto(in, out)
-	return nil
-}
-
-func (Heuristic2) solveInto(in *Instance, alloc *Allocation) {
 	k := in.K()
 	alloc.resize(k)
 	ws := getWorkspace()
@@ -151,4 +112,5 @@ func (Heuristic2) solveInto(in *Instance, alloc *Allocation) {
 		alloc.MBS[best] = true
 		alloc.Rho0[best] = 1
 	}
+	return nil
 }

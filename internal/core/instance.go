@@ -268,9 +268,9 @@ func (a *Allocation) ExpectedGain(in *Instance, j int) float64 {
 
 // Solver computes an allocation for one slot's problem.
 type Solver interface {
-	// Solve returns a feasible allocation. Implementations must not retain
-	// or mutate the instance.
-	Solve(in *Instance) (*Allocation, error)
-	// Name identifies the scheme in experiment output.
-	Name() string
+	// SolveInto writes a feasible allocation into the caller-owned out,
+	// which is resized and zeroed first; any previous contents are
+	// discarded. Per-slot callers reuse one Allocation across solves.
+	// Implementations must not retain or mutate the instance.
+	SolveInto(in *Instance, out *Allocation) error
 }

@@ -10,6 +10,15 @@ import (
 
 // randomInstance generates a valid random instance with k users spread over
 // n FBSs, for property tests.
+// solve runs s into a fresh allocation.
+func solve(s Solver, in *Instance) (*Allocation, error) {
+	out := &Allocation{}
+	if err := s.SolveInto(in, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 func randomInstance(s *rng.Stream, k, n int) *Instance {
 	in := &Instance{
 		W:   make([]float64, k),

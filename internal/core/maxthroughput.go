@@ -10,40 +10,20 @@ package core
 // shares.
 type MaxThroughput struct{}
 
-var (
-	_ Solver     = MaxThroughput{}
-	_ IntoSolver = MaxThroughput{}
-)
+var _ Solver = MaxThroughput{}
 
-// Name identifies the scheme.
-func (MaxThroughput) Name() string { return "Max throughput" }
-
-// Solve assigns each user to its higher-rate side, greedily fills each
+// SolveInto assigns each user to its higher-rate side, greedily fills each
 // resource in rate order, then polishes the association by coordinate
 // flips: moving one user to the other base station can raise the total
-// when it leaves an otherwise-idle resource busy.
-func (m MaxThroughput) Solve(in *Instance) (*Allocation, error) {
-	if err := in.Validate(); err != nil {
-		return nil, err
-	}
-	alloc := NewAllocation(in.K())
-	m.solveInto(in, alloc)
-	return alloc, nil
-}
-
-// SolveInto solves into a caller-owned allocation.
+// when it leaves an otherwise-idle resource busy. The allocation is written
+// into a caller-owned one.
 //
 //femtovet:hotpath
-//femtovet:borrows in, out
-func (m MaxThroughput) SolveInto(in *Instance, out *Allocation) error {
+//femtovet:borrows in, alloc
+func (MaxThroughput) SolveInto(in *Instance, alloc *Allocation) error {
 	if err := in.Validate(); err != nil {
 		return err
 	}
-	m.solveInto(in, out)
-	return nil
-}
-
-func (MaxThroughput) solveInto(in *Instance, alloc *Allocation) {
 	k := in.K()
 	alloc.resize(k)
 	ws := getWorkspace()
@@ -70,6 +50,7 @@ func (MaxThroughput) solveInto(in *Instance, alloc *Allocation) {
 			break
 		}
 	}
+	return nil
 }
 
 // totalExpectedGain sums the expected quality increments of an allocation.

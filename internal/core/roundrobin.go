@@ -7,43 +7,23 @@ package core
 // at all, which makes it the natural "no optimization" anchor for the
 // comparisons.
 //
-// The scheduler is stateful (the rotation counter advances per Solve call)
-// and not safe for concurrent use.
+// The scheduler is stateful (the rotation counter advances per SolveInto
+// call) and not safe for concurrent use.
 type RoundRobin struct {
 	counter int
 }
 
-var (
-	_ Solver     = (*RoundRobin)(nil)
-	_ IntoSolver = (*RoundRobin)(nil)
-)
+var _ Solver = (*RoundRobin)(nil)
 
-// Name identifies the scheme.
-func (r *RoundRobin) Name() string { return "Round robin" }
-
-// Solve grants whole slots in rotation.
-func (r *RoundRobin) Solve(in *Instance) (*Allocation, error) {
-	if err := in.Validate(); err != nil {
-		return nil, err
-	}
-	alloc := NewAllocation(in.K())
-	r.solveInto(in, alloc)
-	return alloc, nil
-}
-
-// SolveInto solves into a caller-owned allocation, advancing the rotation.
+// SolveInto grants whole slots in rotation, writing the allocation into a
+// caller-owned one and advancing the rotation.
 //
 //femtovet:hotpath
-//femtovet:borrows in, out
-func (r *RoundRobin) SolveInto(in *Instance, out *Allocation) error {
+//femtovet:borrows in, alloc
+func (r *RoundRobin) SolveInto(in *Instance, alloc *Allocation) error {
 	if err := in.Validate(); err != nil {
 		return err
 	}
-	r.solveInto(in, out)
-	return nil
-}
-
-func (r *RoundRobin) solveInto(in *Instance, alloc *Allocation) {
 	k := in.K()
 	alloc.resize(k)
 	ws := getWorkspace()
@@ -73,4 +53,5 @@ func (r *RoundRobin) solveInto(in *Instance, alloc *Allocation) {
 		}
 	}
 	r.counter++
+	return nil
 }

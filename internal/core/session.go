@@ -253,10 +253,10 @@ func (s *SolverSession) storeLambda(lambda, scale []float64, tau int, coldStart 
 }
 
 // WarmSolver is implemented by solvers whose per-slot solves can be seeded
-// from a SolverSession carried across consecutive slots. A nil session (or
-// one whose seeding is disabled) degrades to the cold SolveInto path with
-// statistics recording.
+// from a SolverSession carried across consecutive slots. A nil session is
+// exactly the cold SolveInto; a seeding-disabled session is the cold path
+// with statistics recording.
 type WarmSolver interface {
-	IntoSolver
+	Solver
 	SolveWarmInto(in *Instance, out *Allocation, sess *SolverSession) error
 }

@@ -169,9 +169,8 @@ func TestDualReportIterations(t *testing.T) {
 	in := randomInstance(rng.New(7), 9, 3)
 
 	t.Run("performed", func(t *testing.T) {
-		d := NewDualSolver(WithTrace())
-		_, rep, err := d.SolveDetailed(in)
-		if err != nil {
+		rep := &DualReport{}
+		if _, err := solve(NewDualSolver(WithTrace(rep)), in); err != nil {
 			t.Fatal(err)
 		}
 		if rep.Iterations < 1 || !rep.Converged {
@@ -185,9 +184,8 @@ func TestDualReportIterations(t *testing.T) {
 	})
 
 	t.Run("exactly the cap when never terminating", func(t *testing.T) {
-		d := NewDualSolver(WithMaxIter(7), WithPhi(-1))
-		_, rep, err := d.SolveDetailed(in)
-		if err != nil {
+		rep := &DualReport{}
+		if _, err := solve(NewDualSolver(WithTrace(rep), WithMaxIter(7), WithPhi(-1)), in); err != nil {
 			t.Fatal(err)
 		}
 		if rep.Iterations != 7 || rep.Converged {
@@ -196,9 +194,8 @@ func TestDualReportIterations(t *testing.T) {
 	})
 
 	t.Run("capped", func(t *testing.T) {
-		d := NewDualSolver(WithMaxIter(3))
-		_, rep, err := d.SolveDetailed(in)
-		if err != nil {
+		rep := &DualReport{}
+		if _, err := solve(NewDualSolver(WithTrace(rep), WithMaxIter(3)), in); err != nil {
 			t.Fatal(err)
 		}
 		if rep.Iterations > 3 {
@@ -208,16 +205,17 @@ func TestDualReportIterations(t *testing.T) {
 
 	t.Run("trivial is zero, cold and warm", func(t *testing.T) {
 		tin := trivialInstance()
-		d := NewDualSolver()
+		rep := &DualReport{}
+		d := NewDualSolver(WithTrace(rep))
+		out := &Allocation{}
 		for _, sess := range []*SolverSession{NewColdProbeSession(), NewSolverSession()} {
-			for solve := 0; solve < 2; solve++ { // second NewSolverSession solve would be warm
-				_, rep, err := d.SolveWarmDetailed(tin, sess)
-				if err != nil {
+			for pass := 0; pass < 2; pass++ { // second NewSolverSession solve would be warm
+				if err := d.SolveWarmInto(tin, out, sess); err != nil {
 					t.Fatal(err)
 				}
 				if rep.Iterations != 0 || !rep.Converged {
 					t.Fatalf("seeding=%v solve %d: Iterations = %d, Converged = %v; want 0, converged",
-						sess.Seeding(), solve, rep.Iterations, rep.Converged)
+						sess.Seeding(), pass, rep.Iterations, rep.Converged)
 				}
 			}
 		}
@@ -379,24 +377,18 @@ func TestColdProbeSessionNeverSeeds(t *testing.T) {
 	s := rng.New(5)
 	in := randomInstance(s, 9, 3)
 	tr := newMarkovTrace(s, 3)
-	d := NewDualSolver()
+	prep, crep := &DualReport{}, &DualReport{}
+	probed, plain := NewDualSolver(WithTrace(prep)), NewDualSolver(WithTrace(crep))
 	sess := NewColdProbeSession()
-	probe := NewAllocation(in.K())
-	plain := NewAllocation(in.K())
+	out := NewAllocation(in.K())
 	for slot := 0; slot < 10; slot++ {
 		tr.step(in.G)
-		_, prep, err := d.SolveWarmDetailed(in, sess)
-		if err != nil {
+		if err := probed.SolveWarmInto(in, out, sess); err != nil {
 			t.Fatal(err)
 		}
-		if err := d.SolveInto(in, plain); err != nil {
+		if err := plain.SolveInto(in, out); err != nil {
 			t.Fatal(err)
 		}
-		_, crep, err := d.SolveDetailed(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_ = probe
 		// Same iterations as the legacy path except on trivially-feasible
 		// slots, where the session short-circuits to zero prices.
 		trivial := prep.Iterations == 0 && crep.Iterations != 0

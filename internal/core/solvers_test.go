@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"femtocr/internal/rng"
@@ -27,12 +28,12 @@ func TestSolversProduceFeasibleAllocations(t *testing.T) {
 		n := 1 + s.IntN(3)
 		in := randomInstance(s, k, n)
 		for _, solver := range allSolvers() {
-			alloc, err := solver.Solve(in)
+			alloc, err := solve(solver, in)
 			if err != nil {
-				t.Fatalf("trial %d %s: %v", trial, solver.Name(), err)
+				t.Fatalf("trial %d %T: %v", trial, solver, err)
 			}
 			if err := alloc.Feasible(in, 1e-9); err != nil {
-				t.Fatalf("trial %d %s infeasible: %v", trial, solver.Name(), err)
+				t.Fatalf("trial %d %T infeasible: %v", trial, solver, err)
 			}
 		}
 	}
@@ -42,8 +43,8 @@ func TestSolversRejectInvalidInstance(t *testing.T) {
 	bad := paperishInstance()
 	bad.W[0] = -1
 	for _, solver := range allSolvers() {
-		if _, err := solver.Solve(bad); !errors.Is(err, ErrBadInstance) {
-			t.Errorf("%s accepted invalid instance: %v", solver.Name(), err)
+		if _, err := solve(solver, bad); !errors.Is(err, ErrBadInstance) {
+			t.Errorf("%T accepted invalid instance: %v", solver, err)
 		}
 	}
 }
@@ -61,11 +62,11 @@ func TestEquilibriumMatchesBruteForce(t *testing.T) {
 		k := 1 + s.IntN(7)
 		n := 1 + s.IntN(3)
 		in := randomInstance(s, k, n)
-		ba, err := brute.Solve(in)
+		ba, err := solve(brute, in)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ea, err := eq.Solve(in)
+		ea, err := solve(eq, in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,11 +97,11 @@ func TestDualNearOptimal(t *testing.T) {
 		k := 1 + s.IntN(6)
 		n := 1 + s.IntN(2)
 		in := randomInstance(s, k, n)
-		ba, err := brute.Solve(in)
+		ba, err := solve(brute, in)
 		if err != nil {
 			t.Fatal(err)
 		}
-		da, err := dual.Solve(in)
+		da, err := solve(dual, in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,9 +119,9 @@ func TestDualNearOptimal(t *testing.T) {
 // (Fig. 4(a)): late-iteration movement is far smaller than early movement.
 func TestDualConvergenceTrace(t *testing.T) {
 	in := paperishInstance()
-	solver := NewDualSolver(WithTrace(), WithMaxIter(1500))
-	_, report, err := solver.SolveDetailed(in)
-	if err != nil {
+	report := &DualReport{}
+	solver := NewDualSolver(WithTrace(report), WithMaxIter(1500))
+	if _, err := solve(solver, in); err != nil {
 		t.Fatal(err)
 	}
 	if len(report.Trace) < 10 {
@@ -145,17 +146,29 @@ func TestDualConvergenceTrace(t *testing.T) {
 	}
 }
 
+// TestDualReportWithoutTrace: tracing only observes. The solve without
+// WithTrace returns the traced solve's allocation bit for bit, and the
+// caller's report is filled afresh by every traced solve.
 func TestDualReportWithoutTrace(t *testing.T) {
 	in := paperishInstance()
-	_, report, err := NewDualSolver().SolveDetailed(in)
+	plain, err := solve(NewDualSolver(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if report.Trace != nil {
-		t.Fatal("trace recorded without WithTrace")
-	}
-	if report.Iterations == 0 {
-		t.Fatal("no iterations reported")
+	report := &DualReport{Iterations: -1, Trace: [][]float64{{42}}}
+	traced := NewDualSolver(WithTrace(report))
+	for pass := 0; pass < 2; pass++ {
+		alloc, err := solve(traced, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(alloc, plain) {
+			t.Fatalf("pass %d: traced allocation %+v differs from untraced %+v", pass, alloc, plain)
+		}
+		if report.Iterations < 1 || len(report.Trace) != report.Iterations+1 || len(report.Lambda) != 2 {
+			t.Fatalf("pass %d: report has %d iterations, %d trace rows, %d prices; want a fresh full report",
+				pass, report.Iterations, len(report.Trace), len(report.Lambda))
+		}
 	}
 }
 
@@ -165,7 +178,7 @@ func TestDualReportWithoutTrace(t *testing.T) {
 func TestDualConstantStepStillFeasible(t *testing.T) {
 	in := paperishInstance()
 	solver := NewDualSolver(WithConstantStep(), WithStep(1e-3), WithMaxIter(500))
-	alloc, err := solver.Solve(in)
+	alloc, err := solve(solver, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,13 +195,13 @@ func TestTheorem1BinaryAssociation(t *testing.T) {
 		s := root.SplitIndex("trial", trial)
 		in := randomInstance(s, 1+s.IntN(6), 1+s.IntN(2))
 		for _, solver := range allSolvers() {
-			alloc, err := solver.Solve(in)
+			alloc, err := solve(solver, in)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for j := 0; j < in.K(); j++ {
 				if alloc.Rho0[j] > 1e-12 && alloc.Rho1[j] > 1e-12 {
-					t.Fatalf("%s: user %d holds shares on both base stations", solver.Name(), j)
+					t.Fatalf("%T: user %d holds shares on both base stations", solver, j)
 				}
 			}
 		}
@@ -203,18 +216,18 @@ func TestProposedBeatsHeuristics(t *testing.T) {
 		s := root.SplitIndex("trial", trial)
 		in := randomInstance(s, 2+s.IntN(6), 1+s.IntN(2))
 		brute := &BruteForceSolver{}
-		opt, err := brute.Solve(in)
+		opt, err := solve(brute, in)
 		if err != nil {
 			t.Fatal(err)
 		}
 		optV := opt.Objective(in)
 		for _, h := range []Solver{Heuristic1{}, Heuristic2{}} {
-			a, err := h.Solve(in)
+			a, err := solve(h, in)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if v := a.Objective(in); v > optV+1e-9 {
-				t.Fatalf("trial %d: %s objective %v beats optimum %v", trial, h.Name(), v, optV)
+				t.Fatalf("trial %d: %T objective %v beats optimum %v", trial, h, v, optV)
 			}
 		}
 	}
@@ -223,7 +236,7 @@ func TestProposedBeatsHeuristics(t *testing.T) {
 func TestHeuristic1EqualSplit(t *testing.T) {
 	in := paperishInstance()
 	// FBS link strictly better for everyone in this instance.
-	a, err := Heuristic1{}.Solve(in)
+	a, err := solve(Heuristic1{}, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +253,7 @@ func TestHeuristic1EqualSplit(t *testing.T) {
 func TestHeuristic1PrefersMBSWhenBetter(t *testing.T) {
 	in := paperishInstance()
 	in.G[0] = 0.1 // licensed band nearly useless this slot
-	a, err := Heuristic1{}.Solve(in)
+	a, err := solve(Heuristic1{}, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +269,7 @@ func TestHeuristic1PrefersMBSWhenBetter(t *testing.T) {
 
 func TestHeuristic2PicksBestUsers(t *testing.T) {
 	in := paperishInstance() // PS1 best is user 2 (0.95), PS0 best is user 2 too
-	a, err := Heuristic2{}.Solve(in)
+	a, err := solve(Heuristic2{}, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +291,7 @@ func TestHeuristic2SingleUser(t *testing.T) {
 		W: in.W[:1], R0: in.R0[:1], R1: in.R1[:1],
 		PS0: in.PS0[:1], PS1: in.PS1[:1], FBS: in.FBS[:1], G: in.G,
 	}
-	a, err := Heuristic2{}.Solve(one)
+	a, err := solve(Heuristic2{}, one)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +305,7 @@ func TestBruteForceLimit(t *testing.T) {
 	s := rng.New(5)
 	in := randomInstance(s, 6, 1)
 	b := &BruteForceSolver{MaxUsers: 4}
-	if _, err := b.Solve(in); !errors.Is(err, ErrNoSolution) {
+	if _, err := solve(b, in); !errors.Is(err, ErrNoSolution) {
 		t.Fatalf("err = %v, want ErrNoSolution", err)
 	}
 }
@@ -303,16 +316,16 @@ func TestSolverZeroG(t *testing.T) {
 	in := paperishInstance()
 	in.G[0] = 0
 	for _, solver := range allSolvers() {
-		alloc, err := solver.Solve(in)
+		alloc, err := solve(solver, in)
 		if err != nil {
-			t.Fatalf("%s: %v", solver.Name(), err)
+			t.Fatalf("%T: %v", solver, err)
 		}
 		if err := alloc.Feasible(in, 1e-9); err != nil {
-			t.Fatalf("%s: %v", solver.Name(), err)
+			t.Fatalf("%T: %v", solver, err)
 		}
 	}
 	// The optimum should serve everyone from the MBS.
-	opt, err := (&BruteForceSolver{}).Solve(in)
+	opt, err := solve(&BruteForceSolver{}, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +345,7 @@ func TestObjectiveMonotoneInG(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		s := root.SplitIndex("trial", trial)
 		in := randomInstance(s, 1+s.IntN(5), 1+s.IntN(2))
-		a1, err := brute.Solve(in)
+		a1, err := solve(brute, in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -342,7 +355,7 @@ func TestObjectiveMonotoneInG(t *testing.T) {
 			g2[i] += 1
 		}
 		in2 := in.WithG(g2)
-		a2, err := brute.Solve(in2)
+		a2, err := solve(brute, in2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -357,7 +370,7 @@ func TestRoundRobinRotation(t *testing.T) {
 	rr := &RoundRobin{}
 	served := make(map[int]int)
 	for slot := 0; slot < 9; slot++ {
-		alloc, err := rr.Solve(in)
+		alloc, err := solve(rr, in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -393,11 +406,11 @@ func TestRoundRobinBelowHeuristics(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		s := root.SplitIndex("t", trial)
 		in := randomInstance(s, 2+s.IntN(5), 1+s.IntN(2))
-		opt, err := (&BruteForceSolver{}).Solve(in)
+		opt, err := solve(&BruteForceSolver{}, in)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rr, err := (&RoundRobin{}).Solve(in)
+		rr, err := solve(&RoundRobin{}, in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -410,7 +423,7 @@ func TestRoundRobinBelowHeuristics(t *testing.T) {
 func TestMaxThroughputGreedyFill(t *testing.T) {
 	in := paperishInstance()
 	in.WMax = []float64{in.W[0] + 0.5, in.W[1] + 10, in.W[2] + 10}
-	a, err := MaxThroughput{}.Solve(in)
+	a, err := solve(MaxThroughput{}, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +443,7 @@ func TestMaxThroughputRespectsCeilings(t *testing.T) {
 	in := paperishInstance()
 	// Tiny ceilings: the fill must spill over to the next users.
 	in.WMax = []float64{in.W[0] + 0.3, in.W[1] + 0.3, in.W[2] + 0.3}
-	a, err := MaxThroughput{}.Solve(in)
+	a, err := solve(MaxThroughput{}, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,11 +473,11 @@ func TestFairnessEfficiencyFrontier(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		s := root.SplitIndex("t", trial)
 		in := randomInstance(s, 2+s.IntN(5), 1)
-		pf, err := (&BruteForceSolver{}).Solve(in)
+		pf, err := solve(&BruteForceSolver{}, in)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mt, err := MaxThroughput{}.Solve(in)
+		mt, err := solve(MaxThroughput{}, in)
 		if err != nil {
 			t.Fatal(err)
 		}

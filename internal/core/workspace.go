@@ -15,9 +15,9 @@ import (
 // race-free by construction.
 //
 // Ownership rule: a workspace is held for the duration of exactly one
-// Solve/SolveInto/Allocate call and released before returning. Nothing that
-// escapes to the caller (the returned Allocation, reports, traces) may alias
-// workspace memory.
+// SolveInto/SolveWarmInto/Allocate call and released before returning.
+// Nothing that escapes to the caller (the returned Allocation, reports,
+// traces) may alias workspace memory.
 type solveWorkspace struct {
 	// Per-user water-filling views and the cached log(W_j) terms shared by
 	// every branch-value and objective evaluation of the solve. wr0/wr1
@@ -62,7 +62,7 @@ type solveWorkspace struct {
 	qAlloc    Allocation
 	qInstance Instance
 
-	// Per-FBS equilibrium memo (see exact.go solveIntoWS): open-addressed
+	// Per-FBS equilibrium memo (see exact.go solveWS): open-addressed
 	// cache of (fbs, lambda_0, G_i) -> (lambda_i, association mask),
 	// epoch-tagged so invalidation on a new base instance is O(1). The
 	// greedy allocator holds one epoch across all Q evaluations of an
@@ -73,7 +73,7 @@ type solveWorkspace struct {
 	eqEpoch uint32
 
 	// Outer-price seed of the session-less equilibrium solves on this
-	// workspace (see exact.go solveSessionWS). An unseeded solve records its
+	// workspace (see exact.go solveWS). An unseeded solve records its
 	// clearing common price in eqL0 (0 when uncontended); while eqSeeded is
 	// set, solves bracket their outer bisection around eqL0 instead and
 	// leave it untouched. The greedy allocator seeds once per Allocate from
@@ -335,14 +335,4 @@ func feasibleCached(in *Instance, a *Allocation, ws *solveWorkspace, tol float64
 		}
 	}
 	return nil
-}
-
-// IntoSolver is implemented by solvers that can write the allocation into a
-// caller-owned buffer, letting per-slot callers (the simulation engine, the
-// greedy allocator's Q evaluations) reuse one Allocation instead of
-// allocating a fresh one per solve. The buffer is resized and zeroed; any
-// previous contents are discarded.
-type IntoSolver interface {
-	Solver
-	SolveInto(in *Instance, out *Allocation) error
 }

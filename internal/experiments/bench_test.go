@@ -24,11 +24,10 @@ func benchParams() Params {
 
 // BenchmarkFig5Quick measures the replication engine on the heaviest
 // per-user figure (three interfering FBSs, nine users) at quick scale,
-// sequential versus parallel. scripts/bench_parallel.sh turns the two
-// sub-benchmarks into BENCH_parallel.json; with at least 4 CPUs available
-// the workers=4 case should run at least twice as fast as workers=1 (on
-// fewer CPUs the ratio is capped by the hardware — the recorded "cpus"
-// field in the JSON says which regime a result came from). The outputs are
+// sequential versus parallel. With at least 4 CPUs available the
+// workers=4 case should run at least twice as fast as workers=1; on fewer
+// CPUs the ratio is capped by the hardware, so the benchmark logs NumCPU
+// and GOMAXPROCS to say which regime a result came from. The outputs are
 // bitwise-identical either way — only the schedule differs.
 func BenchmarkFig5Quick(b *testing.B) {
 	b.Logf("NumCPU=%d GOMAXPROCS=%d", runtime.NumCPU(), runtime.GOMAXPROCS(0))

@@ -1,6 +1,7 @@
 // Package packetsim is the packet-level counterpart of internal/sim: the
-// same sensing/access front half and the same resource-allocation schemes,
-// but with explicit NAL-unit transmission queues, ARQ retransmissions, and
+// same sensing/access front half (sim.Frontend) and the same allocation half
+// (sim.Allocator: scheme, channel allocation, per-slot solve), but with
+// explicit NAL-unit transmission queues, ARQ retransmissions, and
 // deadline discards, per the paper's §III-E delivery discipline ("video
 // packets are transmitted in the decreasing order of their significances,
 // with retransmissions if necessary; overdue packets will be discarded").
@@ -14,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 
-	"femtocr/internal/core"
 	"femtocr/internal/netmodel"
 	"femtocr/internal/packet"
 	"femtocr/internal/rng"
@@ -115,10 +115,15 @@ func Run(net *netmodel.Network, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	stage, err := sim.NewAllocator(net, sim.Options{Scheme: opts.Scheme})
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrBadOptions, err)
+	}
 	e := &engine{
 		net:        net,
 		opts:       opts,
 		front:      front,
+		stage:      stage,
 		fadeStream: root.Split("fading"),
 	}
 	if err := e.init(); err != nil {
@@ -138,21 +143,13 @@ type engine struct {
 	opts Options
 
 	front      *sim.Frontend
+	stage      *sim.Allocator
 	fadeStream *rng.Stream
 
 	queues    []*packet.Queue
 	receivers []*packet.Receiver
 	gops      []video.GOP // the (static) encoded GOP layout per user
-
-	solver      core.Solver
-	greedy      *core.GreedyAllocator
-	interfering bool
-	colorOf     []int
-	numColors   int
-
-	// Static per-user optimizer constants.
-	r0, r1, ps0, ps1, wmax []float64
-	fbsOf                  []int
+	w         []float64   // the users' current qualities, refreshed per slot
 
 	// Slot duration in seconds: GOP playout time divided by the deadline T.
 	slotSeconds float64
@@ -174,12 +171,7 @@ func (e *engine) init() error {
 	e.queues = make([]*packet.Queue, k)
 	e.receivers = make([]*packet.Receiver, k)
 	e.gops = make([]video.GOP, k)
-	e.r0 = make([]float64, k)
-	e.r1 = make([]float64, k)
-	e.ps0 = make([]float64, k)
-	e.ps1 = make([]float64, k)
-	e.wmax = make([]float64, k)
-	e.fbsOf = make([]int, k)
+	e.w = make([]float64, k)
 
 	for j, u := range net.Users {
 		e.queues[j] = &packet.Queue{}
@@ -190,12 +182,6 @@ func (e *engine) init() error {
 			return err
 		}
 		e.gops[j] = g
-		e.r0[j] = u.Seq.RD.Beta * net.Band.B0() / float64(net.T)
-		e.r1[j] = u.Seq.RD.Beta * net.Band.B1() / float64(net.T)
-		e.ps0[j] = u.MBSLink.SuccessProbability()
-		e.ps1[j] = u.FBSLink.SuccessProbability()
-		e.wmax[j] = u.Seq.MaxPSNR()
-		e.fbsOf[j] = u.FBS
 	}
 	// Every user shares the slot clock; use the first sequence's timing.
 	seq := net.Users[0].Seq
@@ -207,26 +193,6 @@ func (e *engine) init() error {
 		// bounded, converging within a few GOPs.
 		e.ewmaRate[j] = u.Seq.MaxRateMbps / 2
 	}
-
-	e.interfering = net.Graph.NumEdges() > 0
-	switch e.opts.Scheme {
-	case sim.Proposed:
-		e.solver = &core.EquilibriumSolver{}
-		if e.interfering {
-			e.greedy = core.NewGreedyAllocator(e.solver, core.WithLazyEvaluation())
-		}
-	case sim.Heuristic1:
-		e.solver = core.Heuristic1{}
-	case sim.Heuristic2:
-		e.solver = core.Heuristic2{}
-	case sim.RoundRobin:
-		e.solver = &core.RoundRobin{}
-	case sim.MaxThroughput:
-		e.solver = core.MaxThroughput{}
-	default:
-		return fmt.Errorf("%w: unknown scheme %d", ErrBadOptions, int(e.opts.Scheme))
-	}
-	e.colorOf, e.numColors = net.Graph.GreedyColoring()
 	return nil
 }
 
@@ -256,49 +222,19 @@ func (e *engine) step(slot int) error {
 		return err
 	}
 
-	// Build and solve the slot's allocation problem; W is the quality the
-	// user would decode with what it has received so far.
-	k := net.K()
-	w := make([]float64, k)
-	for j := range w {
-		w[j] = e.receivers[j].CurrentPSNR()
+	// Allocate the slot (shared allocation half); W is the quality the user
+	// would decode with what it has received so far.
+	for j := range e.w {
+		e.w[j] = e.receivers[j].CurrentPSNR()
 	}
-	inst := &core.Instance{
-		W: w, R0: e.r0, R1: e.r1, PS0: e.ps0, PS1: e.ps1, FBS: e.fbsOf,
-		G: make([]float64, net.NumFBS), WMax: e.wmax,
+	sa, err := e.stage.Step(st, e.w)
+	if err != nil {
+		return err
 	}
-
-	var alloc *core.Allocation
-	var assigned [][]int
-	if e.opts.Scheme == sim.Proposed && e.interfering {
-		res, err := e.greedy.Allocate(&core.ChannelProblem{
-			Base:       inst,
-			Graph:      net.Graph,
-			Channels:   st.Accessed,
-			Posteriors: st.AccessedPA,
-		})
-		if err != nil {
-			return err
-		}
-		alloc = res.Alloc
-		assigned = res.Assigned
-	} else {
-		assigned = e.staticAssignment(st.Accessed)
-		g := make([]float64, net.NumFBS)
-		for i := range assigned {
-			for _, ch := range assigned[i] {
-				g[i] += st.Decision.Channels[ch-1].Posterior
-			}
-		}
-		withG := inst.WithG(g)
-		alloc, err = e.solver.Solve(withG)
-		if err != nil {
-			return err
-		}
-	}
+	alloc, assigned := sa.Alloc, sa.Assigned
 
 	// Transmission + ACK phases: move bytes through each user's queue.
-	for j := 0; j < k; j++ {
+	for j := range e.w {
 		var rateMbps float64
 		var lost bool
 		if alloc.MBS[j] {
@@ -312,7 +248,7 @@ func (e *engine) step(slot int) error {
 				continue
 			}
 			idle := 0
-			for _, ch := range assigned[e.fbsOf[j]-1] {
+			for _, ch := range assigned[net.Users[j].FBS-1] {
 				if st.Truth.Idle(ch) {
 					idle++
 				}
@@ -368,27 +304,6 @@ func (e *engine) adaptRate(j int) error {
 	}
 	e.gops[j] = g
 	return nil
-}
-
-// staticAssignment mirrors sim's frequency plan for uncoordinated schemes.
-func (e *engine) staticAssignment(accessed []int) [][]int {
-	n := e.net.NumFBS
-	assigned := make([][]int, n)
-	if !e.interfering {
-		for i := 0; i < n; i++ {
-			assigned[i] = append([]int(nil), accessed...)
-		}
-		return assigned
-	}
-	for idx, ch := range accessed {
-		class := idx % e.numColors
-		for i := 0; i < n; i++ {
-			if e.colorOf[i] == class {
-				assigned[i] = append(assigned[i], ch)
-			}
-		}
-	}
-	return assigned
 }
 
 func (e *engine) result() *Result {

@@ -239,3 +239,63 @@ func TestAdaptiveRateCutsDrops(t *testing.T) {
 	t.Logf("drops: fixed %d -> adaptive %d; PSNR %.2f -> %.2f",
 		fixedDrops, adaptDrops, fixedPSNR/runs, adaptPSNR/runs)
 }
+
+// TestGoldenOutputs pins the packet-level engine's outputs bitwise: the
+// mean quality as float64 bits and every byte and packet counter, for all
+// five schemes on the paper's single-FBS and interfering networks at two
+// seeds. The other tests here check determinism and closeness to the rate
+// engine, which a silent change of the allocation path would still pass.
+func TestGoldenOutputs(t *testing.T) {
+	single := singleNet(t)
+	interf, err := netmodel.PaperInterfering(netmodel.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	nets := map[string]*netmodel.Network{"single": single, "interfering": interf}
+	for _, g := range []struct {
+		net        string
+		scheme     sim.Scheme
+		seed       uint64
+		psnrBits   uint64
+		delivered  int
+		sent       int
+		retransmit int
+		dropped    int
+	}{
+		{"single", sim.Proposed, 1, 0x403ec24b715f2f83, 145222, 212, 1, 466},
+		{"single", sim.Proposed, 2, 0x403eacfac06cb3d0, 141531, 207, 0, 453},
+		{"single", sim.Heuristic1, 1, 0x403d7f60099ca889, 88122, 160, 12, 537},
+		{"single", sim.Heuristic1, 2, 0x403d70872138a681, 86147, 159, 5, 535},
+		{"single", sim.Heuristic2, 1, 0x403e7cc2b7e7aa10, 132342, 203, 6, 473},
+		{"single", sim.Heuristic2, 2, 0x403e745f6e6c35fb, 130106, 204, 4, 453},
+		{"single", sim.RoundRobin, 1, 0x403e5b6cea55bb65, 131048, 176, 2, 495},
+		{"single", sim.RoundRobin, 2, 0x403e5f9cca17577c, 132361, 162, 2, 488},
+		{"single", sim.MaxThroughput, 1, 0x403ea29fb8df20d5, 138958, 209, 6, 470},
+		{"single", sim.MaxThroughput, 2, 0x403e7e947330c0db, 131834, 197, 1, 460},
+		{"interfering", sim.Proposed, 1, 0x403e7fd875bf1094, 386675, 582, 1, 1361},
+		{"interfering", sim.Proposed, 2, 0x403e6032f01754b0, 369028, 571, 2, 1388},
+		{"interfering", sim.Heuristic1, 1, 0x403d4b18681d6760, 230886, 467, 22, 1622},
+		{"interfering", sim.Heuristic1, 2, 0x403d4ca385f33b3c, 232419, 468, 20, 1640},
+		{"interfering", sim.Heuristic2, 1, 0x403de30e8c8abd5e, 307785, 451, 6, 1472},
+		{"interfering", sim.Heuristic2, 2, 0x403dfc3e7d135115, 321903, 472, 2, 1472},
+		{"interfering", sim.RoundRobin, 1, 0x403d76159280117b, 259470, 265, 11, 1617},
+		{"interfering", sim.RoundRobin, 2, 0x403d764bb049501c, 260644, 303, 12, 1595},
+		{"interfering", sim.MaxThroughput, 1, 0x403dee35c71a9490, 306759, 436, 6, 1486},
+		{"interfering", sim.MaxThroughput, 2, 0x403e022f837b4a24, 317461, 446, 3, 1486},
+	} {
+		res, err := Run(nets[g.net], Options{Seed: g.seed, GOPs: 4, Scheme: g.scheme})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := math.Float64bits(res.MeanPSNR); got != g.psnrBits {
+			t.Errorf("%s %v seed %d: MeanPSNR bits %#016x (%v), want %#016x (%v)",
+				g.net, g.scheme, g.seed, got, res.MeanPSNR, g.psnrBits, math.Float64frombits(g.psnrBits))
+		}
+		if res.DeliveredBytes != g.delivered || res.SentPackets != g.sent ||
+			res.Retransmissions != g.retransmit || res.DroppedPackets != g.dropped {
+			t.Errorf("%s %v seed %d: delivered/sent/retransmitted/dropped = %d/%d/%d/%d, want %d/%d/%d/%d",
+				g.net, g.scheme, g.seed, res.DeliveredBytes, res.SentPackets, res.Retransmissions, res.DroppedPackets,
+				g.delivered, g.sent, g.retransmit, g.dropped)
+		}
+	}
+}

@@ -85,7 +85,7 @@ func BenchmarkGOPProposedInterfering(b *testing.B) {
 }
 
 func BenchmarkGOPProposedInterferingEagerGreedy(b *testing.B) {
-	benchRun(b, benchNet(b, true), Options{Scheme: Proposed, DisableLazyGreedy: true})
+	benchRun(b, benchNet(b, true), Options{Scheme: Proposed, disableLazyGreedy: true})
 }
 
 func BenchmarkGOPProposedInterferingWithBound(b *testing.B) {

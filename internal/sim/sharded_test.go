@@ -269,15 +269,32 @@ func TestShardedTimingImprovedBySkewAwareGrouping(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := Options{Seed: 4000, GOPs: 6, Scheme: Proposed, Parallel: Parallelism{Workers: 1, Shards: 2}}
-	got, err := RunSharded(net, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Shards != 5 || got.Groups != 2 {
-		t.Fatalf("shards=%d groups=%d, want 5 components in 2 groups", got.Shards, got.Groups)
-	}
-	if got.Timing == nil || len(got.Timing.TaskNS) != 2 || len(got.Timing.ShardNS) != 5 {
-		t.Fatalf("timing = %+v, want 2 task and 5 shard entries", got.Timing)
+	// One run's per-shard wall times are noisy under concurrent load (a
+	// light shard can read ~1.7x its quiet time), so compare the groupings
+	// on each shard's minimum over repeated runs, the min-of-N statistic.
+	const runs = 5
+	var got *ShardedResult
+	var shardNS []int64
+	for r := 0; r < runs; r++ {
+		res, err := RunSharded(net, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Shards != 5 || res.Groups != 2 {
+			t.Fatalf("shards=%d groups=%d, want 5 components in 2 groups", res.Shards, res.Groups)
+		}
+		if res.Timing == nil || len(res.Timing.TaskNS) != 2 || len(res.Timing.ShardNS) != 5 {
+			t.Fatalf("timing = %+v, want 2 task and 5 shard entries", res.Timing)
+		}
+		if shardNS == nil {
+			got = res
+			shardNS = append([]int64(nil), res.Timing.ShardNS...)
+		}
+		for c, ns := range res.Timing.ShardNS {
+			if ns < shardNS[c] {
+				shardNS[c] = ns
+			}
+		}
 	}
 	// Recompute both groupings' critical paths from the same measured
 	// per-shard times: the dense component costs far more than the four
@@ -286,11 +303,11 @@ func TestShardedTimingImprovedBySkewAwareGrouping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	weighted := maxRangeWeight(got.Timing.ShardNS, shardBounds(shards, 2))
-	equal := maxRangeWeight(got.Timing.ShardNS, equalCountBounds(5, 2))
+	weighted := maxRangeWeight(shardNS, shardBounds(shards, 2))
+	equal := maxRangeWeight(shardNS, equalCountBounds(5, 2))
 	if weighted > equal {
-		t.Errorf("weighted grouping critical path %dns exceeds equal-count %dns (shardNS %v)",
-			weighted, equal, got.Timing.ShardNS)
+		t.Errorf("weighted grouping critical path %dns exceeds equal-count %dns (min shardNS over %d runs %v)",
+			weighted, equal, runs, shardNS)
 	}
 	// Grouping must not touch the folded quality results.
 	ref, err := RunSharded(net, Options{Seed: 4000, GOPs: 6, Scheme: Proposed, Parallel: Parallelism{Workers: 1, Shards: 1}})

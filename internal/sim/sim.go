@@ -91,12 +91,6 @@ type Options struct {
 	// produce near-identical allocations, but not bit-identical ones: on
 	// the Fig. 4(c) grid 16 of 50 runs differ in mean PSNR.
 	UseDualSolver bool
-	// DisableLazyGreedy forces the greedy allocator to re-evaluate every
-	// user's marginal gain on every iteration — the literal Table III loop.
-	// The zero value (lazy evaluation on) produces identical allocations
-	// with fewer Q evaluations; set this only to cross-check the lazy
-	// optimization or to time the unoptimized loop.
-	DisableLazyGreedy bool
 	// TrackBeliefs replaces the stationary fusion prior with the Bayesian
 	// occupancy filter (extension; see internal/belief).
 	TrackBeliefs bool
@@ -123,6 +117,12 @@ type Options struct {
 	// SolveStats) and unseeded greedy Q evaluations. It exists only as the
 	// reference the warm-start equivalence tests compare against.
 	coldSolves bool
+	// disableLazyGreedy makes the greedy allocator re-evaluate every
+	// candidate's marginal gain on every iteration — the literal Table III
+	// loop. Lazy evaluation produces identical allocations with fewer Q
+	// evaluations; this exists only to cross-check it and to time the
+	// unoptimized loop.
+	disableLazyGreedy bool
 }
 
 // Parallelism is the unified parallel-execution knob bundle shared with the
@@ -200,6 +200,9 @@ func Run(net *netmodel.Network, opts Options) (*Result, error) {
 	if opts.GOPs < 1 {
 		return nil, fmt.Errorf("%w: GOPs=%d", ErrBadOptions, opts.GOPs)
 	}
+	if opts.DualIterations < 0 {
+		return nil, fmt.Errorf("%w: DualIterations=%d", ErrBadOptions, opts.DualIterations)
+	}
 
 	e, err := newEngine(net, opts)
 	if err != nil {
@@ -220,54 +223,19 @@ type engine struct {
 	opts Options
 
 	front    *Frontend
+	stage    *Allocator
 	progress []*video.Progress
 	bound    []*video.Progress
 
 	fadeStream *rng.Stream
 
-	solver      core.Solver
-	greedy      *core.GreedyAllocator
-	interfering bool
-
-	// Static per-user constants of problem (10).
-	r0, r1, ps0, ps1, wmax []float64
-	fbsOf                  []int
-
-	// Static channel split for the heuristic schemes on interfering
-	// deployments (greedy-coloring frequency plan).
-	colorOf   []int
-	numColors int
-
-	// Reusable per-slot state: the instance snapshot (instW/instG are its
-	// backing arrays), the shallow view handed out by withG, the channel
-	// vectors, the static assignment lists, the realized gains, and the
-	// allocations written by SolveInto. All are owned by this engine and
-	// overwritten every slot; the engine is single-goroutine by design.
-	inst       core.Instance
-	instView   core.Instance
-	instW      []float64
-	instG      []float64
-	gVec       []float64
-	relaxG     []float64
-	assigned   [][]int
-	gains      []float64
-	alloc      *core.Allocation
-	relaxAlloc *core.Allocation
-	inflate    *core.Allocation
-	chanProb   core.ChannelProblem
-	intoSolver core.IntoSolver // non-nil when solver supports SolveInto
-
-	// Warm-start plumbing: non-nil whenever the scheme's solver supports
-	// sessions (relaxSession only when the relaxation bound is tracked).
-	// The slot solves and the TrackBound relaxation solves carry separate
-	// sessions — they are different problem families, and seeding one from
-	// the other would thrash both trackers. Sessions are engine-owned and
-	// single-goroutine like everything else here; RunSharded gets
-	// per-shard sessions for free because every shard builds its own
-	// engine.
-	warmSolver   core.WarmSolver
-	session      *core.SolverSession
-	relaxSession *core.SolverSession
+	// Reusable per-slot state, owned by this engine and overwritten every
+	// slot (the engine is single-goroutine by design): the users' current
+	// qualities handed to the allocation stage, the realized gains, and the
+	// bound trajectory's inflation scratch.
+	w       []float64
+	gains   []float64
+	inflate *core.Allocation
 
 	dualTrace [][]float64
 	sumG      float64
@@ -287,241 +255,69 @@ func newEngine(net *netmodel.Network, opts Options) (*engine, error) {
 			return nil, err
 		}
 	}
+	stage, err := NewAllocator(net, opts)
+	if err != nil {
+		return nil, err
+	}
+	k := net.K()
 	e := &engine{
 		net:        net,
 		opts:       opts,
 		front:      front,
+		stage:      stage,
 		fadeStream: root.Split("fading"),
+		progress:   make([]*video.Progress, k),
+		w:          make([]float64, k),
+		gains:      make([]float64, k),
 	}
-
-	k := net.K()
-	e.progress = make([]*video.Progress, k)
-	e.r0 = make([]float64, k)
-	e.r1 = make([]float64, k)
-	e.ps0 = make([]float64, k)
-	e.ps1 = make([]float64, k)
-	e.wmax = make([]float64, k)
-	e.fbsOf = make([]int, k)
 	for j, u := range net.Users {
 		e.progress[j] = video.NewProgress(u.Seq)
-		e.r0[j] = u.Seq.RD.Beta * net.Band.B0() / float64(net.T)
-		e.r1[j] = u.Seq.RD.Beta * net.Band.B1() / float64(net.T)
-		e.ps0[j] = u.MBSLink.SuccessProbability()
-		e.ps1[j] = u.FBSLink.SuccessProbability()
-		e.wmax[j] = u.Seq.MaxPSNR()
-		e.fbsOf[j] = u.FBS
 	}
 	if opts.TrackBound {
 		e.bound = make([]*video.Progress, k)
 		for j, u := range net.Users {
 			e.bound[j] = video.NewProgress(u.Seq)
 		}
-	}
-
-	e.interfering = net.Graph.NumEdges() > 0
-	switch opts.Scheme {
-	case Proposed:
-		if opts.UseDualSolver {
-			e.solver = core.NewDualSolver()
-		} else {
-			e.solver = &core.EquilibriumSolver{}
-		}
-		if e.interfering {
-			var gopts []core.GreedyOption
-			if !opts.DisableLazyGreedy {
-				gopts = append(gopts, core.WithLazyEvaluation())
-			}
-			q := e.solver
-			if opts.coldSolves {
-				q = coldQ{e.solver.(core.IntoSolver)}
-			}
-			e.greedy = core.NewGreedyAllocator(q, gopts...)
-		}
-	case Heuristic1:
-		e.solver = core.Heuristic1{}
-	case Heuristic2:
-		e.solver = core.Heuristic2{}
-	case RoundRobin:
-		e.solver = &core.RoundRobin{}
-	case MaxThroughput:
-		e.solver = core.MaxThroughput{}
-	default:
-		return nil, fmt.Errorf("%w: unknown scheme %d", ErrBadOptions, int(opts.Scheme))
-	}
-
-	// Static frequency plan for schemes without per-slot channel
-	// coordination: color the interference graph and let channel m serve
-	// the FBSs of color (m mod numColors). Adjacent FBSs never share.
-	e.colorOf, e.numColors = net.Graph.GreedyColoring()
-
-	// Preallocate the per-slot buffers once.
-	e.instW = make([]float64, k)
-	e.instG = make([]float64, net.NumFBS)
-	e.inst = core.Instance{
-		W: e.instW, R0: e.r0, R1: e.r1, PS0: e.ps0, PS1: e.ps1,
-		FBS: e.fbsOf, G: e.instG, WMax: e.wmax,
-	}
-	e.gVec = make([]float64, net.NumFBS)
-	e.assigned = make([][]int, net.NumFBS)
-	e.gains = make([]float64, k)
-	e.alloc = core.NewAllocation(k)
-	if opts.TrackBound {
 		e.inflate = core.NewAllocation(k)
 	}
-	// Only Proposed on an interfering network tracks the relaxation bound.
-	relax := opts.TrackBound && e.greedy != nil
-	if relax {
-		e.relaxG = make([]float64, net.NumFBS)
-		e.relaxAlloc = core.NewAllocation(k)
-	}
-	e.intoSolver, _ = e.solver.(core.IntoSolver)
-	if ws, ok := e.solver.(core.WarmSolver); ok && (!opts.coldSolves || opts.SolveStats) {
-		e.warmSolver = ws
-		newSession := core.NewSolverSession
-		if opts.coldSolves {
-			// The cold reference with stats: record the cold baseline
-			// through seeding-disabled sessions, same instrumentation,
-			// same solves.
-			newSession = core.NewColdProbeSession
-		}
-		e.session = newSession()
-		if relax {
-			e.relaxSession = newSession()
-		}
-		if opts.SolveStats {
-			e.session.EnableStats()
-		}
-	}
 	return e, nil
-}
-
-// coldQ hides the equilibrium solver's concrete type from the greedy
-// allocator, which then evaluates every Q(.) as a plain cold SolveInto —
-// no price seed, no per-FBS memo (Options.coldSolves).
-type coldQ struct{ core.IntoSolver }
-
-// withG returns the slot instance with a different expected-channel vector,
-// on the engine's reusable shallow view. Each use ends before the next: the
-// returned pointer must not be kept across withG calls.
-func (e *engine) withG(g []float64) *core.Instance {
-	e.instView = e.inst
-	e.instView.G = g
-	return &e.instView
 }
 
 // step simulates one time slot.
 //
 //femtovet:hotpath
 func (e *engine) step(slot int) error {
-	net := e.net
-
 	// Sensing and access phases (shared front half).
 	st, err := e.front.Step(slot)
 	if err != nil {
 		return err
 	}
-	truth := st.Truth
-	decision := st.Decision
-	accessed := st.Accessed
-	accessedPA := st.AccessedPA
-
-	// Build the slot's problem instance.
-	inst := e.instance()
-
-	// Channel allocation: which FBS may use which accessed channel.
-	var alloc *core.Allocation
-	var gVec []float64
-	var bound float64
-	switch {
-	case e.opts.Scheme == Proposed && e.interfering:
-		e.chanProb = core.ChannelProblem{
-			Base:       inst,
-			Graph:      net.Graph,
-			Channels:   accessed,
-			Posteriors: accessedPA,
-		}
-		res, err := e.greedy.Allocate(&e.chanProb)
-		if err != nil {
-			return err
-		}
-		alloc = res.Alloc
-		gVec = res.G
-		bound = res.UpperBound
-		if e.opts.TrackBound {
-			// Intersect the eq. (23) bound with the interference-relaxation
-			// bound: giving every FBS every accessed channel enlarges the
-			// feasible set, so its optimum also caps the true optimum.
-			totalPA := 0.0
-			for _, pa := range accessedPA {
-				totalPA += pa
-			}
-			relaxG := e.relaxG
-			for i := range relaxG {
-				relaxG[i] = totalPA
-			}
-			relaxed := e.withG(relaxG)
-			relaxAlloc := e.relaxAlloc
-			if e.warmSolver != nil {
-				err = e.warmSolver.SolveWarmInto(relaxed, relaxAlloc, e.relaxSession)
-			} else if e.intoSolver != nil {
-				err = e.intoSolver.SolveInto(relaxed, relaxAlloc)
-			} else {
-				relaxAlloc, err = e.solver.Solve(relaxed)
-			}
-			if err != nil {
-				return err
-			}
-			if v := relaxAlloc.Objective(relaxed); v < bound {
-				bound = v
-			}
-		}
-		// Transmission realization needs the channel->FBS map.
-		gains := e.realize(e.withG(gVec), alloc, res.Assigned, truth)
-		e.record(slot, st, alloc, gains)
-		if e.opts.TrackBound {
-			e.trackBound(e.withG(gVec), alloc, res.Value, bound, res.Assigned, truth)
-		}
-	default:
-		// Non-interfering (or heuristic frequency plan): channel m serves
-		// the FBSs its color class allows.
-		assigned := e.staticAssignment(accessed)
-		gVec = e.gVec
-		for i := range gVec {
-			gVec[i] = 0
-		}
-		for i := range assigned {
-			for _, ch := range assigned[i] {
-				gVec[i] += decision.Channels[ch-1].Posterior
-			}
-		}
-		withG := e.withG(gVec)
-		if e.warmSolver != nil {
-			alloc = e.alloc
-			err = e.warmSolver.SolveWarmInto(withG, alloc, e.session)
-		} else if e.intoSolver != nil {
-			alloc = e.alloc
-			err = e.intoSolver.SolveInto(withG, alloc)
-		} else {
-			alloc, err = e.solver.Solve(withG)
-		}
-		if err != nil {
-			return err
-		}
-		gains := e.realize(withG, alloc, assigned, truth)
-		e.record(slot, st, alloc, gains)
+	// Channel allocation and the slot solve (shared allocation half), at
+	// the users' current qualities.
+	for j := range e.w {
+		e.w[j] = e.progress[j].PSNR()
 	}
-	e.sumG += decision.ExpectedAvailable()
+	sa, err := e.stage.Step(st, e.w)
+	if err != nil {
+		return err
+	}
+	gains := e.realize(sa.Instance, sa.Alloc, sa.Assigned, st.Truth)
+	e.record(slot, st, sa.Alloc, gains)
+	if sa.Greedy && e.opts.TrackBound {
+		e.trackBound(sa.Instance, sa.Alloc, sa.Value, sa.Bound, sa.Assigned, st.Truth)
+	}
+	e.sumG += st.Decision.ExpectedAvailable()
 	e.slots++
 
 	// Dual-trace capture on the very first slot (Fig. 4(a)).
 	if e.opts.CaptureDualTrace && slot == 0 && e.opts.Scheme == Proposed {
-		if err := e.captureDualTrace(gVec); err != nil {
+		if err := e.captureDualTrace(sa.Instance); err != nil {
 			return err
 		}
 	}
 
 	// GOP boundary: record final PSNR and reset, per the delivery deadline.
-	if (slot+1)%net.T == 0 {
+	if (slot+1)%e.net.T == 0 {
 		for _, p := range e.progress {
 			p.EndGOP()
 		}
@@ -538,20 +334,16 @@ func (e *engine) step(slot int) error {
 // iterations), and records the price trajectory.
 //
 //femtovet:coldpath -- first-slot-only diagnostic; builds a fresh traced solver and keeps the escaping price trajectory
-func (e *engine) captureDualTrace(gVec []float64) error {
+func (e *engine) captureDualTrace(in *core.Instance) error {
+	var report core.DualReport
 	tracer := core.NewDualSolver(
-		core.WithTrace(),
+		core.WithTrace(&report),
 		core.WithMaxIter(e.opts.DualIterations),
 		core.WithPhi(-1), // never terminate early: full-horizon trace
 		core.WithConstantStep(),
 		core.WithStepScale(0.01),
 	)
-	g := gVec
-	if g == nil {
-		g = make([]float64, e.net.NumFBS)
-	}
-	_, report, err := tracer.SolveDetailed(e.withG(g))
-	if err != nil {
+	if err := tracer.SolveInto(in, core.NewAllocation(in.K())); err != nil {
 		return err
 	}
 	e.dualTrace = report.Trace
@@ -597,46 +389,6 @@ func (e *engine) record(slot int, st *SlotState, alloc *core.Allocation, gains [
 	}
 }
 
-// staticAssignment maps accessed channels to FBSs without per-slot
-// coordination. With no interference every FBS reuses every channel; with
-// interference, channel m serves the color class (m mod numColors) of the
-// greedy-coloring frequency plan.
-func (e *engine) staticAssignment(accessed []int) [][]int {
-	n := e.net.NumFBS
-	assigned := e.assigned
-	for i := range assigned {
-		assigned[i] = assigned[i][:0]
-	}
-	if !e.interfering {
-		for i := 0; i < n; i++ {
-			assigned[i] = append(assigned[i], accessed...)
-		}
-		return assigned
-	}
-	for idx, ch := range accessed {
-		class := idx % e.numColors
-		for i := 0; i < n; i++ {
-			if e.colorOf[i] == class {
-				assigned[i] = append(assigned[i], ch)
-			}
-		}
-	}
-	return assigned
-}
-
-// instance refreshes the slot's user problem on the engine's reusable
-// snapshot: only W changes between slots; G is the zero vector until a
-// channel allocation assigns one via withG.
-func (e *engine) instance() *core.Instance {
-	for j := range e.instW {
-		e.instW[j] = e.progress[j].PSNR()
-	}
-	for i := range e.instG {
-		e.instG[i] = 0
-	}
-	return &e.inst
-}
-
 // realize draws the slot's packet-loss outcomes and credits delivered video
 // quality: an MBS user succeeds iff its macro link decodes; an FBS user's
 // delivered rate scales with the channels, among those assigned to its FBS,
@@ -650,7 +402,7 @@ func (e *engine) realize(in *core.Instance, alloc *core.Allocation, assigned [][
 	for j := 0; j < in.K(); j++ {
 		if alloc.MBS[j] {
 			if alloc.Rho0[j] > 0 && !e.net.Users[j].MBSLink.Lost(e.fadeStream) {
-				gains[j] = alloc.Rho0[j] * e.r0[j]
+				gains[j] = alloc.Rho0[j] * in.R0[j]
 			}
 		} else if alloc.Rho1[j] > 0 {
 			idle := 0
@@ -660,7 +412,7 @@ func (e *engine) realize(in *core.Instance, alloc *core.Allocation, assigned [][
 				}
 			}
 			if idle > 0 && !e.net.Users[j].FBSLink.Lost(e.fadeStream) {
-				gains[j] = alloc.Rho1[j] * float64(idle) * e.r1[j]
+				gains[j] = alloc.Rho1[j] * float64(idle) * in.R1[j]
 			}
 		}
 		e.progress[j].AddPSNR(gains[j])
@@ -678,7 +430,7 @@ func (e *engine) trackBound(in *core.Instance, alloc *core.Allocation, value, up
 		gain := 0.0
 		if alloc.MBS[j] {
 			if alloc.Rho0[j] > 0 && !e.net.Users[j].MBSLink.Lost(e.fadeStream) {
-				gain = alloc.Rho0[j] * e.r0[j]
+				gain = alloc.Rho0[j] * in.R0[j]
 			}
 		} else if alloc.Rho1[j] > 0 {
 			idle := 0
@@ -688,7 +440,7 @@ func (e *engine) trackBound(in *core.Instance, alloc *core.Allocation, value, up
 				}
 			}
 			if idle > 0 && !e.net.Users[j].FBSLink.Lost(e.fadeStream) {
-				gain = alloc.Rho1[j] * float64(idle) * e.r1[j]
+				gain = alloc.Rho1[j] * float64(idle) * in.R1[j]
 			}
 		}
 		e.bound[j].AddPSNR(theta * gain)

@@ -51,6 +51,9 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(net, Options{Scheme: Scheme(99)}); !errors.Is(err, ErrBadOptions) {
 		t.Fatalf("unknown scheme err = %v", err)
 	}
+	if _, err := Run(net, Options{CaptureDualTrace: true, DualIterations: -5}); !errors.Is(err, ErrBadOptions) {
+		t.Fatalf("negative DualIterations err = %v", err)
+	}
 	broken := *net
 	broken.Gamma = 2
 	if _, err := Run(&broken, Options{}); err == nil {
@@ -272,7 +275,7 @@ func TestLazyGreedyMatchesEagerInSim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(net, Options{Seed: 4, GOPs: 2, DisableLazyGreedy: true})
+	b, err := Run(net, Options{Seed: 4, GOPs: 2, disableLazyGreedy: true})
 	if err != nil {
 		t.Fatal(err)
 	}

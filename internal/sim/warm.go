@@ -97,10 +97,11 @@ func histQuantile(hist []int64, solves int, q float64) int {
 	return len(hist) - 1
 }
 
-// warmReport builds the Result.Warm report from the engine's sessions, nil
-// when SolveStats was not requested.
+// warmReport builds the Result.Warm report from the allocation stage's
+// sessions, nil when SolveStats was not requested.
 func (e *engine) warmReport() *WarmStartReport {
-	if !e.opts.SolveStats || e.session == nil {
+	sess, relax := e.stage.session, e.stage.relaxSession
+	if !e.opts.SolveStats || sess == nil {
 		return nil
 	}
 	mode := "warm"
@@ -109,11 +110,11 @@ func (e *engine) warmReport() *WarmStartReport {
 	}
 	w := &WarmStartReport{
 		Mode:  mode,
-		Stats: e.session.Stats(),
-		Hist:  e.session.HistCopy(),
+		Stats: sess.Stats(),
+		Hist:  sess.HistCopy(),
 	}
-	if e.relaxSession != nil {
-		rs := e.relaxSession.Stats()
+	if relax != nil {
+		rs := relax.Stats()
 		w.RelaxStats = &rs
 	}
 	w.finalize()

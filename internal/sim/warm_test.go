@@ -119,13 +119,14 @@ func TestEngineSessionWiring(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := e.session != nil && e.warmSolver != nil; got != tc.session {
+			a := e.stage
+			if got := a.session != nil && a.warm != nil; got != tc.session {
 				t.Errorf("slot session present = %v, want %v", got, tc.session)
 			}
-			if got := e.relaxSession != nil; got != tc.relaxSession {
+			if got := a.relaxSession != nil; got != tc.relaxSession {
 				t.Errorf("relaxation session present = %v, want %v", got, tc.relaxSession)
 			}
-			if got := e.relaxAlloc != nil && e.relaxG != nil; got != tc.relaxBuffers {
+			if got := a.relaxAlloc != nil && a.relaxG != nil; got != tc.relaxBuffers {
 				t.Errorf("relaxation buffers present = %v, want %v", got, tc.relaxBuffers)
 			}
 		})
