@@ -69,7 +69,7 @@ func (b *BruteForceSolver) SolveInto(in *Instance, best *Allocation) error {
 // It is the default Q(c) evaluator inside the greedy channel allocator,
 // where the brute-force reference would be exponential.
 type EquilibriumSolver struct {
-	// Iters controls both bisection depths. Zero means the default of 60.
+	// Iters controls both bisection depths. Zero means the default of 45.
 	Iters int
 }
 
@@ -126,108 +126,15 @@ func (e *EquilibriumSolver) solveWS(in *Instance, alloc *Allocation, ws *solveWo
 	}
 	k := in.K()
 
-	ws.prepareUsers(in)
-	u0, u1, logW := ws.u0, ws.u1, ws.logW
-	wr0, wr1 := ws.wr0, ws.wr1
+	ws.prepareEquilibrium(in)
+	u0, wr0 := ws.u0, ws.wr0
 	sum0PS := 0.0
 	for j := 0; j < k; j++ {
 		if in.R0[j] > 0 {
 			sum0PS += in.PS0[j]
 		}
 	}
-	byFBS := ws.groupByFBS(in)
-
-	const lambdaFloor = 1e-15
-
-	// equilibriumFBS returns the price of FBS i's band clearing its unit
-	// budget given the common-channel price, along with each member's
-	// final choice as a bitmask (bit b set = member b prefers the MBS at
-	// the returned price). Demand is non-increasing in the band price:
-	// shares shrink and users defect to the MBS as it rises. The MBS
-	// branch values depend only on l0, so they are computed once per call.
-	//
-	// The (price, mask) pair is a pure function of (i, l0, G_i) for a fixed
-	// base instance, so results are memoized in the workspace: the greedy
-	// allocator's Q evaluations perturb G at a single FBS per candidate,
-	// leaving every other FBS's inner bisection — the dominant cost of the
-	// solve — to be answered from the memo. Demand totals are only ever
-	// compared against the unit budget, so the accumulation loops exit as
-	// soon as the (nonnegative) partial sum crosses it: the remaining terms
-	// cannot bring it back, making the early exit decision-identical.
-	equilibriumFBS := func(i int, l0 float64) (float64, uint64) {
-		members := byFBS[i]
-		gi := in.G[i-1]
-		memoable := len(members) <= 64
-		if memoable {
-			if li, mask, ok := ws.eqMemoGet(i, l0, gi); ok {
-				return li, mask
-			}
-		}
-		// Gather the members' columns once per miss: the ~2*iters demand
-		// probes below then walk contiguous copies instead of chasing
-		// member indices through the per-user columns. Same values, same
-		// member order, same operations — bit-identical.
-		m := len(members)
-		ws.gU = growU(ws.gU, m)
-		ws.gLogW = growF(ws.gLogW, m)
-		ws.gWR = growF(ws.gWR, m)
-		ws.gBL = growF(ws.gBL, m)
-		ws.gV0 = growF(ws.gV0, m)
-		gU, gLogW, gWR, gBL, gV0 := ws.gU, ws.gLogW, ws.gWR, ws.gBL, ws.gV0
-		for b, j := range members {
-			gU[b] = u1[j]
-			gLogW[b] = logW[j]
-			gWR[b] = wr1[j]
-			gBL[b] = ws.bl1[j]
-			gV0[b], _ = u0[j].branchAndRhoWR(l0, logW[j], wr0[j], ws.bl0[j])
-		}
-		demand := func(li float64) float64 {
-			total := 0.0
-			for b := range gU {
-				bv, rho := gU[b].branchAndRhoWR(li, gLogW[b], gWR[b], gBL[b])
-				if bv >= gV0[b] {
-					total += rho
-					if total > 1 {
-						return total
-					}
-				}
-			}
-			return total
-		}
-		li := lambdaFloor
-		if demand(li) > 1 {
-			hi := 0.0
-			for b := range gU {
-				hi += gU[b].ps
-			}
-			if hi > li {
-				for demand(hi) > 1 {
-					hi *= 2
-				}
-				lo := li
-				for it := 0; it < iters; it++ {
-					mid := 0.5 * (lo + hi)
-					if demand(mid) > 1 {
-						lo = mid
-					} else {
-						hi = mid
-					}
-				}
-				li = hi
-			}
-		}
-		var mask uint64
-		for b := range gU {
-			bv, _ := gU[b].branchAndRhoWR(li, gLogW[b], gWR[b], gBL[b])
-			if gV0[b] > bv {
-				mask |= 1 << uint(b)
-			}
-		}
-		if memoable {
-			ws.eqMemoPut(i, l0, gi, li, mask)
-		}
-		return li, mask
-	}
+	byFBS := ws.byFBS
 
 	// Outer bisection on lambda_0: MBS demand is non-increasing in it.
 	// outerProbes counts the demand0 evaluations of one solve — each one
@@ -238,7 +145,7 @@ func (e *EquilibriumSolver) solveWS(in *Instance, alloc *Allocation, ws *solveWo
 		outerProbes++
 		total := 0.0
 		for i := 1; i <= in.N(); i++ {
-			_, mask := equilibriumFBS(i, l0)
+			_, mask := ws.equilibriumFBS(in, i, l0, iters)
 			for b, j := range byFBS[i] {
 				if mask&(1<<uint(b)) != 0 {
 					total += u0[j].rhoAtWR(l0, wr0[j])
@@ -256,7 +163,7 @@ func (e *EquilibriumSolver) solveWS(in *Instance, alloc *Allocation, ws *solveWo
 		sess.observe(in)
 		warm, seed = sess.seeding && sess.haveL0, sess.l0
 	}
-	lo := lambdaFloor
+	lo := eqLambdaFloor
 	l0 := lo
 	trivial := true
 	if demand0(lo) > 1 {
@@ -271,8 +178,8 @@ func (e *EquilibriumSolver) solveWS(in *Instance, alloc *Allocation, ws *solveWo
 			// the seed is far off (correlation assumption failed) and falls
 			// back to the cold global bracket.
 			wlo := 0.5 * seed
-			if wlo < lambdaFloor {
-				wlo = lambdaFloor
+			if wlo < eqLambdaFloor {
+				wlo = eqLambdaFloor
 			}
 			whi := 2 * seed
 			if whi <= wlo {
@@ -288,7 +195,7 @@ func (e *EquilibriumSolver) solveWS(in *Instance, alloc *Allocation, ws *solveWo
 				whi *= 2
 			}
 			if ok {
-				for wlo > lambdaFloor && demand0(wlo) <= 1 {
+				for wlo > eqLambdaFloor && demand0(wlo) <= 1 {
 					whi = wlo
 					wlo *= 0.5
 				}
@@ -349,7 +256,7 @@ func (e *EquilibriumSolver) solveWS(in *Instance, alloc *Allocation, ws *solveWo
 	// Fix the association at the equilibrium prices, then water-fill.
 	alloc.resize(k)
 	for i := 1; i <= in.N(); i++ {
-		_, mask := equilibriumFBS(i, l0)
+		_, mask := ws.equilibriumFBS(in, i, l0, iters)
 		for b, j := range byFBS[i] {
 			alloc.MBS[j] = mask&(1<<uint(b)) != 0
 		}
@@ -360,4 +267,145 @@ func (e *EquilibriumSolver) solveWS(in *Instance, alloc *Allocation, ws *solveWo
 		return fmt.Errorf("equilibrium solver produced infeasible allocation: %w", err)
 	}
 	return nil
+}
+
+// eqLambdaFloor is the lowest price either bisection of the equilibrium
+// solver probes.
+const eqLambdaFloor = 1e-15
+
+// equilibriumFBS returns the price of FBS i's band clearing its unit budget
+// given the common-channel price l0, along with each member's final choice
+// as a bitmask (bit b set = member b of byFBS[i] prefers the MBS at the
+// returned price). Demand is non-increasing in the band price: shares shrink
+// and users defect to the MBS as it rises. The workspace must be prepared
+// for in (prepareEquilibrium).
+//
+// The (price, mask) pair is a pure function of (i, l0, G_i) for a fixed base
+// instance, and it is memoized at two levels, both only while the workspace
+// holds a live epoch (bumpEqEpoch):
+//
+//   - the exact table keyed by (i, l0, G_i) bits, which answers repeats
+//     without a single math.Log — the greedy allocator's Q evaluations
+//     perturb G at one FBS per candidate and replay the same leading outer
+//     probes, so every other FBS is answered from it;
+//   - a per-FBS window memo. The inner bisection reads l0 only through the
+//     comparisons bv >= gV0[b] between each member's FBS branch value and
+//     its MBS branch value at l0. Each miss records, per member, the window
+//     (lo, hi] of gV0[b] values that decide every comparison it made the same
+//     way; a later l0 whose gV0 lands inside every member's window replays
+//     the same comparisons, so the same demand totals, the same bisection
+//     branches and the same (price, mask) — bit for bit.
+//
+// Demand totals are only ever compared against the unit budget, so the
+// accumulation loops exit as soon as the (nonnegative) partial sum crosses
+// it: the remaining terms cannot bring it back, making the early exit
+// decision-identical. Members past the exit make no comparison, so they
+// leave their windows unconstrained.
+func (ws *solveWorkspace) equilibriumFBS(in *Instance, i int, l0 float64, iters int) (float64, uint64) {
+	members := ws.byFBS[i]
+	gi := in.G[i-1]
+	memoable := len(members) <= 64 && ws.eqEpoch != 0
+	if memoable {
+		if li, mask, ok := ws.eqMemoGet(i, l0, gi); ok {
+			return li, mask
+		}
+	}
+	m := len(members)
+	ws.gV0 = growF(ws.gV0, m)
+	gV0 := ws.gV0
+	last := &ws.eqLast[i]
+	hit := memoable && last.epoch == ws.eqEpoch && last.g == math.Float64bits(gi)
+	for b, j := range members {
+		v, _ := ws.u0[j].branchAndRhoWR(l0, ws.logW[j], ws.wr0[j], ws.bl0[j])
+		gV0[b] = v
+		w := &ws.eqWin[j]
+		hit = hit && w.lo < v && v <= w.hi
+	}
+	if hit {
+		// Promote the hit into the exact table: the greedy's next Q
+		// evaluation replays this probe and then skips the gV0 logs.
+		ws.eqMemoPut(i, l0, gi, last.li, last.mask)
+		return last.li, last.mask
+	}
+
+	// Gather the members' FBS-band columns once per miss: the ~2*iters
+	// demand probes below then walk contiguous copies instead of chasing
+	// member indices through the per-user columns. Same values, same member
+	// order, same operations — bit-identical. gLo/gHi accumulate each
+	// member's window.
+	ws.gU = growU(ws.gU, m)
+	ws.gLogW = growF(ws.gLogW, m)
+	ws.gWR = growF(ws.gWR, m)
+	ws.gBL = growF(ws.gBL, m)
+	ws.gLo = growF(ws.gLo, m)
+	ws.gHi = growF(ws.gHi, m)
+	gU, gLogW, gWR, gBL, gLo, gHi := ws.gU, ws.gLogW, ws.gWR, ws.gBL, ws.gLo, ws.gHi
+	for b, j := range members {
+		gU[b] = ws.u1[j]
+		gLogW[b] = ws.logW[j]
+		gWR[b] = ws.wr1[j]
+		gBL[b] = ws.bl1[j]
+		gLo[b] = math.Inf(-1)
+		gHi[b] = math.Inf(1)
+	}
+	demand := func(li float64) float64 {
+		total := 0.0
+		for b := range gU {
+			bv, rho := gU[b].branchAndRhoWR(li, gLogW[b], gWR[b], gBL[b])
+			if bv >= gV0[b] {
+				if bv < gHi[b] {
+					gHi[b] = bv
+				}
+				total += rho
+				if total > 1 {
+					return total
+				}
+			} else if bv > gLo[b] {
+				gLo[b] = bv
+			}
+		}
+		return total
+	}
+	li := eqLambdaFloor
+	if demand(li) > 1 {
+		hi := 0.0
+		for b := range gU {
+			hi += gU[b].ps
+		}
+		if hi > li {
+			for demand(hi) > 1 {
+				hi *= 2
+			}
+			lo := li
+			for it := 0; it < iters; it++ {
+				mid := 0.5 * (lo + hi)
+				if demand(mid) > 1 {
+					lo = mid
+				} else {
+					hi = mid
+				}
+			}
+			li = hi
+		}
+	}
+	var mask uint64
+	for b := range gU {
+		bv, _ := gU[b].branchAndRhoWR(li, gLogW[b], gWR[b], gBL[b])
+		if gV0[b] > bv {
+			mask |= 1 << uint(b)
+			if bv > gLo[b] {
+				gLo[b] = bv
+			}
+		} else if bv < gHi[b] {
+			gHi[b] = bv
+		}
+	}
+	if memoable {
+		ws.eqMemoPut(i, l0, gi, li, mask)
+		*last = eqLastEntry{g: math.Float64bits(gi), li: li, mask: mask, epoch: ws.eqEpoch}
+		for b, j := range members {
+			ws.eqWin[j] = eqWindow{lo: gLo[b], hi: gHi[b]}
+		}
+	}
+	return li, mask
 }

@@ -84,10 +84,10 @@ func (in *Instance) Validate() error {
 		if in.W[j] <= 0 || math.IsNaN(in.W[j]) || math.IsInf(in.W[j], 0) {
 			return fmt.Errorf("%w: W[%d]=%v must be positive finite", ErrBadInstance, j, in.W[j])
 		}
-		if in.R0[j] < 0 || in.R1[j] < 0 || math.IsNaN(in.R0[j]) || math.IsNaN(in.R1[j]) {
-			return fmt.Errorf("%w: R0[%d]=%v R1[%d]=%v", ErrBadInstance, j, in.R0[j], j, in.R1[j])
+		if !nonnegFinite(in.R0[j]) || !nonnegFinite(in.R1[j]) {
+			return fmt.Errorf("%w: R0[%d]=%v R1[%d]=%v must be nonnegative finite", ErrBadInstance, j, in.R0[j], j, in.R1[j])
 		}
-		if in.PS0[j] < 0 || in.PS0[j] > 1 || in.PS1[j] < 0 || in.PS1[j] > 1 {
+		if !(in.PS0[j] >= 0 && in.PS0[j] <= 1) || !(in.PS1[j] >= 0 && in.PS1[j] <= 1) {
 			return fmt.Errorf("%w: success probs PS0[%d]=%v PS1[%d]=%v", ErrBadInstance, j, in.PS0[j], j, in.PS1[j])
 		}
 		if in.FBS[j] < 1 || in.FBS[j] > in.N() {
@@ -111,6 +111,9 @@ func (in *Instance) Validate() error {
 	}
 	return nil
 }
+
+// nonnegFinite reports whether v is a nonnegative finite number.
+func nonnegFinite(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
 
 // capFor returns the share ceiling (WMax-W)/r for user j on a resource with
 // per-unit-rho increment r, or -1 when unbounded.

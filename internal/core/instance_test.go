@@ -76,6 +76,10 @@ func TestInstanceValidateErrors(t *testing.T) {
 		{"negative R0", func(in *Instance) { in.R0[0] = -1 }},
 		{"PS0 above 1", func(in *Instance) { in.PS0[0] = 1.2 }},
 		{"PS1 below 0", func(in *Instance) { in.PS1[2] = -0.1 }},
+		{"NaN PS0", func(in *Instance) { in.PS0[1] = math.NaN() }},
+		{"NaN PS1", func(in *Instance) { in.PS1[1] = math.NaN() }},
+		{"Inf R0", func(in *Instance) { in.R0[1] = math.Inf(1) }},
+		{"Inf R1", func(in *Instance) { in.R1[1] = math.Inf(1) }},
 		{"FBS zero", func(in *Instance) { in.FBS[0] = 0 }},
 		{"FBS out of range", func(in *Instance) { in.FBS[1] = 2 }},
 		{"negative G", func(in *Instance) { in.G[0] = -0.5 }},

@@ -32,9 +32,11 @@ type solveWorkspace struct {
 	// equilibriumFBS): the ~2*iters demand probes of a bisection walk
 	// these contiguous copies instead of chasing member indices through
 	// the per-user columns above. gV0 holds each member's MBS branch
-	// value at the current common price.
+	// value at the current common price; gLo/gHi accumulate each member's
+	// window for the window memo.
 	gU                   []waterfillUser
 	gLogW, gWR, gBL, gV0 []float64
+	gLo, gHi             []float64
 
 	// User index lists grouped by serving FBS (index 0 unused).
 	byFBS [][]int
@@ -72,6 +74,14 @@ type solveWorkspace struct {
 	eqMemo  []eqMemoEntry
 	eqEpoch uint32
 
+	// Window memo, the second level behind eqMemo (see equilibriumFBS):
+	// eqLast[i] is FBS i's last computed inner result under the current
+	// epoch, and eqWin[j] the window of MBS branch values of user j that
+	// reproduces its FBS's eqLast. Sized by prepareEquilibrium and tagged
+	// with the same epoch, so bumpEqEpoch invalidates both levels.
+	eqLast []eqLastEntry // indexed by FBS 1..N (index 0 unused)
+	eqWin  []eqWindow    // indexed by user
+
 	// Outer-price seed of the session-less equilibrium solves on this
 	// workspace (see exact.go solveWS). An unseeded solve records its
 	// clearing common price in eqL0 (0 when uncontended); while eqSeeded is
@@ -97,6 +107,21 @@ type eqMemoEntry struct {
 	epoch uint32
 }
 
+// eqLastEntry is one FBS's last computed inner-bisection result: valid
+// while epoch is the workspace's and the FBS's G_i has bits g.
+type eqLastEntry struct {
+	g     uint64  // math.Float64bits of G_i
+	li    float64 // equilibrium band price
+	mask  uint64  // bit b set = byFBS member b prefers the MBS at li
+	epoch uint32
+}
+
+// eqWindow is the half-open range (lo, hi] of a user's MBS branch value
+// gV0 that decides every comparison of its FBS's last inner bisection the
+// same way: hi is the smallest FBS branch value the user was compared
+// against and kept (bv >= gV0), lo the largest one it defected from.
+type eqWindow struct{ lo, hi float64 }
+
 const (
 	eqMemoSize  = 2048 // power of two
 	eqMemoProbe = 8
@@ -120,6 +145,10 @@ func (ws *solveWorkspace) bumpEqEpoch() {
 	if ws.eqEpoch == 0 { // uint32 wraparound: flush so old tags cannot match
 		for i := range ws.eqMemo {
 			ws.eqMemo[i] = eqMemoEntry{}
+		}
+		last := ws.eqLast[:cap(ws.eqLast)]
+		for i := range last {
+			last[i] = eqLastEntry{}
 		}
 		ws.eqEpoch = 1
 	}
@@ -243,6 +272,25 @@ func (ws *solveWorkspace) prepareUsers(in *Instance) {
 		ws.bl0[j] = ws.u0[j].ps*lw + (1-ws.u0[j].ps)*lw
 		ws.bl1[j] = ws.u1[j].ps*lw + (1-ws.u1[j].ps)*lw
 	}
+}
+
+// prepareEquilibrium readies the workspace for equilibriumFBS calls on in:
+// the per-user views, the per-FBS member lists, and the window memo's
+// per-FBS and per-user slots. Regrown slots start zeroed (epoch 0, never
+// live); reused ones keep their tags, which stay valid only within the
+// epoch that wrote them.
+func (ws *solveWorkspace) prepareEquilibrium(in *Instance) {
+	ws.prepareUsers(in)
+	ws.groupByFBS(in)
+	n, k := in.N(), in.K()
+	if cap(ws.eqLast) < n+1 {
+		ws.eqLast = make([]eqLastEntry, n+1)
+	}
+	ws.eqLast = ws.eqLast[:n+1]
+	if cap(ws.eqWin) < k {
+		ws.eqWin = make([]eqWindow, k)
+	}
+	ws.eqWin = ws.eqWin[:k]
 }
 
 // groupByFBS rebuilds the per-FBS member lists, reusing the backing arrays.

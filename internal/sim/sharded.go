@@ -155,7 +155,7 @@ var runShard = Run
 // each independently: every shard gets its own MBS capacity slice, sensing
 // fusion domain, and seed stream (ShardSeed). Shards are grouped into
 // opts.Parallel.Shards grid tasks — contiguous component ranges weighted by
-// user count (shardBounds) — executed over opts.Parallel.Workers
+// users and FBSs (shardBounds) — executed over opts.Parallel.Workers
 // workers via par.RunGrid; each task reduces its shards to fixed-size
 // summaries in place, and after the join the summaries fold in ascending
 // component order, so the result is bitwise-identical for any Workers and
@@ -236,9 +236,23 @@ func RunSharded(net *netmodel.Network, opts Options) (*ShardedResult, error) {
 	return out, nil
 }
 
+// shardFBSWeight is the cost, in users, that shardBounds charges each FBS
+// of a component on top of its user count. A component's per-slot cost is
+// not proportional to its users alone: the equilibrium solver's window
+// memo makes each extra member of an FBS cheap, while a 1-user FBS — always
+// its band's marginal user — gains nothing from it. One-FBS cells of the
+// paper videos (one RunSharded call, 40 GOPs, seed 4000, min of 5 runs on
+// a 2-vCPU host) took 14.7 -> 16.7 ms with 1 user, 14.5 -> 6.6 with 2,
+// 29.2 -> 10.0 with 4 and 77.7 -> 25.8 with 9 (without -> with the window
+// memo), so a 9-user cell no longer outweighs four 1-user cells; weighting
+// by users + 4*FBSs groups that skew like equal-count again. Metros with
+// equal users per FBS get the same groupings as under the pure user count.
+const shardFBSWeight = 4
+
 // shardBounds splits the components into groups contiguous ranges
-// [bounds[g], bounds[g+1]) balanced by user count rather than component
-// count. The previous equal-count ranges packed skewed components
+// [bounds[g], bounds[g+1]) balanced by estimated cost — user count plus
+// shardFBSWeight per FBS — rather than component count. The previous
+// equal-count ranges packed skewed components
 // arbitrarily: one task could own every heavy component while its siblings
 // drew the light ones, and MaxTaskNS — the critical path IdealSpeedup
 // divides by — grew to match. This is the classic minimax contiguous
@@ -257,7 +271,7 @@ func shardBounds(shards []netmodel.Shard, groups int) []int {
 	weights := make([]int64, n)
 	var total, heaviest int64
 	for c := range shards {
-		w := int64(len(shards[c].Users))
+		w := int64(len(shards[c].Users) + shardFBSWeight*len(shards[c].FBSs))
 		weights[c] = w
 		total += w
 		if w > heaviest {

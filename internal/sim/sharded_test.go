@@ -190,29 +190,32 @@ func maxRangeWeight(weights []int64, bounds []int) int64 {
 }
 
 // TestShardBoundsBalanceUserWeight pins the shard-imbalance fix: grouping
-// must weight contiguous component ranges by user count, not component
-// count. On a skewed population the heaviest task's user load must never
-// exceed the equal-count grouping's, and on the canonical metro skew (one
-// dense downtown component among light suburbs) it must strictly improve.
-// Structural invariants: bounds strictly increase (every task nonempty,
-// possible since groups <= components) and cover every component exactly.
+// must weight contiguous component ranges by their estimated cost — users
+// plus shardFBSWeight per FBS — not by component count. Every synthetic
+// component below is one FBS serving the given number of users. On a
+// skewed population the heaviest task's cost must never exceed the
+// equal-count grouping's, and on a dense downtown among light suburbs it
+// must strictly improve. Structural invariants: bounds strictly increase
+// (every task nonempty, possible since groups <= components) and cover
+// every component exactly.
 func TestShardBoundsBalanceUserWeight(t *testing.T) {
 	mkShards := func(counts []int) []netmodel.Shard {
 		shards := make([]netmodel.Shard, len(counts))
 		for c, k := range counts {
-			shards[c] = netmodel.Shard{Component: c, Users: make([]int, k)}
+			shards[c] = netmodel.Shard{Component: c, FBSs: []int{c + 1}, Users: make([]int, k)}
 		}
 		return shards
 	}
 	weightsOf := func(counts []int) []int64 {
 		w := make([]int64, len(counts))
 		for i, k := range counts {
-			w[i] = int64(k)
+			w[i] = int64(k + shardFBSWeight)
 		}
 		return w
 	}
 	populations := [][]int{
-		{9, 1, 1, 1, 1},          // dense downtown, light suburbs
+		{9, 1, 1, 1, 1},          // dense cell, light suburbs
+		{20, 1, 1, 1, 1},         // denser downtown, light suburbs
 		{1, 1, 1, 9, 1, 1, 1, 8}, // heavy components mid- and tail-range
 		{3, 3, 3, 3, 3, 3},       // uniform: weighted must not do worse
 		{1, 30, 1},               // one giant component dominates everything
@@ -239,14 +242,21 @@ func TestShardBoundsBalanceUserWeight(t *testing.T) {
 			}
 		}
 	}
-	// The canonical skew must strictly improve: equal-count at 2 groups
-	// packs the 9-user component with a suburb (10 vs 3); weighted isolates
-	// it (9 vs 4).
+	// A 9-user cell beside four 1-user cells must group like equal-count
+	// ({9,1} | {1,1,1}: cost 18 vs 15). The pure user count isolated the
+	// dense cell (9 vs 4 users), yet with per-FBS cost it is the lighter
+	// side: 13 against the four cells' 20.
 	skew := []int{9, 1, 1, 1, 1}
-	got := maxRangeWeight(weightsOf(skew), shardBounds(mkShards(skew), 2))
-	ref := maxRangeWeight(weightsOf(skew), equalCountBounds(len(skew), 2))
+	if got, want := shardBounds(mkShards(skew), 2), equalCountBounds(len(skew), 2); !reflect.DeepEqual(got, want) {
+		t.Fatalf("9-user cell beside four 1-user cells: bounds %v, want equal-count %v", got, want)
+	}
+	// A denser downtown must still be isolated: equal-count packs the
+	// 20-user cell with a suburb (cost 29 vs 15); weighted gives 24 vs 20.
+	downtown := []int{20, 1, 1, 1, 1}
+	got := maxRangeWeight(weightsOf(downtown), shardBounds(mkShards(downtown), 2))
+	ref := maxRangeWeight(weightsOf(downtown), equalCountBounds(len(downtown), 2))
 	if got >= ref {
-		t.Fatalf("skewed grid: weighted max task load %d, want strictly below equal-count %d", got, ref)
+		t.Fatalf("downtown skew: weighted max task load %d, want strictly below equal-count %d", got, ref)
 	}
 }
 
@@ -297,8 +307,9 @@ func TestShardedTimingImprovedBySkewAwareGrouping(t *testing.T) {
 		}
 	}
 	// Recompute both groupings' critical paths from the same measured
-	// per-shard times: the dense component costs far more than the four
-	// light ones combined, so isolating it must not lengthen the max task.
+	// per-shard times: the dense cell costs less than the four light ones
+	// combined but far more than any one of them, so the weighted grouping
+	// must not lengthen the max task over the equal-count one.
 	shards, err := net.Partition()
 	if err != nil {
 		t.Fatal(err)

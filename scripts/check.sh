@@ -29,7 +29,8 @@
 # Opt-in extras:
 #   FEMTOCR_FUZZ=1  — also run short fuzz smoke passes (-fuzztime=10s) over
 #                     the core solver fuzz targets (water-filling, greedy
-#                     channels, and warm==cold solver sessions).
+#                     channels, warm==cold solver sessions, and the
+#                     equilibrium memo against a memo-free workspace).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -74,6 +75,7 @@ if [ -n "${FEMTOCR_FUZZ:-}" ]; then
     go test -run='^$' -fuzz='^FuzzWaterfill$' -fuzztime=10s ./internal/core
     go test -run='^$' -fuzz='^FuzzGreedyChannels$' -fuzztime=10s ./internal/core
     go test -run='^$' -fuzz='^FuzzSolverSession$' -fuzztime=10s ./internal/core
+    go test -run='^$' -fuzz='^FuzzEquilibriumMemo$' -fuzztime=10s ./internal/core
 fi
 
 echo "check.sh: all gates passed"
