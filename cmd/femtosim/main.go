@@ -17,9 +17,9 @@ import (
 	"io"
 	"os"
 
-	"femtocr/internal/experiments"
 	"femtocr/internal/netmodel"
 	"femtocr/internal/packetsim"
+	"femtocr/internal/par"
 	"femtocr/internal/profiling"
 	"femtocr/internal/safeio"
 	"femtocr/internal/sim"
@@ -140,18 +140,19 @@ func run(args []string, w io.Writer) (retErr error) {
 			*dual, *warmStats)
 	}
 
-	var net *netmodel.Network
+	var spec netmodel.TopologySpec
 	switch *scenario {
 	case "single":
-		net, err = netmodel.PaperSingleFBS(cfg)
+		spec = netmodel.PaperSingleSpec()
 	case "interfering":
-		net, err = netmodel.PaperInterfering(cfg)
+		spec = netmodel.PaperInterferingSpec()
 	case "noninterfering":
 		trio := video.PaperTrio()
-		net, err = netmodel.NonInterfering(cfg, [][]video.Sequence{trio[:], trio[:]})
+		spec = netmodel.NonInterferingSpec([][]video.Sequence{trio[:], trio[:]})
 	default:
 		return fmt.Errorf("unknown scenario %q", *scenario)
 	}
+	net, err := netmodel.NewNetwork(cfg, spec)
 	if err != nil {
 		return err
 	}
@@ -171,7 +172,7 @@ func run(args []string, w io.Writer) (retErr error) {
 	if *showTrace {
 		recorders[0] = &trace.Recorder{}
 	}
-	err = experiments.RunGrid(*runs, *workers, func(r int) error {
+	err = par.RunGrid(*runs, *workers, func(r int) error {
 		res, err := sim.Run(net, sim.Options{
 			Seed:                *seed + uint64(r),
 			GOPs:                *gops,
@@ -342,7 +343,7 @@ func printWarmStats(out *safeio.Writer, w *sim.WarmStartReport, dual bool, psnr 
 // runPackets drives the packet-level engine and prints its statistics.
 func runPackets(out *safeio.Writer, net *netmodel.Network, sch sim.Scheme, seed uint64, runs, gops, workers int) error {
 	results := make([]*packetsim.Result, runs)
-	err := experiments.RunGrid(runs, workers, func(r int) error {
+	err := par.RunGrid(runs, workers, func(r int) error {
 		res, err := packetsim.Run(net, packetsim.Options{
 			Seed:   seed + uint64(r),
 			GOPs:   gops,

@@ -19,7 +19,6 @@ import (
 	"femtocr/internal/experiments"
 	"femtocr/internal/profiling"
 	"femtocr/internal/safeio"
-	"femtocr/internal/stats"
 )
 
 func main() {
@@ -35,8 +34,12 @@ func run(args []string, w io.Writer) (retErr error) {
 	out := safeio.NewWriter(w)
 	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
 	fs.SetOutput(out)
+	var ids []string
+	for _, e := range experiments.Registry() {
+		ids = append(ids, shortID(e))
+	}
 	var (
-		fig     = fs.String("fig", "all", "figure id: all (paper figures) | everything (figures + ablations + extensions) | 3 | 4a | 4b | 4c | 5 | 6a | 6b | 6c | ablation-belief | ablation-sensor | gamma | engines | deadline | capacity | frontier | topology")
+		fig     = fs.String("fig", "all", "figure id: all (paper figures) | everything (figures + ablations + extensions) | "+strings.Join(ids, " | ")+" | topology")
 		runs    = fs.Int("runs", 10, "independent replications per point")
 		gops    = fs.Int("gops", 20, "GOPs per run")
 		seed    = fs.Uint64("seed", 1000, "base seed")
@@ -61,13 +64,12 @@ func run(args []string, w io.Writer) (retErr error) {
 
 	p := experiments.Params{Runs: *runs, GOPs: *gops, BaseSeed: *seed}
 	if *quick {
-		p = experiments.QuickParams()
+		q := experiments.QuickParams()
+		p.Runs, p.GOPs = q.Runs, q.GOPs
 	}
 	p.Parallel.Workers = *workers
 
-	var figures []experiments.Named
-	switch strings.ToLower(*fig) {
-	case "topology":
+	if strings.ToLower(*fig) == "topology" {
 		// Solver-level study (no figure object): render the table directly.
 		pts, err := experiments.TopologyStudy(*seed, *runs*2, 3, *workers)
 		if err != nil {
@@ -89,89 +91,23 @@ func run(args []string, w io.Writer) (retErr error) {
 			}
 		}
 		return out.Err()
-	case "all":
-		all, err := experiments.All(p)
-		if err != nil {
-			return err
-		}
-		figures = all
-	case "everything":
-		all, err := experiments.All(p)
-		if err != nil {
-			return err
-		}
-		figures = all
-		extras := []struct {
-			id  string
-			run func(experiments.Params) (*stats.Figure, error)
-		}{
-			{"ablation-belief", experiments.AblationBelief},
-			{"ablation-sensor", experiments.AblationSensorPolicy},
-			{"gamma", experiments.GammaTradeoff},
-			{"engines", experiments.EngineComparison},
-			{"deadline", experiments.DeadlineSweep},
-			{"capacity", func(p experiments.Params) (*stats.Figure, error) {
-				return experiments.UserCapacity(p, nil)
-			}},
-			{"frontier", experiments.SchemeFrontier},
-		}
-		for _, e := range extras {
-			f, err := e.run(p)
-			if err != nil {
-				return fmt.Errorf("%s: %w", e.id, err)
-			}
-			figures = append(figures, experiments.Named{ID: e.id, Figure: f})
-		}
-	case "3":
-		f, err := experiments.Fig3(p)
-		if err != nil {
-			return err
-		}
-		figures = append(figures, experiments.Named{ID: "fig3", Figure: f})
-	case "4a":
-		f, _, err := experiments.Fig4a(p, 600, 25)
-		if err != nil {
-			return err
-		}
-		figures = append(figures, experiments.Named{ID: "fig4a", Figure: f})
-	case "4b", "4c", "5", "6a", "6b", "6c", "ablation-belief", "ablation-sensor", "gamma", "engines", "deadline", "capacity", "frontier":
-		runners := map[string]func(experiments.Params) (*stats.Figure, error){
-			"4b":              experiments.Fig4b,
-			"4c":              experiments.Fig4c,
-			"5":               experiments.Fig5,
-			"6a":              experiments.Fig6a,
-			"6b":              experiments.Fig6b,
-			"6c":              experiments.Fig6c,
-			"ablation-belief": experiments.AblationBelief,
-			"ablation-sensor": experiments.AblationSensorPolicy,
-			"gamma":           experiments.GammaTradeoff,
-			"engines":         experiments.EngineComparison,
-			"deadline":        experiments.DeadlineSweep,
-			"capacity": func(p experiments.Params) (*stats.Figure, error) {
-				return experiments.UserCapacity(p, nil)
-			},
-			"frontier": experiments.SchemeFrontier,
-		}
-		id := strings.ToLower(*fig)
-		f, err := runners[id](p)
-		if err != nil {
-			return err
-		}
-		prefix := "fig"
-		if strings.Contains(id, "-") || id == "gamma" || id == "engines" || id == "deadline" || id == "capacity" || id == "frontier" {
-			prefix = ""
-		}
-		figures = append(figures, experiments.Named{ID: prefix + id, Figure: f})
-	default:
-		return fmt.Errorf("unknown figure %q", *fig)
 	}
-
+	entries, err := resolve(*fig)
+	if err != nil {
+		return err
+	}
+	figures, err := experiments.Run(p, entries)
+	if err != nil {
+		return err
+	}
+	if *dir != "" {
+		if err := os.MkdirAll(*dir, 0o755); err != nil {
+			return err
+		}
+	}
 	for _, nf := range figures {
 		fmt.Fprintln(out, nf.Figure.Render())
 		if *dir != "" {
-			if err := os.MkdirAll(*dir, 0o755); err != nil {
-				return err
-			}
 			txt := filepath.Join(*dir, nf.ID+".txt")
 			if err := os.WriteFile(txt, []byte(nf.Figure.Render()), 0o644); err != nil {
 				return err
@@ -184,4 +120,24 @@ func run(args []string, w io.Writer) (retErr error) {
 		}
 	}
 	return out.Err()
+}
+
+// shortID is the id -fig accepts for one entry: a paper figure by its
+// number (3 for fig3), any other entry by its full id.
+func shortID(e experiments.Entry) string { return strings.TrimPrefix(e.ID, "fig") }
+
+// resolve maps a -fig value to registry entries: "all" is the paper's
+// figures, "everything" the whole registry, anything else one figure id.
+func resolve(fig string) ([]experiments.Entry, error) {
+	id := strings.ToLower(fig)
+	var entries []experiments.Entry
+	for _, e := range experiments.Registry() {
+		if id == "everything" || (id == "all" && e.Paper) || shortID(e) == id {
+			entries = append(entries, e)
+		}
+	}
+	if len(entries) == 0 {
+		return nil, fmt.Errorf("unknown figure %q", fig)
+	}
+	return entries, nil
 }

@@ -1,10 +1,14 @@
 package main
 
 import (
+	"errors"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"femtocr/internal/experiments"
 )
 
 func TestRunSingleFigureToStdout(t *testing.T) {
@@ -95,5 +99,99 @@ func TestRunEverythingQuick(t *testing.T) {
 		if _, err := os.Stat(filepath.Join(dir, want)); err != nil {
 			t.Fatalf("%s missing: %v", want, err)
 		}
+	}
+}
+
+// TestRunQuickKeepsSeedAndWorkers: -quick sets only the scale (2 runs x 3
+// GOPs); -seed still picks the replication seeds, and the default seed is
+// QuickParams' own.
+func TestRunQuickKeepsSeedAndWorkers(t *testing.T) {
+	render := func(args ...string) string {
+		t.Helper()
+		var b strings.Builder
+		if err := run(append([]string{"-fig", "3", "-quick"}, args...), &b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	seed1000 := render("-seed", "1000")
+	if render("-seed", "7") == seed1000 {
+		t.Fatal("-quick -seed 7 printed the same figure as -quick -seed 1000: the seed was dropped")
+	}
+	if render() != seed1000 {
+		t.Fatal("-quick alone differs from -quick -seed 1000")
+	}
+	if render("-seed", "1000", "-workers", "1") != seed1000 {
+		t.Fatal("-quick -workers 1 changed the figure")
+	}
+}
+
+// TestRegistryCoverage ties the figure registry to the CLI and to the
+// checked-in results: ids are unique, the registry plus the topology table
+// is exactly the set of files under results/, and every id -fig has
+// accepted resolves to the same output stem.
+func TestRegistryCoverage(t *testing.T) {
+	seen := map[string]bool{"topology": true}
+	for _, e := range experiments.Registry() {
+		if seen[e.ID] {
+			t.Fatalf("duplicate registry id %q", e.ID)
+		}
+		seen[e.ID] = true
+	}
+	files, err := filepath.Glob(filepath.Join("..", "..", "results", "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stems := map[string]bool{}
+	for _, f := range files {
+		stems[strings.TrimSuffix(filepath.Base(f), filepath.Ext(f))] = true
+	}
+	if len(stems) != len(seen) {
+		t.Fatalf("results/ stems %v, registry ids + topology %v", stems, seen)
+	}
+	for id := range seen {
+		if !stems[id] {
+			t.Fatalf("registry id %q has no file under results/", id)
+		}
+	}
+	var help strings.Builder
+	if err := run([]string{"-h"}, &help); !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("-h: err = %v, want flag.ErrHelp", err)
+	}
+	usage := help.String()
+	accepted := map[string]string{
+		"3": "fig3", "4a": "fig4a", "4b": "fig4b", "4c": "fig4c", "5": "fig5",
+		"6a": "fig6a", "6b": "fig6b", "6c": "fig6c",
+		"ablation-belief": "ablation-belief", "ablation-sensor": "ablation-sensor",
+		"gamma": "gamma", "engines": "engines", "deadline": "deadline",
+		"capacity": "capacity", "frontier": "frontier",
+	}
+	for id, stem := range accepted {
+		entries, err := resolve(id)
+		if err != nil {
+			t.Fatalf("-fig %s: %v", id, err)
+		}
+		if len(entries) != 1 || entries[0].ID != stem {
+			t.Fatalf("-fig %s resolves to %v, want the single entry %q", id, entries, stem)
+		}
+		if !strings.Contains(usage, " "+id+" |") {
+			t.Fatalf("-fig usage lacks %q:\n%s", id, usage)
+		}
+	}
+	for _, id := range []string{"fig3", "99", "topology", ""} {
+		if _, err := resolve(id); err == nil {
+			t.Fatalf("resolve(%q) accepted an id that is not a registry figure", id)
+		}
+	}
+	all, err := resolve("all")
+	if err != nil {
+		t.Fatal(err)
+	}
+	everything, err := resolve("everything")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(all) != 8 || len(everything) != len(experiments.Registry()) {
+		t.Fatalf("all = %d entries, everything = %d; want the 8 paper figures and the whole registry", len(all), len(everything))
 	}
 }

@@ -10,7 +10,7 @@ import (
 // proposed allocation, checking the primary-user protection held.
 func Example() {
 	cfg := femtocr.DefaultConfig()
-	net, err := femtocr.SingleFBSNetwork(cfg)
+	net, err := femtocr.NewNetwork(cfg, femtocr.PaperSingleSpec())
 	if err != nil {
 		panic(err)
 	}
@@ -29,7 +29,7 @@ func Example() {
 
 // Compare the three schemes of the paper's evaluation on one seed.
 func Example_schemes() {
-	net, err := femtocr.SingleFBSNetwork(femtocr.DefaultConfig())
+	net, err := femtocr.NewNetwork(femtocr.DefaultConfig(), femtocr.PaperSingleSpec())
 	if err != nil {
 		panic(err)
 	}

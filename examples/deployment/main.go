@@ -19,7 +19,7 @@ func main() {
 	cfg.P01, cfg.P10 = 0.08, 0.06
 	cfg.OFDMSubcarriers = 16
 
-	net, err := femtocr.SingleFBSNetwork(cfg)
+	net, err := femtocr.NewNetwork(cfg, femtocr.PaperSingleSpec())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -13,7 +13,7 @@ import (
 
 func main() {
 	cfg := femtocr.DefaultConfig()
-	net, err := femtocr.InterferingNetwork(cfg)
+	net, err := femtocr.NewNetwork(cfg, femtocr.PaperInterferingSpec())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -14,7 +14,7 @@ import (
 
 func main() {
 	cfg := femtocr.DefaultConfig()
-	net, err := femtocr.SingleFBSNetwork(cfg)
+	net, err := femtocr.NewNetwork(cfg, femtocr.PaperSingleSpec())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -16,7 +16,7 @@ func main() {
 	// errors epsilon=delta=0.3, GOP deadline T=10 slots.
 	cfg := femtocr.DefaultConfig()
 
-	net, err := femtocr.SingleFBSNetwork(cfg)
+	net, err := femtocr.NewNetwork(cfg, femtocr.PaperSingleSpec())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -46,7 +46,7 @@ func main() {
 	for _, pair := range pairs {
 		cfg := femtocr.DefaultConfig()
 		cfg.Eps, cfg.Delta = pair[0], pair[1]
-		net, err := femtocr.SingleFBSNetwork(cfg)
+		net, err := femtocr.NewNetwork(cfg, femtocr.PaperSingleSpec())
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -7,7 +7,7 @@ import (
 )
 
 func TestFacadePacketSimulation(t *testing.T) {
-	net, err := SingleFBSNetwork(DefaultConfig())
+	net, err := NewNetwork(DefaultConfig(), PaperSingleSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func TestFacadePacketSimulation(t *testing.T) {
 // TestEnginesAgree: the rate-based and packet-level engines are two views
 // of the same system and must agree within a couple of dB.
 func TestEnginesAgree(t *testing.T) {
-	net, err := SingleFBSNetwork(DefaultConfig())
+	net, err := NewNetwork(DefaultConfig(), PaperSingleSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestFacadeUserCapacity(t *testing.T) {
 // exists to protect: two runs with the same seed must produce structurally
 // identical results, bit for bit.
 func TestSimulateDeterminism(t *testing.T) {
-	net, err := SingleFBSNetwork(DefaultConfig())
+	net, err := NewNetwork(DefaultConfig(), PaperSingleSpec())
 	if err != nil {
 		t.Fatal(err)
 	}

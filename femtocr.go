@@ -174,38 +174,6 @@ func MetroPoissonSpec(fbss, usersPerFBS int) TopologySpec {
 	return netmodel.MetroPoissonSpec(fbss, usersPerFBS)
 }
 
-// SingleFBSNetwork builds the paper's single-FBS scenario streaming Bus,
-// Mobile and Harbor to three users.
-//
-// Deprecated: use NewNetwork(cfg, PaperSingleSpec()).
-func SingleFBSNetwork(cfg Config) (*Network, error) {
-	return NewNetwork(cfg, PaperSingleSpec())
-}
-
-// CustomSingleFBSNetwork builds a single-FBS scenario with one user per
-// provided video sequence.
-//
-// Deprecated: use NewNetwork(cfg, SingleSpec(videos)).
-func CustomSingleFBSNetwork(cfg Config, videos []Sequence) (*Network, error) {
-	return NewNetwork(cfg, SingleSpec(videos))
-}
-
-// InterferingNetwork builds the paper's §V-B scenario: three FBSs on the
-// Fig. 5 path graph, three users each.
-//
-// Deprecated: use NewNetwork(cfg, PaperInterferingSpec()).
-func InterferingNetwork(cfg Config) (*Network, error) {
-	return NewNetwork(cfg, PaperInterferingSpec())
-}
-
-// NonInterferingNetwork builds N femtocells with disjoint coverage, one
-// group of users per femtocell.
-//
-// Deprecated: use NewNetwork(cfg, NonInterferingSpec(videosPerFBS)).
-func NonInterferingNetwork(cfg Config, videosPerFBS [][]Sequence) (*Network, error) {
-	return NewNetwork(cfg, NonInterferingSpec(videosPerFBS))
-}
-
 // Simulate runs one simulation.
 func Simulate(net *Network, opts SimOptions) (*SimResult, error) { return sim.Run(net, opts) }
 

@@ -6,7 +6,7 @@ import (
 )
 
 func TestFacadeQuickstart(t *testing.T) {
-	net, err := SingleFBSNetwork(DefaultConfig())
+	net, err := NewNetwork(DefaultConfig(), PaperSingleSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,7 +20,7 @@ func TestFacadeQuickstart(t *testing.T) {
 }
 
 func TestFacadeSchemes(t *testing.T) {
-	net, err := SingleFBSNetwork(DefaultConfig())
+	net, err := NewNetwork(DefaultConfig(), PaperSingleSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,14 +57,14 @@ func TestFacadeSequences(t *testing.T) {
 func TestFacadeCustomNetwork(t *testing.T) {
 	bus, _ := SequenceByName("Bus")
 	foreman, _ := SequenceByName("Foreman")
-	net, err := CustomSingleFBSNetwork(DefaultConfig(), []Sequence{bus, foreman})
+	net, err := NewNetwork(DefaultConfig(), SingleSpec([]Sequence{bus, foreman}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if net.K() != 2 {
 		t.Fatalf("K = %d", net.K())
 	}
-	net2, err := NonInterferingNetwork(DefaultConfig(), [][]Sequence{{bus}, {foreman}})
+	net2, err := NewNetwork(DefaultConfig(), NonInterferingSpec([][]Sequence{{bus}, {foreman}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestFacadeCustomNetwork(t *testing.T) {
 }
 
 func TestFacadeInterfering(t *testing.T) {
-	net, err := InterferingNetwork(DefaultConfig())
+	net, err := NewNetwork(DefaultConfig(), PaperInterferingSpec())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,17 +77,12 @@ type SlotDecision struct {
 	Channels []ChannelDecision
 }
 
-// Decide draws the access decision D_m for every licensed channel given the
-// per-channel prior busy probabilities (priors[m-1] = eta of channel m) and
-// the fused posteriors (posteriors[m-1] = P_A of channel m).
-func (p Policy) Decide(priors, posteriors []float64, s *rng.Stream) SlotDecision {
-	out := SlotDecision{}
-	p.DecideInto(priors, posteriors, s, &out)
-	return out
-}
-
-// DecideInto is Decide writing into a caller-owned decision, reusing its
-// Channels slice, for per-slot loops that keep one SlotDecision alive.
+// DecideInto draws the access decision D_m for every licensed channel given
+// the per-channel prior busy probabilities (priors[m-1] = eta of channel m;
+// channels beyond priors default to 1) and the fused posteriors
+// (posteriors[m-1] = P_A of channel m). It writes into a caller-owned
+// decision, reusing its Channels slice, so per-slot loops keep one
+// SlotDecision alive.
 //
 //femtovet:hotpath
 //femtovet:borrows priors, posteriors, s, out
@@ -114,13 +109,8 @@ func (p Policy) DecideInto(priors, posteriors []float64, s *rng.Stream, out *Slo
 	}
 }
 
-// Available returns the accessed channel set A(t) as 1-based indices.
-func (d SlotDecision) Available() []int {
-	return d.AppendAvailable(nil)
-}
-
-// AppendAvailable appends the accessed channel set A(t) to buf (typically
-// buf[:0] of a reused slice) and returns it.
+// AppendAvailable appends the accessed channel set A(t), as 1-based
+// indices, to buf (typically buf[:0] of a reused slice) and returns it.
 //
 //femtovet:hotpath
 //femtovet:owns buf

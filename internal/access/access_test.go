@@ -96,8 +96,9 @@ func TestDecideRealizesAccessProbability(t *testing.T) {
 	s := rng.New(1)
 	const n = 200000
 	accessed := 0
+	var d SlotDecision
 	for i := 0; i < n; i++ {
-		d := p.Decide([]float64{0.6}, []float64{0.5}, s)
+		p.DecideInto([]float64{0.6}, []float64{0.5}, s, &d)
 		if d.Channels[0].Accessed {
 			accessed++
 		}
@@ -115,7 +116,8 @@ func TestDecideRealizesAccessProbability(t *testing.T) {
 func TestDecideDefaultsPriorToOne(t *testing.T) {
 	p := policy(t, 0.2)
 	s := rng.New(2)
-	d := p.Decide(nil, []float64{0.5}, s)
+	var d SlotDecision
+	p.DecideInto(nil, []float64{0.5}, s, &d)
 	if got := d.Channels[0].AccessProb; math.Abs(got-0.4) > 1e-12 {
 		t.Fatalf("AccessProb with missing prior = %v, want 0.4", got)
 	}
@@ -130,9 +132,9 @@ func TestSlotDecisionAggregates(t *testing.T) {
 		{Channel: 2, Prior: 0.6, Posterior: 0.5, AccessProb: 0.24, Accessed: false},
 		{Channel: 3, Prior: 0.6, Posterior: 0.88, AccessProb: 1, Accessed: true},
 	}}
-	av := d.Available()
+	av := d.AppendAvailable(nil)
 	if len(av) != 2 || av[0] != 1 || av[1] != 3 {
-		t.Fatalf("Available = %v, want [1 3]", av)
+		t.Fatalf("AppendAvailable = %v, want [1 3]", av)
 	}
 	if got := d.ExpectedAvailable(); math.Abs(got-1.78) > 1e-12 {
 		t.Fatalf("ExpectedAvailable = %v, want 1.78", got)
@@ -160,7 +162,7 @@ func TestCollisionBoundSkipsZeroPrior(t *testing.T) {
 
 func TestEmptySlotDecision(t *testing.T) {
 	var d SlotDecision
-	if d.Available() != nil || d.ExpectedAvailable() != 0 || d.NumAccessed() != 0 || d.CollisionBound() != 0 {
+	if d.AppendAvailable(nil) != nil || d.ExpectedAvailable() != 0 || d.NumAccessed() != 0 || d.CollisionBound() != 0 {
 		t.Fatal("empty decision aggregates should be zero")
 	}
 }
@@ -200,7 +202,7 @@ func TestEndToEndCollisionRate(t *testing.T) {
 	}
 
 	for slot := 0; slot < slots; slot++ {
-		truth := sim.Step()
+		truth := sim.StepInPlace()
 		posteriors := make([]float64, m)
 		for ch := 1; ch <= m; ch++ {
 			// Three sensing results per channel, as with K=3 users + FBS.
@@ -215,7 +217,8 @@ func TestEndToEndCollisionRate(t *testing.T) {
 			}
 			posteriors[ch-1] = pa
 		}
-		d := pol.Decide(priors, posteriors, accessStream)
+		var d SlotDecision
+		pol.DecideInto(priors, posteriors, accessStream, &d)
 		if d.CollisionBound() > gamma+1e-9 {
 			t.Fatalf("slot %d: collision bound %v exceeds gamma", slot, d.CollisionBound())
 		}
@@ -280,7 +283,7 @@ func TestConditionalRateTracksGammaAcrossEta(t *testing.T) {
 				priors[ch] = eta
 			}
 			for slot := 0; slot < slots; slot++ {
-				truth := sim.Step()
+				truth := sim.StepInPlace()
 				posteriors := make([]float64, m)
 				for ch := 1; ch <= m; ch++ {
 					obs := []sensing.Observation{
@@ -294,10 +297,12 @@ func TestConditionalRateTracksGammaAcrossEta(t *testing.T) {
 					}
 					posteriors[ch-1] = pa
 				}
-				tracker.Record(pol.Decide(priors, posteriors, accessStream), truth)
+				var d SlotDecision
+				pol.DecideInto(priors, posteriors, accessStream, &d)
+				tracker.Record(d, truth)
 			}
 			// Average over channels to cut sampling noise: each channel is an
-			// independent replicate of the same (eta, gamma) experiment.
+			// independent replication of the same (eta, gamma) experiment.
 			var condSum, slotSum float64
 			for ch := 1; ch <= m; ch++ {
 				condSum += tracker.ConditionalRate(ch)

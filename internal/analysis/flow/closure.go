@@ -11,7 +11,7 @@ import (
 // its enclosing scope (or from package level), whether each access is a
 // read or a write, and whether a write is an element store keyed by the
 // task's own index. The gridslot analyzer turns these summaries into the
-// deterministic-parallelism contract of experiments.runGrid; foldorder and
+// deterministic-parallelism contract of the replication grids; foldorder and
 // syncguard reuse the launch enumeration.
 
 // CaptureUse is one access a closure makes to a variable it captured from

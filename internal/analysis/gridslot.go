@@ -9,10 +9,11 @@ import (
 )
 
 // GridSlot machine-checks the deterministic-parallelism contract of
-// experiments.runGrid: a worker closure may write only into its own
-// preallocated slot — an element store keyed by the task's own index — and
-// must leave every shared accumulator untouched until the post-join
-// barrier. The same slot-ownership rule applies to every closure launched
+// par.RunGrid and the experiment drivers' runGrid cell callbacks: a worker
+// closure (any function literal handed to a runGrid or RunGrid call) may
+// write only into its own preallocated slot — an element store keyed by
+// the task's own index — and must leave every shared accumulator untouched
+// until the post-join barrier. The same slot-ownership rule applies to every closure launched
 // with `go`, keyed by the closure's own parameters. Writes that are safe
 // for an out-of-band reason (an atomic dispatch counter claiming each
 // index exactly once, external locking) carry an explicit

@@ -87,15 +87,15 @@ func sumPSNR(in *core.Instance) float64 {
 	assertSingleFinding(t, diags, "idxdomain", "index-domain mismatch")
 }
 
-// TestMutationHotAlloc: introducing an unguarded make into waterfillInto,
-// an annotated //femtovet:hotpath root, breaks the allocation-free
-// contract; hotpath alone must catch it.
+// TestMutationHotAlloc: introducing an unguarded make into
+// waterfillColumns, an annotated //femtovet:hotpath root, breaks the
+// allocation-free contract; hotpath alone must catch it.
 func TestMutationHotAlloc(t *testing.T) {
 	src := mutate(t, "../core/waterfill.go",
-		"	for j := range rho {\n\t\trho[j] = 0\n\t}",
-		"	scratch := make([]float64, len(rho))\n\tfor j := range rho {\n\t\trho[j] = scratch[j]\n\t}")
+		"	for i := range rho {\n\t\trho[i] = 0\n\t}",
+		"	scratch := make([]float64, len(rho))\n\tfor i := range rho {\n\t\trho[i] = scratch[i]\n\t}")
 	diags := suiteOnSource(t, "femtocr/internal/coremutalloc", "waterfillmut.go", src, All())
-	assertSingleFinding(t, diags, "hotpath", "make allocates on every call of waterfillInto")
+	assertSingleFinding(t, diags, "hotpath", "make allocates on every call of waterfillColumns")
 }
 
 // TestMutationDroppedDeferPut: deleting the deferred Put after a pool Get
@@ -165,7 +165,7 @@ func mutatePar(t *testing.T, old, new string) string {
 func mutateParallel(t *testing.T, old, new string) string {
 	t.Helper()
 	src := mutate(t, "../experiments/parallel.go", old, new)
-	return src + "\ntype Params struct {\n\tWorkers  int\n\tParallel par.Parallelism\n}\n"
+	return src + "\ntype Params struct {\n\tRuns     int\n\tBaseSeed uint64\n\tParallel par.Parallelism\n}\n"
 }
 
 // TestMutationDroppedSharedReason: deleting the //femtovet:shared

@@ -119,7 +119,7 @@ func TestFilterBeatsStationaryPrior(t *testing.T) {
 	const slots = 20000
 	eta := band.Utilization(1)
 	for s := 0; s < slots; s++ {
-		truth := sim.Step()
+		truth := sim.StepInPlace()
 		tr.Predict()
 		for ch := 1; ch <= band.M(); ch++ {
 			prior, err := tr.PriorBusy(ch)
@@ -171,7 +171,7 @@ func TestFilterStaysCalibrated(t *testing.T) {
 	type bucket struct{ sum, busy, n float64 }
 	buckets := make(map[int]*bucket)
 	for s := 0; s < 50000; s++ {
-		truth := sim.Step()
+		truth := sim.StepInPlace()
 		tr.Predict()
 		for ch := 1; ch <= band.M(); ch++ {
 			prior, _ := tr.PriorBusy(ch)

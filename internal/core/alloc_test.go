@@ -9,10 +9,9 @@ package core
 //
 // Since femtovet v3 the same contract is checked statically: the hotpath
 // analyzer flags allocation-causing constructs reachable from the
-// //femtovet:hotpath roots at vet time, and scripts/escape_check.sh diffs
-// the compiler's -gcflags=-m output. These AllocsPerRun pins remain the
-// runtime backstop for whatever escape analysis the static checks cannot
-// see (interface dispatch, closure escapes the flow tracker misses).
+// //femtovet:hotpath roots at vet time. These AllocsPerRun pins remain the
+// runtime backstop for whatever the static check cannot see (interface
+// dispatch, closure escapes the flow tracker misses).
 
 import (
 	"testing"

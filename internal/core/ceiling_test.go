@@ -145,11 +145,11 @@ func TestCapImprovesRealizedObjective(t *testing.T) {
 
 func TestRhoAtHonorsCap(t *testing.T) {
 	u := waterfillUser{ps: 0.8, w: 30, r: 0.3, cap: 0.25}
-	if got := u.rhoAt(1e-6); got != 0.25 {
-		t.Fatalf("rhoAt tiny price = %v, want cap 0.25", got)
+	if got := u.rhoAtWR(1e-6, wrOf(u)); got != 0.25 {
+		t.Fatalf("rhoAtWR tiny price = %v, want cap 0.25", got)
 	}
 	atCeiling := waterfillUser{ps: 0.8, w: 30, r: 0.3, cap: 0}
-	if got := atCeiling.rhoAt(1e-6); got != 0 {
+	if got := atCeiling.rhoAtWR(1e-6, wrOf(atCeiling)); got != 0 {
 		t.Fatalf("at-ceiling user demanded %v", got)
 	}
 }
@@ -161,7 +161,7 @@ func TestWaterfillWithCapsSlackBudget(t *testing.T) {
 		{ps: 0.9, w: 30, r: 0.3, cap: 0.2},
 		{ps: 0.7, w: 28, r: 0.25, cap: 0.3},
 	}
-	rho, _ := waterfill(users, 1)
+	rho, _ := columnsWaterfill(users, 1)
 	if rho[0] > 0.2+1e-9 || rho[1] > 0.3+1e-9 {
 		t.Fatalf("caps overflowed: %v", rho)
 	}

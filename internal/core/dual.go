@@ -423,7 +423,9 @@ func (d *DualSolver) repair(in *Instance, alloc *Allocation, lambda []float64, w
 		i := in.FBS[j]
 		l0 := math.Max(lambda[0], d.lambdaMin)
 		l1 := math.Max(lambda[i], d.lambdaMin)
-		alloc.MBS[j] = ws.u0[j].branchValueLog(l0, ws.logW[j]) > ws.u1[j].branchValueLog(l1, ws.logW[j])
+		bv0, _ := ws.u0[j].branchAndRhoWR(l0, ws.logW[j], ws.wr0[j], ws.bl0[j])
+		bv1, _ := ws.u1[j].branchAndRhoWR(l1, ws.logW[j], ws.wr1[j], ws.bl1[j])
+		alloc.MBS[j] = bv0 > bv1
 	}
 	fillResources(in, alloc, ws)
 	polishAssociation(in, alloc, 4, ws)
@@ -485,8 +487,8 @@ func fillResources(in *Instance, alloc *Allocation, ws *solveWorkspace) {
 // fillCommon water-fills the common channel among the users associated with
 // the MBS, on workspace scratch. The effective users are gathered straight
 // into the flat waterfillColumns views, reusing the w/r quotients
-// prepareUsers hoisted; users filtered out here are exactly those the
-// scalar reference zeroed, so their shares are set to zero up front.
+// prepareUsers hoisted; users filtered out here (no success probability or
+// no rate) would get a zero share, so their shares are set to zero up front.
 func fillCommon(in *Instance, alloc *Allocation, ws *solveWorkspace) {
 	k := in.K()
 	idx := ws.wfIdx[:0]

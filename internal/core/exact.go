@@ -68,10 +68,10 @@ func (b *BruteForceSolver) SolveInto(in *Instance, best *Allocation) error {
 //
 // It is the default Q(c) evaluator inside the greedy channel allocator,
 // where the brute-force reference would be exponential.
-type EquilibriumSolver struct {
-	// Iters controls both bisection depths. Zero means the default of 45.
-	Iters int
-}
+type EquilibriumSolver struct{}
+
+// eqIters is the depth of both of EquilibriumSolver's bisections.
+const eqIters = 45
 
 var _ WarmSolver = (*EquilibriumSolver)(nil)
 
@@ -120,10 +120,6 @@ func (e *EquilibriumSolver) SolveWarmInto(in *Instance, out *Allocation, sess *S
 //femtovet:hotpath
 //femtovet:borrows in, alloc, ws, sess
 func (e *EquilibriumSolver) solveWS(in *Instance, alloc *Allocation, ws *solveWorkspace, sess *SolverSession) error {
-	iters := e.Iters
-	if iters == 0 {
-		iters = 45
-	}
 	k := in.K()
 
 	ws.prepareEquilibrium(in)
@@ -145,7 +141,7 @@ func (e *EquilibriumSolver) solveWS(in *Instance, alloc *Allocation, ws *solveWo
 		outerProbes++
 		total := 0.0
 		for i := 1; i <= in.N(); i++ {
-			_, mask := ws.equilibriumFBS(in, i, l0, iters)
+			_, mask := ws.equilibriumFBS(in, i, l0, eqIters)
 			for b, j := range byFBS[i] {
 				if mask&(1<<uint(b)) != 0 {
 					total += u0[j].rhoAtWR(l0, wr0[j])
@@ -201,7 +197,7 @@ func (e *EquilibriumSolver) solveWS(in *Instance, alloc *Allocation, ws *solveWo
 				}
 				// Invariant: demand0(wlo) > 1 >= demand0(whi), like the
 				// cold bracket before its bisection.
-				warmIters := iters/2 + 4
+				warmIters := eqIters/2 + 4
 				for it := 0; it < warmIters; it++ {
 					mid := 0.5 * (wlo + whi)
 					if demand0(mid) > 1 {
@@ -224,7 +220,7 @@ func (e *EquilibriumSolver) solveWS(in *Instance, alloc *Allocation, ws *solveWo
 			for demand0(hi) > 1 {
 				hi *= 2
 			}
-			for it := 0; it < iters; it++ {
+			for it := 0; it < eqIters; it++ {
 				mid := 0.5 * (lo + hi)
 				if demand0(mid) > 1 {
 					lo = mid
@@ -256,7 +252,7 @@ func (e *EquilibriumSolver) solveWS(in *Instance, alloc *Allocation, ws *solveWo
 	// Fix the association at the equilibrium prices, then water-fill.
 	alloc.resize(k)
 	for i := 1; i <= in.N(); i++ {
-		_, mask := ws.equilibriumFBS(in, i, l0, iters)
+		_, mask := ws.equilibriumFBS(in, i, l0, eqIters)
 		for b, j := range byFBS[i] {
 			alloc.MBS[j] = mask&(1<<uint(b)) != 0
 		}

@@ -9,8 +9,9 @@ import (
 	"femtocr/internal/rng"
 )
 
-// FuzzWaterfill hunts for inputs where the bisection produces negative
-// shares, blows the budget, overflows a cap, or returns NaN.
+// FuzzWaterfill hunts for inputs where the columnar bisection produces
+// negative shares, blows the budget, overflows a cap, returns NaN, or
+// departs by a single bit from the scalar reference.
 func FuzzWaterfill(f *testing.F) {
 	f.Add(0.9, 30.0, 0.3, -1.0, 0.5, 25.0, 0.2, 0.4, 1.0)
 	f.Add(0.0, 30.0, 0.0, 0.0, 1.0, 20.0, 0.5, -1.0, 0.5)
@@ -49,7 +50,8 @@ func FuzzWaterfill(f *testing.F) {
 			{ps: clampPS(ps2), w: clampPos(w2, 1, 100), r: clampPos(r2, 0, 10), cap: clampPos(cap2, -1, 100)},
 		}
 		b := clampPos(budget, 0, 10)
-		rho, lambda := waterfill(users, b)
+		checkColumnsMatchScalar(t, "fuzz", users, b)
+		rho, lambda := columnsWaterfill(users, b)
 		if math.IsNaN(lambda) || lambda < 0 {
 			t.Fatalf("lambda = %v", lambda)
 		}

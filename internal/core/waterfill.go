@@ -10,64 +10,11 @@ type waterfillUser struct {
 	cap float64 // share ceiling (Wmax-W)/r from the encoding ceiling; < 0 = unbounded
 }
 
-// rhoAt returns the closed-form share of Table I step 3 at price lambda,
+// rhoAtWR returns the closed-form share of Table I step 3 at price lambda,
 // rho = [ps/lambda - w/r]+, clamped to the user's demand ceiling: beyond it
-// the encoding saturates and extra share is worthless.
-func (u waterfillUser) rhoAt(lambda float64) float64 {
-	if u.r <= 0 || u.ps <= 0 {
-		return 0
-	}
-	rho := u.ps/lambda - u.w/u.r
-	if rho < 0 {
-		return 0
-	}
-	if u.cap >= 0 && rho > u.cap {
-		return u.cap
-	}
-	return rho
-}
-
-// branchValue returns the user's Lagrangian contribution at price lambda
-// with its optimal share: ps*log(w + rho*r) + (1-ps)*log(w) - lambda*rho.
-// This is the quantity compared in Table I step 4 to pick the serving base
-// station. The (1-ps)*log(w) term is the loss branch of the conditional
-// expectation E[log W^t]: when the packet is lost the quality stays at w.
-// (The paper's printed eq. (12) omits it, which would let a user prefer an
-// idle association purely for its larger success-probability weight; the
-// expectation form used here restores the intended comparison.)
-func (u waterfillUser) branchValue(lambda float64) float64 {
-	return u.branchValueLog(lambda, math.Log(u.w))
-}
-
-// branchValueLog is branchValue with the caller-cached log(w) term. The
-// solvers evaluate branch values thousands of times per solve at prices
-// that mostly leave rho at zero, where the whole expression collapses to
-// terms of log(w); caching it removes the dominant math.Log cost. The
-// result is bit-identical to branchValue: when rho is zero the original
-// computed math.Log(w + 0*r) = log(w), the exact value cached here, and
-// when rho is nonzero the same math.Log call runs on the same argument.
-func (u waterfillUser) branchValueLog(lambda, logW float64) float64 {
-	bv, _ := u.branchAndRho(lambda, logW)
-	return bv
-}
-
-// branchAndRho returns branchValueLog together with the optimal share it
-// was evaluated at. The demand loops of every solver previously computed
-// the share twice — once inside the branch value, once to accumulate the
-// demand total — and fusing the two halves the rhoAt cost of the inner
-// bisections with bit-identical results (same call, same argument).
-func (u waterfillUser) branchAndRho(lambda, logW float64) (float64, float64) {
-	rho := u.rhoAt(lambda)
-	logWG := logW
-	if rho != 0 {
-		logWG = math.Log(u.w + rho*u.r)
-	}
-	return u.ps*logWG + (1-u.ps)*logW - lambda*rho, rho
-}
-
-// rhoAtWR is rhoAt with the w/r ratio hoisted out by the caller: wr must be
-// the exact quotient u.w/u.r (prepareUsers performs that division once per
-// solve), making the result bit-identical while dropping one division from
+// the encoding saturates and extra share is worthless. The caller hoists
+// the w/r ratio: wr must be the exact quotient u.w/u.r (prepareUsers
+// performs that division once per solve), which drops one division from
 // every price probe of the bisections.
 func (u waterfillUser) rhoAtWR(lambda, wr float64) float64 {
 	if u.r <= 0 || u.ps <= 0 {
@@ -83,13 +30,23 @@ func (u waterfillUser) rhoAtWR(lambda, wr float64) float64 {
 	return rho
 }
 
-// branchAndRhoWR is branchAndRho with two caller-hoisted terms: wr is the
-// exact w/r quotient and bl the exact value of ps*logW + (1-ps)*logW
-// (prepareUsers computes both once per solve with the same operations).
-// When the share is zero the full expression collapses to bl - lambda*0;
-// IEEE subtraction of a positive zero returns the other operand bit for
-// bit, so returning bl directly is bitwise-identical to the long form while
-// skipping two multiplies and two adds on the price-too-high path the
+// branchAndRhoWR returns the user's Lagrangian contribution at price
+// lambda with its optimal share, ps*log(w + rho*r) + (1-ps)*log(w) -
+// lambda*rho, together with that share. This is the quantity compared in
+// Table I step 4 to pick the serving base station. The (1-ps)*log(w) term
+// is the loss branch of the conditional expectation E[log W^t]: when the
+// packet is lost the quality stays at w. (The paper's printed eq. (12)
+// omits it, which would let a user prefer an idle association purely for
+// its larger success-probability weight; the expectation form used here
+// restores the intended comparison.)
+//
+// The caller hoists three terms: logW is the exact log(w), wr the exact
+// w/r quotient, and bl the exact value of ps*logW + (1-ps)*logW
+// (prepareUsers computes all three once per solve). When the share is zero
+// the full expression collapses to bl - lambda*0; IEEE subtraction of a
+// positive zero returns the other operand bit for bit, so returning bl
+// directly is bitwise-identical to the long form while skipping a
+// math.Log, two multiplies and two adds on the price-too-high path the
 // bisections spend most probes in.
 func (u waterfillUser) branchAndRhoWR(lambda, logW, wr, bl float64) (float64, float64) {
 	rho := u.rhoAtWR(lambda, wr)
@@ -99,120 +56,22 @@ func (u waterfillUser) branchAndRhoWR(lambda, logW, wr, bl float64) (float64, fl
 	return u.ps*math.Log(u.w+rho*u.r) + (1-u.ps)*logW - lambda*rho, rho
 }
 
-// waterfill maximizes sum_j ps_j*log(w_j + rho_j*r_j) subject to
-// sum rho_j <= budget, rho_j >= 0, by bisection on the price lambda (the
-// KKT conditions make total demand strictly decreasing in lambda). It
-// returns the shares and the supporting price. With no effective users the
-// shares are zero and the price 0.
-func waterfill(users []waterfillUser, budget float64) ([]float64, float64) {
-	rho := make([]float64, len(users))
-	lambda := waterfillInto(rho, users, budget)
-	return rho, lambda
-}
-
-// waterfillInto is waterfill writing the shares into the caller-owned rho
-// buffer (len(rho) must equal len(users)), returning the supporting price.
-// It is the retained scalar reference implementation: the hot path now runs
-// waterfillColumns over flat effective-user columns (see fillCommon and
-// fillFBS), and the property tests in waterfill_prop_test.go pin the two
-// bit-identical on random and degenerate instances.
+// waterfillColumns maximizes sum_j ps_j*log(w_j + rho_j*r_j) subject to
+// sum rho_j <= budget, rho_j >= 0 (and each rho_j under its cap), by
+// bisection on the price lambda: the KKT conditions make total demand
+// strictly decreasing in lambda. It returns the supporting price; with no
+// effective users the shares are zero and the price 0.
 //
-//femtovet:hotpath
-//femtovet:borrows rho, users
-func waterfillInto(rho []float64, users []waterfillUser, budget float64) float64 {
-	for j := range rho {
-		rho[j] = 0
-	}
-	if budget <= 0 {
-		return 0
-	}
-	demand := func(lambda float64) float64 {
-		total := 0.0
-		for _, u := range users {
-			total += u.rhoAt(lambda)
-		}
-		return total
-	}
-
-	// Price upper bound: at lambda = sum(ps)/budget every rho <= ps/lambda,
-	// so total demand <= budget.
-	sumPS := 0.0
-	effective := 0
-	for _, u := range users {
-		if u.ps > 0 && u.r > 0 {
-			sumPS += u.ps
-			effective++
-		}
-	}
-	if effective == 0 {
-		return 0
-	}
-	hi := sumPS / budget
-	if demand(hi) > budget {
-		// Guard against rounding; expand until demand fits.
-		for i := 0; i < 64 && demand(hi) > budget; i++ {
-			hi *= 2
-		}
-	}
-	// If even a vanishing price cannot fill the budget the constraint is
-	// slack; that cannot happen here since demand -> +inf as lambda -> 0+
-	// for any effective user, but keep a defensive check.
-	const tiny = 1e-18
-	lo := tiny
-	if demand(lo) <= budget {
-		for j, u := range users {
-			rho[j] = u.rhoAt(lo)
-		}
-		return 0
-	}
-	for iter := 0; iter < 100; iter++ {
-		mid := 0.5 * (lo + hi)
-		if demand(mid) > budget {
-			lo = mid
-		} else {
-			hi = mid
-		}
-		if hi-lo <= 1e-12*hi {
-			break
-		}
-	}
-	lambda := hi // feasible side
-	total := 0.0
-	for j, u := range users {
-		rho[j] = u.rhoAt(lambda)
-		total += rho[j]
-	}
-	// Distribute any residual slack caused by tolerance to keep the budget
-	// exactly saturated (scale up is safe: the objective is increasing in
-	// rho), without pushing anyone past their demand ceiling.
-	if total > 0 && total < budget {
-		scale := budget / total
-		for j := range rho {
-			scaled := rho[j] * scale
-			if c := users[j].cap; c >= 0 && scaled > c {
-				scaled = c
-			}
-			rho[j] = scaled
-		}
-	}
-	return lambda
-}
-
-// waterfillColumns is waterfillInto restructured over flat float64 columns
-// holding only the effective users (ps > 0 and r > 0): ps, wr (the hoisted
-// w/r quotient) and caps are parallel to rho, and the caller maps the
-// resulting shares back to user indices while zeroing everyone it filtered
-// out. The contiguous branch-light demand loop replaces the per-user struct
-// walk with its method calls and effectiveness re-checks on every price
-// probe — the shape the bisection spends its time in.
-//
-// Outputs are bit-identical to the scalar reference: every retained user
-// contributes the exact ps/lambda - w/r clamp sequence of rhoAt in the same
-// ascending order (wr is the same quotient, divided once), users filtered
-// out contributed an exact 0.0 the nonnegative partial sums never depended
-// on, and demand totals are only ever compared against the budget, so the
-// accumulation can exit as soon as the partial sum crosses it — the
-// remaining nonnegative terms cannot bring it back below.
+// The users arrive as flat float64 columns holding only the effective ones
+// (ps > 0 and r > 0): ps, wr (the hoisted w/r quotient) and caps are
+// parallel to rho, and the caller maps the resulting shares back to user
+// indices while zeroing everyone it filtered out (see fillCommon and
+// fillFBS). The contiguous branch-light demand loop is the shape the
+// bisection spends its time in. Demand totals are only ever compared
+// against the budget, so the accumulation exits as soon as the partial sum
+// crosses it — the remaining nonnegative terms cannot bring it back below.
+// The property tests in waterfill_prop_test.go pin it bit-identical to a
+// per-user scalar reference on random and degenerate instances.
 //
 //femtovet:hotpath
 //femtovet:borrows rho, ps, wr, caps
@@ -257,7 +116,9 @@ func waterfillColumns(rho, ps, wr, caps []float64, budget float64) float64 {
 			hi *= 2
 		}
 	}
-	// Mirror of the scalar reference's defensive slack check.
+	// If even a vanishing price cannot fill the budget the constraint is
+	// slack; that cannot happen here since demand -> +inf as lambda -> 0+
+	// for any effective user, but keep a defensive check.
 	const tiny = 1e-18
 	lo := tiny
 	if demand(lo) <= budget {

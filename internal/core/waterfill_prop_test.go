@@ -23,29 +23,124 @@ func columnsOf(users []waterfillUser) (idx []int, ps, wr, caps []float64) {
 	return idx, ps, wr, caps
 }
 
-// checkColumnsMatchScalar runs both water-filling implementations on the
-// same instance and demands bitwise agreement: the supporting price and
-// every per-user share, including the exact zeros of filtered-out users.
-func checkColumnsMatchScalar(t *testing.T, label string, users []waterfillUser, budget float64) {
-	t.Helper()
-	refRho := make([]float64, len(users))
-	refLambda := waterfillInto(refRho, users, budget)
-
+// columnsWaterfill water-fills users through the production path: gather
+// the effective users, run waterfillColumns, and scatter the shares back
+// (zero for the filtered-out users). It returns the per-user shares and the
+// supporting price.
+func columnsWaterfill(users []waterfillUser, budget float64) ([]float64, float64) {
 	idx, ps, wr, caps := columnsOf(users)
 	colRho := make([]float64, len(idx))
-	colLambda := waterfillColumns(colRho, ps, wr, caps, budget)
+	lambda := waterfillColumns(colRho, ps, wr, caps, budget)
+	rho := make([]float64, len(users))
+	for t, j := range idx {
+		rho[j] = colRho[t]
+	}
+	return rho, lambda
+}
 
+// scalarRho is the per-user share of Table I step 3 that scalarWaterfill
+// bisects over: [ps/lambda - w/r]+ clamped to the cap, with the w/r
+// division done per call.
+func scalarRho(u waterfillUser, lambda float64) float64 {
+	if u.r <= 0 || u.ps <= 0 {
+		return 0
+	}
+	rho := u.ps/lambda - u.w/u.r
+	if rho < 0 {
+		return 0
+	}
+	if u.cap >= 0 && rho > u.cap {
+		return u.cap
+	}
+	return rho
+}
+
+// scalarWaterfill is the reference water-filling the columnar hot path must
+// reproduce bit for bit: a plain per-user walk over the structs, every
+// user (inert ones included) visited on every price probe, with no early
+// exit from the demand sum.
+func scalarWaterfill(users []waterfillUser, budget float64) ([]float64, float64) {
+	rho := make([]float64, len(users))
+	if budget <= 0 {
+		return rho, 0
+	}
+	demand := func(lambda float64) float64 {
+		total := 0.0
+		for _, u := range users {
+			total += scalarRho(u, lambda)
+		}
+		return total
+	}
+	sumPS := 0.0
+	effective := 0
+	for _, u := range users {
+		if u.ps > 0 && u.r > 0 {
+			sumPS += u.ps
+			effective++
+		}
+	}
+	if effective == 0 {
+		return rho, 0
+	}
+	hi := sumPS / budget
+	if demand(hi) > budget {
+		for i := 0; i < 64 && demand(hi) > budget; i++ {
+			hi *= 2
+		}
+	}
+	const tiny = 1e-18
+	lo := tiny
+	if demand(lo) <= budget {
+		for j, u := range users {
+			rho[j] = scalarRho(u, lo)
+		}
+		return rho, 0
+	}
+	for iter := 0; iter < 100; iter++ {
+		mid := 0.5 * (lo + hi)
+		if demand(mid) > budget {
+			lo = mid
+		} else {
+			hi = mid
+		}
+		if hi-lo <= 1e-12*hi {
+			break
+		}
+	}
+	lambda := hi
+	total := 0.0
+	for j, u := range users {
+		rho[j] = scalarRho(u, lambda)
+		total += rho[j]
+	}
+	if total > 0 && total < budget {
+		scale := budget / total
+		for j := range rho {
+			scaled := rho[j] * scale
+			if c := users[j].cap; c >= 0 && scaled > c {
+				scaled = c
+			}
+			rho[j] = scaled
+		}
+	}
+	return rho, lambda
+}
+
+// checkColumnsMatchScalar runs the columnar water-filling and the scalar
+// reference on the same instance and demands bitwise agreement: the
+// supporting price and every per-user share, including the exact zeros of
+// filtered-out users.
+func checkColumnsMatchScalar(t *testing.T, label string, users []waterfillUser, budget float64) {
+	t.Helper()
+	refRho, refLambda := scalarWaterfill(users, budget)
+	colRho, colLambda := columnsWaterfill(users, budget)
 	if math.Float64bits(colLambda) != math.Float64bits(refLambda) {
 		t.Fatalf("%s: lambda %x (columns) vs %x (scalar)", label, colLambda, refLambda)
 	}
-	scattered := make([]float64, len(users))
-	for t2, j := range idx {
-		scattered[j] = colRho[t2]
-	}
 	for j := range users {
-		if math.Float64bits(scattered[j]) != math.Float64bits(refRho[j]) {
+		if math.Float64bits(colRho[j]) != math.Float64bits(refRho[j]) {
 			t.Fatalf("%s: rho[%d] = %x (columns) vs %x (scalar); users=%+v budget=%v",
-				label, j, scattered[j], refRho[j], users, budget)
+				label, j, colRho[j], refRho[j], users, budget)
 		}
 	}
 }

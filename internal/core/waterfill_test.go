@@ -19,7 +19,7 @@ func TestWaterfillSaturatesBudget(t *testing.T) {
 		wfu(0.7, 28, 0.25),
 		wfu(0.8, 26, 0.35),
 	}
-	rho, lambda := waterfill(users, 1)
+	rho, lambda := columnsWaterfill(users, 1)
 	total := 0.0
 	for _, r := range rho {
 		if r < 0 {
@@ -46,7 +46,7 @@ func TestWaterfillKKT(t *testing.T) {
 		for i := range users {
 			users[i] = wfu(0.3+0.7*s.Float64(), 20+20*s.Float64(), 0.05+0.5*s.Float64())
 		}
-		rho, lambda := waterfill(users, 1)
+		rho, lambda := columnsWaterfill(users, 1)
 		if lambda <= 0 {
 			return false
 		}
@@ -83,7 +83,7 @@ func TestWaterfillOptimality(t *testing.T) {
 		}
 		return v
 	}
-	rho, _ := waterfill(users, 1)
+	rho, _ := columnsWaterfill(users, 1)
 	best := value(rho)
 	for trial := 0; trial < 2000; trial++ {
 		// Random point on the simplex.
@@ -100,17 +100,17 @@ func TestWaterfillOptimality(t *testing.T) {
 
 func TestWaterfillDegenerate(t *testing.T) {
 	// No users.
-	rho, lambda := waterfill(nil, 1)
+	rho, lambda := columnsWaterfill(nil, 1)
 	if len(rho) != 0 || lambda != 0 {
-		t.Fatal("empty waterfill should be zeros")
+		t.Fatal("empty water-filling should be zeros")
 	}
 	// Zero budget.
-	rho, _ = waterfill([]waterfillUser{wfu(0.5, 30, 0.3)}, 0)
+	rho, _ = columnsWaterfill([]waterfillUser{wfu(0.5, 30, 0.3)}, 0)
 	if rho[0] != 0 {
 		t.Fatal("zero budget must give zero shares")
 	}
 	// All users ineffective (zero rate or zero success probability).
-	rho, lambda = waterfill([]waterfillUser{
+	rho, lambda = columnsWaterfill([]waterfillUser{
 		wfu(0, 30, 0.3),
 		wfu(0.5, 30, 0),
 	}, 1)
@@ -120,7 +120,7 @@ func TestWaterfillDegenerate(t *testing.T) {
 }
 
 func TestWaterfillSingleUserTakesAll(t *testing.T) {
-	rho, _ := waterfill([]waterfillUser{wfu(0.8, 30, 0.3)}, 1)
+	rho, _ := columnsWaterfill([]waterfillUser{wfu(0.8, 30, 0.3)}, 1)
 	if math.Abs(rho[0]-1) > 1e-9 {
 		t.Fatalf("single user share %v, want 1", rho[0])
 	}
@@ -133,7 +133,7 @@ func TestWaterfillFavorsBetterUsers(t *testing.T) {
 		wfu(0.9, 30, 0.3),
 		wfu(0.5, 30, 0.3),
 	}
-	rho, _ := waterfill(users, 1)
+	rho, _ := columnsWaterfill(users, 1)
 	if rho[0] <= rho[1] {
 		t.Fatalf("shares %v: reliable user should get more", rho)
 	}
@@ -142,24 +142,38 @@ func TestWaterfillFavorsBetterUsers(t *testing.T) {
 		wfu(0.8, 35, 0.3),
 		wfu(0.8, 25, 0.3),
 	}
-	rho, _ = waterfill(users, 1)
+	rho, _ = columnsWaterfill(users, 1)
 	if rho[1] <= rho[0] {
 		t.Fatalf("shares %v: lower-quality user should get more", rho)
 	}
 }
 
+// wrOf is the hoisted w/r quotient prepareUsers caches (zero for a
+// zero-rate user, whose share rhoAtWR never computes).
+func wrOf(u waterfillUser) float64 {
+	if u.r <= 0 {
+		return 0
+	}
+	return u.w / u.r
+}
+
 func TestBranchValueMatchesDefinition(t *testing.T) {
 	u := wfu(0.8, 30, 0.3)
+	logW := math.Log(u.w)
+	bl := u.ps*logW + (1-u.ps)*logW
 	lambda := 0.004
-	rho := u.rhoAt(lambda)
+	got, rho := u.branchAndRhoWR(lambda, logW, wrOf(u), bl)
+	if rho != u.rhoAtWR(lambda, wrOf(u)) || rho <= 0 {
+		t.Fatalf("share %v, want the positive rhoAtWR share", rho)
+	}
 	want := u.ps*math.Log(u.w+rho*u.r) + (1-u.ps)*math.Log(u.w) - lambda*rho
-	if got := u.branchValue(lambda); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("branchValue = %v, want %v", got, want)
+	if math.Abs(got-want) > 1e-12 {
+		t.Fatalf("branch value = %v, want %v", got, want)
 	}
 	// At a very high price the user demands nothing and the value is the
 	// idle utility log(w) (both expectation branches coincide).
-	if got := u.branchValue(1e9); math.Abs(got-math.Log(u.w)) > 1e-12 {
-		t.Fatalf("idle branch value = %v", got)
+	if got, rho := u.branchAndRhoWR(1e9, logW, wrOf(u), bl); rho != 0 || math.Abs(got-math.Log(u.w)) > 1e-12 {
+		t.Fatalf("idle branch value = %v at share %v", got, rho)
 	}
 }
 
@@ -167,18 +181,18 @@ func TestRhoAtClosedForm(t *testing.T) {
 	u := wfu(0.8, 30, 0.3)
 	lambda := 0.004
 	want := u.ps/lambda - u.w/u.r
-	if got := u.rhoAt(lambda); math.Abs(got-want) > 1e-9 {
-		t.Fatalf("rhoAt = %v, want %v (Table I step 3)", got, want)
+	if got := u.rhoAtWR(lambda, wrOf(u)); math.Abs(got-want) > 1e-9 {
+		t.Fatalf("rhoAtWR = %v, want %v (Table I step 3)", got, want)
 	}
 	// Price high enough that the bracket goes negative: share is zero.
-	if got := u.rhoAt(1); got != 0 {
-		t.Fatalf("rhoAt(1) = %v, want 0", got)
+	if got := u.rhoAtWR(1, wrOf(u)); got != 0 {
+		t.Fatalf("rhoAtWR(1) = %v, want 0", got)
 	}
 	// Degenerate users demand nothing.
-	if (wfu(0, 30, 0.3)).rhoAt(0.01) != 0 {
+	if u := wfu(0, 30, 0.3); u.rhoAtWR(0.01, wrOf(u)) != 0 {
 		t.Fatal("zero-ps user demanded")
 	}
-	if (wfu(0.5, 30, 0)).rhoAt(0.01) != 0 {
+	if u := wfu(0.5, 30, 0); u.rhoAtWR(0.01, wrOf(u)) != 0 {
 		t.Fatal("zero-rate user demanded")
 	}
 }

@@ -38,42 +38,27 @@ func AblationBelief(p Params) (*stats.Figure, error) {
 		cfg := p.Config
 		cfg.P01 *= factor
 		cfg.P10 *= factor
-		var err error
-		if nets[i], err = netmodel.PaperSingleFBS(cfg); err != nil {
+		if nets[i], err = netmodel.NewNetwork(cfg, netmodel.PaperSingleSpec()); err != nil {
 			return nil, err
 		}
 	}
-	perFactor := 2 * p.Runs // stationary runs, then belief-filter runs
-	slots := make([]float64, len(factors)*perFactor)
-	err = runGrid(len(slots), p.workers(), func(i int) error {
-		fi := i / perFactor
-		track := (i%perFactor)/p.Runs == 1
-		r := i % p.Runs
-		res, err := sim.Run(nets[fi], sim.Options{
-			Seed:         p.BaseSeed + uint64(r),
-			GOPs:         p.GOPs,
-			TrackBeliefs: track,
-		})
+	// Point 2*fi runs factor fi with the stationary prior, 2*fi+1 with the
+	// belief filter.
+	g, err := runGrid(p, 2*len(factors), 1, func(pt int, seed uint64, out []float64) error {
+		track := pt%2 == 1
+		res, err := sim.Run(nets[pt/2], sim.Options{Seed: seed, GOPs: p.GOPs, TrackBeliefs: track})
 		if err != nil {
-			return fmt.Errorf("factor=%v beliefs=%v run %d: %w", factors[fi], track, r, err)
+			return fmt.Errorf("factor=%v beliefs=%v: %w", factors[pt/2], track, err)
 		}
-		slots[i] = res.MeanPSNR
+		out[0] = res.MeanPSNR
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	for fi, factor := range factors {
-		base := fi * perFactor
-		s, err := mergeSummary(slots[base : base+p.Runs])
-		if err != nil {
-			return nil, err
-		}
-		stationary.Append(factor, s)
-		if s, err = mergeSummary(slots[base+p.Runs : base+perFactor]); err != nil {
-			return nil, err
-		}
-		filtered.Append(factor, s)
+		stationary.Append(factor, g.sum[2*fi][0])
+		filtered.Append(factor, g.sum[2*fi+1][0])
 	}
 	return fig, nil
 }
@@ -81,11 +66,7 @@ func AblationBelief(p Params) (*stats.Figure, error) {
 // AblationSensorPolicy compares the user-sensor assignment policies of
 // internal/sensing on the single-FBS workload.
 func AblationSensorPolicy(p Params) (*stats.Figure, error) {
-	p, err := p.normalize()
-	if err != nil {
-		return nil, err
-	}
-	net, err := netmodel.PaperSingleFBS(p.Config)
+	p, net, err := setup(p, netmodel.PaperSingleSpec())
 	if err != nil {
 		return nil, err
 	}
@@ -96,30 +77,19 @@ func AblationSensorPolicy(p Params) (*stats.Figure, error) {
 	policies := []sensing.AssignmentPolicy{
 		sensing.RoundRobin, sensing.RandomAssign, sensing.Stratified,
 	}
-	slots := make([]float64, len(policies)*p.Runs)
-	err = runGrid(len(slots), p.workers(), func(i int) error {
-		pol := policies[i/p.Runs]
-		r := i % p.Runs
-		res, err := sim.Run(net, sim.Options{
-			Seed:         p.BaseSeed + uint64(r),
-			GOPs:         p.GOPs,
-			SensorPolicy: pol,
-		})
+	g, err := runGrid(p, len(policies), 1, func(pt int, seed uint64, out []float64) error {
+		res, err := sim.Run(net, sim.Options{Seed: seed, GOPs: p.GOPs, SensorPolicy: policies[pt]})
 		if err != nil {
-			return fmt.Errorf("policy=%v run %d: %w", pol, r, err)
+			return fmt.Errorf("policy=%v: %w", policies[pt], err)
 		}
-		slots[i] = res.MeanPSNR
+		out[0] = res.MeanPSNR
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	for pi, pol := range policies {
-		s, err := mergeSummary(slots[pi*p.Runs : (pi+1)*p.Runs])
-		if err != nil {
-			return nil, err
-		}
-		series.Append(float64(pol), s)
+		series.Append(float64(pol), g.sum[pi][0])
 	}
 	return fig, nil
 }
@@ -136,47 +106,32 @@ type SolverComparison struct {
 
 // AblationSolver runs the single-FBS workload under both solvers.
 func AblationSolver(p Params) (*SolverComparison, error) {
-	p, err := p.normalize()
+	p, net, err := setup(p, netmodel.PaperSingleSpec())
 	if err != nil {
 		return nil, err
 	}
-	net, err := netmodel.PaperSingleFBS(p.Config)
-	if err != nil {
-		return nil, err
-	}
-	out := &SolverComparison{}
+	sc := &SolverComparison{}
 	for _, useDual := range []bool{false, true} {
-		vals := make([]float64, p.Runs)
 		start := time.Now()
-		err = runGrid(p.Runs, p.workers(), func(r int) error {
-			res, err := sim.Run(net, sim.Options{
-				Seed:          p.BaseSeed + uint64(r),
-				GOPs:          p.GOPs,
-				UseDualSolver: useDual,
-			})
+		g, err := runGrid(p, 1, 1, func(_ int, seed uint64, out []float64) error {
+			res, err := sim.Run(net, sim.Options{Seed: seed, GOPs: p.GOPs, UseDualSolver: useDual})
 			if err != nil {
-				return fmt.Errorf("dual=%v run %d: %w", useDual, r, err)
+				return fmt.Errorf("dual=%v: %w", useDual, err)
 			}
-			vals[r] = res.MeanPSNR
+			out[0] = res.MeanPSNR
 			return nil
 		})
 		if err != nil {
 			return nil, err
 		}
 		elapsed := time.Since(start)
-		s, err := mergeSummary(vals)
-		if err != nil {
-			return nil, err
-		}
 		if useDual {
-			out.DualPSNR = s
-			out.DualElapsed = elapsed
+			sc.DualPSNR, sc.DualElapsed = g.sum[0][0], elapsed
 		} else {
-			out.EquilibriumPSNR = s
-			out.EquilibriumElapsed = elapsed
+			sc.EquilibriumPSNR, sc.EquilibriumElapsed = g.sum[0][0], elapsed
 		}
 	}
-	return out, nil
+	return sc, nil
 }
 
 // String renders the comparison.

@@ -34,7 +34,7 @@ func BenchmarkFig5Quick(b *testing.B) {
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			p := benchParams()
-			p.Workers = workers
+			p.Parallel.Workers = workers
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := Fig5(p); err != nil {
@@ -52,7 +52,7 @@ func BenchmarkGammaTradeoffQuick(b *testing.B) {
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			p := benchParams()
-			p.Workers = workers
+			p.Parallel.Workers = workers
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := GammaTradeoff(p); err != nil {

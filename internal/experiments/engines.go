@@ -15,11 +15,7 @@ import (
 // (explicit NAL queues, ARQ, deadlines). One curve per engine per scheme,
 // indexed by scheme number; the curves should track each other closely.
 func EngineComparison(p Params) (*stats.Figure, error) {
-	p, err := p.normalize()
-	if err != nil {
-		return nil, err
-	}
-	net, err := netmodel.PaperSingleFBS(p.Config)
+	p, net, err := setup(p, netmodel.PaperSingleSpec())
 	if err != nil {
 		return nil, err
 	}
@@ -31,43 +27,25 @@ func EngineComparison(p Params) (*stats.Figure, error) {
 	fig.Add(pkt)
 
 	schs := schemes()
-	type cell struct{ rate, pkt float64 }
-	slots := make([]cell, len(schs)*p.Runs)
-	err = runGrid(len(slots), p.workers(), func(i int) error {
-		sch := schs[i/p.Runs]
-		r := i % p.Runs
-		seed := p.BaseSeed + uint64(r)
+	g, err := runGrid(p, len(schs), 2, func(pt int, seed uint64, out []float64) error {
+		sch := schs[pt]
 		rr, err := sim.Run(net, sim.Options{Seed: seed, GOPs: p.GOPs, Scheme: sch})
 		if err != nil {
-			return fmt.Errorf("rate engine scheme=%v run %d: %w", sch, r, err)
+			return fmt.Errorf("rate engine scheme=%v: %w", sch, err)
 		}
 		pr, err := packetsim.Run(net, packetsim.Options{Seed: seed, GOPs: p.GOPs, Scheme: sch})
 		if err != nil {
-			return fmt.Errorf("packet engine scheme=%v run %d: %w", sch, r, err)
+			return fmt.Errorf("packet engine scheme=%v: %w", sch, err)
 		}
-		slots[i] = cell{rate: rr.MeanPSNR, pkt: pr.MeanPSNR}
+		out[0], out[1] = rr.MeanPSNR, pr.MeanPSNR
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	rateVals := make([]float64, p.Runs)
-	pktVals := make([]float64, p.Runs)
 	for si, sch := range schs {
-		for r := 0; r < p.Runs; r++ {
-			rateVals[r] = slots[si*p.Runs+r].rate
-			pktVals[r] = slots[si*p.Runs+r].pkt
-		}
-		rs, err := mergeSummary(rateVals)
-		if err != nil {
-			return nil, err
-		}
-		ps, err := mergeSummary(pktVals)
-		if err != nil {
-			return nil, err
-		}
-		rate.Append(float64(sch), rs)
-		pkt.Append(float64(sch), ps)
+		rate.Append(float64(sch), g.sum[si][0])
+		pkt.Append(float64(sch), g.sum[si][1])
 	}
 	return fig, nil
 }

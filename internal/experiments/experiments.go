@@ -27,20 +27,10 @@ type Params struct {
 	GOPs int
 	// BaseSeed: replication r of point p uses seed BaseSeed + r.
 	BaseSeed uint64
-	// Workers caps the number of concurrent simulation runs; 0 (or any
-	// non-positive value) uses runtime.GOMAXPROCS(0). Every run derives all
-	// randomness from its own seed, so results are bitwise-identical for
-	// any worker count.
-	//
-	// Deprecated: set Parallel.Workers instead. This field is consulted
-	// only when Parallel.Workers is exactly zero (unset), so existing
-	// callers keep working; any nonzero Parallel.Workers — including
-	// negative values meaning "use every CPU" — takes precedence.
-	Workers int
 	// Parallel bundles the parallel-execution knobs shared with
-	// sim.Options: Workers caps concurrent runs (same contract as the
-	// deprecated Workers field, which it supersedes) and Shards is
-	// forwarded to sharded simulations.
+	// sim.Options: Workers caps the concurrent simulation runs (0: one per
+	// CPU). Every run derives all randomness from its own seed, so results
+	// are bitwise-identical for any worker count.
 	Parallel par.Parallelism
 	// Config is the scenario configuration; zero value means the paper's
 	// defaults.
@@ -58,21 +48,14 @@ func QuickParams() Params {
 	return Params{Runs: 2, GOPs: 3, BaseSeed: 1000, Config: netmodel.DefaultConfig()}
 }
 
-func (p Params) validate() error {
-	if p.Runs < 1 {
-		return fmt.Errorf("%w: runs=%d", ErrBadParams, p.Runs)
-	}
-	if p.GOPs < 1 {
-		return fmt.Errorf("%w: GOPs=%d", ErrBadParams, p.GOPs)
-	}
-	return nil
-}
-
 // normalize validates p and substitutes the paper's default configuration
 // when Config was left zero.
 func (p Params) normalize() (Params, error) {
-	if err := p.validate(); err != nil {
-		return p, err
+	if p.Runs < 1 {
+		return p, fmt.Errorf("%w: runs=%d", ErrBadParams, p.Runs)
+	}
+	if p.GOPs < 1 {
+		return p, fmt.Errorf("%w: GOPs=%d", ErrBadParams, p.GOPs)
 	}
 	if p.Config.M == 0 {
 		p.Config = netmodel.DefaultConfig()
@@ -80,47 +63,20 @@ func (p Params) normalize() (Params, error) {
 	return p, nil
 }
 
+// setup normalizes p and builds spec's network at p.Config: the preamble of
+// every driver that runs one deployment.
+func setup(p Params, spec netmodel.TopologySpec) (Params, *netmodel.Network, error) {
+	p, err := p.normalize()
+	if err != nil {
+		return p, nil, err
+	}
+	net, err := netmodel.NewNetwork(p.Config, spec)
+	return p, net, err
+}
+
 // schemes lists the three compared schemes in the paper's legend order.
 func schemes() []sim.Scheme {
 	return []sim.Scheme{sim.Proposed, sim.Heuristic1, sim.Heuristic2}
-}
-
-// replicate runs one (network, scheme) point across p.Runs seeds over the
-// worker pool and summarizes the mean PSNR, and the bound PSNR when tracked.
-func replicate(p Params, net *netmodel.Network, scheme sim.Scheme, trackBound bool) (mean, bound stats.Summary, err error) {
-	track := trackBound && scheme == sim.Proposed
-	psnrs := make([]float64, p.Runs)
-	bounds := make([]float64, p.Runs)
-	err = runGrid(p.Runs, p.workers(), func(r int) error {
-		res, err := sim.Run(net, sim.Options{
-			Seed:       p.BaseSeed + uint64(r),
-			GOPs:       p.GOPs,
-			Scheme:     scheme,
-			TrackBound: track,
-		})
-		if err != nil {
-			return fmt.Errorf("scheme=%v run %d: %w", scheme, r, err)
-		}
-		psnrs[r] = res.MeanPSNR
-		if track {
-			bounds[r] = res.BoundPSNR
-		}
-		return nil
-	})
-	if err != nil {
-		return stats.Summary{}, stats.Summary{}, err
-	}
-	mean, err = mergeSummary(psnrs)
-	if err != nil {
-		return stats.Summary{}, stats.Summary{}, err
-	}
-	if track {
-		bound, err = mergeSummary(bounds)
-		if err != nil {
-			return stats.Summary{}, stats.Summary{}, err
-		}
-	}
-	return mean, bound, nil
 }
 
 // sweep evaluates all schemes over a parameter sweep, building one curve per
@@ -133,72 +89,44 @@ func sweep(p Params, title, xLabel string, xs []float64,
 	if err != nil {
 		return nil, err
 	}
-	fig := stats.NewFigure(title, xLabel, "Y-PSNR (dB)")
-	var boundSeries *stats.Series
-	if trackBound {
-		boundSeries = stats.NewSeries("Upper bound")
-		fig.Add(boundSeries)
-	}
-	schs := schemes()
-	curves := make(map[sim.Scheme]*stats.Series)
-	for _, sch := range schs {
-		curves[sch] = stats.NewSeries(sch.String())
-		fig.Add(curves[sch])
-	}
 	nets := make([]*netmodel.Network, len(xs))
 	for i, x := range xs {
 		if nets[i], err = build(p, x); err != nil {
 			return nil, fmt.Errorf("x=%v: %w", x, err)
 		}
 	}
-	type cell struct{ psnr, bound float64 }
-	perScheme := p.Runs
-	perPoint := len(schs) * perScheme
-	slots := make([]cell, len(xs)*perPoint)
-	err = runGrid(len(slots), p.workers(), func(i int) error {
-		xi := i / perPoint
-		si := (i % perPoint) / perScheme
-		r := i % perScheme
-		sch := schs[si]
-		track := trackBound && sch == sim.Proposed
+	schs := schemes()
+	g, err := runGrid(p, len(xs)*len(schs), 2, func(pt int, seed uint64, out []float64) error {
+		xi, sch := pt/len(schs), schs[pt%len(schs)]
 		res, err := sim.Run(nets[xi], sim.Options{
-			Seed:       p.BaseSeed + uint64(r),
+			Seed:       seed,
 			GOPs:       p.GOPs,
 			Scheme:     sch,
-			TrackBound: track,
+			TrackBound: trackBound && sch == sim.Proposed,
 		})
 		if err != nil {
-			return fmt.Errorf("x=%v scheme=%v run %d: %w", xs[xi], sch, r, err)
+			return fmt.Errorf("x=%v scheme=%v: %w", xs[xi], sch, err)
 		}
-		slots[i] = cell{psnr: res.MeanPSNR, bound: res.BoundPSNR}
+		out[0], out[1] = res.MeanPSNR, res.BoundPSNR
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	scratch := make([]float64, perScheme)
-	for xi, x := range xs {
-		for si, sch := range schs {
-			base := xi*perPoint + si*perScheme
-			for r := 0; r < perScheme; r++ {
-				scratch[r] = slots[base+r].psnr
-			}
-			mean, err := mergeSummary(scratch)
-			if err != nil {
-				return nil, err
-			}
-			curves[sch].Append(x, mean)
-			if trackBound && sch == sim.Proposed {
-				for r := 0; r < perScheme; r++ {
-					scratch[r] = slots[base+r].bound
-				}
-				bound, err := mergeSummary(scratch)
-				if err != nil {
-					return nil, err
-				}
-				boundSeries.Append(x, bound)
-			}
+	fig := stats.NewFigure(title, xLabel, "Y-PSNR (dB)")
+	if trackBound {
+		bound := stats.NewSeries("Upper bound")
+		for xi, x := range xs {
+			bound.Append(x, g.sum[xi*len(schs)][1]) // scheme 0 is Proposed
 		}
+		fig.Add(bound)
+	}
+	for si, sch := range schs {
+		curve := stats.NewSeries(sch.String())
+		for xi, x := range xs {
+			curve.Append(x, g.sum[xi*len(schs)+si][0])
+		}
+		fig.Add(curve)
 	}
 	return fig, nil
 }

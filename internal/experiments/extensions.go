@@ -34,42 +34,24 @@ func GammaTradeoff(p Params) (*stats.Figure, error) {
 	for i, gamma := range gammas {
 		cfg := p.Config
 		cfg.Gamma = gamma
-		var err error
-		if nets[i], err = netmodel.PaperSingleFBS(cfg); err != nil {
+		if nets[i], err = netmodel.NewNetwork(cfg, netmodel.PaperSingleSpec()); err != nil {
 			return nil, err
 		}
 	}
-	type cell struct{ psnr, coll float64 }
-	slots := make([]cell, len(gammas)*p.Runs)
-	err = runGrid(len(slots), p.workers(), func(i int) error {
-		gi, r := i/p.Runs, i%p.Runs
-		res, err := sim.Run(nets[gi], sim.Options{Seed: p.BaseSeed + uint64(r), GOPs: p.GOPs})
+	g, err := runGrid(p, len(gammas), 2, func(pt int, seed uint64, out []float64) error {
+		res, err := sim.Run(nets[pt], sim.Options{Seed: seed, GOPs: p.GOPs})
 		if err != nil {
-			return fmt.Errorf("gamma=%v run %d: %w", gammas[gi], r, err)
+			return fmt.Errorf("gamma=%v: %w", gammas[pt], err)
 		}
-		slots[i] = cell{psnr: res.MeanPSNR, coll: res.CollisionRate}
+		out[0], out[1] = res.MeanPSNR, res.CollisionRate
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	quals := make([]float64, p.Runs)
-	colls := make([]float64, p.Runs)
 	for gi, gamma := range gammas {
-		for r := 0; r < p.Runs; r++ {
-			quals[r] = slots[gi*p.Runs+r].psnr
-			colls[r] = slots[gi*p.Runs+r].coll
-		}
-		qs, err := mergeSummary(quals)
-		if err != nil {
-			return nil, err
-		}
-		cs, err := mergeSummary(colls)
-		if err != nil {
-			return nil, err
-		}
-		psnr.Append(gamma, qs)
-		coll.Append(gamma, cs)
+		psnr.Append(gamma, g.sum[gi][0])
+		coll.Append(gamma, g.sum[gi][1])
 	}
 	return fig, nil
 }
@@ -101,74 +83,47 @@ func Scalability(p Params, sizes []int) ([]ScalePoint, error) {
 		sizes = []int{2, 3, 4, 6}
 	}
 	trio := video.PaperTrio()
-	var out []ScalePoint
+	heuristics := []sim.Scheme{sim.Heuristic1, sim.Heuristic2}
+	var rows []ScalePoint
 	for _, n := range sizes {
 		groups := make([][]video.Sequence, n)
 		for i := range groups {
 			groups[i] = trio[:]
 		}
-		net, err := netmodel.InterferingPath(p.Config, groups)
+		net, err := netmodel.NewNetwork(p.Config, netmodel.InterferingPathSpec(groups))
 		if err != nil {
 			return nil, err
 		}
 		pt := ScalePoint{NumFBS: n, Users: net.K()}
-
-		prop := make([]float64, p.Runs)
-		bound := make([]float64, p.Runs)
-		h1 := make([]float64, p.Runs)
-		h2 := make([]float64, p.Runs)
 		start := time.Now()
-		err = runGrid(p.Runs, p.workers(), func(r int) error {
-			res, err := sim.Run(net, sim.Options{
-				Seed:       p.BaseSeed + uint64(r),
-				GOPs:       p.GOPs,
-				TrackBound: true,
-			})
+		prop, err := runGrid(p, 1, 2, func(_ int, seed uint64, out []float64) error {
+			res, err := sim.Run(net, sim.Options{Seed: seed, GOPs: p.GOPs, TrackBound: true})
 			if err != nil {
-				return fmt.Errorf("N=%d run %d: %w", n, r, err)
+				return fmt.Errorf("N=%d: %w", n, err)
 			}
-			prop[r] = res.MeanPSNR
-			bound[r] = res.BoundPSNR
+			out[0], out[1] = res.MeanPSNR, res.BoundPSNR
 			return nil
 		})
 		if err != nil {
 			return nil, err
 		}
 		pt.Elapsed = time.Since(start)
-		err = runGrid(2*p.Runs, p.workers(), func(i int) error {
-			sch, r := sim.Heuristic1, i
-			if i >= p.Runs {
-				sch, r = sim.Heuristic2, i-p.Runs
-			}
-			res, err := sim.Run(net, sim.Options{
-				Seed: p.BaseSeed + uint64(r), GOPs: p.GOPs, Scheme: sch,
-			})
+		heur, err := runGrid(p, len(heuristics), 1, func(hi int, seed uint64, out []float64) error {
+			res, err := sim.Run(net, sim.Options{Seed: seed, GOPs: p.GOPs, Scheme: heuristics[hi]})
 			if err != nil {
-				return fmt.Errorf("N=%d scheme=%v run %d: %w", n, sch, r, err)
+				return fmt.Errorf("N=%d scheme=%v: %w", n, heuristics[hi], err)
 			}
-			if sch == sim.Heuristic1 {
-				h1[r] = res.MeanPSNR
-			} else {
-				h2[r] = res.MeanPSNR
-			}
+			out[0] = res.MeanPSNR
 			return nil
 		})
 		if err != nil {
 			return nil, err
 		}
-		if pt.Proposed, err = mergeSummary(prop); err != nil {
-			return nil, err
-		}
-		if pt.H1, err = mergeSummary(h1); err != nil {
-			return nil, err
-		}
-		if pt.H2, err = mergeSummary(h2); err != nil {
-			return nil, err
-		}
-		pt.BoundGapDB = stats.MeanOf(bound) - pt.Proposed.Mean
-		out = append(out, pt)
+		pt.Proposed, pt.H1, pt.H2 = prop.sum[0][0], heur.sum[0][0], heur.sum[1][0]
+		pt.BoundGapDB = stats.MeanOf(prop.raw[0][1]) - pt.Proposed.Mean
+		rows = append(rows, pt)
 	}
-	return out, nil
+	return rows, nil
 }
 
 // DeadlineSweep varies the delivery deadline T (slots per GOP) at a fixed
@@ -191,30 +146,23 @@ func DeadlineSweep(p Params) (*stats.Figure, error) {
 	for i, tSlots := range deadlines {
 		cfg := p.Config
 		cfg.T = tSlots
-		var err error
-		if nets[i], err = netmodel.PaperSingleFBS(cfg); err != nil {
+		if nets[i], err = netmodel.NewNetwork(cfg, netmodel.PaperSingleSpec()); err != nil {
 			return nil, err
 		}
 	}
-	slots := make([]float64, len(deadlines)*p.Runs)
-	err = runGrid(len(slots), p.workers(), func(i int) error {
-		ti, r := i/p.Runs, i%p.Runs
-		res, err := sim.Run(nets[ti], sim.Options{Seed: p.BaseSeed + uint64(r), GOPs: p.GOPs})
+	g, err := runGrid(p, len(deadlines), 1, func(pt int, seed uint64, out []float64) error {
+		res, err := sim.Run(nets[pt], sim.Options{Seed: seed, GOPs: p.GOPs})
 		if err != nil {
-			return fmt.Errorf("T=%d run %d: %w", deadlines[ti], r, err)
+			return fmt.Errorf("T=%d: %w", deadlines[pt], err)
 		}
-		slots[i] = res.MeanPSNR
+		out[0] = res.MeanPSNR
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	for ti, tSlots := range deadlines {
-		s, err := mergeSummary(slots[ti*p.Runs : (ti+1)*p.Runs])
-		if err != nil {
-			return nil, err
-		}
-		series.Append(float64(tSlots), s)
+		series.Append(float64(tSlots), g.sum[ti][0])
 	}
 	return fig, nil
 }
@@ -248,42 +196,24 @@ func UserCapacity(p Params, sizes []int) (*stats.Figure, error) {
 		for j := range videos {
 			videos[j] = presets[j%len(presets)]
 		}
-		var err error
-		if nets[i], err = netmodel.SingleFBS(p.Config, videos); err != nil {
+		if nets[i], err = netmodel.NewNetwork(p.Config, netmodel.SingleSpec(videos)); err != nil {
 			return nil, err
 		}
 	}
-	type cell struct{ mean, worst float64 }
-	slots := make([]cell, len(sizes)*p.Runs)
-	err = runGrid(len(slots), p.workers(), func(i int) error {
-		ki, r := i/p.Runs, i%p.Runs
-		res, err := sim.Run(nets[ki], sim.Options{Seed: p.BaseSeed + uint64(r), GOPs: p.GOPs})
+	g, err := runGrid(p, len(sizes), 2, func(pt int, seed uint64, out []float64) error {
+		res, err := sim.Run(nets[pt], sim.Options{Seed: seed, GOPs: p.GOPs})
 		if err != nil {
-			return fmt.Errorf("K=%d run %d: %w", sizes[ki], r, err)
+			return fmt.Errorf("K=%d: %w", sizes[pt], err)
 		}
-		slots[i] = cell{mean: res.MeanPSNR, worst: res.MinUserPSNR}
+		out[0], out[1] = res.MeanPSNR, res.MinUserPSNR
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	means := make([]float64, p.Runs)
-	worsts := make([]float64, p.Runs)
 	for ki, k := range sizes {
-		for r := 0; r < p.Runs; r++ {
-			means[r] = slots[ki*p.Runs+r].mean
-			worsts[r] = slots[ki*p.Runs+r].worst
-		}
-		ms, err := mergeSummary(means)
-		if err != nil {
-			return nil, err
-		}
-		ws, err := mergeSummary(worsts)
-		if err != nil {
-			return nil, err
-		}
-		mean.Append(float64(k), ms)
-		worst.Append(float64(k), ws)
+		mean.Append(float64(k), g.sum[ki][0])
+		worst.Append(float64(k), g.sum[ki][1])
 	}
 	return fig, nil
 }
@@ -294,11 +224,7 @@ func UserCapacity(p Params, sizes []int) (*stats.Figure, error) {
 // paper), pure throughput maximization, the two paper heuristics, and
 // blind TDMA. The x-axis is the scheme index in sim.Scheme order.
 func SchemeFrontier(p Params) (*stats.Figure, error) {
-	p, err := p.normalize()
-	if err != nil {
-		return nil, err
-	}
-	net, err := netmodel.PaperSingleFBS(p.Config)
+	p, net, err := setup(p, netmodel.PaperSingleSpec())
 	if err != nil {
 		return nil, err
 	}
@@ -312,38 +238,20 @@ func SchemeFrontier(p Params) (*stats.Figure, error) {
 	schs := []sim.Scheme{
 		sim.Proposed, sim.Heuristic1, sim.Heuristic2, sim.RoundRobin, sim.MaxThroughput,
 	}
-	type cell struct{ psnr, fair float64 }
-	slots := make([]cell, len(schs)*p.Runs)
-	err = runGrid(len(slots), p.workers(), func(i int) error {
-		sch := schs[i/p.Runs]
-		r := i % p.Runs
-		res, err := sim.Run(net, sim.Options{Seed: p.BaseSeed + uint64(r), GOPs: p.GOPs, Scheme: sch})
+	g, err := runGrid(p, len(schs), 2, func(pt int, seed uint64, out []float64) error {
+		res, err := sim.Run(net, sim.Options{Seed: seed, GOPs: p.GOPs, Scheme: schs[pt]})
 		if err != nil {
-			return fmt.Errorf("scheme=%v run %d: %w", sch, r, err)
+			return fmt.Errorf("scheme=%v: %w", schs[pt], err)
 		}
-		slots[i] = cell{psnr: res.MeanPSNR, fair: res.FairnessIndex}
+		out[0], out[1] = res.MeanPSNR, res.FairnessIndex
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	ms := make([]float64, p.Runs)
-	fs := make([]float64, p.Runs)
 	for si, sch := range schs {
-		for r := 0; r < p.Runs; r++ {
-			ms[r] = slots[si*p.Runs+r].psnr
-			fs[r] = slots[si*p.Runs+r].fair
-		}
-		msum, err := mergeSummary(ms)
-		if err != nil {
-			return nil, err
-		}
-		fsum, err := mergeSummary(fs)
-		if err != nil {
-			return nil, err
-		}
-		mean.Append(float64(sch), msum)
-		fair.Append(float64(sch), fsum)
+		mean.Append(float64(sch), g.sum[si][0])
+		fair.Append(float64(sch), g.sum[si][1])
 	}
 	return fig, nil
 }

@@ -12,7 +12,7 @@ import (
 // the single-FBS scenario (Bus, Mobile, Harbor), one bar group per user and
 // one curve per scheme. The x-axis is the user index (1..3).
 func Fig3(p Params) (*stats.Figure, error) {
-	return perUserFigure(p, "Fig. 3 — Single FBS: per-user video quality", netmodel.PaperSingleFBS)
+	return perUserFigure(p, "Fig. 3 — Single FBS: per-user video quality", netmodel.PaperSingleSpec())
 }
 
 // Fig5 reports the per-user video quality of the paper's §V-B interfering
@@ -20,52 +20,33 @@ func Fig3(p Params) (*stats.Figure, error) {
 // band, three users each) — the multi-cell analogue of Fig. 3. The x-axis
 // is the user index (1..9).
 func Fig5(p Params) (*stats.Figure, error) {
-	return perUserFigure(p, "Fig. 5 — Interfering FBSs: per-user video quality", netmodel.PaperInterfering)
+	return perUserFigure(p, "Fig. 5 — Interfering FBSs: per-user video quality", netmodel.PaperInterferingSpec())
 }
 
 // perUserFigure runs every (scheme, run) cell of a per-user quality figure
 // over the worker pool and summarizes each user's PSNR per scheme.
-func perUserFigure(p Params, title string, build func(netmodel.Config) (*netmodel.Network, error)) (*stats.Figure, error) {
-	p, err := p.normalize()
+func perUserFigure(p Params, title string, spec netmodel.TopologySpec) (*stats.Figure, error) {
+	p, net, err := setup(p, spec)
 	if err != nil {
 		return nil, err
 	}
-	net, err := build(p.Config)
-	if err != nil {
-		return nil, err
-	}
-	fig := stats.NewFigure(title, "User index", "Y-PSNR (dB)")
 	schs := schemes()
-	slots := make([][]float64, len(schs)*p.Runs)
-	err = runGrid(len(slots), p.workers(), func(i int) error {
-		sch := schs[i/p.Runs]
-		r := i % p.Runs
-		res, err := sim.Run(net, sim.Options{
-			Seed:   p.BaseSeed + uint64(r),
-			GOPs:   p.GOPs,
-			Scheme: sch,
-		})
+	g, err := runGrid(p, len(schs), net.K(), func(pt int, seed uint64, out []float64) error {
+		res, err := sim.Run(net, sim.Options{Seed: seed, GOPs: p.GOPs, Scheme: schs[pt]})
 		if err != nil {
-			return fmt.Errorf("scheme=%v run %d: %w", sch, r, err)
+			return fmt.Errorf("scheme=%v: %w", schs[pt], err)
 		}
-		slots[i] = res.PerUserPSNR
+		copy(out, res.PerUserPSNR)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	scratch := make([]float64, p.Runs)
+	fig := stats.NewFigure(title, "User index", "Y-PSNR (dB)")
 	for si, sch := range schs {
 		series := stats.NewSeries(sch.String())
-		for j := 0; j < net.K(); j++ {
-			for r := 0; r < p.Runs; r++ {
-				scratch[r] = slots[si*p.Runs+r][j]
-			}
-			s, err := mergeSummary(scratch)
-			if err != nil {
-				return nil, err
-			}
-			series.Append(float64(j+1), s)
+		for j, sum := range g.sum[si] {
+			series.Append(float64(j+1), sum)
 		}
 		fig.Add(series)
 	}
@@ -79,17 +60,13 @@ func perUserFigure(p Params, title string, build func(netmodel.Config) (*netmode
 // ~800). Stride subsamples the rendered figure; the returned trace itself
 // is complete.
 func Fig4a(p Params, iterations, stride int) (*stats.Figure, [][]float64, error) {
-	p, err := p.normalize()
-	if err != nil {
-		return nil, nil, err
-	}
 	if iterations < 2 {
 		return nil, nil, fmt.Errorf("%w: iterations=%d", ErrBadParams, iterations)
 	}
 	if stride < 1 {
 		stride = 1
 	}
-	net, err := netmodel.PaperSingleFBS(p.Config)
+	p, net, err := setup(p, netmodel.PaperSingleSpec())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -125,7 +102,7 @@ func Fig4b(p Params) (*stats.Figure, error) {
 		func(p Params, x float64) (*netmodel.Network, error) {
 			cfg := p.Config
 			cfg.M = int(x)
-			return netmodel.PaperSingleFBS(cfg)
+			return netmodel.NewNetwork(cfg, netmodel.PaperSingleSpec())
 		}, false)
 }
 
@@ -139,7 +116,7 @@ func Fig4c(p Params) (*stats.Figure, error) {
 			if err != nil {
 				return nil, err
 			}
-			return netmodel.PaperSingleFBS(cfg)
+			return netmodel.NewNetwork(cfg, netmodel.PaperSingleSpec())
 		}, false)
 }
 
@@ -154,7 +131,7 @@ func Fig6a(p Params) (*stats.Figure, error) {
 			if err != nil {
 				return nil, err
 			}
-			return netmodel.PaperInterfering(cfg)
+			return netmodel.NewNetwork(cfg, netmodel.PaperInterferingSpec())
 		}, true)
 }
 
@@ -180,7 +157,7 @@ func Fig6b(p Params) (*stats.Figure, error) {
 			cfg := p.Config
 			cfg.Eps = x
 			cfg.Delta = deltaOf[x]
-			return netmodel.PaperInterfering(cfg)
+			return netmodel.NewNetwork(cfg, netmodel.PaperInterferingSpec())
 		}, true)
 }
 
@@ -194,38 +171,67 @@ func Fig6c(p Params) (*stats.Figure, error) {
 			cfg := p.Config
 			cfg.B0 = x
 			cfg.B1 = 0.3
-			return netmodel.PaperInterfering(cfg)
+			return netmodel.NewNetwork(cfg, netmodel.PaperInterferingSpec())
 		}, true)
 }
 
-// All runs every figure at the given scale and returns them keyed by id in
-// presentation order.
-func All(p Params) ([]Named, error) {
-	var out []Named
-	fig3, err := Fig3(p)
-	if err != nil {
-		return nil, fmt.Errorf("fig3: %w", err)
+// Entry is one registered figure: ID names its output (the file stem under
+// results/), Paper marks the figures of the paper's evaluation section, and
+// Run computes the figure at a given scale.
+type Entry struct {
+	ID    string
+	Paper bool
+	Run   func(Params) (*stats.Figure, error)
+}
+
+// Registry lists every figure in presentation order: the paper's figures
+// first, then the ablations and extensions.
+func Registry() []Entry {
+	return []Entry{
+		{"fig3", true, Fig3},
+		{"fig4a", true, func(p Params) (*stats.Figure, error) {
+			fig, _, err := Fig4a(p, 600, 25)
+			return fig, err
+		}},
+		{"fig4b", true, Fig4b},
+		{"fig4c", true, Fig4c},
+		{"fig5", true, Fig5},
+		{"fig6a", true, Fig6a},
+		{"fig6b", true, Fig6b},
+		{"fig6c", true, Fig6c},
+		{"ablation-belief", false, AblationBelief},
+		{"ablation-sensor", false, AblationSensorPolicy},
+		{"gamma", false, GammaTradeoff},
+		{"engines", false, EngineComparison},
+		{"deadline", false, DeadlineSweep},
+		{"capacity", false, func(p Params) (*stats.Figure, error) { return UserCapacity(p, nil) }},
+		{"frontier", false, SchemeFrontier},
 	}
-	out = append(out, Named{ID: "fig3", Figure: fig3})
-	fig4a, _, err := Fig4a(p, 600, 25)
-	if err != nil {
-		return nil, fmt.Errorf("fig4a: %w", err)
-	}
-	out = append(out, Named{ID: "fig4a", Figure: fig4a})
-	for _, f := range []struct {
-		id  string
-		run func(Params) (*stats.Figure, error)
-	}{
-		{"fig4b", Fig4b}, {"fig4c", Fig4c}, {"fig5", Fig5},
-		{"fig6a", Fig6a}, {"fig6b", Fig6b}, {"fig6c", Fig6c},
-	} {
-		fig, err := f.run(p)
+}
+
+// Run computes the entries in order at the given scale, naming each figure
+// by its entry's ID.
+func Run(p Params, entries []Entry) ([]Named, error) {
+	out := make([]Named, 0, len(entries))
+	for _, e := range entries {
+		fig, err := e.Run(p)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", f.id, err)
+			return nil, fmt.Errorf("%s: %w", e.ID, err)
 		}
-		out = append(out, Named{ID: f.id, Figure: fig})
+		out = append(out, Named{ID: e.ID, Figure: fig})
 	}
 	return out, nil
+}
+
+// All runs the paper's figures at the given scale, in presentation order.
+func All(p Params) ([]Named, error) {
+	var paper []Entry
+	for _, e := range Registry() {
+		if e.Paper {
+			paper = append(paper, e)
+		}
+	}
+	return Run(p, paper)
 }
 
 // Named pairs a figure with its identifier.

@@ -1,36 +1,56 @@
 package experiments
 
 import (
+	"fmt"
+
 	"femtocr/internal/par"
 	"femtocr/internal/stats"
 )
 
-// workers resolves the effective worker count for this experiment.
-// Parallel.Workers always wins when set to anything nonzero — including
-// negative values, which EffectiveWorkers treats as "use every CPU" — and
-// the deprecated Params.Workers field is consulted only when Parallel is
-// left at its zero value. (A previous version let a positive deprecated
-// field override an explicitly negative Parallel.Workers.)
-func (p Params) workers() int {
-	if p.Parallel.Workers == 0 && p.Workers > 0 {
-		return p.Workers
+// grid is the outcome of runGrid: sum[pt][m] is metric m of point pt
+// folded over the runs by mergeSummary in ascending run order, and
+// raw[pt][m][r] keeps run r's value.
+type grid struct {
+	sum [][]stats.Summary
+	raw [][][]float64
+}
+
+// runGrid is the replication contract every experiment driver shares. It
+// calls cell(pt, BaseSeed+r, out) for every point pt < points and run
+// r < p.Runs as task i = pt*p.Runs + r of par.RunGrid over
+// p.Parallel.Workers workers; cell fills out, its task's own slot of
+// length metrics, with that run's results. After the join each
+// (point, metric) column is folded in ascending run order, so the figures
+// are bitwise-identical for any worker count. A failing run's error is
+// returned with its run index.
+func runGrid(p Params, points, metrics int, cell func(pt int, seed uint64, out []float64) error) (grid, error) {
+	vals := make([]float64, points*p.Runs*metrics)
+	err := par.RunGrid(points*p.Runs, p.Parallel.EffectiveWorkers(), func(i int) error {
+		r := i % p.Runs
+		if err := cell(i/p.Runs, p.BaseSeed+uint64(r), vals[i*metrics:(i+1)*metrics]); err != nil {
+			return fmt.Errorf("run %d: %w", r, err)
+		}
+		return nil
+	})
+	if err != nil {
+		return grid{}, err
 	}
-	return p.Parallel.EffectiveWorkers()
-}
-
-// runGrid executes n independent tasks over a pool of workers; see
-// par.RunGrid for the determinism contract (per-task slots, post-join
-// index-order aggregation, lowest-index error, panic recovery).
-func runGrid(n, workers int, do func(i int) error) error {
-	return par.RunGrid(n, workers, do)
-}
-
-// RunGrid exposes the deterministic worker pool to callers outside the
-// package (the CLI replication loops). See par.RunGrid for the contract:
-// do(i) must write only into task i's own preallocated slot, and all
-// aggregation must happen after RunGrid returns, in index order.
-func RunGrid(n, workers int, do func(i int) error) error {
-	return par.RunGrid(n, workers, do)
+	g := grid{sum: make([][]stats.Summary, points), raw: make([][][]float64, points)}
+	for pt := range g.sum {
+		g.sum[pt] = make([]stats.Summary, metrics)
+		g.raw[pt] = make([][]float64, metrics)
+		for m := range g.sum[pt] {
+			col := make([]float64, p.Runs)
+			for r := range col {
+				col[r] = vals[(pt*p.Runs+r)*metrics+m]
+			}
+			g.raw[pt][m] = col
+			if g.sum[pt][m], err = mergeSummary(col); err != nil {
+				return grid{}, err
+			}
+		}
+	}
+	return g, nil
 }
 
 // mergeSummary folds per-task observations into a Summary by merging

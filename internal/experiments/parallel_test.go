@@ -5,10 +5,11 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"femtocr/internal/netmodel"
 	"femtocr/internal/stats"
@@ -34,7 +35,7 @@ func TestParallelDeterminism(t *testing.T) {
 			var baseline string
 			for _, w := range workerCounts {
 				p := QuickParams()
-				p.Workers = w
+				p.Parallel.Workers = w
 				fig, err := d.run(p)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", w, err)
@@ -50,36 +51,6 @@ func TestParallelDeterminism(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestWorkersPrecedence pins the resolution order of the two worker knobs:
-// any nonzero Parallel.Workers — including negative, meaning "use every
-// CPU" — beats the deprecated Params.Workers field, which is consulted only
-// when Parallel.Workers is exactly zero. The negative case is the historical
-// bug: the old `Parallel.Workers <= 0` guard let a positive deprecated field
-// override an explicit Parallel.Workers = -1.
-func TestWorkersPrecedence(t *testing.T) {
-	nCPU := runtime.GOMAXPROCS(0)
-	cases := []struct {
-		name               string
-		parallel, deprecat int
-		want               int
-	}{
-		{"parallel wins over deprecated", 3, 7, 3},
-		{"deprecated honored when parallel unset", 0, 7, 7},
-		{"negative parallel beats deprecated", -1, 7, nCPU},
-		{"both unset falls back to CPUs", 0, 0, nCPU},
-		{"negative deprecated ignored", 0, -5, nCPU},
-	}
-	for _, c := range cases {
-		p := QuickParams()
-		p.Parallel.Workers = c.parallel
-		p.Workers = c.deprecat
-		if got := p.workers(); got != c.want {
-			t.Errorf("%s: workers() = %d, want %d (Parallel.Workers=%d, Workers=%d)",
-				c.name, got, c.want, c.parallel, c.deprecat)
-		}
 	}
 }
 
@@ -105,68 +76,124 @@ func TestTopologyStudyDeterminism(t *testing.T) {
 	}
 }
 
-// TestRunGridRunsEveryTaskOnce checks the dispatch accounting: every index
-// exactly once, any worker count.
+// TestRunGridRunsEveryTaskOnce pins the replication grid's task layout:
+// every (point, run) cell runs exactly once, with seed BaseSeed+r, for any
+// worker count. par.RunGrid's own dispatch contract is tested in
+// internal/par.
 func TestRunGridRunsEveryTaskOnce(t *testing.T) {
-	for _, workers := range []int{1, 3, 16} {
-		const n = 50
-		counts := make([]atomic.Int32, n)
-		if err := runGrid(n, workers, func(i int) error {
-			counts[i].Add(1)
+	const points = 4
+	p := Params{Runs: 5, BaseSeed: 100}
+	for _, workers := range []int{1, 3} {
+		p.Parallel.Workers = workers
+		counts := make([]atomic.Int32, points*p.Runs)
+		if _, err := runGrid(p, points, 1, func(pt int, seed uint64, _ []float64) error {
+			counts[pt*p.Runs+int(seed-p.BaseSeed)].Add(1)
 			return nil
 		}); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		for i := range counts {
 			if got := counts[i].Load(); got != 1 {
-				t.Fatalf("workers=%d: task %d ran %d times", workers, i, got)
+				t.Fatalf("workers=%d: cell (point %d, run %d) ran %d times", workers, i/p.Runs, i%p.Runs, got)
 			}
 		}
 	}
 }
 
-// TestRunGridCancelsOnError checks the failure path: after the first task
-// error the remaining undispatched tasks are skipped, and the lowest-index
-// recorded error is surfaced.
-func TestRunGridCancelsOnError(t *testing.T) {
-	const n = 200
-	boom := errors.New("boom")
+// TestRunGridRecoversPanic: a panicking cell must come back from the
+// replication grid as an error naming its task index and the panic value —
+// on both the sequential and pooled paths — not as a process-killing stack
+// trace, and the undispatched cells must be cancelled. Run under -race this
+// also proves the recovery path through the grid is race-free.
+func TestRunGridRecoversPanic(t *testing.T) {
+	const points = 8
+	p := Params{Runs: 5, BaseSeed: 100}
 	for _, workers := range []int{1, 4} {
+		p.Parallel.Workers = workers
 		var executed atomic.Int32
-		err := runGrid(n, workers, func(i int) error {
+		// Cell (point 1, run 2) is task 7 = 1*Runs + 2.
+		_, err := runGrid(p, points, 1, func(pt int, seed uint64, _ []float64) error {
 			executed.Add(1)
-			if i == 5 {
-				return fmt.Errorf("task %d: %w", i, boom)
+			i := pt*p.Runs + int(seed-p.BaseSeed)
+			if i == 7 {
+				panic("bad grid point")
+			}
+			if i > 7 { // leave undispatched work behind when the panic lands
+				time.Sleep(2 * time.Millisecond)
 			}
 			return nil
 		})
-		if !errors.Is(err, boom) {
-			t.Fatalf("workers=%d: err = %v, want wrapped boom", workers, err)
+		if err == nil {
+			t.Fatalf("workers=%d: panic was swallowed", workers)
 		}
-		if got := executed.Load(); got >= n {
-			t.Fatalf("workers=%d: all %d tasks ran despite the error at index 5", workers, got)
+		if !strings.Contains(err.Error(), "task 7 panicked") ||
+			!strings.Contains(err.Error(), "bad grid point") {
+			t.Fatalf("workers=%d: err = %v, want the panicking task's index and value", workers, err)
 		}
-		if workers == 1 && executed.Load() != 6 {
-			t.Fatalf("sequential path ran %d tasks, want exactly 6", executed.Load())
+		if got := executed.Load(); got >= points*int32(p.Runs) {
+			t.Fatalf("workers=%d: all %d cells ran despite the panic at task 7", workers, got)
 		}
+	}
+	// A non-string panic value must survive the conversion too.
+	p.Parallel.Workers = 1
+	_, err := runGrid(p, 1, 1, func(_ int, seed uint64, _ []float64) error {
+		if seed == p.BaseSeed+2 {
+			panic(errors.New("wrapped cause"))
+		}
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "task 2 panicked: wrapped cause") {
+		t.Fatalf("err = %v, want task 2's panic value formatted in", err)
 	}
 }
 
-// TestRunGridReturnsLowestIndexError: when several tasks fail, the error a
-// sequential loop would have hit first (among those that ran) is the one
-// surfaced.
-func TestRunGridReturnsLowestIndexError(t *testing.T) {
-	err := runGrid(8, 4, func(i int) error {
-		return fmt.Errorf("task %d failed", i)
-	})
-	if err == nil {
-		t.Fatal("expected an error")
+// TestRunGridReplicationContract pins what the drivers read back: raw keeps
+// every run's values in run order, each (point, metric) summary is
+// mergeSummary of that column for any worker count, and a failing run's
+// error carries its run index.
+func TestRunGridReplicationContract(t *testing.T) {
+	const points, metrics = 4, 2
+	p := Params{Runs: 5, BaseSeed: 100}
+	value := func(pt, m int, seed uint64) float64 { return float64(pt*1000+m) + float64(seed)/7 }
+	for _, workers := range []int{1, 3} {
+		p.Parallel.Workers = workers
+		g, err := runGrid(p, points, metrics, func(pt int, seed uint64, out []float64) error {
+			for m := range out {
+				out[m] = value(pt, m, seed)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		for pt := 0; pt < points; pt++ {
+			for m := 0; m < metrics; m++ {
+				want := make([]float64, p.Runs)
+				for r := range want {
+					want[r] = value(pt, m, p.BaseSeed+uint64(r))
+				}
+				if !slices.Equal(g.raw[pt][m], want) {
+					t.Fatalf("workers=%d: raw[%d][%d] = %v, want %v", workers, pt, m, g.raw[pt][m], want)
+				}
+				sum, err := mergeSummary(want)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if g.sum[pt][m] != sum {
+					t.Fatalf("workers=%d: sum[%d][%d] = %+v, want %+v", workers, pt, m, g.sum[pt][m], sum)
+				}
+			}
+		}
 	}
-	if !strings.Contains(err.Error(), "task 0 failed") &&
-		!strings.Contains(err.Error(), "task 1 failed") &&
-		!strings.Contains(err.Error(), "task 2 failed") &&
-		!strings.Contains(err.Error(), "task 3 failed") {
-		t.Fatalf("err = %v, want one of the first dispatched tasks", err)
+	boom := errors.New("boom")
+	_, err := runGrid(p, 3, 1, func(pt int, seed uint64, _ []float64) error {
+		if pt == 1 && seed == p.BaseSeed+3 {
+			return fmt.Errorf("point %d: %w", pt, boom)
+		}
+		return nil
+	})
+	if !errors.Is(err, boom) || !strings.Contains(err.Error(), "run 3: point 1") {
+		t.Fatalf("err = %v, want boom wrapped with run 3's context", err)
 	}
 }
 
@@ -175,11 +202,11 @@ func TestRunGridReturnsLowestIndexError(t *testing.T) {
 // carries its sweep point and scheme context and unwraps to the cause.
 func TestSweepSurfacesPointContext(t *testing.T) {
 	p := QuickParams()
-	p.Workers = 4
+	p.Parallel.Workers = 4
 	xs := []float64{1, 2, 3}
 	fig, err := sweep(p, "failure injection", "x", xs,
 		func(p Params, x float64) (*netmodel.Network, error) {
-			net, err := netmodel.PaperSingleFBS(p.Config)
+			net, err := netmodel.NewNetwork(p.Config, netmodel.PaperSingleSpec())
 			if err != nil {
 				return nil, err
 			}
@@ -229,43 +256,6 @@ func TestMergeSummaryMatchesSummarize(t *testing.T) {
 	}
 }
 
-// TestRunGridRecoversPanic: a panicking task must come back as an error
-// naming the failing index — on both the sequential and pooled paths — not
-// as a process-killing stack trace. Run under -race this also proves the
-// recovery path itself is race-free.
-func TestRunGridRecoversPanic(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		var executed atomic.Int32
-		err := runGrid(40, workers, func(i int) error {
-			executed.Add(1)
-			if i == 7 {
-				panic("bad grid point")
-			}
-			return nil
-		})
-		if err == nil {
-			t.Fatalf("workers=%d: panic was swallowed", workers)
-		}
-		if !strings.Contains(err.Error(), "task 7 panicked") ||
-			!strings.Contains(err.Error(), "bad grid point") {
-			t.Fatalf("workers=%d: err = %v, want the panicking task's index and value", workers, err)
-		}
-		if got := executed.Load(); got >= 40 {
-			t.Fatalf("workers=%d: all %d tasks ran despite the panic at index 7", workers, got)
-		}
-	}
-	// A non-string panic value must survive the conversion too.
-	err := runGrid(3, 1, func(i int) error {
-		if i == 2 {
-			panic(errors.New("wrapped cause"))
-		}
-		return nil
-	})
-	if err == nil || !strings.Contains(err.Error(), "task 2 panicked: wrapped cause") {
-		t.Fatalf("err = %v, want task 2's panic value formatted in", err)
-	}
-}
-
 // TestMergeSummaryBitwiseSequential pins mergeSummary to its reference: a
 // plain sequential stats.Running accumulation over the same xs, folding one
 // single-observation accumulator per element in index order. Equality is
@@ -299,41 +289,6 @@ func TestMergeSummaryBitwiseSequential(t *testing.T) {
 		if got != want {
 			t.Fatalf("n=%d: mergeSummary %+v differs bitwise from the sequential fold %+v", n, got, want)
 		}
-	}
-}
-
-// TestRunGridErrorAtLastIndex: an error at the final dispatched index has no
-// undispatched tasks left to cancel; it must still be recorded and surfaced
-// after the join rather than lost to an already-drained queue.
-func TestRunGridErrorAtLastIndex(t *testing.T) {
-	const n = 50
-	for _, workers := range []int{1, 4} {
-		err := runGrid(n, workers, func(i int) error {
-			if i == n-1 {
-				return fmt.Errorf("task %d failed", i)
-			}
-			return nil
-		})
-		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("task %d failed", n-1)) {
-			t.Fatalf("workers=%d: err = %v, want the last index's error", workers, err)
-		}
-	}
-}
-
-// TestRunGridConcurrentErrorsLowestWins forces two workers to fail at the
-// same instant — both tasks rendezvous at a barrier before erroring, so
-// neither failure can cancel the other — and checks the join still reports
-// the lowest-index error, exactly what a sequential loop would have hit.
-func TestRunGridConcurrentErrorsLowestWins(t *testing.T) {
-	var barrier sync.WaitGroup
-	barrier.Add(2)
-	err := runGrid(2, 2, func(i int) error {
-		barrier.Done()
-		barrier.Wait() // both tasks are now committed to failing
-		return fmt.Errorf("task %d failed", i)
-	})
-	if err == nil || !strings.Contains(err.Error(), "task 0 failed") {
-		t.Fatalf("err = %v, want task 0's error to win deterministically", err)
 	}
 }
 

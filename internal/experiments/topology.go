@@ -6,6 +6,7 @@ import (
 
 	"femtocr/internal/core"
 	"femtocr/internal/igraph"
+	"femtocr/internal/par"
 	"femtocr/internal/rng"
 )
 
@@ -91,7 +92,7 @@ func TopologyStudy(seed uint64, instances, channels, workers int) ([]TopologyPoi
 		}
 		type cell struct{ ratio, boundRatio float64 }
 		slots := make([]cell, instances)
-		err := runGrid(instances, workers, func(trial int) error {
+		err := par.RunGrid(instances, workers, func(trial int) error {
 			problem, err := randomChannelProblem(streams[trial], n, channels)
 			if err != nil {
 				return err

@@ -328,37 +328,3 @@ func build(cfg Config, disks []geometry.Disk, videosPerFBS [][]video.Sequence) (
 	}
 	return n, nil
 }
-
-// SingleFBS builds the paper's first scenario: one FBS streaming one video
-// per user (Bus, Mobile, Harbor to three users by default). Equivalent to
-// NewNetwork with SingleSpec.
-func SingleFBS(cfg Config, videos []video.Sequence) (*Network, error) {
-	return NewNetwork(cfg, SingleSpec(videos))
-}
-
-// NonInterfering builds N femtocells spaced far apart (no coverage overlap),
-// the Table II case: the interference graph is edgeless. Equivalent to
-// NewNetwork with NonInterferingSpec.
-func NonInterfering(cfg Config, videosPerFBS [][]video.Sequence) (*Network, error) {
-	return NewNetwork(cfg, NonInterferingSpec(videosPerFBS))
-}
-
-// InterferingPath builds the §V-B scenario: N femtocells on a line with
-// adjacent coverage overlap, so the interference graph is the path of
-// Fig. 5 (FBS 1 - FBS 2 - FBS 3 for N=3). Equivalent to NewNetwork with
-// InterferingPathSpec.
-func InterferingPath(cfg Config, videosPerFBS [][]video.Sequence) (*Network, error) {
-	return NewNetwork(cfg, InterferingPathSpec(videosPerFBS))
-}
-
-// PaperSingleFBS is the exact single-FBS scenario of §V-A: three users
-// receiving Bus, Mobile and Harbor.
-func PaperSingleFBS(cfg Config) (*Network, error) {
-	return NewNetwork(cfg, PaperSingleSpec())
-}
-
-// PaperInterfering is the exact interfering scenario of §V-B: three FBSs in
-// a path, three users each, each FBS streaming three different videos.
-func PaperInterfering(cfg Config) (*Network, error) {
-	return NewNetwork(cfg, PaperInterferingSpec())
-}

@@ -39,7 +39,7 @@ func TestWithUtilization(t *testing.T) {
 }
 
 func TestPaperSingleFBS(t *testing.T) {
-	n, err := PaperSingleFBS(DefaultConfig())
+	n, err := NewNetwork(DefaultConfig(), PaperSingleSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestLinkQualityOrdering(t *testing.T) {
 	count := 0
 	for seed := uint64(1); seed <= 30; seed++ {
 		cfg.Seed = seed
-		n, err := PaperSingleFBS(cfg)
+		n, err := NewNetwork(cfg, PaperSingleSpec())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,7 +97,7 @@ func TestLinkQualityOrdering(t *testing.T) {
 }
 
 func TestPaperInterfering(t *testing.T) {
-	n, err := PaperInterfering(DefaultConfig())
+	n, err := NewNetwork(DefaultConfig(), PaperInterferingSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestPaperInterfering(t *testing.T) {
 
 func TestNonInterfering(t *testing.T) {
 	trio := video.PaperTrio()
-	n, err := NonInterfering(DefaultConfig(), [][]video.Sequence{trio[:], trio[:]})
+	n, err := NewNetwork(DefaultConfig(), NonInterferingSpec([][]video.Sequence{trio[:], trio[:]}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,11 +131,11 @@ func TestNonInterfering(t *testing.T) {
 
 func TestPlacementDeterminism(t *testing.T) {
 	cfg := DefaultConfig()
-	a, err := PaperSingleFBS(cfg)
+	a, err := NewNetwork(cfg, PaperSingleSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := PaperSingleFBS(cfg)
+	b, err := NewNetwork(cfg, PaperSingleSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestPlacementDeterminism(t *testing.T) {
 	}
 	cfg2 := cfg
 	cfg2.Seed = 99
-	c, err := PaperSingleFBS(cfg2)
+	c, err := NewNetwork(cfg2, PaperSingleSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestPlacementDeterminism(t *testing.T) {
 }
 
 func TestValidateRejectsBadNetworks(t *testing.T) {
-	n, err := PaperSingleFBS(DefaultConfig())
+	n, err := NewNetwork(DefaultConfig(), PaperSingleSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,29 +194,29 @@ func TestValidateRejectsBadNetworks(t *testing.T) {
 
 func TestBuildRejectsMismatchedGroups(t *testing.T) {
 	trio := video.PaperTrio()
-	_, err := InterferingPath(DefaultConfig(), [][]video.Sequence{trio[:]})
+	_, err := NewNetwork(DefaultConfig(), InterferingPathSpec([][]video.Sequence{trio[:]}))
 	if err != nil {
 		t.Fatal(err) // one group is fine
 	}
 	cfg := DefaultConfig()
 	cfg.M = 0
-	if _, err := PaperSingleFBS(cfg); err == nil {
+	if _, err := NewNetwork(cfg, PaperSingleSpec()); err == nil {
 		t.Fatal("M=0 accepted")
 	}
 	cfg = DefaultConfig()
 	cfg.Eps = 1.0
-	if _, err := PaperSingleFBS(cfg); err == nil {
+	if _, err := NewNetwork(cfg, PaperSingleSpec()); err == nil {
 		t.Fatal("epsilon=1 accepted")
 	}
 	cfg = DefaultConfig()
 	cfg.P01 = -1
-	if _, err := PaperSingleFBS(cfg); err == nil {
+	if _, err := NewNetwork(cfg, PaperSingleSpec()); err == nil {
 		t.Fatal("bad Markov chain accepted")
 	}
 }
 
 func TestUsersInsideCoverage(t *testing.T) {
-	n, err := PaperInterfering(DefaultConfig())
+	n, err := NewNetwork(DefaultConfig(), PaperInterferingSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestUsersInsideCoverage(t *testing.T) {
 }
 
 func TestErrBadNetworkWrapped(t *testing.T) {
-	n, err := PaperSingleFBS(DefaultConfig())
+	n, err := NewNetwork(DefaultConfig(), PaperSingleSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestErrBadNetworkWrapped(t *testing.T) {
 func TestHeterogeneousEta(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.HeterogeneousEta = []float64{0.2, 0.4, 0.6}
-	n, err := PaperSingleFBS(cfg)
+	n, err := NewNetwork(cfg, PaperSingleSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestHeterogeneousEta(t *testing.T) {
 	}
 	// Infeasible utilization for the fixed P10.
 	cfg.HeterogeneousEta = []float64{0.95}
-	if _, err := PaperSingleFBS(cfg); err == nil {
+	if _, err := NewNetwork(cfg, PaperSingleSpec()); err == nil {
 		t.Fatal("infeasible heterogeneous eta accepted")
 	}
 }
@@ -268,7 +268,7 @@ func TestHeterogeneousEta(t *testing.T) {
 func TestOFDMLinks(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.OFDMSubcarriers = 16
-	n, err := PaperSingleFBS(cfg)
+	n, err := NewNetwork(cfg, PaperSingleSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestOFDMLinks(t *testing.T) {
 	}
 	// Frequency diversity: at the same calibration, femto links should be
 	// at least as reliable as under flat Rayleigh on average.
-	flat, err := PaperSingleFBS(DefaultConfig())
+	flat, err := NewNetwork(DefaultConfig(), PaperSingleSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestOFDMLinks(t *testing.T) {
 	if ofdmLoss > flatLoss {
 		t.Fatalf("OFDM mean femto loss %v above flat %v: no diversity gain", ofdmLoss/3, flatLoss/3)
 	}
-	if _, err := PaperSingleFBS(func() Config { c := DefaultConfig(); c.OFDMSubcarriers = 8; c.OFDMCorrelation = -1; return c }()); err == nil {
+	if _, err := NewNetwork(func() Config { c := DefaultConfig(); c.OFDMSubcarriers = 8; c.OFDMCorrelation = -1; return c }(), PaperSingleSpec()); err == nil {
 		t.Fatal("bad OFDM correlation accepted")
 	}
 }

@@ -8,7 +8,7 @@ import (
 )
 
 func TestPartitionConnectedIsIdentity(t *testing.T) {
-	net, err := PaperInterfering(DefaultConfig())
+	net, err := NewNetwork(DefaultConfig(), PaperInterferingSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestPartitionConnectedIsIdentity(t *testing.T) {
 
 func TestPartitionNonInterfering(t *testing.T) {
 	trio := video.PaperTrio()
-	net, err := NonInterfering(DefaultConfig(), [][]video.Sequence{trio[:], trio[:1], trio[1:]})
+	net, err := NewNetwork(DefaultConfig(), NonInterferingSpec([][]video.Sequence{trio[:], trio[:1], trio[1:]}))
 	if err != nil {
 		t.Fatal(err)
 	}

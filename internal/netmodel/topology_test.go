@@ -5,51 +5,54 @@ import (
 	"reflect"
 	"testing"
 
+	"femtocr/internal/geometry"
 	"femtocr/internal/video"
 )
 
 // TestNewNetworkReproducesLegacyConstructors pins the redesign contract:
-// the spec-driven entry point must build byte-identical networks to the
-// constructors it replaces, so deprecated wrappers change nothing.
+// the spec-driven entry point builds byte-identical networks to the
+// constructors it replaced, which placed their coverage disks directly —
+// one disk at the origin for the single cell, a line spaced 4R apart for
+// disjoint coverage, and 1.5R apart for the Fig. 5 path.
 func TestNewNetworkReproducesLegacyConstructors(t *testing.T) {
 	cfg := DefaultConfig()
 	trio := video.PaperTrio()
-
-	legacySingle, err := PaperSingleFBS(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	specSingle, err := NewNetwork(cfg, PaperSingleSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(legacySingle, specSingle) {
-		t.Fatal("PaperSingleSpec network differs from PaperSingleFBS")
-	}
-
-	legacyPath, err := PaperInterfering(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	specPath, err := NewNetwork(cfg, PaperInterferingSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(legacyPath, specPath) {
-		t.Fatal("PaperInterferingSpec network differs from PaperInterfering")
-	}
-
+	r := cfg.FemtoRadius
 	groups := [][]video.Sequence{trio[:], trio[:]}
-	legacyNon, err := NonInterfering(cfg, groups)
+	paperGroups := [][]video.Sequence{trio[:], trio[:], trio[:]}
+	origin, err := geometry.NewDisk(geometry.Point{}, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	specNon, err := NewNetwork(cfg, NonInterferingSpec(groups))
-	if err != nil {
-		t.Fatal(err)
+	line := func(n int, spacing float64) []geometry.Disk {
+		disks, err := geometry.LineDeployment(geometry.Point{}, n, spacing, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return disks
 	}
-	if !reflect.DeepEqual(legacyNon, specNon) {
-		t.Fatal("NonInterferingSpec network differs from NonInterfering")
+	cases := []struct {
+		name   string
+		spec   TopologySpec
+		disks  []geometry.Disk
+		videos [][]video.Sequence
+	}{
+		{"PaperSingleSpec", PaperSingleSpec(), []geometry.Disk{origin}, [][]video.Sequence{trio[:]}},
+		{"PaperInterferingSpec", PaperInterferingSpec(), line(3, 1.5*r), paperGroups},
+		{"NonInterferingSpec", NonInterferingSpec(groups), line(2, 4*r), groups},
+	}
+	for _, c := range cases {
+		legacy, err := build(cfg, c.disks, c.videos)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, err := NewNetwork(cfg, c.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(legacy, spec) {
+			t.Fatalf("%s network differs from the legacy direct placement", c.name)
+		}
 	}
 }
 

@@ -59,18 +59,11 @@ func NewChannel(subcarriers int, corr, betaDB float64) (*Channel, error) {
 // Subcarriers returns S.
 func (c *Channel) Subcarriers() int { return c.subcarriers }
 
-// SampleGains draws one slot's per-subcarrier power gains: the squared
-// magnitude of a first-order autoregressive complex-Gaussian frequency
-// response, giving unit-mean Rayleigh power per subcarrier with amplitude
-// correlation corr between neighbors.
-func (c *Channel) SampleGains(s *rng.Stream) []float64 {
-	gains := make([]float64, c.subcarriers)
-	c.SampleGainsInto(gains, s)
-	return gains
-}
-
-// SampleGainsInto is SampleGains writing into a caller-owned buffer of
-// length Subcarriers(), for hot loops that reuse one gains slice.
+// SampleGainsInto draws one slot's per-subcarrier power gains into a
+// caller-owned buffer of length Subcarriers(), for hot loops that reuse one
+// gains slice: the squared magnitude of a first-order autoregressive
+// complex-Gaussian frequency response, giving unit-mean Rayleigh power per
+// subcarrier with amplitude correlation corr between neighbors.
 //
 //femtovet:hotpath
 //femtovet:borrows gains, s

@@ -49,9 +49,11 @@ func TestSampleGainsUnitMean(t *testing.T) {
 		ch := mustChannel(t, 8, corr, 5)
 		s := rng.New(uint64(1 + corr*100))
 		sum := 0.0
+		gains := make([]float64, ch.Subcarriers())
 		const trials = 30000
 		for i := 0; i < trials; i++ {
-			for _, g := range ch.SampleGains(s) {
+			ch.SampleGainsInto(gains, s)
+			for _, g := range gains {
 				sum += g
 			}
 		}
@@ -69,8 +71,9 @@ func TestSampleGainsCorrelation(t *testing.T) {
 	s := rng.New(7)
 	var sumX, sumY, sumXY, sumX2, sumY2 float64
 	const trials = 100000
+	g := make([]float64, ch.Subcarriers())
 	for i := 0; i < trials; i++ {
-		g := ch.SampleGains(s)
+		ch.SampleGainsInto(g, s)
 		sumX += g[0]
 		sumY += g[1]
 		sumXY += g[0] * g[1]

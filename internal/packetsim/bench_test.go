@@ -9,7 +9,7 @@ import (
 
 func benchNet(b *testing.B) *netmodel.Network {
 	b.Helper()
-	net, err := netmodel.PaperSingleFBS(netmodel.DefaultConfig())
+	net, err := netmodel.NewNetwork(netmodel.DefaultConfig(), netmodel.PaperSingleSpec())
 	if err != nil {
 		b.Fatal(err)
 	}

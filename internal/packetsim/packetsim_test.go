@@ -11,7 +11,7 @@ import (
 
 func singleNet(t *testing.T) *netmodel.Network {
 	t.Helper()
-	n, err := netmodel.PaperSingleFBS(netmodel.DefaultConfig())
+	n, err := netmodel.NewNetwork(netmodel.DefaultConfig(), netmodel.PaperSingleSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestMatchesRateBasedEngine(t *testing.T) {
 // TestInterferingPacketLevel: the interfering scenario runs with the greedy
 // allocator at packet granularity.
 func TestInterferingPacketLevel(t *testing.T) {
-	net, err := netmodel.PaperInterfering(netmodel.DefaultConfig())
+	net, err := netmodel.NewNetwork(netmodel.DefaultConfig(), netmodel.PaperInterferingSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestAdaptiveRateCutsDrops(t *testing.T) {
 // engine, which a silent change of the allocation path would still pass.
 func TestGoldenOutputs(t *testing.T) {
 	single := singleNet(t)
-	interf, err := netmodel.PaperInterfering(netmodel.DefaultConfig())
+	interf, err := netmodel.NewNetwork(netmodel.DefaultConfig(), netmodel.PaperInterferingSpec())
 	if err != nil {
 		t.Fatal(err)
 	}

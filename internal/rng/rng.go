@@ -114,14 +114,11 @@ func (s *Stream) Rayleigh(sigma float64) float64 {
 // Rayleigh-fading channel.
 func (s *Stream) ExpGain() float64 { return s.rand.ExpFloat64() }
 
-// Perm returns a random permutation of [0, n).
-func (s *Stream) Perm(n int) []int { return s.rand.Perm(n) }
-
 // PermInto fills p with a random permutation of [0, len(p)), for hot loops
-// that reuse one buffer. It consumes the identical variate sequence Perm
-// does — math/rand/v2's Perm is a Fisher-Yates shuffle drawing IntN(i+1)
-// for i = n-1..1 — so swapping Perm(n) for PermInto on a length-n buffer
-// leaves sample paths byte-identical.
+// that reuse one buffer. It returns math/rand/v2's Perm(len(p)) and
+// consumes the identical variate sequence — Perm is a Fisher-Yates shuffle
+// drawing IntN(i+1) for i = n-1..1 — so sample paths match the library's
+// allocating Perm byte for byte.
 //
 //femtovet:hotpath
 //femtovet:borrows p

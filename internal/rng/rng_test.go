@@ -178,16 +178,37 @@ func TestNormalMoments(t *testing.T) {
 func TestPermIsPermutation(t *testing.T) {
 	s := New(23)
 	for _, n := range []int{0, 1, 2, 10, 100} {
-		p := s.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) length %d", n, len(p))
+		p := make([]int, n)
+		for i := range p {
+			p[i] = -1 // PermInto must overwrite every entry
 		}
+		s.PermInto(p)
 		seen := make([]bool, n)
 		for _, v := range p {
 			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) = %v is not a permutation", n, p)
+				t.Fatalf("PermInto(len %d) = %v is not a permutation", n, p)
 			}
 			seen[v] = true
+		}
+	}
+}
+
+// TestPermIntoMatchesLibraryPerm pins PermInto's documented contract: on
+// identically seeded streams it returns math/rand/v2's Perm(n) and consumes
+// exactly the same variates, so the two streams stay in lockstep.
+func TestPermIntoMatchesLibraryPerm(t *testing.T) {
+	a, b := New(99), New(99)
+	for n := 0; n <= 1000; n++ {
+		got := make([]int, n)
+		a.PermInto(got)
+		want := b.rand.Perm(n)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("n=%d: PermInto = %v, Perm = %v", n, got, want)
+			}
+		}
+		if av, bv := a.Uint64(), b.Uint64(); av != bv {
+			t.Fatalf("n=%d: streams diverged after the permutation (%d vs %d)", n, av, bv)
 		}
 	}
 }

@@ -26,8 +26,9 @@ const (
 	// each single slot, randomizing only the channel order.
 	Stratified
 	// UncertaintyDriven targets the channels whose occupancy is least
-	// certain. It needs per-channel busy beliefs (see AssignByUncertainty);
-	// the generic Assign falls back to round-robin for it.
+	// certain. It needs per-channel busy beliefs (see
+	// AssignByUncertaintyInto); the generic AssignInto falls back to
+	// round-robin for it.
 	UncertaintyDriven
 )
 
@@ -47,23 +48,9 @@ func (p AssignmentPolicy) String() string {
 	}
 }
 
-// ErrBadAssignment is returned for invalid sensor counts, channel counts, or
-// unknown policies.
+// ErrBadAssignment is returned for invalid channel counts or ranking
+// buffers, stochastic policies without a stream, and unknown policies.
 var ErrBadAssignment = errors.New("sensing: invalid assignment request")
-
-// Assign maps each of numSensors user-sensors to one licensed channel
-// (1-based). slot rotates deterministic policies over time; s supplies
-// randomness for the stochastic policies and may be nil for RoundRobin.
-func Assign(policy AssignmentPolicy, numSensors, m, slot int, s *rng.Stream) ([]int, error) {
-	if numSensors < 0 || m <= 0 {
-		return nil, fmt.Errorf("%w: numSensors=%d M=%d", ErrBadAssignment, numSensors, m)
-	}
-	out := make([]int, numSensors)
-	if err := AssignInto(out, policy, m, slot, s); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
 
 // permBuf is a pooled permutation buffer for the stratified policy, so the
 // per-slot AssignInto stays allocation-free once the pool is warm.
@@ -80,8 +67,11 @@ func growInt(buf []int, n int) []int {
 	return make([]int, n)
 }
 
-// AssignInto is Assign writing into a caller-owned buffer whose length gives
-// the sensor count, for per-slot loops that reuse one assignment slice.
+// AssignInto maps each user-sensor to one licensed channel (1-based),
+// writing into a caller-owned buffer whose length gives the sensor count,
+// so per-slot loops reuse one assignment slice. slot rotates deterministic
+// policies over time; s supplies randomness for the stochastic policies and
+// may be nil for RoundRobin.
 //
 //femtovet:hotpath
 //femtovet:borrows out, s
@@ -120,30 +110,17 @@ func AssignInto(out []int, policy AssignmentPolicy, m, slot int, s *rng.Stream) 
 	return nil
 }
 
-// AssignByUncertainty assigns sensors to the channels with the most
+// AssignByUncertaintyInto assigns sensors to the channels with the most
 // uncertain occupancy: channels are ranked by |Pr{busy} - 1/2| ascending
 // (binary entropy is maximized at 1/2), and sensors are spread round-robin
 // over that ranking. A sensing result is worth the most exactly where the
 // belief is least decided.
-func AssignByUncertainty(numSensors int, busyProbs []float64) ([]int, error) {
-	m := len(busyProbs)
-	if numSensors < 0 || m == 0 {
-		return nil, fmt.Errorf("%w: numSensors=%d M=%d", ErrBadAssignment, numSensors, m)
-	}
-	out := make([]int, numSensors)
-	order := make([]int, m)
-	if err := AssignByUncertaintyInto(out, order, busyProbs); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// AssignByUncertaintyInto is AssignByUncertainty writing into caller-owned
-// buffers: out receives the per-sensor channel choices and order, of length
-// len(busyProbs), is the ranking scratch (left holding the channel indices
-// sorted by ascending |Pr{busy} - 1/2|). The ranking is a stable insertion
-// sort, so ties keep their ascending channel order — the exact ordering the
-// sort.SliceStable in AssignByUncertainty produces.
+//
+// It writes into caller-owned buffers: out receives the per-sensor channel
+// choices (1-based), and order, of length len(busyProbs), is the ranking
+// scratch (left holding the channel indices sorted by ascending
+// |Pr{busy} - 1/2|). The ranking is a stable insertion sort, so ties keep
+// their ascending channel order.
 //
 //femtovet:hotpath
 //femtovet:borrows out, order, busyProbs

@@ -11,8 +11,8 @@ func TestAssignRoundRobinCoverage(t *testing.T) {
 	const m = 8
 	counts := make([]int, m)
 	for slot := 0; slot < m; slot++ {
-		a, err := Assign(RoundRobin, 3, m, slot, nil)
-		if err != nil {
+		a := make([]int, 3)
+		if err := AssignInto(a, RoundRobin, m, slot, nil); err != nil {
 			t.Fatal(err)
 		}
 		for _, ch := range a {
@@ -31,8 +31,13 @@ func TestAssignRoundRobinCoverage(t *testing.T) {
 }
 
 func TestAssignRoundRobinRotates(t *testing.T) {
-	a0, _ := Assign(RoundRobin, 2, 4, 0, nil)
-	a1, _ := Assign(RoundRobin, 2, 4, 1, nil)
+	a0, a1 := make([]int, 2), make([]int, 2)
+	if err := AssignInto(a0, RoundRobin, 4, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := AssignInto(a1, RoundRobin, 4, 1, nil); err != nil {
+		t.Fatal(err)
+	}
 	if a0[0] == a1[0] {
 		t.Fatalf("round-robin did not rotate with slot: %v vs %v", a0, a1)
 	}
@@ -40,8 +45,8 @@ func TestAssignRoundRobinRotates(t *testing.T) {
 
 func TestAssignRandomInRange(t *testing.T) {
 	s := rng.New(1)
-	a, err := Assign(RandomAssign, 100, 5, 0, s)
-	if err != nil {
+	a := make([]int, 100)
+	if err := AssignInto(a, RandomAssign, 5, 0, s); err != nil {
 		t.Fatal(err)
 	}
 	for _, ch := range a {
@@ -54,8 +59,8 @@ func TestAssignRandomInRange(t *testing.T) {
 func TestAssignStratifiedEven(t *testing.T) {
 	s := rng.New(2)
 	const m, k = 4, 10
-	a, err := Assign(Stratified, k, m, 0, s)
-	if err != nil {
+	a := make([]int, k)
+	if err := AssignInto(a, Stratified, m, 0, s); err != nil {
 		t.Fatal(err)
 	}
 	counts := make([]int, m)
@@ -72,30 +77,27 @@ func TestAssignStratifiedEven(t *testing.T) {
 }
 
 func TestAssignErrors(t *testing.T) {
-	if _, err := Assign(RoundRobin, -1, 4, 0, nil); !errors.Is(err, ErrBadAssignment) {
-		t.Fatalf("negative sensors err = %v", err)
-	}
-	if _, err := Assign(RoundRobin, 3, 0, 0, nil); !errors.Is(err, ErrBadAssignment) {
+	out := make([]int, 3)
+	if err := AssignInto(out, RoundRobin, 0, 0, nil); !errors.Is(err, ErrBadAssignment) {
 		t.Fatalf("zero channels err = %v", err)
 	}
-	if _, err := Assign(RandomAssign, 3, 4, 0, nil); !errors.Is(err, ErrBadAssignment) {
+	if err := AssignInto(out, RoundRobin, -2, 0, nil); !errors.Is(err, ErrBadAssignment) {
+		t.Fatalf("negative channels err = %v", err)
+	}
+	if err := AssignInto(out, RandomAssign, 4, 0, nil); !errors.Is(err, ErrBadAssignment) {
 		t.Fatalf("random without stream err = %v", err)
 	}
-	if _, err := Assign(Stratified, 3, 4, 0, nil); !errors.Is(err, ErrBadAssignment) {
+	if err := AssignInto(out, Stratified, 4, 0, nil); !errors.Is(err, ErrBadAssignment) {
 		t.Fatalf("stratified without stream err = %v", err)
 	}
-	if _, err := Assign(AssignmentPolicy(0), 3, 4, 0, nil); !errors.Is(err, ErrBadAssignment) {
+	if err := AssignInto(out, AssignmentPolicy(0), 4, 0, nil); !errors.Is(err, ErrBadAssignment) {
 		t.Fatalf("unknown policy err = %v", err)
 	}
 }
 
 func TestAssignZeroSensors(t *testing.T) {
-	a, err := Assign(RoundRobin, 0, 4, 0, nil)
-	if err != nil {
+	if err := AssignInto(nil, RoundRobin, 4, 0, nil); err != nil {
 		t.Fatal(err)
-	}
-	if len(a) != 0 {
-		t.Fatalf("len = %d, want 0", len(a))
 	}
 }
 
@@ -131,8 +133,9 @@ func TestAssignByUncertainty(t *testing.T) {
 	busy := []float64{0.9, 0.5, 0.1, 0.45}
 	// Uncertainty order: ch2 (0.5), ch4 (0.45), ch1 (0.9) vs ch3 (0.1)
 	// tie at distance 0.4 broken by index (stable): ch1 then ch3.
-	a, err := AssignByUncertainty(4, busy)
-	if err != nil {
+	a := make([]int, 4)
+	order := make([]int, len(busy))
+	if err := AssignByUncertaintyInto(a, order, busy); err != nil {
 		t.Fatal(err)
 	}
 	want := []int{2, 4, 1, 3}
@@ -142,8 +145,8 @@ func TestAssignByUncertainty(t *testing.T) {
 		}
 	}
 	// More sensors than channels wrap around the ranking.
-	a, err = AssignByUncertainty(6, busy)
-	if err != nil {
+	a = make([]int, 6)
+	if err := AssignByUncertaintyInto(a, order, busy); err != nil {
 		t.Fatal(err)
 	}
 	if a[4] != 2 || a[5] != 4 {
@@ -152,21 +155,20 @@ func TestAssignByUncertainty(t *testing.T) {
 }
 
 func TestAssignByUncertaintyErrors(t *testing.T) {
-	if _, err := AssignByUncertainty(2, nil); !errors.Is(err, ErrBadAssignment) {
+	if err := AssignByUncertaintyInto(make([]int, 2), nil, nil); !errors.Is(err, ErrBadAssignment) {
 		t.Fatal("empty beliefs accepted")
 	}
-	if _, err := AssignByUncertainty(-1, []float64{0.5}); !errors.Is(err, ErrBadAssignment) {
-		t.Fatal("negative sensors accepted")
+	if err := AssignByUncertaintyInto(make([]int, 2), make([]int, 1), []float64{0.5, 0.2}); !errors.Is(err, ErrBadAssignment) {
+		t.Fatal("ranking scratch shorter than the channel count accepted")
 	}
 }
 
 func TestUncertaintyPolicyFallsBackToRoundRobin(t *testing.T) {
-	a, err := Assign(UncertaintyDriven, 3, 4, 1, nil)
-	if err != nil {
+	a, rr := make([]int, 3), make([]int, 3)
+	if err := AssignInto(a, UncertaintyDriven, 4, 1, nil); err != nil {
 		t.Fatal(err)
 	}
-	rr, err := Assign(RoundRobin, 3, 4, 1, nil)
-	if err != nil {
+	if err := AssignInto(rr, RoundRobin, 4, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	for i := range a {

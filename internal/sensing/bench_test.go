@@ -62,8 +62,9 @@ func BenchmarkSense(b *testing.B) {
 }
 
 func BenchmarkAssignRoundRobin(b *testing.B) {
+	out := make([]int, 9)
 	for i := 0; i < b.N; i++ {
-		if _, err := Assign(RoundRobin, 9, 8, i, nil); err != nil {
+		if err := AssignInto(out, RoundRobin, 8, i, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

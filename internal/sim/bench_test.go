@@ -16,9 +16,9 @@ func benchNet(b testing.TB, interfering bool) *netmodel.Network {
 		err error
 	)
 	if interfering {
-		net, err = netmodel.PaperInterfering(netmodel.DefaultConfig())
+		net, err = netmodel.NewNetwork(netmodel.DefaultConfig(), netmodel.PaperInterferingSpec())
 	} else {
-		net, err = netmodel.PaperSingleFBS(netmodel.DefaultConfig())
+		net, err = netmodel.NewNetwork(netmodel.DefaultConfig(), netmodel.PaperSingleSpec())
 	}
 	if err != nil {
 		b.Fatal(err)

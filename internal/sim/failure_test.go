@@ -15,7 +15,7 @@ import (
 
 func runOK(t *testing.T, cfg netmodel.Config, opts Options) *Result {
 	t.Helper()
-	net, err := netmodel.PaperSingleFBS(cfg)
+	net, err := netmodel.NewNetwork(cfg, netmodel.PaperSingleSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestZeroCollisionBudget(t *testing.T) {
 
 func mustNet(t *testing.T, cfg netmodel.Config) *netmodel.Network {
 	t.Helper()
-	net, err := netmodel.PaperSingleFBS(cfg)
+	net, err := netmodel.NewNetwork(cfg, netmodel.PaperSingleSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestNearBlindSensors(t *testing.T) {
 func TestSingleUserNetwork(t *testing.T) {
 	cfg := netmodel.DefaultConfig()
 	bus := mustNet(t, cfg).Users[0].Seq
-	net, err := netmodel.SingleFBS(cfg, []video.Sequence{bus})
+	net, err := netmodel.NewNetwork(cfg, netmodel.SingleSpec([]video.Sequence{bus}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,7 @@ import (
 
 func frontendFor(t *testing.T, seed uint64, policy sensing.AssignmentPolicy, beliefs bool) *Frontend {
 	t.Helper()
-	net, err := netmodel.PaperSingleFBS(netmodel.DefaultConfig())
+	net, err := netmodel.NewNetwork(netmodel.DefaultConfig(), netmodel.PaperSingleSpec())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,7 @@ func TestRandomConfigsInvariants(t *testing.T) {
 	err := quick.Check(func(trial uint16) bool {
 		s := root.SplitIndex("cfg", int(trial%64))
 		cfg := randomConfig(s)
-		net, err := netmodel.PaperSingleFBS(cfg)
+		net, err := netmodel.NewNetwork(cfg, netmodel.PaperSingleSpec())
 		if err != nil {
 			t.Logf("config rejected (acceptable): %v", err)
 			return true
@@ -83,7 +83,7 @@ func TestRandomConfigsCollisionBudget(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		s := root.SplitIndex("cfg", trial)
 		cfg := randomConfig(s)
-		net, err := netmodel.PaperSingleFBS(cfg)
+		net, err := netmodel.NewNetwork(cfg, netmodel.PaperSingleSpec())
 		if err != nil {
 			continue
 		}

@@ -46,8 +46,8 @@ func TestShardedMatchesUnshardedPaperScale(t *testing.T) {
 		build      func() (*netmodel.Network, error)
 		trackBound bool
 	}{
-		{"single", func() (*netmodel.Network, error) { return netmodel.PaperSingleFBS(cfg) }, false},
-		{"interfering", func() (*netmodel.Network, error) { return netmodel.PaperInterfering(cfg) }, true},
+		{"single", func() (*netmodel.Network, error) { return netmodel.NewNetwork(cfg, netmodel.PaperSingleSpec()) }, false},
+		{"interfering", func() (*netmodel.Network, error) { return netmodel.NewNetwork(cfg, netmodel.PaperInterferingSpec()) }, true},
 	}
 	for _, b := range builds {
 		net, err := b.build()
@@ -94,7 +94,7 @@ func TestShardedMatchesUnshardedPaperScale(t *testing.T) {
 func TestShardedInvariantAcrossShardsAndWorkers(t *testing.T) {
 	cfg := netmodel.DefaultConfig()
 	trio := video.PaperTrio()
-	net, err := netmodel.NonInterfering(cfg, [][]video.Sequence{trio[:], trio[:], trio[:]})
+	net, err := netmodel.NewNetwork(cfg, netmodel.NonInterferingSpec([][]video.Sequence{trio[:], trio[:], trio[:]}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestShardedTimingImprovedBySkewAwareGrouping(t *testing.T) {
 		nine = append(nine, trio[:]...)
 	}
 	groupsOfVideos := [][]video.Sequence{nine, trio[:1], trio[1:2], trio[2:3], trio[:1]}
-	net, err := netmodel.NonInterfering(netmodel.DefaultConfig(), groupsOfVideos)
+	net, err := netmodel.NewNetwork(netmodel.DefaultConfig(), netmodel.NonInterferingSpec(groupsOfVideos))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +347,7 @@ func TestShardSeed(t *testing.T) {
 }
 
 func TestRunShardedRejectsDiagnostics(t *testing.T) {
-	net, err := netmodel.PaperSingleFBS(netmodel.DefaultConfig())
+	net, err := netmodel.NewNetwork(netmodel.DefaultConfig(), netmodel.PaperSingleSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,11 +363,10 @@ func TestRunShardedRejectsDiagnostics(t *testing.T) {
 // injection through the runShard seam: a failing shard must surface its
 // component index and FBS list, for any worker count.
 func TestRunShardedSurfacesShardError(t *testing.T) {
-	net, err := netmodel.NonInterfering(netmodel.DefaultConfig(),
-		func() [][]video.Sequence {
-			trio := video.PaperTrio()
-			return [][]video.Sequence{trio[:], trio[:], trio[:]}
-		}())
+	net, err := netmodel.NewNetwork(netmodel.DefaultConfig(), netmodel.NonInterferingSpec(func() [][]video.Sequence {
+		trio := video.PaperTrio()
+		return [][]video.Sequence{trio[:], trio[:], trio[:]}
+	}()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,11 +394,10 @@ func TestRunShardedSurfacesShardError(t *testing.T) {
 // regression: a panicking shard engine must come back as a "task N
 // panicked" error through par.RunGrid's recovery, not crash the run.
 func TestRunShardedRecoversShardPanic(t *testing.T) {
-	net, err := netmodel.NonInterfering(netmodel.DefaultConfig(),
-		func() [][]video.Sequence {
-			trio := video.PaperTrio()
-			return [][]video.Sequence{trio[:], trio[:], trio[:]}
-		}())
+	net, err := netmodel.NewNetwork(netmodel.DefaultConfig(), netmodel.NonInterferingSpec(func() [][]video.Sequence {
+		trio := video.PaperTrio()
+		return [][]video.Sequence{trio[:], trio[:], trio[:]}
+	}()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ import (
 
 func singleNet(t *testing.T) *netmodel.Network {
 	t.Helper()
-	n, err := netmodel.PaperSingleFBS(netmodel.DefaultConfig())
+	n, err := netmodel.NewNetwork(netmodel.DefaultConfig(), netmodel.PaperSingleSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +23,7 @@ func singleNet(t *testing.T) *netmodel.Network {
 
 func interferingNet(t *testing.T) *netmodel.Network {
 	t.Helper()
-	n, err := netmodel.PaperInterfering(netmodel.DefaultConfig())
+	n, err := netmodel.NewNetwork(netmodel.DefaultConfig(), netmodel.PaperInterferingSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestMoreChannelsHelp(t *testing.T) {
 	cfg := netmodel.DefaultConfig()
 	mean := func(m int) float64 {
 		cfg.M = m
-		net, err := netmodel.PaperSingleFBS(cfg)
+		net, err := netmodel.NewNetwork(cfg, netmodel.PaperSingleSpec())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -317,7 +317,7 @@ func TestLowerUtilizationHelps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		net, err := netmodel.PaperSingleFBS(c2)
+		net, err := netmodel.NewNetwork(c2, netmodel.PaperSingleSpec())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -356,7 +356,7 @@ func TestSensorPolicies(t *testing.T) {
 // get served.
 func TestNonInterferingMultiFBS(t *testing.T) {
 	trio := video.PaperTrio()
-	net, err := netmodel.NonInterfering(netmodel.DefaultConfig(), [][]video.Sequence{trio[:], trio[:]})
+	net, err := netmodel.NewNetwork(netmodel.DefaultConfig(), netmodel.NonInterferingSpec([][]video.Sequence{trio[:], trio[:]}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,7 +465,7 @@ func TestAntennaDiversity(t *testing.T) {
 	mean := func(antennas int) float64 {
 		cfg := netmodel.DefaultConfig()
 		cfg.FBSAntennas = antennas
-		net, err := netmodel.PaperSingleFBS(cfg)
+		net, err := netmodel.NewNetwork(cfg, netmodel.PaperSingleSpec())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -487,7 +487,7 @@ func TestAntennaDiversity(t *testing.T) {
 	// Validation: antenna counts beyond M are rejected.
 	cfg := netmodel.DefaultConfig()
 	cfg.FBSAntennas = cfg.M + 1
-	if _, err := netmodel.PaperSingleFBS(cfg); err == nil {
+	if _, err := netmodel.NewNetwork(cfg, netmodel.PaperSingleSpec()); err == nil {
 		t.Fatal("antennas > M accepted")
 	}
 }
@@ -523,7 +523,7 @@ func TestFairnessClaim(t *testing.T) {
 func TestOFDMScenarioRuns(t *testing.T) {
 	cfg := netmodel.DefaultConfig()
 	cfg.OFDMSubcarriers = 16
-	net, err := netmodel.PaperSingleFBS(cfg)
+	net, err := netmodel.NewNetwork(cfg, netmodel.PaperSingleSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -531,7 +531,7 @@ func TestOFDMScenarioRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flatNet, err := netmodel.PaperSingleFBS(netmodel.DefaultConfig())
+	flatNet, err := netmodel.NewNetwork(netmodel.DefaultConfig(), netmodel.PaperSingleSpec())
 	if err != nil {
 		t.Fatal(err)
 	}

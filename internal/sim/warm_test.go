@@ -27,16 +27,16 @@ func warmConfigs(t *testing.T) []struct {
 } {
 	t.Helper()
 	cfg := netmodel.DefaultConfig()
-	single, err := netmodel.PaperSingleFBS(cfg)
+	single, err := netmodel.NewNetwork(cfg, netmodel.PaperSingleSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	interf, err := netmodel.PaperInterfering(cfg)
+	interf, err := netmodel.NewNetwork(cfg, netmodel.PaperInterferingSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
 	trio := video.PaperTrio()
-	noninterf, err := netmodel.NonInterfering(cfg, [][]video.Sequence{trio[:], trio[:]})
+	noninterf, err := netmodel.NewNetwork(cfg, netmodel.NonInterferingSpec([][]video.Sequence{trio[:], trio[:]}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestShardedWarmMatchesUnsharded(t *testing.T) {
 	// Multi-component fold: solves must add across shards.
 	cfg := netmodel.DefaultConfig()
 	trio := video.PaperTrio()
-	multi, err := netmodel.NonInterfering(cfg, [][]video.Sequence{trio[:], trio[:], trio[:]})
+	multi, err := netmodel.NewNetwork(cfg, netmodel.NonInterferingSpec([][]video.Sequence{trio[:], trio[:], trio[:]}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -143,14 +143,9 @@ func (s *Simulator) Slot() int { return s.slot }
 // copy; mutating it does not affect the simulator.
 func (s *Simulator) Occupancy() Occupancy { return s.state.Clone() }
 
-// Step advances every channel one slot and returns the new occupancy. The
-// returned slice is a copy the caller may keep.
-func (s *Simulator) Step() Occupancy {
-	return s.StepInPlace().Clone()
-}
-
-// StepInPlace is Step returning the simulator's own state vector, valid only
-// until the next Step; per-slot loops use it to avoid the per-call copy.
+// StepInPlace advances every channel one slot and returns the new
+// occupancy: the simulator's own state vector, valid only until the next
+// step, so per-slot loops pay no copy. Clone it to keep it.
 //
 //femtovet:hotpath
 func (s *Simulator) StepInPlace() Occupancy {

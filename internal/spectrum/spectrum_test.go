@@ -121,7 +121,7 @@ func TestSimulatorDeterminism(t *testing.T) {
 	s1 := NewSimulator(b, rng.New(42))
 	s2 := NewSimulator(b, rng.New(42))
 	for i := 0; i < 200; i++ {
-		o1, o2 := s1.Step(), s2.Step()
+		o1, o2 := s1.StepInPlace(), s2.StepInPlace()
 		for m := range o1 {
 			if o1[m] != o2[m] {
 				t.Fatalf("slot %d channel %d diverged", i, m+1)
@@ -140,7 +140,7 @@ func TestSimulatorLongRunUtilization(t *testing.T) {
 	busy := make([]int, 4)
 	const n = 100000
 	for i := 0; i < n; i++ {
-		o := sim.Step()
+		o := sim.StepInPlace()
 		for m := range o {
 			if o[m] == markov.Busy {
 				busy[m]++
@@ -181,7 +181,7 @@ func TestSimulatorChannelsIndependent(t *testing.T) {
 	s4 := NewSimulator(b4, rng.New(99))
 	s8 := NewSimulator(b8, rng.New(99))
 	for i := 0; i < 100; i++ {
-		o4, o8 := s4.Step(), s8.Step()
+		o4, o8 := s4.StepInPlace(), s8.StepInPlace()
 		for m := 0; m < 4; m++ {
 			if o4[m] != o8[m] {
 				t.Fatalf("slot %d: channel %d trajectory changed when band grew", i, m+1)

@@ -7,51 +7,6 @@ import (
 	"femtocr"
 )
 
-// TestDeprecatedConstructorsWrapNewNetwork pins the facade redesign: the
-// legacy constructors must build byte-identical networks to the NewNetwork
-// specs they now wrap.
-func TestDeprecatedConstructorsWrapNewNetwork(t *testing.T) {
-	cfg := femtocr.DefaultConfig()
-
-	oldSingle, err := femtocr.SingleFBSNetwork(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newSingle, err := femtocr.NewNetwork(cfg, femtocr.PaperSingleSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(oldSingle, newSingle) {
-		t.Fatal("SingleFBSNetwork differs from NewNetwork(PaperSingleSpec)")
-	}
-
-	oldPath, err := femtocr.InterferingNetwork(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newPath, err := femtocr.NewNetwork(cfg, femtocr.PaperInterferingSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(oldPath, newPath) {
-		t.Fatal("InterferingNetwork differs from NewNetwork(PaperInterferingSpec)")
-	}
-
-	seqs := femtocr.Sequences()
-	groups := [][]femtocr.Sequence{seqs[:2], seqs[2:4]}
-	oldNon, err := femtocr.NonInterferingNetwork(cfg, groups)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newNon, err := femtocr.NewNetwork(cfg, femtocr.NonInterferingSpec(groups))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(oldNon, newNon) {
-		t.Fatal("NonInterferingNetwork differs from NewNetwork(NonInterferingSpec)")
-	}
-}
-
 // TestFacadeMetroSharded exercises the metro path end to end through the
 // facade: generate a city, run the sharded engine, and check the
 // decomposition and determinism contracts.

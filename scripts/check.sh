@@ -9,15 +9,12 @@
 #                     RNG provenance, index domains, probability ranges,
 #                     float comparisons, dropped errors), built once and run
 #                     against the checked-in baseline
-#   5. escape_check — advisory: diffs the compiler's -gcflags=-m escape
-#                     analysis over the //femtovet:hotpath packages against
-#                     scripts/escape_expect.txt (drift warns, never fails)
-#   6. determinism  — the parallel-replication regression: figures must be
+#   5. determinism  — the parallel-replication regression: figures must be
 #                     byte-identical for workers=1, 4, and GOMAXPROCS, run
 #                     under the race detector (named explicitly so a test
 #                     rename can't silently drop the gate)
-#   7. go test -race — all tests under the race detector
-#   8. metro smoke   — a quick-scale generated metro through the sharded
+#   6. go test -race — all tests under the race detector
+#   7. metro smoke   — a quick-scale generated metro through the sharded
 #                     engine end to end (femtosim -scenario metro)
 #
 # Both -race steps run with GOMAXPROCS=4: the CI container exposes a single
@@ -53,9 +50,6 @@ tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 go build -o "$tmp/femtovet" ./cmd/femtovet
 "$tmp/femtovet" -baseline femtovet.baseline.json ./...
-
-echo "==> escape_check (advisory gcflags=-m cross-check of the hotpath contract)"
-./scripts/escape_check.sh
 
 echo "==> parallel determinism (workers=1/4/GOMAXPROCS, byte-identical figures)"
 echo "    GOMAXPROCS=4 (forced: 1-CPU runners don't interleave goroutines)"
