@@ -458,8 +458,8 @@ func polishAssociation(in *Instance, alloc *Allocation, maxRounds int, ws *solve
 			copy(save0, alloc.Rho0)
 			copy(save1, alloc.Rho1)
 			alloc.MBS[j] = !alloc.MBS[j]
-			fillCommon(in, alloc, ws)
-			fillFBS(in, alloc, in.FBS[j], ws)
+			fillBand(in, alloc, 0, ws)
+			fillBand(in, alloc, in.FBS[j], ws)
 			if v := objectiveCached(in, alloc, ws.logW); v > cur+1e-12 {
 				cur = v
 				improved = true
@@ -478,74 +478,71 @@ func polishAssociation(in *Instance, alloc *Allocation, maxRounds int, ws *solve
 // fillResources water-fills the common channel among MBS users and each FBS
 // band among its users, given a fixed association in alloc.MBS.
 func fillResources(in *Instance, alloc *Allocation, ws *solveWorkspace) {
-	fillCommon(in, alloc, ws)
-	for i := 1; i <= in.N(); i++ {
-		fillFBS(in, alloc, i, ws)
+	for i := 0; i <= in.N(); i++ {
+		fillBand(in, alloc, i, ws)
 	}
 }
 
-// fillCommon water-fills the common channel among the users associated with
-// the MBS, on workspace scratch. The effective users are gathered straight
-// into the flat waterfillColumns views, reusing the w/r quotients
-// prepareUsers hoisted; users filtered out here (no success probability or
-// no rate) would get a zero share, so their shares are set to zero up front.
-func fillCommon(in *Instance, alloc *Allocation, ws *solveWorkspace) {
+// fillBand water-fills one resource among the users associated with it, on
+// workspace scratch: the common channel among the MBS users when i == 0,
+// else FBS i's licensed band among its FBS users. The effective users are
+// gathered straight into the flat waterfillColumns views, reusing the w/r
+// quotients prepareUsers hoisted; users filtered out here (no success
+// probability or no rate) would get a zero share, so every associated
+// user's shares are set to zero up front.
+//
+// While the workspace holds a live epoch the fill is memoized: for a fixed
+// base instance, the common channel's shares are a pure function of its
+// effective member set, and FBS i's of (i, G_i bits, effective member set),
+// which the key holds exactly as a user bitmask (instances of more than 64
+// users just compute). Polishing flips the same users in every Q evaluation
+// of a greedy Allocate, and a candidate perturbs only one FBS's G_i, so most
+// fills repeat an earlier one of the epoch.
+func fillBand(in *Instance, alloc *Allocation, i int, ws *solveWorkspace) {
 	k := in.K()
+	views, wrs, shares := ws.u0, ws.wr0, alloc.Rho0
+	key := memoKey{fbs: int32(i), epoch: ws.eqEpoch}
+	if i > 0 {
+		views, wrs, shares = ws.u1, ws.wr1, alloc.Rho1
+		key.b = math.Float64bits(in.G[i-1])
+	}
 	idx := ws.wfIdx[:0]
-	ps := ws.wfPS[:0]
-	wr := ws.wfWR[:0]
-	caps := ws.wfCap[:0]
 	for j := 0; j < k; j++ {
-		if !alloc.MBS[j] {
+		// On the common channel the MBS users; on band i its FBS users.
+		if alloc.MBS[j] != (i == 0) || i > 0 && in.FBS[j] != i {
 			continue
 		}
 		alloc.Rho0[j] = 0
 		alloc.Rho1[j] = 0
-		u := ws.u0[j]
-		if u.ps > 0 && u.r > 0 {
+		if u := views[j]; u.ps > 0 && u.r > 0 {
 			idx = append(idx, j)
-			ps = append(ps, u.ps)
-			wr = append(wr, ws.wr0[j])
-			caps = append(caps, u.cap)
+			key.a |= 1 << uint(j)
 		}
 	}
-	ws.wfIdx, ws.wfPS, ws.wfWR, ws.wfCap = idx, ps, wr, caps
+	ws.wfIdx = idx
+	memo := ws.memoLive && k <= 64 && len(idx) > 0
+	if memo {
+		if rho, ok := ws.fillGet(key, len(idx)); ok {
+			for t, j := range idx {
+				shares[j] = rho[t]
+			}
+			return
+		}
+	}
+	ps, wr, caps := ws.wfPS[:0], ws.wfWR[:0], ws.wfCap[:0]
+	for _, j := range idx {
+		ps = append(ps, views[j].ps)
+		wr = append(wr, wrs[j])
+		caps = append(caps, views[j].cap)
+	}
+	ws.wfPS, ws.wfWR, ws.wfCap = ps, wr, caps
 	rho := growF(ws.wfRho, len(idx))
 	ws.wfRho = rho
 	waterfillColumns(rho, ps, wr, caps, 1)
 	for t, j := range idx {
-		alloc.Rho0[j] = rho[t]
+		shares[j] = rho[t]
 	}
-}
-
-// fillFBS water-fills FBS i's licensed band among its associated users, on
-// workspace scratch, gathering the effective users into the flat
-// waterfillColumns views like fillCommon.
-func fillFBS(in *Instance, alloc *Allocation, i int, ws *solveWorkspace) {
-	k := in.K()
-	idx := ws.wfIdx[:0]
-	ps := ws.wfPS[:0]
-	wr := ws.wfWR[:0]
-	caps := ws.wfCap[:0]
-	for j := 0; j < k; j++ {
-		if alloc.MBS[j] || in.FBS[j] != i {
-			continue
-		}
-		alloc.Rho0[j] = 0
-		alloc.Rho1[j] = 0
-		u := ws.u1[j]
-		if u.ps > 0 && u.r > 0 {
-			idx = append(idx, j)
-			ps = append(ps, u.ps)
-			wr = append(wr, ws.wr1[j])
-			caps = append(caps, u.cap)
-		}
-	}
-	ws.wfIdx, ws.wfPS, ws.wfWR, ws.wfCap = idx, ps, wr, caps
-	rhoI := growF(ws.wfRho, len(idx))
-	ws.wfRho = rhoI
-	waterfillColumns(rhoI, ps, wr, caps, 1)
-	for t, j := range idx {
-		alloc.Rho1[j] = rhoI[t]
+	if memo {
+		ws.fillPut(key, rho)
 	}
 }

@@ -1,0 +1,398 @@
+package core
+
+import (
+	"math"
+	"testing"
+
+	"femtocr/internal/rng"
+)
+
+// The equilibrium solve takes three exact shortcuts: both bisections decide
+// a probe from a log-free demand bound when it fits the budget, the inner
+// bisection is memoized (exact table and window memo), and the water-fills
+// are memoized per epoch. A fresh workspace takes the bound shortcut too,
+// so only a solve without any of them can catch a wrong bound. refSolver is
+// that solve, the way scalarWaterfill is for waterfillColumns: every probe
+// sums the demand of the members' actual choices, every inner bisection is
+// computed, every member's choice is a bool, and the fills run on a
+// workspace that holds no epoch.
+
+// refSolver solves one instance the literal way. Its workspace is prepared
+// for the instance but never bumped, so its fills and polish are plain.
+type refSolver struct {
+	in *Instance
+	ws *solveWorkspace
+}
+
+func newRefSolver(in *Instance) *refSolver {
+	ws := new(solveWorkspace)
+	ws.prepareEquilibrium(in)
+	return &refSolver{in: in, ws: ws}
+}
+
+// inner is FBS i's band-price bisection at common price l0, returning the
+// clearing price and each member's choice (true = MBS).
+func (r *refSolver) inner(i int, l0 float64) (float64, []bool) {
+	ws := r.ws
+	members := ws.byFBS[i]
+	v0 := make([]float64, len(members))
+	for b, j := range members {
+		v0[b], _ = ws.u0[j].branchAndRhoWR(l0, ws.logW[j], ws.wr0[j], ws.bl0[j])
+	}
+	demand := func(li float64) float64 {
+		total := 0.0
+		for b, j := range members {
+			if v1, rho := ws.u1[j].branchAndRhoWR(li, ws.logW[j], ws.wr1[j], ws.bl1[j]); v1 >= v0[b] {
+				total += rho
+			}
+		}
+		return total
+	}
+	li := eqLambdaFloor
+	if demand(li) > 1 {
+		hi := 0.0
+		for _, j := range members {
+			hi += ws.u1[j].ps
+		}
+		if hi > li {
+			for demand(hi) > 1 {
+				hi *= 2
+			}
+			lo := li
+			for it := 0; it < eqIters; it++ {
+				mid := 0.5 * (lo + hi)
+				if demand(mid) > 1 {
+					lo = mid
+				} else {
+					hi = mid
+				}
+			}
+			li = hi
+		}
+	}
+	mbs := make([]bool, len(members))
+	for b, j := range members {
+		v1, _ := ws.u1[j].branchAndRhoWR(li, ws.logW[j], ws.wr1[j], ws.bl1[j])
+		mbs[b] = v0[b] > v1
+	}
+	return li, mbs
+}
+
+// demand0 is the MBS demand at common price l0 given every FBS's inner
+// equilibrium.
+func (r *refSolver) demand0(l0 float64) float64 {
+	ws := r.ws
+	total := 0.0
+	for i := 1; i <= r.in.N(); i++ {
+		_, mbs := r.inner(i, l0)
+		for b, j := range ws.byFBS[i] {
+			if mbs[b] {
+				total += ws.u0[j].rhoAtWR(l0, ws.wr0[j])
+			}
+		}
+	}
+	return total
+}
+
+// solve runs the outer bisection — bracketed around seed when warm, from
+// the global bracket otherwise, with the same expansion guard and depths as
+// EquilibriumSolver — then fixes the association at the clearing prices and
+// water-fills and polishes it. It returns the allocation and the clearing
+// common price (0 when no price clears, the trivial case).
+func (r *refSolver) solve(warm bool, seed float64) (*Allocation, float64) {
+	in := r.in
+	exceeds := func(l0 float64) bool { return r.demand0(l0) > 1 }
+	l0 := eqLambdaFloor
+	trivial := !exceeds(l0)
+	if !trivial {
+		solved := false
+		if warm {
+			wlo, whi := math.Max(0.5*seed, eqLambdaFloor), 2*seed
+			if whi <= wlo {
+				whi = 1
+			}
+			ok := true
+			for guard := 0; exceeds(whi); guard++ {
+				if guard >= 60 {
+					ok = false
+					break
+				}
+				wlo = whi
+				whi *= 2
+			}
+			if ok {
+				for wlo > eqLambdaFloor && !exceeds(wlo) {
+					whi = wlo
+					wlo *= 0.5
+				}
+				for it := 0; it < eqIters/2+4; it++ {
+					if mid := 0.5 * (wlo + whi); exceeds(mid) {
+						wlo = mid
+					} else {
+						whi = mid
+					}
+				}
+				l0, solved = whi, true
+			}
+		}
+		if !solved {
+			lo, hi := eqLambdaFloor, 0.0
+			for j := range in.W {
+				if in.R0[j] > 0 {
+					hi += in.PS0[j]
+				}
+			}
+			if hi <= lo {
+				hi = 1
+			}
+			for exceeds(hi) {
+				hi *= 2
+			}
+			for it := 0; it < eqIters; it++ {
+				if mid := 0.5 * (lo + hi); exceeds(mid) {
+					lo = mid
+				} else {
+					hi = mid
+				}
+			}
+			l0 = hi
+		}
+	}
+	alloc := NewAllocation(in.K())
+	for i := 1; i <= in.N(); i++ {
+		_, mbs := r.inner(i, l0)
+		for b, j := range r.ws.byFBS[i] {
+			alloc.MBS[j] = mbs[b]
+		}
+	}
+	fillResources(in, alloc, r.ws)
+	polishAssociation(in, alloc, 4, r.ws)
+	if trivial {
+		l0 = 0
+	}
+	return alloc, l0
+}
+
+// allocDiff names the first user whose association or share bits differ
+// between two allocations, or returns -1.
+func allocDiff(a, b *Allocation) int {
+	for j := range a.MBS {
+		if a.MBS[j] != b.MBS[j] || math.Float64bits(a.Rho0[j]) != math.Float64bits(b.Rho0[j]) ||
+			math.Float64bits(a.Rho1[j]) != math.Float64bits(b.Rho1[j]) {
+			return j
+		}
+	}
+	return -1
+}
+
+// solveWalk drives one long-lived workspace through the solve sequences of
+// greedy Allocate calls — an unseeded base solve at G = 0 opening each
+// epoch, then seeded trials that perturb one FBS's G_i by a posterior and
+// restore it, trials returning to an earlier G_i, accepted pairs that keep
+// the epoch, and new base instances with their epoch bump — and checks each
+// solve against refSolver bit for bit: every share, the association, the
+// base solve's clearing price, and every FBS's inner equilibrium at that
+// price.
+type solveWalk struct {
+	t      *testing.T
+	s      *rng.Stream
+	in     *Instance
+	ws     *solveWorkspace
+	posts  []float64 // posteriors drawn so far
+	seen   []float64 // G_i values tried so far, to return to
+	solves int
+}
+
+func newSolveWalk(t *testing.T, s *rng.Stream, n, maxMembers int) *solveWalk {
+	w := &solveWalk{t: t, s: s, in: memoInstance(s, n, maxMembers), ws: new(solveWorkspace)}
+	if err := w.in.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	w.newEpoch()
+	return w
+}
+
+// newEpoch opens a greedy-style epoch on the current base instance: G
+// cleared, a fresh epoch, the unseeded base solve, then the price seed.
+func (w *solveWalk) newEpoch() {
+	for i := range w.in.G {
+		w.in.G[i] = 0
+	}
+	w.ws.eqSeeded = false
+	w.ws.bumpEqEpoch()
+	w.solve()
+	w.ws.eqSeeded = w.ws.eqL0 > 0
+}
+
+// posterior draws a channel posterior, one time in three repeating an
+// earlier one, as twin channels do.
+func (w *solveWalk) posterior() float64 {
+	if len(w.posts) > 0 && w.s.IntN(3) == 0 {
+		return w.posts[w.s.IntN(len(w.posts))]
+	}
+	pa := 1 - w.s.Float64()
+	w.posts = append(w.posts, pa)
+	return pa
+}
+
+// solve runs the production solve on the walk's workspace and the
+// reference on a fresh one, and compares them.
+func (w *solveWalk) solve() {
+	w.solves++
+	in := w.in
+	warm, seed := w.ws.eqSeeded, w.ws.eqL0
+	got := &Allocation{}
+	if err := (&EquilibriumSolver{}).solveWS(in, got, w.ws, nil); err != nil {
+		w.t.Fatalf("solve %d: %v", w.solves, err)
+	}
+	ref := newRefSolver(in)
+	want, l0 := ref.solve(warm, seed)
+	if j := allocDiff(got, want); j >= 0 {
+		w.t.Fatalf("solve %d (warm=%v, G=%v): user %d: got MBS=%v rho=(%v, %v), reference MBS=%v rho=(%v, %v)",
+			w.solves, warm, in.G, j, got.MBS[j], got.Rho0[j], got.Rho1[j], want.MBS[j], want.Rho0[j], want.Rho1[j])
+	}
+	if !warm && math.Float64bits(w.ws.eqL0) != math.Float64bits(l0) {
+		w.t.Fatalf("solve %d (G=%v): clearing common price %v, reference %v", w.solves, in.G, w.ws.eqL0, l0)
+	}
+	if l0 == 0 {
+		return
+	}
+	for i := 1; i <= in.N(); i++ {
+		li, mask := w.ws.equilibriumFBS(in, i, l0, eqIters)
+		wantLi, mbs := ref.inner(i, l0)
+		if math.Float64bits(li) != math.Float64bits(wantLi) {
+			w.t.Fatalf("solve %d: FBS %d at l0=%v: band price %v, reference %v", w.solves, i, l0, li, wantLi)
+		}
+		for b := range mbs {
+			if w.ws.prefersMBS(mask, b) != mbs[b] {
+				w.t.Fatalf("solve %d: FBS %d member %d: MBS choice %v, reference %v", w.solves, i, b, !mbs[b], mbs[b])
+			}
+		}
+	}
+}
+
+// step performs one random greedy-style episode.
+func (w *solveWalk) step() {
+	s, in := w.s, w.in
+	i := s.IntN(in.N())
+	switch s.IntN(8) {
+	case 0: // new base instance: a new epoch
+		for j := range in.W {
+			in.W[j] = 25 + 15*s.Float64()
+		}
+		w.newEpoch()
+	case 1: // accept a pair: G_i grows for the rest of the epoch
+		in.G[i] += w.posterior()
+		w.solve()
+	default: // a Q evaluation: G_i perturbed, solved, restored
+		base := in.G[i]
+		if len(w.seen) > 0 && s.IntN(4) == 0 {
+			in.G[i] = w.seen[s.IntN(len(w.seen))]
+		} else {
+			in.G[i] += w.posterior()
+			w.seen = append(w.seen, in.G[i])
+		}
+		w.solve()
+		in.G[i] = base
+	}
+}
+
+// TestEquilibriumSolveMatchesReference is the bitwise oracle for the
+// solve's shortcuts together — both demand bounds, the inner memo levels and
+// the water-fill memo — on random instances with 1-40 members per FBS
+// (past 64 users the fill memo is off), WMax caps and zero ps/r members.
+func TestEquilibriumSolveMatchesReference(t *testing.T) {
+	seeds := 24
+	if testing.Short() || raceEnabled {
+		seeds = 6
+	}
+	for seed := 0; seed < seeds; seed++ {
+		s := rng.New(uint64(7000 + seed))
+		maxMembers := []int{1, 3, 8, 20, 40}[seed%5]
+		w := newSolveWalk(t, s, 1+s.IntN(3), maxMembers)
+		for e := 0; e < 16; e++ {
+			w.step()
+		}
+	}
+}
+
+// FuzzEquilibriumSolve is TestEquilibriumSolveMatchesReference over fuzzed
+// seeds, shapes and walk lengths.
+func FuzzEquilibriumSolve(f *testing.F) {
+	// seed, FBSs, max members per FBS, episodes.
+	f.Add(uint64(1), uint8(1), uint8(3), uint8(12))
+	f.Add(uint64(2), uint8(3), uint8(20), uint8(8))
+	f.Add(uint64(3), uint8(2), uint8(1), uint8(16))
+	f.Add(uint64(4), uint8(4), uint8(12), uint8(10))
+	f.Add(uint64(1), uint8(1), uint8(15), uint8(18))
+	f.Fuzz(func(t *testing.T, seed uint64, nFBS, maxMembers, episodes uint8) {
+		if nFBS < 1 || nFBS > 4 || maxMembers < 1 || maxMembers > 40 || episodes > 24 {
+			return
+		}
+		w := newSolveWalk(t, rng.New(seed), int(nFBS), int(maxMembers))
+		for e := 0; e < int(episodes); e++ {
+			w.step()
+		}
+	})
+}
+
+// TestEquilibriumWideFBSChoices: an FBS of more than 64 members overflows
+// the inner bisection's uint64 choice mask, so members 64 and up are
+// carried in a separate column. Every member's reported choice must be the
+// direct comparison of its two branch values at the returned prices, and
+// the full solve must match the reference.
+func TestEquilibriumWideFBSChoices(t *testing.T) {
+	s := rng.New(64)
+	const k = 100
+	in := &Instance{G: []float64{2.5}}
+	for j := 0; j < k; j++ {
+		in.W = append(in.W, 25+15*s.Float64())
+		in.FBS = append(in.FBS, 1)
+		// Odd members favour the MBS: a strong common channel against a
+		// weak, lossy FBS link; even ones the reverse.
+		if j%2 == 1 {
+			in.R0 = append(in.R0, 0.4+0.1*s.Float64())
+			in.PS0 = append(in.PS0, 0.9+0.1*s.Float64())
+			in.R1 = append(in.R1, 0.05*s.Float64())
+			in.PS1 = append(in.PS1, 0.3*s.Float64())
+		} else {
+			in.R0 = append(in.R0, 0.05*s.Float64())
+			in.PS0 = append(in.PS0, 0.3*s.Float64())
+			in.R1 = append(in.R1, 0.4+0.1*s.Float64())
+			in.PS1 = append(in.PS1, 0.9+0.1*s.Float64())
+		}
+	}
+	if err := in.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	ws := new(solveWorkspace)
+	ws.prepareEquilibrium(in)
+	ref := newRefSolver(in)
+	_, l0 := ref.solve(false, 0)
+	wideMBS := 0
+	for _, p := range []float64{l0, 0.5 * l0, 2 * l0, 1e-3, 1e-1} {
+		li, mask := ws.equilibriumFBS(in, 1, p, eqIters)
+		for b, j := range ws.byFBS[1] {
+			v0, _ := ws.u0[j].branchAndRhoWR(p, ws.logW[j], ws.wr0[j], ws.bl0[j])
+			v1, _ := ws.u1[j].branchAndRhoWR(li, ws.logW[j], ws.wr1[j], ws.bl1[j])
+			if got := ws.prefersMBS(mask, b); got != (v0 > v1) {
+				t.Fatalf("l0=%v member %d: prefersMBS %v, branch values MBS %v vs FBS %v", p, b, got, v0, v1)
+			}
+			if b >= 64 && v0 > v1 {
+				wideMBS++
+			}
+		}
+	}
+	if wideMBS == 0 {
+		t.Fatal("no member past 63 prefers the MBS: the instance does not exercise the wide column")
+	}
+	got := &Allocation{}
+	if err := (&EquilibriumSolver{}).SolveInto(in, got); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := ref.solve(false, 0)
+	if j := allocDiff(got, want); j >= 0 {
+		t.Fatalf("user %d: got MBS=%v rho=(%v, %v), reference MBS=%v rho=(%v, %v)",
+			j, got.MBS[j], got.Rho0[j], got.Rho1[j], want.MBS[j], want.Rho0[j], want.Rho1[j])
+	}
+}

@@ -133,25 +133,45 @@ func (e *EquilibriumSolver) solveWS(in *Instance, alloc *Allocation, ws *solveWo
 	byFBS := ws.byFBS
 
 	// Outer bisection on lambda_0: MBS demand is non-increasing in it.
-	// outerProbes counts the demand0 evaluations of one solve — each one
-	// walks every FBS's inner equilibrium — and is the "iterations" a
-	// session records for this solver.
+	// outerProbes counts the exceeds0 evaluations of one solve — each one
+	// that the bound below does not decide walks every FBS's inner
+	// equilibrium — and is the "iterations" a session records for this
+	// solver.
+	//
+	// Every probe only asks whether MBS demand exceeds the unit budget, so
+	// each first sums the MBS shares of all users, in the order of the
+	// demand sum proper. That sum adds a subsequence of the same
+	// nonnegative terms, and rounded addition is monotone, so it never
+	// exceeds the bound: a bound within budget decides the probe without a
+	// single inner equilibrium (DESIGN §9).
 	outerProbes := 0
-	demand0 := func(l0 float64) float64 {
+	exceeds0 := func(l0 float64) bool {
 		outerProbes++
+		bound := 0.0
+	bounding:
+		for i := 1; i <= in.N(); i++ {
+			for _, j := range byFBS[i] {
+				if bound += u0[j].rhoAtWR(l0, wr0[j]); bound > 1 {
+					break bounding
+				}
+			}
+		}
+		if bound <= 1 {
+			return false
+		}
 		total := 0.0
 		for i := 1; i <= in.N(); i++ {
 			_, mask := ws.equilibriumFBS(in, i, l0, eqIters)
 			for b, j := range byFBS[i] {
-				if mask&(1<<uint(b)) != 0 {
+				if ws.prefersMBS(mask, b) {
 					total += u0[j].rhoAtWR(l0, wr0[j])
 					if total > 1 {
-						return total
+						return true
 					}
 				}
 			}
 		}
-		return total
+		return false
 	}
 
 	warm, seed := ws.eqSeeded, ws.eqL0
@@ -162,7 +182,7 @@ func (e *EquilibriumSolver) solveWS(in *Instance, alloc *Allocation, ws *solveWo
 	lo := eqLambdaFloor
 	l0 := lo
 	trivial := true
-	if demand0(lo) > 1 {
+	if exceeds0(lo) {
 		trivial = false
 		solved := false
 		if warm {
@@ -182,7 +202,7 @@ func (e *EquilibriumSolver) solveWS(in *Instance, alloc *Allocation, ws *solveWo
 				whi = 1
 			}
 			ok := true
-			for guard := 0; demand0(whi) > 1; guard++ {
+			for guard := 0; exceeds0(whi); guard++ {
 				if guard >= 60 {
 					ok = false
 					break
@@ -191,16 +211,16 @@ func (e *EquilibriumSolver) solveWS(in *Instance, alloc *Allocation, ws *solveWo
 				whi *= 2
 			}
 			if ok {
-				for wlo > eqLambdaFloor && demand0(wlo) <= 1 {
+				for wlo > eqLambdaFloor && !exceeds0(wlo) {
 					whi = wlo
 					wlo *= 0.5
 				}
-				// Invariant: demand0(wlo) > 1 >= demand0(whi), like the
+				// Invariant: exceeds0(wlo) && !exceeds0(whi), like the
 				// cold bracket before its bisection.
 				warmIters := eqIters/2 + 4
 				for it := 0; it < warmIters; it++ {
 					mid := 0.5 * (wlo + whi)
-					if demand0(mid) > 1 {
+					if exceeds0(mid) {
 						wlo = mid
 					} else {
 						whi = mid
@@ -217,12 +237,12 @@ func (e *EquilibriumSolver) solveWS(in *Instance, alloc *Allocation, ws *solveWo
 			if hi <= lo {
 				hi = 1
 			}
-			for demand0(hi) > 1 {
+			for exceeds0(hi) {
 				hi *= 2
 			}
 			for it := 0; it < eqIters; it++ {
 				mid := 0.5 * (lo + hi)
-				if demand0(mid) > 1 {
+				if exceeds0(mid) {
 					lo = mid
 				} else {
 					hi = mid
@@ -254,7 +274,7 @@ func (e *EquilibriumSolver) solveWS(in *Instance, alloc *Allocation, ws *solveWo
 	for i := 1; i <= in.N(); i++ {
 		_, mask := ws.equilibriumFBS(in, i, l0, eqIters)
 		for b, j := range byFBS[i] {
-			alloc.MBS[j] = mask&(1<<uint(b)) != 0
+			alloc.MBS[j] = ws.prefersMBS(mask, b)
 		}
 	}
 	fillResources(in, alloc, ws)
@@ -272,13 +292,14 @@ const eqLambdaFloor = 1e-15
 // equilibriumFBS returns the price of FBS i's band clearing its unit budget
 // given the common-channel price l0, along with each member's final choice
 // as a bitmask (bit b set = member b of byFBS[i] prefers the MBS at the
-// returned price). Demand is non-increasing in the band price: shares shrink
-// and users defect to the MBS as it rises. The workspace must be prepared
-// for in (prepareEquilibrium).
+// returned price; read it with prefersMBS, which also covers members past
+// 63). Demand is non-increasing in the band price: shares shrink and users
+// defect to the MBS as it rises. The workspace must be prepared for in
+// (prepareEquilibrium).
 //
 // The (price, mask) pair is a pure function of (i, l0, G_i) for a fixed base
 // instance, and it is memoized at two levels, both only while the workspace
-// holds a live epoch (bumpEqEpoch):
+// holds a live epoch (bumpEqEpoch) and the FBS has at most 64 members:
 //
 //   - the exact table keyed by (i, l0, G_i) bits, which answers repeats
 //     without a single math.Log — the greedy allocator's Q evaluations
@@ -292,15 +313,18 @@ const eqLambdaFloor = 1e-15
 //     the same comparisons, so the same demand totals, the same bisection
 //     branches and the same (price, mask) — bit for bit.
 //
-// Demand totals are only ever compared against the unit budget, so the
-// accumulation loops exit as soon as the (nonnegative) partial sum crosses
-// it: the remaining terms cannot bring it back, making the early exit
-// decision-identical. Members past the exit make no comparison, so they
-// leave their windows unconstrained.
+// Demand totals are only ever compared against the unit budget, so each
+// probe first sums every member's share regardless of its choice, without a
+// branch value: the demand is a subsequence of the same nonnegative terms in
+// the same order, so a bound within budget decides the probe (see solveWS).
+// The bound never reads gV0, so the probes it decides make no comparison
+// and leave the windows unconstrained. Likewise the accumulation loops exit
+// as soon as the partial sum crosses the budget: the remaining terms cannot
+// bring it back, and members past the exit make no comparison either.
 func (ws *solveWorkspace) equilibriumFBS(in *Instance, i int, l0 float64, iters int) (float64, uint64) {
 	members := ws.byFBS[i]
 	gi := in.G[i-1]
-	memoable := len(members) <= 64 && ws.eqEpoch != 0
+	memoable := len(members) <= 64 && ws.memoLive
 	if memoable {
 		if li, mask, ok := ws.eqMemoGet(i, l0, gi); ok {
 			return li, mask
@@ -344,7 +368,16 @@ func (ws *solveWorkspace) equilibriumFBS(in *Instance, i int, l0 float64, iters 
 		gLo[b] = math.Inf(-1)
 		gHi[b] = math.Inf(1)
 	}
-	demand := func(li float64) float64 {
+	exceeds := func(li float64) bool {
+		bound := 0.0
+		for b := range gU {
+			if bound += gU[b].rhoAtWR(li, gWR[b]); bound > 1 {
+				break
+			}
+		}
+		if bound <= 1 {
+			return false
+		}
 		total := 0.0
 		for b := range gU {
 			bv, rho := gU[b].branchAndRhoWR(li, gLogW[b], gWR[b], gBL[b])
@@ -354,28 +387,28 @@ func (ws *solveWorkspace) equilibriumFBS(in *Instance, i int, l0 float64, iters 
 				}
 				total += rho
 				if total > 1 {
-					return total
+					return true
 				}
 			} else if bv > gLo[b] {
 				gLo[b] = bv
 			}
 		}
-		return total
+		return false
 	}
 	li := eqLambdaFloor
-	if demand(li) > 1 {
+	if exceeds(li) {
 		hi := 0.0
 		for b := range gU {
 			hi += gU[b].ps
 		}
 		if hi > li {
-			for demand(hi) > 1 {
+			for exceeds(hi) {
 				hi *= 2
 			}
 			lo := li
 			for it := 0; it < iters; it++ {
 				mid := 0.5 * (lo + hi)
-				if demand(mid) > 1 {
+				if exceeds(mid) {
 					lo = mid
 				} else {
 					hi = mid
@@ -385,15 +418,22 @@ func (ws *solveWorkspace) equilibriumFBS(in *Instance, i int, l0 float64, iters 
 		}
 	}
 	var mask uint64
+	if m > 64 {
+		ws.eqWide = growB(ws.eqWide, m)
+	}
 	for b := range gU {
 		bv, _ := gU[b].branchAndRhoWR(li, gLogW[b], gWR[b], gBL[b])
-		if gV0[b] > bv {
-			mask |= 1 << uint(b)
+		mbs := gV0[b] > bv
+		if mbs {
+			mask |= 1 << uint(b) // no-op past bit 63: eqWide holds those
 			if bv > gLo[b] {
 				gLo[b] = bv
 			}
 		} else if bv < gHi[b] {
 			gHi[b] = bv
+		}
+		if b >= 64 {
+			ws.eqWide[b] = mbs
 		}
 	}
 	if memoable {
@@ -404,4 +444,15 @@ func (ws *solveWorkspace) equilibriumFBS(in *Instance, i int, l0 float64, iters 
 		}
 	}
 	return li, mask
+}
+
+// prefersMBS reports member b's choice in the mask of the FBS's latest
+// equilibriumFBS call: its bit for the first 64 members, and past them the
+// eqWide column, which that call filled (the FBS's mask then describes only
+// its first 64 members, and the FBS is never memoized).
+func (ws *solveWorkspace) prefersMBS(mask uint64, b int) bool {
+	if b < 64 {
+		return mask&(1<<uint(b)) != 0
+	}
+	return ws.eqWide[b]
 }

@@ -129,9 +129,11 @@ func FuzzSolverSession(f *testing.F) {
 // FuzzGreedyChannels throws degenerate channel-allocation problems at Table
 // III: zero users (must fail validation, never panic), all-busy channels
 // (every posterior 0), perfect-sensing posteriors pinned to 0 or 1 (the
-// PFA=PMD=0 fusion output), and arbitrary small graphs. For valid instances
+// PFA=PMD=0 fusion output), random posteriors that repeat one time in
+// three (twin channels), and arbitrary small graphs. For valid instances
 // it checks the eq. (23) bound ordering, interference feasibility of the
-// assignment, and NaN-freedom.
+// assignment, NaN-freedom, and both allocators against their literal
+// Table III runs (checkTableIII).
 func FuzzGreedyChannels(f *testing.F) {
 	// seed, usersPerFBS, nFBS, channels, posterior override (-1: random),
 	// complete graph (vs path), lazy evaluation.
@@ -162,10 +164,13 @@ func FuzzGreedyChannels(f *testing.F) {
 		posts := make([]float64, channels)
 		for c := range chs {
 			chs[c] = c + 1
-			if post < 0 {
-				posts[c] = s.Float64()
-			} else {
+			switch {
+			case post >= 0:
 				posts[c] = post
+			case c > 0 && s.IntN(3) == 0:
+				posts[c] = posts[s.IntN(c)]
+			default:
+				posts[c] = s.Float64()
 			}
 		}
 		p := &ChannelProblem{Base: in, Graph: graph, Channels: chs, Posteriors: posts}
@@ -211,5 +216,6 @@ func FuzzGreedyChannels(f *testing.F) {
 				t.Fatalf("channel %d assigned to adjacent FBSs %v", ch, fbss)
 			}
 		}
+		checkTableIII(t, "fuzz", p, func() Solver { return &EquilibriumSolver{} })
 	})
 }

@@ -101,7 +101,9 @@ type GreedyResult struct {
 	LowerBoundFactor float64
 	// Steps traces the allocation sequence.
 	Steps []GreedyStep
-	// Evaluations counts Q(.) solves, the algorithm's cost driver.
+	// Evaluations counts Q(.) solves, the algorithm's cost driver. A gain
+	// shared from a twin channel (same FBS, same posterior bits, same
+	// round; see gainOf) is not a solve and is not counted.
 	Evaluations int
 }
 
@@ -123,7 +125,9 @@ type GreedyOption func(*GreedyAllocator)
 func WithLazyEvaluation() GreedyOption { return func(g *GreedyAllocator) { g.lazy = true } }
 
 // NewGreedyAllocator builds the allocator with the given Q(c) evaluator; a
-// nil solver defaults to the EquilibriumSolver.
+// nil solver defaults to the EquilibriumSolver. The evaluator must be
+// deterministic, as every Solver of this package is: the allocator reuses
+// a gain wherever it would solve the same instance again (see gainOf).
 func NewGreedyAllocator(solver Solver, opts ...GreedyOption) *GreedyAllocator {
 	if solver == nil {
 		solver = &EquilibriumSolver{}
@@ -271,19 +275,37 @@ func (g *GreedyAllocator) q(r *greedyRun, gvec []float64) (float64, error) {
 // in the round-tagged gain cache: the partial allocation (and therefore the
 // gain) only changes when a pair is accepted, so a gain computed earlier in
 // the same round is the exact float a recomputation would produce.
+//
+// The same holds across twin channels: a channel of the same FBS whose
+// posterior has the same bits yields the same trial G, and once the base
+// solve has fixed the price seed every Q evaluator is a pure function of G
+// within one Allocate (the memos are exact), so a same-round gain of a twin
+// is copied instead of solved.
 func (g *GreedyAllocator) gainOf(r *greedyRun, idx int) (float64, error) {
+	fbs, ch := idx/r.nCh, idx%r.nCh
+	pa := math.Float64bits(r.p.Posteriors[ch])
+	for c := 0; c < r.nCh; c++ {
+		twin := fbs*r.nCh + c
+		if c != ch && r.ws.gainRound[twin] == r.round && math.Float64bits(r.p.Posteriors[c]) == pa {
+			return r.recordGain(idx, r.ws.gains[twin]), nil
+		}
+	}
 	trial := growF(r.ws.trial, len(r.res.G))
 	r.ws.trial = trial
 	copy(trial, r.res.G)
-	trial[idx/r.nCh] += r.p.Posteriors[idx%r.nCh]
+	trial[fbs] += r.p.Posteriors[ch]
 	v, err := g.q(r, trial)
 	if err != nil {
 		return 0, err
 	}
-	gain := v - r.cur
+	return r.recordGain(idx, v-r.cur), nil
+}
+
+// recordGain caches candidate idx's gain for the current round.
+func (r *greedyRun) recordGain(idx int, gain float64) float64 {
 	r.ws.gains[idx] = gain
 	r.ws.gainRound[idx] = r.round
-	return gain, nil
+	return gain
 }
 
 // cachedGainOf is gainOf short-circuited by the same-round cache.

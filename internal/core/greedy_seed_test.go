@@ -60,7 +60,8 @@ func greedyDiff(a, b *GreedyResult) string {
 }
 
 // randomChannels draws 1..maxCh accessed channels with posteriors in
-// (0, 1].
+// (0, 1], one in four repeating an earlier channel's posterior bit for bit
+// (twin channels).
 func randomChannels(s *rng.Stream, maxCh int) ([]int, []float64) {
 	m := 1 + s.IntN(maxCh)
 	chs := make([]int, m)
@@ -68,6 +69,9 @@ func randomChannels(s *rng.Stream, maxCh int) ([]int, []float64) {
 	for c := range chs {
 		chs[c] = c + 1
 		pas[c] = 1 - s.Float64()
+		if c > 0 && s.IntN(4) == 0 {
+			pas[c] = pas[s.IntN(c)]
+		}
 	}
 	return chs, pas
 }

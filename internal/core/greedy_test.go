@@ -10,7 +10,9 @@ import (
 )
 
 // interferingProblem builds a paper-like interfering scenario: 3 FBSs on a
-// path graph (Fig. 5), 3 users each, a set of accessed channels.
+// path graph (Fig. 5), 3 users each, a set of accessed channels. One channel
+// in four repeats an earlier channel's posterior bit for bit, as channels
+// with equal sensing histories do, so the greedy sees twin channels.
 func interferingProblem(s *rng.Stream, numChannels int) *ChannelProblem {
 	in := randomInstance(s, 9, 3)
 	for j := 0; j < 9; j++ {
@@ -21,6 +23,9 @@ func interferingProblem(s *rng.Stream, numChannels int) *ChannelProblem {
 	for c := 0; c < numChannels; c++ {
 		channels[c] = c + 1
 		posteriors[c] = 0.5 + 0.5*s.Float64()
+		if c > 0 && s.IntN(4) == 0 {
+			posteriors[c] = posteriors[s.IntN(c)]
+		}
 	}
 	return &ChannelProblem{
 		Base:       in,

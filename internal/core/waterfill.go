@@ -65,9 +65,9 @@ func (u waterfillUser) branchAndRhoWR(lambda, logW, wr, bl float64) (float64, fl
 // The users arrive as flat float64 columns holding only the effective ones
 // (ps > 0 and r > 0): ps, wr (the hoisted w/r quotient) and caps are
 // parallel to rho, and the caller maps the resulting shares back to user
-// indices while zeroing everyone it filtered out (see fillCommon and
-// fillFBS). The contiguous branch-light demand loop is the shape the
-// bisection spends its time in. Demand totals are only ever compared
+// indices while zeroing everyone it filtered out (see fillBand). The
+// contiguous branch-light demand loop is the shape the bisection spends its
+// time in. Demand totals are only ever compared
 // against the budget, so the accumulation exits as soon as the partial sum
 // crosses it — the remaining nonnegative terms cannot bring it back below.
 // The property tests in waterfill_prop_test.go pin it bit-identical to a

@@ -9,7 +9,7 @@ import (
 
 // columnsOf gathers the effective users (ps > 0, r > 0) of a scalar
 // instance into the flat columns waterfillColumns consumes — the same
-// gather fillCommon and fillFBS perform — returning the column arrays and
+// gather fillBand performs — returning the column arrays and
 // the original index of each retained user.
 func columnsOf(users []waterfillUser) (idx []int, ps, wr, caps []float64) {
 	for j, u := range users {

@@ -70,11 +70,30 @@ type solveWorkspace struct {
 	// greedy allocator holds one epoch across all Q evaluations of an
 	// Allocate call; the pooled solver entry points bump the epoch per
 	// solve so a recycled workspace can never leak another instance's
-	// equilibria.
-	eqMemo  []eqMemoEntry
-	eqEpoch uint32
+	// equilibria. memoLive is set by bumpEqEpoch and cleared by
+	// putWorkspace: only the equilibrium solves and the greedy allocator
+	// hold an epoch, so the dual, brute-force and heuristic solves, which
+	// never bump, keep plain computations on a pooled workspace that still
+	// carries an older epoch.
+	eqKeys   []memoKey
+	eqVals   []eqResult
+	eqEpoch  uint32
+	memoLive bool
 
-	// Window memo, the second level behind eqMemo (see equilibriumFBS):
+	// Water-fill memo, the same open-addressed, epoch-tagged pattern (see
+	// dual.go fillBand): fillKeys[s] keys one fill of the current epoch by
+	// its resource and effective member set, and fillOff[s] locates its
+	// shares in the fillShares arena, which bumpEqEpoch empties.
+	fillKeys   []memoKey
+	fillOff    []int32
+	fillShares []float64
+
+	// eqWide carries the choices of members 64 and up of the last
+	// equilibriumFBS call, which its uint64 mask cannot hold (see
+	// prefersMBS).
+	eqWide []bool
+
+	// Window memo, the second level behind eqKeys (see equilibriumFBS):
 	// eqLast[i] is FBS i's last computed inner result under the current
 	// epoch, and eqWin[j] the window of MBS branch values of user j that
 	// reproduces its FBS's eqLast. Sized by prepareEquilibrium and tagged
@@ -97,14 +116,23 @@ type solveWorkspace struct {
 	polishRho0, polishRho1 []float64
 }
 
-// eqMemoEntry is one cached inner-bisection result, keyed by the raw float
-// bits of the common price and the FBS's expected-channel count.
-type eqMemoEntry struct {
-	l0, g uint64  // math.Float64bits of lambda_0 and G_i
-	li    float64 // equilibrium band price
-	mask  uint64  // bit b set = byFBS member b prefers the MBS at li
-	fbs   int32
+// memoKey is the exact key of one entry of the workspace's open-addressed
+// memo tables, tagged with the epoch that wrote it: an entry is live only
+// while its epoch is the workspace's, and a lookup hits only on a key equal
+// in every field, never on a hash alone.
+type memoKey struct {
+	// Equilibrium memo: math.Float64bits of lambda_0 and of G_i. Fill
+	// memo: the effective member set as a user bitmask, and
+	// math.Float64bits of G_i (0 for the common channel).
+	a, b  uint64
+	fbs   int32 // FBS index; 0 is the common channel in the fill memo
 	epoch uint32
+}
+
+// eqResult is one cached inner-bisection result.
+type eqResult struct {
+	li   float64 // equilibrium band price
+	mask uint64  // bit b set = byFBS member b prefers the MBS at li
 }
 
 // eqLastEntry is one FBS's last computed inner-bisection result: valid
@@ -123,28 +151,59 @@ type eqLastEntry struct {
 type eqWindow struct{ lo, hi float64 }
 
 const (
-	eqMemoSize  = 2048 // power of two
-	eqMemoProbe = 8
+	eqMemoSize   = 2048 // power of two
+	fillMemoSize = 1024 // power of two
+	memoProbe    = 8
+	// fillArenaCap bounds the shares one epoch may memoize; past it the
+	// fills of the epoch are computed, not stored.
+	fillArenaCap = 1 << 15
 )
 
-// eqMemoHash mixes the key triple splitmix-style into a table index.
-func eqMemoHash(fbs int32, l0, g uint64) uint64 {
-	h := l0 ^ g*0x9E3779B97F4A7C15 ^ uint64(uint32(fbs))<<32
+// memoHash mixes a key splitmix-style into a table index.
+func memoHash(k memoKey) uint64 {
+	h := k.a ^ k.b*0x9E3779B97F4A7C15 ^ uint64(uint32(k.fbs))<<32
 	h ^= h >> 33
 	h *= 0xFF51AFD7ED558CCD
 	h ^= h >> 33
 	return h
 }
 
+// memoFind probes the window of k's home slot in an open-addressed table
+// (length a power of two). It returns the slot of the live entry equal to k
+// and true, or else the slot a put should take and false: the window's
+// first stale slot, or the home slot when every slot of the window is live
+// (the tables are caches, not maps). Within an epoch, puts only take a
+// window's first stale slot and live slots stay live, so a live key never
+// sits past a stale slot of its window and the probe can stop there.
+func memoFind(keys []memoKey, k memoKey) (int, bool) {
+	h := memoHash(k)
+	m := uint64(len(keys) - 1)
+	for p := uint64(0); p < memoProbe; p++ {
+		s := int((h + p) & m)
+		if e := keys[s]; e.epoch != k.epoch {
+			return s, false
+		} else if e == k {
+			return s, true
+		}
+	}
+	return int(h & m), false
+}
+
 // bumpEqEpoch starts a fresh memo epoch, invalidating every cached
-// equilibrium in O(1). Callers must bump whenever the base instance behind
-// the memoized solves changes (the greedy allocator once per Allocate, the
-// pooled solver wrappers once per solve).
+// equilibrium and water-fill in O(1), and makes the memos live on this
+// workspace until it returns to the pool. Callers must bump whenever the
+// base instance behind the memoized solves changes (the greedy allocator
+// once per Allocate, the pooled solver wrappers once per solve).
 func (ws *solveWorkspace) bumpEqEpoch() {
+	ws.memoLive = true
+	ws.fillShares = ws.fillShares[:0]
 	ws.eqEpoch++
 	if ws.eqEpoch == 0 { // uint32 wraparound: flush so old tags cannot match
-		for i := range ws.eqMemo {
-			ws.eqMemo[i] = eqMemoEntry{}
+		for i := range ws.eqKeys {
+			ws.eqKeys[i] = memoKey{}
+		}
+		for i := range ws.fillKeys {
+			ws.fillKeys[i] = memoKey{}
 		}
 		last := ws.eqLast[:cap(ws.eqLast)]
 		for i := range last {
@@ -154,50 +213,66 @@ func (ws *solveWorkspace) bumpEqEpoch() {
 	}
 }
 
-// eqMemoGet looks up the memoized equilibrium of FBS fbs at common price
-// l0f with expected channels gf.
-func (ws *solveWorkspace) eqMemoGet(fbs int, l0f, gf float64) (float64, uint64, bool) {
-	if len(ws.eqMemo) == 0 || ws.eqEpoch == 0 {
-		return 0, 0, false
-	}
-	l0 := math.Float64bits(l0f)
-	g := math.Float64bits(gf)
-	h := eqMemoHash(int32(fbs), l0, g)
-	for p := uint64(0); p < eqMemoProbe; p++ {
-		e := &ws.eqMemo[(h+p)&(eqMemoSize-1)]
-		if e.epoch == ws.eqEpoch && e.fbs == int32(fbs) && e.l0 == l0 && e.g == g {
-			return e.li, e.mask, true
-		}
-	}
-	return 0, 0, false
+// eqKey is the equilibrium memo's key for FBS fbs at common price l0 with
+// expected channels g, under the current epoch.
+func (ws *solveWorkspace) eqKey(fbs int, l0, g float64) memoKey {
+	return memoKey{a: math.Float64bits(l0), b: math.Float64bits(g), fbs: int32(fbs), epoch: ws.eqEpoch}
 }
 
-// eqMemoPut records an equilibrium under the current epoch, preferring
-// stale slots along the probe window and overwriting the home slot when
-// the window is full of live entries (it is a cache, not a map).
-func (ws *solveWorkspace) eqMemoPut(fbs int, l0f, gf float64, li float64, mask uint64) {
-	if ws.eqEpoch == 0 {
+// eqMemoGet looks up the memoized equilibrium of FBS fbs at common price
+// l0 with expected channels g.
+func (ws *solveWorkspace) eqMemoGet(fbs int, l0, g float64) (float64, uint64, bool) {
+	if len(ws.eqKeys) == 0 {
+		return 0, 0, false
+	}
+	s, hit := memoFind(ws.eqKeys, ws.eqKey(fbs, l0, g))
+	if !hit {
+		return 0, 0, false
+	}
+	return ws.eqVals[s].li, ws.eqVals[s].mask, true
+}
+
+// eqMemoPut records an equilibrium under the current epoch.
+func (ws *solveWorkspace) eqMemoPut(fbs int, l0, g float64, li float64, mask uint64) {
+	if cap(ws.eqKeys) < eqMemoSize {
+		ws.eqKeys = make([]memoKey, eqMemoSize)
+		ws.eqVals = make([]eqResult, eqMemoSize)
+	}
+	k := ws.eqKey(fbs, l0, g)
+	if s, hit := memoFind(ws.eqKeys, k); !hit {
+		ws.eqKeys[s] = k
+		ws.eqVals[s] = eqResult{li: li, mask: mask}
+	}
+}
+
+// fillGet returns the n memoized shares of the fill keyed k, if live.
+func (ws *solveWorkspace) fillGet(k memoKey, n int) ([]float64, bool) {
+	if len(ws.fillKeys) == 0 {
+		return nil, false
+	}
+	s, hit := memoFind(ws.fillKeys, k)
+	if !hit {
+		return nil, false
+	}
+	off := int(ws.fillOff[s])
+	return ws.fillShares[off : off+n], true
+}
+
+// fillPut memoizes the shares rho of the fill keyed k under the current
+// epoch, unless the epoch's arena is full.
+func (ws *solveWorkspace) fillPut(k memoKey, rho []float64) {
+	if len(ws.fillShares)+len(rho) > fillArenaCap {
 		return
 	}
-	if cap(ws.eqMemo) < eqMemoSize {
-		ws.eqMemo = make([]eqMemoEntry, eqMemoSize)
+	if cap(ws.fillKeys) < fillMemoSize {
+		ws.fillKeys = make([]memoKey, fillMemoSize)
+		ws.fillOff = make([]int32, fillMemoSize)
 	}
-	ws.eqMemo = ws.eqMemo[:eqMemoSize]
-	l0 := math.Float64bits(l0f)
-	g := math.Float64bits(gf)
-	h := eqMemoHash(int32(fbs), l0, g)
-	slot := &ws.eqMemo[h&(eqMemoSize-1)]
-	for p := uint64(0); p < eqMemoProbe; p++ {
-		e := &ws.eqMemo[(h+p)&(eqMemoSize-1)]
-		if e.epoch != ws.eqEpoch {
-			slot = e
-			break
-		}
-		if e.fbs == int32(fbs) && e.l0 == l0 && e.g == g {
-			return // already cached this epoch
-		}
+	if s, hit := memoFind(ws.fillKeys, k); !hit {
+		ws.fillKeys[s] = k
+		ws.fillOff[s] = int32(len(ws.fillShares))
+		ws.fillShares = append(ws.fillShares, rho...)
 	}
-	*slot = eqMemoEntry{l0: l0, g: g, li: li, mask: mask, fbs: int32(fbs), epoch: ws.eqEpoch}
 }
 
 // workspacePool shares workspaces across all solver instances. sync.Pool
@@ -209,6 +284,7 @@ func getWorkspace() *solveWorkspace { return workspacePool.Get().(*solveWorkspac
 
 func putWorkspace(ws *solveWorkspace) {
 	ws.eqSeeded = false
+	ws.memoLive = false
 	workspacePool.Put(ws)
 }
 

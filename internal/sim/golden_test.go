@@ -1,0 +1,105 @@
+package sim
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"femtocr/internal/netmodel"
+)
+
+// goldenCase is one pinned run: the float64 bits of its MeanPSNR and, under
+// TrackBound, of its BoundPSNR (zero otherwise).
+type goldenCase struct {
+	net       string
+	scheme    Scheme
+	dual      bool
+	seed      uint64
+	psnrBits  uint64
+	boundBits uint64
+}
+
+func (g goldenCase) name() string {
+	solver := ""
+	if g.dual {
+		solver = "/dual"
+	}
+	return fmt.Sprintf("%s %v%s seed %d", g.net, g.scheme, solver, g.seed)
+}
+
+// TestGoldenOutputs pins the rate engine's outputs bitwise across commits:
+// MeanPSNR (and BoundPSNR where the bound is tracked) for Proposed with the
+// default equilibrium solver, Proposed with the dual solver, and the four
+// baselines on the paper's single-FBS and interfering cells at two seeds,
+// plus one sharded metro GOP. The determinism and warm==cold tests compare
+// the engine against itself within one commit; this test catches a change
+// that moves every path the same way. The interfering Proposed runs track
+// the eq. (23) bound, so they also pin the greedy's bound bits and the
+// relaxation solve.
+func TestGoldenOutputs(t *testing.T) {
+	nets := map[string]*netmodel.Network{"single": singleNet(t), "interfering": interferingNet(t)}
+	for _, g := range []goldenCase{
+		{"single", Proposed, false, 1, 0x403ee5ee402bb0cd, 0},
+		{"single", Proposed, false, 2, 0x403ec41e47f25dcb, 0},
+		{"single", Proposed, true, 1, 0x403ee5ee402bb0cd, 0},
+		{"single", Proposed, true, 2, 0x403ec503a833e703, 0},
+		{"single", Heuristic1, false, 1, 0x403da872b020c49d, 0},
+		{"single", Heuristic1, false, 2, 0x403d9c131d5acb6f, 0},
+		{"single", Heuristic2, false, 1, 0x403e9aaaaaaaaaa8, 0},
+		{"single", Heuristic2, false, 2, 0x403e883c131d5acb, 0},
+		{"single", RoundRobin, false, 1, 0x403e894237fa89e5, 0},
+		{"single", RoundRobin, false, 2, 0x403e7b6f46508dff, 0},
+		{"single", MaxThroughput, false, 1, 0x403eb27983c131d5, 0},
+		{"single", MaxThroughput, false, 2, 0x403eaa27983c131d, 0},
+		{"interfering", Proposed, false, 1, 0x403ea2aed6c56552, 0x403f626e72dc87f0},
+		{"interfering", Proposed, false, 2, 0x403e73a118d2cdc0, 0x403f36a97bb151ab},
+		{"interfering", Proposed, true, 1, 0x403ea2aed6c56552, 0x403f626e72dc87f0},
+		{"interfering", Proposed, true, 2, 0x403e73a118d2cdc0, 0x403f36a97bb151ab},
+		{"interfering", Heuristic1, false, 1, 0x403d8a060891b004, 0},
+		{"interfering", Heuristic1, false, 2, 0x403d80401463940c, 0},
+		{"interfering", Heuristic2, false, 1, 0x403df8a94d242e6b, 0},
+		{"interfering", Heuristic2, false, 2, 0x403e070a3d70a3d7, 0},
+		{"interfering", RoundRobin, false, 1, 0x403d9bd194237fab, 0},
+		{"interfering", RoundRobin, false, 2, 0x403d9d3a06d3a06c, 0},
+		{"interfering", MaxThroughput, false, 1, 0x403e0619f0fb38a7, 0},
+		{"interfering", MaxThroughput, false, 2, 0x403e0e098ead65b7, 0},
+	} {
+		opts := Options{Seed: g.seed, GOPs: 4, Scheme: g.scheme, UseDualSolver: g.dual}
+		opts.TrackBound = g.scheme == Proposed && g.net == "interfering"
+		res, err := Run(nets[g.net], opts)
+		if err != nil {
+			t.Fatalf("%s: %v", g.name(), err)
+		}
+		checkGolden(t, g, res.MeanPSNR, res.BoundPSNR, opts.TrackBound)
+	}
+
+	// One GOP of a 24-FBS Poisson metro through the sharded engine:
+	// partitioning, per-shard greedy and the ascending-order fold.
+	metro, err := netmodel.NewNetwork(netmodel.DefaultConfig(), netmodel.MetroPoissonSpec(24, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := goldenCase{"metro24", Proposed, false, 7, 0x403f8122fedaf1d2, 0x403e74091308d664}
+	res, err := RunSharded(metro, Options{Seed: g.seed, GOPs: 1, TrackBound: true, Parallel: Parallelism{Shards: 3}})
+	if err != nil {
+		t.Fatalf("%s: %v", g.name(), err)
+	}
+	checkGolden(t, g, res.MeanPSNR, res.BoundPSNR, true)
+}
+
+// checkGolden compares one run's bits against its pinned case.
+func checkGolden(t *testing.T, g goldenCase, mean, bound float64, tracked bool) {
+	t.Helper()
+	var boundBits uint64
+	if tracked {
+		boundBits = math.Float64bits(bound)
+	}
+	if got := math.Float64bits(mean); got != g.psnrBits {
+		t.Errorf("%s: MeanPSNR bits %#016x (%v), want %#016x (%v)",
+			g.name(), got, mean, g.psnrBits, math.Float64frombits(g.psnrBits))
+	}
+	if boundBits != g.boundBits {
+		t.Errorf("%s: BoundPSNR bits %#016x (%v), want %#016x (%v)",
+			g.name(), boundBits, bound, g.boundBits, math.Float64frombits(g.boundBits))
+	}
+}

@@ -17,17 +17,19 @@
 #   7. metro smoke   — a quick-scale generated metro through the sharded
 #                     engine end to end (femtosim -scenario metro)
 #
-# Both -race steps run with GOMAXPROCS=4: the CI container exposes a single
-# CPU (see the 1-CPU caveat the bench scripts record in BENCH_*.json), and
-# with GOMAXPROCS=1 goroutines barely interleave, so the race detector would
-# exercise almost none of the schedules it exists to catch. The override is
-# echoed into the CI log so a run's effective parallelism is auditable.
+# Both -race steps run with GOMAXPROCS=4: CI containers expose only one or
+# two CPUs (the BENCH_*.json files record `cpus`), and with GOMAXPROCS that
+# low goroutines barely interleave, so the race detector would exercise few
+# of the schedules it exists to catch. The override is echoed into the CI
+# log so a run's effective parallelism is auditable.
 #
 # Opt-in extras:
 #   FEMTOCR_FUZZ=1  — also run short fuzz smoke passes (-fuzztime=10s) over
 #                     the core solver fuzz targets (water-filling, greedy
-#                     channels, warm==cold solver sessions, and the
-#                     equilibrium memo against a memo-free workspace).
+#                     channels against the literal Table III runs, warm==cold
+#                     solver sessions, the equilibrium memo against a
+#                     memo-free workspace, and the equilibrium solve against
+#                     its shortcut-free reference).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -52,12 +54,12 @@ go build -o "$tmp/femtovet" ./cmd/femtovet
 "$tmp/femtovet" -baseline femtovet.baseline.json ./...
 
 echo "==> parallel determinism (workers=1/4/GOMAXPROCS, byte-identical figures)"
-echo "    GOMAXPROCS=4 (forced: 1-CPU runners don't interleave goroutines)"
+echo "    GOMAXPROCS=4 (forced: 1-2 CPU runners barely interleave goroutines)"
 GOMAXPROCS=4 go test -race -run '^(TestParallelDeterminism|TestTopologyStudyDeterminism)$' \
     -count=1 ./internal/experiments
 
 echo "==> go test -race"
-echo "    GOMAXPROCS=4 (forced: 1-CPU runners don't interleave goroutines)"
+echo "    GOMAXPROCS=4 (forced: 1-2 CPU runners barely interleave goroutines)"
 GOMAXPROCS=4 go test -race ./...
 
 echo "==> metro smoke (sharded engine end to end through femtosim)"
@@ -70,6 +72,7 @@ if [ -n "${FEMTOCR_FUZZ:-}" ]; then
     go test -run='^$' -fuzz='^FuzzGreedyChannels$' -fuzztime=10s ./internal/core
     go test -run='^$' -fuzz='^FuzzSolverSession$' -fuzztime=10s ./internal/core
     go test -run='^$' -fuzz='^FuzzEquilibriumMemo$' -fuzztime=10s ./internal/core
+    go test -run='^$' -fuzz='^FuzzEquilibriumSolve$' -fuzztime=10s ./internal/core
 fi
 
 echo "check.sh: all gates passed"
