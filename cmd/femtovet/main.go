@@ -1,33 +1,23 @@
 // Command femtovet runs femtocr's domain-aware static-analysis suite over
-// the module and exits nonzero on any non-baselined finding, so it can gate
-// CI.
+// the module and exits nonzero on any finding, so it can gate CI.
 //
 // Usage:
 //
-//	femtovet [-only randsource,mapiter] [-list] [-json|-sarif] \
-//	         [-baseline femtovet.baseline.json] [-write-baseline] [-fix] [dir]
+//	femtovet [-list] [dir]
 //
 // The argument names a directory inside the module (a trailing /... is
 // accepted and ignored; the whole module containing it is always loaded so
 // cross-package types resolve). Findings print one per line as
-// file:line:col: [analyzer] message with module-relative paths; -json emits
-// a machine-readable array and -sarif a SARIF 2.1.0 log.
-//
-// With -baseline, findings recorded in the baseline file are suppressed and
-// only new ones are reported (exit 1); -write-baseline instead rewrites the
-// baseline to cover every current finding and exits 0. With -fix, findings
-// that carry a mechanical rewrite (fading.FromDB/ToDB insertion for
-// dB/linear mixes, a sort after map-order appends) are applied to the
-// source files through go/format; remaining findings are then reported.
+// file:line:col: [analyzer] message with module-relative paths. The exit
+// status is 0 for a clean tree, 1 for findings, and 2 for usage or load
+// errors.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
 
 	"femtocr/internal/analysis"
@@ -38,28 +28,12 @@ func main() {
 	os.Exit(run(os.Stdout, os.Stderr, os.Args[1:]))
 }
 
-// jsonFinding is one entry of the -json output.
-type jsonFinding struct {
-	Analyzer string `json:"analyzer"`
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Column   int    `json:"column"`
-	Message  string `json:"message"`
-	Fixable  bool   `json:"fixable,omitempty"`
-}
-
 func run(stdout, stderr io.Writer, args []string) int {
 	out := safeio.NewWriter(stdout)
 	errw := safeio.NewWriter(stderr)
 	fs := flag.NewFlagSet("femtovet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	list := fs.Bool("list", false, "list the analyzers and exit")
-	only := fs.String("only", "", "comma-separated subset of analyzers to run")
-	jsonOut := fs.Bool("json", false, "emit findings as JSON")
-	sarifOut := fs.Bool("sarif", false, "emit findings as SARIF 2.1.0")
-	baselinePath := fs.String("baseline", "", "baseline file; recorded findings are suppressed")
-	writeBaseline := fs.Bool("write-baseline", false, "rewrite the -baseline file to cover all current findings and exit 0")
-	fix := fs.Bool("fix", false, "apply suggested mechanical fixes to the source files")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -73,21 +47,11 @@ func run(stdout, stderr io.Writer, args []string) int {
 		}
 		return 0
 	}
-	if *jsonOut && *sarifOut {
-		fmt.Fprintln(errw, "femtovet: -json and -sarif are mutually exclusive")
-		return 2
-	}
-	if *writeBaseline && *baselinePath == "" {
-		fmt.Fprintln(errw, "femtovet: -write-baseline requires -baseline")
-		return 2
-	}
 
-	analyzers, err := selectAnalyzers(*only)
-	if err != nil {
-		fmt.Fprintln(errw, "femtovet:", err)
+	if fs.NArg() > 1 {
+		fmt.Fprintln(errw, "femtovet: at most one directory argument is supported")
 		return 2
 	}
-
 	dir := "."
 	if fs.NArg() > 0 {
 		dir = strings.TrimSuffix(fs.Arg(0), "...")
@@ -96,10 +60,6 @@ func run(stdout, stderr io.Writer, args []string) int {
 			dir = "."
 		}
 	}
-	if fs.NArg() > 1 {
-		fmt.Fprintln(errw, "femtovet: at most one directory argument is supported")
-		return 2
-	}
 
 	mod, err := analysis.LoadModule(dir)
 	if err != nil {
@@ -107,106 +67,13 @@ func run(stdout, stderr io.Writer, args []string) int {
 		return 2
 	}
 
-	diags := analysis.RunAnalyzers(mod, analyzers)
-
-	if *fix {
-		res, err := analysis.ApplyFixes(mod.Fset, diags)
-		if err != nil {
-			fmt.Fprintln(errw, "femtovet:", err)
-			return 2
-		}
-		files := make([]string, 0, len(res.Files))
-		for file := range res.Files {
-			files = append(files, file)
-		}
-		sort.Strings(files)
-		for _, file := range files {
-			if err := os.WriteFile(file, res.Files[file], 0o644); err != nil {
-				fmt.Fprintln(errw, "femtovet: fix:", err)
-				return 2
-			}
-		}
-		if res.Applied > 0 || res.Skipped > 0 {
-			fmt.Fprintf(errw, "femtovet: applied %d fix(es) to %d file(s), skipped %d\n",
-				res.Applied, len(res.Files), res.Skipped)
-		}
-		// Re-analyze so the report reflects the rewritten sources.
-		mod, err = analysis.LoadModule(dir)
-		if err != nil {
-			fmt.Fprintln(errw, "femtovet:", err)
-			return 2
-		}
-		diags = analysis.RunAnalyzers(mod, analyzers)
+	diags := analysis.RunAnalyzers(mod, analysis.All())
+	for _, d := range diags {
+		d.Pos.Filename = mod.RelFile(d.Pos.Filename)
+		fmt.Fprintln(out, d)
 	}
-
-	if *writeBaseline {
-		b := analysis.BaselineOf(diags, mod.RelFile)
-		data, err := b.Encode()
-		if err != nil {
-			fmt.Fprintln(errw, "femtovet:", err)
-			return 2
-		}
-		if err := os.WriteFile(*baselinePath, data, 0o644); err != nil {
-			fmt.Fprintln(errw, "femtovet:", err)
-			return 2
-		}
-		fmt.Fprintf(errw, "femtovet: wrote %s covering %d finding(s)\n", *baselinePath, len(diags))
-		return 0
-	}
-
-	baselined := 0
-	if *baselinePath != "" {
-		b, err := analysis.ReadBaselineFile(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(errw, "femtovet:", err)
-			return 2
-		}
-		if stale := b.Stale(diags, mod.RelFile); stale > 0 {
-			fmt.Fprintf(errw, "femtovet: %d baselined finding(s) no longer occur; prune them from %s\n", stale, *baselinePath)
-		}
-		kept := b.Filter(diags, mod.RelFile)
-		baselined = len(diags) - len(kept)
-		diags = kept
-	}
-
-	switch {
-	case *sarifOut:
-		data, err := analysis.SARIF(analyzers, diags, mod.RelFile)
-		if err != nil {
-			fmt.Fprintln(errw, "femtovet:", err)
-			return 2
-		}
-		out.Write(data)
-	case *jsonOut:
-		findings := []jsonFinding{}
-		for _, d := range diags {
-			findings = append(findings, jsonFinding{
-				Analyzer: d.Analyzer,
-				File:     mod.RelFile(d.Pos.Filename),
-				Line:     d.Pos.Line,
-				Column:   d.Pos.Column,
-				Message:  d.Message,
-				Fixable:  d.Fix != nil,
-			})
-		}
-		data, err := json.MarshalIndent(findings, "", "  ")
-		if err != nil {
-			fmt.Fprintln(errw, "femtovet:", err)
-			return 2
-		}
-		out.Write(append(data, '\n'))
-	default:
-		for _, d := range diags {
-			fmt.Fprintf(out, "%s:%d:%d: [%s] %s\n",
-				mod.RelFile(d.Pos.Filename), d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
-		}
-		if len(diags) > 0 {
-			fmt.Fprintf(out, "femtovet: %d finding(s) in %s (%d packages", len(diags), mod.Path, len(mod.Packages))
-			if baselined > 0 {
-				fmt.Fprintf(out, ", %d baselined", baselined)
-			}
-			fmt.Fprintln(out, ")")
-		}
+	if len(diags) > 0 {
+		fmt.Fprintf(out, "femtovet: %d finding(s) in %s (%d packages)\n", len(diags), mod.Path, len(mod.Packages))
 	}
 	if out.Err() != nil {
 		fmt.Fprintln(errw, "femtovet: write:", out.Err())
@@ -216,20 +83,4 @@ func run(stdout, stderr io.Writer, args []string) int {
 		return 1
 	}
 	return 0
-}
-
-func selectAnalyzers(only string) ([]*analysis.Analyzer, error) {
-	if only == "" {
-		return analysis.All(), nil
-	}
-	var selected []*analysis.Analyzer
-	for _, name := range strings.Split(only, ",") {
-		name = strings.TrimSpace(name)
-		a := analysis.ByName(name)
-		if a == nil {
-			return nil, fmt.Errorf("unknown analyzer %q", name)
-		}
-		selected = append(selected, a)
-	}
-	return selected, nil
 }

@@ -126,9 +126,8 @@ func TestFacadeUserCapacity(t *testing.T) {
 	}
 }
 
-// TestSimulateDeterminism is the determinism regression the femtovet suite
-// exists to protect: two runs with the same seed must produce structurally
-// identical results, bit for bit.
+// TestSimulateDeterminism is the determinism regression: two runs with the
+// same seed must produce structurally identical results, bit for bit.
 func TestSimulateDeterminism(t *testing.T) {
 	net, err := NewNetwork(DefaultConfig(), PaperSingleSpec())
 	if err != nil {

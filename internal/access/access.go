@@ -84,7 +84,6 @@ type SlotDecision struct {
 // decision, reusing its Channels slice, so per-slot loops keep one
 // SlotDecision alive.
 //
-//femtovet:hotpath
 //femtovet:borrows priors, posteriors, s, out
 func (p Policy) DecideInto(priors, posteriors []float64, s *rng.Stream, out *SlotDecision) {
 	m := len(posteriors)
@@ -112,7 +111,6 @@ func (p Policy) DecideInto(priors, posteriors []float64, s *rng.Stream, out *Slo
 // AppendAvailable appends the accessed channel set A(t), as 1-based
 // indices, to buf (typically buf[:0] of a reused slice) and returns it.
 //
-//femtovet:hotpath
 //femtovet:owns buf
 func (d SlotDecision) AppendAvailable(buf []int) []int {
 	for _, c := range d.Channels {

@@ -1,13 +1,15 @@
 // Package analysis is femtocr's domain-aware static-analysis suite.
 //
-// The Go compiler cannot check the properties this reproduction actually
-// depends on: every stochastic draw must flow through internal/rng so runs
-// are bit-reproducible, probabilities must stay in [0, 1] for the Bayesian
-// fusion and collision-bound access decisions, floating-point comparisons in
-// the solvers must use tolerances, and map iteration must not leak Go's
-// randomized ordering into results. Each analyzer in this package enforces
-// one such invariant; cmd/femtovet drives the suite over the module and
-// exits nonzero on any finding so it can gate CI.
+// It holds only the checks no runtime test can replace. The golden-output,
+// determinism, -race and AllocsPerRun tests already catch a wrong fold
+// order, a racy grid cell, an orphaned RNG stream, a dropped unit
+// conversion, a swapped index bound or a hot-path allocation. They cannot
+// see a bug that leaves every output unchanged today: a randomness source
+// outside internal/rng, a map-order append the test data happens not to
+// expose, an exact float comparison, a swallowed write error, or a borrowed
+// buffer that outlives its call. Each analyzer here enforces one such
+// invariant; cmd/femtovet drives the suite over the module and exits
+// nonzero on any finding so it can gate CI.
 //
 // The package is dependency-free by construction: it uses only the standard
 // library's go/parser, go/ast, and go/types, so the module stays
@@ -15,37 +17,22 @@
 package analysis
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
+	"slices"
 	"strings"
 
 	"femtocr/internal/analysis/flow"
 )
-
-// TextEdit is one byte-range replacement of a suggested fix. Pos == End
-// inserts NewText without removing anything.
-type TextEdit struct {
-	Pos     token.Pos
-	End     token.Pos
-	NewText string
-}
-
-// Fix is a mechanical rewrite that resolves a finding, applied by
-// `femtovet -fix` through go/format.
-type Fix struct {
-	Message string
-	Edits   []TextEdit
-}
 
 // Diagnostic is one finding reported by an analyzer.
 type Diagnostic struct {
 	Pos      token.Position // resolved file:line:column
 	Analyzer string         // name of the reporting analyzer
 	Message  string
-	Fix      *Fix // optional mechanical rewrite, nil when none applies
 }
 
 // String formats the diagnostic in the conventional file:line:col form.
@@ -68,7 +55,6 @@ type Pass struct {
 	Path     string // package import path, e.g. "femtocr/internal/core"
 	Fset     *token.FileSet
 	Files    []*ast.File
-	Pkg      *types.Package
 	Info     *types.Info
 	Index    *flow.Index // module-wide function index for interprocedural analyzers
 
@@ -88,15 +74,6 @@ func (p *Pass) Rel() string {
 // Reportf records a finding at pos unless a //femtovet:ignore directive
 // suppresses it.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.report(pos, nil, format, args...)
-}
-
-// ReportFixf records a finding carrying a suggested mechanical fix.
-func (p *Pass) ReportFixf(pos token.Pos, fix *Fix, format string, args ...any) {
-	p.report(pos, fix, format, args...)
-}
-
-func (p *Pass) report(pos token.Pos, fix *Fix, format string, args ...any) {
 	position := p.Fset.Position(pos)
 	if lines, ok := p.ignores[position.Filename]; ok && lines[position.Line] {
 		return
@@ -105,7 +82,6 @@ func (p *Pass) report(pos token.Pos, fix *Fix, format string, args ...any) {
 		Pos:      position,
 		Analyzer: p.Analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
-		Fix:      fix,
 	})
 }
 
@@ -126,7 +102,7 @@ func (p *Pass) collectIgnores() {
 				if !ok || dir.Kind != "ignore" {
 					continue
 				}
-				if len(dir.Names) == 0 || dir.Reason == "" || !directiveCovers(dir.Names, p.Analyzer.Name) {
+				if len(dir.Names) == 0 || dir.Reason == "" || !slices.Contains(dir.Names, p.Analyzer.Name) {
 					continue
 				}
 				pos := p.Fset.Position(c.Pos())
@@ -142,16 +118,15 @@ func (p *Pass) collectIgnores() {
 
 // directive is one parsed //femtovet:<kind> comment.
 type directive struct {
-	Kind   string   // "ignore", "unit", "index", "fixturepath", "hotpath", ...
-	Arg    string   // raw argument text after the kind (reason stripped for ignore)
-	Names  []string // ignore/owns/borrows: the comma-separated name list
-	Reason string   // the text after " -- " (mandatory for ignore and coldpath)
+	Kind   string   // "ignore", "owns" or "borrows"; anything else is flagged
+	Names  []string // the comma-separated name list after the kind
+	Reason string   // the text after " -- " (mandatory for ignore)
 }
 
 // parseDirective recognizes femtovet directive comments. It returns ok
 // false for ordinary comments. Every directive accepts an optional
-// ` -- <text>` tail: for ignore it is the mandatory reason, for the other
-// kinds a free-form comment.
+// ` -- <text>` tail: for ignore it is the mandatory reason, for owns and
+// borrows a free-form comment.
 func parseDirective(comment string) (directive, bool) {
 	text := strings.TrimSpace(strings.TrimPrefix(comment, "//"))
 	rest, ok := strings.CutPrefix(text, "femtovet:")
@@ -164,28 +139,22 @@ func parseDirective(comment string) (directive, bool) {
 	if hasTail {
 		d.Reason = strings.TrimSpace(tail)
 	}
-	d.Arg = strings.TrimSpace(head)
-	if kind == "ignore" || kind == "owns" || kind == "borrows" {
-		for _, part := range strings.Split(d.Arg, ",") {
-			if name := strings.TrimSpace(part); name != "" {
-				d.Names = append(d.Names, name)
-			}
+	for _, part := range strings.Split(head, ",") {
+		if name := strings.TrimSpace(part); name != "" {
+			d.Names = append(d.Names, name)
 		}
 	}
 	return d, true
 }
 
-// funcDirs holds the function-level femtovet directives attached to one
-// declaration's doc comment: the hot/cold path markers and the ownership
-// contracts of its parameters.
+// funcDirs holds the ownership contracts a declaration's doc comment
+// places on its parameters.
 type funcDirs struct {
-	Hot     bool
-	Cold    bool
 	Owns    map[string]bool
 	Borrows map[string]bool
 }
 
-// funcDirectives parses the femtovet directives in fd's doc comment.
+// funcDirectives parses the owns/borrows directives in fd's doc comment.
 func funcDirectives(fd *ast.FuncDecl) funcDirs {
 	var out funcDirs
 	if fd.Doc == nil {
@@ -197,10 +166,6 @@ func funcDirectives(fd *ast.FuncDecl) funcDirs {
 			continue
 		}
 		switch d.Kind {
-		case "hotpath":
-			out.Hot = true
-		case "coldpath":
-			out.Cold = true
 		case "owns":
 			if out.Owns == nil {
 				out.Owns = make(map[string]bool)
@@ -220,89 +185,63 @@ func funcDirectives(fd *ast.FuncDecl) funcDirs {
 	return out
 }
 
-// directiveCovers reports whether the analyzer list names the given
-// analyzer.
-func directiveCovers(names []string, name string) bool {
-	for _, n := range names {
-		if n == name {
-			return true
-		}
-	}
-	return false
-}
-
 // All returns the full analyzer suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{
-		RandSource, MapIter, FloatEq, ProbRange, ErrDrop,
-		UnitCheck, SeedFlow, IdxDomain, HotPath, PoolSafe,
-		AliasCheck, GridSlot, FoldOrder, SyncGuard, Directives,
-	}
+	return []*Analyzer{RandSource, MapIter, FloatEq, ErrDrop, AliasCheck, Directives}
 }
 
-// ByName returns the named analyzer, or nil.
-func ByName(name string) *Analyzer {
-	for _, a := range All() {
-		if a.Name == name {
-			return a
+// index builds the flow index aliascheck consults: the module's packages
+// plus any extra package type-checked against it.
+func (m *Module) index(extra ...*Package) *flow.Index {
+	ix := flow.NewIndex()
+	for _, pkgs := range [][]*Package{m.Packages, extra} {
+		for _, pkg := range pkgs {
+			ix.Add(pkg.Files, pkg.Info)
 		}
 	}
-	return nil
-}
-
-// Index builds the module-wide flow index the interprocedural analyzers
-// consult. The result is memoized on the module.
-func (m *Module) Index() *flow.Index {
-	if m.flowIndex == nil {
-		ix := flow.NewIndex()
-		for _, pkg := range m.Packages {
-			ix.Add(pkg.Path, pkg.Files, pkg.Info)
-		}
-		m.flowIndex = ix
-	}
-	return m.flowIndex
+	return ix
 }
 
 // RunAnalyzers applies each analyzer to each package and returns all
 // findings sorted by file, line, column, and analyzer name.
 func RunAnalyzers(m *Module, analyzers []*Analyzer) []Diagnostic {
-	ix := m.Index()
+	ix := m.index()
 	var diags []Diagnostic
 	for _, pkg := range m.Packages {
 		for _, a := range analyzers {
-			pass := &Pass{
-				Analyzer: a,
-				Module:   m.Path,
-				Path:     pkg.Path,
-				Fset:     m.Fset,
-				Files:    pkg.Files,
-				Pkg:      pkg.Pkg,
-				Info:     pkg.Info,
-				Index:    ix,
-			}
-			pass.collectIgnores()
-			a.Run(pass)
-			diags = append(diags, pass.diags...)
+			diags = append(diags, m.runPass(a, pkg, ix)...)
 		}
 	}
-	sort.Slice(diags, func(i, j int) bool {
-		a, b := diags[i], diags[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		if a.Pos.Column != b.Pos.Column {
-			return a.Pos.Column < b.Pos.Column
-		}
-		return a.Analyzer < b.Analyzer
+	slices.SortFunc(diags, func(a, b Diagnostic) int {
+		return cmp.Or(
+			strings.Compare(a.Pos.Filename, b.Pos.Filename),
+			cmp.Compare(a.Pos.Line, b.Pos.Line),
+			cmp.Compare(a.Pos.Column, b.Pos.Column),
+			strings.Compare(a.Analyzer, b.Analyzer),
+		)
 	})
 	return diags
 }
 
-// funcFor returns the innermost function declaration or literal enclosing
-// pos in file, preferring the most deeply nested.
+// runPass applies one analyzer to one package of (or checked against) the
+// module, resolving calls through ix.
+func (m *Module) runPass(a *Analyzer, pkg *Package, ix *flow.Index) []Diagnostic {
+	pass := &Pass{
+		Analyzer: a,
+		Module:   m.Path,
+		Path:     pkg.Path,
+		Fset:     m.Fset,
+		Files:    pkg.Files,
+		Info:     pkg.Info,
+		Index:    ix,
+	}
+	pass.collectIgnores()
+	a.Run(pass)
+	return pass.diags
+}
+
+// enclosingFuncName returns the name of the innermost function declaration
+// enclosing pos in file, or "" at package level.
 func enclosingFuncName(file *ast.File, pos token.Pos) string {
 	name := ""
 	ast.Inspect(file, func(n ast.Node) bool {
@@ -322,20 +261,4 @@ func enclosingFuncName(file *ast.File, pos token.Pos) string {
 		return true
 	})
 	return name
-}
-
-// calleeFunc resolves the called function object of a call expression, or
-// nil for builtins, type conversions, and indirect calls through values.
-func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		if f, ok := info.Uses[fun].(*types.Func); ok {
-			return f
-		}
-	case *ast.SelectorExpr:
-		if f, ok := info.Uses[fun.Sel].(*types.Func); ok {
-			return f
-		}
-	}
-	return nil
 }

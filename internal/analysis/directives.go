@@ -2,27 +2,21 @@ package analysis
 
 import (
 	"go/ast"
-	"regexp"
 	"sort"
-	"strings"
 )
 
 // Directives is the meta-check over femtovet's own comment directives. An
 // ignore without an analyzer name silences the whole suite, and one
-// without a reason is unauditable — both defeat the point of a baseline
-// that is supposed to stay empty. Malformed unit or index annotations
-// silently annotate nothing, which is worse than failing loudly here. The
-// function-level directives (hotpath, coldpath, owns, borrows) must sit in
-// a function's doc comment and, for the ownership pair, name real
-// parameters — a typo would silently drop the contract.
+// without a reason is unauditable. The ownership directives (owns,
+// borrows) must sit in a function's doc comment and name real parameters:
+// a typo would silently drop the contract. Any other directive kind is
+// flagged, so an annotation for a retired analyzer cannot linger as a
+// comment that looks enforced.
 var Directives = &Analyzer{
 	Name: "directives",
-	Doc:  "malformed femtovet directives: bare or reasonless ignores, unknown analyzers, units, or domains, misplaced function-level annotations",
+	Doc:  "malformed femtovet directives: bare or reasonless ignores, unknown analyzers or directive kinds, misplaced or misnamed owns/borrows",
 	Run:  runDirectives,
 }
-
-// domainRx constrains index-domain tokens to simple lowercase words.
-var domainRx = regexp.MustCompile(`^[a-z][a-z0-9]*$`)
 
 // knownAnalyzers lists the suite's analyzer names. Kept as a literal (not
 // derived from All) to avoid an initialization cycle: All references
@@ -31,40 +25,9 @@ var knownAnalyzers = map[string]bool{
 	"randsource": true,
 	"mapiter":    true,
 	"floateq":    true,
-	"probrange":  true,
 	"errdrop":    true,
-	"unitcheck":  true,
-	"seedflow":   true,
-	"idxdomain":  true,
-	"hotpath":    true,
-	"poolsafe":   true,
 	"aliascheck": true,
-	"gridslot":   true,
-	"foldorder":  true,
-	"syncguard":  true,
 	"directives": true,
-}
-
-// directiveKinds are the recognized //femtovet:<kind> directives.
-var directiveKinds = map[string]bool{
-	"ignore":      true,
-	"unit":        true,
-	"index":       true,
-	"fixturepath": true, // fixture-harness only, but legal anywhere
-	"hotpath":     true,
-	"coldpath":    true,
-	"owns":        true,
-	"borrows":     true,
-	"shared":      true,
-	"commutative": true,
-}
-
-// funcLevelKinds must appear in a function's doc comment.
-var funcLevelKinds = map[string]bool{
-	"hotpath":  true,
-	"coldpath": true,
-	"owns":     true,
-	"borrows":  true,
 }
 
 func runDirectives(pass *Pass) {
@@ -79,7 +42,7 @@ func runDirectives(pass *Pass) {
 				checkDirective(pass, c, d, docOf[c])
 			}
 		}
-		checkFuncDirectivePairs(pass, file)
+		checkOwnershipOverlap(pass, file)
 	}
 }
 
@@ -114,43 +77,6 @@ func checkDirective(pass *Pass, c *ast.Comment, d directive, fd *ast.FuncDecl) {
 		if d.Reason == "" {
 			pass.Reportf(c.Pos(), "femtovet:ignore without a reason suppresses nothing; append ` -- <reason>`")
 		}
-	case "unit":
-		if _, known := knownUnits[d.Arg]; !known {
-			pass.Reportf(c.Pos(), "femtovet:unit %q is not a registered unit family (known: dB, linear, bps, prob, share, slots)", d.Arg)
-		}
-	case "index":
-		if d.Arg == "" {
-			pass.Reportf(c.Pos(), "femtovet:index needs a comma-separated list of axis domains, e.g. //femtovet:index user,channel")
-			return
-		}
-		for _, part := range strings.Split(d.Arg, ",") {
-			if tok := strings.TrimSpace(part); !domainRx.MatchString(tok) {
-				pass.Reportf(c.Pos(), "femtovet:index domain %q must be a lowercase word", tok)
-			}
-		}
-	case "fixturepath":
-		if d.Arg == "" {
-			pass.Reportf(c.Pos(), "femtovet:fixturepath needs an import path argument")
-		}
-	case "hotpath":
-		if fd == nil {
-			pass.Reportf(c.Pos(), "femtovet:hotpath must appear in a function's doc comment; it marks the function as an allocation-free root")
-			return
-		}
-		if d.Arg != "" {
-			pass.Reportf(c.Pos(), "femtovet:hotpath takes no argument; the whole function is the root")
-		}
-	case "coldpath":
-		if fd == nil {
-			pass.Reportf(c.Pos(), "femtovet:coldpath must appear in a function's doc comment; it stops the hotpath walk at that function")
-			return
-		}
-		if d.Arg != "" {
-			pass.Reportf(c.Pos(), "femtovet:coldpath takes no argument")
-		}
-		if d.Reason == "" {
-			pass.Reportf(c.Pos(), "femtovet:coldpath without a reason is unauditable; append ` -- <why this constructor/diagnostic may allocate>`")
-		}
 	case "owns", "borrows":
 		if fd == nil {
 			pass.Reportf(c.Pos(), "femtovet:%s must appear in a function's doc comment; it names that function's parameters", d.Kind)
@@ -166,38 +92,20 @@ func checkDirective(pass *Pass, c *ast.Comment, d directive, fd *ast.FuncDecl) {
 				pass.Reportf(c.Pos(), "femtovet:%s names %q, which is not a parameter or receiver of %s", d.Kind, name, fd.Name.Name)
 			}
 		}
-	case "shared":
-		if d.Arg != "" {
-			pass.Reportf(c.Pos(), "femtovet:shared takes no argument; it marks the write or declaration on its own line")
-		}
-		if d.Reason == "" {
-			pass.Reportf(c.Pos(), "femtovet:shared without a reason is unauditable; append ` -- <why scheduled writes to this state are exclusive>`")
-		}
-	case "commutative":
-		if d.Arg != "" {
-			pass.Reportf(c.Pos(), "femtovet:commutative takes no argument; it marks the fold statement or its loop on its own line")
-		}
-		if d.Reason == "" {
-			pass.Reportf(c.Pos(), "femtovet:commutative without a reason is unauditable; append ` -- <why this fold is exact and order-free>`")
-		}
 	default:
-		pass.Reportf(c.Pos(), "unknown femtovet directive %q (known: ignore, unit, index, fixturepath, hotpath, coldpath, owns, borrows, shared, commutative)", d.Kind)
+		pass.Reportf(c.Pos(), "unknown femtovet directive %q (known: ignore, owns, borrows)", d.Kind)
 	}
 }
 
-// checkFuncDirectivePairs flags contradictory combinations on one
-// declaration: hotpath+coldpath, and a parameter claimed by both owns and
-// borrows.
-func checkFuncDirectivePairs(pass *Pass, file *ast.File) {
+// checkOwnershipOverlap flags a parameter claimed by both owns and borrows
+// on one declaration.
+func checkOwnershipOverlap(pass *Pass, file *ast.File) {
 	for _, decl := range file.Decls {
 		fd, ok := decl.(*ast.FuncDecl)
 		if !ok || fd.Doc == nil {
 			continue
 		}
 		dirs := funcDirectives(fd)
-		if dirs.Hot && dirs.Cold {
-			pass.Reportf(fd.Doc.Pos(), "%s is annotated both femtovet:hotpath and femtovet:coldpath; pick one", fd.Name.Name)
-		}
 		both := make([]string, 0, len(dirs.Owns))
 		for name := range dirs.Owns {
 			if dirs.Borrows[name] {

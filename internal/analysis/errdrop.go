@@ -4,6 +4,8 @@ import (
 	"go/ast"
 	"go/types"
 	"strings"
+
+	"femtocr/internal/analysis/flow"
 )
 
 // ErrDrop flags statement-level calls whose error result vanishes without
@@ -51,7 +53,7 @@ func runErrDrop(pass *Pass) {
 				return true
 			}
 			name := "call"
-			if fn := calleeFunc(pass.Info, call); fn != nil {
+			if fn := flow.Callee(pass.Info, call); fn != nil {
 				name = qualifiedName(fn)
 				if errDropExempt(pass, fn, call) {
 					return true

@@ -1,9 +1,9 @@
 // Package flow is the dataflow core under femtocr's interprocedural
-// analyzers: a module-wide function index, a static call graph, and a
-// per-function def-use map. It deliberately stays small — no SSA, no
-// pointer analysis — because the properties the analyzers prove (unit
-// families, RNG provenance, index domains) only need to follow values
-// through direct assignments, returns, and statically resolved calls.
+// ownership analyzer: a module-wide function index and per-function
+// escape/retention summaries. It deliberately stays small — no SSA, no
+// pointer analysis — because the property aliascheck proves (a borrowed
+// buffer does not outlive its call) only needs to follow values through
+// direct assignments, returns, and statically resolved calls.
 //
 // Like the rest of the analysis suite, the package is stdlib-only (go/ast
 // and go/types), so the module remains offline-buildable.
@@ -14,29 +14,17 @@ import (
 	"go/types"
 )
 
-// Package is one type-checked package registered with an Index.
-type Package struct {
-	Path  string // import path
-	Files []*ast.File
-	Info  *types.Info
-}
-
 // Func is one function or method body known to the Index.
 type Func struct {
-	Obj  *types.Func   // the declared function object
 	Decl *ast.FuncDecl // its body, never nil
-	File *ast.File     // the file containing the declaration
 	Info *types.Info   // type info of the declaring package
-	Path string        // import path of the declaring package
 }
 
 // Index maps function objects to their declarations across every package
 // of the module, so analyzers can follow a call from one package into the
 // body it resolves to in another.
 type Index struct {
-	pkgs  []*Package
 	funcs map[*types.Func]*Func
-	cg    *CallGraph
 	sums  *Summaries
 }
 
@@ -47,11 +35,8 @@ func NewIndex() *Index {
 
 // Add registers one type-checked package. Function declarations without
 // bodies (assembly or external linkage) are skipped.
-func (ix *Index) Add(path string, files []*ast.File, info *types.Info) {
-	p := &Package{Path: path, Files: files, Info: info}
-	ix.pkgs = append(ix.pkgs, p)
-	ix.cg = nil // invalidate any memoized graph
-	ix.sums = nil
+func (ix *Index) Add(files []*ast.File, info *types.Info) {
+	ix.sums = nil // invalidate any memoized summaries
 	for _, file := range files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -62,13 +47,10 @@ func (ix *Index) Add(path string, files []*ast.File, info *types.Info) {
 			if !ok {
 				continue
 			}
-			ix.funcs[obj] = &Func{Obj: obj, Decl: fd, File: file, Info: info, Path: path}
+			ix.funcs[obj] = &Func{Decl: fd, Info: info}
 		}
 	}
 }
-
-// Packages returns the registered packages in registration order.
-func (ix *Index) Packages() []*Package { return ix.pkgs }
 
 // FuncOf returns the indexed body of obj, or nil when the function is
 // declared outside the registered packages (standard library, interface
@@ -97,162 +79,4 @@ func Callee(info *types.Info, call *ast.CallExpr) *types.Func {
 		}
 	}
 	return nil
-}
-
-// CallSite is one statically resolved call edge.
-type CallSite struct {
-	Caller *types.Func // enclosing function, nil for package-level initializers
-	Callee *types.Func
-	Call   *ast.CallExpr
-}
-
-// CallGraph holds the statically resolvable call edges of every indexed
-// package, in both directions.
-type CallGraph struct {
-	out map[*types.Func][]*CallSite
-	in  map[*types.Func][]*CallSite
-}
-
-// CallGraph builds (once, memoized) the static call graph over all
-// registered packages.
-func (ix *Index) CallGraph() *CallGraph {
-	if ix.cg != nil {
-		return ix.cg
-	}
-	g := &CallGraph{
-		out: make(map[*types.Func][]*CallSite),
-		in:  make(map[*types.Func][]*CallSite),
-	}
-	for _, p := range ix.pkgs {
-		for _, file := range p.Files {
-			var stack []ast.Node
-			ast.Inspect(file, func(n ast.Node) bool {
-				if n == nil {
-					stack = stack[:len(stack)-1]
-					return true
-				}
-				if call, ok := n.(*ast.CallExpr); ok {
-					if callee := Callee(p.Info, call); callee != nil {
-						caller := enclosingFunc(p.Info, stack)
-						site := &CallSite{Caller: caller, Callee: callee, Call: call}
-						g.out[caller] = append(g.out[caller], site)
-						g.in[callee] = append(g.in[callee], site)
-					}
-				}
-				stack = append(stack, n)
-				return true
-			})
-		}
-	}
-	ix.cg = g
-	return g
-}
-
-// enclosingFunc returns the object of the innermost FuncDecl on the
-// ancestor stack; calls inside func literals attribute to the declaring
-// function, and calls in package-level initializers to nil.
-func enclosingFunc(info *types.Info, stack []ast.Node) *types.Func {
-	for i := len(stack) - 1; i >= 0; i-- {
-		if fd, ok := stack[i].(*ast.FuncDecl); ok {
-			if obj, ok := info.Defs[fd.Name].(*types.Func); ok {
-				return obj
-			}
-			return nil
-		}
-	}
-	return nil
-}
-
-// CalleesOf returns the call sites made from fn (nil for package-level
-// initializer expressions).
-func (g *CallGraph) CalleesOf(fn *types.Func) []*CallSite { return g.out[fn] }
-
-// CallersOf returns the call sites that invoke fn.
-func (g *CallGraph) CallersOf(fn *types.Func) []*CallSite { return g.in[fn] }
-
-// DefUse records, for one function body, every expression assigned to each
-// local variable: plain and short assignments, var-spec initializers, and
-// range bindings (recorded as unknown, since the bound value is implicit).
-type DefUse struct {
-	defs    map[*types.Var][]ast.Expr
-	unknown map[*types.Var]bool // has at least one def with no tracked expr
-}
-
-// NewDefUse scans root (typically a *ast.FuncDecl) and records definitions.
-func NewDefUse(root ast.Node, info *types.Info) *DefUse {
-	d := &DefUse{
-		defs:    make(map[*types.Var][]ast.Expr),
-		unknown: make(map[*types.Var]bool),
-	}
-	ast.Inspect(root, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.AssignStmt:
-			if len(x.Lhs) == len(x.Rhs) {
-				for i, lhs := range x.Lhs {
-					d.record(info, lhs, x.Rhs[i])
-				}
-			} else {
-				// Tuple assignment: the per-variable value is a component
-				// of a multi-result call, not an expression of its own.
-				for _, lhs := range x.Lhs {
-					d.record(info, lhs, nil)
-				}
-			}
-		case *ast.ValueSpec:
-			for i, name := range x.Names {
-				if i < len(x.Values) {
-					d.recordIdent(info, name, x.Values[i])
-				} else if len(x.Values) > 0 {
-					d.recordIdent(info, name, nil)
-				}
-				// A spec with no values is the zero value; leave the
-				// variable with no defs so callers can see it is unset.
-			}
-		case *ast.RangeStmt:
-			d.record(info, x.Key, nil)
-			d.record(info, x.Value, nil)
-		case *ast.IncDecStmt:
-			d.record(info, x.X, nil)
-		}
-		return true
-	})
-	return d
-}
-
-func (d *DefUse) record(info *types.Info, lhs ast.Expr, rhs ast.Expr) {
-	id, ok := ast.Unparen(lhs).(*ast.Ident)
-	if !ok {
-		return
-	}
-	d.recordIdent(info, id, rhs)
-}
-
-func (d *DefUse) recordIdent(info *types.Info, id *ast.Ident, rhs ast.Expr) {
-	if id == nil || id.Name == "_" {
-		return
-	}
-	obj := info.ObjectOf(id)
-	v, ok := obj.(*types.Var)
-	if !ok {
-		return
-	}
-	if rhs == nil {
-		d.unknown[v] = true
-		return
-	}
-	d.defs[v] = append(d.defs[v], rhs)
-}
-
-// Defs returns every tracked defining expression of v, in source order of
-// the recording walk.
-func (d *DefUse) Defs(v *types.Var) []ast.Expr { return d.defs[v] }
-
-// SoleDef returns the unique defining expression of v, or nil when v has
-// zero defs, several defs, or any untracked def (tuple assignment, range
-// binding, increment).
-func (d *DefUse) SoleDef(v *types.Var) ast.Expr {
-	if d.unknown[v] || len(d.defs[v]) != 1 {
-		return nil
-	}
-	return d.defs[v][0]
 }

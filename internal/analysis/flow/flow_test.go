@@ -11,28 +11,29 @@ import (
 
 const src = `package p
 
-func leaf() int { return 1 }
+import "sync"
 
-func caller() int {
-	x := leaf()
-	y := x + 1
-	return y
-}
+var (
+	stash []float64
+	pool  sync.Pool
+)
 
-var pkgInit = leaf()
+func identity(buf []float64) []float64 { return buf }
 
-func multi() (int, int) { return 1, 2 }
+func keep(buf []float64) { stash = buf }
 
-func tangled() int {
-	a, b := multi()
-	c := a
-	c = b
-	d := a
-	return c + d
-}
+func recycle(buf []float64) { pool.Put(buf) }
+
+func forward(buf []float64) { keep(buf) }
+
+func fill(dst, src []float64) { copy(dst, src) }
+
+type holder struct{ buf []float64 }
+
+func (h *holder) set(buf []float64) { h.buf = buf }
 `
 
-func load(t *testing.T) (*token.FileSet, *ast.File, *types.Info, *types.Package) {
+func load(t *testing.T) (*ast.File, *types.Info, *types.Package) {
 	t.Helper()
 	fset := token.NewFileSet()
 	file, err := parser.ParseFile(fset, "p.go", src, parser.ParseComments|parser.SkipObjectResolution)
@@ -44,94 +45,62 @@ func load(t *testing.T) (*token.FileSet, *ast.File, *types.Info, *types.Package)
 		Defs:  make(map[*ast.Ident]types.Object),
 		Uses:  make(map[*ast.Ident]types.Object),
 	}
-	conf := types.Config{Importer: importer.Default()}
+	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
 	pkg, err := conf.Check("p", fset, []*ast.File{file}, info)
 	if err != nil {
 		t.Fatalf("typecheck: %v", err)
 	}
-	return fset, file, info, pkg
+	return file, info, pkg
 }
 
-func funcNamed(t *testing.T, pkg *types.Package, name string) *types.Func {
-	t.Helper()
-	fn, ok := pkg.Scope().Lookup(name).(*types.Func)
-	if !ok {
-		t.Fatalf("no function %s", name)
-	}
-	return fn
-}
-
-func TestIndexAndCallGraph(t *testing.T) {
-	_, file, info, pkg := load(t)
+// TestIndexAndSummaries: the index resolves declarations, and the
+// summaries mark a parameter Returned when it flows into a result and
+// Retained when it reaches a global, sync.Pool.Put, or a retaining callee.
+// A store into the receiver's memory is neither: the caller still sees it.
+func TestIndexAndSummaries(t *testing.T) {
+	file, info, pkg := load(t)
 	ix := NewIndex()
-	ix.Add("p", []*ast.File{file}, info)
+	ix.Add([]*ast.File{file}, info)
 
-	leaf := funcNamed(t, pkg, "leaf")
-	caller := funcNamed(t, pkg, "caller")
-
-	if ix.FuncOf(leaf) == nil || ix.FuncOf(leaf).Decl.Name.Name != "leaf" {
-		t.Fatalf("FuncOf(leaf) did not resolve to its declaration")
+	fn := func(name string) *types.Func {
+		t.Helper()
+		obj, ok := pkg.Scope().Lookup(name).(*types.Func)
+		if !ok {
+			t.Fatalf("no function %s", name)
+		}
+		return obj
+	}
+	identity := fn("identity")
+	if ix.FuncOf(identity) == nil || ix.FuncOf(identity).Decl.Name.Name != "identity" {
+		t.Fatalf("FuncOf(identity) did not resolve to its declaration")
 	}
 	if ix.FuncOf(nil) != nil {
 		t.Fatalf("FuncOf(nil) must be nil")
 	}
 
-	g := ix.CallGraph()
-	var fromCaller, fromInit int
-	for _, site := range g.CallersOf(leaf) {
-		switch site.Caller {
-		case caller:
-			fromCaller++
-		case nil: // the package-level initializer of pkgInit
-			fromInit++
-		default:
-			t.Errorf("unexpected caller %v", site.Caller)
+	sums := ix.Summaries()
+	cases := []struct {
+		name string
+		want ParamFlow
+	}{
+		{"identity", ParamFlow{Returned: true}},
+		{"keep", ParamFlow{Retained: true}},
+		{"recycle", ParamFlow{Retained: true}},
+		{"forward", ParamFlow{Retained: true}},
+		{"fill", ParamFlow{}},
+	}
+	for _, tc := range cases {
+		if got := sums.Of(fn(tc.name)).Param(0); got != tc.want {
+			t.Errorf("%s: param 0 flow = %+v, want %+v", tc.name, got, tc.want)
 		}
 	}
-	if fromCaller != 1 || fromInit != 1 {
-		t.Fatalf("CallersOf(leaf): got %d from caller, %d from init; want 1 and 1", fromCaller, fromInit)
-	}
-	if len(g.CalleesOf(caller)) != 1 || g.CalleesOf(caller)[0].Callee != leaf {
-		t.Fatalf("CalleesOf(caller) = %v, want one call to leaf", g.CalleesOf(caller))
-	}
-	if g2 := ix.CallGraph(); g2 != g {
-		t.Fatalf("CallGraph not memoized")
-	}
-}
 
-func TestDefUseSoleDef(t *testing.T) {
-	_, file, info, pkg := load(t)
-	ix := NewIndex()
-	ix.Add("p", []*ast.File{file}, info)
-
-	tangled := ix.FuncOf(funcNamed(t, pkg, "tangled"))
-	du := NewDefUse(tangled.Decl, tangled.Info)
-
-	scope := pkg.Scope().Lookup("tangled").(*types.Func).Scope()
-	lookup := func(name string) *types.Var {
-		_, obj := scope.Innermost(tangled.Decl.Body.Pos()).LookupParent(name, tangled.Decl.Body.End())
-		v, ok := obj.(*types.Var)
-		if !ok {
-			t.Fatalf("no local %s", name)
-		}
-		return v
+	holder := pkg.Scope().Lookup("holder").Type()
+	set, _, _ := types.LookupFieldOrMethod(types.NewPointer(holder), true, pkg, "set")
+	if sum := sums.Of(set.(*types.Func)); sum.Param(0) != (ParamFlow{}) || *sum.Recv != (ParamFlow{}) {
+		t.Errorf("set: receiver store summarized as %+v / %+v, want no retention", *sum.Recv, sum.Param(0))
 	}
-
-	// a and b come from a tuple assignment: unknown, no sole def.
-	if du.SoleDef(lookup("a")) != nil {
-		t.Errorf("a has a tuple def; SoleDef must be nil")
-	}
-	// c is assigned twice: no sole def.
-	if du.SoleDef(lookup("c")) != nil {
-		t.Errorf("c has two defs; SoleDef must be nil")
-	}
-	if got := len(du.Defs(lookup("c"))); got != 2 {
-		t.Errorf("Defs(c) = %d defs, want 2", got)
-	}
-	// d has exactly one tracked def: the identifier a.
-	def := du.SoleDef(lookup("d"))
-	id, ok := def.(*ast.Ident)
-	if !ok || id.Name != "a" {
-		t.Errorf("SoleDef(d) = %v, want identifier a", def)
+	if sums.Of(identity) != sums.Of(identity) {
+		t.Errorf("summaries not memoized")
 	}
 }

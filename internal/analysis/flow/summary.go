@@ -9,19 +9,15 @@ import (
 // This file adds escape/retention summaries on top of the index: for each
 // indexed function, which parameters (and the receiver) can outlive the
 // call — stored into a global, handed to sync.Pool.Put, or returned. The
-// same intra-procedural engine (Tracker) also answers escape questions for
-// arbitrary expressions (composite literals, closures) inside one body,
-// which the hotpath analyzer uses to tell stack-friendly constructs from
-// per-call heap allocations.
+// same intra-procedural engine (Tracker) follows one body's borrowed
+// parameters for aliascheck.
 //
 // The model is deliberately optimistic where the index runs out of facts:
 // calls into unindexed code (standard library, interface methods, func
-// values) produce EvUnknownCall events that summaries do not fold into
-// Retained, and stores into a sibling parameter's memory stay visible to
-// the caller rather than counting as retention. The analyzers that consume
-// summaries are advisory gates backed by runtime AllocsPerRun pins, so
-// under-approximating on the genuinely undecidable cases beats drowning
-// the tree in false positives.
+// values) are assumed not to retain their arguments, and stores into a
+// sibling parameter's memory stay visible to the caller rather than
+// counting as retention. Under-approximating on the genuinely undecidable
+// cases beats drowning the tree in false positives.
 
 // EventKind classifies one way a tracked value can outlive the function
 // call that produced or received it.
@@ -39,10 +35,6 @@ const (
 	// EvRetainCall: the value is passed to a callee whose summary retains
 	// the corresponding parameter; sync.Pool.Put counts unconditionally.
 	EvRetainCall
-	// EvUnknownCall: the value is passed to a call the index cannot
-	// resolve (func values, interface methods, unindexed packages), so
-	// retention is unknown.
-	EvUnknownCall
 )
 
 // Event records one escape event and the set of tracked sources that flow
@@ -52,8 +44,7 @@ type Event struct {
 	Mask     uint64      // bit i set when source i flows into the event
 	DestMask uint64      // EvStoreParam: sources whose memory is written
 	Pos      token.Pos   // the return, store, or call argument
-	Dest     *types.Var  // EvStoreGlobal/EvStoreParam: base variable, if single
-	Callee   *types.Func // EvRetainCall/EvUnknownCall: resolved callee, or nil
+	Callee   *types.Func // EvRetainCall: the retaining callee
 }
 
 // ParamFlow is the per-parameter slice of a function summary.
@@ -183,7 +174,6 @@ type Tracker struct {
 	sums    *Summaries
 	fn      *Func
 	srcVar  map[*types.Var]int
-	srcExpr map[ast.Expr]int
 	nsrc    int
 	results map[*types.Var]bool // named result variables: assignment = return
 	taint   map[*types.Var]uint64
@@ -192,13 +182,12 @@ type Tracker struct {
 }
 
 // NewTracker prepares a tracker over fn's body. Register sources with
-// AddSourceVar/AddSourceExpr, then call Solve.
+// AddSourceVar, then call Solve.
 func NewTracker(sums *Summaries, fn *Func) *Tracker {
 	t := &Tracker{
 		sums:    sums,
 		fn:      fn,
 		srcVar:  make(map[*types.Var]int),
-		srcExpr: make(map[ast.Expr]int),
 		results: make(map[*types.Var]bool),
 		taint:   make(map[*types.Var]uint64),
 	}
@@ -226,33 +215,8 @@ func (t *Tracker) AddSourceVar(v *types.Var) int {
 	return bit
 }
 
-// AddSourceExpr registers an expression node (a composite literal, &T{},
-// or func literal) as a tracked source and returns its bit index.
-func (t *Tracker) AddSourceExpr(e ast.Expr) int {
-	bit := t.nsrc
-	t.nsrc++
-	t.srcExpr[e] = bit
-	return bit
-}
-
 // Events returns the escape events found by Solve.
 func (t *Tracker) Events() []Event { return t.events }
-
-// MaskOf returns the source-alias mask of an expression after Solve.
-func (t *Tracker) MaskOf(e ast.Expr) uint64 { return t.maskOf(e) }
-
-// EscapeOf folds the events of one source bit: reported as escaping when
-// it is returned, stored into a global or parameter memory, or passed to
-// a retaining or unresolvable callee.
-func (t *Tracker) EscapeOf(bit int) bool {
-	m := uint64(1) << bit
-	for _, ev := range t.events {
-		if ev.Mask&m != 0 {
-			return true
-		}
-	}
-	return false
-}
 
 // flowOf folds events into the summary view of one source bit.
 func (t *Tracker) flowOf(bit int) ParamFlow {
@@ -350,7 +314,7 @@ func (t *Tracker) assign(lhs ast.Expr, mask uint64, pos token.Pos) {
 			return
 		}
 		if isGlobal(v) {
-			t.event(Event{Kind: EvStoreGlobal, Mask: mask, Pos: pos, Dest: v})
+			t.event(Event{Kind: EvStoreGlobal, Mask: mask, Pos: pos})
 			return
 		}
 		t.taintVar(v, mask)
@@ -360,26 +324,26 @@ func (t *Tracker) assign(lhs ast.Expr, mask uint64, pos token.Pos) {
 			return
 		}
 		if isGlobal(base) {
-			t.event(Event{Kind: EvStoreGlobal, Mask: mask, Pos: pos, Dest: base})
+			t.event(Event{Kind: EvStoreGlobal, Mask: mask, Pos: pos})
 			return
 		}
 		if bit, ok := t.srcVar[base]; ok {
 			destMask := uint64(1) << bit
 			if rest := mask &^ destMask; rest != 0 {
-				t.event(Event{Kind: EvStoreParam, Mask: rest, DestMask: destMask, Pos: pos, Dest: base})
+				t.event(Event{Kind: EvStoreParam, Mask: rest, DestMask: destMask, Pos: pos})
 			}
 			return
 		}
 		if dm := t.taint[base]; dm != 0 {
 			// Storing into a local that aliases tracked memory.
 			if rest := mask &^ dm; rest != 0 {
-				t.event(Event{Kind: EvStoreParam, Mask: rest, DestMask: dm, Pos: pos, Dest: base})
+				t.event(Event{Kind: EvStoreParam, Mask: rest, DestMask: dm, Pos: pos})
 			}
 		}
 	}
 }
 
-// callEvents reports sources passed to retaining or unresolved callees.
+// callEvents reports sources passed to retaining callees.
 func (t *Tracker) callEvents(call *ast.CallExpr) {
 	info := t.fn.Info
 	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
@@ -394,30 +358,17 @@ func (t *Tracker) callEvents(call *ast.CallExpr) {
 		sum = t.sums.Of(fn)
 	}
 	// Receiver of a method call behaves like an argument.
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && sum != nil && sum.Recv != nil && sum.Recv.Retained {
 		if m := t.maskOf(sel.X); m != 0 {
-			switch {
-			case sum != nil && sum.Recv != nil && sum.Recv.Retained:
-				t.event(Event{Kind: EvRetainCall, Mask: m, Pos: sel.X.Pos(), Callee: fn})
-			case sum == nil:
-				t.event(Event{Kind: EvUnknownCall, Mask: m, Pos: sel.X.Pos(), Callee: fn})
-			}
+			t.event(Event{Kind: EvRetainCall, Mask: m, Pos: sel.X.Pos(), Callee: fn})
 		}
 	}
 	for i, arg := range call.Args {
-		m := t.maskOf(arg)
-		if m == 0 {
+		if !(fn != nil && isPoolPut(fn)) && (sum == nil || !sum.Param(i).Retained) {
 			continue
 		}
-		switch {
-		case fn != nil && isPoolPut(fn):
+		if m := t.maskOf(arg); m != 0 {
 			t.event(Event{Kind: EvRetainCall, Mask: m, Pos: arg.Pos(), Callee: fn})
-		case sum != nil:
-			if sum.Param(i).Retained {
-				t.event(Event{Kind: EvRetainCall, Mask: m, Pos: arg.Pos(), Callee: fn})
-			}
-		default:
-			t.event(Event{Kind: EvUnknownCall, Mask: m, Pos: arg.Pos(), Callee: fn})
 		}
 	}
 }
@@ -428,9 +379,6 @@ func (t *Tracker) maskOf(e ast.Expr) uint64 {
 		return 0
 	}
 	var m uint64
-	if bit, ok := t.srcExpr[e]; ok {
-		m |= 1 << bit
-	}
 	info := t.fn.Info
 	if typ := info.TypeOf(e); typ != nil && !CarriesRef(typ) {
 		return m // value types cannot carry an alias out
@@ -609,18 +557,6 @@ func isPoolPut(fn *types.Func) bool {
 	return fn.Name() == "Put" && fn.Pkg() != nil && fn.Pkg().Path() == "sync" &&
 		recvIsSyncPool(fn)
 }
-
-// isPoolGet reports whether fn is (*sync.Pool).Get.
-func isPoolGet(fn *types.Func) bool {
-	return fn.Name() == "Get" && fn.Pkg() != nil && fn.Pkg().Path() == "sync" &&
-		recvIsSyncPool(fn)
-}
-
-// IsPoolPut reports whether fn is (*sync.Pool).Put.
-func IsPoolPut(fn *types.Func) bool { return fn != nil && isPoolPut(fn) }
-
-// IsPoolGet reports whether fn is (*sync.Pool).Get.
-func IsPoolGet(fn *types.Func) bool { return fn != nil && isPoolGet(fn) }
 
 func recvIsSyncPool(fn *types.Func) bool {
 	sig, ok := fn.Type().(*types.Signature)

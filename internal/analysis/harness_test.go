@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"go/ast"
 	"go/parser"
 	"os"
 	"regexp"
@@ -18,9 +19,8 @@ import (
 // comments. A fixture with no want comments asserts the analyzer stays
 // silent.
 //
-// An optional first-line directive `//femtovet:fixturepath <import path>`
-// sets the package path the analyzer sees, which the path-scoped randsource
-// policy keys off.
+// An optional first line `// fixturepath: <import path>` sets the package
+// path the analyzer sees, which the path-scoped randsource policy keys off.
 
 var (
 	moduleOnce sync.Once
@@ -41,17 +41,18 @@ func loadTestModule(t *testing.T) *Module {
 
 var (
 	wantRx        = regexp.MustCompile(`// want "([^"]*)"`)
-	fixturePathRx = regexp.MustCompile(`//femtovet:fixturepath (\S+)`)
+	fixturePathRx = regexp.MustCompile(`// fixturepath: (\S+)`)
 )
 
 func runFixture(t *testing.T, a *Analyzer, filename string) {
 	t.Helper()
 	m := loadTestModule(t)
 
-	src, err := readFixture(filename)
+	data, err := os.ReadFile(filename)
 	if err != nil {
 		t.Fatalf("read %s: %v", filename, err)
 	}
+	src := string(data)
 	path := "femtocr/fixture"
 	if match := fixturePathRx.FindStringSubmatch(src); match != nil {
 		path = match[1]
@@ -61,32 +62,8 @@ func runFixture(t *testing.T, a *Analyzer, filename string) {
 	if err != nil {
 		t.Fatalf("parse %s: %v", filename, err)
 	}
-	pkg, err := m.CheckFile(path, file)
-	if err != nil {
-		t.Fatalf("typecheck %s: %v", filename, err)
-	}
-
-	// The fixture sees a flow index holding the whole module plus itself,
-	// so module-wide unit/index annotations and interprocedural freshness
-	// resolve exactly as they do in a real run.
-	ix := flow.NewIndex()
-	for _, p := range m.Packages {
-		ix.Add(p.Path, p.Files, p.Info)
-	}
-	ix.Add(path, pkg.Files, pkg.Info)
-
-	pass := &Pass{
-		Analyzer: a,
-		Module:   m.Path,
-		Path:     path,
-		Fset:     m.Fset,
-		Files:    pkg.Files,
-		Pkg:      pkg.Pkg,
-		Info:     pkg.Info,
-		Index:    ix,
-	}
-	pass.collectIgnores()
-	a.Run(pass)
+	pkg, ix := checkIn(t, m, path, []*ast.File{file})
+	diags := m.runPass(a, pkg, ix)
 
 	wants := make(map[int]*regexp.Regexp)
 	for i, line := range strings.Split(src, "\n") {
@@ -100,7 +77,7 @@ func runFixture(t *testing.T, a *Analyzer, filename string) {
 	}
 
 	matched := make(map[int]bool)
-	for _, d := range pass.diags {
+	for _, d := range diags {
 		rx, ok := wants[d.Pos.Line]
 		switch {
 		case !ok:
@@ -133,59 +110,14 @@ func TestFloatEqFixtures(t *testing.T) {
 	runFixture(t, FloatEq, "testdata/floateq_clean.go")
 }
 
-func TestProbRangeFixtures(t *testing.T) {
-	runFixture(t, ProbRange, "testdata/probrange_flag.go")
-	runFixture(t, ProbRange, "testdata/probrange_clean.go")
-}
-
 func TestErrDropFixtures(t *testing.T) {
 	runFixture(t, ErrDrop, "testdata/errdrop_flag.go")
 	runFixture(t, ErrDrop, "testdata/errdrop_clean.go")
 }
 
-func TestUnitCheckFixtures(t *testing.T) {
-	runFixture(t, UnitCheck, "testdata/unitcheck_flag.go")
-	runFixture(t, UnitCheck, "testdata/unitcheck_clean.go")
-}
-
-func TestSeedFlowFixtures(t *testing.T) {
-	runFixture(t, SeedFlow, "testdata/seedflow_flag.go")
-	runFixture(t, SeedFlow, "testdata/seedflow_clean.go")
-}
-
-func TestIdxDomainFixtures(t *testing.T) {
-	runFixture(t, IdxDomain, "testdata/idxdomain_flag.go")
-	runFixture(t, IdxDomain, "testdata/idxdomain_clean.go")
-}
-
-func TestHotPathFixtures(t *testing.T) {
-	runFixture(t, HotPath, "testdata/hotpath_flag.go")
-	runFixture(t, HotPath, "testdata/hotpath_clean.go")
-}
-
-func TestPoolSafeFixtures(t *testing.T) {
-	runFixture(t, PoolSafe, "testdata/poolsafe_flag.go")
-	runFixture(t, PoolSafe, "testdata/poolsafe_clean.go")
-}
-
 func TestAliasCheckFixtures(t *testing.T) {
 	runFixture(t, AliasCheck, "testdata/aliascheck_flag.go")
 	runFixture(t, AliasCheck, "testdata/aliascheck_clean.go")
-}
-
-func TestGridSlotFixtures(t *testing.T) {
-	runFixture(t, GridSlot, "testdata/gridslot_flag.go")
-	runFixture(t, GridSlot, "testdata/gridslot_clean.go")
-}
-
-func TestFoldOrderFixtures(t *testing.T) {
-	runFixture(t, FoldOrder, "testdata/foldorder_flag.go")
-	runFixture(t, FoldOrder, "testdata/foldorder_clean.go")
-}
-
-func TestSyncGuardFixtures(t *testing.T) {
-	runFixture(t, SyncGuard, "testdata/syncguard_flag.go")
-	runFixture(t, SyncGuard, "testdata/syncguard_clean.go")
 }
 
 func TestDirectivesFixtures(t *testing.T) {
@@ -209,75 +141,22 @@ func TestReasonlessIgnoreFlagged(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	pkg, err := m.CheckFile("femtocr/internal/reasonless", file)
-	if err != nil {
-		t.Fatalf("typecheck: %v", err)
-	}
-	pass := &Pass{
-		Analyzer: Directives,
-		Module:   m.Path,
-		Path:     "femtocr/internal/reasonless",
-		Fset:     m.Fset,
-		Files:    pkg.Files,
-		Pkg:      pkg.Pkg,
-		Info:     pkg.Info,
-	}
-	pass.collectIgnores()
-	Directives.Run(pass)
-	if len(pass.diags) != 1 || !strings.Contains(pass.diags[0].Message, "without a reason") {
-		t.Fatalf("want exactly one reasonless-ignore finding, got %v", pass.diags)
+	pkg, ix := checkIn(t, m, "femtocr/internal/reasonless", []*ast.File{file})
+	diags := m.runPass(Directives, pkg, ix)
+	if len(diags) != 1 || !strings.Contains(diags[0].Message, "without a reason") {
+		t.Fatalf("want exactly one reasonless-ignore finding, got %v", diags)
 	}
 }
 
-// TestSuiteCleanOnModule is the merge gate in miniature: the analyzer suite
-// must report zero findings on femtocr's own tree.
-func TestSuiteCleanOnModule(t *testing.T) {
-	m := loadTestModule(t)
-	diags := RunAnalyzers(m, All())
-	for _, d := range diags {
-		t.Errorf("unexpected finding: %s", d.String())
-	}
-}
-
-// suiteOnSource type-checks src as a standalone package at the given import
-// path (resolving module imports) and runs the given analyzers over it with
-// a full module flow index, returning the findings.
-func suiteOnSource(t *testing.T, path, filename, src string, analyzers []*Analyzer) []Diagnostic {
+// checkIn type-checks files as the package at path against the loaded
+// module and returns it with a flow index holding the whole module plus
+// the package, so calls into module packages resolve to the same summaries
+// as in a real run.
+func checkIn(t *testing.T, m *Module, path string, files []*ast.File) (*Package, *flow.Index) {
 	t.Helper()
-	m := loadTestModule(t)
-	file, err := parser.ParseFile(m.Fset, filename, src, parser.ParseComments|parser.SkipObjectResolution)
+	pkg, err := m.check(path, files)
 	if err != nil {
-		t.Fatalf("parse %s: %v", filename, err)
+		t.Fatal(err)
 	}
-	pkg, err := m.CheckFile(path, file)
-	if err != nil {
-		t.Fatalf("typecheck %s: %v", filename, err)
-	}
-	ix := flow.NewIndex()
-	for _, p := range m.Packages {
-		ix.Add(p.Path, p.Files, p.Info)
-	}
-	ix.Add(path, pkg.Files, pkg.Info)
-	var diags []Diagnostic
-	for _, a := range analyzers {
-		pass := &Pass{
-			Analyzer: a,
-			Module:   m.Path,
-			Path:     path,
-			Fset:     m.Fset,
-			Files:    pkg.Files,
-			Pkg:      pkg.Pkg,
-			Info:     pkg.Info,
-			Index:    ix,
-		}
-		pass.collectIgnores()
-		a.Run(pass)
-		diags = append(diags, pass.diags...)
-	}
-	return diags
-}
-
-func readFixture(filename string) (string, error) {
-	data, err := os.ReadFile(filename)
-	return string(data), err
+	return pkg, m.index(pkg)
 }

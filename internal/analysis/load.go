@@ -11,14 +11,11 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-
-	"femtocr/internal/analysis/flow"
 )
 
 // Package is one type-checked package of the module under analysis.
 type Package struct {
 	Path  string // import path
-	Dir   string // absolute directory
 	Files []*ast.File
 	Pkg   *types.Package
 	Info  *types.Info
@@ -33,9 +30,8 @@ type Module struct {
 	Fset     *token.FileSet
 	Packages []*Package
 
-	byPath    map[string]*Package
-	std       types.ImporterFrom
-	flowIndex *flow.Index // memoized module-wide function index
+	byPath map[string]*Package
+	std    types.ImporterFrom
 }
 
 // LoadModule locates the module containing dir, parses every non-test Go
@@ -143,11 +139,10 @@ func LoadModule(dir string) (*Module, error) {
 
 	for _, path := range order {
 		p := byPath[path]
-		pkg, info, err := m.check(path, p.dir, p.files)
+		lp, err := m.check(path, p.files)
 		if err != nil {
 			return nil, err
 		}
-		lp := &Package{Path: path, Dir: p.dir, Files: p.files, Pkg: pkg, Info: info}
 		m.Packages = append(m.Packages, lp)
 		m.byPath[path] = lp
 	}
@@ -155,9 +150,8 @@ func LoadModule(dir string) (*Module, error) {
 }
 
 // RelFile returns filename relative to the module root with forward
-// slashes, the form used in baseline, JSON, and SARIF output so the files
-// stay machine-independent. Filenames outside the root pass through
-// unchanged.
+// slashes, so reported findings stay machine-independent. Filenames outside
+// the root pass through unchanged.
 func (m *Module) RelFile(filename string) string {
 	rel, err := filepath.Rel(m.Root, filename)
 	if err != nil || strings.HasPrefix(rel, "..") {
@@ -177,9 +171,17 @@ func (m *Module) Import(path string) (*types.Package, error) {
 	return m.std.ImportFrom(path, m.Root, 0)
 }
 
-// check type-checks one package's files.
-func (m *Module) check(path, dir string, files []*ast.File) (*types.Package, *types.Info, error) {
-	info := newInfo()
+// check type-checks files as one package with the given import path,
+// resolving imports through the module. The fixture and mutation tests
+// use it on packages of their own.
+func (m *Module) check(path string, files []*ast.File) (*Package, error) {
+	info := &types.Info{
+		Types:      make(map[ast.Expr]types.TypeAndValue),
+		Defs:       make(map[*ast.Ident]types.Object),
+		Uses:       make(map[*ast.Ident]types.Object),
+		Selections: make(map[*ast.SelectorExpr]*types.Selection),
+		Scopes:     make(map[ast.Node]*types.Scope),
+	}
 	var typeErrs []error
 	conf := types.Config{
 		Importer: m,
@@ -187,36 +189,9 @@ func (m *Module) check(path, dir string, files []*ast.File) (*types.Package, *ty
 	}
 	pkg, _ := conf.Check(path, m.Fset, files, info)
 	if len(typeErrs) > 0 {
-		return nil, nil, fmt.Errorf("analysis: type errors in %s (dir %s): %v", path, dir, typeErrs[0])
-	}
-	return pkg, info, nil
-}
-
-// CheckFile type-checks a single standalone file as its own package with the
-// given import path, resolving imports through the module. The analyzer
-// fixture harness uses this.
-func (m *Module) CheckFile(path string, file *ast.File) (*Package, error) {
-	info := newInfo()
-	var typeErrs []error
-	conf := types.Config{
-		Importer: m,
-		Error:    func(err error) { typeErrs = append(typeErrs, err) },
-	}
-	pkg, _ := conf.Check(path, m.Fset, []*ast.File{file}, info)
-	if len(typeErrs) > 0 {
 		return nil, fmt.Errorf("analysis: type errors in %s: %v", path, typeErrs[0])
 	}
-	return &Package{Path: path, Files: []*ast.File{file}, Pkg: pkg, Info: info}, nil
-}
-
-func newInfo() *types.Info {
-	return &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Scopes:     make(map[ast.Node]*types.Scope),
-	}
+	return &Package{Path: path, Files: files, Pkg: pkg, Info: info}, nil
 }
 
 // findModule ascends from dir to the enclosing go.mod and returns the module

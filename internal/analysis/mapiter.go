@@ -2,9 +2,10 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
+
+	"femtocr/internal/analysis/flow"
 )
 
 // MapIter flags `for range` over a map whose body accumulates into an outer
@@ -81,8 +82,7 @@ func checkMapRange(pass *Pass, rs *ast.RangeStmt, fnBody *ast.BlockStmt) {
 		}
 		if target, ok := appendTarget(pass.Info, call, rs); ok {
 			if !sortedAfter(pass, fnBody, rs, target) {
-				pass.ReportFixf(call.Pos(), sortFix(pass, call, rs, target),
-					"append to %s inside map iteration without a subsequent deterministic sort; map order is randomized per run", target.Name())
+				pass.Reportf(call.Pos(), "append to %s inside map iteration without a subsequent deterministic sort; map order is randomized per run", target.Name())
 			}
 			return true
 		}
@@ -137,7 +137,7 @@ func sortedAfter(pass *Pass, fnBody *ast.BlockStmt, rs *ast.RangeStmt, target ty
 		if !ok || call.Pos() < rs.End() {
 			return true
 		}
-		fn := calleeFunc(pass.Info, call)
+		fn := flow.Callee(pass.Info, call)
 		if fn == nil || !sortCalls[qualifiedName(fn)] {
 			return true
 		}
@@ -164,7 +164,7 @@ func sortedAfter(pass *Pass, fnBody *ast.BlockStmt, rs *ast.RangeStmt, target ty
 // Write*/Print* method whose receiver lives outside the loop (a builder or
 // writer created per iteration is order-safe).
 func outputWrite(info *types.Info, call *ast.CallExpr, rs *ast.RangeStmt) (string, bool) {
-	fn := calleeFunc(info, call)
+	fn := flow.Callee(info, call)
 	if fn == nil {
 		return "", false
 	}
@@ -184,67 +184,6 @@ func outputWrite(info *types.Info, call *ast.CallExpr, rs *ast.RangeStmt) (strin
 		}
 	}
 	return qualifiedName(fn), true
-}
-
-// sortFix builds the mechanical rewrite inserting a deterministic sort of
-// the append target right after the map range, when that is unambiguous:
-// the target is appended to by plain name, its element type has a dedicated
-// sort helper (ints, strings, float64s), and the file already imports
-// package sort without renaming it.
-func sortFix(pass *Pass, call *ast.CallExpr, rs *ast.RangeStmt, target types.Object) *Fix {
-	if id, ok := ast.Unparen(call.Args[0]).(*ast.Ident); !ok || pass.Info.ObjectOf(id) != target {
-		return nil
-	}
-	slice, ok := target.Type().Underlying().(*types.Slice)
-	if !ok {
-		return nil
-	}
-	basic, ok := slice.Elem().Underlying().(*types.Basic)
-	if !ok {
-		return nil
-	}
-	var helper string
-	switch basic.Kind() {
-	case types.Int:
-		helper = "sort.Ints"
-	case types.String:
-		helper = "sort.Strings"
-	case types.Float64:
-		helper = "sort.Float64s"
-	default:
-		return nil
-	}
-	if !importsSortPlain(fileAt(pass, rs.Pos())) {
-		return nil
-	}
-	stmt := "\n" + helper + "(" + target.Name() + ")"
-	return &Fix{
-		Message: "insert " + helper + " after the loop",
-		Edits:   []TextEdit{{Pos: rs.End(), End: rs.End(), NewText: stmt}},
-	}
-}
-
-// fileAt returns the pass file containing pos.
-func fileAt(pass *Pass, pos token.Pos) *ast.File {
-	for _, f := range pass.Files {
-		if f.FileStart <= pos && pos < f.FileEnd {
-			return f
-		}
-	}
-	return nil
-}
-
-// importsSortPlain reports whether file imports "sort" under its own name.
-func importsSortPlain(file *ast.File) bool {
-	if file == nil {
-		return false
-	}
-	for _, imp := range file.Imports {
-		if strings.Trim(imp.Path.Value, `"`) == "sort" {
-			return imp.Name == nil
-		}
-	}
-	return false
 }
 
 // qualifiedName renders pkg.Func for package functions and Type.Method for

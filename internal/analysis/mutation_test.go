@@ -1,34 +1,75 @@
 package analysis
 
 import (
+	"go/ast"
+	"go/parser"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// The mutation smoke tests: seed one representative bug of each class into
-// real (or realistic) code and prove the matching analyzer — and only it —
-// catches it with exactly one finding. This is the sensitivity half of the
-// calibration; the fixture _clean files and the empty baseline are the
-// specificity half.
+// The mutation tests: seed one plausible bug of each class into the real
+// package it would land in and prove the matching analyzer — and only it —
+// catches it with exactly one finding. Each bug leaves every runtime gate
+// green (golden outputs, determinism, -race, the AllocsPerRun pins), which
+// is why the analyzer exists. The unmutated packages are silent: the suite
+// is proven clean over the whole module by cmd/femtovet's
+// TestSuiteRunsCleanOnRepo, so each mutation flips exactly one finding.
 
-// mutate loads a real module source file, applies one textual replacement
-// (which must change it), and returns the mutated source.
-func mutate(t *testing.T, file, old, new string) string {
+// edit is one textual replacement; old must occur in the file.
+type edit struct{ old, new string }
+
+// mutatePackage type-checks the real package at rel (module-relative) with
+// the edits applied to file, under a fresh import path, and runs the whole
+// suite over it.
+func mutatePackage(t *testing.T, rel, file string, edits ...edit) []Diagnostic {
 	t.Helper()
-	data, err := os.ReadFile(file)
+	m := loadTestModule(t)
+	dir := filepath.Join(m.Root, filepath.FromSlash(rel))
+	names, err := filepath.Glob(filepath.Join(dir, "*.go"))
 	if err != nil {
-		t.Fatalf("read %s: %v", file, err)
+		t.Fatal(err)
 	}
-	src := string(data)
-	if !strings.Contains(src, old) {
-		t.Fatalf("%s no longer contains %q; update the mutation test", file, old)
+	var files []*ast.File
+	mutated := false
+	for _, name := range names {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		data, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := string(data)
+		if filepath.Base(name) == file {
+			for _, e := range edits {
+				if !strings.Contains(src, e.old) {
+					t.Fatalf("%s/%s no longer contains %q; update the mutation test", rel, file, e.old)
+				}
+				src = strings.Replace(src, e.old, e.new, 1)
+			}
+			mutated = true
+		}
+		f, err := parser.ParseFile(m.Fset, name, src, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatalf("parse %s: %v", name, err)
+		}
+		files = append(files, f)
 	}
-	return strings.Replace(src, old, new, 1)
+	if !mutated {
+		t.Fatalf("%s has no file %s", rel, file)
+	}
+	pkg, ix := checkIn(t, m, m.Path+"/"+rel+"mut", files)
+	var diags []Diagnostic
+	for _, a := range All() {
+		diags = append(diags, m.runPass(a, pkg, ix)...)
+	}
+	return diags
 }
 
-// assertSingleFinding runs the full suite and requires exactly one finding,
-// from the expected analyzer, with the expected message fragment.
+// assertSingleFinding requires exactly one finding, from the expected
+// analyzer, with the expected message fragment.
 func assertSingleFinding(t *testing.T, diags []Diagnostic, analyzer, fragment string) {
 	t.Helper()
 	if len(diags) != 1 {
@@ -42,166 +83,55 @@ func assertSingleFinding(t *testing.T, diags []Diagnostic, analyzer, fragment st
 	}
 }
 
-// TestMutationDroppedFromDB: deleting the fading.FromDB conversion on the
-// EESM beta leaves a dB value flowing into a linear-annotated field;
-// unitcheck alone must catch it.
-func TestMutationDroppedFromDB(t *testing.T) {
-	src := mutate(t, "../ofdm/ofdm.go",
-		"beta:        fading.FromDB(betaDB),",
-		"beta:        betaDB,")
-	diags := suiteOnSource(t, "femtocr/internal/ofdmmut", "ofdmmut.go", src, All())
-	assertSingleFinding(t, diags, "unitcheck", "dB value assigned to linear field")
-}
-
-// TestMutationOrphanStream: replacing the seeded root with new(rng.Stream)
-// orphans the simulation's RNG; seedflow alone must catch it.
-func TestMutationOrphanStream(t *testing.T) {
-	src := mutate(t, "../packetsim/packetsim.go",
-		"root := rng.New(opts.Seed)",
-		"root := new(rng.Stream)")
-	diags := suiteOnSource(t, "femtocr/internal/packetsimmut", "packetsimmut.go", src, All())
-	assertSingleFinding(t, diags, "seedflow", "orphan rng.Stream")
-}
-
-// TestMutationSwappedBound: looping a user-indexed structure to N (the FBS
-// count) instead of K (the user count) reads the wrong axis; idxdomain
-// alone must catch it.
-func TestMutationSwappedBound(t *testing.T) {
-	clean := `package fixture
-
-import "femtocr/internal/core"
-
-func sumPSNR(in *core.Instance) float64 {
-	total := 0.0
-	for j := 0; j < in.K(); j++ {
-		total += in.W[j]
-	}
-	return total
-}
-`
-	if diags := suiteOnSource(t, "femtocr/internal/coremut0", "coremut0.go", clean, All()); len(diags) != 0 {
-		t.Fatalf("clean variant must be silent, got %v", diags)
-	}
-	mutated := strings.Replace(clean, "in.K()", "in.N()", 1)
-	diags := suiteOnSource(t, "femtocr/internal/coremut1", "coremut1.go", mutated, All())
-	assertSingleFinding(t, diags, "idxdomain", "index-domain mismatch")
-}
-
-// TestMutationHotAlloc: introducing an unguarded make into
-// waterfillColumns, an annotated //femtovet:hotpath root, breaks the
-// allocation-free contract; hotpath alone must catch it.
-func TestMutationHotAlloc(t *testing.T) {
-	src := mutate(t, "../core/waterfill.go",
-		"	for i := range rho {\n\t\trho[i] = 0\n\t}",
-		"	scratch := make([]float64, len(rho))\n\tfor i := range rho {\n\t\trho[i] = scratch[i]\n\t}")
-	diags := suiteOnSource(t, "femtocr/internal/coremutalloc", "waterfillmut.go", src, All())
-	assertSingleFinding(t, diags, "hotpath", "make allocates on every call of waterfillColumns")
-}
-
-// TestMutationDroppedDeferPut: deleting the deferred Put after a pool Get
-// leaks the workspace on every call; poolsafe alone must catch it.
-func TestMutationDroppedDeferPut(t *testing.T) {
-	clean := `package fixture
-
-import "sync"
-
-type scratch struct{ buf []float64 }
-
-var pool = sync.Pool{New: func() any { return new(scratch) }}
-
-func use(n int) int {
-	ws := pool.Get().(*scratch)
-	defer pool.Put(ws)
-	if cap(ws.buf) < n {
-		ws.buf = make([]float64, n)
-	}
-	ws.buf = ws.buf[:n]
-	return len(ws.buf)
-}
-`
-	if diags := suiteOnSource(t, "femtocr/internal/poolmut0", "poolmut0.go", clean, All()); len(diags) != 0 {
-		t.Fatalf("clean variant must be silent, got %v", diags)
-	}
-	mutated := strings.Replace(clean, "\tdefer pool.Put(ws)\n", "", 1)
-	diags := suiteOnSource(t, "femtocr/internal/poolmut1", "poolmut1.go", mutated, All())
-	assertSingleFinding(t, diags, "poolsafe", "never returned to its pool")
-}
-
-// TestMutationBorrowedEscape: stashing a borrowed buffer in package state
-// lets it outlive the call; aliascheck alone must catch it.
+// TestMutationBorrowedEscape: keeping the solver workspace's multiplier
+// buffer instead of copying it lets the session alias memory the pool
+// hands to the next solve. Every test still passes — the session reads
+// lambda before the workspace is reused — so aliascheck alone catches it.
 func TestMutationBorrowedEscape(t *testing.T) {
-	clean := `package fixture
-
-var stash []float64
-
-// ScaleInto doubles src into dst and keeps neither.
-//
-//femtovet:borrows dst, src
-func ScaleInto(dst, src []float64) {
-	for i := range src {
-		dst[i] = 2 * src[i]
-	}
-}
-`
-	if diags := suiteOnSource(t, "femtocr/internal/aliasmut0", "aliasmut0.go", clean, All()); len(diags) != 0 {
-		t.Fatalf("clean variant must be silent, got %v", diags)
-	}
-	mutated := strings.Replace(clean, "for i := range src {",
-		"stash = dst\n\tfor i := range src {", 1)
-	diags := suiteOnSource(t, "femtocr/internal/aliasmut1", "aliasmut1.go", mutated, All())
-	assertSingleFinding(t, diags, "aliascheck", "stored into package-level state")
+	diags := mutatePackage(t, "internal/core", "session.go", edit{
+		"\ts.lambda = growF(s.lambda, len(lambda))\n\tcopy(s.lambda, lambda)\n",
+		"\ts.lambda = lambda\n",
+	})
+	assertSingleFinding(t, diags, "aliascheck", `borrowed parameter "lambda" stored into a receiver field`)
 }
 
-// mutatePar seeds one bug into par/par.go, the shared grid primitive; the
-// file is self-contained and type-checks standalone.
-func mutatePar(t *testing.T, old, new string) string {
-	t.Helper()
-	return mutate(t, "../par/par.go", old, new)
+// TestMutationUnsortedEdges: dropping the sort after igraph.Edges' map
+// range leaks Go's randomized map order into every caller; the runtime
+// tests see only graphs whose order they do not pin.
+func TestMutationUnsortedEdges(t *testing.T) {
+	diags := mutatePackage(t, "internal/igraph", "igraph.go", edit{
+		"\tsort.Slice(out, func(i, j int) bool {\n\t\tif out[i][0] != out[j][0] {\n\t\t\treturn out[i][0] < out[j][0]\n\t\t}\n\t\treturn out[i][1] < out[j][1]\n\t})\n",
+		"",
+	})
+	assertSingleFinding(t, diags, "mapiter", "append to out inside map iteration")
 }
 
-// mutateParallel seeds one bug into experiments/parallel.go and grafts on
-// the minimal Params shim the file needs to type-check standalone (the
-// real struct lives in a sibling file of the package).
-func mutateParallel(t *testing.T, old, new string) string {
-	t.Helper()
-	src := mutate(t, "../experiments/parallel.go", old, new)
-	return src + "\ntype Params struct {\n\tRuns     int\n\tBaseSeed uint64\n\tParallel par.Parallelism\n}\n"
+// TestMutationDroppedWriteError: discarding the CSV write error makes a
+// full disk produce a truncated results file that looks finished.
+func TestMutationDroppedWriteError(t *testing.T) {
+	diags := mutatePackage(t, "cmd/figures", "main.go", edit{
+		"\t\t\tif err := os.WriteFile(csv, []byte(nf.Figure.CSV()), 0o644); err != nil {\n\t\t\t\treturn err\n\t\t\t}\n",
+		"\t\t\tos.WriteFile(csv, []byte(nf.Figure.CSV()), 0o644)\n",
+	})
+	assertSingleFinding(t, diags, "errdrop", "error result of os.WriteFile is silently discarded")
 }
 
-// TestMutationDroppedSharedReason: deleting the //femtovet:shared
-// justification on RunGrid's error slots re-arms the slot-ownership check —
-// the worker's errs[i] write is keyed by the dispatch counter, not a task
-// parameter, so without the directive gridslot alone must catch it.
-func TestMutationDroppedSharedReason(t *testing.T) {
-	src := mutatePar(t,
-		"\t//femtovet:shared -- the atomic dispatch counter hands each index to exactly one worker, so errs[i] has a single writer\n",
-		"")
-	diags := suiteOnSource(t, "femtocr/internal/gridmut", "gridmut.go", src, All())
-	assertSingleFinding(t, diags, "gridslot", "writes captured errs")
+// TestMutationUnseededDraw: drawing the random sensor assignment from
+// math/rand/v2 instead of the run's stream makes RandomAssign runs
+// irreproducible, and no golden output uses that policy.
+func TestMutationUnseededDraw(t *testing.T) {
+	diags := mutatePackage(t, "internal/sensing", "assignment.go",
+		edit{"\t\"math\"\n", "\t\"math\"\n\t\"math/rand/v2\"\n"},
+		edit{"\t\t\tout[i] = s.IntN(m) + 1\n", "\t\t\tout[i] = rand.IntN(m) + 1\n"},
+	)
+	assertSingleFinding(t, diags, "randsource", "import of math/rand/v2 outside internal/rng")
 }
 
-// TestMutationDescendingMerge: reversing mergeSummary's fold loop breaks
-// the ascending-index contract that makes the parallel Welford merge
-// bitwise-deterministic; foldorder alone must catch it.
-func TestMutationDescendingMerge(t *testing.T) {
-	src := mutateParallel(t,
-		"\tfor _, x := range xs {\n",
-		"\tfor i := len(xs) - 1; i >= 0; i-- {\n\t\tx := xs[i]\n")
-	diags := suiteOnSource(t, "femtocr/internal/foldmut", "foldmut.go", src, All())
-	assertSingleFinding(t, diags, "foldorder", "ascending index order")
+// TestMutationExactLentzStop: stopping the continued fraction on an exact
+// del == 1 instead of a tolerance still converges on every tested input,
+// but can spin to the iteration cap on others.
+func TestMutationExactLentzStop(t *testing.T) {
+	diags := mutatePackage(t, "internal/fading", "gamma.go",
+		edit{"if math.Abs(del-1) < gammaEps {", "if del == 1 {"})
+	assertSingleFinding(t, diags, "floateq", "exact floating-point == comparison")
 }
-
-// TestMutationAddInsideWorker: moving the WaitGroup.Add into the spawned
-// worker lets Wait return before late workers are counted; syncguard alone
-// must catch it.
-func TestMutationAddInsideWorker(t *testing.T) {
-	src := mutatePar(t,
-		"\t\twg.Add(1)\n\t\tgo func() {\n",
-		"\t\tgo func() {\n\t\t\twg.Add(1)\n")
-	diags := suiteOnSource(t, "femtocr/internal/syncmut", "syncmut.go", src, All())
-	assertSingleFinding(t, diags, "syncguard", "Add inside the spawned goroutine")
-}
-
-// The unmutated originals stay silent — the suite is already proven clean
-// over the whole module by TestSuiteCleanOnModule — so each mutation above
-// flips exactly one bit of analyzer output.

@@ -3,6 +3,8 @@ package analysis
 import (
 	"go/ast"
 	"strings"
+
+	"femtocr/internal/analysis/flow"
 )
 
 // rngPackage is the only package allowed to import a randomness source
@@ -57,7 +59,7 @@ func runRandSource(pass *Pass) {
 			if !ok {
 				return true
 			}
-			if fn := calleeFunc(pass.Info, call); fn != nil && fn.FullName() == "time.Now" {
+			if fn := flow.Callee(pass.Info, call); fn != nil && fn.FullName() == "time.Now" {
 				pass.Reportf(call.Pos(), "time.Now in simulation package %s: model time with slot counters; wall clock is allowed only under %s", pass.Path, strings.Join(wallClockAllowed, ", "))
 			}
 			return true

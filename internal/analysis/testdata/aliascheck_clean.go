@@ -1,4 +1,4 @@
-//femtovet:fixturepath femtocr/internal/aliasfixtureclean
+// fixturepath: femtocr/internal/aliasfixtureclean
 
 // Contracts the analyzer must accept: borrowed buffers used only for the
 // duration of the call, an owned buffer that transfers back to the caller

@@ -1,4 +1,4 @@
-//femtovet:fixturepath femtocr/internal/aliasfixture
+// fixturepath: femtocr/internal/aliasfixture
 
 // Ownership-contract violations the analyzer must flag: an exported *Into
 // function whose reference-carrying parameters have no annotation, and

@@ -1,4 +1,4 @@
-//femtovet:fixturepath femtocr/internal/dirfixture
+// fixturepath: femtocr/internal/dirfixture
 
 // Malformed directives the meta-check must flag. The want comments share
 // the directive lines, so the directive arguments below deliberately absorb
@@ -11,45 +11,19 @@ var a = 1
 //femtovet:ignore nosuch -- not a real analyzer // want "names unknown analyzer"
 var b = 2
 
-//femtovet:unit decibels // want "not a registered unit family"
-var c = 3.0
-
-//femtovet:index -- no domains given // want "needs a comma-separated list of axis domains"
-var d []float64
-
-//femtovet:index Users // want "must be a lowercase word"
-var e []float64
-
-//femtovet:fixturepath -- missing path argument // want "needs an import path argument"
-var f = 4
-
 //femtovet:frobnicate x // want "unknown femtovet directive"
-var g = 5
+var c = 3
 
-//femtovet:hotpath // want "must appear in a function's doc comment"
-var h = 6
+// A retired analyzer's annotation is an unknown kind, not a silent no-op.
+//
+//femtovet:hotpath // want "unknown femtovet directive .hotpath."
+func retired() {}
+
+//femtovet:unit dB // want "unknown femtovet directive .unit."
+var d = 4.0
 
 //femtovet:owns x // want "must appear in a function's doc comment"
-var i = 7
-
-//femtovet:shared // want "takes no argument|without a reason is unauditable"
-var j = 8
-
-//femtovet:commutative // want "takes no argument|without a reason is unauditable"
-var k = 9
-
-// argful takes the directive argument nobody asked for. The absorbed want
-// text keeps the argument nonempty either way.
-//
-//femtovet:hotpath everything // want "takes no argument"
-func argful() {}
-
-// reasonless omits both the argument and the reason; the absorbed want text
-// re-adds an argument, so both findings fire and the alternation matches
-// each.
-//
-//femtovet:coldpath // want "takes no argument|without a reason is unauditable"
-func reasonless() {}
+var e = 5
 
 // typoed names a parameter that does not exist.
 //
@@ -60,12 +34,6 @@ func typoed(buf []float64) { _ = buf }
 //
 //femtovet:owns -- // want "needs a comma-separated parameter list"
 func nameless(buf []float64) { _ = buf }
-
-// conflicted is hot and cold at once. // want "is annotated both femtovet:hotpath and femtovet:coldpath"
-//
-//femtovet:coldpath -- diagnostic constructor, reason present
-//femtovet:hotpath
-func conflicted() {}
 
 // overlapping claims buf under both contracts. // want "claimed by both femtovet:owns and femtovet:borrows"
 //

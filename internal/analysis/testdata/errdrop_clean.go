@@ -1,4 +1,4 @@
-//femtovet:fixturepath femtocr/cmd/fixture
+// fixturepath: femtocr/cmd/fixture
 
 // Clean: handled errors, explicit _ = acknowledgments, stdout printing,
 // in-memory writers, and the safeio sticky-error funnel.

@@ -1,4 +1,4 @@
-//femtovet:fixturepath femtocr/cmd/fixture
+// fixturepath: femtocr/cmd/fixture
 
 // Seeded violations: statement-level calls whose error result vanishes.
 package fixture

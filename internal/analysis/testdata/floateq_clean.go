@@ -1,4 +1,4 @@
-//femtovet:fixturepath femtocr/internal/core
+// fixturepath: femtocr/internal/core
 
 // Clean: tolerance helpers, zero-sentinel guards, integer equality, and
 // compile-time constant folds are all acceptable.

@@ -1,4 +1,4 @@
-//femtovet:fixturepath femtocr/internal/core
+// fixturepath: femtocr/internal/core
 
 // Seeded violations: exact float equality in convergence-style checks.
 package fixture

@@ -1,4 +1,4 @@
-//femtovet:fixturepath femtocr/internal/core
+// fixturepath: femtocr/internal/core
 
 // The suppression mechanism: a well-formed femtovet:ignore directive
 // silences the named analyzer on its line and the next; naming a different

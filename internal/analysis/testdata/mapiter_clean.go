@@ -1,4 +1,4 @@
-//femtovet:fixturepath femtocr/internal/core
+// fixturepath: femtocr/internal/core
 
 // Clean: the canonical collect-then-sort pattern, order-independent
 // accumulation, and a per-iteration buffer are all deterministic.

@@ -1,4 +1,4 @@
-//femtovet:fixturepath femtocr/internal/core
+// fixturepath: femtocr/internal/core
 
 // Seeded violations: map iteration leaking randomized order into a result
 // slice and into output.

@@ -1,4 +1,4 @@
-//femtovet:fixturepath femtocr/internal/experiments
+// fixturepath: femtocr/internal/experiments
 
 // Clean: wall-clock timing in an experiment harness is on the allowlist,
 // and randomness drawn through internal/rng is the sanctioned funnel.

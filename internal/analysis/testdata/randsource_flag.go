@@ -1,4 +1,4 @@
-//femtovet:fixturepath femtocr/internal/sim
+// fixturepath: femtocr/internal/sim
 
 // Seeded violations: a simulation package importing a raw randomness source
 // and reading the wall clock.

@@ -104,15 +104,11 @@ type DualReport struct {
 }
 
 // captureTrace appends a snapshot of the current prices to the trajectory.
-//
-//femtovet:coldpath -- diagnostic price-trajectory capture, only reached under WithTrace; the snapshot must escape into the report
 func (r *DualReport) captureTrace(lambda []float64) {
 	r.Trace = append(r.Trace, append([]float64(nil), lambda...))
 }
 
 // captureLambda copies the final prices into the report.
-//
-//femtovet:coldpath -- diagnostic, once per traced solve; the price copy must escape into the report
 func (r *DualReport) captureLambda(lambda []float64) {
 	r.Lambda = append([]float64(nil), lambda...)
 }
@@ -120,7 +116,6 @@ func (r *DualReport) captureLambda(lambda []float64) {
 // SolveInto solves the slot's problem into a caller-owned allocation: the
 // cold path, SolveWarmInto without a session.
 //
-//femtovet:hotpath
 //femtovet:borrows in, out
 func (d *DualSolver) SolveInto(in *Instance, out *Allocation) error {
 	return d.SolveWarmInto(in, out, nil)
@@ -135,7 +130,6 @@ func (d *DualSolver) SolveInto(in *Instance, out *Allocation) error {
 // the divergence guard re-cold-start automatically. A non-nil session also
 // records iteration statistics. See SolverSession.
 //
-//femtovet:hotpath
 //femtovet:borrows in, out, sess
 func (d *DualSolver) SolveWarmInto(in *Instance, out *Allocation, sess *SolverSession) error {
 	if err := in.Validate(); err != nil {
@@ -319,7 +313,6 @@ func (d *DualSolver) SolveWarmInto(in *Instance, out *Allocation, sess *SolverSe
 // cold/legacy path always passes 0, keeping its termination (and hence its
 // iterates) bit-identical to the session-less solver.
 //
-//femtovet:hotpath
 //femtovet:owns lambda, next
 //femtovet:borrows in, ws, sums, scale, report
 func (d *DualSolver) iterate(in *Instance, ws *solveWorkspace, lambda, next, sums, scale []float64, tauStart int, relTol float64, report *DualReport) ([]float64, int, bool) {
@@ -395,7 +388,6 @@ func (d *DualSolver) iterate(in *Instance, ws *solveWorkspace, lambda, next, sum
 // drive all prices to exactly zero. The strict-inequality early exit keeps
 // the check ~one user deep on the saturated instances of the paper scale.
 //
-//femtovet:hotpath
 //femtovet:borrows in, ws, sums
 func (d *DualSolver) triviallyFeasible(in *Instance, ws *solveWorkspace, sums []float64) bool {
 	k := in.K()

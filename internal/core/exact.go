@@ -21,7 +21,6 @@ var _ Solver = (*BruteForceSolver)(nil)
 // SolveInto enumerates associations and writes the best allocation into a
 // caller-owned one.
 //
-//femtovet:hotpath
 //femtovet:borrows in, best
 func (b *BruteForceSolver) SolveInto(in *Instance, best *Allocation) error {
 	if err := in.Validate(); err != nil {
@@ -78,7 +77,6 @@ var _ WarmSolver = (*EquilibriumSolver)(nil)
 // SolveInto solves the slot's problem into a caller-owned allocation: the
 // cold path, SolveWarmInto without a session.
 //
-//femtovet:hotpath
 //femtovet:borrows in, out
 func (e *EquilibriumSolver) SolveInto(in *Instance, out *Allocation) error {
 	return e.SolveWarmInto(in, out, nil)
@@ -92,7 +90,6 @@ func (e *EquilibriumSolver) SolveInto(in *Instance, out *Allocation) error {
 // seeding-disabled session degrades to the cold path; shape changes and a
 // runaway bracket expansion re-cold-start automatically. See SolverSession.
 //
-//femtovet:hotpath
 //femtovet:borrows in, out, sess
 func (e *EquilibriumSolver) SolveWarmInto(in *Instance, out *Allocation, sess *SolverSession) error {
 	if err := in.Validate(); err != nil {
@@ -117,7 +114,6 @@ func (e *EquilibriumSolver) SolveWarmInto(in *Instance, out *Allocation, sess *S
 // bumpEqEpoch whenever the base instance (anything but G) changes, and for
 // the workspace price seed.
 //
-//femtovet:hotpath
 //femtovet:borrows in, alloc, ws, sess
 func (e *EquilibriumSolver) solveWS(in *Instance, alloc *Allocation, ws *solveWorkspace, sess *SolverSession) error {
 	k := in.K()

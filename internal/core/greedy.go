@@ -157,8 +157,6 @@ type greedyRun struct {
 }
 
 // newGreedyResult builds the escaping result shell of one Allocate call.
-//
-//femtovet:coldpath -- constructs the per-call escaping result once per Allocate, outside the Q-evaluation loop
 func newGreedyResult(n, maxDegree int) *GreedyResult {
 	return &GreedyResult{
 		Assigned:         make([][]int, n),
@@ -169,8 +167,6 @@ func newGreedyResult(n, maxDegree int) *GreedyResult {
 
 // Allocate runs Table III and solves the user problem on the resulting
 // channel allocation.
-//
-//femtovet:hotpath
 func (g *GreedyAllocator) Allocate(p *ChannelProblem) (*GreedyResult, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err

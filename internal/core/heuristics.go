@@ -12,7 +12,6 @@ var _ Solver = Heuristic1{}
 // SolveInto splits each resource equally among the users that selected it,
 // writing the allocation into a caller-owned one.
 //
-//femtovet:hotpath
 //femtovet:borrows in, alloc
 func (Heuristic1) SolveInto(in *Instance, alloc *Allocation) error {
 	if err := in.Validate(); err != nil {
@@ -65,7 +64,6 @@ var _ Solver = Heuristic2{}
 // SolveInto grants whole slots to the best-channel users, writing the
 // allocation into a caller-owned one.
 //
-//femtovet:hotpath
 //femtovet:borrows in, alloc
 func (Heuristic2) SolveInto(in *Instance, alloc *Allocation) error {
 	if err := in.Validate(); err != nil {

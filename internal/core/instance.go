@@ -29,42 +29,24 @@ var ErrNoSolution = errors.New("core: no solution")
 // Per FBS i (1-based): G[i-1] is the expected number of available licensed
 // channels G^t_i allocated to that FBS this slot.
 type Instance struct {
-	//femtovet:unit dB
-	//femtovet:index user
-	W []float64
-	//femtovet:unit dB
-	//femtovet:index user
-	R0 []float64
-	//femtovet:unit dB
-	//femtovet:index user
-	R1 []float64
-	//femtovet:unit prob
-	//femtovet:index user
+	W   []float64
+	R0  []float64
+	R1  []float64
 	PS0 []float64
-	//femtovet:unit prob
-	//femtovet:index user
 	PS1 []float64
-	//femtovet:index user
 	FBS []int
-	//femtovet:index fbs
-	G []float64
+	G   []float64
 	// WMax optionally holds each user's encoding quality ceiling (the PSNR
 	// of the MGS encoding at its saturation rate). When present, solvers
 	// never allocate share beyond the ceiling — extra rate past it cannot
 	// improve the reconstructed video. Nil means unbounded.
-	//femtovet:unit dB
-	//femtovet:index user
 	WMax []float64
 }
 
 // K returns the number of users.
-//
-//femtovet:index user
 func (in *Instance) K() int { return len(in.W) }
 
 // N returns the number of FBSs.
-//
-//femtovet:index fbs
 func (in *Instance) N() int { return len(in.G) }
 
 // Validate checks structural and numeric sanity.
@@ -177,8 +159,6 @@ type Allocation struct {
 }
 
 // NewAllocation returns an all-zero allocation for k users.
-//
-//femtovet:coldpath -- allocates the escaping per-run Allocation; per-slot solves reuse it through SolveInto
 func NewAllocation(k int) *Allocation {
 	return &Allocation{
 		MBS:  make([]bool, k),

@@ -18,7 +18,6 @@ var _ Solver = MaxThroughput{}
 // when it leaves an otherwise-idle resource busy. The allocation is written
 // into a caller-owned one.
 //
-//femtovet:hotpath
 //femtovet:borrows in, alloc
 func (MaxThroughput) SolveInto(in *Instance, alloc *Allocation) error {
 	if err := in.Validate(); err != nil {

@@ -18,7 +18,6 @@ var _ Solver = (*RoundRobin)(nil)
 // SolveInto grants whole slots in rotation, writing the allocation into a
 // caller-owned one and advancing the rotation.
 //
-//femtovet:hotpath
 //femtovet:borrows in, alloc
 func (r *RoundRobin) SolveInto(in *Instance, alloc *Allocation) error {
 	if err := in.Validate(); err != nil {

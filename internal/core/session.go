@@ -194,7 +194,6 @@ func fbsSignature(fbs []int) uint64 {
 // state on a mismatch, and reports whether the carried multipliers may seed
 // this solve.
 //
-//femtovet:hotpath
 //femtovet:borrows in
 func (s *SolverSession) observe(in *Instance) {
 	k, n := in.K(), in.N()
@@ -207,8 +206,6 @@ func (s *SolverSession) observe(in *Instance) {
 }
 
 // note records one solve's iteration count.
-//
-//femtovet:hotpath
 func (s *SolverSession) note(iters int, warm, trivial bool) {
 	s.stats.Solves++
 	if warm {
@@ -237,7 +234,6 @@ func (s *SolverSession) note(iters int, warm, trivial bool) {
 // buffer. Nothing aliases the solver workspace: the session outlives the
 // solve, the workspace does not.
 //
-//femtovet:hotpath
 //femtovet:borrows lambda
 func (s *SolverSession) storeLambda(lambda, scale []float64, tau int, coldStart bool) {
 	s.lambda = growF(s.lambda, len(lambda))

@@ -73,7 +73,6 @@ func (u waterfillUser) branchAndRhoWR(lambda, logW, wr, bl float64) (float64, fl
 // The property tests in waterfill_prop_test.go pin it bit-identical to a
 // per-user scalar reference on random and degenerate instances.
 //
-//femtovet:hotpath
 //femtovet:borrows rho, ps, wr, caps
 func waterfillColumns(rho, ps, wr, caps []float64, budget float64) float64 {
 	ne := len(ps)

@@ -91,8 +91,8 @@ func (n Nakagami) Name() string { return fmt.Sprintf("nakagami-%g", n.m) }
 
 // Link is one base-station-to-user wireless link under block fading.
 type Link struct {
-	meanSINR  float64 //femtovet:unit linear
-	threshold float64 //femtovet:unit linear
+	meanSINR  float64 // linear
+	threshold float64 // linear
 	model     Model
 }
 
@@ -124,21 +124,15 @@ func (l Link) Model() Model { return l.model }
 
 // LossProbability returns P_F = F_X(H) of eq. (8): the probability the
 // received SINR falls below the decoding threshold in one slot.
-//
-//femtovet:unit prob
 func (l Link) LossProbability() float64 {
 	return l.model.OutageCDF(l.threshold / l.meanSINR)
 }
 
 // SuccessProbability returns 1 - P_F, the paper's \bar{P}_F.
-//
-//femtovet:unit prob
 func (l Link) SuccessProbability() float64 { return 1 - l.LossProbability() }
 
 // SampleSINR draws the received SINR for one slot (block fading: one draw
 // per slot, constant within it).
-//
-//femtovet:unit linear
 func (l Link) SampleSINR(s *rng.Stream) float64 {
 	return l.meanSINR * l.model.PowerGain(s)
 }

@@ -32,7 +32,7 @@ var ErrBadChannel = errors.New("ofdm: invalid channel parameters")
 type Channel struct {
 	subcarriers int
 	corr        float64 // adjacent-subcarrier amplitude correlation in [0, 1)
-	beta        float64 //femtovet:unit linear -- EESM calibration factor
+	beta        float64 // EESM calibration factor
 }
 
 // NewChannel builds a channel with S subcarriers, adjacent-subcarrier
@@ -65,7 +65,6 @@ func (c *Channel) Subcarriers() int { return c.subcarriers }
 // complex-Gaussian frequency response, giving unit-mean Rayleigh power per
 // subcarrier with amplitude correlation corr between neighbors.
 //
-//femtovet:hotpath
 //femtovet:borrows gains, s
 func (c *Channel) SampleGainsInto(gains []float64, s *rng.Stream) {
 	// Complex Gaussian with E|h|^2 = 1: each quadrature N(0, 1/2).
@@ -86,8 +85,6 @@ func (c *Channel) SampleGainsInto(gains []float64, s *rng.Stream) {
 // SINR (linear). The sum is evaluated with the log-sum-exp shift so small
 // beta values (where exp(-SINR/beta) underflows) stay exact: the worst
 // subcarrier dominates, as EESM prescribes.
-//
-//femtovet:unit linear
 func (c *Channel) EffectiveSINR(sinrs []float64) float64 {
 	if len(sinrs) == 0 {
 		return 0
@@ -125,7 +122,7 @@ func SpectralEfficiency(sinrs []float64) float64 {
 // construction (EESM has no closed form).
 type GainModel struct {
 	ch       *Channel
-	meanSINR float64 //femtovet:unit linear -- mean per-subcarrier SINR the model is built for
+	meanSINR float64 // mean per-subcarrier SINR the model is built for
 	stream   *rng.Stream
 	table    []float64 // sorted normalized effective gains
 }

@@ -85,7 +85,8 @@ func RunGrid(n, workers int, do func(i int) error) error {
 		stop atomic.Bool
 		wg   sync.WaitGroup
 	)
-	//femtovet:shared -- the atomic dispatch counter hands each index to exactly one worker, so errs[i] has a single writer
+	// The atomic dispatch counter hands each index to exactly one worker,
+	// so errs[i] has a single writer.
 	errs := make([]error, n)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)

@@ -120,7 +120,6 @@ func (s *Stream) ExpGain() float64 { return s.rand.ExpFloat64() }
 // drawing IntN(i+1) for i = n-1..1 — so sample paths match the library's
 // allocating Perm byte for byte.
 //
-//femtovet:hotpath
 //femtovet:borrows p
 func (s *Stream) PermInto(p []int) {
 	for i := range p {

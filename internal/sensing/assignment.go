@@ -73,7 +73,6 @@ func growInt(buf []int, n int) []int {
 // policies over time; s supplies randomness for the stochastic policies and
 // may be nil for RoundRobin.
 //
-//femtovet:hotpath
 //femtovet:borrows out, s
 func AssignInto(out []int, policy AssignmentPolicy, m, slot int, s *rng.Stream) error {
 	if m <= 0 {
@@ -122,7 +121,6 @@ func AssignInto(out []int, policy AssignmentPolicy, m, slot int, s *rng.Stream) 
 // |Pr{busy} - 1/2|). The ranking is a stable insertion sort, so ties keep
 // their ascending channel order.
 //
-//femtovet:hotpath
 //femtovet:borrows out, order, busyProbs
 func AssignByUncertaintyInto(out, order []int, busyProbs []float64) error {
 	m := len(busyProbs)

@@ -30,8 +30,8 @@ var ErrBadPrior = errors.New("sensing: utilization prior must be in [0, 1)")
 // Detector models one spectrum sensor: Pr{report busy | idle} = FalseAlarm
 // and Pr{report idle | busy} = MissDetect.
 type Detector struct {
-	falseAlarm float64 //femtovet:unit prob
-	missDetect float64 //femtovet:unit prob
+	falseAlarm float64
+	missDetect float64
 }
 
 // NewDetector validates and builds a Detector. Both error probabilities must

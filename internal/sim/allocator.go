@@ -176,8 +176,6 @@ type coldQ struct{ core.Solver }
 // decision st, then the solve of problem (10) at the users' current
 // qualities w (indexed by user; aliased by the returned Instance, so keep
 // it unchanged until the next Step).
-//
-//femtovet:hotpath
 func (a *Allocator) Step(st *SlotState, w []float64) (*SlotAllocation, error) {
 	a.inst.W = w
 	out := &a.out

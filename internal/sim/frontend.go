@@ -29,12 +29,12 @@ type Frontend struct {
 	// Per-slot scratch, sized once at construction so the steady-state Step
 	// is allocation-free. The SlotState handed out aliases these buffers and
 	// is valid only until the next Step.
-	priors     []float64       //femtovet:index channel
-	posteriors []float64       //femtovet:index channel
-	fusers     []sensing.Fuser //femtovet:index channel
+	priors     []float64
+	posteriors []float64
+	fusers     []sensing.Fuser
 	assignment []int
-	busy       []float64 //femtovet:index channel
-	uncOrder   []int     //femtovet:index channel
+	busy       []float64
+	uncOrder   []int
 	accessed   []int
 	accessedPA []float64
 	decision   access.SlotDecision
@@ -117,8 +117,6 @@ type SlotState struct {
 // plus one channel per user), fuses the results, and draws the access
 // decision. The returned SlotState and every slice it holds alias the
 // frontend's reusable buffers and are valid only until the next Step.
-//
-//femtovet:hotpath
 func (f *Frontend) Step(slot int) (*SlotState, error) {
 	net := f.net
 	m := net.Band.M()

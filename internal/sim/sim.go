@@ -284,8 +284,6 @@ func newEngine(net *netmodel.Network, opts Options) (*engine, error) {
 }
 
 // step simulates one time slot.
-//
-//femtovet:hotpath
 func (e *engine) step(slot int) error {
 	// Sensing and access phases (shared front half).
 	st, err := e.front.Step(slot)
@@ -332,8 +330,6 @@ func (e *engine) step(slot int) error {
 // small step on the first slot's problem, which exhibits the long Fig. 4(a)
 // trajectory (the default diminishing schedule converges within tens of
 // iterations), and records the price trajectory.
-//
-//femtovet:coldpath -- first-slot-only diagnostic; builds a fresh traced solver and keeps the escaping price trajectory
 func (e *engine) captureDualTrace(in *core.Instance) error {
 	var report core.DualReport
 	tracer := core.NewDualSolver(

@@ -22,10 +22,10 @@ var ErrBadConfig = errors.New("spectrum: invalid configuration")
 
 // Band describes the spectrum: M licensed channels plus the common channel.
 type Band struct {
-	m      int            //femtovet:index channel
-	b0     float64        //femtovet:unit bps -- common-channel capacity, Mbps
-	b1     float64        //femtovet:unit bps -- per-licensed-channel capacity, Mbps
-	chains []markov.Chain //femtovet:index channel
+	m      int
+	b0     float64 // common-channel capacity, Mbps
+	b1     float64 // per-licensed-channel capacity, Mbps
+	chains []markov.Chain
 }
 
 // NewBand builds a band with M licensed channels, all following the same
@@ -59,8 +59,6 @@ func NewHeterogeneousBand(b0, b1 float64, chains []markov.Chain) (*Band, error) 
 }
 
 // M returns the number of licensed channels.
-//
-//femtovet:index channel
 func (b *Band) M() int { return b.m }
 
 // B0 returns the common-channel capacity in Mbps.
@@ -116,8 +114,8 @@ func (o Occupancy) Clone() Occupancy {
 // are added or removed.
 type Simulator struct {
 	band    *Band
-	state   Occupancy     //femtovet:index channel
-	streams []*rng.Stream //femtovet:index channel
+	state   Occupancy
+	streams []*rng.Stream
 	slot    int
 }
 
@@ -146,8 +144,6 @@ func (s *Simulator) Occupancy() Occupancy { return s.state.Clone() }
 // StepInPlace advances every channel one slot and returns the new
 // occupancy: the simulator's own state vector, valid only until the next
 // step, so per-slot loops pay no copy. Clone it to keep it.
-//
-//femtovet:hotpath
 func (s *Simulator) StepInPlace() Occupancy {
 	for i := range s.state {
 		s.state[i] = s.band.chains[i].Next(s.state[i], s.streams[i])

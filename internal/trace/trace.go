@@ -28,9 +28,9 @@ type UserEvent struct {
 	Slot    int
 	User    int
 	OnMBS   bool
-	Share   float64 //femtovet:unit share -- rho on the chosen resource
-	GainDB  float64 //femtovet:unit dB -- realized quality increment
-	PSNR    float64 //femtovet:unit dB -- W after the slot
+	Share   float64 // rho on the chosen resource
+	GainDB  float64 // realized quality increment
+	PSNR    float64 // W after the slot
 	GOPDone bool    // slot closed a GOP
 }
 

@@ -5,16 +5,20 @@
 #   1. gofmt -s     — formatting (and simplification) drift fails the gate
 #   2. go vet       — the compiler-adjacent standard checks
 #   3. go build     — the whole module must compile
-#   4. femtovet     — the domain-aware analyzer suite (determinism, units,
-#                     RNG provenance, index domains, probability ranges,
-#                     float comparisons, dropped errors), built once and run
-#                     against the checked-in baseline
-#   5. determinism  — the parallel-replication regression: figures must be
+#   4. femtovet     — the analyzers no runtime test can replace (RNG
+#                     funnel, map-order leaks, float equality, dropped
+#                     errors, buffer ownership, directive hygiene); any
+#                     finding fails the gate
+#   5. go test      — core and sim without the race detector: the
+#                     AllocsPerRun pins skip under -race, and the full-scale
+#                     solver oracles shrink there, so this is the only step
+#                     that runs them
+#   6. determinism  — the parallel-replication regression: figures must be
 #                     byte-identical for workers=1, 4, and GOMAXPROCS, run
 #                     under the race detector (named explicitly so a test
 #                     rename can't silently drop the gate)
-#   6. go test -race — all tests under the race detector
-#   7. metro smoke   — a quick-scale generated metro through the sharded
+#   7. go test -race — all tests under the race detector
+#   8. metro smoke   — a quick-scale generated metro through the sharded
 #                     engine end to end (femtosim -scenario metro)
 #
 # Both -race steps run with GOMAXPROCS=4: CI containers expose only one or
@@ -51,7 +55,10 @@ echo "==> femtovet"
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 go build -o "$tmp/femtovet" ./cmd/femtovet
-"$tmp/femtovet" -baseline femtovet.baseline.json ./...
+"$tmp/femtovet" ./...
+
+echo "==> go test (allocation pins and full-scale oracles, no race detector)"
+go test -count=1 ./internal/core ./internal/sim
 
 echo "==> parallel determinism (workers=1/4/GOMAXPROCS, byte-identical figures)"
 echo "    GOMAXPROCS=4 (forced: 1-2 CPU runners barely interleave goroutines)"
