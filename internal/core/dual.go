@@ -423,12 +423,26 @@ func (d *DualSolver) repair(in *Instance, alloc *Allocation, lambda []float64, w
 	polishAssociation(in, alloc, 4, ws)
 }
 
+// polishTol is the association polish's acceptance threshold: a flip is
+// kept only when it raises the computed objective by more than this.
+const polishTol = 1e-12
+
 // polishAssociation runs best-improvement coordinate search over the binary
 // base-station association: flip one user at a time, re-water-fill the two
 // affected resources, keep strict improvements. It repairs mis-associations
 // left by a truncated dual iteration; at most maxRounds passes over the
 // users. The workspace must have prepareUsers already applied for this
-// instance (it supplies the water-filling views and cached log(W) terms).
+// instance (it supplies the water-filling views and cached log(W) terms),
+// and alloc must hold the fills' output for its association, with their
+// prices in fillPrice (fillResources leaves it so).
+//
+// Most calls find nothing to flip, and the first round proves it by
+// re-filling and re-evaluating every flip. So the polish first bounds what
+// any flip can gain by weak duality at the fills' own prices (polishGap);
+// when that bound, rounding included, is within the acceptance threshold,
+// the round would reject every flip and leave alloc as it is, bit for bit,
+// and is skipped. The bound is only taken at entry: after an improving
+// round the loop runs to the end.
 //
 // A rejected flip restores the snapshotted shares instead of re-running the
 // two water-fills: the fills are deterministic functions of the (restored)
@@ -436,8 +450,11 @@ func (d *DualSolver) repair(in *Instance, alloc *Allocation, lambda []float64, w
 // fills' output for the current association makes the copy byte-identical
 // to the recomputation — at half the cost, since most flips are rejected.
 func polishAssociation(in *Instance, alloc *Allocation, maxRounds int, ws *solveWorkspace) {
+	if gap, margin := polishGap(in, alloc, ws); gap+margin <= polishTol {
+		return
+	}
 	k := in.K()
-	cur := objectiveCached(in, alloc, ws.logW)
+	cur := alloc.ObjectiveLogW(in, ws.logW)
 	save0 := growF(ws.polishRho0, k)
 	ws.polishRho0 = save0
 	save1 := growF(ws.polishRho1, k)
@@ -452,7 +469,7 @@ func polishAssociation(in *Instance, alloc *Allocation, maxRounds int, ws *solve
 			alloc.MBS[j] = !alloc.MBS[j]
 			fillBand(in, alloc, 0, ws)
 			fillBand(in, alloc, in.FBS[j], ws)
-			if v := objectiveCached(in, alloc, ws.logW); v > cur+1e-12 {
+			if v := alloc.ObjectiveLogW(in, ws.logW); v > cur+polishTol {
 				cur = v
 				improved = true
 			} else {
@@ -465,6 +482,110 @@ func polishAssociation(in *Instance, alloc *Allocation, maxRounds int, ws *solve
 			return
 		}
 	}
+}
+
+// unitRoundoff is u = 2^-53: a rounded float64 operation is exact up to a
+// relative error of u.
+const unitRoundoff = 0x1p-53
+
+// polishGap bounds what one association flip of the polish can gain, by
+// weak duality at the prices λ_r of alloc's fills (fillPrice). gap is the
+// duality gap at those prices, summed per user:
+//
+//	Σ_j [max(bv0_j(λ_0), bv1_j(λ_i)) − (t_j − λ_r(j) ρ_j)] + Σ_r λ_r (1 − load_r)
+//
+// where bv are the users' branch values (Table I step 4), t_j is user j's
+// objective term and ρ_j its share on its resource r(j). No feasible
+// allocation, and so no flip, has an objective above the current one by
+// more than the gap. margin bounds every rounding the argument meets — the
+// two objective sums the polish compares, the branch values, the shares'
+// distance from each price's exact optimum, the fills' budgets, and the
+// gap's own sum (DESIGN §9) — so gap+margin <= polishTol proves that the
+// polish's first round rejects every flip. A NaN or infinite gap or margin
+// (a user without an encoding ceiling facing a zero-price resource) proves
+// nothing.
+func polishGap(in *Instance, alloc *Allocation, ws *solveWorkspace) (gap, margin float64) {
+	const u = unitRoundoff
+	k, price := in.K(), ws.fillPrice
+	load := growF(ws.polishLoad, len(price))
+	ws.polishLoad = load
+	for r := range load {
+		load[r] = 0
+	}
+	// Per-user magnitudes a >= |log W_j| + 1 bound every objective term a
+	// fill can produce; prefixes sums their running prefix sums past the
+	// first user, which bounds the rounding of a K-term objective sum.
+	var sumA, prefix, prefixes, absGap, branch float64
+	for j := 0; j < k; j++ {
+		i := in.FBS[j]
+		v0, v1 := ws.u0[j], ws.u1[j]
+		lw := ws.logW[j]
+		bv0, s0 := v0.branchAndRhoWR(price[0], lw, ws.wr0[j], ws.bl0[j])
+		bv1, s1 := v1.branchAndRhoWR(price[i], lw, ws.wr1[j], ws.bl1[j])
+		r, rho := 0, alloc.Rho0[j]
+		if !alloc.MBS[j] {
+			r, rho = i, alloc.Rho1[j]
+		}
+		load[r] += rho
+		d := max(bv0, bv1) - (objectiveTerm(in, alloc, lw, j) - price[r]*rho)
+		gap += d
+		absGap += math.Abs(d)
+		a := math.Abs(lw) + 2*max(v0.r, v1.r)/in.W[j] + 1
+		sumA += a
+		prefix += a
+		if j > 0 {
+			prefixes += prefix
+		}
+		branch += max(v0.branchError(price[0], ws.wr0[j], s0, a), v1.branchError(price[i], ws.wr1[j], s1, a))
+	}
+	dual := 0.0
+	for r, lam := range price {
+		gap += lam * (1 - load[r])
+		dual += lam * (1 + load[r])
+	}
+	margin = 1.02 * (u*(2*prefixes+11*sumA+float64(3*k+len(price)+10)*(absGap+dual)+1) + branch)
+	return gap, margin
+}
+
+// branchError bounds how far the branch value branchAndRhoWR returned at
+// price lambda, with share rho, may lie below the exact supremum over
+// shares of the user's Lagrangian on this resource, given a >= |log w| + 1:
+// the rounding of the value's evaluation, plus the steepest slope of the
+// Lagrangian, ps*r/w + lambda, times the distance of the rounded share from
+// the exact optimum. That distance is zero when both sit at the zero share,
+// the cap's rounding when both sit at the cap, and otherwise the rounding
+// of ps/lambda - w/r as well. At a zero price an uncapped user's optimum is
+// unbounded: +Inf.
+func (v waterfillUser) branchError(lambda, wr, rho, a float64) float64 {
+	const u = unitRoundoff
+	eval := u * (9*a + 6*rho*(v.r/v.w+lambda))
+	if v.r <= 0 || v.ps <= 0 {
+		return eval // a constant branch: both shares are zero
+	}
+	capped := v.cap >= 0 && !math.IsInf(v.cap, 1)
+	capErr := 0.0
+	if capped {
+		capErr = 2 * u * v.cap
+	}
+	var dist float64
+	switch {
+	case lambda > 0:
+		x := v.ps/lambda - wr
+		xErr := 3 * u * (v.ps/lambda + wr)
+		switch {
+		case x+xErr < 0:
+			dist = 0
+		case capped && x-xErr > v.cap+capErr:
+			dist = capErr
+		default:
+			dist = xErr + capErr
+		}
+	case capped:
+		dist = capErr
+	default:
+		return math.Inf(1)
+	}
+	return eval + (v.ps*v.r/v.w+lambda)*dist
 }
 
 // fillResources water-fills the common channel among MBS users and each FBS
@@ -481,7 +602,8 @@ func fillResources(in *Instance, alloc *Allocation, ws *solveWorkspace) {
 // gathered straight into the flat waterfillColumns views, reusing the w/r
 // quotients prepareUsers hoisted; users filtered out here (no success
 // probability or no rate) would get a zero share, so every associated
-// user's shares are set to zero up front.
+// user's shares are set to zero up front. The fill's supporting price goes
+// to fillPrice[i] (0 for a resource without effective users).
 //
 // While the workspace holds a live epoch the fill is memoized: for a fixed
 // base instance, the common channel's shares are a pure function of its
@@ -514,10 +636,11 @@ func fillBand(in *Instance, alloc *Allocation, i int, ws *solveWorkspace) {
 	ws.wfIdx = idx
 	memo := ws.memoLive && k <= 64 && len(idx) > 0
 	if memo {
-		if rho, ok := ws.fillGet(key, len(idx)); ok {
+		if rho, lambda, ok := ws.fillGet(key, len(idx)); ok {
 			for t, j := range idx {
 				shares[j] = rho[t]
 			}
+			ws.fillPrice[i] = lambda
 			return
 		}
 	}
@@ -530,11 +653,12 @@ func fillBand(in *Instance, alloc *Allocation, i int, ws *solveWorkspace) {
 	ws.wfPS, ws.wfWR, ws.wfCap = ps, wr, caps
 	rho := growF(ws.wfRho, len(idx))
 	ws.wfRho = rho
-	waterfillColumns(rho, ps, wr, caps, 1)
+	lambda := waterfillColumns(rho, ps, wr, caps, 1)
 	for t, j := range idx {
 		shares[j] = rho[t]
 	}
+	ws.fillPrice[i] = lambda
 	if memo {
-		ws.fillPut(key, rho)
+		ws.fillPut(key, rho, lambda)
 	}
 }

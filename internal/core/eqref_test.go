@@ -1,24 +1,27 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"femtocr/internal/rng"
 )
 
-// The equilibrium solve takes three exact shortcuts: both bisections decide
+// The equilibrium solve takes four exact shortcuts: both bisections decide
 // a probe from a log-free demand bound when it fits the budget, the inner
-// bisection is memoized (exact table and window memo), and the water-fills
-// are memoized per epoch. A fresh workspace takes the bound shortcut too,
-// so only a solve without any of them can catch a wrong bound. refSolver is
-// that solve, the way scalarWaterfill is for waterfillColumns: every probe
-// sums the demand of the members' actual choices, every inner bisection is
-// computed, every member's choice is a bool, and the fills run on a
-// workspace that holds no epoch.
+// bisection is memoized (exact table and window memo), the water-fills are
+// memoized per epoch, and the association polish skips its flip round when
+// the fills' prices certify that no flip can win. A fresh workspace takes
+// the bound shortcuts too, so only a solve without any of them can catch a
+// wrong bound. refSolver is that solve, the way scalarWaterfill is for
+// waterfillColumns: every probe sums the demand of the members' actual
+// choices, every inner bisection is computed, every member's choice is a
+// bool, the fills run on a workspace that holds no epoch, and the polish
+// re-fills every flip.
 
 // refSolver solves one instance the literal way. Its workspace is prepared
-// for the instance but never bumped, so its fills and polish are plain.
+// for the instance but never bumped, so its fills are plain.
 type refSolver struct {
 	in *Instance
 	ws *solveWorkspace
@@ -94,12 +97,20 @@ func (r *refSolver) demand0(l0 float64) float64 {
 	return total
 }
 
-// solve runs the outer bisection — bracketed around seed when warm, from
+// solve is enter followed by the literal polish.
+func (r *refSolver) solve(warm bool, seed float64) (*Allocation, float64) {
+	alloc, l0 := r.enter(warm, seed)
+	r.polish(alloc)
+	return alloc, l0
+}
+
+// enter runs the outer bisection — bracketed around seed when warm, from
 // the global bracket otherwise, with the same expansion guard and depths as
 // EquilibriumSolver — then fixes the association at the clearing prices and
-// water-fills and polishes it. It returns the allocation and the clearing
-// common price (0 when no price clears, the trivial case).
-func (r *refSolver) solve(warm bool, seed float64) (*Allocation, float64) {
+// water-fills it: the state the solve hands its polish. It returns the
+// allocation and the clearing common price (0 when no price clears, the
+// trivial case).
+func (r *refSolver) enter(warm bool, seed float64) (*Allocation, float64) {
 	in := r.in
 	exceeds := func(l0 float64) bool { return r.demand0(l0) > 1 }
 	l0 := eqLambdaFloor
@@ -166,11 +177,36 @@ func (r *refSolver) solve(warm bool, seed float64) (*Allocation, float64) {
 		}
 	}
 	fillResources(in, alloc, r.ws)
-	polishAssociation(in, alloc, 4, r.ws)
 	if trivial {
 		l0 = 0
 	}
 	return alloc, l0
+}
+
+// polish is the association polish the literal way, without the
+// production polish's duality certificate: every round re-fills and
+// re-evaluates every flip, and a rejected flip is re-filled back.
+func (r *refSolver) polish(alloc *Allocation) {
+	in := r.in
+	cur := alloc.Objective(in)
+	for round := 0; round < 4; round++ {
+		improved := false
+		for j := range alloc.MBS {
+			alloc.MBS[j] = !alloc.MBS[j]
+			fillBand(in, alloc, 0, r.ws)
+			fillBand(in, alloc, in.FBS[j], r.ws)
+			if v := alloc.Objective(in); v > cur+1e-12 {
+				cur, improved = v, true
+				continue
+			}
+			alloc.MBS[j] = !alloc.MBS[j]
+			fillBand(in, alloc, 0, r.ws)
+			fillBand(in, alloc, in.FBS[j], r.ws)
+		}
+		if !improved {
+			return
+		}
+	}
 }
 
 // allocDiff names the first user whose association or share bits differ
@@ -192,7 +228,8 @@ func allocDiff(a, b *Allocation) int {
 // the epoch, and new base instances with their epoch bump — and checks each
 // solve against refSolver bit for bit: every share, the association, the
 // base solve's clearing price, and every FBS's inner equilibrium at that
-// price.
+// price. It also holds the polish's certificate to every flip of the state
+// the solve hands its polish (certTally.check).
 type solveWalk struct {
 	t      *testing.T
 	s      *rng.Stream
@@ -204,7 +241,7 @@ type solveWalk struct {
 }
 
 func newSolveWalk(t *testing.T, s *rng.Stream, n, maxMembers int) *solveWalk {
-	w := &solveWalk{t: t, s: s, in: memoInstance(s, n, maxMembers), ws: new(solveWorkspace)}
+	w := &solveWalk{t: t, s: s, in: certInstance(s, n, maxMembers), ws: new(solveWorkspace)}
 	if err := w.in.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +273,8 @@ func (w *solveWalk) posterior() float64 {
 }
 
 // solve runs the production solve on the walk's workspace and the
-// reference on a fresh one, and compares them.
+// reference on a fresh one, compares them, and checks the certificate on
+// the reference's polish entry state.
 func (w *solveWalk) solve() {
 	w.solves++
 	in := w.in
@@ -246,7 +284,10 @@ func (w *solveWalk) solve() {
 		w.t.Fatalf("solve %d: %v", w.solves, err)
 	}
 	ref := newRefSolver(in)
-	want, l0 := ref.solve(warm, seed)
+	want, l0 := ref.enter(warm, seed)
+	entry := NewAllocation(in.K())
+	copy(entry.MBS, want.MBS)
+	ref.polish(want)
 	if j := allocDiff(got, want); j >= 0 {
 		w.t.Fatalf("solve %d (warm=%v, G=%v): user %d: got MBS=%v rho=(%v, %v), reference MBS=%v rho=(%v, %v)",
 			w.solves, warm, in.G, j, got.MBS[j], got.Rho0[j], got.Rho1[j], want.MBS[j], want.Rho0[j], want.Rho1[j])
@@ -254,6 +295,10 @@ func (w *solveWalk) solve() {
 	if !warm && math.Float64bits(w.ws.eqL0) != math.Float64bits(l0) {
 		w.t.Fatalf("solve %d (G=%v): clearing common price %v, reference %v", w.solves, in.G, w.ws.eqL0, l0)
 	}
+	// Agreeing with the literal polish on this state is not enough: the
+	// certificate must bound every flip of it.
+	var c certTally
+	c.check(w.t, fmt.Sprintf("solve %d (warm=%v)", w.solves, warm), in, entry, ref.ws)
 	if l0 == 0 {
 		return
 	}
@@ -298,9 +343,11 @@ func (w *solveWalk) step() {
 }
 
 // TestEquilibriumSolveMatchesReference is the bitwise oracle for the
-// solve's shortcuts together — both demand bounds, the inner memo levels and
-// the water-fill memo — on random instances with 1-40 members per FBS
-// (past 64 users the fill memo is off), WMax caps and zero ps/r members.
+// solve's shortcuts together — both demand bounds, the inner memo levels,
+// the water-fill memo and the polish's certificate — on random instances
+// with 1-40 members per FBS (past 64 users the fill memo is off), WMax caps
+// (some binding below a full share), zero ps/r members and qualities near 1
+// (certInstance).
 func TestEquilibriumSolveMatchesReference(t *testing.T) {
 	seeds := 24
 	if testing.Short() || raceEnabled {

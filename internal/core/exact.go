@@ -48,7 +48,7 @@ func (b *BruteForceSolver) SolveInto(in *Instance, best *Allocation) error {
 			alloc.Rho1[j] = 0
 		}
 		fillResources(in, alloc, ws)
-		if v := objectiveCached(in, alloc, ws.logW); v > bestVal {
+		if v := alloc.ObjectiveLogW(in, ws.logW); v > bestVal {
 			bestVal = v
 			copy(best.MBS, alloc.MBS)
 			copy(best.Rho0, alloc.Rho0)

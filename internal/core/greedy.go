@@ -263,7 +263,7 @@ func (g *GreedyAllocator) q(r *greedyRun, gvec []float64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return objectiveCached(inst, &r.ws.qAlloc, r.ws.logW), nil
+	return r.ws.qAlloc.ObjectiveLogW(inst, r.ws.logW), nil
 }
 
 // gainOf returns the marginal gain of allocating candidate idx on top of the

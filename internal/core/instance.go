@@ -225,6 +225,37 @@ func (a *Allocation) Objective(in *Instance) float64 {
 	return total
 }
 
+// ObjectiveLogW is Objective with each user's log(W_j) supplied by the
+// caller as logW[j] = math.Log(in.W[j]): a caller that evaluates many
+// allocations of one instance takes the logs once. It is bit-identical to
+// Objective: a zero gain reuses the cached log(W) exactly as math.Log(W+0)
+// would, and a nonzero gain performs the same math.Log call on the same
+// argument.
+func (a *Allocation) ObjectiveLogW(in *Instance, logW []float64) float64 {
+	total := 0.0
+	for j := 0; j < in.K(); j++ {
+		total += objectiveTerm(in, a, logW[j], j)
+	}
+	return total
+}
+
+// objectiveTerm is user j's term of ObjectiveLogW, given lw = log(W_j).
+func objectiveTerm(in *Instance, a *Allocation, lw float64, j int) float64 {
+	var ps, gain float64
+	if a.MBS[j] {
+		ps = in.PS0[j]
+		gain = in.clampGain(j, a.Rho0[j]*in.R0[j])
+	} else {
+		ps = in.PS1[j]
+		gain = in.clampGain(j, a.Rho1[j]*in.effR1(j))
+	}
+	lwg := lw
+	if gain != 0 {
+		lwg = math.Log(in.W[j] + gain)
+	}
+	return ps*lwg + (1-ps)*lw
+}
+
 // clampGain caps a quality increment at the user's encoding ceiling.
 func (in *Instance) clampGain(j int, gain float64) float64 {
 	if in.WMax == nil {

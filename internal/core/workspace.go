@@ -82,11 +82,19 @@ type solveWorkspace struct {
 
 	// Water-fill memo, the same open-addressed, epoch-tagged pattern (see
 	// dual.go fillBand): fillKeys[s] keys one fill of the current epoch by
-	// its resource and effective member set, and fillOff[s] locates its
-	// shares in the fillShares arena, which bumpEqEpoch empties.
+	// its resource and effective member set, fillOff[s] locates its shares
+	// in the fillShares arena, which bumpEqEpoch empties, and fillLam[s]
+	// holds the fill's water-filling price.
 	fillKeys   []memoKey
 	fillOff    []int32
+	fillLam    []float64
 	fillShares []float64
+
+	// fillPrice[i] is the water-filling price of resource i's latest fill
+	// (0 the common channel, 1..N the FBS bands), which the association
+	// polish reads as its dual certificate (see polishAssociation). Sized
+	// by prepareUsers.
+	fillPrice []float64
 
 	// eqWide carries the choices of members 64 and up of the last
 	// equilibriumFBS call, which its uint64 mask cannot hold (see
@@ -112,8 +120,10 @@ type solveWorkspace struct {
 	eqSeeded bool
 
 	// polishRho0/polishRho1 snapshot an allocation's shares so a rejected
-	// association flip restores them instead of re-water-filling.
+	// association flip restores them instead of re-water-filling;
+	// polishLoad sums each resource's shares for the polish's certificate.
 	polishRho0, polishRho1 []float64
+	polishLoad             []float64
 }
 
 // memoKey is the exact key of one entry of the workspace's open-addressed
@@ -245,32 +255,35 @@ func (ws *solveWorkspace) eqMemoPut(fbs int, l0, g float64, li float64, mask uin
 	}
 }
 
-// fillGet returns the n memoized shares of the fill keyed k, if live.
-func (ws *solveWorkspace) fillGet(k memoKey, n int) ([]float64, bool) {
+// fillGet returns the n memoized shares and the price of the fill keyed
+// k, if live.
+func (ws *solveWorkspace) fillGet(k memoKey, n int) ([]float64, float64, bool) {
 	if len(ws.fillKeys) == 0 {
-		return nil, false
+		return nil, 0, false
 	}
 	s, hit := memoFind(ws.fillKeys, k)
 	if !hit {
-		return nil, false
+		return nil, 0, false
 	}
 	off := int(ws.fillOff[s])
-	return ws.fillShares[off : off+n], true
+	return ws.fillShares[off : off+n], ws.fillLam[s], true
 }
 
-// fillPut memoizes the shares rho of the fill keyed k under the current
-// epoch, unless the epoch's arena is full.
-func (ws *solveWorkspace) fillPut(k memoKey, rho []float64) {
+// fillPut memoizes the shares rho and the price lambda of the fill keyed k
+// under the current epoch, unless the epoch's arena is full.
+func (ws *solveWorkspace) fillPut(k memoKey, rho []float64, lambda float64) {
 	if len(ws.fillShares)+len(rho) > fillArenaCap {
 		return
 	}
 	if cap(ws.fillKeys) < fillMemoSize {
 		ws.fillKeys = make([]memoKey, fillMemoSize)
 		ws.fillOff = make([]int32, fillMemoSize)
+		ws.fillLam = make([]float64, fillMemoSize)
 	}
 	if s, hit := memoFind(ws.fillKeys, k); !hit {
 		ws.fillKeys[s] = k
 		ws.fillOff[s] = int32(len(ws.fillShares))
+		ws.fillLam[s] = lambda
 		ws.fillShares = append(ws.fillShares, rho...)
 	}
 }
@@ -333,6 +346,7 @@ func (ws *solveWorkspace) prepareUsers(in *Instance) {
 	ws.wr1 = growF(ws.wr1, k)
 	ws.bl0 = growF(ws.bl0, k)
 	ws.bl1 = growF(ws.bl1, k)
+	ws.fillPrice = growF(ws.fillPrice, in.N()+1)
 	for j := 0; j < k; j++ {
 		ws.u0[j] = in.user0(j)
 		ws.u1[j] = in.user1(j)
@@ -397,31 +411,6 @@ func (a *Allocation) resize(k int) {
 		a.Rho0[j] = 0
 		a.Rho1[j] = 0
 	}
-}
-
-// objectiveCached is Allocation.Objective with the per-user log(W) terms
-// precomputed. It is bit-identical to Objective: a zero gain reuses the
-// cached log(W) exactly as math.Log(W+0) would, and a nonzero gain performs
-// the same math.Log call on the same argument.
-func objectiveCached(in *Instance, a *Allocation, logW []float64) float64 {
-	total := 0.0
-	for j := 0; j < in.K(); j++ {
-		lw := logW[j]
-		var ps, gain float64
-		if a.MBS[j] {
-			ps = in.PS0[j]
-			gain = in.clampGain(j, a.Rho0[j]*in.R0[j])
-		} else {
-			ps = in.PS1[j]
-			gain = in.clampGain(j, a.Rho1[j]*in.effR1(j))
-		}
-		lwg := lw
-		if gain != 0 {
-			lwg = math.Log(in.W[j] + gain)
-		}
-		total += ps*lwg + (1-ps)*lw
-	}
-	return total
 }
 
 // feasibleCached is Allocation.Feasible on workspace scratch: identical

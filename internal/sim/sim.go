@@ -232,10 +232,12 @@ type engine struct {
 	// Reusable per-slot state, owned by this engine and overwritten every
 	// slot (the engine is single-goroutine by design): the users' current
 	// qualities handed to the allocation stage, the realized gains, and the
-	// bound trajectory's inflation scratch.
-	w       []float64
-	gains   []float64
-	inflate *core.Allocation
+	// bound trajectory's inflation scratch (an allocation and the users'
+	// log-qualities).
+	w           []float64
+	gains       []float64
+	inflate     *core.Allocation
+	inflateLogW []float64
 
 	dualTrace [][]float64
 	sumG      float64
@@ -279,6 +281,7 @@ func newEngine(net *netmodel.Network, opts Options) (*engine, error) {
 			e.bound[j] = video.NewProgress(u.Seq)
 		}
 		e.inflate = core.NewAllocation(k)
+		e.inflateLogW = make([]float64, k)
 	}
 	return e, nil
 }
@@ -421,7 +424,7 @@ func (e *engine) realize(in *core.Instance, alloc *core.Allocation, assigned [][
 // user's expected gain by the common factor theta >= 1 that makes the
 // objective meet the bound, then applying the same realization discipline.
 func (e *engine) trackBound(in *core.Instance, alloc *core.Allocation, value, upper float64, assigned [][]int, truth spectrum.Occupancy) {
-	theta := gainInflation(in, alloc, value, upper, e.inflate)
+	theta := gainInflation(in, alloc, value, upper, e.inflate, e.inflateLogW)
 	for j := 0; j < in.K(); j++ {
 		gain := 0.0
 		if alloc.MBS[j] {
@@ -445,23 +448,24 @@ func (e *engine) trackBound(in *core.Instance, alloc *core.Allocation, value, up
 
 // gainInflation finds theta >= 1 such that inflating every user's allocated
 // quality increment by theta lifts the slot objective from value to upper.
-// scratch, when non-nil, is a k-sized allocation reused across the ~100
-// bisection evaluations; every entry is overwritten before being read.
-func gainInflation(in *core.Instance, alloc *core.Allocation, value, upper float64, scratch *core.Allocation) float64 {
+// scratch (an allocation) and logW are k-sized buffers reused across the
+// ~100 bisection evaluations; every entry is overwritten before being read.
+// The users' log-qualities are taken once per call, not once per
+// evaluation.
+func gainInflation(in *core.Instance, alloc *core.Allocation, value, upper float64, scratch *core.Allocation, logW []float64) float64 {
 	if upper <= value {
 		return 1
 	}
-	if scratch == nil {
-		scratch = core.NewAllocation(in.K())
+	for j, w := range in.W {
+		logW[j] = math.Log(w)
 	}
 	obj := func(theta float64) float64 {
-		cp := scratch
-		copy(cp.MBS, alloc.MBS)
-		for j := range cp.Rho0 {
-			cp.Rho0[j] = alloc.Rho0[j] * theta
-			cp.Rho1[j] = alloc.Rho1[j] * theta
+		copy(scratch.MBS, alloc.MBS)
+		for j := range scratch.Rho0 {
+			scratch.Rho0[j] = alloc.Rho0[j] * theta
+			scratch.Rho1[j] = alloc.Rho1[j] * theta
 		}
-		return cp.Objective(in)
+		return scratch.ObjectiveLogW(in, logW)
 	}
 	lo, hi := 1.0, 2.0
 	for i := 0; i < 40 && obj(hi) < upper; i++ {

@@ -32,8 +32,9 @@
 #                     the core solver fuzz targets (water-filling, greedy
 #                     channels against the literal Table III runs, warm==cold
 #                     solver sessions, the equilibrium memo against a
-#                     memo-free workspace, and the equilibrium solve against
-#                     its shortcut-free reference).
+#                     memo-free workspace, the equilibrium solve against
+#                     its shortcut-free reference, and the association
+#                     polish's duality certificate against re-filled flips).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -80,6 +81,7 @@ if [ -n "${FEMTOCR_FUZZ:-}" ]; then
     go test -run='^$' -fuzz='^FuzzSolverSession$' -fuzztime=10s ./internal/core
     go test -run='^$' -fuzz='^FuzzEquilibriumMemo$' -fuzztime=10s ./internal/core
     go test -run='^$' -fuzz='^FuzzEquilibriumSolve$' -fuzztime=10s ./internal/core
+    go test -run='^$' -fuzz='^FuzzPolishCertificate$' -fuzztime=10s ./internal/core
 fi
 
 echo "check.sh: all gates passed"
