@@ -11,8 +11,9 @@ import (
 // (the exact (fbs, lambda_0, G_i) table and the per-FBS window memo; see
 // equilibriumFBS). Both must be invisible: every answer must carry the bits
 // a memo-free computation produces. A fresh workspace holds no live epoch,
-// so it computes every inner bisection from scratch and serves as the
-// oracle.
+// so it computes every inner bisection from scratch; it takes the same
+// early exits, so both answers are also held to the full-depth bisection of
+// refSolver.inner.
 
 // memoInstance builds a random instance over n FBSs with 1..maxMembers
 // members each, mixing in the inputs the window memo's comparisons must
@@ -69,7 +70,7 @@ func memoG(s *rng.Stream) float64 {
 // random jumps and small steps of lambda_0 — interleaved with G_i changes
 // (including returns to an earlier G_i) and base-instance changes with their
 // epoch bump, and checks every equilibriumFBS answer bit for bit against a
-// fresh workspace's.
+// fresh workspace's and the full-depth reference's.
 type memoWalk struct {
 	t     *testing.T
 	s     *rng.Stream
@@ -92,17 +93,22 @@ func newMemoWalk(t *testing.T, s *rng.Stream, n, maxMembers int) *memoWalk {
 	return w
 }
 
-// check runs FBS i's inner equilibrium at l0 on the walk's workspace and on
-// a fresh one, failing on any bit of difference, and returns the mask.
+// check runs FBS i's inner equilibrium at l0 on the walk's workspace, on a
+// fresh one and on the reference, failing on any difference, and returns
+// the mask.
 func (w *memoWalk) check(i int, l0 float64) uint64 {
 	w.calls++
-	li, mask := w.ws.equilibriumFBS(w.in, i, l0, w.iters)
+	mask := w.ws.equilibriumFBS(w.in, i, l0, w.iters)
 	fresh := new(solveWorkspace)
 	fresh.prepareEquilibrium(w.in)
-	wantLi, wantMask := fresh.equilibriumFBS(w.in, i, l0, w.iters)
-	if math.Float64bits(li) != math.Float64bits(wantLi) || mask != wantMask {
-		w.t.Fatalf("call %d: FBS %d at l0=%v G=%v: memo (%v, %#x), fresh (%v, %#x)",
-			w.calls, i, l0, w.in.G[i-1], li, mask, wantLi, wantMask)
+	if want := fresh.equilibriumFBS(w.in, i, l0, w.iters); mask != want {
+		w.t.Fatalf("call %d: FBS %d at l0=%v G=%v: memo %#x, fresh %#x", w.calls, i, l0, w.in.G[i-1], mask, want)
+	}
+	for b, want := range newRefSolver(w.in).inner(i, l0, w.iters) {
+		if got := mask&(1<<uint(b)) != 0; got != want {
+			w.t.Fatalf("call %d: FBS %d at l0=%v G=%v member %d: MBS choice %v, reference %v",
+				w.calls, i, l0, w.in.G[i-1], b, got, want)
+		}
 	}
 	return mask
 }
@@ -180,8 +186,8 @@ func (w *memoWalk) step() {
 // TestEquilibriumMemoMatchesFresh is the bitwise oracle for both memo
 // levels: random instances with 1-64 members per FBS, WMax caps and zero
 // ps/r members, walked through outer bisections, jumps, G_i changes and
-// epoch bumps on one workspace, must reproduce a fresh workspace's price
-// and mask at every inner solve.
+// epoch bumps on one workspace, must reproduce a fresh workspace's mask and
+// the full-depth reference's choices at every inner solve.
 func TestEquilibriumMemoMatchesFresh(t *testing.T) {
 	seeds := 24
 	if testing.Short() {

@@ -8,17 +8,18 @@ import (
 	"femtocr/internal/rng"
 )
 
-// The equilibrium solve takes four exact shortcuts: both bisections decide
+// The equilibrium solve takes five exact shortcuts: both bisections decide
 // a probe from a log-free demand bound when it fits the budget, the inner
-// bisection is memoized (exact table and window memo), the water-fills are
-// memoized per epoch, and the association polish skips its flip round when
-// the fills' prices certify that no flip can win. A fresh workspace takes
-// the bound shortcuts too, so only a solve without any of them can catch a
+// bisection stops once its choices are proven (innerExit), it is memoized
+// (exact table and window memo), the water-fills are memoized per epoch,
+// and the association polish skips its flip round when the fills' prices
+// certify that no flip can win. A fresh workspace takes the bound shortcuts
+// and the inner exit too, so only a solve without any of them can catch a
 // wrong bound. refSolver is that solve, the way scalarWaterfill is for
 // waterfillColumns: every probe sums the demand of the members' actual
-// choices, every inner bisection is computed, every member's choice is a
-// bool, the fills run on a workspace that holds no epoch, and the polish
-// re-fills every flip.
+// choices, every inner bisection is computed to full depth, every member's
+// choice is a bool, the fills run on a workspace that holds no epoch, and
+// the polish re-fills every flip.
 
 // refSolver solves one instance the literal way. Its workspace is prepared
 // for the instance but never bumped, so its fills are plain.
@@ -33,9 +34,24 @@ func newRefSolver(in *Instance) *refSolver {
 	return &refSolver{in: in, ws: ws}
 }
 
-// inner is FBS i's band-price bisection at common price l0, returning the
-// clearing price and each member's choice (true = MBS).
-func (r *refSolver) inner(i int, l0 float64) (float64, []bool) {
+// inner is FBS i's band-price bisection at common price l0, iters steps
+// deep, returning each member's choice (true = MBS) at the clearing price.
+func (r *refSolver) inner(i int, l0 float64, iters int) []bool {
+	return r.innerTrace(i, l0, iters).mbs
+}
+
+// innerRun is the record of one literal inner bisection: lo[s], hi[s] and
+// mid[s] are the bracket at the top of step s and the price it probes, and
+// mbs each member's choice at the clearing price li.
+type innerRun struct {
+	lo, hi, mid []float64
+	li          float64
+	mbs         []bool
+}
+
+// innerTrace is inner with the record of its bisection steps.
+func (r *refSolver) innerTrace(i int, l0 float64, iters int) innerRun {
+	var run innerRun
 	ws := r.ws
 	members := ws.byFBS[i]
 	v0 := make([]float64, len(members))
@@ -62,8 +78,11 @@ func (r *refSolver) inner(i int, l0 float64) (float64, []bool) {
 				hi *= 2
 			}
 			lo := li
-			for it := 0; it < eqIters; it++ {
+			for it := 0; it < iters; it++ {
 				mid := 0.5 * (lo + hi)
+				run.lo = append(run.lo, lo)
+				run.hi = append(run.hi, hi)
+				run.mid = append(run.mid, mid)
 				if demand(mid) > 1 {
 					lo = mid
 				} else {
@@ -73,12 +92,13 @@ func (r *refSolver) inner(i int, l0 float64) (float64, []bool) {
 			li = hi
 		}
 	}
-	mbs := make([]bool, len(members))
+	run.li = li
+	run.mbs = make([]bool, len(members))
 	for b, j := range members {
 		v1, _ := ws.u1[j].branchAndRhoWR(li, ws.logW[j], ws.wr1[j], ws.bl1[j])
-		mbs[b] = v0[b] > v1
+		run.mbs[b] = v0[b] > v1
 	}
-	return li, mbs
+	return run
 }
 
 // demand0 is the MBS demand at common price l0 given every FBS's inner
@@ -87,7 +107,7 @@ func (r *refSolver) demand0(l0 float64) float64 {
 	ws := r.ws
 	total := 0.0
 	for i := 1; i <= r.in.N(); i++ {
-		_, mbs := r.inner(i, l0)
+		mbs := r.inner(i, l0, eqIters)
 		for b, j := range ws.byFBS[i] {
 			if mbs[b] {
 				total += ws.u0[j].rhoAtWR(l0, ws.wr0[j])
@@ -171,7 +191,7 @@ func (r *refSolver) enter(warm bool, seed float64) (*Allocation, float64) {
 	}
 	alloc := NewAllocation(in.K())
 	for i := 1; i <= in.N(); i++ {
-		_, mbs := r.inner(i, l0)
+		mbs := r.inner(i, l0, eqIters)
 		for b, j := range r.ws.byFBS[i] {
 			alloc.MBS[j] = mbs[b]
 		}
@@ -227,8 +247,8 @@ func allocDiff(a, b *Allocation) int {
 // restore it, trials returning to an earlier G_i, accepted pairs that keep
 // the epoch, and new base instances with their epoch bump — and checks each
 // solve against refSolver bit for bit: every share, the association, the
-// base solve's clearing price, and every FBS's inner equilibrium at that
-// price. It also holds the polish's certificate to every flip of the state
+// base solve's clearing price, and every FBS's inner choices at that price.
+// It also holds the polish's certificate to every flip of the state
 // the solve hands its polish (certTally.check).
 type solveWalk struct {
 	t      *testing.T
@@ -303,11 +323,8 @@ func (w *solveWalk) solve() {
 		return
 	}
 	for i := 1; i <= in.N(); i++ {
-		li, mask := w.ws.equilibriumFBS(in, i, l0, eqIters)
-		wantLi, mbs := ref.inner(i, l0)
-		if math.Float64bits(li) != math.Float64bits(wantLi) {
-			w.t.Fatalf("solve %d: FBS %d at l0=%v: band price %v, reference %v", w.solves, i, l0, li, wantLi)
-		}
+		mask := w.ws.equilibriumFBS(in, i, l0, eqIters)
+		mbs := ref.inner(i, l0, eqIters)
 		for b := range mbs {
 			if w.ws.prefersMBS(mask, b) != mbs[b] {
 				w.t.Fatalf("solve %d: FBS %d member %d: MBS choice %v, reference %v", w.solves, i, b, !mbs[b], mbs[b])
@@ -343,8 +360,8 @@ func (w *solveWalk) step() {
 }
 
 // TestEquilibriumSolveMatchesReference is the bitwise oracle for the
-// solve's shortcuts together — both demand bounds, the inner memo levels,
-// the water-fill memo and the polish's certificate — on random instances
+// solve's shortcuts together — both demand bounds, the inner exit, the
+// inner memo levels, the water-fill memo and the polish's certificate — on random instances
 // with 1-40 members per FBS (past 64 users the fill memo is off), WMax caps
 // (some binding below a full share), zero ps/r members and qualities near 1
 // (certInstance).
@@ -386,8 +403,7 @@ func FuzzEquilibriumSolve(f *testing.F) {
 // TestEquilibriumWideFBSChoices: an FBS of more than 64 members overflows
 // the inner bisection's uint64 choice mask, so members 64 and up are
 // carried in a separate column. Every member's reported choice must be the
-// direct comparison of its two branch values at the returned prices, and
-// the full solve must match the reference.
+// reference's, and the full solve must match the reference.
 func TestEquilibriumWideFBSChoices(t *testing.T) {
 	s := rng.New(64)
 	const k = 100
@@ -418,14 +434,12 @@ func TestEquilibriumWideFBSChoices(t *testing.T) {
 	_, l0 := ref.solve(false, 0)
 	wideMBS := 0
 	for _, p := range []float64{l0, 0.5 * l0, 2 * l0, 1e-3, 1e-1} {
-		li, mask := ws.equilibriumFBS(in, 1, p, eqIters)
-		for b, j := range ws.byFBS[1] {
-			v0, _ := ws.u0[j].branchAndRhoWR(p, ws.logW[j], ws.wr0[j], ws.bl0[j])
-			v1, _ := ws.u1[j].branchAndRhoWR(li, ws.logW[j], ws.wr1[j], ws.bl1[j])
-			if got := ws.prefersMBS(mask, b); got != (v0 > v1) {
-				t.Fatalf("l0=%v member %d: prefersMBS %v, branch values MBS %v vs FBS %v", p, b, got, v0, v1)
+		mask := ws.equilibriumFBS(in, 1, p, eqIters)
+		for b, want := range ref.inner(1, p, eqIters) {
+			if got := ws.prefersMBS(mask, b); got != want {
+				t.Fatalf("l0=%v member %d: prefersMBS %v, reference %v", p, b, got, want)
 			}
-			if b >= 64 && v0 > v1 {
+			if b >= 64 && want {
 				wideMBS++
 			}
 		}

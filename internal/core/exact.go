@@ -157,7 +157,7 @@ func (e *EquilibriumSolver) solveWS(in *Instance, alloc *Allocation, ws *solveWo
 		}
 		total := 0.0
 		for i := 1; i <= in.N(); i++ {
-			_, mask := ws.equilibriumFBS(in, i, l0, eqIters)
+			mask := ws.equilibriumFBS(in, i, l0, eqIters)
 			for b, j := range byFBS[i] {
 				if ws.prefersMBS(mask, b) {
 					total += u0[j].rhoAtWR(l0, wr0[j])
@@ -268,7 +268,7 @@ func (e *EquilibriumSolver) solveWS(in *Instance, alloc *Allocation, ws *solveWo
 	// Fix the association at the equilibrium prices, then water-fill.
 	alloc.resize(k)
 	for i := 1; i <= in.N(); i++ {
-		_, mask := ws.equilibriumFBS(in, i, l0, eqIters)
+		mask := ws.equilibriumFBS(in, i, l0, eqIters)
 		for b, j := range byFBS[i] {
 			alloc.MBS[j] = ws.prefersMBS(mask, b)
 		}
@@ -285,17 +285,18 @@ func (e *EquilibriumSolver) solveWS(in *Instance, alloc *Allocation, ws *solveWo
 // solver probes.
 const eqLambdaFloor = 1e-15
 
-// equilibriumFBS returns the price of FBS i's band clearing its unit budget
-// given the common-channel price l0, along with each member's final choice
-// as a bitmask (bit b set = member b of byFBS[i] prefers the MBS at the
-// returned price; read it with prefersMBS, which also covers members past
-// 63). Demand is non-increasing in the band price: shares shrink and users
-// defect to the MBS as it rises. The workspace must be prepared for in
+// equilibriumFBS returns each member's choice at the price of FBS i's band
+// that clears its unit budget given the common-channel price l0, as a
+// bitmask: bit b set = member b of byFBS[i] prefers the MBS (read it with
+// prefersMBS, which also covers members past 63). The band price itself is
+// bisected, but only as far as the choices need it. Demand is
+// non-increasing in the band price: shares shrink and users defect to the
+// MBS as it rises. The workspace must be prepared for in
 // (prepareEquilibrium).
 //
-// The (price, mask) pair is a pure function of (i, l0, G_i) for a fixed base
-// instance, and it is memoized at two levels, both only while the workspace
-// holds a live epoch (bumpEqEpoch) and the FBS has at most 64 members:
+// The mask is a pure function of (i, l0, G_i) for a fixed base instance,
+// and it is memoized at two levels, both only while the workspace holds a
+// live epoch (bumpEqEpoch) and the FBS has at most 64 members:
 //
 //   - the exact table keyed by (i, l0, G_i) bits, which answers repeats
 //     without a single math.Log — the greedy allocator's Q evaluations
@@ -303,11 +304,12 @@ const eqLambdaFloor = 1e-15
 //     probes, so every other FBS is answered from it;
 //   - a per-FBS window memo. The inner bisection reads l0 only through the
 //     comparisons bv >= gV0[b] between each member's FBS branch value and
-//     its MBS branch value at l0. Each miss records, per member, the window
-//     (lo, hi] of gV0[b] values that decide every comparison it made the same
-//     way; a later l0 whose gV0 lands inside every member's window replays
-//     the same comparisons, so the same demand totals, the same bisection
-//     branches and the same (price, mask) — bit for bit.
+//     its MBS branch value at l0, and through the thresholds that settle a
+//     member over a bracket (innerExit). Each miss records, per member, the
+//     window (lo, hi] of gV0[b] values that decide every comparison it made
+//     and its settlement the same way; a later l0 whose gV0 lands inside
+//     every member's window replays the same comparisons, so the same
+//     bisection branches, and the same mask, bit for bit.
 //
 // Demand totals are only ever compared against the unit budget, so each
 // probe first sums every member's share regardless of its choice, without a
@@ -317,13 +319,16 @@ const eqLambdaFloor = 1e-15
 // and leave the windows unconstrained. Likewise the accumulation loops exit
 // as soon as the partial sum crosses the budget: the remaining terms cannot
 // bring it back, and members past the exit make no comparison either.
-func (ws *solveWorkspace) equilibriumFBS(in *Instance, i int, l0 float64, iters int) (float64, uint64) {
+//
+// From bracket step innerExitStep on, the bisection stops as soon as
+// innerExit proves the mask that its full depth would end on.
+func (ws *solveWorkspace) equilibriumFBS(in *Instance, i int, l0 float64, iters int) uint64 {
 	members := ws.byFBS[i]
 	gi := in.G[i-1]
 	memoable := len(members) <= 64 && ws.memoLive
 	if memoable {
-		if li, mask, ok := ws.eqMemoGet(i, l0, gi); ok {
-			return li, mask
+		if mask, ok := ws.eqMemoGet(i, l0, gi); ok {
+			return mask
 		}
 	}
 	m := len(members)
@@ -340,31 +345,20 @@ func (ws *solveWorkspace) equilibriumFBS(in *Instance, i int, l0 float64, iters 
 	if hit {
 		// Promote the hit into the exact table: the greedy's next Q
 		// evaluation replays this probe and then skips the gV0 logs.
-		ws.eqMemoPut(i, l0, gi, last.li, last.mask)
-		return last.li, last.mask
+		ws.eqMemoPut(i, l0, gi, last.mask)
+		return last.mask
 	}
 
-	// Gather the members' FBS-band columns once per miss: the ~2*iters
-	// demand probes below then walk contiguous copies instead of chasing
-	// member indices through the per-user columns. Same values, same member
-	// order, same operations — bit-identical. gLo/gHi accumulate each
-	// member's window.
-	ws.gU = growU(ws.gU, m)
-	ws.gLogW = growF(ws.gLogW, m)
-	ws.gWR = growF(ws.gWR, m)
-	ws.gBL = growF(ws.gBL, m)
-	ws.gLo = growF(ws.gLo, m)
-	ws.gHi = growF(ws.gHi, m)
-	gU, gLogW, gWR, gBL, gLo, gHi := ws.gU, ws.gLogW, ws.gWR, ws.gBL, ws.gLo, ws.gHi
-	for b, j := range members {
-		gU[b] = ws.u1[j]
-		gLogW[b] = ws.logW[j]
-		gWR[b] = ws.wr1[j]
-		gBL[b] = ws.bl1[j]
-		gLo[b] = math.Inf(-1)
-		gHi[b] = math.Inf(1)
-	}
+	ws.gatherFBS(members)
+	gU, gLogW, gWR, gBL, gLo, gHi, gSt := ws.gU, ws.gLogW, ws.gWR, ws.gBL, ws.gLo, ws.gHi, ws.gSt
+	// exceeds leaves the branch values it computed in gBP (NaN for the
+	// rest), and the caller keeps them as a bracket end's by swapping
+	// columns.
 	exceeds := func(li float64) bool {
+		bvs := ws.gBP
+		for b := range bvs {
+			bvs[b] = math.NaN()
+		}
 		bound := 0.0
 		for b := range gU {
 			if bound += gU[b].rhoAtWR(li, gWR[b]); bound > 1 {
@@ -377,6 +371,7 @@ func (ws *solveWorkspace) equilibriumFBS(in *Instance, i int, l0 float64, iters 
 		total := 0.0
 		for b := range gU {
 			bv, rho := gU[b].branchAndRhoWR(li, gLogW[b], gWR[b], gBL[b])
+			bvs[b] = bv
 			if bv >= gV0[b] {
 				if bv < gHi[b] {
 					gHi[b] = bv
@@ -392,7 +387,9 @@ func (ws *solveWorkspace) equilibriumFBS(in *Instance, i int, l0 float64, iters 
 		return false
 	}
 	li := eqLambdaFloor
+	decided := false
 	if exceeds(li) {
+		ws.gBLo, ws.gBP = ws.gBP, ws.gBLo
 		hi := 0.0
 		for b := range gU {
 			hi += gU[b].ps
@@ -401,13 +398,20 @@ func (ws *solveWorkspace) equilibriumFBS(in *Instance, i int, l0 float64, iters 
 			for exceeds(hi) {
 				hi *= 2
 			}
+			ws.gBHi, ws.gBP = ws.gBP, ws.gBHi
 			lo := li
 			for it := 0; it < iters; it++ {
+				if it >= innerExitStep && ws.innerExit(lo, hi) {
+					decided = true
+					break
+				}
 				mid := 0.5 * (lo + hi)
 				if exceeds(mid) {
 					lo = mid
+					ws.gBLo, ws.gBP = ws.gBP, ws.gBLo
 				} else {
 					hi = mid
+					ws.gBHi, ws.gBP = ws.gBP, ws.gBHi
 				}
 			}
 			li = hi
@@ -418,28 +422,196 @@ func (ws *solveWorkspace) equilibriumFBS(in *Instance, i int, l0 float64, iters 
 		ws.eqWide = growB(ws.eqWide, m)
 	}
 	for b := range gU {
-		bv, _ := gU[b].branchAndRhoWR(li, gLogW[b], gWR[b], gBL[b])
-		mbs := gV0[b] > bv
+		mbs := gSt[b] == eqDefect
+		if !decided && gSt[b] == eqOpen {
+			bv, _ := gU[b].branchAndRhoWR(li, gLogW[b], gWR[b], gBL[b])
+			mbs = gV0[b] > bv
+			if mbs {
+				if bv > gLo[b] {
+					gLo[b] = bv
+				}
+			} else if bv < gHi[b] {
+				gHi[b] = bv
+			}
+		}
 		if mbs {
 			mask |= 1 << uint(b) // no-op past bit 63: eqWide holds those
-			if bv > gLo[b] {
-				gLo[b] = bv
-			}
-		} else if bv < gHi[b] {
-			gHi[b] = bv
 		}
 		if b >= 64 {
 			ws.eqWide[b] = mbs
 		}
 	}
 	if memoable {
-		ws.eqMemoPut(i, l0, gi, li, mask)
-		*last = eqLastEntry{g: math.Float64bits(gi), li: li, mask: mask, epoch: ws.eqEpoch}
+		ws.eqMemoPut(i, l0, gi, mask)
+		*last = eqLastEntry{g: math.Float64bits(gi), mask: mask, epoch: ws.eqEpoch}
 		for b, j := range members {
 			ws.eqWin[j] = eqWindow{lo: gLo[b], hi: gHi[b]}
 		}
 	}
-	return li, mask
+	return mask
+}
+
+// gatherFBS gathers the FBS-band columns of an inner bisection's members
+// once per miss: the demand probes then walk contiguous copies instead of
+// chasing member indices through the per-user columns. Same values, same
+// member order, same operations — bit-identical. Every member starts open,
+// with an unconstrained window.
+func (ws *solveWorkspace) gatherFBS(members []int) {
+	m := len(members)
+	ws.gU = growU(ws.gU, m)
+	ws.gLogW = growF(ws.gLogW, m)
+	ws.gWR = growF(ws.gWR, m)
+	ws.gBL = growF(ws.gBL, m)
+	ws.gLo = growF(ws.gLo, m)
+	ws.gHi = growF(ws.gHi, m)
+	ws.gSt = growI8(ws.gSt, m)
+	ws.gBLo = growF(ws.gBLo, m)
+	ws.gBHi = growF(ws.gBHi, m)
+	ws.gBP = growF(ws.gBP, m)
+	for b, j := range members {
+		ws.gU[b] = ws.u1[j]
+		ws.gLogW[b] = ws.logW[j]
+		ws.gWR[b] = ws.wr1[j]
+		ws.gBL[b] = ws.bl1[j]
+		ws.gLo[b] = math.Inf(-1)
+		ws.gHi[b] = math.Inf(1)
+		ws.gSt[b] = eqOpen
+	}
+}
+
+// A member's settlement state over an inner bisection's bracket: undecided,
+// on its FBS at every price of the bracket, or on the MBS at every price.
+const (
+	eqOpen int8 = iota
+	eqKeep
+	eqDefect
+)
+
+// innerExitStep is the first bracket step at which equilibriumFBS asks
+// innerExit whether its mask is decided. Checked from step 0, no exit came
+// before step 6 on femtosim's interfering, single-FBS and metro scenarios,
+// while the checks' on-demand branch values tripled: perfbench
+// paper-interfering gained 1.24x over the full-depth bisection, against
+// 1.36x when checking from step 8 (medians of three alternating 8 s runs).
+const innerExitStep = 8
+
+// innerMargin scales cornerError into the margin that settles a member
+// whose share is neither zero nor capped: 2 for the branch values' errors
+// at a bracket end and at the price in between, and 1/6 of it for the
+// rounding of the threshold fl(bv ± margin), with room for the margin's own
+// rounding (DESIGN §9).
+const innerMargin = 2.25
+
+// innerExit reports whether the mask of the inner bisection is decided
+// over its current bracket (lo, hi]: the bisection, run to full depth, ends
+// on a price of the bracket that does not exceed the budget, and the mask
+// is each member's choice there. It settles the open members it can
+// (settle), narrowing each settled member's window to its deciding
+// threshold, and stops at the second member it cannot settle. When every
+// member is settled the mask is decided. When one member is left, it must
+// defect if the kept members' shares at hi with its own, summed in member
+// order, exceed the budget: shares and their rounded partial sums are
+// non-increasing in the price, so with it kept every price of the bracket
+// would exceed the budget, and the bisection ends on one that does not.
+// Its window is not narrowed: that rule never reads its gV0.
+func (ws *solveWorkspace) innerExit(lo, hi float64) bool {
+	open := -1
+	for b, st := range ws.gSt {
+		if st != eqOpen {
+			continue
+		}
+		st, t := ws.settle(b, lo, hi)
+		switch st {
+		case eqKeep:
+			ws.gHi[b] = min(ws.gHi[b], t)
+		case eqDefect:
+			ws.gLo[b] = max(ws.gLo[b], t)
+		default:
+			if open >= 0 {
+				return false
+			}
+			open = b
+			continue
+		}
+		ws.gSt[b] = st
+	}
+	if open < 0 {
+		return true
+	}
+	total := 0.0
+	for b, u := range ws.gU {
+		if ws.gSt[b] != eqKeep && b != open {
+			continue
+		}
+		if total += u.rhoAtWR(hi, ws.gWR[b]); total > 1 {
+			ws.gSt[open] = eqDefect
+			return true
+		}
+	}
+	return false
+}
+
+// settle decides member b's choice at every price of the bracket (lo, hi]
+// when its branch values there allow it: eqKeep when its FBS branch value
+// stays at or above every MBS branch value up to t, eqDefect when it stays
+// at or below t, so that every MBS branch value above t wins; eqOpen
+// otherwise. Shares are non-increasing in the price under rounding, so:
+//
+//   - a zero share at lo stays zero, and the branch value is bl exactly;
+//   - a share capped at hi stays capped below it, and the branch value is
+//     fl(C − λ·cap) with C fixed, exactly non-increasing in λ, so its
+//     values at the ends bound it;
+//   - otherwise the exact supremum of the member's Lagrangian is
+//     non-increasing in λ and each branch value lies within cornerError of
+//     it, so the ends' values bound it within innerMargin·cornerError.
+//
+// The ends' branch values come from the probes that set them, or are
+// computed on demand into gBLo and gBHi.
+func (ws *solveWorkspace) settle(b int, lo, hi float64) (int8, float64) {
+	u, wr, v0 := ws.gU[b], ws.gWR[b], ws.gV0[b]
+	rhoLo := u.rhoAtWR(lo, wr)
+	if rhoLo == 0 {
+		bl := ws.gBL[b]
+		if v0 > bl {
+			return eqDefect, bl
+		}
+		return eqKeep, bl
+	}
+	// A share never exceeds its cap, so one below it at hi is not capped.
+	margin := 0.0
+	if u.cap < 0 || u.rhoAtWR(hi, wr) < u.cap {
+		margin = innerMargin * u.cornerError(lo, hi, wr, rhoLo, math.Abs(ws.gLogW[b])+1)
+	}
+	if t := ws.branchAt(b, hi, ws.gBHi) - margin; v0 <= t {
+		return eqKeep, t
+	}
+	if t := ws.branchAt(b, lo, ws.gBLo) + margin; v0 > t {
+		return eqDefect, t
+	}
+	return eqOpen, 0
+}
+
+// branchAt returns member b's FBS branch value at price li from the column
+// col of values at li, computing and storing it there when missing (NaN).
+func (ws *solveWorkspace) branchAt(b int, li float64, col []float64) float64 {
+	if math.IsNaN(col[b]) {
+		col[b], _ = ws.gU[b].branchAndRhoWR(li, ws.gLogW[b], ws.gWR[b], ws.gBL[b])
+	}
+	return col[b]
+}
+
+// cornerError bounds branchError at every price of [lo, hi] for a user
+// whose share at lo is rhoLo, given a >= |log w| + 1: branchError's terms
+// taken at the bracket's worst corners — the largest share rhoLo, the
+// largest price hi in the evaluation and slope terms, and the smallest
+// price lo in the share's rounding.
+func (v waterfillUser) cornerError(lo, hi, wr, rhoLo, a float64) float64 {
+	const u = unitRoundoff
+	capErr := 0.0
+	if v.cap >= 0 && !math.IsInf(v.cap, 1) {
+		capErr = 2 * u * v.cap
+	}
+	return u*(9*a+6*rhoLo*(v.r/v.w+hi)) + (v.ps*v.r/v.w+hi)*(3*u*(v.ps/lo+wr)+capErr)
 }
 
 // prefersMBS reports member b's choice in the mask of the FBS's latest

@@ -1,5 +1,7 @@
 package core
 
+import "math"
+
 // SolverSession carries warm-start state across the consecutive per-slot
 // solves of one cell. Channel occupancy is a two-state Markov chain
 // (internal/markov), so consecutive slots' problems are strongly correlated
@@ -154,7 +156,11 @@ func (s *SolverSession) IterationQuantile(q float64) int {
 	if q > 1 {
 		q = 1
 	}
-	target := int64(q * float64(s.stats.Solves))
+	// Nearest rank: the smallest count with at least q·n solves at or
+	// below it. The slack keeps a product that rounding lifts a hair above
+	// a whole number (0.07·100) on that number's rank.
+	r := q * float64(s.stats.Solves)
+	target := int64(math.Ceil(r - 1e-9*r))
 	if target < 1 {
 		target = 1
 	}

@@ -401,3 +401,43 @@ func TestColdProbeSessionNeverSeeds(t *testing.T) {
 		t.Fatalf("stats = %+v; want all cold", st)
 	}
 }
+
+// TestIterationQuantileNearestRank pins the nearest-rank convention on odd
+// and even counts: the q-quantile is the smallest iteration count with at
+// least ceil(q·n) solves at or below it.
+func TestIterationQuantileNearestRank(t *testing.T) {
+	cases := []struct {
+		iters []int
+		q     float64
+		want  int
+	}{
+		{[]int{5, 20, 40}, 0.5, 20},
+		{[]int{5, 20, 40}, 0, 5},
+		{[]int{5, 20, 40}, 0.34, 20},
+		{[]int{5, 20, 40}, 1, 40},
+		{[]int{3, 9}, 0.5, 3},
+		{seq(15), 0.9, 14},
+		{seq(15), 0.5, 8},
+		{seq(100), 0.07, 7},
+		{seq(100), 0.99, 99},
+	}
+	for _, c := range cases {
+		sess := NewSolverSession()
+		sess.EnableStats()
+		for _, it := range c.iters {
+			sess.note(it, true, false)
+		}
+		if got := sess.IterationQuantile(c.q); got != c.want {
+			t.Errorf("%d solves, q=%v: quantile %d, want %d", len(c.iters), c.q, got, c.want)
+		}
+	}
+}
+
+// seq returns 1..n.
+func seq(n int) []int {
+	s := make([]int, n)
+	for i := range s {
+		s[i] = i + 1
+	}
+	return s
+}

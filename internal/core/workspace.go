@@ -29,14 +29,19 @@ type solveWorkspace struct {
 	bl0, bl1 []float64 // zero-share branch values ps*logW + (1-ps)*logW
 
 	// Gathered member columns for one FBS's inner bisection (see
-	// equilibriumFBS): the ~2*iters demand probes of a bisection walk
-	// these contiguous copies instead of chasing member indices through
-	// the per-user columns above. gV0 holds each member's MBS branch
-	// value at the current common price; gLo/gHi accumulate each member's
-	// window for the window memo.
+	// equilibriumFBS): the demand probes of a bisection walk these
+	// contiguous copies instead of chasing member indices through the
+	// per-user columns above. gV0 holds each member's MBS branch value at
+	// the current common price; gLo/gHi accumulate each member's window
+	// for the window memo. gSt is each member's settlement state over the
+	// bracket (eqOpen, eqKeep, eqDefect; see innerExit), and gBLo, gBHi
+	// and gBP its FBS branch value at the bracket's ends and at the
+	// latest probe, NaN where not computed.
 	gU                   []waterfillUser
 	gLogW, gWR, gBL, gV0 []float64
 	gLo, gHi             []float64
+	gSt                  []int8
+	gBLo, gBHi, gBP      []float64
 
 	// User index lists grouped by serving FBS (index 0 unused).
 	byFBS [][]int
@@ -65,7 +70,7 @@ type solveWorkspace struct {
 	qInstance Instance
 
 	// Per-FBS equilibrium memo (see exact.go solveWS): open-addressed
-	// cache of (fbs, lambda_0, G_i) -> (lambda_i, association mask),
+	// cache of (fbs, lambda_0, G_i) -> association mask,
 	// epoch-tagged so invalidation on a new base instance is O(1). The
 	// greedy allocator holds one epoch across all Q evaluations of an
 	// Allocate call; the pooled solver entry points bump the epoch per
@@ -76,7 +81,7 @@ type solveWorkspace struct {
 	// never bump, keep plain computations on a pooled workspace that still
 	// carries an older epoch.
 	eqKeys   []memoKey
-	eqVals   []eqResult
+	eqVals   []uint64 // bit b set = byFBS member b prefers the MBS
 	eqEpoch  uint32
 	memoLive bool
 
@@ -139,18 +144,11 @@ type memoKey struct {
 	epoch uint32
 }
 
-// eqResult is one cached inner-bisection result.
-type eqResult struct {
-	li   float64 // equilibrium band price
-	mask uint64  // bit b set = byFBS member b prefers the MBS at li
-}
-
 // eqLastEntry is one FBS's last computed inner-bisection result: valid
 // while epoch is the workspace's and the FBS's G_i has bits g.
 type eqLastEntry struct {
-	g     uint64  // math.Float64bits of G_i
-	li    float64 // equilibrium band price
-	mask  uint64  // bit b set = byFBS member b prefers the MBS at li
+	g     uint64 // math.Float64bits of G_i
+	mask  uint64 // bit b set = byFBS member b prefers the MBS
 	epoch uint32
 }
 
@@ -229,29 +227,29 @@ func (ws *solveWorkspace) eqKey(fbs int, l0, g float64) memoKey {
 	return memoKey{a: math.Float64bits(l0), b: math.Float64bits(g), fbs: int32(fbs), epoch: ws.eqEpoch}
 }
 
-// eqMemoGet looks up the memoized equilibrium of FBS fbs at common price
-// l0 with expected channels g.
-func (ws *solveWorkspace) eqMemoGet(fbs int, l0, g float64) (float64, uint64, bool) {
+// eqMemoGet looks up the memoized equilibrium choice mask of FBS fbs at
+// common price l0 with expected channels g.
+func (ws *solveWorkspace) eqMemoGet(fbs int, l0, g float64) (uint64, bool) {
 	if len(ws.eqKeys) == 0 {
-		return 0, 0, false
+		return 0, false
 	}
 	s, hit := memoFind(ws.eqKeys, ws.eqKey(fbs, l0, g))
 	if !hit {
-		return 0, 0, false
+		return 0, false
 	}
-	return ws.eqVals[s].li, ws.eqVals[s].mask, true
+	return ws.eqVals[s], true
 }
 
-// eqMemoPut records an equilibrium under the current epoch.
-func (ws *solveWorkspace) eqMemoPut(fbs int, l0, g float64, li float64, mask uint64) {
+// eqMemoPut records an equilibrium choice mask under the current epoch.
+func (ws *solveWorkspace) eqMemoPut(fbs int, l0, g float64, mask uint64) {
 	if cap(ws.eqKeys) < eqMemoSize {
 		ws.eqKeys = make([]memoKey, eqMemoSize)
-		ws.eqVals = make([]eqResult, eqMemoSize)
+		ws.eqVals = make([]uint64, eqMemoSize)
 	}
 	k := ws.eqKey(fbs, l0, g)
 	if s, hit := memoFind(ws.eqKeys, k); !hit {
 		ws.eqKeys[s] = k
-		ws.eqVals[s] = eqResult{li: li, mask: mask}
+		ws.eqVals[s] = mask
 	}
 }
 
@@ -324,6 +322,14 @@ func growI(buf []int, n int) []int {
 		return buf[:n]
 	}
 	return make([]int, n)
+}
+
+// growI8 is growF for int8 slices.
+func growI8(buf []int8, n int) []int8 {
+	if cap(buf) >= n {
+		return buf[:n]
+	}
+	return make([]int8, n)
 }
 
 // growB is growF for bool slices.

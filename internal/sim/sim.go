@@ -476,10 +476,17 @@ func gainInflation(in *core.Instance, alloc *core.Allocation, value, upper float
 	}
 	for i := 0; i < 60; i++ {
 		mid := 0.5 * (lo + hi)
+		// mid is lo or hi once they are adjacent floats. That step may
+		// still set hi = lo, but after it every step probes the same mid
+		// and leaves both as they are.
+		last := !(lo < mid && mid < hi)
 		if obj(mid) < upper {
 			lo = mid
 		} else {
 			hi = mid
+		}
+		if last {
+			break
 		}
 	}
 	return hi

@@ -1,6 +1,10 @@
 package sim
 
-import "femtocr/internal/core"
+import (
+	"math"
+
+	"femtocr/internal/core"
+)
 
 // WarmStartReport summarizes the per-slot solver iteration statistics of one
 // run (Result.Warm, populated when Options.SolveStats is set). For the
@@ -83,7 +87,11 @@ func histQuantile(hist []int64, solves int, q float64) int {
 	if q > 1 {
 		q = 1
 	}
-	target := int64(q * float64(solves))
+	// Nearest rank: the smallest count with at least q·n solves at or
+	// below it. The slack keeps a product that rounding lifts a hair above
+	// a whole number (0.07·100) on that number's rank.
+	r := q * float64(solves)
+	target := int64(math.Ceil(r - 1e-9*r))
 	if target < 1 {
 		target = 1
 	}

@@ -140,6 +140,47 @@ func TestEngineSessionWiring(t *testing.T) {
 	}
 }
 
+// TestHistQuantileNearestRank pins histQuantile to the nearest-rank
+// convention of core.SolverSession.IterationQuantile on odd and even
+// counts.
+func TestHistQuantileNearestRank(t *testing.T) {
+	hist := func(iters ...int) []int64 {
+		h := make([]int64, 64)
+		for _, it := range iters {
+			h[it]++
+		}
+		return h
+	}
+	upTo := func(n int) []int64 {
+		h := make([]int64, 128)
+		for it := 1; it <= n; it++ {
+			h[it]++
+		}
+		return h
+	}
+	cases := []struct {
+		hist   []int64
+		solves int
+		q      float64
+		want   int
+	}{
+		{hist(5, 20, 40), 3, 0.5, 20},
+		{hist(5, 20, 40), 3, 0, 5},
+		{hist(5, 20, 40), 3, 1, 40},
+		{hist(3, 9), 2, 0.5, 3},
+		{upTo(15), 15, 0.9, 14},
+		{upTo(15), 15, 0.5, 8},
+		{upTo(100), 100, 0.07, 7},
+		{upTo(100), 100, 0.99, 99},
+		{nil, 0, 0.5, -1},
+	}
+	for _, c := range cases {
+		if got := histQuantile(c.hist, c.solves, c.q); got != c.want {
+			t.Errorf("%d solves, q=%v: quantile %d, want %d", c.solves, c.q, got, c.want)
+		}
+	}
+}
+
 // TestWarmReportStats checks the instrumentation itself: modes, solve
 // counts (one slot solve per slot on the single-FBS path), and quantile
 // ordering, warm against cold-probe.

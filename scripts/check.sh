@@ -33,8 +33,10 @@
 #                     channels against the literal Table III runs, warm==cold
 #                     solver sessions, the equilibrium memo against a
 #                     memo-free workspace, the equilibrium solve against
-#                     its shortcut-free reference, and the association
-#                     polish's duality certificate against re-filled flips).
+#                     its shortcut-free reference, the association
+#                     polish's duality certificate against re-filled flips,
+#                     and the inner bisection's early exit against the
+#                     full-depth bisection).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -82,6 +84,7 @@ if [ -n "${FEMTOCR_FUZZ:-}" ]; then
     go test -run='^$' -fuzz='^FuzzEquilibriumMemo$' -fuzztime=10s ./internal/core
     go test -run='^$' -fuzz='^FuzzEquilibriumSolve$' -fuzztime=10s ./internal/core
     go test -run='^$' -fuzz='^FuzzPolishCertificate$' -fuzztime=10s ./internal/core
+    go test -run='^$' -fuzz='^FuzzInnerExit$' -fuzztime=10s ./internal/core
 fi
 
 echo "check.sh: all gates passed"
