@@ -434,7 +434,9 @@ const polishTol = 1e-12
 // users. The workspace must have prepareUsers already applied for this
 // instance (it supplies the water-filling views and cached log(W) terms),
 // and alloc must hold the fills' output for its association, with their
-// prices in fillPrice (fillResources leaves it so).
+// prices in fillPrice (fillResources leaves it so). It returns the
+// objective of the allocation it leaves, alloc.ObjectiveLogW(in, ws.logW)
+// bit for bit.
 //
 // Most calls find nothing to flip, and the first round proves it by
 // re-filling and re-evaluating every flip. So the polish first bounds what
@@ -442,19 +444,24 @@ const polishTol = 1e-12
 // when that bound, rounding included, is within the acceptance threshold,
 // the round would reject every flip and leave alloc as it is, bit for bit,
 // and is skipped. The bound is only taken at entry: after an improving
-// round the loop runs to the end.
+// round the loop runs to the end. polishGap sums the entry state's
+// objective terms in user order on the way, which is ObjectiveLogW's sum:
+// that is the objective returned when the round is skipped, and the
+// loop's starting value otherwise. Every flip the loop keeps evaluates
+// ObjectiveLogW of its state, and a rejected flip restores the state the
+// current value describes.
 //
 // A rejected flip restores the snapshotted shares instead of re-running the
 // two water-fills: the fills are deterministic functions of the (restored)
 // association, and the invariant that the current shares always equal the
 // fills' output for the current association makes the copy byte-identical
 // to the recomputation — at half the cost, since most flips are rejected.
-func polishAssociation(in *Instance, alloc *Allocation, maxRounds int, ws *solveWorkspace) {
-	if gap, margin := polishGap(in, alloc, ws); gap+margin <= polishTol {
-		return
+func polishAssociation(in *Instance, alloc *Allocation, maxRounds int, ws *solveWorkspace) float64 {
+	gap, margin, cur := polishGap(in, alloc, ws)
+	if gap+margin <= polishTol {
+		return cur
 	}
 	k := in.K()
-	cur := alloc.ObjectiveLogW(in, ws.logW)
 	save0 := growF(ws.polishRho0, k)
 	ws.polishRho0 = save0
 	save1 := growF(ws.polishRho1, k)
@@ -479,9 +486,10 @@ func polishAssociation(in *Instance, alloc *Allocation, maxRounds int, ws *solve
 			}
 		}
 		if !improved {
-			return
+			return cur
 		}
 	}
+	return cur
 }
 
 // unitRoundoff is u = 2^-53: a rounded float64 operation is exact up to a
@@ -503,8 +511,9 @@ const unitRoundoff = 0x1p-53
 // gap's own sum (DESIGN §9) — so gap+margin <= polishTol proves that the
 // polish's first round rejects every flip. A NaN or infinite gap or margin
 // (a user without an encoding ceiling facing a zero-price resource) proves
-// nothing.
-func polishGap(in *Instance, alloc *Allocation, ws *solveWorkspace) (gap, margin float64) {
+// nothing. obj is the sum of the objective terms t_j in user order, which
+// is alloc.ObjectiveLogW(in, ws.logW) bit for bit.
+func polishGap(in *Instance, alloc *Allocation, ws *solveWorkspace) (gap, margin, obj float64) {
 	const u = unitRoundoff
 	k, price := in.K(), ws.fillPrice
 	load := growF(ws.polishLoad, len(price))
@@ -527,7 +536,9 @@ func polishGap(in *Instance, alloc *Allocation, ws *solveWorkspace) (gap, margin
 			r, rho = i, alloc.Rho1[j]
 		}
 		load[r] += rho
-		d := max(bv0, bv1) - (objectiveTerm(in, alloc, lw, j) - price[r]*rho)
+		t := objectiveTerm(in, alloc, lw, j)
+		obj += t
+		d := max(bv0, bv1) - (t - price[r]*rho)
 		gap += d
 		absGap += math.Abs(d)
 		a := math.Abs(lw) + 2*max(v0.r, v1.r)/in.W[j] + 1
@@ -544,7 +555,7 @@ func polishGap(in *Instance, alloc *Allocation, ws *solveWorkspace) (gap, margin
 		dual += lam * (1 + load[r])
 	}
 	margin = 1.02 * (u*(2*prefixes+11*sumA+float64(3*k+len(price)+10)*(absGap+dual)+1) + branch)
-	return gap, margin
+	return gap, margin, obj
 }
 
 // branchError bounds how far the branch value branchAndRhoWR returned at

@@ -300,8 +300,12 @@ func (w *solveWalk) solve() {
 	in := w.in
 	warm, seed := w.ws.eqSeeded, w.ws.eqL0
 	got := &Allocation{}
-	if err := (&EquilibriumSolver{}).solveWS(in, got, w.ws, nil); err != nil {
+	obj, err := (&EquilibriumSolver{}).solveWS(in, got, w.ws, nil)
+	if err != nil {
 		w.t.Fatalf("solve %d: %v", w.solves, err)
+	}
+	if plain := got.Objective(in); math.Float64bits(obj) != math.Float64bits(plain) {
+		w.t.Fatalf("solve %d: returned objective %v, allocation's objective %v", w.solves, obj, plain)
 	}
 	ref := newRefSolver(in)
 	want, l0 := ref.enter(warm, seed)
@@ -455,5 +459,65 @@ func TestEquilibriumWideFBSChoices(t *testing.T) {
 	if j := allocDiff(got, want); j >= 0 {
 		t.Fatalf("user %d: got MBS=%v rho=(%v, %v), reference MBS=%v rho=(%v, %v)",
 			j, got.MBS[j], got.Rho0[j], got.Rho1[j], want.MBS[j], want.Rho0[j], want.Rho1[j])
+	}
+}
+
+// TestOuterBoundBracket: the outer demand bound's verdict is monotone in
+// the common price and reads no G, so within an epoch the bracket of its
+// earlier verdicts decides later probes without its sum. One greedy-style
+// walk, held to the reference on every solve, must decide probes from both
+// ends of the bracket, and a new epoch must start with an empty one.
+func TestOuterBoundBracket(t *testing.T) {
+	w := newSolveWalk(t, rng.New(7100), 3, 8)
+	for e := 0; e < 16; e++ {
+		w.step()
+	}
+	t.Logf("%d solves: %d probes decided at or above boundFit, %d at or below boundOver",
+		w.solves, w.ws.outerFit, w.ws.outerOver)
+	if w.ws.outerFit == 0 || w.ws.outerOver == 0 {
+		t.Fatalf("bracket ends decided %d (fit) and %d (over) probes; want both", w.ws.outerFit, w.ws.outerOver)
+	}
+	w.ws.bumpEqEpoch()
+	w.ws.prepareEquilibrium(w.in)
+	if w.ws.boundOver != 0 || !math.IsInf(w.ws.boundFit, 1) {
+		t.Fatalf("new epoch starts with bracket (%v, %v)", w.ws.boundOver, w.ws.boundFit)
+	}
+}
+
+// TestPrepareEquilibriumRefresh: within a live epoch prepareEquilibrium
+// refreshes only the band views, which read G. After every G change of a
+// greedy-style sequence, every per-user column and member list must equal
+// a fresh workspace's full preparation, bit for bit.
+func TestPrepareEquilibriumRefresh(t *testing.T) {
+	s := rng.New(7200)
+	for trial := 0; trial < 20; trial++ {
+		in := certInstance(s, 1+s.IntN(4), 1+s.IntN(10))
+		ws := new(solveWorkspace)
+		ws.bumpEqEpoch()
+		for step := 0; step < 8; step++ {
+			if step > 0 {
+				in.G[s.IntN(in.N())] = 3 * s.Float64()
+			}
+			ws.prepareEquilibrium(in)
+			fresh := new(solveWorkspace)
+			fresh.prepareEquilibrium(in)
+			for j := 0; j < in.K(); j++ {
+				if ws.u0[j] != fresh.u0[j] || ws.u1[j] != fresh.u1[j] {
+					t.Fatalf("trial %d step %d user %d: views %+v %+v, fresh %+v %+v",
+						trial, step, j, ws.u0[j], ws.u1[j], fresh.u0[j], fresh.u1[j])
+				}
+				for _, col := range [][2][]float64{
+					{ws.logW, fresh.logW}, {ws.wr0, fresh.wr0}, {ws.wr1, fresh.wr1},
+					{ws.bl0, fresh.bl0}, {ws.bl1, fresh.bl1},
+				} {
+					if math.Float64bits(col[0][j]) != math.Float64bits(col[1][j]) {
+						t.Fatalf("trial %d step %d user %d: cached column %v, fresh %v", trial, step, j, col[0][j], col[1][j])
+					}
+				}
+			}
+			if fmt.Sprint(ws.byFBS) != fmt.Sprint(fresh.byFBS) {
+				t.Fatalf("trial %d step %d: members %v, fresh %v", trial, step, ws.byFBS, fresh.byFBS)
+			}
+		}
 	}
 }

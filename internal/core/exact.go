@@ -100,11 +100,14 @@ func (e *EquilibriumSolver) SolveWarmInto(in *Instance, out *Allocation, sess *S
 	// A pooled workspace may carry another instance's equilibrium memo;
 	// start a fresh epoch so no stale entry can hit.
 	ws.bumpEqEpoch()
-	return e.solveWS(in, out, ws, sess)
+	_, err := e.solveWS(in, out, ws, sess)
+	return err
 }
 
 // solveWS is the full equilibrium solve on a caller-held workspace
-// with an optional cross-slot session. The outer price seed comes from the
+// with an optional cross-slot session, returning the objective of the
+// allocation it leaves (ObjectiveLogW's value, bit for bit; see
+// polishAssociation). The outer price seed comes from the
 // session when one is given, else from the workspace (eqL0 while eqSeeded,
 // set by the greedy allocator); with neither it is the cold path.
 //
@@ -115,7 +118,7 @@ func (e *EquilibriumSolver) SolveWarmInto(in *Instance, out *Allocation, sess *S
 // the workspace price seed.
 //
 //femtovet:borrows in, alloc, ws, sess
-func (e *EquilibriumSolver) solveWS(in *Instance, alloc *Allocation, ws *solveWorkspace, sess *SolverSession) error {
+func (e *EquilibriumSolver) solveWS(in *Instance, alloc *Allocation, ws *solveWorkspace, sess *SolverSession) (float64, error) {
 	k := in.K()
 
 	ws.prepareEquilibrium(in)
@@ -140,20 +143,41 @@ func (e *EquilibriumSolver) solveWS(in *Instance, alloc *Allocation, ws *solveWo
 	// nonnegative terms, and rounded addition is monotone, so it never
 	// exceeds the bound: a bound within budget decides the probe without a
 	// single inner equilibrium (DESIGN §9).
+	//
+	// The bound reads neither G nor any inner result, only the common
+	// channel's views in a fixed order, through rounded division,
+	// subtraction, clamps and addition, all monotone: its verdict is
+	// non-increasing in l0 and fixed for the prepared instance. So the
+	// bracket (boundOver, boundFit) of the epoch's earlier verdicts
+	// decides every probe outside it without the sum — a probe at or above
+	// boundFit fits the budget, and one at or below boundOver goes
+	// straight to the inner equilibria.
 	outerProbes := 0
 	exceeds0 := func(l0 float64) bool {
 		outerProbes++
-		bound := 0.0
-	bounding:
-		for i := 1; i <= in.N(); i++ {
-			for _, j := range byFBS[i] {
-				if bound += u0[j].rhoAtWR(l0, wr0[j]); bound > 1 {
-					break bounding
+		if l0 >= ws.boundFit {
+			ws.outerFit++
+			return false
+		}
+		if l0 > ws.boundOver {
+			bound := 0.0
+		bounding:
+			for i := 1; i <= in.N(); i++ {
+				for _, j := range byFBS[i] {
+					if bound += u0[j].rhoAtWR(l0, wr0[j]); bound > 1 {
+						break bounding
+					}
 				}
 			}
-		}
-		if bound <= 1 {
-			return false
+			if bound <= 1 {
+				ws.boundFit = l0
+				return false
+			}
+			if bound > 1 { // a NaN bound records nothing
+				ws.boundOver = l0
+			}
+		} else {
+			ws.outerOver++
 		}
 		total := 0.0
 		for i := 1; i <= in.N(); i++ {
@@ -274,11 +298,11 @@ func (e *EquilibriumSolver) solveWS(in *Instance, alloc *Allocation, ws *solveWo
 		}
 	}
 	fillResources(in, alloc, ws)
-	polishAssociation(in, alloc, 4, ws)
+	obj := polishAssociation(in, alloc, 4, ws)
 	if err := feasibleCached(in, alloc, ws, 1e-9); err != nil {
-		return fmt.Errorf("equilibrium solver produced infeasible allocation: %w", err)
+		return 0, fmt.Errorf("equilibrium solver produced infeasible allocation: %w", err)
 	}
-	return nil
+	return obj, nil
 }
 
 // eqLambdaFloor is the lowest price either bisection of the equilibrium

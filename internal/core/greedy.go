@@ -176,15 +176,18 @@ func (g *GreedyAllocator) Allocate(p *ChannelProblem) (*GreedyResult, error) {
 
 	ws := getWorkspace()
 	defer putWorkspace(ws)
-	// The cached log(W) terms depend only on Base.W, which every Q
-	// evaluation shares regardless of its trial G vector.
-	ws.prepareUsers(p.Base)
+	r := &greedyRun{p: p, nCh: len(p.Channels), ws: ws, res: res}
+	r.eq, _ = g.solver.(*EquilibriumSolver)
+	if r.eq == nil {
+		// The cached log(W) terms depend only on Base.W, which every Q
+		// evaluation shares regardless of its trial G vector. Equilibrium
+		// Q solves prepare them once per epoch themselves.
+		ws.prepareUsers(p.Base)
+	}
 	// Equilibrium Q solves run on this same workspace so their per-FBS
 	// memo persists across evaluations; one epoch per base instance.
 	ws.bumpEqEpoch()
 
-	r := &greedyRun{p: p, nCh: len(p.Channels), ws: ws, res: res}
-	r.eq, _ = g.solver.(*EquilibriumSolver)
 	nPairs := n * r.nCh
 	r.alive = growB(ws.alive, nPairs)
 	ws.alive = r.alive
@@ -231,7 +234,7 @@ func (g *GreedyAllocator) Allocate(p *ChannelProblem) (*GreedyResult, error) {
 	*inst = *p.Base
 	inst.G = res.G
 	if r.eq != nil {
-		err = r.eq.solveWS(inst, final, ws, nil)
+		_, err = r.eq.solveWS(inst, final, ws, nil)
 	} else {
 		err = g.solver.SolveInto(inst, final)
 	}
@@ -247,20 +250,18 @@ func (g *GreedyAllocator) Allocate(p *ChannelProblem) (*GreedyResult, error) {
 // into workspace scratch. gvec may alias workspace memory; it is only read
 // during the solve. The default equilibrium solver runs directly on the
 // run's workspace — already validated and epoch-bumped by Allocate — so its
-// per-FBS memo carries over between evaluations; any other solver is a
-// plain SolveInto.
+// per-FBS memo carries over between evaluations, and it returns the
+// objective its polish already summed; any other solver is a plain
+// SolveInto, evaluated afterwards.
 func (g *GreedyAllocator) q(r *greedyRun, gvec []float64) (float64, error) {
 	r.res.Evaluations++
 	inst := &r.ws.qInstance
 	*inst = *r.p.Base
 	inst.G = gvec
-	var err error
 	if r.eq != nil {
-		err = r.eq.solveWS(inst, &r.ws.qAlloc, r.ws, nil)
-	} else {
-		err = g.solver.SolveInto(inst, &r.ws.qAlloc)
+		return r.eq.solveWS(inst, &r.ws.qAlloc, r.ws, nil)
 	}
-	if err != nil {
+	if err := g.solver.SolveInto(inst, &r.ws.qAlloc); err != nil {
 		return 0, err
 	}
 	return r.ws.qAlloc.ObjectiveLogW(inst, r.ws.logW), nil

@@ -144,7 +144,11 @@ func TestGreedySpatialReuse(t *testing.T) {
 }
 
 // TestGreedyBounds: the exhaustive channel-allocation optimum lies between
-// the Theorem 2 lower bound and the eq. (23) upper bound.
+// the Theorem 2 lower bound and the eq. (23) upper bound. Theorem 2 is held
+// on the gain the channels add above Q(∅), the same solver's objective at
+// G = 0: by eq. (23), Σ_l Δ_l = Q(greedy) − Q(∅), so
+// Q(greedy) − Q(∅) ≥ (Q(opt) − Q(∅))/(1 + Dmax). The raw form is the weaker
+// corollary and cannot fail at Q ≈ 30, where the channels add under 0.1.
 func TestGreedyBounds(t *testing.T) {
 	root := rng.New(4)
 	solver := &EquilibriumSolver{}
@@ -171,10 +175,21 @@ func TestGreedyBounds(t *testing.T) {
 		if res.LowerBoundFactor != 1.0/3 {
 			t.Fatalf("path graph Dmax=2 should give factor 1/3, got %v", res.LowerBoundFactor)
 		}
-		// Greedy should in practice be very close to optimal.
-		if opt-res.Value > 0.05*math.Abs(opt) {
-			t.Fatalf("trial %d: greedy %v too far from optimum %v", trial, res.Value, opt)
+		none := p.Base.WithG(make([]float64, p.Base.N()))
+		empty, err := solve(solver, none)
+		if err != nil {
+			t.Fatal(err)
 		}
+		q0 := empty.Objective(none)
+		gain, optGain := res.Value-q0, opt-q0
+		if !(optGain > 0) {
+			t.Fatalf("trial %d: the channels add no gain: Q(opt) %v, Q(∅) %v", trial, opt, q0)
+		}
+		if gain < res.LowerBoundFactor*optGain {
+			t.Fatalf("trial %d: greedy gain %v below Theorem 2's %v of the optimum's gain %v",
+				trial, gain, res.LowerBoundFactor, optGain)
+		}
+		t.Logf("trial %d: gain ratio greedy/opt %.3f", trial, gain/optGain)
 	}
 }
 

@@ -47,16 +47,20 @@ type certTally struct {
 // check fills alloc's association on ws and checks the certificate there:
 // every flip's computed gain v - cur must be within gap+margin, and when
 // the certificate holds, the literal polish round must reject every flip.
-// On the way it holds ObjectiveLogW to Objective, bit for bit.
+// On the way it holds ObjectiveLogW to Objective and to the objective
+// polishGap sums, bit for bit.
 func (c *certTally) check(t *testing.T, what string, in *Instance, alloc *Allocation, ws *solveWorkspace) {
 	t.Helper()
 	fillResources(in, alloc, ws)
-	gap, margin := polishGap(in, alloc, ws)
+	gap, margin, obj := polishGap(in, alloc, ws)
 	bound := gap + margin
 	certified := bound <= polishTol
 	cur := alloc.ObjectiveLogW(in, ws.logW)
 	if plain := alloc.Objective(in); math.Float64bits(cur) != math.Float64bits(plain) {
 		t.Fatalf("%s: ObjectiveLogW %v, Objective %v", what, cur, plain)
+	}
+	if math.Float64bits(obj) != math.Float64bits(cur) {
+		t.Fatalf("%s: polishGap's objective %v, ObjectiveLogW %v", what, obj, cur)
 	}
 	c.states++
 	if certified {
@@ -196,7 +200,7 @@ func TestPolishCertificateRefuses(t *testing.T) {
 		if ws.fillPrice[1] != 0 {
 			t.Fatalf("capped=%v: empty band priced %v", capped, ws.fillPrice[1])
 		}
-		gap, margin := polishGap(in, alloc, ws)
+		gap, margin, _ := polishGap(in, alloc, ws)
 		if !capped && !math.IsNaN(gap) && !math.IsInf(gap, 1) {
 			t.Errorf("uncapped users facing a free band: gap %v, want NaN or +Inf", gap)
 		}
@@ -204,12 +208,16 @@ func TestPolishCertificateRefuses(t *testing.T) {
 			t.Errorf("capped users facing a free band: gap %v + margin %v, want finite and above %v", gap, margin, polishTol)
 		}
 		before := alloc.ObjectiveLogW(in, ws.logW)
-		polishAssociation(in, alloc, 4, ws)
+		obj := polishAssociation(in, alloc, 4, ws)
 		if alloc.MBS[0] && alloc.MBS[1] {
 			t.Errorf("capped=%v: the polish left both users on the MBS", capped)
 		}
-		if after := alloc.ObjectiveLogW(in, ws.logW); !(after > before+polishTol) {
+		after := alloc.ObjectiveLogW(in, ws.logW)
+		if !(after > before+polishTol) {
 			t.Errorf("capped=%v: objective %v -> %v, want an improvement", capped, before, after)
+		}
+		if math.Float64bits(obj) != math.Float64bits(after) {
+			t.Errorf("capped=%v: the polish returned objective %v for an allocation of objective %v", capped, obj, after)
 		}
 	}
 }

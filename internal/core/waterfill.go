@@ -73,14 +73,47 @@ func (u waterfillUser) branchAndRhoWR(lambda, logW, wr, bl float64) (float64, fl
 // The property tests in waterfill_prop_test.go pin it bit-identical to a
 // per-user scalar reference on random and degenerate instances.
 //
+// The bisection fast-forwards through a verified bracket around the
+// closed-form water level (waterLevel; see waterfillGuided).
+//
 //femtovet:borrows rho, ps, wr, caps
 func waterfillColumns(rho, ps, wr, caps []float64, budget float64) float64 {
+	lambda, _ := waterfillGuided(rho, ps, wr, caps, budget, waterLevel)
+	return lambda
+}
+
+// wfBracket is the relative half-width of the bracket waterfillGuided
+// verifies around a predicted water level: wide enough to hold the
+// rounded demand's crossing, which lies a few ulps from the exact one, and
+// narrow against the bisection's stopping width of 1e-12, so that few
+// probes land inside it.
+const wfBracket = 0x1p-43
+
+// waterfillGuided is waterfillColumns with the water level predicted by
+// level, and it reports whether the prediction was verified.
+//
+// Every probe of the bisection only asks whether the demand at a price
+// exceeds the budget, and that verdict is monotone in the price: each
+// share fl(ps/lambda) - wr, clamped to [0, cap], is non-increasing in
+// lambda for ps >= 0 (rounded division and subtraction are monotone, and
+// so are the clamps), and so is every rounded partial sum of the shares;
+// the demand exceeds the budget iff some partial sum does. So once two
+// exact demand sums verify a bracket (a, b] around the predicted level —
+// the demand at a exceeds the budget and the demand at b does not — every
+// probe at or below a exceeds and every probe at or above b does not, and
+// the bisection answers those with one comparison. It takes the same
+// branches as without the bracket, so its price and shares are the same,
+// bit for bit. A prediction that fails either sum (or is not a finite
+// positive price) is refused, and every probe sums its demand.
+//
+//femtovet:borrows rho, ps, wr, caps
+func waterfillGuided(rho, ps, wr, caps []float64, budget float64, level func(ps, wr, caps []float64, budget float64) float64) (float64, bool) {
 	ne := len(ps)
 	for i := range rho {
 		rho[i] = 0
 	}
 	if budget <= 0 || ne == 0 {
-		return 0
+		return 0, false
 	}
 	wr = wr[:ne]
 	caps = caps[:ne]
@@ -130,11 +163,26 @@ func waterfillColumns(rho, ps, wr, caps []float64, budget float64) float64 {
 			}
 			rho[i] = r
 		}
-		return 0
+		return 0, false
+	}
+	fast := false
+	var a, b float64
+	if g := level(ps, wr, caps, budget); g > 0 && g < math.MaxFloat64 {
+		a, b = g*(1-wfBracket), g*(1+wfBracket)
+		fast = demand(a) > budget && demand(b) <= budget
 	}
 	for iter := 0; iter < 100; iter++ {
 		mid := 0.5 * (lo + hi)
-		if demand(mid) > budget {
+		var over bool
+		switch {
+		case fast && mid <= a:
+			over = true
+		case fast && mid >= b:
+			over = false
+		default:
+			over = demand(mid) > budget
+		}
+		if over {
 			lo = mid
 		} else {
 			hi = mid
@@ -167,5 +215,65 @@ func waterfillColumns(rho, ps, wr, caps []float64, budget float64) float64 {
 			rho[i] = scaled
 		}
 	}
-	return lambda
+	return lambda, fast
+}
+
+// wfLevelMax bounds the columns waterLevel predicts a level for: their
+// breakpoints live in a stack array. Wider fills just bisect.
+const wfLevelMax = 32
+
+// waterLevel predicts the price at which the columns' demand meets the
+// budget, in closed form. In exact arithmetic the demand
+// sum_j clamp(ps_j/lambda - wr_j, 0, cap_j) is continuous, non-increasing
+// and, between consecutive breakpoints — ps/wr, where a share leaves zero,
+// and ps/(cap+wr), where it reaches its cap — of the form A/lambda - B + C,
+// with A and B the sums of ps and wr over the users strictly between their
+// breakpoints and C the caps of the capped ones. A sweep down the sorted
+// breakpoints finds the segment where the demand reaches the budget, whose
+// level is A/(budget + B - C). The result is only a guess (NaN or out of
+// range when there is none): waterfillGuided trusts it only through two
+// exact demand sums.
+func waterLevel(ps, wr, caps []float64, budget float64) float64 {
+	n := len(ps)
+	if n > wfLevelMax {
+		return math.NaN()
+	}
+	// Breakpoints and their users: i enters the interior below bp, and ^i
+	// leaves it for its cap below bp.
+	var bp [2 * wfLevelMax]float64
+	var ev [2 * wfLevelMax]int
+	m := 0
+	for i, p := range ps {
+		bp[m], ev[m] = p/wr[i], i
+		m++
+		if c := caps[i]; c >= 0 {
+			bp[m], ev[m] = p/(c+wr[i]), ^i
+			m++
+		}
+	}
+	// Insertion sort, descending.
+	for t := 1; t < m; t++ {
+		x, e := bp[t], ev[t]
+		s := t
+		for ; s > 0 && bp[s-1] < x; s-- {
+			bp[s], ev[s] = bp[s-1], ev[s-1]
+		}
+		bp[s], ev[s] = x, e
+	}
+	var sa, sb, sc float64
+	for t := 0; t < m; t++ {
+		if sa/bp[t]-sb+sc >= budget {
+			break
+		}
+		if i := ev[t]; i >= 0 {
+			sa += ps[i]
+			sb += wr[i]
+		} else {
+			i = ^i
+			sa -= ps[i]
+			sb -= wr[i]
+			sc += caps[i]
+		}
+	}
+	return sa / (budget + sb - sc)
 }

@@ -230,3 +230,77 @@ func TestWaterfillColumnsRandomized(t *testing.T) {
 		checkColumnsMatchScalar(t, "random", users, budget)
 	}
 }
+
+// TestWaterfillFastForward pins the fast-forward of waterfillGuided: on the
+// randomized instances its closed-form level verifies on most contended
+// fills, and a level that is refused — offset by 1e-9, or no level at all —
+// falls back to summing every probe, with the same price and shares bit
+// for bit as the scalar reference in every case.
+func TestWaterfillFastForward(t *testing.T) {
+	offset := func(f float64) func(ps, wr, caps []float64, budget float64) float64 {
+		return func(ps, wr, caps []float64, budget float64) float64 {
+			return f * waterLevel(ps, wr, caps, budget)
+		}
+	}
+	constant := func(v float64) func(ps, wr, caps []float64, budget float64) float64 {
+		return func([]float64, []float64, []float64, float64) float64 { return v }
+	}
+	levels := []struct {
+		name   string
+		level  func(ps, wr, caps []float64, budget float64) float64
+		refuse bool
+	}{
+		{"closed form", waterLevel, false},
+		{"above by 1e-9", offset(1 + 1e-9), true},
+		{"below by 1e-9", offset(1 - 1e-9), true},
+		{"NaN", constant(math.NaN()), true},
+		{"zero", constant(0), true},
+		{"negative", constant(-1), true},
+		{"infinite", constant(math.Inf(1)), true},
+	}
+	s := rng.New(20261017)
+	contended, fast := 0, make([]int, len(levels))
+	for trial := 0; trial < 2000; trial++ {
+		k := 1 + int(s.Uint64()%12)
+		users := make([]waterfillUser, k)
+		for j := range users {
+			users[j] = waterfillUser{ps: s.Float64(), w: 20 + 200*s.Float64(), r: 10 + 100*s.Float64(), cap: -1}
+			if s.Uint64()%3 != 0 {
+				users[j].cap = s.Float64()
+			}
+		}
+		refRho, refLambda := scalarWaterfill(users, 1)
+		if refLambda == 0 {
+			continue // slack: no bisection to fast-forward
+		}
+		contended++
+		idx, ps, wr, caps := columnsOf(users)
+		for l, lv := range levels {
+			colRho := make([]float64, len(idx))
+			lambda, ok := waterfillGuided(colRho, ps, wr, caps, 1, lv.level)
+			if ok {
+				fast[l]++
+			}
+			if math.Float64bits(lambda) != math.Float64bits(refLambda) {
+				t.Fatalf("trial %d, %s level: lambda %x, scalar %x", trial, lv.name, lambda, refLambda)
+			}
+			for c, j := range idx {
+				if math.Float64bits(colRho[c]) != math.Float64bits(refRho[j]) {
+					t.Fatalf("trial %d, %s level: rho[%d] = %x, scalar %x", trial, lv.name, j, colRho[c], refRho[j])
+				}
+			}
+		}
+	}
+	t.Logf("%d contended fills; verified: %v", contended, fast)
+	if contended < 1000 {
+		t.Fatalf("only %d of 2000 fills contended", contended)
+	}
+	for l, lv := range levels {
+		if lv.refuse && fast[l] > 0 {
+			t.Errorf("%s level verified on %d fills", lv.name, fast[l])
+		}
+	}
+	if fast[0] < contended*99/100 {
+		t.Errorf("closed-form level verified on %d of %d contended fills", fast[0], contended)
+	}
+}

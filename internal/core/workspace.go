@@ -50,9 +50,9 @@ type solveWorkspace struct {
 	scale, sumPS, sumWR []float64
 	lambda, next, sums  []float64
 
-	// Water-filling scratch shared by fillCommon/fillFBS (never nested):
-	// the gathered user indices plus the flat effective-user columns
-	// waterfillColumns bisects over.
+	// Water-filling scratch of fillBand (never nested): the gathered user
+	// indices plus the flat effective-user columns waterfillColumns
+	// bisects over.
 	wfIdx             []int
 	wfRho             []float64
 	wfPS, wfWR, wfCap []float64
@@ -123,6 +123,20 @@ type solveWorkspace struct {
 	// workspace is never seeded.
 	eqL0     float64
 	eqSeeded bool
+
+	// prepEpoch is the memo epoch whose base instance the per-user views,
+	// the member lists and the outer bound bracket were prepared for (see
+	// prepareEquilibrium); 0 when none. prepareUsers and bumpEqEpoch's
+	// wraparound flush clear it.
+	prepEpoch uint32
+
+	// The outer bound bracket of the prepared instance (see solveWS):
+	// boundOver is the largest probed common price whose log-free demand
+	// bound exceeded the budget, boundFit the smallest whose bound did not.
+	// outerOver and outerFit count the probes each end decided without
+	// the bound's sum.
+	boundOver, boundFit float64
+	outerOver, outerFit int
 
 	// polishRho0/polishRho1 snapshot an allocation's shares so a rejected
 	// association flip restores them instead of re-water-filling;
@@ -217,6 +231,7 @@ func (ws *solveWorkspace) bumpEqEpoch() {
 		for i := range last {
 			last[i] = eqLastEntry{}
 		}
+		ws.prepEpoch = 0
 		ws.eqEpoch = 1
 	}
 }
@@ -344,6 +359,7 @@ func growB(buf []bool, n int) []bool {
 // for one solve. The cached values are bit-identical to what the previous
 // per-call math.Log computations produced: same function, same inputs.
 func (ws *solveWorkspace) prepareUsers(in *Instance) {
+	ws.prepEpoch = 0
 	k := in.K()
 	ws.u0 = growU(ws.u0, k)
 	ws.u1 = growU(ws.u1, k)
@@ -355,27 +371,46 @@ func (ws *solveWorkspace) prepareUsers(in *Instance) {
 	ws.fillPrice = growF(ws.fillPrice, in.N()+1)
 	for j := 0; j < k; j++ {
 		ws.u0[j] = in.user0(j)
-		ws.u1[j] = in.user1(j)
+		ws.setBandView(in, j)
 		lw := math.Log(in.W[j])
 		ws.logW[j] = lw
-		ws.wr0[j], ws.wr1[j] = 0, 0
+		ws.wr0[j] = 0
 		if r := ws.u0[j].r; r > 0 {
 			ws.wr0[j] = in.W[j] / r
-		}
-		if r := ws.u1[j].r; r > 0 {
-			ws.wr1[j] = in.W[j] / r
 		}
 		ws.bl0[j] = ws.u0[j].ps*lw + (1-ws.u0[j].ps)*lw
 		ws.bl1[j] = ws.u1[j].ps*lw + (1-ws.u1[j].ps)*lw
 	}
 }
 
+// setBandView fills user j's band view u1[j] and its quotient wr1[j], the
+// only per-user columns that read G.
+func (ws *solveWorkspace) setBandView(in *Instance, j int) {
+	ws.u1[j] = in.user1(j)
+	ws.wr1[j] = 0
+	if r := ws.u1[j].r; r > 0 {
+		ws.wr1[j] = in.W[j] / r
+	}
+}
+
 // prepareEquilibrium readies the workspace for equilibriumFBS calls on in:
-// the per-user views, the per-FBS member lists, and the window memo's
-// per-FBS and per-user slots. Regrown slots start zeroed (epoch 0, never
-// live); reused ones keep their tags, which stay valid only within the
-// epoch that wrote them.
+// the per-user views, the per-FBS member lists, the window memo's per-FBS
+// and per-user slots, and an empty outer bound bracket. Regrown slots start
+// zeroed (epoch 0, never live); reused ones keep their tags, which stay
+// valid only within the epoch that wrote them.
+//
+// Within a live epoch only G changes (bumpEqEpoch), so once the epoch's
+// instance is prepared a later call refreshes only what reads G: the band
+// views u1 and their quotients wr1. Everything else — the logs, the common
+// channel's views, the zero-share branch values (bl1 reads ps and log W
+// only), the member lists and the bound bracket — is the same to the bit.
 func (ws *solveWorkspace) prepareEquilibrium(in *Instance) {
+	if ws.memoLive && ws.prepEpoch == ws.eqEpoch {
+		for j := range ws.u1 {
+			ws.setBandView(in, j)
+		}
+		return
+	}
 	ws.prepareUsers(in)
 	ws.groupByFBS(in)
 	n, k := in.N(), in.K()
@@ -387,6 +422,10 @@ func (ws *solveWorkspace) prepareEquilibrium(in *Instance) {
 		ws.eqWin = make([]eqWindow, k)
 	}
 	ws.eqWin = ws.eqWin[:k]
+	ws.boundOver, ws.boundFit = 0, math.Inf(1)
+	if ws.memoLive {
+		ws.prepEpoch = ws.eqEpoch
+	}
 }
 
 // groupByFBS rebuilds the per-FBS member lists, reusing the backing arrays.

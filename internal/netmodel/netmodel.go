@@ -86,6 +86,14 @@ func (n *Network) Validate() error {
 	if n.FBSAntennas < 0 || n.FBSAntennas > n.Band.M() {
 		return fmt.Errorf("%w: %d FBS antennas for %d channels", ErrBadNetwork, n.FBSAntennas, n.Band.M())
 	}
+	// Sensing fuses its observations from the utilization prior, which
+	// must leave a channel some chance of being idle (eq. (1) with
+	// P10 = 0 gives eta = 1: busy forever).
+	for m := 1; m <= n.Band.M(); m++ {
+		if eta := n.Band.Utilization(m); !(eta < 1) {
+			return fmt.Errorf("%w: channel %d has utilization eta=%v; it must be below 1 (P10 > 0)", ErrBadNetwork, m, eta)
+		}
+	}
 	return nil
 }
 

@@ -6,6 +6,7 @@ package sim
 // crashing, NaNs, or constraint violations.
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -185,5 +186,81 @@ func TestHeterogeneousChannelsPreferIdle(t *testing.T) {
 	if resHet.MeanExpectedChannels < resHom.MeanExpectedChannels-0.3 {
 		t.Fatalf("heterogeneous G %v well below homogeneous %v",
 			resHet.MeanExpectedChannels, resHom.MeanExpectedChannels)
+	}
+}
+
+// TestExtremeConfigs drives the parameter extremes through NewNetwork and
+// both engines: each case must either be rejected with an error or run to
+// a finite result, never panic or yield a NaN. A utilization of exactly 1
+// (P10 = 0) has no idle channel for sensing to fuse toward, so NewNetwork
+// must reject it as a bad network.
+func TestExtremeConfigs(t *testing.T) {
+	trio := video.PaperTrio()
+	interfering := netmodel.PaperInterferingSpec()
+	emptyFBS := netmodel.InterferingPathSpec([][]video.Sequence{trio[:], nil, trio[:2]})
+	isolatedEmpty := netmodel.NonInterferingSpec([][]video.Sequence{trio[:], nil, trio[:]})
+	cases := []struct {
+		name    string
+		edit    func(*netmodel.Config)
+		spec    netmodel.TopologySpec
+		badNet  bool // NewNetwork must fail with ErrBadNetwork
+		mustErr bool // NewNetwork must fail
+	}{
+		{name: "gamma 0", edit: func(c *netmodel.Config) { c.Gamma = 0 }},
+		{name: "gamma 1", edit: func(c *netmodel.Config) { c.Gamma = 1 }},
+		{name: "eps=delta=0.5", edit: func(c *netmodel.Config) { c.Eps, c.Delta = 0.5, 0.5 }},
+		{name: "eta near 1", edit: func(c *netmodel.Config) { c.P01, c.P10 = 1, 1e-9 }},
+		{name: "P10 0", edit: func(c *netmodel.Config) { c.P10 = 0 }, badNet: true},
+		{name: "P10 0 heterogeneous", edit: func(c *netmodel.Config) { c.P10, c.HeterogeneousEta = 0, []float64{0.5, 0.5} }, mustErr: true},
+		{name: "M 0", edit: func(c *netmodel.Config) { c.M = 0 }, mustErr: true},
+		{name: "B0 0", edit: func(c *netmodel.Config) { c.B0 = 0 }, mustErr: true},
+		{name: "B1 0", edit: func(c *netmodel.Config) { c.B1 = 0 }, mustErr: true},
+		{name: "T 1", edit: func(c *netmodel.Config) { c.T = 1 }},
+		{name: "FBS without users", spec: emptyFBS},
+		{name: "isolated FBS without users", spec: isolatedEmpty},
+	}
+	for _, c := range cases {
+		cfg := netmodel.DefaultConfig()
+		if c.edit != nil {
+			c.edit(&cfg)
+		}
+		spec := c.spec
+		if spec.Kind == 0 {
+			spec = interfering
+		}
+		net, err := netmodel.NewNetwork(cfg, spec)
+		if c.badNet && !errors.Is(err, netmodel.ErrBadNetwork) {
+			t.Errorf("%s: NewNetwork err = %v, want ErrBadNetwork", c.name, err)
+		}
+		if (c.badNet || c.mustErr) && err == nil {
+			t.Errorf("%s: NewNetwork accepted the config", c.name)
+		}
+		if err != nil {
+			t.Logf("%s: NewNetwork: %v", c.name, err)
+			continue
+		}
+		opts := Options{Seed: 3, GOPs: 2, TrackBound: true}
+		if res, err := Run(net, opts); err != nil {
+			t.Logf("%s: Run: %v", c.name, err)
+		} else {
+			checkFinite(t, c.name+" Run", res.PerUserPSNR, res.MeanPSNR, res.BoundPSNR, res.CollisionRate)
+		}
+		if res, err := RunSharded(net, opts); err != nil {
+			t.Logf("%s: RunSharded: %v", c.name, err)
+		} else {
+			checkFinite(t, c.name+" RunSharded", nil, res.MeanPSNR, res.BoundPSNR, res.MinUserPSNR,
+				res.FairnessIndex, res.CollisionRate, res.MeanExpectedChannels)
+		}
+	}
+}
+
+// checkFinite fails when any of a result's per-user or summary values is
+// NaN or infinite.
+func checkFinite(t *testing.T, what string, perUser []float64, summary ...float64) {
+	t.Helper()
+	for j, v := range append(append([]float64(nil), perUser...), summary...) {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			t.Errorf("%s: value %d is %v", what, j, v)
+		}
 	}
 }

@@ -12,9 +12,11 @@
 # BenchmarkSlotStep* row runs more than 10% slower (ns/op) than its
 # baseline entry, so a hot-path regression fails the CI job instead of
 # shipping inside a green artifact. The baseline was last re-recorded when
-# the equilibrium solver's inner bisection began stopping once its choice
-# mask is proven, by the same min-of-N procedure this script uses, so the
-# gate protects the current numbers rather than older, slower ones.
+# water-filling began fast-forwarding through a verified price bracket and
+# the greedy's Q evaluations stopped redoing epoch-constant work, by the
+# same min-of-N procedure this script uses (a row that read above its
+# previous baseline kept it), so the gate protects the current numbers
+# rather than older, slower ones.
 #
 # Usage: scripts/bench_hotpath.sh [output.json]
 set -euo pipefail
