@@ -56,7 +56,6 @@ func run(args []string, w io.Writer) (retErr error) {
 		eps       = fs.Float64("eps", 0.3, "sensing false-alarm probability")
 		delta     = fs.Float64("delta", 0.3, "sensing miss-detection probability")
 		bound     = fs.Bool("bound", false, "track the eq. (23) upper bound (interfering + proposed)")
-		dual      = fs.Bool("dual", false, "use the distributed dual subgradient solver (Tables I/II) instead of the price-equilibrium default")
 		warmStats = fs.Bool("warmstats", false, "collect per-slot solver iteration statistics and print a WARMSTATS line")
 		dualTrace = fs.Bool("dualtrace", false, "print the dual-variable convergence trace of the first slot")
 		dualIters = fs.Int("dualiters", 600, "dual iterations for -dualtrace")
@@ -136,8 +135,7 @@ func run(args []string, w io.Writer) (retErr error) {
 			return fmt.Errorf("unknown metro layout %q", *metroLay)
 		}
 		return runMetro(out, cfg, spec, sch, *seed, *runs, *gops,
-			sim.Parallelism{Workers: *workers, Shards: *shards}, *asJSON,
-			*dual, *warmStats)
+			sim.Parallelism{Workers: *workers, Shards: *shards}, *asJSON, *warmStats)
 	}
 
 	var spec netmodel.TopologySpec
@@ -182,7 +180,6 @@ func run(args []string, w io.Writer) (retErr error) {
 			DualIterations:      *dualIters,
 			TrackBeliefs:        *beliefs,
 			EstimateUtilization: *estimate,
-			UseDualSolver:       *dual,
 			SolveStats:          *warmStats,
 			Recorder:            recorders[r],
 		})
@@ -246,7 +243,7 @@ func run(args []string, w io.Writer) (retErr error) {
 	fmt.Fprintf(out, "worst user: %.2f dB | fairness (Jain on gains): %.3f\n", minAcc.Mean(), fairAcc.Mean())
 	fmt.Fprintf(out, "max conditional collision rate: %.3f (gamma = %.2f; collisions per truly-busy slot, eq. (6))\n", collAcc.Mean(), cfg.Gamma)
 	if *warmStats && lastResult != nil {
-		printWarmStats(out, lastResult.Warm, *dual, lastResult.MeanPSNR)
+		printWarmStats(out, lastResult.Warm, lastResult.MeanPSNR)
 	}
 	if *asJSON && lastResult != nil {
 		lastResult.DualTrace = nil // keep the JSON compact
@@ -266,8 +263,7 @@ func run(args []string, w io.Writer) (retErr error) {
 // bitwise-deterministic for any -shards/-workers setting, and the bench
 // harness cross-checks that.
 func runMetro(out *safeio.Writer, cfg netmodel.Config, spec netmodel.TopologySpec,
-	sch sim.Scheme, seed uint64, runs, gops int, parallel sim.Parallelism, asJSON bool,
-	dual, warmStats bool) error {
+	sch sim.Scheme, seed uint64, runs, gops int, parallel sim.Parallelism, asJSON, warmStats bool) error {
 	if runs < 1 {
 		return fmt.Errorf("metro: runs=%d", runs)
 	}
@@ -279,12 +275,11 @@ func runMetro(out *safeio.Writer, cfg netmodel.Config, spec netmodel.TopologySpe
 	var meanAcc, minAcc, fairAcc, collAcc stats.Running
 	for r := 0; r < runs; r++ {
 		res, err := sim.RunSharded(net, sim.Options{
-			Seed:          seed + uint64(r),
-			GOPs:          gops,
-			Scheme:        sch,
-			Parallel:      parallel,
-			UseDualSolver: dual,
-			SolveStats:    warmStats,
+			Seed:       seed + uint64(r),
+			GOPs:       gops,
+			Scheme:     sch,
+			Parallel:   parallel,
+			SolveStats: warmStats,
 		})
 		if err != nil {
 			return fmt.Errorf("run %d (seed %d): %w", r, seed+uint64(r), err)
@@ -302,7 +297,7 @@ func runMetro(out *safeio.Writer, cfg netmodel.Config, spec netmodel.TopologySpe
 				res.Groups, parallel.EffectiveWorkers(), res.Timing.WallNS,
 				res.Timing.SumTaskNS, res.Timing.MaxTaskNS, res.Timing.IdealSpeedup(), res.MeanPSNR)
 			if warmStats {
-				printWarmStats(out, res.Warm, dual, res.MeanPSNR)
+				printWarmStats(out, res.Warm, res.MeanPSNR)
 			}
 		}
 		meanAcc.Add(res.MeanPSNR)
@@ -325,18 +320,15 @@ func runMetro(out *safeio.Writer, cfg netmodel.Config, spec netmodel.TopologySpe
 }
 
 // printWarmStats emits the machine-parsable WARMSTATS line: the solver
-// iteration statistics of the run's warm-started sessions, with the PSNR
-// printed to full precision, mirroring the SHARDSTATS contract.
-func printWarmStats(out *safeio.Writer, w *sim.WarmStartReport, dual bool, psnr float64) {
+// iteration statistics (outer demand probes) of the run's warm-started
+// sessions, with the PSNR printed to full precision, mirroring the
+// SHARDSTATS contract.
+func printWarmStats(out *safeio.Writer, w *sim.WarmStartReport, psnr float64) {
 	if w == nil {
 		return
 	}
-	solver := "equilibrium"
-	if dual {
-		solver = "dual"
-	}
-	fmt.Fprintf(out, "WARMSTATS mode=%s solver=%s solves=%d warm_solves=%d trivial=%d restarts=%d total_iters=%d mean_iters=%.3f p50=%d p90=%d p99=%d max=%d psnr=%.17g\n",
-		w.Mode, solver, w.Stats.Solves, w.Stats.WarmSolves, w.Stats.TrivialSolves, w.Stats.Restarts,
+	fmt.Fprintf(out, "WARMSTATS solves=%d warm_solves=%d trivial=%d restarts=%d total_iters=%d mean_iters=%.3f p50=%d p90=%d p99=%d max=%d psnr=%.17g\n",
+		w.Stats.Solves, w.Stats.WarmSolves, w.Stats.TrivialSolves, w.Stats.Restarts,
 		w.Stats.TotalIters, w.IterMean, w.IterP50, w.IterP90, w.IterP99, w.IterMax, psnr)
 }
 

@@ -32,15 +32,6 @@ func AblationSensorPolicy(p ExperimentParams) (*Figure, error) {
 	return experiments.AblationSensorPolicy(p)
 }
 
-// SolverComparison is the result of AblationSolver.
-type SolverComparison = experiments.SolverComparison
-
-// AblationSolver compares the distributed dual solver with the
-// price-equilibrium solver on identical workloads.
-func AblationSolver(p ExperimentParams) (*SolverComparison, error) {
-	return experiments.AblationSolver(p)
-}
-
 // GammaTradeoff sweeps the collision budget gamma, reporting quality and
 // realized primary-user collision rates.
 func GammaTradeoff(p ExperimentParams) (*Figure, error) {

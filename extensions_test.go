@@ -59,13 +59,6 @@ func TestFacadeAblations(t *testing.T) {
 	if len(fig.Curves) == 0 {
 		t.Fatal("empty ablation figure")
 	}
-	cmp, err := AblationSolver(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cmp.String() == "" {
-		t.Fatal("empty comparison")
-	}
 }
 
 func TestFacadeBeliefAblation(t *testing.T) {

@@ -83,16 +83,22 @@ func assertSingleFinding(t *testing.T, diags []Diagnostic, analyzer, fragment st
 	}
 }
 
-// TestMutationBorrowedEscape: keeping the solver workspace's multiplier
-// buffer instead of copying it lets the session alias memory the pool
-// hands to the next solve. Every test still passes — the session reads
-// lambda before the workspace is reused — so aliascheck alone catches it.
+// TestMutationBorrowedEscape: comparing the instance's user->FBS
+// membership against a kept reference to the caller's slice, instead of
+// its hash, lets the session alias memory the caller may refill with
+// another instance's shape before the next solve. Every test still passes —
+// the engines never change an instance's membership — so aliascheck alone
+// catches it.
 func TestMutationBorrowedEscape(t *testing.T) {
-	diags := mutatePackage(t, "internal/core", "session.go", edit{
-		"\ts.lambda = growF(s.lambda, len(lambda))\n\tcopy(s.lambda, lambda)\n",
-		"\ts.lambda = lambda\n",
-	})
-	assertSingleFinding(t, diags, "aliascheck", `borrowed parameter "lambda" stored into a receiver field`)
+	diags := mutatePackage(t, "internal/core", "session.go",
+		edit{"package core\n", "package core\n\nimport \"slices\"\n"},
+		edit{"\tfbsSig      uint64\n", "\tfbsSig      uint64\n\tfbs         []int\n"},
+		edit{
+			"\tsig := fbsSignature(in.FBS)\n\tif k != s.users || n != s.fbss || sig != s.fbsSig {\n\t\ts.users, s.fbss, s.fbsSig = k, n, sig\n",
+			"\tif k != s.users || n != s.fbss || !slices.Equal(in.FBS, s.fbs) {\n\t\ts.users, s.fbss, s.fbs = k, n, in.FBS\n",
+		},
+	)
+	assertSingleFinding(t, diags, "aliascheck", `borrowed parameter "in" stored into a receiver field`)
 }
 
 // TestMutationUnsortedEdges: dropping the sort after igraph.Edges' map

@@ -24,29 +24,7 @@ type DualSolver struct {
 	lambdaMin   float64
 }
 
-var _ WarmSolver = (*DualSolver)(nil)
-
-// Warm-start tuning constants.
-//
-// warmUndershoot deliberately seeds below the rescaled carried multipliers:
-// the clipped subgradient (g in [-10, 1]) climbs prices up to 10x faster than
-// it walks them down, so converting the cross-slot prediction error into a
-// short climb is far cheaper than risking a long descent from above.
-//
-// warmRelTol is the warm-only extra termination test: stop once every price
-// moved by at most warmRelTol of its resource's price scale in one
-// iteration. Because the step is s = stepScale*scale/sqrt(1+tau), the test
-// is equivalent to a per-resource subgradient-residual bound
-// |g| <= warmRelTol*sqrt(1+tau)/stepScale (~1e-3 at the resumed schedule
-// position): it detects proximity to the fixed point through the demand
-// residual, so a seed stuck far from equilibrium (large |g|) can never
-// fake convergence. At paper scale the resulting multiplier accuracy is
-// about two decades tighter than the error the discrete repair step is
-// measured to absorb; the warm-vs-cold equivalence tests gate it.
-const (
-	warmUndershoot = 0.85
-	warmRelTol     = 3e-5
-)
+var _ Solver = (*DualSolver)(nil)
 
 // DualOption configures a DualSolver.
 type DualOption func(*DualSolver)
@@ -113,25 +91,11 @@ func (r *DualReport) captureLambda(lambda []float64) {
 	r.Lambda = append([]float64(nil), lambda...)
 }
 
-// SolveInto solves the slot's problem into a caller-owned allocation: the
-// cold path, SolveWarmInto without a session.
+// SolveInto runs the subgradient iteration from prices above the target
+// (Fig. 4(a)) and writes the repaired allocation into a caller-owned one.
 //
 //femtovet:borrows in, out
 func (d *DualSolver) SolveInto(in *Instance, out *Allocation) error {
-	return d.SolveWarmInto(in, out, nil)
-}
-
-// SolveWarmInto is SolveInto seeded from a cross-slot session: when sess
-// carries converged multipliers for an instance of the same shape, the
-// subgradient iteration starts from them (at the step-size schedule position
-// the last cold start converged at) instead of the cold 2*scale heuristic.
-// A nil session, a seeding-disabled session, or a negative phi (the
-// never-terminate tracing mode) degrades to the cold path; shape changes and
-// the divergence guard re-cold-start automatically. A non-nil session also
-// records iteration statistics. See SolverSession.
-//
-//femtovet:borrows in, out, sess
-func (d *DualSolver) SolveWarmInto(in *Instance, out *Allocation, sess *SolverSession) error {
 	if err := in.Validate(); err != nil {
 		return err
 	}
@@ -186,108 +150,16 @@ func (d *DualSolver) SolveWarmInto(in *Instance, out *Allocation, sess *SolverSe
 	ws.sums = sums
 	next := growF(ws.next, nRes)
 	ws.next = next
-
-	// Session path only (phi >= 0 keeps the tracing never-terminate mode
-	// out): a trivially-feasible instance — every resource can absorb the
-	// full both-branch demand even at the price floor — drives every price
-	// to exactly zero under the cold dynamics, so skip the loop and repair
-	// at zero prices directly. The carried multipliers are left untouched:
-	// a quiet slot must not wipe the tracker.
-	if sess != nil && d.phi >= 0 {
-		sess.observe(in)
-		if d.triviallyFeasible(in, ws, sums) {
-			for i := range lambda {
-				lambda[i] = 0
-			}
-			if report != nil {
-				report.Converged = true
-				report.captureTrace(lambda)
-				report.captureLambda(lambda)
-			}
-			sess.note(0, false, true)
-			d.repair(in, out, lambda, ws)
-			if err := feasibleCached(in, out, ws, 1e-9); err != nil {
-				return fmt.Errorf("dual solver produced infeasible allocation: %w", err)
-			}
-			return nil
-		}
-	}
-
-	warm := sess != nil && d.phi >= 0 && sess.seeding &&
-		sess.haveLambda && len(sess.lambda) == nRes
-	tauStart := 0
-	relTol := 0.0
-	if warm {
-		// Seed from the carried multipliers, rescaled by the per-resource
-		// price-scale drift (the KKT estimate tracks lambda* as G and W move
-		// between slots) and deliberately undershot: the clipped subgradient
-		// climbs prices up to 10x faster than it walks them down, so turning
-		// the prediction error into a short climb is far cheaper than risking
-		// a slow descent from above. Resources with zero aggregate demand
-		// price at exactly zero, so seed them there directly.
-		for i := range lambda {
-			if ws.sumPS[i] == 0 {
-				lambda[i] = 0
-				continue
-			}
-			li := sess.lambda[i]
-			if ref := sess.scaleRef[i]; ref != scale[i] && ref > 0 { //femtovet:ignore floateq -- bit-equal scale means the carried multiplier is exact; any drift takes the rescale path
-				li *= warmUndershoot * scale[i] / ref
-			}
-			lambda[i] = li
-		}
-		tauStart = sess.tau
-		relTol = warmRelTol
-	} else {
-		for i := range lambda {
-			lambda[i] = 2 * scale[i] // start above the target, as in Fig. 4(a)
-		}
+	for i := range lambda {
+		lambda[i] = 2 * scale[i] // start above the target, as in Fig. 4(a)
 	}
 	if report != nil {
 		report.captureTrace(lambda)
 	}
 
-	final, performed, converged := d.iterate(in, ws, lambda, next, sums, scale, tauStart, relTol, report)
-	totalIters := performed
-	coldStart := !warm
-	if warm && !converged {
-		// Divergence guard: the carried multipliers did not lead to
-		// convergence within the iteration budget (the correlation
-		// assumption failed for this slot), so re-run cold in the same
-		// call. The report describes the attempt that produced the final
-		// prices; the failed attempt's cost shows up in SessionStats.
-		for i := range lambda {
-			lambda[i] = 2 * scale[i]
-		}
-		if report != nil {
-			report.Iterations = 0
-			report.Converged = false
-			report.captureTrace(lambda)
-		}
-		final, performed, converged = d.iterate(in, ws, lambda, next, sums, scale, 0, 0, report)
-		totalIters += performed
-		coldStart = true
-		sess.stats.Restarts++
-	}
+	final := d.iterate(in, ws, lambda, next, sums, scale, report)
 	if report != nil {
 		report.captureLambda(final)
-	}
-	if sess != nil && d.phi >= 0 {
-		if converged {
-			tau := tauStart + performed - 1
-			if coldStart {
-				tau = performed - 1
-			}
-			if tau < 0 {
-				tau = 0
-			}
-			sess.storeLambda(final, scale, tau, coldStart)
-		} else {
-			// Not even the cold budget converged: these multipliers are
-			// not a trustworthy seed, so the next slot starts cold too.
-			sess.haveLambda = false
-		}
-		sess.note(totalIters, warm, false)
 	}
 
 	// Repair: freeze the association from the final prices and water-fill
@@ -300,27 +172,17 @@ func (d *DualSolver) SolveWarmInto(in *Instance, out *Allocation, sess *SolverSe
 	return nil
 }
 
-// iterate runs the projected-subgradient loop (Table I steps 3-11) from the
-// given step-size schedule position, alternating between the lambda and next
-// buffers instead of copying — each iteration fully rewrites the target
-// buffer, so the swap is bit-identical to the copy it replaces. It returns
-// the buffer holding the final prices, the number of iterations performed,
-// and whether the movement test passed.
-//
-// relTol > 0 enables the warm-only movement termination: stop once every
-// price moved by at most relTol of its resource's price scale in one
-// iteration (a per-resource demand-residual test; see warmRelTol). The
-// cold/legacy path always passes 0, keeping its termination (and hence its
-// iterates) bit-identical to the session-less solver.
+// iterate runs the projected-subgradient loop (Table I steps 3-11),
+// alternating between the lambda and next buffers instead of copying —
+// each iteration fully rewrites the target buffer, so the swap is
+// bit-identical to the copy it replaces. It returns the buffer holding the
+// final prices.
 //
 //femtovet:owns lambda, next
 //femtovet:borrows in, ws, sums, scale, report
-func (d *DualSolver) iterate(in *Instance, ws *solveWorkspace, lambda, next, sums, scale []float64, tauStart int, relTol float64, report *DualReport) ([]float64, int, bool) {
+func (d *DualSolver) iterate(in *Instance, ws *solveWorkspace, lambda, next, sums, scale []float64, report *DualReport) []float64 {
 	k := in.K()
-	performed := 0
-	converged := false
 	for it := 0; it < d.maxIter; it++ {
-		tau := tauStart + it
 		// Steps 3-8: each user solves its subproblem at the current prices.
 		for i := range sums {
 			sums[i] = 0
@@ -340,7 +202,6 @@ func (d *DualSolver) iterate(in *Instance, ws *solveWorkspace, lambda, next, sum
 
 		// Step 9: projected subgradient update, eqs. (18)-(19).
 		move := 0.0
-		relOK := relTol > 0
 		for i := range lambda {
 			g := 1 - sums[i] // subgradient of the dual in lambda_i
 			if g < -10 {
@@ -351,7 +212,7 @@ func (d *DualSolver) iterate(in *Instance, ws *solveWorkspace, lambda, next, sum
 				s = d.stepScale * scale[i]
 			}
 			if d.diminishing {
-				s /= math.Sqrt(1 + float64(tau))
+				s /= math.Sqrt(1 + float64(it))
 			}
 			next[i] = lambda[i] - s*g
 			if next[i] < 0 {
@@ -359,50 +220,20 @@ func (d *DualSolver) iterate(in *Instance, ws *solveWorkspace, lambda, next, sum
 			}
 			delta := next[i] - lambda[i]
 			move += delta * delta
-			if relOK && math.Abs(delta) > relTol*scale[i] {
-				relOK = false
-			}
 		}
 		lambda, next = next, lambda
-		performed = it + 1
 		if report != nil {
-			report.Iterations = performed
+			report.Iterations = it + 1
 			report.captureTrace(lambda)
 		}
-		if move <= d.phi || relOK {
-			converged = true
+		if move <= d.phi {
 			if report != nil {
 				report.Converged = true
 			}
 			break
 		}
 	}
-	return lambda, performed, converged
-}
-
-// triviallyFeasible reports whether every resource can absorb the full
-// both-branch demand of its users at the price floor — the pessimistic
-// over-count where every user claims its share on the MBS and its FBS
-// simultaneously. When it holds, demand stays strictly below every budget at
-// any price, the subgradient is strictly positive, and the cold dynamics
-// drive all prices to exactly zero. The strict-inequality early exit keeps
-// the check ~one user deep on the saturated instances of the paper scale.
-//
-//femtovet:borrows in, ws, sums
-func (d *DualSolver) triviallyFeasible(in *Instance, ws *solveWorkspace, sums []float64) bool {
-	k := in.K()
-	for i := range sums {
-		sums[i] = 0
-	}
-	for j := 0; j < k; j++ {
-		i := in.FBS[j]
-		sums[0] += ws.u0[j].rhoAtWR(d.lambdaMin, ws.wr0[j])
-		sums[i] += ws.u1[j].rhoAtWR(d.lambdaMin, ws.wr1[j])
-		if sums[0] >= 1 || sums[i] >= 1 {
-			return false
-		}
-	}
-	return true
+	return lambda
 }
 
 // repair builds the final feasible allocation: users keep the base station

@@ -72,7 +72,7 @@ type EquilibriumSolver struct{}
 // eqIters is the depth of both of EquilibriumSolver's bisections.
 const eqIters = 45
 
-var _ WarmSolver = (*EquilibriumSolver)(nil)
+var _ Solver = (*EquilibriumSolver)(nil)
 
 // SolveInto solves the slot's problem into a caller-owned allocation: the
 // cold path, SolveWarmInto without a session.
@@ -86,9 +86,10 @@ func (e *EquilibriumSolver) SolveInto(in *Instance, out *Allocation) error {
 // carries the previous slot's outer common price for an instance of the
 // same shape, the outer bisection brackets around it ([l0/2, 2*l0], grown
 // outward as needed) at roughly half the cold bisection depth, instead of
-// expanding from the global [floor, sum(ps)] bracket. A nil session or a
-// seeding-disabled session degrades to the cold path; shape changes and a
-// runaway bracket expansion re-cold-start automatically. See SolverSession.
+// expanding from the global [floor, sum(ps)] bracket. A nil session
+// degrades to the cold path; shape changes and a runaway bracket expansion
+// re-cold-start automatically. A non-nil session also records the solve's
+// outer probe count. See SolverSession.
 //
 //femtovet:borrows in, out, sess
 func (e *EquilibriumSolver) SolveWarmInto(in *Instance, out *Allocation, sess *SolverSession) error {
@@ -197,7 +198,7 @@ func (e *EquilibriumSolver) solveWS(in *Instance, alloc *Allocation, ws *solveWo
 	warm, seed := ws.eqSeeded, ws.eqL0
 	if sess != nil {
 		sess.observe(in)
-		warm, seed = sess.seeding && sess.haveL0, sess.l0
+		warm, seed = sess.haveL0, sess.l0
 	}
 	lo := eqLambdaFloor
 	l0 := lo

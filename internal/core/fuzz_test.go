@@ -73,26 +73,23 @@ func FuzzWaterfill(f *testing.F) {
 
 // FuzzSolverSession drives a warm session through a random slot sequence —
 // Markov-correlated G drift, instance shape changes every shapeEvery slots,
-// and at slot sabotageAt the carried prices scaled by 10^logScale, which
-// blows the equilibrium bracket far off the clearing price and sends the
-// dual iteration into its divergence guard — and checks every warm solve
-// against the session-less cold solve of the same instance, bit for bit.
+// and at slot sabotageAt the carried price scaled by 10^logScale, which
+// blows the equilibrium bracket far off the clearing price — and checks
+// every warm solve against the session-less cold solve of the same
+// instance, bit for bit.
 func FuzzSolverSession(f *testing.F) {
-	// seed, slots, shapeEvery (0: never), sabotageAt, logScale, dual.
-	f.Add(uint64(1), uint8(12), uint8(0), uint8(255), 0.0, false)
-	f.Add(uint64(2), uint8(12), uint8(0), uint8(255), 0.0, true)
-	f.Add(uint64(3), uint8(16), uint8(5), uint8(7), 9.0, false)
-	f.Add(uint64(4), uint8(16), uint8(4), uint8(6), 6.0, true)
-	f.Add(uint64(5), uint8(10), uint8(3), uint8(2), -9.0, false)
-	f.Add(uint64(6), uint8(10), uint8(0), uint8(3), -6.0, true)
-	f.Fuzz(func(t *testing.T, seed uint64, slots, shapeEvery, sabotageAt uint8, logScale float64, dual bool) {
+	// seed, slots, shapeEvery (0: never), sabotageAt, logScale.
+	f.Add(uint64(1), uint8(12), uint8(0), uint8(255), 0.0)
+	f.Add(uint64(2), uint8(12), uint8(0), uint8(255), 0.0)
+	f.Add(uint64(3), uint8(16), uint8(5), uint8(7), 9.0)
+	f.Add(uint64(4), uint8(16), uint8(4), uint8(6), 6.0)
+	f.Add(uint64(5), uint8(10), uint8(3), uint8(2), -9.0)
+	f.Add(uint64(6), uint8(10), uint8(0), uint8(3), -6.0)
+	f.Fuzz(func(t *testing.T, seed uint64, slots, shapeEvery, sabotageAt uint8, logScale float64) {
 		if slots > 24 || math.IsNaN(logScale) || math.Abs(logScale) > 12 {
 			return
 		}
-		var solver WarmSolver = &EquilibriumSolver{}
-		if dual {
-			solver = NewDualSolver()
-		}
+		solver := &EquilibriumSolver{}
 		s := rng.New(seed)
 		shape := func() (*Instance, *markovTrace) {
 			n := 1 + s.IntN(3)
@@ -107,11 +104,7 @@ func FuzzSolverSession(f *testing.F) {
 			}
 			tr.step(in.G)
 			if slot == int(sabotageAt) {
-				scale := math.Pow(10, logScale)
-				sess.l0 *= scale
-				for i := range sess.lambda {
-					sess.lambda[i] *= scale
-				}
+				sess.l0 *= math.Pow(10, logScale)
 			}
 			if err := solver.SolveWarmInto(in, warm, sess); err != nil {
 				t.Fatalf("slot %d warm: %v", slot, err)

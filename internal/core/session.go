@@ -1,13 +1,12 @@
 package core
 
-import "math"
-
 // SolverSession carries warm-start state across the consecutive per-slot
-// solves of one cell. Channel occupancy is a two-state Markov chain
-// (internal/markov), so consecutive slots' problems are strongly correlated
-// and slot t-1's converged dual multipliers are an excellent seed for slot
-// t's subgradient iteration; the session owns that carried state so the
-// solvers themselves stay stateless and shareable.
+// solves of one cell: EquilibriumSolver.SolveWarmInto brackets its outer
+// bisection around the previous slot's common price. Channel occupancy is
+// a two-state Markov chain (internal/markov), so consecutive slots'
+// problems are strongly correlated and that price is an excellent seed;
+// the session owns the carried state so the solver itself stays stateless
+// and shareable.
 //
 // A session belongs to exactly one engine (one cell, one goroutine): it is
 // NOT safe for concurrent use. The sharded runner gets per-shard sessions
@@ -16,58 +15,45 @@ import "math"
 // Lifetime and re-cold-start triggers: the carried state is keyed to the
 // instance shape (user count, FBS count, and the user->FBS membership).
 // A solve against a differently-shaped instance silently drops the carried
-// state and cold-starts; so does the divergence guard inside each solver
-// (a warm attempt that fails to converge within the iteration budget
-// restarts cold in the same call). Only the expected-channel vector G and
-// the qualities W may drift between warm solves — which is exactly the
-// Markov temporal coherence the warm start exploits.
+// state and cold-starts; so does the solver's bracket-expansion guard (a
+// warm bracket that runs away restarts cold in the same call). Only the
+// expected-channel vector G and the qualities W may drift between warm
+// solves — which is exactly the Markov temporal coherence the warm start
+// exploits.
 //
-// The zero value is NOT ready for use; construct with NewSolverSession or
-// NewColdProbeSession.
+// The zero value is a session with no carried state, like the one
+// NewSolverSession returns.
 type SolverSession struct {
-	seeding bool // warm seeding enabled; false = cold-probe (record-only)
-
 	// Shape signature of the instance the carried state belongs to.
 	users, fbss int
 	fbsSig      uint64
 
-	// Dual-subgradient state: the previous solve's converged multipliers
-	// (session-owned copy, length N+1) and the diminishing-schedule
-	// position the most recent cold start converged at. Warm solves resume
-	// the schedule at that fixed position — steps stay at the magnitude
-	// that terminated the cold solve, so the tracker neither freezes (the
-	// position does not accumulate across slots) nor overshoots.
-	lambda     []float64
-	scaleRef   []float64
-	tau        int
-	haveLambda bool
-
-	// Equilibrium-solver state: the previous solve's outer common price.
+	// The previous contended solve's outer common price.
 	l0     float64
 	haveL0 bool
 
 	stats SessionStats
-	last  int
 	hist  []int64 // per-solve iteration histogram; nil until EnableStats
 }
 
-// SessionStats counts the solves recorded through a session.
+// SessionStats counts the solves recorded through a session. An iteration
+// is one outer demand probe of the equilibrium solver.
 type SessionStats struct {
 	// Solves is the total number of solves recorded.
 	Solves int
-	// WarmSolves counts solves seeded from carried multipliers.
+	// WarmSolves counts solves seeded from the carried price.
 	WarmSolves int
-	// ColdStarts counts solves that started cold: the first solve, any
-	// solve after a shape change or Reset, and every cold-probe solve.
+	// ColdStarts counts the other solves: the first solve, any solve after
+	// a shape change, and every trivial solve.
 	ColdStarts int
-	// Restarts counts divergence-guard trips: warm attempts that failed to
-	// converge within the iteration budget and re-ran cold.
+	// Restarts counts bracket-expansion guard trips: warm brackets that ran
+	// away and re-ran cold.
 	Restarts int
 	// TrivialSolves counts trivially-feasible instances short-circuited at
-	// zero prices with zero iterations.
+	// zero prices.
 	TrivialSolves int
-	// TotalIters sums the iterations of every solve, including the failed
-	// warm attempt of a divergence restart.
+	// TotalIters sums the iterations of every solve, including a restarted
+	// warm attempt's.
 	TotalIters int64
 	// MaxIters is the largest per-solve iteration count observed.
 	MaxIters int
@@ -87,92 +73,27 @@ func (s *SessionStats) Merge(other *SessionStats) {
 }
 
 // sessionHistSize caps the iteration histogram; solves beyond it land in
-// the final bucket. It comfortably covers the default 2000-iteration cap.
+// the final bucket. It comfortably covers the outer probe counts of the
+// equilibrium solver's bisections.
 const sessionHistSize = 4096
 
-// NewSolverSession returns a session with warm seeding enabled.
+// NewSolverSession returns a session with no carried state: its first
+// solve cold-starts.
 func NewSolverSession() *SolverSession {
-	return &SolverSession{seeding: true}
-}
-
-// NewColdProbeSession returns a record-only session: every solve through it
-// cold-starts exactly like the session-less path, but iteration statistics
-// are still collected. This is how the warm-start benchmarks measure the
-// cold baseline with the same instrumentation.
-func NewColdProbeSession() *SolverSession {
-	return &SolverSession{seeding: false}
+	return &SolverSession{}
 }
 
 // EnableStats allocates the per-solve iteration histogram that backs
-// IterationQuantile. Call once at construction time (it allocates); the
-// per-solve recording itself is allocation-free.
+// HistCopy. Call once at construction time (it allocates); the per-solve
+// recording itself is allocation-free.
 func (s *SolverSession) EnableStats() {
 	if s.hist == nil {
 		s.hist = make([]int64, sessionHistSize)
 	}
 }
 
-// Reset drops all carried state (the next solve cold-starts) and clears the
-// recorded statistics.
-func (s *SolverSession) Reset() {
-	s.users, s.fbss, s.fbsSig = 0, 0, 0
-	s.haveLambda, s.haveL0 = false, false
-	s.tau = 0
-	s.stats = SessionStats{}
-	s.last = 0
-	for i := range s.hist {
-		s.hist[i] = 0
-	}
-}
-
-// Seeding reports whether warm seeding is enabled.
-func (s *SolverSession) Seeding() bool { return s.seeding }
-
 // Stats returns a snapshot of the recorded counters.
 func (s *SolverSession) Stats() SessionStats { return s.stats }
-
-// LastIterations returns the iteration count of the most recent solve.
-func (s *SolverSession) LastIterations() int { return s.last }
-
-// IterationMean returns the mean iterations per solve, or 0 before any
-// solve.
-func (s *SolverSession) IterationMean() float64 {
-	if s.stats.Solves == 0 {
-		return 0
-	}
-	return float64(s.stats.TotalIters) / float64(s.stats.Solves)
-}
-
-// IterationQuantile returns the q-quantile (0 <= q <= 1) of the per-solve
-// iteration counts, or -1 when EnableStats was not called or no solve has
-// been recorded.
-func (s *SolverSession) IterationQuantile(q float64) int {
-	if s.hist == nil || s.stats.Solves == 0 {
-		return -1
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	// Nearest rank: the smallest count with at least q·n solves at or
-	// below it. The slack keeps a product that rounding lifts a hair above
-	// a whole number (0.07·100) on that number's rank.
-	r := q * float64(s.stats.Solves)
-	target := int64(math.Ceil(r - 1e-9*r))
-	if target < 1 {
-		target = 1
-	}
-	var cum int64
-	for i, c := range s.hist {
-		cum += c
-		if cum >= target {
-			return i
-		}
-	}
-	return sessionHistSize - 1
-}
 
 // HistCopy returns a copy of the per-solve iteration histogram (index =
 // iterations, last bucket open-ended), or nil when EnableStats was not
@@ -197,8 +118,7 @@ func fbsSignature(fbs []int) uint64 {
 }
 
 // observe checks the instance shape against the carried state, dropping the
-// state on a mismatch, and reports whether the carried multipliers may seed
-// this solve.
+// state on a mismatch.
 //
 //femtovet:borrows in
 func (s *SolverSession) observe(in *Instance) {
@@ -206,8 +126,7 @@ func (s *SolverSession) observe(in *Instance) {
 	sig := fbsSignature(in.FBS)
 	if k != s.users || n != s.fbss || sig != s.fbsSig {
 		s.users, s.fbss, s.fbsSig = k, n, sig
-		s.haveLambda, s.haveL0 = false, false
-		s.tau = 0
+		s.haveL0 = false
 	}
 }
 
@@ -226,7 +145,6 @@ func (s *SolverSession) note(iters int, warm, trivial bool) {
 	if iters > s.stats.MaxIters {
 		s.stats.MaxIters = iters
 	}
-	s.last = iters
 	if s.hist != nil {
 		i := iters
 		if i >= sessionHistSize {
@@ -234,31 +152,4 @@ func (s *SolverSession) note(iters int, warm, trivial bool) {
 		}
 		s.hist[i]++
 	}
-}
-
-// storeLambda copies the converged multipliers into the session-owned
-// buffer. Nothing aliases the solver workspace: the session outlives the
-// solve, the workspace does not.
-//
-//femtovet:borrows lambda
-func (s *SolverSession) storeLambda(lambda, scale []float64, tau int, coldStart bool) {
-	s.lambda = growF(s.lambda, len(lambda))
-	copy(s.lambda, lambda)
-	s.scaleRef = growF(s.scaleRef, len(scale))
-	copy(s.scaleRef, scale)
-	s.haveLambda = true
-	if coldStart {
-		// Warm solves resume at the position the last cold start converged
-		// at; only a cold start moves it.
-		s.tau = tau
-	}
-}
-
-// WarmSolver is implemented by solvers whose per-slot solves can be seeded
-// from a SolverSession carried across consecutive slots. A nil session is
-// exactly the cold SolveInto; a seeding-disabled session is the cold path
-// with statistics recording.
-type WarmSolver interface {
-	Solver
-	SolveWarmInto(in *Instance, out *Allocation, sess *SolverSession) error
 }

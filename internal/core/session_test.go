@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"sort"
 	"testing"
 
 	"femtocr/internal/markov"
@@ -75,93 +77,124 @@ func sameAllocation(a, b *Allocation) bool {
 // TestWarmMatchesColdAllocations is the warm-start correctness gate at the
 // core layer: across Markov-correlated traces, every warm solve's repaired
 // allocation must be byte-identical to the session-less cold solve of the
-// same instance, for both warm-capable solvers. The multipliers may differ
-// within the convergence tolerance; the discrete repair must absorb that.
+// same instance. The carried price may differ within the bisection's
+// tolerance; the discrete repair must absorb that.
 func TestWarmMatchesColdAllocations(t *testing.T) {
-	solvers := []struct {
-		name   string
-		solver WarmSolver
-	}{
-		{"dual", NewDualSolver()},
-		{"equilibrium", &EquilibriumSolver{}},
-	}
-	for _, tc := range solvers {
-		t.Run(tc.name, func(t *testing.T) {
-			for seed := uint64(1); seed <= 6; seed++ {
-				s := rng.New(seed)
-				in := randomInstance(s, 9, 3)
-				tr := newMarkovTrace(s, 3)
-				sess := NewSolverSession()
-				warm := NewAllocation(in.K())
-				cold := NewAllocation(in.K())
-				for slot := 0; slot < 40; slot++ {
-					tr.step(in.G)
-					if err := tc.solver.SolveWarmInto(in, warm, sess); err != nil {
-						t.Fatal(err)
-					}
-					if err := tc.solver.SolveInto(in, cold); err != nil {
-						t.Fatal(err)
-					}
-					if !sameAllocation(warm, cold) {
-						t.Fatalf("seed %d slot %d: warm and cold allocations differ", seed, slot)
-					}
-				}
-				st := sess.Stats()
-				if st.Solves != 40 {
-					t.Fatalf("seed %d: recorded %d solves, want 40", seed, st.Solves)
-				}
-				if st.WarmSolves == 0 {
-					t.Fatalf("seed %d: no warm solve happened; the test is vacuous", seed)
-				}
-			}
-		})
-	}
-}
-
-// TestWarmMatchesColdTrivialSlots covers the trivial-feasibility
-// short-circuit: warm sessions skip the subgradient loop entirely on slots
-// whose demand fits every budget at the price floor, and the zero-price
-// repair must equal the legacy cold dynamics (which walk the prices to
-// exactly zero).
-func TestWarmMatchesColdTrivialSlots(t *testing.T) {
-	in := trivialInstance()
-	for _, tc := range []struct {
-		name   string
-		solver WarmSolver
-	}{
-		{"dual", NewDualSolver()},
-		{"equilibrium", &EquilibriumSolver{}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
+	t.Run("equilibrium", func(t *testing.T) {
+		solver := &EquilibriumSolver{}
+		for seed := uint64(1); seed <= 6; seed++ {
+			s := rng.New(seed)
+			in := randomInstance(s, 9, 3)
+			tr := newMarkovTrace(s, 3)
 			sess := NewSolverSession()
 			warm := NewAllocation(in.K())
 			cold := NewAllocation(in.K())
-			for slot := 0; slot < 3; slot++ {
-				if err := tc.solver.SolveWarmInto(in, warm, sess); err != nil {
+			for slot := 0; slot < 40; slot++ {
+				tr.step(in.G)
+				if err := solver.SolveWarmInto(in, warm, sess); err != nil {
 					t.Fatal(err)
 				}
-				if err := tc.solver.SolveInto(in, cold); err != nil {
+				if err := solver.SolveInto(in, cold); err != nil {
 					t.Fatal(err)
 				}
 				if !sameAllocation(warm, cold) {
-					t.Fatalf("slot %d: trivial warm and cold allocations differ", slot)
+					t.Fatalf("seed %d slot %d: warm and cold allocations differ", seed, slot)
 				}
 			}
 			st := sess.Stats()
-			if st.TrivialSolves != 3 {
-				t.Fatalf("TrivialSolves = %d, want 3", st.TrivialSolves)
+			if st.Solves != 40 {
+				t.Fatalf("seed %d: recorded %d solves, want 40", seed, st.Solves)
 			}
-			if st.TotalIters != 0 {
-				t.Fatalf("TotalIters = %d, want 0", st.TotalIters)
+			if st.WarmSolves == 0 {
+				t.Fatalf("seed %d: no warm solve happened; the test is vacuous", seed)
 			}
-		})
+		}
+	})
+}
+
+// TestWarmMatchesColdTrivialSlots covers the trivial-feasibility
+// short-circuit: a slot whose demand fits every budget at the price floor
+// is solved at zero prices with zero outer probes, keeps the carried price,
+// and must equal the cold solve.
+func TestWarmMatchesColdTrivialSlots(t *testing.T) {
+	in := trivialInstance()
+	t.Run("equilibrium", func(t *testing.T) {
+		solver := &EquilibriumSolver{}
+		sess := NewSolverSession()
+		warm := NewAllocation(in.K())
+		cold := NewAllocation(in.K())
+		for slot := 0; slot < 3; slot++ {
+			if err := solver.SolveWarmInto(in, warm, sess); err != nil {
+				t.Fatal(err)
+			}
+			if err := solver.SolveInto(in, cold); err != nil {
+				t.Fatal(err)
+			}
+			if !sameAllocation(warm, cold) {
+				t.Fatalf("slot %d: trivial warm and cold allocations differ", slot)
+			}
+		}
+		st := sess.Stats()
+		if st.TrivialSolves != 3 {
+			t.Fatalf("TrivialSolves = %d, want 3", st.TrivialSolves)
+		}
+		if st.TotalIters != 0 {
+			t.Fatalf("TotalIters = %d, want 0", st.TotalIters)
+		}
+	})
+}
+
+// TestWarmSessionProbeBudget pins what the carried price buys: over
+// Markov-correlated traces, the median outer probe count of a warm session
+// must be at most 2/3 of the cold one's. The cold baseline solves every
+// slot through a fresh session, whose first solve is cold by construction.
+func TestWarmSessionProbeBudget(t *testing.T) {
+	solver := &EquilibriumSolver{}
+	var warmProbes, coldProbes []int64
+	for seed := uint64(1); seed <= 6; seed++ {
+		s := rng.New(seed)
+		in := randomInstance(s, 9, 3)
+		tr := newMarkovTrace(s, 3)
+		sess := NewSolverSession()
+		out := NewAllocation(in.K())
+		for slot := 0; slot < 40; slot++ {
+			tr.step(in.G)
+			before := sess.Stats().TotalIters
+			if err := solver.SolveWarmInto(in, out, sess); err != nil {
+				t.Fatal(err)
+			}
+			fresh := NewSolverSession()
+			if err := solver.SolveWarmInto(in, out, fresh); err != nil {
+				t.Fatal(err)
+			}
+			if st := fresh.Stats(); st.WarmSolves != 0 {
+				t.Fatalf("seed %d slot %d: a fresh session's solve was warm", seed, slot)
+			} else if st.TrivialSolves == 0 {
+				warmProbes = append(warmProbes, sess.Stats().TotalIters-before)
+				coldProbes = append(coldProbes, st.TotalIters)
+			}
+		}
 	}
+	if len(coldProbes) == 0 {
+		t.Fatal("every slot was trivial; the test is vacuous")
+	}
+	warm, cold := medianProbes(warmProbes), medianProbes(coldProbes)
+	t.Logf("median outer probes over %d contended slots: warm %d, cold %d", len(coldProbes), warm, cold)
+	if 3*warm > 2*cold {
+		t.Errorf("warm median %d outer probes is above 2/3 of the cold median %d", warm, cold)
+	}
+}
+
+// medianProbes returns the nearest-rank median of the probe counts.
+func medianProbes(p []int64) int64 {
+	sorted := append([]int64(nil), p...)
+	sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
+	return sorted[(len(sorted)-1)/2]
 }
 
 // TestDualReportIterations pins the Iterations semantics: performed
 // iterations on a normal solve, exactly the cap when termination never
-// fires, at most the cap with a tight budget, and 0 on the trivial
-// short-circuit (cold-probe and warm sessions alike).
+// fires, and at most the cap with a tight budget.
 func TestDualReportIterations(t *testing.T) {
 	// paperishInstance is oscillation-bound (a knife-edge association user
 	// keeps the movement above phi for the full 2000-iteration budget), so
@@ -202,24 +235,6 @@ func TestDualReportIterations(t *testing.T) {
 			t.Fatalf("Iterations = %d beyond the 3-iteration cap", rep.Iterations)
 		}
 	})
-
-	t.Run("trivial is zero, cold and warm", func(t *testing.T) {
-		tin := trivialInstance()
-		rep := &DualReport{}
-		d := NewDualSolver(WithTrace(rep))
-		out := &Allocation{}
-		for _, sess := range []*SolverSession{NewColdProbeSession(), NewSolverSession()} {
-			for pass := 0; pass < 2; pass++ { // second NewSolverSession solve would be warm
-				if err := d.SolveWarmInto(tin, out, sess); err != nil {
-					t.Fatal(err)
-				}
-				if rep.Iterations != 0 || !rep.Converged {
-					t.Fatalf("seeding=%v solve %d: Iterations = %d, Converged = %v; want 0, converged",
-						sess.Seeding(), pass, rep.Iterations, rep.Converged)
-				}
-			}
-		}
-	})
 }
 
 // TestSessionShapeChangeColdStarts pins the re-cold-start trigger: carried
@@ -232,7 +247,7 @@ func TestSessionShapeChangeColdStarts(t *testing.T) {
 	inC := randomInstance(s, 9, 3) // same shape as A only if memberships match
 	copy(inC.FBS, inA.FBS)
 
-	d := NewDualSolver()
+	e := &EquilibriumSolver{}
 	sess := NewSolverSession()
 	out := NewAllocation(9)
 	outB := NewAllocation(6)
@@ -240,17 +255,17 @@ func TestSessionShapeChangeColdStarts(t *testing.T) {
 		in  *Instance
 		out *Allocation
 	}{{inA, out}, {inB, outB}, {inC, out}} {
-		if err := d.SolveWarmInto(step.in, step.out, sess); err != nil {
+		if err := e.SolveWarmInto(step.in, step.out, sess); err != nil {
 			t.Fatal(err)
 		}
 	}
 	st := sess.Stats()
-	if st.ColdStarts != 3 || st.WarmSolves != 0 {
-		t.Fatalf("stats = %+v; want 3 cold starts and 0 warm solves across shape changes", st)
+	if st.ColdStarts != 3 || st.WarmSolves != 0 || st.TrivialSolves != 0 {
+		t.Fatalf("stats = %+v; want 3 contended cold starts and 0 warm solves across shape changes", st)
 	}
 
 	// Same shape again: now the carried state applies.
-	if err := d.SolveWarmInto(inC, out, sess); err != nil {
+	if err := e.SolveWarmInto(inC, out, sess); err != nil {
 		t.Fatal(err)
 	}
 	if st := sess.Stats(); st.WarmSolves != 1 {
@@ -258,61 +273,16 @@ func TestSessionShapeChangeColdStarts(t *testing.T) {
 	}
 }
 
-// TestWarmDivergenceGuardRestartsCold forces a warm seed that cannot
-// converge within a tiny iteration budget and checks the guard: the solve
-// re-runs cold in the same call, the restart is counted, and the carried
-// state is invalidated so the next solve cold-starts rather than re-seeding
-// from the failure.
-func TestWarmDivergenceGuardRestartsCold(t *testing.T) {
-	in := randomInstance(rng.New(7), 9, 3) // converges cold, so the session stores a seed
-	sess := NewSolverSession()
-	out := NewAllocation(in.K())
-	if err := NewDualSolver().SolveWarmInto(in, out, sess); err != nil {
-		t.Fatal(err)
-	}
-	if !sess.haveLambda {
-		t.Fatal("first solve did not store multipliers")
-	}
-	// Sabotage the carried multipliers: a seed far above the equilibrium
-	// descends at the capped rate and cannot converge within 6 iterations.
-	for i := range sess.lambda {
-		sess.lambda[i] *= 1e6
-	}
-	d := NewDualSolver(WithMaxIter(6))
-	if err := d.SolveWarmInto(in, out, sess); err != nil {
-		t.Fatal(err)
-	}
-	st := sess.Stats()
-	if st.Restarts != 1 {
-		t.Fatalf("Restarts = %d, want 1", st.Restarts)
-	}
-	// Both the warm attempt and the cold rerun spent the full budget.
-	if sess.LastIterations() != 12 {
-		t.Fatalf("LastIterations = %d, want 12 (6 warm + 6 cold)", sess.LastIterations())
-	}
-	// The cold rerun did not converge either, so the next solve must not
-	// warm-start from it.
-	if sess.haveLambda {
-		t.Fatal("non-converged multipliers were kept as a seed")
-	}
-	if err := d.SolveWarmInto(in, out, sess); err != nil {
-		t.Fatal(err)
-	}
-	if st := sess.Stats(); st.WarmSolves != 1 {
-		t.Fatalf("WarmSolves = %d after guard trip, want 1 (only the failed attempt)", st.WarmSolves)
-	}
-}
-
-// TestSessionStats covers the bookkeeping: counters, mean, histogram
-// quantiles, last-solve access, and Reset.
+// TestSessionStats covers the bookkeeping: counters and the histogram that
+// sim folds into its quantiles.
 func TestSessionStats(t *testing.T) {
 	in := randomInstance(rng.New(7), 9, 3)
-	d := NewDualSolver()
+	e := &EquilibriumSolver{}
 	sess := NewSolverSession()
 	sess.EnableStats()
 	out := NewAllocation(in.K())
 	for i := 0; i < 5; i++ {
-		if err := d.SolveWarmInto(in, out, sess); err != nil {
+		if err := e.SolveWarmInto(in, out, sess); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -323,88 +293,29 @@ func TestSessionStats(t *testing.T) {
 	if st.TotalIters <= 0 || st.MaxIters <= 0 {
 		t.Fatalf("stats = %+v; want positive iteration totals", st)
 	}
-	if sess.IterationMean() <= 0 {
-		t.Fatalf("IterationMean = %v, want > 0", sess.IterationMean())
-	}
-	p50, p100 := sess.IterationQuantile(0.5), sess.IterationQuantile(1)
-	if p50 < 0 || p100 < p50 || p100 != st.MaxIters {
-		t.Fatalf("quantiles p50=%d p100=%d max=%d inconsistent", p50, p100, st.MaxIters)
-	}
-	if sess.LastIterations() <= 0 {
-		t.Fatalf("LastIterations = %d, want > 0", sess.LastIterations())
-	}
 	hist := sess.HistCopy()
-	var histSolves int64
-	for _, c := range hist {
+	var histSolves, histIters int64
+	top := -1
+	for it, c := range hist {
 		histSolves += c
-	}
-	if histSolves != int64(st.Solves) {
-		t.Fatalf("histogram records %d solves, stats %d", histSolves, st.Solves)
-	}
-
-	sess.Reset()
-	if st := sess.Stats(); st != (SessionStats{}) {
-		t.Fatalf("stats after Reset = %+v, want zero", st)
-	}
-	if sess.IterationQuantile(0.5) != -1 {
-		t.Fatal("IterationQuantile after Reset should be -1")
-	}
-	// After Reset the next solve is a cold start again.
-	if err := d.SolveWarmInto(in, out, sess); err != nil {
-		t.Fatal(err)
-	}
-	if st := sess.Stats(); st.ColdStarts != 1 || st.WarmSolves != 0 {
-		t.Fatalf("stats after Reset+solve = %+v; want 1 cold start", st)
-	}
-}
-
-// TestSessionStatsMerge pins the fold arithmetic used by the sharded
-// runner's warm-report aggregation.
-func TestSessionStatsMerge(t *testing.T) {
-	a := SessionStats{Solves: 3, WarmSolves: 2, ColdStarts: 1, Restarts: 1, TrivialSolves: 1, TotalIters: 100, MaxIters: 60}
-	b := SessionStats{Solves: 2, WarmSolves: 1, ColdStarts: 1, TotalIters: 50, MaxIters: 40}
-	a.Merge(&b)
-	want := SessionStats{Solves: 5, WarmSolves: 3, ColdStarts: 2, Restarts: 1, TrivialSolves: 1, TotalIters: 150, MaxIters: 60}
-	if a != want {
-		t.Fatalf("merged = %+v, want %+v", a, want)
-	}
-}
-
-// TestColdProbeSessionNeverSeeds pins the cold-baseline instrumentation
-// mode: the solves stay bit-identical to the session-less path while the
-// statistics are still recorded.
-func TestColdProbeSessionNeverSeeds(t *testing.T) {
-	s := rng.New(5)
-	in := randomInstance(s, 9, 3)
-	tr := newMarkovTrace(s, 3)
-	prep, crep := &DualReport{}, &DualReport{}
-	probed, plain := NewDualSolver(WithTrace(prep)), NewDualSolver(WithTrace(crep))
-	sess := NewColdProbeSession()
-	out := NewAllocation(in.K())
-	for slot := 0; slot < 10; slot++ {
-		tr.step(in.G)
-		if err := probed.SolveWarmInto(in, out, sess); err != nil {
-			t.Fatal(err)
-		}
-		if err := plain.SolveInto(in, out); err != nil {
-			t.Fatal(err)
-		}
-		// Same iterations as the legacy path except on trivially-feasible
-		// slots, where the session short-circuits to zero prices.
-		trivial := prep.Iterations == 0 && crep.Iterations != 0
-		if !trivial && prep.Iterations != crep.Iterations {
-			t.Fatalf("slot %d: cold-probe took %d iterations, legacy %d", slot, prep.Iterations, crep.Iterations)
+		histIters += int64(it) * c
+		if c > 0 {
+			top = it
 		}
 	}
-	st := sess.Stats()
-	if st.WarmSolves != 0 || st.ColdStarts != 10 {
-		t.Fatalf("stats = %+v; want all cold", st)
+	if histSolves != int64(st.Solves) || histIters != st.TotalIters || top != st.MaxIters {
+		t.Fatalf("histogram holds %d solves, %d iterations, max %d; stats %+v", histSolves, histIters, top, st)
+	}
+	if NewSolverSession().HistCopy() != nil {
+		t.Fatal("HistCopy without EnableStats should be nil")
 	}
 }
 
 // TestIterationQuantileNearestRank pins the nearest-rank convention on odd
-// and even counts: the q-quantile is the smallest iteration count with at
-// least ceil(q·n) solves at or below it.
+// and even counts as the session records it: the q-quantile, the smallest
+// iteration count with at least ceil(q·n) solves at or below it, must read
+// straight off HistCopy's cumulative counts. sim folds these histograms into
+// its P50/P90/P99.
 func TestIterationQuantileNearestRank(t *testing.T) {
 	cases := []struct {
 		iters []int
@@ -427,8 +338,25 @@ func TestIterationQuantileNearestRank(t *testing.T) {
 		for _, it := range c.iters {
 			sess.note(it, true, false)
 		}
-		if got := sess.IterationQuantile(c.q); got != c.want {
-			t.Errorf("%d solves, q=%v: quantile %d, want %d", len(c.iters), c.q, got, c.want)
+		n := sess.Stats().Solves
+		// The slack keeps a product that rounding lifts a hair above a
+		// whole number (0.07·100) on that number's rank.
+		r := c.q * float64(n)
+		rank := int64(math.Ceil(r - 1e-9*r))
+		if rank < 1 {
+			rank = 1
+		}
+		hist := sess.HistCopy()
+		var below, upTo int64
+		for it := 0; it <= c.want; it++ {
+			if it < c.want {
+				below += hist[it]
+			}
+			upTo += hist[it]
+		}
+		if n != len(c.iters) || upTo < rank || below >= rank {
+			t.Errorf("%d solves, q=%v: %d solves recorded, %d at or below %d and %d below it; want rank %d reached exactly at %d",
+				len(c.iters), c.q, n, upTo, c.want, below, rank, c.want)
 		}
 	}
 }
@@ -440,4 +368,16 @@ func seq(n int) []int {
 		s[i] = i + 1
 	}
 	return s
+}
+
+// TestSessionStatsMerge pins the fold arithmetic used by the sharded
+// runner's warm-report aggregation.
+func TestSessionStatsMerge(t *testing.T) {
+	a := SessionStats{Solves: 3, WarmSolves: 2, ColdStarts: 1, Restarts: 1, TrivialSolves: 1, TotalIters: 100, MaxIters: 60}
+	b := SessionStats{Solves: 2, WarmSolves: 1, ColdStarts: 1, TotalIters: 50, MaxIters: 40}
+	a.Merge(&b)
+	want := SessionStats{Solves: 5, WarmSolves: 3, ColdStarts: 2, Restarts: 1, TrivialSolves: 1, TotalIters: 150, MaxIters: 60}
+	if a != want {
+		t.Fatalf("merged = %+v, want %+v", a, want)
+	}
 }

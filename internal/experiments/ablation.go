@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"femtocr/internal/netmodel"
 	"femtocr/internal/sensing"
@@ -92,54 +91,4 @@ func AblationSensorPolicy(p Params) (*stats.Figure, error) {
 		series.Append(float64(pol), g.sum[pi][0])
 	}
 	return fig, nil
-}
-
-// SolverComparison quantifies the quality-vs-cost trade between the
-// distributed subgradient solver (the paper's Tables I/II) and the
-// price-equilibrium solver used as the fast default.
-type SolverComparison struct {
-	EquilibriumPSNR    stats.Summary
-	DualPSNR           stats.Summary
-	EquilibriumElapsed time.Duration
-	DualElapsed        time.Duration
-}
-
-// AblationSolver runs the single-FBS workload under both solvers.
-func AblationSolver(p Params) (*SolverComparison, error) {
-	p, net, err := setup(p, netmodel.PaperSingleSpec())
-	if err != nil {
-		return nil, err
-	}
-	sc := &SolverComparison{}
-	for _, useDual := range []bool{false, true} {
-		start := time.Now()
-		g, err := runGrid(p, 1, 1, func(_ int, seed uint64, out []float64) error {
-			res, err := sim.Run(net, sim.Options{Seed: seed, GOPs: p.GOPs, UseDualSolver: useDual})
-			if err != nil {
-				return fmt.Errorf("dual=%v: %w", useDual, err)
-			}
-			out[0] = res.MeanPSNR
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		elapsed := time.Since(start)
-		if useDual {
-			sc.DualPSNR, sc.DualElapsed = g.sum[0][0], elapsed
-		} else {
-			sc.EquilibriumPSNR, sc.EquilibriumElapsed = g.sum[0][0], elapsed
-		}
-	}
-	return sc, nil
-}
-
-// String renders the comparison.
-func (s *SolverComparison) String() string {
-	return fmt.Sprintf(
-		"solver comparison over identical seeds:\n"+
-			"  price equilibrium: %.3f dB ±%.3f in %v\n"+
-			"  dual subgradient:  %.3f dB ±%.3f in %v\n",
-		s.EquilibriumPSNR.Mean, s.EquilibriumPSNR.HalfWidth, s.EquilibriumElapsed,
-		s.DualPSNR.Mean, s.DualPSNR.HalfWidth, s.DualElapsed)
 }

@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"math"
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestAblationBeliefShape(t *testing.T) {
 	p := QuickParams()
@@ -46,36 +42,12 @@ func TestAblationSensorPolicyShape(t *testing.T) {
 	}
 }
 
-func TestAblationSolverAgreement(t *testing.T) {
-	p := QuickParams()
-	p.GOPs = 5
-	cmp, err := AblationSolver(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(cmp.EquilibriumPSNR.Mean-cmp.DualPSNR.Mean) > 0.5 {
-		t.Fatalf("solvers disagree: %v vs %v", cmp.EquilibriumPSNR.Mean, cmp.DualPSNR.Mean)
-	}
-	if cmp.EquilibriumElapsed <= 0 || cmp.DualElapsed <= 0 {
-		t.Fatal("elapsed times not recorded")
-	}
-	out := cmp.String()
-	for _, want := range []string{"price equilibrium", "dual subgradient"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("String() missing %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestAblationValidation(t *testing.T) {
 	bad := Params{Runs: 0, GOPs: 1}
 	if _, err := AblationBelief(bad); err == nil {
 		t.Fatal("bad params accepted")
 	}
 	if _, err := AblationSensorPolicy(bad); err == nil {
-		t.Fatal("bad params accepted")
-	}
-	if _, err := AblationSolver(bad); err == nil {
 		t.Fatal("bad params accepted")
 	}
 }

@@ -4,9 +4,10 @@ import "fmt"
 
 // Shard is one independent coordination domain of a deployment: a connected
 // component of the interference graph together with the users its FBSs
-// serve. Components never share licensed-channel interference, and the
-// sharded engine gives each its own MBS capacity slice and sensing-fusion
-// domain, so shards simulate independently (see sim.RunSharded).
+// serve (at least one). Components never share licensed-channel
+// interference, and the sharded engine gives each its own MBS capacity
+// slice and sensing-fusion domain, so shards simulate independently (see
+// sim.RunSharded).
 type Shard struct {
 	// Component is the index of this shard in Graph.Components() order
 	// (ascending by smallest FBS member).
@@ -23,11 +24,13 @@ type Shard struct {
 }
 
 // Partition decomposes the network into shards, one per connected component
-// of the interference graph, ordered as Graph.Components() orders them.
-// The sub-networks themselves are materialized lazily by Subnetwork, so a
-// metro-scale partition costs O(N + K) ints up front, not a copy of every
-// user. A connected network yields a single shard whose Subnetwork is the
-// network itself.
+// of the interference graph that serves users, ordered as
+// Graph.Components() orders them. A component whose FBSs serve no user has
+// nothing to simulate and gets no shard; the others keep their component
+// index. The sub-networks themselves are materialized lazily by
+// Subnetwork, so a metro-scale partition costs O(N + K) ints up front, not
+// a copy of every user. A connected network yields a single shard whose
+// Subnetwork is the network itself.
 func (n *Network) Partition() ([]Shard, error) {
 	if err := n.Validate(); err != nil {
 		return nil, err
@@ -55,12 +58,13 @@ func (n *Network) Partition() ([]Shard, error) {
 		ci := compOf[n.Users[j].FBS-1]
 		shards[ci].Users = append(shards[ci].Users, j)
 	}
-	for ci := range shards {
-		if len(shards[ci].Users) == 0 {
-			return nil, fmt.Errorf("%w: component %d (FBSs %v) serves no users", ErrBadNetwork, ci, shards[ci].FBSs)
+	served := shards[:0]
+	for _, s := range shards {
+		if len(s.Users) > 0 {
+			served = append(served, s)
 		}
 	}
-	return shards, nil
+	return served, nil
 }
 
 // fbsIDs converts 0-based sorted component vertices to 1-based FBS ids.

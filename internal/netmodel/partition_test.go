@@ -34,6 +34,28 @@ func TestPartitionConnectedIsIdentity(t *testing.T) {
 	}
 }
 
+// TestPartitionSkipsComponentsWithoutUsers: an isolated FBS that serves no
+// user has nothing to simulate, so it gets no shard, and the shards around
+// it keep their component indices.
+func TestPartitionSkipsComponentsWithoutUsers(t *testing.T) {
+	trio := video.PaperTrio()
+	net, err := NewNetwork(DefaultConfig(), NonInterferingSpec([][]video.Sequence{trio[:], nil, trio[:2]}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards, err := net.Partition()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Shard{
+		{Component: 0, FBSs: []int{1}, Users: []int{0, 1, 2}},
+		{Component: 2, FBSs: []int{3}, Users: []int{3, 4}},
+	}
+	if !reflect.DeepEqual(shards, want) {
+		t.Fatalf("shards %+v, want %+v", shards, want)
+	}
+}
+
 func TestPartitionNonInterfering(t *testing.T) {
 	trio := video.PaperTrio()
 	net, err := NewNetwork(DefaultConfig(), NonInterferingSpec([][]video.Sequence{trio[:], trio[:1], trio[1:]}))

@@ -37,13 +37,11 @@ func TestSlotStepSteadyStateAllocs(t *testing.T) {
 		// rare pool misses stay below one per slot over the 20 measured
 		// slots, while a single allocation per slot fails.
 		{"proposed-single", false, 0, Options{Scheme: Proposed}, 0},
-		{"proposed-single-dual", false, 0, Options{Scheme: Proposed, UseDualSolver: true}, 0},
-		// Every Proposed row above runs warm: seeds are written into pooled
-		// workspaces and carried multipliers live in session-owned slices.
-		// Recording solve statistics must not add an allocation either —
-		// the histogram is allocated once at construction.
+		// Every Proposed row runs warm: seeds are written into pooled
+		// workspaces and the carried price lives in the session. Recording
+		// solve statistics must not add an allocation either — the
+		// histogram is allocated once at construction.
 		{"proposed-single-stats", false, 0, Options{Scheme: Proposed, SolveStats: true}, 0},
-		{"proposed-single-dual-stats", false, 0, Options{Scheme: Proposed, UseDualSolver: true, SolveStats: true}, 0},
 		// The sensor policies other than the default RoundRobin each reach a
 		// front-end root no other row does: the stratified permutation
 		// (rng.PermInto), the per-user random draw, and the belief-ranked

@@ -23,7 +23,7 @@ import (
 type Allocator struct {
 	net        *netmodel.Network
 	solver     core.Solver
-	warm       core.WarmSolver // non-nil exactly when the solves carry sessions
+	warm       *core.EquilibriumSolver // non-nil exactly when the solves carry sessions
 	greedy     *core.GreedyAllocator
 	trackBound bool
 
@@ -75,9 +75,8 @@ type SlotAllocation struct {
 }
 
 // NewAllocator builds the allocation half from a validated network and the
-// run's options: Scheme and UseDualSolver pick the solver, TrackBound adds
-// the relaxation solve, and SolveStats turns on the sessions' iteration
-// histograms.
+// run's options: Scheme picks the solver, TrackBound adds the relaxation
+// solve, and SolveStats turns on the sessions' iteration histograms.
 func NewAllocator(net *netmodel.Network, opts Options) (*Allocator, error) {
 	opts = opts.withDefaults()
 	k := net.K()
@@ -87,19 +86,16 @@ func NewAllocator(net *netmodel.Network, opts Options) (*Allocator, error) {
 	}
 	switch opts.Scheme {
 	case Proposed:
-		if opts.UseDualSolver {
-			a.solver = core.NewDualSolver()
-		} else {
-			a.solver = &core.EquilibriumSolver{}
+		eq := &core.EquilibriumSolver{}
+		a.solver = eq
+		var q core.Solver = coldQ{eq}
+		if !opts.coldSolves {
+			a.warm, q = eq, eq
 		}
 		if a.interfering {
 			var gopts []core.GreedyOption
 			if !opts.disableLazyGreedy {
 				gopts = append(gopts, core.WithLazyEvaluation())
-			}
-			q := a.solver
-			if opts.coldSolves {
-				q = coldQ{a.solver}
 			}
 			a.greedy = core.NewGreedyAllocator(q, gopts...)
 		}
@@ -147,18 +143,10 @@ func NewAllocator(net *netmodel.Network, opts Options) (*Allocator, error) {
 		a.relaxG = make([]float64, net.NumFBS)
 		a.relaxAlloc = core.NewAllocation(k)
 	}
-	if ws, ok := a.solver.(core.WarmSolver); ok && (!opts.coldSolves || opts.SolveStats) {
-		a.warm = ws
-		newSession := core.NewSolverSession
-		if opts.coldSolves {
-			// The cold reference with stats: record the cold baseline
-			// through seeding-disabled sessions, same instrumentation,
-			// same solves.
-			newSession = core.NewColdProbeSession
-		}
-		a.session = newSession()
+	if a.warm != nil {
+		a.session = core.NewSolverSession()
 		if a.trackBound {
-			a.relaxSession = newSession()
+			a.relaxSession = core.NewSolverSession()
 		}
 		if opts.SolveStats {
 			a.session.EnableStats()

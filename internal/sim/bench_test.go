@@ -64,20 +64,12 @@ func BenchmarkSlotStepProposedSingle(b *testing.B) {
 	benchSlotStep(b, false, Options{Scheme: Proposed})
 }
 
-func BenchmarkSlotStepProposedSingleDualSolver(b *testing.B) {
-	benchSlotStep(b, false, Options{Scheme: Proposed, UseDualSolver: true})
-}
-
 func BenchmarkSlotStepProposedInterfering(b *testing.B) {
 	benchSlotStep(b, true, Options{Scheme: Proposed})
 }
 
 func BenchmarkGOPProposedSingle(b *testing.B) {
 	benchRun(b, benchNet(b, false), Options{Scheme: Proposed})
-}
-
-func BenchmarkGOPProposedSingleDualSolver(b *testing.B) {
-	benchRun(b, benchNet(b, false), Options{Scheme: Proposed, UseDualSolver: true})
 }
 
 func BenchmarkGOPProposedInterfering(b *testing.B) {

@@ -191,9 +191,10 @@ func TestHeterogeneousChannelsPreferIdle(t *testing.T) {
 
 // TestExtremeConfigs drives the parameter extremes through NewNetwork and
 // both engines: each case must either be rejected with an error or run to
-// a finite result, never panic or yield a NaN. A utilization of exactly 1
-// (P10 = 0) has no idle channel for sensing to fuse toward, so NewNetwork
-// must reject it as a bad network.
+// a finite result, never panic or yield a NaN, and RunSharded must accept
+// every network Run accepts. A utilization of exactly 1 (P10 = 0) has no
+// idle channel for sensing to fuse toward, so NewNetwork must reject it as
+// a bad network.
 func TestExtremeConfigs(t *testing.T) {
 	trio := video.PaperTrio()
 	interfering := netmodel.PaperInterferingSpec()
@@ -240,13 +241,18 @@ func TestExtremeConfigs(t *testing.T) {
 			continue
 		}
 		opts := Options{Seed: 3, GOPs: 2, TrackBound: true}
-		if res, err := Run(net, opts); err != nil {
-			t.Logf("%s: Run: %v", c.name, err)
+		res, runErr := Run(net, opts)
+		if runErr != nil {
+			t.Logf("%s: Run: %v", c.name, runErr)
 		} else {
 			checkFinite(t, c.name+" Run", res.PerUserPSNR, res.MeanPSNR, res.BoundPSNR, res.CollisionRate)
 		}
 		if res, err := RunSharded(net, opts); err != nil {
-			t.Logf("%s: RunSharded: %v", c.name, err)
+			if runErr == nil {
+				t.Errorf("%s: RunSharded: %v, but Run accepts the network", c.name, err)
+			} else {
+				t.Logf("%s: RunSharded: %v", c.name, err)
+			}
 		} else {
 			checkFinite(t, c.name+" RunSharded", nil, res.MeanPSNR, res.BoundPSNR, res.MinUserPSNR,
 				res.FairnessIndex, res.CollisionRate, res.MeanExpectedChannels)

@@ -13,24 +13,18 @@ import (
 type goldenCase struct {
 	net       string
 	scheme    Scheme
-	dual      bool
 	seed      uint64
 	psnrBits  uint64
 	boundBits uint64
 }
 
 func (g goldenCase) name() string {
-	solver := ""
-	if g.dual {
-		solver = "/dual"
-	}
-	return fmt.Sprintf("%s %v%s seed %d", g.net, g.scheme, solver, g.seed)
+	return fmt.Sprintf("%s %v seed %d", g.net, g.scheme, g.seed)
 }
 
 // TestGoldenOutputs pins the rate engine's outputs bitwise across commits:
-// MeanPSNR (and BoundPSNR where the bound is tracked) for Proposed with the
-// default equilibrium solver, Proposed with the dual solver, and the four
-// baselines on the paper's single-FBS and interfering cells at two seeds,
+// MeanPSNR (and BoundPSNR where the bound is tracked) for Proposed and the
+// four baselines on the paper's single-FBS and interfering cells at two seeds,
 // plus one sharded metro GOP. The determinism and warm==cold tests compare
 // the engine against itself within one commit; this test catches a change
 // that moves every path the same way. The interfering Proposed runs track
@@ -39,32 +33,28 @@ func (g goldenCase) name() string {
 func TestGoldenOutputs(t *testing.T) {
 	nets := map[string]*netmodel.Network{"single": singleNet(t), "interfering": interferingNet(t)}
 	for _, g := range []goldenCase{
-		{"single", Proposed, false, 1, 0x403ee5ee402bb0cd, 0},
-		{"single", Proposed, false, 2, 0x403ec41e47f25dcb, 0},
-		{"single", Proposed, true, 1, 0x403ee5ee402bb0cd, 0},
-		{"single", Proposed, true, 2, 0x403ec503a833e703, 0},
-		{"single", Heuristic1, false, 1, 0x403da872b020c49d, 0},
-		{"single", Heuristic1, false, 2, 0x403d9c131d5acb6f, 0},
-		{"single", Heuristic2, false, 1, 0x403e9aaaaaaaaaa8, 0},
-		{"single", Heuristic2, false, 2, 0x403e883c131d5acb, 0},
-		{"single", RoundRobin, false, 1, 0x403e894237fa89e5, 0},
-		{"single", RoundRobin, false, 2, 0x403e7b6f46508dff, 0},
-		{"single", MaxThroughput, false, 1, 0x403eb27983c131d5, 0},
-		{"single", MaxThroughput, false, 2, 0x403eaa27983c131d, 0},
-		{"interfering", Proposed, false, 1, 0x403ea2aed6c56552, 0x403f626e72dc87f0},
-		{"interfering", Proposed, false, 2, 0x403e73a118d2cdc0, 0x403f36a97bb151ab},
-		{"interfering", Proposed, true, 1, 0x403ea2aed6c56552, 0x403f626e72dc87f0},
-		{"interfering", Proposed, true, 2, 0x403e73a118d2cdc0, 0x403f36a97bb151ab},
-		{"interfering", Heuristic1, false, 1, 0x403d8a060891b004, 0},
-		{"interfering", Heuristic1, false, 2, 0x403d80401463940c, 0},
-		{"interfering", Heuristic2, false, 1, 0x403df8a94d242e6b, 0},
-		{"interfering", Heuristic2, false, 2, 0x403e070a3d70a3d7, 0},
-		{"interfering", RoundRobin, false, 1, 0x403d9bd194237fab, 0},
-		{"interfering", RoundRobin, false, 2, 0x403d9d3a06d3a06c, 0},
-		{"interfering", MaxThroughput, false, 1, 0x403e0619f0fb38a7, 0},
-		{"interfering", MaxThroughput, false, 2, 0x403e0e098ead65b7, 0},
+		{"single", Proposed, 1, 0x403ee5ee402bb0cd, 0},
+		{"single", Proposed, 2, 0x403ec41e47f25dcb, 0},
+		{"single", Heuristic1, 1, 0x403da872b020c49d, 0},
+		{"single", Heuristic1, 2, 0x403d9c131d5acb6f, 0},
+		{"single", Heuristic2, 1, 0x403e9aaaaaaaaaa8, 0},
+		{"single", Heuristic2, 2, 0x403e883c131d5acb, 0},
+		{"single", RoundRobin, 1, 0x403e894237fa89e5, 0},
+		{"single", RoundRobin, 2, 0x403e7b6f46508dff, 0},
+		{"single", MaxThroughput, 1, 0x403eb27983c131d5, 0},
+		{"single", MaxThroughput, 2, 0x403eaa27983c131d, 0},
+		{"interfering", Proposed, 1, 0x403ea2aed6c56552, 0x403f626e72dc87f0},
+		{"interfering", Proposed, 2, 0x403e73a118d2cdc0, 0x403f36a97bb151ab},
+		{"interfering", Heuristic1, 1, 0x403d8a060891b004, 0},
+		{"interfering", Heuristic1, 2, 0x403d80401463940c, 0},
+		{"interfering", Heuristic2, 1, 0x403df8a94d242e6b, 0},
+		{"interfering", Heuristic2, 2, 0x403e070a3d70a3d7, 0},
+		{"interfering", RoundRobin, 1, 0x403d9bd194237fab, 0},
+		{"interfering", RoundRobin, 2, 0x403d9d3a06d3a06c, 0},
+		{"interfering", MaxThroughput, 1, 0x403e0619f0fb38a7, 0},
+		{"interfering", MaxThroughput, 2, 0x403e0e098ead65b7, 0},
 	} {
-		opts := Options{Seed: g.seed, GOPs: 4, Scheme: g.scheme, UseDualSolver: g.dual}
+		opts := Options{Seed: g.seed, GOPs: 4, Scheme: g.scheme}
 		opts.TrackBound = g.scheme == Proposed && g.net == "interfering"
 		res, err := Run(nets[g.net], opts)
 		if err != nil {
@@ -79,7 +69,7 @@ func TestGoldenOutputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := goldenCase{"metro24", Proposed, false, 7, 0x403f8122fedaf1d2, 0x403e74091308d664}
+	g := goldenCase{"metro24", Proposed, 7, 0x403f8122fedaf1d2, 0x403e74091308d664}
 	res, err := RunSharded(metro, Options{Seed: g.seed, GOPs: 1, TrackBound: true, Parallel: Parallelism{Shards: 3}})
 	if err != nil {
 		t.Fatalf("%s: %v", g.name(), err)

@@ -18,8 +18,8 @@ import (
 // also keeps shard streams clear of neighboring replications.
 const ShardSeedStride uint64 = 0x9E3779B97F4A7C15
 
-// ShardSeed returns the seed shard (component) c derives all its randomness
-// from: base for c=0, then base + c*ShardSeedStride.
+// ShardSeed returns the seed the shard of interference component c derives
+// all its randomness from: base for c=0, then base + c*ShardSeedStride.
 func ShardSeed(base uint64, c int) uint64 {
 	return base + uint64(c)*ShardSeedStride
 }
@@ -121,8 +121,9 @@ type ShardedResult struct {
 	Slots int
 
 	// Users, FBSs, Shards and Groups describe the decomposition: Shards is
-	// the interference-component count, Groups how many grid tasks the
-	// components were folded through.
+	// the number of interference components that serve users (a component
+	// without users has nothing to simulate and is skipped), Groups how
+	// many grid tasks the shards were folded through.
 	Users  int
 	FBSs   int
 	Shards int
@@ -153,7 +154,9 @@ var runShard = Run
 // RunSharded simulates the network by decomposing its interference graph
 // into connected components (shards) and running the unsharded engine on
 // each independently: every shard gets its own MBS capacity slice, sensing
-// fusion domain, and seed stream (ShardSeed). Shards are grouped into
+// fusion domain, and seed stream (ShardSeed of its component index); a
+// component whose FBSs serve no users has nothing to simulate and is
+// skipped (netmodel.Network.Partition). Shards are grouped into
 // opts.Parallel.Shards grid tasks — contiguous component ranges weighted by
 // users and FBSs (shardBounds) — executed over opts.Parallel.Workers
 // workers via par.RunGrid; each task reduces its shards to fixed-size
@@ -204,17 +207,17 @@ func RunSharded(net *netmodel.Network, opts Options) (*ShardedResult, error) {
 		for c := lo; c < hi; c++ {
 			sub, err := net.Subnetwork(&shards[c])
 			if err != nil {
-				return fmt.Errorf("shard %d (FBSs %v): %w", c, shards[c].FBSs, err)
+				return fmt.Errorf("shard %d (FBSs %v): %w", shards[c].Component, shards[c].FBSs, err)
 			}
 			shardOpts := opts
-			shardOpts.Seed = ShardSeed(opts.Seed, c)
+			shardOpts.Seed = ShardSeed(opts.Seed, shards[c].Component)
 			shardOpts.Parallel = Parallelism{}
 			s0 := time.Now() //femtovet:ignore randsource -- per-shard ns accounting (ShardTiming.ShardNS), not simulation state
 			res, err := runShard(sub, shardOpts)
 			if err != nil {
-				return fmt.Errorf("shard %d (FBSs %v): %w", c, shards[c].FBSs, err)
+				return fmt.Errorf("shard %d (FBSs %v): %w", shards[c].Component, shards[c].FBSs, err)
 			}
-			perShard[c] = reduceShard(c, shardOpts.Seed, sub, res)
+			perShard[c] = reduceShard(shards[c].Component, shardOpts.Seed, sub, res)
 			shardNS[c] = time.Since(s0).Nanoseconds()
 		}
 		taskNS[g] = time.Since(t0).Nanoseconds()

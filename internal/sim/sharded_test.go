@@ -346,6 +346,47 @@ func TestShardSeed(t *testing.T) {
 	}
 }
 
+// TestRunShardedSkipsComponentsWithoutUsers: a component whose FBSs serve
+// no user gets no shard, and the shard after it still draws the seed of
+// its own component index, so the skip shifts no other shard's randomness.
+func TestRunShardedSkipsComponentsWithoutUsers(t *testing.T) {
+	trio := video.PaperTrio()
+	net, err := netmodel.NewNetwork(netmodel.DefaultConfig(),
+		netmodel.NonInterferingSpec([][]video.Sequence{trio[:], nil, trio[:]}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Seed: 5, GOPs: 2}
+	sh, err := RunSharded(net, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sh.Shards != 2 || sh.Users != net.K() {
+		t.Fatalf("shards=%d users=%d, want 2 shards over %d users", sh.Shards, sh.Users, net.K())
+	}
+	shards, err := net.Partition()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range sh.PerShard {
+		c := shards[i].Component
+		if s.Component != c || s.Seed != ShardSeed(opts.Seed, c) {
+			t.Fatalf("shard %d: component %d seed %d, want component %d seed %d", i, s.Component, s.Seed, c, ShardSeed(opts.Seed, c))
+		}
+		sub, err := net.Subnetwork(&shards[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := Run(sub, Options{Seed: s.Seed, GOPs: opts.GOPs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.MeanPSNR != ref.MeanPSNR {
+			t.Fatalf("shard %d: MeanPSNR %v, Run on its sub-network %v (bitwise)", i, s.MeanPSNR, ref.MeanPSNR)
+		}
+	}
+}
+
 func TestRunShardedRejectsDiagnostics(t *testing.T) {
 	net, err := netmodel.NewNetwork(netmodel.DefaultConfig(), netmodel.PaperSingleSpec())
 	if err != nil {

@@ -86,11 +86,6 @@ type Options struct {
 	CaptureDualTrace bool
 	// DualIterations caps the traced dual iterations. Default 800.
 	DualIterations int
-	// UseDualSolver makes Proposed use the distributed subgradient solver
-	// for every slot instead of the price-equilibrium solver. The two
-	// produce near-identical allocations, but not bit-identical ones: on
-	// the Fig. 4(c) grid 16 of 50 runs differ in mean PSNR.
-	UseDualSolver bool
 	// TrackBeliefs replaces the stationary fusion prior with the Bayesian
 	// occupancy filter (extension; see internal/belief).
 	TrackBeliefs bool
@@ -113,9 +108,9 @@ type Options struct {
 	// par.Parallelism). Run itself is single-goroutine and ignores it.
 	Parallel Parallelism
 
-	// coldSolves runs every solve cold: no sessions (cold-probe ones under
-	// SolveStats) and unseeded greedy Q evaluations. It exists only as the
-	// reference the warm-start equivalence tests compare against.
+	// coldSolves runs every solve cold: no sessions (so no Result.Warm) and
+	// unseeded greedy Q evaluations. It exists only as the reference the
+	// warm-start equivalence tests compare against.
 	coldSolves bool
 	// disableLazyGreedy makes the greedy allocator re-evaluate every
 	// candidate's marginal gain on every iteration — the literal Table III

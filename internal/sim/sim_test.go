@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"femtocr/internal/core"
 	"femtocr/internal/netmodel"
 	"femtocr/internal/sensing"
 	"femtocr/internal/trace"
@@ -250,20 +251,48 @@ func TestDualTraceNotCapturedForHeuristics(t *testing.T) {
 	}
 }
 
-// TestUseDualSolverMatchesEquilibrium: the literal distributed algorithm
-// and the fast equilibrium solver give nearly identical quality.
-func TestUseDualSolverMatchesEquilibrium(t *testing.T) {
-	net := singleNet(t)
-	a, err := Run(net, Options{Seed: 4, GOPs: 6})
+// TestDualSolverMatchesEngineSlots cross-checks the paper's distributed
+// algorithm against the engine on the engine's own problems: on every slot
+// of the single-FBS and two-FBS non-interfering cells, the cold
+// DualSolver.SolveInto objective of the slot's snapshot must be within
+// TestDualNearOptimal's 2e-2 of the equilibrium allocation the engine
+// solved on it.
+func TestDualSolverMatchesEngineSlots(t *testing.T) {
+	trio := video.PaperTrio()
+	noninterf, err := netmodel.NewNetwork(netmodel.DefaultConfig(),
+		netmodel.NonInterferingSpec([][]video.Sequence{trio[:], trio[:]}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(net, Options{Seed: 4, GOPs: 6, UseDualSolver: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(a.MeanPSNR-b.MeanPSNR) > 0.3 {
-		t.Fatalf("equilibrium %v vs dual %v differ too much", a.MeanPSNR, b.MeanPSNR)
+	dual := core.NewDualSolver()
+	for _, net := range []*netmodel.Network{singleNet(t), noninterf} {
+		alloc := core.NewAllocation(net.K())
+		slots, identical := 0, 0
+		for _, seed := range []uint64{4, 7, 1000} {
+			opts := Options{Seed: seed, GOPs: 6}
+			e, err := newEngine(net, opts.withDefaults())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for slot := 0; slot < opts.GOPs*net.T; slot++ {
+				if err := e.step(slot); err != nil {
+					t.Fatal(err)
+				}
+				sa := &e.stage.out
+				if err := dual.SolveInto(sa.Instance, alloc); err != nil {
+					t.Fatalf("%d FBSs seed %d slot %d: %v", net.NumFBS, seed, slot, err)
+				}
+				ev, dv := sa.Alloc.Objective(sa.Instance), alloc.Objective(sa.Instance)
+				if math.Abs(ev-dv) > 2e-2 {
+					t.Fatalf("%d FBSs seed %d slot %d: dual objective %v vs equilibrium %v", net.NumFBS, seed, slot, dv, ev)
+				}
+				slots++
+				if math.Float64bits(ev) == math.Float64bits(dv) {
+					identical++
+				}
+			}
+		}
+		t.Logf("%d FBSs: %d of %d slot objectives bit-identical", net.NumFBS, identical, slots)
 	}
 }
 

@@ -7,15 +7,9 @@ import (
 )
 
 // WarmStartReport summarizes the per-slot solver iteration statistics of one
-// run (Result.Warm, populated when Options.SolveStats is set). For the
-// DualSolver the iteration unit is subgradient iterations; for the
-// EquilibriumSolver it is outer demand probes. Either way cold and warm runs
-// of the same seed report the same solve count, so the cold/warm iteration
-// ratio is the warm-start speedup (TestWarmReportStats gates it).
+// run (Result.Warm, populated when Options.SolveStats is set). The
+// iteration unit is the equilibrium solver's outer demand probes.
 type WarmStartReport struct {
-	// Mode is "warm" for every engine run; "cold" marks the cold reference
-	// the equivalence tests build, which only records the baseline.
-	Mode string
 	// Stats carries the session counters of the slot-level solves.
 	Stats core.SessionStats
 	// RelaxStats carries the counters of the TrackBound relaxation solves,
@@ -43,7 +37,6 @@ func (w *WarmStartReport) mergeWarm(other *WarmStartReport) {
 	if other == nil {
 		return
 	}
-	w.Mode = other.Mode
 	w.Stats.Merge(&other.Stats)
 	if other.RelaxStats != nil {
 		if w.RelaxStats == nil {
@@ -75,8 +68,8 @@ func (w *WarmStartReport) finalize() {
 	w.IterMax = w.Stats.MaxIters
 }
 
-// histQuantile returns the q-quantile of the iteration histogram, or -1 when
-// no solve was recorded. Same convention as core.SolverSession.
+// histQuantile returns the nearest-rank q-quantile of the iteration
+// histogram, or -1 when no solve was recorded.
 func histQuantile(hist []int64, solves int, q float64) int {
 	if len(hist) == 0 || solves == 0 {
 		return -1
@@ -112,12 +105,7 @@ func (e *engine) warmReport() *WarmStartReport {
 	if !e.opts.SolveStats || sess == nil {
 		return nil
 	}
-	mode := "warm"
-	if e.opts.coldSolves {
-		mode = "cold"
-	}
 	w := &WarmStartReport{
-		Mode:  mode,
 		Stats: sess.Stats(),
 		Hist:  sess.HistCopy(),
 	}

@@ -16,7 +16,9 @@
 # the greedy's Q evaluations stopped redoing epoch-constant work, by the
 # same min-of-N procedure this script uses (a row that read above its
 # previous baseline kept it), so the gate protects the current numbers
-# rather than older, slower ones.
+# rather than older, slower ones. Its SlotStepProposedSingleDualSolver row
+# went with that benchmark when the dual solver left the per-slot path;
+# the cold DualSolver row stays gated.
 #
 # Usage: scripts/bench_hotpath.sh [output.json]
 set -euo pipefail

@@ -46,7 +46,9 @@
 #                     its shortcut-free reference, the association
 #                     polish's duality certificate against re-filled flips,
 #                     and the inner bisection's early exit against the
-#                     full-depth bisection).
+#                     full-depth bisection) and over generated topologies
+#                     through NewNetwork, Partition and Subnetwork (every
+#                     user in exactly one shard).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -113,6 +115,7 @@ if [ -n "${FEMTOCR_FUZZ:-}" ]; then
     go test -run='^$' -fuzz='^FuzzEquilibriumSolve$' -fuzztime=10s ./internal/core
     go test -run='^$' -fuzz='^FuzzPolishCertificate$' -fuzztime=10s ./internal/core
     go test -run='^$' -fuzz='^FuzzInnerExit$' -fuzztime=10s ./internal/core
+    go test -run='^$' -fuzz='^FuzzPartition$' -fuzztime=10s ./internal/netmodel
 fi
 
 echo "check.sh: all gates passed"
