@@ -56,7 +56,6 @@ func run(args []string, w io.Writer) (retErr error) {
 		eps       = fs.Float64("eps", 0.3, "sensing false-alarm probability")
 		delta     = fs.Float64("delta", 0.3, "sensing miss-detection probability")
 		bound     = fs.Bool("bound", false, "track the eq. (23) upper bound (interfering + proposed)")
-		warmStats = fs.Bool("warmstats", false, "collect per-slot solver iteration statistics and print a WARMSTATS line")
 		dualTrace = fs.Bool("dualtrace", false, "print the dual-variable convergence trace of the first slot")
 		dualIters = fs.Int("dualiters", 600, "dual iterations for -dualtrace")
 		packets   = fs.Bool("packets", false, "run the packet-level engine (NAL queues, ARQ, deadlines)")
@@ -66,7 +65,6 @@ func run(args []string, w io.Writer) (retErr error) {
 		showTrace = fs.Bool("trace", false, "print a slot-trace summary of the first run")
 		asJSON    = fs.Bool("json", false, "emit the last run's result as JSON (for scripting)")
 		workers   = fs.Int("workers", 0, "concurrent replications (0: one per CPU); results are identical for any value")
-		shards    = fs.Int("shards", 0, "metro: shard groups folded per run (0: one per interference component); results are identical for any value")
 		metroFBS  = fs.Int("metro-fbs", 100, "metro: femtocell count (poisson layout)")
 		metroUser = fs.Int("metro-users", 3, "metro: generated users per femtocell")
 		metroArea = fs.Float64("metro-area", 0, "metro: square area side in meters (0: auto-size from the FBS count)")
@@ -135,7 +133,7 @@ func run(args []string, w io.Writer) (retErr error) {
 			return fmt.Errorf("unknown metro layout %q", *metroLay)
 		}
 		return runMetro(out, cfg, spec, sch, *seed, *runs, *gops,
-			sim.Parallelism{Workers: *workers, Shards: *shards}, *asJSON, *warmStats)
+			sim.Parallelism{Workers: *workers}, *asJSON)
 	}
 
 	var spec netmodel.TopologySpec
@@ -180,7 +178,6 @@ func run(args []string, w io.Writer) (retErr error) {
 			DualIterations:      *dualIters,
 			TrackBeliefs:        *beliefs,
 			EstimateUtilization: *estimate,
-			SolveStats:          *warmStats,
 			Recorder:            recorders[r],
 		})
 		if err != nil {
@@ -242,9 +239,6 @@ func run(args []string, w io.Writer) (retErr error) {
 	}
 	fmt.Fprintf(out, "worst user: %.2f dB | fairness (Jain on gains): %.3f\n", minAcc.Mean(), fairAcc.Mean())
 	fmt.Fprintf(out, "max conditional collision rate: %.3f (gamma = %.2f; collisions per truly-busy slot, eq. (6))\n", collAcc.Mean(), cfg.Gamma)
-	if *warmStats && lastResult != nil {
-		printWarmStats(out, lastResult.Warm, lastResult.MeanPSNR)
-	}
 	if *asJSON && lastResult != nil {
 		lastResult.DualTrace = nil // keep the JSON compact
 		enc := json.NewEncoder(out)
@@ -260,10 +254,10 @@ func run(args []string, w io.Writer) (retErr error) {
 // each replication, and reports folded quality plus the per-task ns
 // accounting that scripts/bench_shard.sh parses (the SHARDSTATS line). The
 // PSNR on that line is printed to full precision: the sharded fold is
-// bitwise-deterministic for any -shards/-workers setting, and the bench
-// harness cross-checks that.
+// bitwise-deterministic for any -workers setting, and the bench harness
+// cross-checks that.
 func runMetro(out *safeio.Writer, cfg netmodel.Config, spec netmodel.TopologySpec,
-	sch sim.Scheme, seed uint64, runs, gops int, parallel sim.Parallelism, asJSON, warmStats bool) error {
+	sch sim.Scheme, seed uint64, runs, gops int, parallel sim.Parallelism, asJSON bool) error {
 	if runs < 1 {
 		return fmt.Errorf("metro: runs=%d", runs)
 	}
@@ -275,11 +269,10 @@ func runMetro(out *safeio.Writer, cfg netmodel.Config, spec netmodel.TopologySpe
 	var meanAcc, minAcc, fairAcc, collAcc stats.Running
 	for r := 0; r < runs; r++ {
 		res, err := sim.RunSharded(net, sim.Options{
-			Seed:       seed + uint64(r),
-			GOPs:       gops,
-			Scheme:     sch,
-			Parallel:   parallel,
-			SolveStats: warmStats,
+			Seed:     seed + uint64(r),
+			GOPs:     gops,
+			Scheme:   sch,
+			Parallel: parallel,
 		})
 		if err != nil {
 			return fmt.Errorf("run %d (seed %d): %w", r, seed+uint64(r), err)
@@ -293,12 +286,9 @@ func runMetro(out *safeio.Writer, cfg netmodel.Config, spec netmodel.TopologySpe
 			}
 			fmt.Fprintf(out, "metro: layout=%s scheme=%s fbs=%d users=%d shards=%d largest-shard=%d edges=%d\n",
 				spec.Kind, sch, res.FBSs, res.Users, res.Shards, largest, net.Graph.NumEdges())
-			fmt.Fprintf(out, "SHARDSTATS groups=%d workers=%d wall_ns=%d sum_task_ns=%d max_task_ns=%d ideal_speedup=%.3f psnr=%.17g\n",
-				res.Groups, parallel.EffectiveWorkers(), res.Timing.WallNS,
+			fmt.Fprintf(out, "SHARDSTATS workers=%d wall_ns=%d sum_task_ns=%d max_task_ns=%d ideal_speedup=%.3f psnr=%.17g\n",
+				parallel.EffectiveWorkers(), res.Timing.WallNS,
 				res.Timing.SumTaskNS, res.Timing.MaxTaskNS, res.Timing.IdealSpeedup(), res.MeanPSNR)
-			if warmStats {
-				printWarmStats(out, res.Warm, res.MeanPSNR)
-			}
 		}
 		meanAcc.Add(res.MeanPSNR)
 		minAcc.Add(res.MinUserPSNR)
@@ -317,19 +307,6 @@ func runMetro(out *safeio.Writer, cfg netmodel.Config, spec netmodel.TopologySpe
 		}
 	}
 	return out.Err()
-}
-
-// printWarmStats emits the machine-parsable WARMSTATS line: the solver
-// iteration statistics (outer demand probes) of the run's warm-started
-// sessions, with the PSNR printed to full precision, mirroring the
-// SHARDSTATS contract.
-func printWarmStats(out *safeio.Writer, w *sim.WarmStartReport, psnr float64) {
-	if w == nil {
-		return
-	}
-	fmt.Fprintf(out, "WARMSTATS solves=%d warm_solves=%d trivial=%d restarts=%d total_iters=%d mean_iters=%.3f p50=%d p90=%d p99=%d max=%d psnr=%.17g\n",
-		w.Stats.Solves, w.Stats.WarmSolves, w.Stats.TrivialSolves, w.Stats.Restarts,
-		w.Stats.TotalIters, w.IterMean, w.IterP50, w.IterP90, w.IterP99, w.IterMax, psnr)
 }
 
 // runPackets drives the packet-level engine and prints its statistics.

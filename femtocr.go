@@ -71,11 +71,11 @@ const (
 // ExperimentParams scales an experiment (runs, GOPs, seed).
 type ExperimentParams = experiments.Params
 
-// Parallelism is the unified parallel-execution knob bundle shared by
-// SimOptions (SimulateSharded) and ExperimentParams: Workers caps
-// concurrent tasks (0: one per CPU) and Shards groups interference
-// components into grid tasks (0: one per component). Both only change the
-// schedule — results are bitwise-identical for any setting.
+// Parallelism is the parallel-execution knob shared by SimOptions
+// (SimulateSharded, which runs one task per interference component) and
+// ExperimentParams: Workers caps concurrent tasks (0: one per CPU). It
+// only changes the schedule — results are bitwise-identical for any
+// setting.
 type Parallelism = par.Parallelism
 
 // TopologySpec declares a deployment layout for NewNetwork: the paper's

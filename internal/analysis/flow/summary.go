@@ -423,8 +423,9 @@ func (t *Tracker) maskOf(e ast.Expr) uint64 {
 }
 
 // callMask propagates aliases through call results: conversions and
-// append pass their operands through; indexed callees pass through the
-// parameters their summary marks Returned.
+// append pass their operands through, except a spread append operand whose
+// elements carry no references (append copies them); indexed callees pass
+// through the parameters their summary marks Returned.
 func (t *Tracker) callMask(call *ast.CallExpr) uint64 {
 	info := t.fn.Info
 	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
@@ -437,7 +438,12 @@ func (t *Tracker) callMask(call *ast.CallExpr) uint64 {
 		if _, builtin := info.Uses[id].(*types.Builtin); builtin {
 			if id.Name == "append" {
 				var m uint64
-				for _, a := range call.Args {
+				for i, a := range call.Args {
+					if i > 0 && i == len(call.Args)-1 && call.Ellipsis.IsValid() {
+						if sl, ok := info.TypeOf(a).Underlying().(*types.Slice); ok && !CarriesRef(sl.Elem()) {
+							continue
+						}
+					}
 					m |= t.maskOf(a)
 				}
 				return m

@@ -49,3 +49,14 @@ func Checksum(xs []float64) float64 {
 	}
 	return total
 }
+
+type snapshot struct{ prices []float64 }
+
+// CaptureInto copies the borrowed prices into its receiver: append's
+// spread operand is copied element by element, and float64 elements hold
+// no references, so only the fresh slice outlives the call.
+//
+//femtovet:borrows src
+func (s *snapshot) CaptureInto(src []float64) {
+	s.prices = append([]float64(nil), src...)
+}

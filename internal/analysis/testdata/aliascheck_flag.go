@@ -46,3 +46,15 @@ func (k *keeper) KeepInto(dst []float64) {
 func RetainInto(dst *[]float64) {
 	pool.Put(dst) // want "borrowed parameter .dst. passed to Put, which retains its argument"
 }
+
+type node struct{ next *node }
+
+type roster struct{ nodes []*node }
+
+// GatherInto copies the borrowed pointers into its receiver: the slice is
+// fresh, but its elements still point at the caller's nodes.
+//
+//femtovet:borrows src
+func (r *roster) GatherInto(src []*node) {
+	r.nodes = append([]*node(nil), src...) // want "borrowed parameter .src. stored into a receiver field"
+}

@@ -82,11 +82,15 @@ type DualReport struct {
 }
 
 // captureTrace appends a snapshot of the current prices to the trajectory.
+//
+//femtovet:borrows lambda
 func (r *DualReport) captureTrace(lambda []float64) {
 	r.Trace = append(r.Trace, append([]float64(nil), lambda...))
 }
 
 // captureLambda copies the final prices into the report.
+//
+//femtovet:borrows lambda
 func (r *DualReport) captureLambda(lambda []float64) {
 	r.Lambda = append([]float64(nil), lambda...)
 }

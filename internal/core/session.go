@@ -33,7 +33,6 @@ type SolverSession struct {
 	haveL0 bool
 
 	stats SessionStats
-	hist  []int64 // per-solve iteration histogram; nil until EnableStats
 }
 
 // SessionStats counts the solves recorded through a session. An iteration
@@ -72,39 +71,14 @@ func (s *SessionStats) Merge(other *SessionStats) {
 	}
 }
 
-// sessionHistSize caps the iteration histogram; solves beyond it land in
-// the final bucket. It comfortably covers the outer probe counts of the
-// equilibrium solver's bisections.
-const sessionHistSize = 4096
-
 // NewSolverSession returns a session with no carried state: its first
 // solve cold-starts.
 func NewSolverSession() *SolverSession {
 	return &SolverSession{}
 }
 
-// EnableStats allocates the per-solve iteration histogram that backs
-// HistCopy. Call once at construction time (it allocates); the per-solve
-// recording itself is allocation-free.
-func (s *SolverSession) EnableStats() {
-	if s.hist == nil {
-		s.hist = make([]int64, sessionHistSize)
-	}
-}
-
 // Stats returns a snapshot of the recorded counters.
 func (s *SolverSession) Stats() SessionStats { return s.stats }
-
-// HistCopy returns a copy of the per-solve iteration histogram (index =
-// iterations, last bucket open-ended), or nil when EnableStats was not
-// called. Callers fold copies across sessions to compute exact aggregate
-// quantiles.
-func (s *SolverSession) HistCopy() []int64 {
-	if s.hist == nil {
-		return nil
-	}
-	return append([]int64(nil), s.hist...)
-}
 
 // fbsSignature hashes the user->FBS membership (FNV-1a over the indices),
 // the cheap shape fingerprint behind the re-cold-start trigger.
@@ -144,12 +118,5 @@ func (s *SolverSession) note(iters int, warm, trivial bool) {
 	s.stats.TotalIters += int64(iters)
 	if iters > s.stats.MaxIters {
 		s.stats.MaxIters = iters
-	}
-	if s.hist != nil {
-		i := iters
-		if i >= sessionHistSize {
-			i = sessionHistSize - 1
-		}
-		s.hist[i]++
 	}
 }

@@ -41,6 +41,38 @@ func TestPaperShapes(t *testing.T) {
 		}
 	}
 
+	// Fig. 4(b): every curve rises strictly in M, and Proposed gains the
+	// most from each added channel.
+	c = readCurves(t, "fig4b")
+	for name, ys := range c {
+		checkStrict(t, "fig4b", name, ys, true)
+	}
+	for i := 1; i < len(c["Proposed"]); i++ {
+		rise := c["Proposed"][i] - c["Proposed"][i-1]
+		for _, name := range []string{"Heuristic 1", "Heuristic 2"} {
+			if other := c[name][i] - c[name][i-1]; other >= rise {
+				t.Errorf("fig4b point %d: %s rises %v dB, Proposed only %v", i, name, other, rise)
+			}
+		}
+	}
+
+	// Fig. 4(c): every curve falls strictly in eta.
+	for name, ys := range readCurves(t, "fig4c") {
+		checkStrict(t, "fig4c", name, ys, false)
+	}
+
+	// Fig. 6(c): Proposed, Heuristic 2 and the upper bound rise strictly in
+	// B0. Heuristic 1 is left out: its curve is nearly flat past 0.2 Mbps
+	// and falls 0.047 dB from 0.3 to 0.4 Mbps, inside its confidence band,
+	// so a strict rise is not a claim these files support for it.
+	c = readCurves(t, "fig6c")
+	for _, name := range []string{"Proposed", "Heuristic 2", "Upper bound"} {
+		if len(c[name]) < 2 {
+			t.Fatalf("fig6c: no %s_mean curve", name)
+		}
+		checkStrict(t, "fig6c", name, c[name], true)
+	}
+
 	// Fig. 6(b): Proposed is flat in epsilon (range under 0.5 dB) with its
 	// maximum strictly inside the sweep.
 	ys := readCurves(t, "fig6b")["Proposed"]
@@ -56,6 +88,22 @@ func TestPaperShapes(t *testing.T) {
 	}
 	if argmax == 0 || argmax == len(ys)-1 {
 		t.Errorf("fig6b Proposed peaks at the sweep's edge (point %d of %d)", argmax+1, len(ys))
+	}
+}
+
+// checkStrict fails unless ys rises (rising) or falls strictly from point
+// to point.
+func checkStrict(t *testing.T, fig, name string, ys []float64, rising bool) {
+	t.Helper()
+	want := "falling"
+	if rising {
+		want = "rising"
+	}
+	for i := 1; i < len(ys); i++ {
+		step := ys[i] - ys[i-1]
+		if (rising && step <= 0) || (!rising && step >= 0) {
+			t.Errorf("%s %s steps %+v dB at point %d, want strictly %s", fig, name, step, i, want)
+		}
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package par provides the deterministic parallel-execution primitives
-// shared by the simulation and experiment layers: a single Parallelism
-// knob bundle (workers and shard groups) and the RunGrid worker pool whose
-// results are bitwise-identical for any worker count. It sits below both
+// shared by the simulation and experiment layers: the Parallelism knob
+// (the worker count) and the RunGrid worker pool whose results are
+// bitwise-identical for any worker count. It sits below both
 // internal/sim and internal/experiments so the two can share one contract
 // without an import cycle.
 package par
@@ -13,21 +13,14 @@ import (
 	"sync/atomic"
 )
 
-// Parallelism bundles the parallel-execution knobs threaded through the
+// Parallelism is the parallel-execution knob threaded through the
 // simulation and experiment APIs. The zero value means "auto": one worker
-// per available CPU and one shard group per interference component. Both
-// knobs only change the wall-clock schedule — every result folded through
-// RunGrid is bitwise-identical for any setting.
+// per available CPU. It only changes the wall-clock schedule — every
+// result folded through RunGrid is bitwise-identical for any setting.
 type Parallelism struct {
 	// Workers caps the number of concurrently executing tasks; zero or
 	// negative means runtime.GOMAXPROCS(0).
 	Workers int
-	// Shards caps how many grid tasks a sharded simulation groups its
-	// interference components into (see sim.RunSharded). Zero or negative
-	// means one task per component; values above the component count are
-	// clamped. Grouping only affects scheduling granularity and the
-	// per-task ns accounting — never the folded results.
-	Shards int
 }
 
 // EffectiveWorkers resolves the worker count: Workers when positive, else
@@ -37,19 +30,6 @@ func (p Parallelism) EffectiveWorkers() int {
 		return p.Workers
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// EffectiveShards resolves the shard-group count for n independent units of
-// work: Shards clamped to [1, n], with zero or negative meaning n (one task
-// per unit). n must be positive for the result to be meaningful.
-func (p Parallelism) EffectiveShards(n int) int {
-	if n < 1 {
-		return 0
-	}
-	if p.Shards <= 0 || p.Shards > n {
-		return n
-	}
-	return p.Shards
 }
 
 // RunGrid executes n independent tasks over a pool of workers, calling

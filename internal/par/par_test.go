@@ -24,26 +24,6 @@ func TestEffectiveWorkers(t *testing.T) {
 	}
 }
 
-func TestEffectiveShards(t *testing.T) {
-	cases := []struct {
-		shards, n, want int
-	}{
-		{0, 7, 7},   // auto: one group per unit
-		{-2, 7, 7},  // negative: auto
-		{3, 7, 3},   // explicit cap
-		{7, 7, 7},   // exact
-		{100, 7, 7}, // clamped to the unit count
-		{1, 7, 1},   // single group
-		{4, 0, 0},   // no units
-		{4, -1, 0},  // degenerate
-	}
-	for _, c := range cases {
-		if got := (Parallelism{Shards: c.shards}).EffectiveShards(c.n); got != c.want {
-			t.Errorf("Shards=%d n=%d: got %d, want %d", c.shards, c.n, got, c.want)
-		}
-	}
-}
-
 // TestRunGridRunsEveryTaskOnce checks the dispatch accounting: every index
 // exactly once, with no error, for any worker count.
 func TestRunGridRunsEveryTaskOnce(t *testing.T) {

@@ -35,13 +35,10 @@ func TestSlotStepSteadyStateAllocs(t *testing.T) {
 		// The per-slot steady state is zero. testing.AllocsPerRun truncates
 		// the average, so amortized growth (the trace recorder's appends) and
 		// rare pool misses stay below one per slot over the 20 measured
-		// slots, while a single allocation per slot fails.
+		// slots, while a single allocation per slot fails. Every Proposed
+		// row runs warm: seeds are written into pooled workspaces, and the
+		// carried price and the solve counters live in the session.
 		{"proposed-single", false, 0, Options{Scheme: Proposed}, 0},
-		// Every Proposed row runs warm: seeds are written into pooled
-		// workspaces and the carried price lives in the session. Recording
-		// solve statistics must not add an allocation either — the
-		// histogram is allocated once at construction.
-		{"proposed-single-stats", false, 0, Options{Scheme: Proposed, SolveStats: true}, 0},
 		// The sensor policies other than the default RoundRobin each reach a
 		// front-end root no other row does: the stratified permutation
 		// (rng.PermInto), the per-user random draw, and the belief-ranked

@@ -75,8 +75,8 @@ type SlotAllocation struct {
 }
 
 // NewAllocator builds the allocation half from a validated network and the
-// run's options: Scheme picks the solver, TrackBound adds the relaxation
-// solve, and SolveStats turns on the sessions' iteration histograms.
+// run's options: Scheme picks the solver and TrackBound adds the
+// relaxation solve.
 func NewAllocator(net *netmodel.Network, opts Options) (*Allocator, error) {
 	opts = opts.withDefaults()
 	k := net.K()
@@ -147,9 +147,6 @@ func NewAllocator(net *netmodel.Network, opts Options) (*Allocator, error) {
 		a.session = core.NewSolverSession()
 		if a.trackBound {
 			a.relaxSession = core.NewSolverSession()
-		}
-		if opts.SolveStats {
-			a.session.EnableStats()
 		}
 	}
 	return a, nil

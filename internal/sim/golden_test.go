@@ -70,7 +70,7 @@ func TestGoldenOutputs(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := goldenCase{"metro24", Proposed, 7, 0x403f8122fedaf1d2, 0x403e74091308d664}
-	res, err := RunSharded(metro, Options{Seed: g.seed, GOPs: 1, TrackBound: true, Parallel: Parallelism{Shards: 3}})
+	res, err := RunSharded(metro, Options{Seed: g.seed, GOPs: 1, TrackBound: true})
 	if err != nil {
 		t.Fatalf("%s: %v", g.name(), err)
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"time"
 
+	"femtocr/internal/core"
 	"femtocr/internal/netmodel"
 	"femtocr/internal/par"
 	"femtocr/internal/stats"
@@ -61,31 +62,29 @@ type ShardSummary struct {
 	// in ShardTiming, not here, so PerShard stays schedule-independent.
 	PSNR stats.Running
 
-	// Warm carries the shard's solver iteration statistics, nil unless
-	// Options.SolveStats was set. The histogram behind the quantiles is a
-	// fixed-size array, so the summary stays O(1) per shard.
-	Warm *WarmStartReport `json:",omitempty"`
+	// Solves and RelaxSolves are the shard run's Result counters.
+	Solves      core.SessionStats
+	RelaxSolves core.SessionStats
 }
 
-// ShardTiming is the per-task nanosecond accounting of one sharded run.
-// Wall-clock speedup is hardware-capped (a 1-CPU container pins it at ~1.0
-// regardless of workers), so scaling claims are made from this bookkeeping
-// instead: SumTaskNS is the serialized work, MaxTaskNS the critical path,
-// and their ratio the speedup a perfectly parallel machine would reach at
-// this grouping.
+// ShardTiming is the nanosecond accounting of one sharded run, which runs
+// one grid task per shard. Wall-clock speedup is hardware-capped (a 1-CPU
+// container pins it at ~1.0 regardless of workers), so scaling claims are
+// made from this bookkeeping instead: SumTaskNS is the serialized work,
+// MaxTaskNS the critical path, and their ratio the speedup a perfectly
+// parallel machine would reach.
 type ShardTiming struct {
 	// WallNS is the end-to-end wall time of the sharded run.
 	WallNS int64
-	// TaskNS is the per-grid-task (shard group) wall time, indexed by task.
-	TaskNS []int64
-	// ShardNS is the per-shard engine wall time, indexed by component.
+	// ShardNS is the per-shard engine wall time, indexed like PerShard.
 	ShardNS []int64
-	// SumTaskNS and MaxTaskNS summarize TaskNS.
+	// SumTaskNS and MaxTaskNS sum and maximize the shards' grid-task wall
+	// times, each of which also builds its shard's sub-network.
 	SumTaskNS int64
 	MaxTaskNS int64
 }
 
-// IdealSpeedup returns SumTaskNS/MaxTaskNS: the speedup of this grouping on
+// IdealSpeedup returns SumTaskNS/MaxTaskNS: the speedup of the run on
 // enough CPUs, independent of the wall clock of the machine that ran it.
 func (t *ShardTiming) IdealSpeedup() float64 {
 	if t == nil || t.MaxTaskNS <= 0 {
@@ -96,7 +95,7 @@ func (t *ShardTiming) IdealSpeedup() float64 {
 
 // ShardedResult aggregates a sharded run. All quality fields are folded in
 // ascending component order from fixed-size shard summaries, so they are
-// bitwise-deterministic for any Workers/Shards setting; Timing is the only
+// bitwise-deterministic for any Workers setting; Timing is the only
 // schedule-dependent field.
 type ShardedResult struct {
 	// MeanPSNR is the user-population mean quality, folded as
@@ -120,23 +119,21 @@ type ShardedResult struct {
 	GOPs  int
 	Slots int
 
-	// Users, FBSs, Shards and Groups describe the decomposition: Shards is
-	// the number of interference components that serve users (a component
-	// without users has nothing to simulate and is skipped), Groups how
-	// many grid tasks the shards were folded through.
+	// Users, FBSs and Shards describe the decomposition: Shards is the
+	// number of interference components that serve users (a component
+	// without users has nothing to simulate and is skipped).
 	Users  int
 	FBSs   int
 	Shards int
-	Groups int
 
 	// PSNR summarizes the per-user quality distribution streamed through
 	// stats.Running.Merge in ascending component order (N = Users).
 	PSNR stats.Summary
 
-	// Warm folds the shards' solver iteration statistics (counters add,
-	// histograms merge, quantiles recomputed from the merged histogram),
-	// nil unless Options.SolveStats was set.
-	Warm *WarmStartReport `json:",omitempty"`
+	// Solves and RelaxSolves merge the shards' Result counters
+	// (core.SessionStats.Merge, in ascending component order).
+	Solves      core.SessionStats
+	RelaxSolves core.SessionStats
 
 	// PerShard holds every shard's fixed-size summary, ascending by
 	// component.
@@ -156,14 +153,12 @@ var runShard = Run
 // each independently: every shard gets its own MBS capacity slice, sensing
 // fusion domain, and seed stream (ShardSeed of its component index); a
 // component whose FBSs serve no users has nothing to simulate and is
-// skipped (netmodel.Network.Partition). Shards are grouped into
-// opts.Parallel.Shards grid tasks — contiguous component ranges weighted by
-// users and FBSs (shardBounds) — executed over opts.Parallel.Workers
-// workers via par.RunGrid; each task reduces its shards to fixed-size
-// summaries in place, and after the join the summaries fold in ascending
-// component order, so the result is bitwise-identical for any Workers and
-// Shards setting. On a connected network the decomposition is trivial and
-// every quality field matches Run exactly, bit for bit.
+// skipped (netmodel.Network.Partition). Each shard is one par.RunGrid task
+// over opts.Parallel.Workers workers, which reduces its shard to a
+// fixed-size summary in the shard's own slot; after the join the summaries
+// fold in ascending component order, so the result is bitwise-identical
+// for any Workers setting. On a connected network the decomposition is
+// trivial and every quality field matches Run exactly, bit for bit.
 //
 // Run and RunSharded agree only when the components truly are independent
 // coordination domains: on a multi-component network the unsharded engine
@@ -189,46 +184,38 @@ func RunSharded(net *netmodel.Network, opts Options) (*ShardedResult, error) {
 		return nil, err
 	}
 	numShards := len(shards)
-	groups := opts.Parallel.EffectiveShards(numShards)
-	if groups < 1 {
+	if numShards == 0 {
 		return nil, fmt.Errorf("%w: no shards to run", ErrBadOptions)
 	}
 
 	start := time.Now() //femtovet:ignore randsource -- ShardTiming is profiling metadata; no simulated quantity reads the wall clock
 	perShard := make([]ShardSummary, numShards)
-	taskNS := make([]int64, groups)
+	taskNS := make([]int64, numShards)
 	shardNS := make([]int64, numShards)
-	bounds := shardBounds(shards, groups)
-	gridErr := par.RunGrid(groups, opts.Parallel.Workers, func(g int) error {
-		t0 := time.Now() //femtovet:ignore randsource -- per-task ns accounting (ShardTiming.TaskNS), not simulation state
-		// Task g owns the contiguous component range [lo, hi): summaries
-		// land in the task's own slots, keyed by component index.
-		lo, hi := bounds[g], bounds[g+1]
-		for c := lo; c < hi; c++ {
-			sub, err := net.Subnetwork(&shards[c])
-			if err != nil {
-				return fmt.Errorf("shard %d (FBSs %v): %w", shards[c].Component, shards[c].FBSs, err)
-			}
-			shardOpts := opts
-			shardOpts.Seed = ShardSeed(opts.Seed, shards[c].Component)
-			shardOpts.Parallel = Parallelism{}
-			s0 := time.Now() //femtovet:ignore randsource -- per-shard ns accounting (ShardTiming.ShardNS), not simulation state
-			res, err := runShard(sub, shardOpts)
-			if err != nil {
-				return fmt.Errorf("shard %d (FBSs %v): %w", shards[c].Component, shards[c].FBSs, err)
-			}
-			perShard[c] = reduceShard(shards[c].Component, shardOpts.Seed, sub, res)
-			shardNS[c] = time.Since(s0).Nanoseconds()
+	gridErr := par.RunGrid(numShards, opts.Parallel.Workers, func(c int) error {
+		t0 := time.Now() //femtovet:ignore randsource -- per-task ns accounting (ShardTiming.SumTaskNS), not simulation state
+		sub, err := net.Subnetwork(&shards[c])
+		if err != nil {
+			return fmt.Errorf("shard %d (FBSs %v): %w", shards[c].Component, shards[c].FBSs, err)
 		}
-		taskNS[g] = time.Since(t0).Nanoseconds()
+		shardOpts := opts
+		shardOpts.Seed = ShardSeed(opts.Seed, shards[c].Component)
+		shardOpts.Parallel = Parallelism{}
+		s0 := time.Now() //femtovet:ignore randsource -- per-shard ns accounting (ShardTiming.ShardNS), not simulation state
+		res, err := runShard(sub, shardOpts)
+		if err != nil {
+			return fmt.Errorf("shard %d (FBSs %v): %w", shards[c].Component, shards[c].FBSs, err)
+		}
+		perShard[c] = reduceShard(shards[c].Component, shardOpts.Seed, sub, res)
+		shardNS[c] = time.Since(s0).Nanoseconds()
+		taskNS[c] = time.Since(t0).Nanoseconds()
 		return nil
 	})
 	if gridErr != nil {
 		return nil, gridErr
 	}
 	out := foldShards(net, perShard)
-	out.Groups = groups
-	timing := &ShardTiming{WallNS: time.Since(start).Nanoseconds(), TaskNS: taskNS, ShardNS: shardNS}
+	timing := &ShardTiming{WallNS: time.Since(start).Nanoseconds(), ShardNS: shardNS}
 	for _, ns := range taskNS {
 		timing.SumTaskNS += ns
 		if ns > timing.MaxTaskNS {
@@ -237,85 +224,6 @@ func RunSharded(net *netmodel.Network, opts Options) (*ShardedResult, error) {
 	}
 	out.Timing = timing
 	return out, nil
-}
-
-// shardFBSWeight is the cost, in users, that shardBounds charges each FBS
-// of a component on top of its user count. A component's per-slot cost is
-// not proportional to its users alone: the equilibrium solver's window
-// memo makes each extra member of an FBS cheap, while a 1-user FBS — always
-// its band's marginal user — gains nothing from it. One-FBS cells of the
-// paper videos (one RunSharded call, 40 GOPs, seed 4000, min of 5 runs on
-// a 2-vCPU host) took 14.7 -> 16.7 ms with 1 user, 14.5 -> 6.6 with 2,
-// 29.2 -> 10.0 with 4 and 77.7 -> 25.8 with 9 (without -> with the window
-// memo), so a 9-user cell no longer outweighs four 1-user cells; weighting
-// by users + 4*FBSs groups that skew like equal-count again. Metros with
-// equal users per FBS get the same groupings as under the pure user count.
-const shardFBSWeight = 4
-
-// shardBounds splits the components into groups contiguous ranges
-// [bounds[g], bounds[g+1]) balanced by estimated cost — user count plus
-// shardFBSWeight per FBS — rather than component count. The previous
-// equal-count ranges packed skewed components
-// arbitrarily: one task could own every heavy component while its siblings
-// drew the light ones, and MaxTaskNS — the critical path IdealSpeedup
-// divides by — grew to match. This is the classic minimax contiguous
-// partition (painter's problem), solved exactly: binary search on the
-// heaviest-task cap with a greedy feasibility count, then a greedy packing
-// under the minimal cap. Integer arithmetic throughout, one call per run —
-// nowhere near the hot path. The cap never sits below the heaviest single
-// component, so the tail clamp (each remaining task takes one component)
-// cannot push a task over it; EffectiveShards guarantees groups never
-// exceeds the component count, making every task nonempty. Only the
-// grouping changes: summaries still land in component-indexed slots and
-// fold in ascending component order, so the quality results stay
-// bitwise-identical for any grouping, as before.
-func shardBounds(shards []netmodel.Shard, groups int) []int {
-	n := len(shards)
-	weights := make([]int64, n)
-	var total, heaviest int64
-	for c := range shards {
-		w := int64(len(shards[c].Users) + shardFBSWeight*len(shards[c].FBSs))
-		weights[c] = w
-		total += w
-		if w > heaviest {
-			heaviest = w
-		}
-	}
-	// tasksAt counts how many greedy ranges a heaviest-task cap requires.
-	tasksAt := func(limit int64) int {
-		tasks, w := 1, int64(0)
-		for _, x := range weights {
-			if w+x > limit {
-				tasks++
-				w = x
-			} else {
-				w += x
-			}
-		}
-		return tasks
-	}
-	lo, hi := heaviest, total
-	for lo < hi {
-		mid := lo + (hi-lo)/2
-		if tasksAt(mid) <= groups {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	bounds := make([]int, groups+1)
-	c := 0
-	for g := 0; g < groups; g++ {
-		last := n - (groups - 1 - g) // leave one component per remaining task
-		w := weights[c]
-		c++
-		for c < last && w+weights[c] <= lo {
-			w += weights[c]
-			c++
-		}
-		bounds[g+1] = c
-	}
-	return bounds
 }
 
 // reduceShard compresses one shard's full Result into the fixed-size
@@ -335,7 +243,8 @@ func reduceShard(component int, seed uint64, sub *netmodel.Network, res *Result)
 		MeanExpectedChannels: res.MeanExpectedChannels,
 		GOPs:                 res.GOPs,
 		Slots:                res.Slots,
-		Warm:                 res.Warm,
+		Solves:               res.Solves,
+		RelaxSolves:          res.RelaxSolves,
 	}
 	for j, v := range res.PerUserPSNR {
 		s.SumPSNR += v
@@ -384,12 +293,8 @@ func foldShards(net *netmodel.Network, perShard []ShardSummary) *ShardedResult {
 		gSum += s.MeanExpectedChannels
 		psnrAcc.Merge(&s.PSNR)
 		gains.Merge(&s.Gains)
-		if s.Warm != nil {
-			if out.Warm == nil {
-				out.Warm = &WarmStartReport{}
-			}
-			out.Warm.mergeWarm(s.Warm)
-		}
+		out.Solves.Merge(&s.Solves)
+		out.RelaxSolves.Merge(&s.RelaxSolves)
 	}
 	k := float64(out.Users)
 	out.MeanPSNR = sum / k

@@ -37,8 +37,8 @@ func compareShardedToRun(t *testing.T, label string, sh *ShardedResult, ref *Res
 
 // TestShardedMatchesUnshardedPaperScale is the golden byte-identical check
 // of the redesign: on the paper's connected topologies the sharded engine
-// must reproduce the unsharded engine exactly, for every Shards and Workers
-// setting (run under -race by the tier-1 gate).
+// must reproduce the unsharded engine exactly, for every Workers setting
+// (run under -race by the tier-1 gate).
 func TestShardedMatchesUnshardedPaperScale(t *testing.T) {
 	cfg := netmodel.DefaultConfig()
 	builds := []struct {
@@ -59,38 +59,34 @@ func TestShardedMatchesUnshardedPaperScale(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The paper topologies are connected: N-components = 1, so the
-		// required shard grid {1, 2, N-components} exercises both the exact
-		// setting and the clamp.
-		for _, shardsOpt := range []int{1, 2} {
-			for _, workers := range []int{1, 4} {
-				opts := base
-				opts.Parallel = Parallelism{Workers: workers, Shards: shardsOpt}
-				sh, err := RunSharded(net, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				label := b.name
-				if sh.Shards != 1 || sh.Groups != 1 {
-					t.Fatalf("%s: %d shards in %d groups for a connected network", label, sh.Shards, sh.Groups)
-				}
-				compareShardedToRun(t, label, sh, ref)
-				if !reflect.DeepEqual(sh.PerShard[0].MeanPSNR, ref.MeanPSNR) {
-					t.Errorf("%s: shard summary mean %v, want %v", label, sh.PerShard[0].MeanPSNR, ref.MeanPSNR)
-				}
-				if sh.PerShard[0].Seed != base.Seed {
-					t.Errorf("%s: shard 0 seed %d, want the base seed %d", label, sh.PerShard[0].Seed, base.Seed)
-				}
+		// The paper topologies are connected: one shard, so one grid task
+		// whatever the worker count.
+		for _, workers := range []int{1, 2, 4} {
+			opts := base
+			opts.Parallel = Parallelism{Workers: workers}
+			sh, err := RunSharded(net, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := b.name
+			if sh.Shards != 1 {
+				t.Fatalf("%s: %d shards for a connected network", label, sh.Shards)
+			}
+			compareShardedToRun(t, label, sh, ref)
+			if !reflect.DeepEqual(sh.PerShard[0].MeanPSNR, ref.MeanPSNR) {
+				t.Errorf("%s: shard summary mean %v, want %v", label, sh.PerShard[0].MeanPSNR, ref.MeanPSNR)
+			}
+			if sh.PerShard[0].Seed != base.Seed {
+				t.Errorf("%s: shard 0 seed %d, want the base seed %d", label, sh.PerShard[0].Seed, base.Seed)
 			}
 		}
 	}
 }
 
 // TestShardedInvariantAcrossShardsAndWorkers pins the determinism contract
-// on a multi-component network: shards ∈ {1, 2, N-components} and any
-// worker count must fold to bitwise-identical results, and each shard must
-// equal an independent unsharded run of its sub-network under its derived
-// seed.
+// on a multi-component network: one task per shard over 1, 2 or 4 workers
+// must fold to bitwise-identical results, and each shard must equal an
+// independent unsharded run of its sub-network under its derived seed.
 func TestShardedInvariantAcrossShardsAndWorkers(t *testing.T) {
 	cfg := netmodel.DefaultConfig()
 	trio := video.PaperTrio()
@@ -101,30 +97,26 @@ func TestShardedInvariantAcrossShardsAndWorkers(t *testing.T) {
 	base := Options{Seed: 1000, GOPs: 20, Scheme: Proposed}
 
 	var ref *ShardedResult
-	for _, shardsOpt := range []int{1, 2, 3} {
-		for _, workers := range []int{1, 4} {
-			opts := base
-			opts.Parallel = Parallelism{Workers: workers, Shards: shardsOpt}
-			got, err := RunSharded(net, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Shards != 3 {
-				t.Fatalf("shards=%d, want 3 components", got.Shards)
-			}
-			if got.Groups != shardsOpt {
-				t.Fatalf("groups=%d, want %d", got.Groups, shardsOpt)
-			}
-			got.Timing = nil // the only schedule-dependent field
-			got.Groups = 0
-			if ref == nil {
-				ref = got
-				continue
-			}
-			if !reflect.DeepEqual(got, ref) {
-				t.Fatalf("shards=%d workers=%d: result differs from the first fold\n got: %+v\nwant: %+v",
-					shardsOpt, workers, got, ref)
-			}
+	for _, workers := range []int{1, 2, 4} {
+		opts := base
+		opts.Parallel = Parallelism{Workers: workers}
+		got, err := RunSharded(net, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Shards != 3 {
+			t.Fatalf("shards=%d, want 3 components", got.Shards)
+		}
+		if got.Timing == nil || len(got.Timing.ShardNS) != 3 {
+			t.Fatalf("timing = %+v, want 3 shard entries", got.Timing)
+		}
+		got.Timing = nil // the only schedule-dependent field
+		if ref == nil {
+			ref = got
+			continue
+		}
+		if !reflect.DeepEqual(got, ref) {
+			t.Fatalf("workers=%d: result differs from the first fold\n got: %+v\nwant: %+v", workers, got, ref)
 		}
 	}
 
@@ -158,177 +150,6 @@ func TestShardedInvariantAcrossShardsAndWorkers(t *testing.T) {
 	}
 	if ref.PSNR.N != net.K() {
 		t.Fatalf("streamed PSNR distribution over %d users, want %d", ref.PSNR.N, net.K())
-	}
-}
-
-// equalCountBounds is the grouping rule shardBounds replaced, kept here as
-// the regression reference: contiguous ranges balanced by component count,
-// blind to how many users each component holds.
-func equalCountBounds(n, groups int) []int {
-	bounds := make([]int, groups+1)
-	for g := 0; g <= groups; g++ {
-		bounds[g] = g * n / groups
-	}
-	return bounds
-}
-
-// maxRangeWeight returns the heaviest contiguous range's total weight under
-// a grouping — the critical path of that grouping for the given per-shard
-// costs.
-func maxRangeWeight(weights []int64, bounds []int) int64 {
-	var worst int64
-	for g := 0; g+1 < len(bounds); g++ {
-		var w int64
-		for c := bounds[g]; c < bounds[g+1]; c++ {
-			w += weights[c]
-		}
-		if w > worst {
-			worst = w
-		}
-	}
-	return worst
-}
-
-// TestShardBoundsBalanceUserWeight pins the shard-imbalance fix: grouping
-// must weight contiguous component ranges by their estimated cost — users
-// plus shardFBSWeight per FBS — not by component count. Every synthetic
-// component below is one FBS serving the given number of users. On a
-// skewed population the heaviest task's cost must never exceed the
-// equal-count grouping's, and on a dense downtown among light suburbs it
-// must strictly improve. Structural invariants: bounds strictly increase
-// (every task nonempty, possible since groups <= components) and cover
-// every component exactly.
-func TestShardBoundsBalanceUserWeight(t *testing.T) {
-	mkShards := func(counts []int) []netmodel.Shard {
-		shards := make([]netmodel.Shard, len(counts))
-		for c, k := range counts {
-			shards[c] = netmodel.Shard{Component: c, FBSs: []int{c + 1}, Users: make([]int, k)}
-		}
-		return shards
-	}
-	weightsOf := func(counts []int) []int64 {
-		w := make([]int64, len(counts))
-		for i, k := range counts {
-			w[i] = int64(k + shardFBSWeight)
-		}
-		return w
-	}
-	populations := [][]int{
-		{9, 1, 1, 1, 1},          // dense cell, light suburbs
-		{20, 1, 1, 1, 1},         // denser downtown, light suburbs
-		{1, 1, 1, 9, 1, 1, 1, 8}, // heavy components mid- and tail-range
-		{3, 3, 3, 3, 3, 3},       // uniform: weighted must not do worse
-		{1, 30, 1},               // one giant component dominates everything
-		{5},                      // single component
-	}
-	for _, counts := range populations {
-		shards := mkShards(counts)
-		weights := weightsOf(counts)
-		for groups := 1; groups <= len(counts); groups++ {
-			bounds := shardBounds(shards, groups)
-			if len(bounds) != groups+1 || bounds[0] != 0 || bounds[groups] != len(counts) {
-				t.Fatalf("counts=%v groups=%d: bounds %v do not cover [0,%d)", counts, groups, bounds, len(counts))
-			}
-			for g := 0; g < groups; g++ {
-				if bounds[g+1] <= bounds[g] {
-					t.Fatalf("counts=%v groups=%d: empty task %d in bounds %v", counts, groups, g, bounds)
-				}
-			}
-			got := maxRangeWeight(weights, bounds)
-			ref := maxRangeWeight(weights, equalCountBounds(len(counts), groups))
-			if got > ref {
-				t.Errorf("counts=%v groups=%d: weighted max task load %d exceeds equal-count %d (bounds %v)",
-					counts, groups, got, ref, bounds)
-			}
-		}
-	}
-	// A 9-user cell beside four 1-user cells must group like equal-count
-	// ({9,1} | {1,1,1}: cost 18 vs 15). The pure user count isolated the
-	// dense cell (9 vs 4 users), yet with per-FBS cost it is the lighter
-	// side: 13 against the four cells' 20.
-	skew := []int{9, 1, 1, 1, 1}
-	if got, want := shardBounds(mkShards(skew), 2), equalCountBounds(len(skew), 2); !reflect.DeepEqual(got, want) {
-		t.Fatalf("9-user cell beside four 1-user cells: bounds %v, want equal-count %v", got, want)
-	}
-	// A denser downtown must still be isolated: equal-count packs the
-	// 20-user cell with a suburb (cost 29 vs 15); weighted gives 24 vs 20.
-	downtown := []int{20, 1, 1, 1, 1}
-	got := maxRangeWeight(weightsOf(downtown), shardBounds(mkShards(downtown), 2))
-	ref := maxRangeWeight(weightsOf(downtown), equalCountBounds(len(downtown), 2))
-	if got >= ref {
-		t.Fatalf("downtown skew: weighted max task load %d, want strictly below equal-count %d", got, ref)
-	}
-}
-
-// TestShardedTimingImprovedBySkewAwareGrouping runs a genuinely skewed
-// non-interfering network — one FBS streaming nine videos beside four
-// single-video FBSs — and checks, from the measured per-shard times, that
-// the grouping's critical path (the max per-task share ShardTiming reports)
-// is no worse than the equal-count grouping would have produced on the very
-// same measurements. The quality fold must stay bitwise-identical to the
-// one-group run, re-proving grouping only affects scheduling.
-func TestShardedTimingImprovedBySkewAwareGrouping(t *testing.T) {
-	trio := video.PaperTrio()
-	nine := make([]video.Sequence, 0, 9)
-	for i := 0; i < 3; i++ {
-		nine = append(nine, trio[:]...)
-	}
-	groupsOfVideos := [][]video.Sequence{nine, trio[:1], trio[1:2], trio[2:3], trio[:1]}
-	net, err := netmodel.NewNetwork(netmodel.DefaultConfig(), netmodel.NonInterferingSpec(groupsOfVideos))
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := Options{Seed: 4000, GOPs: 6, Scheme: Proposed, Parallel: Parallelism{Workers: 1, Shards: 2}}
-	// One run's per-shard wall times are noisy under concurrent load (a
-	// light shard can read ~1.7x its quiet time), so compare the groupings
-	// on each shard's minimum over repeated runs, the min-of-N statistic.
-	const runs = 5
-	var got *ShardedResult
-	var shardNS []int64
-	for r := 0; r < runs; r++ {
-		res, err := RunSharded(net, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Shards != 5 || res.Groups != 2 {
-			t.Fatalf("shards=%d groups=%d, want 5 components in 2 groups", res.Shards, res.Groups)
-		}
-		if res.Timing == nil || len(res.Timing.TaskNS) != 2 || len(res.Timing.ShardNS) != 5 {
-			t.Fatalf("timing = %+v, want 2 task and 5 shard entries", res.Timing)
-		}
-		if shardNS == nil {
-			got = res
-			shardNS = append([]int64(nil), res.Timing.ShardNS...)
-		}
-		for c, ns := range res.Timing.ShardNS {
-			if ns < shardNS[c] {
-				shardNS[c] = ns
-			}
-		}
-	}
-	// Recompute both groupings' critical paths from the same measured
-	// per-shard times: the dense cell costs less than the four light ones
-	// combined but far more than any one of them, so the weighted grouping
-	// must not lengthen the max task over the equal-count one.
-	shards, err := net.Partition()
-	if err != nil {
-		t.Fatal(err)
-	}
-	weighted := maxRangeWeight(shardNS, shardBounds(shards, 2))
-	equal := maxRangeWeight(shardNS, equalCountBounds(5, 2))
-	if weighted > equal {
-		t.Errorf("weighted grouping critical path %dns exceeds equal-count %dns (min shardNS over %d runs %v)",
-			weighted, equal, runs, shardNS)
-	}
-	// Grouping must not touch the folded quality results.
-	ref, err := RunSharded(net, Options{Seed: 4000, GOPs: 6, Scheme: Proposed, Parallel: Parallelism{Workers: 1, Shards: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got.Timing, ref.Timing = nil, nil
-	got.Groups, ref.Groups = 0, 0
-	if !reflect.DeepEqual(got, ref) {
-		t.Fatalf("grouping changed the folded result:\n got: %+v\nwant: %+v", got, ref)
 	}
 }
 

@@ -93,24 +93,16 @@ type Options struct {
 	// own sensing reports instead of assuming it known (extension; ignored
 	// when TrackBeliefs is set).
 	EstimateUtilization bool
-	// SolveStats collects per-slot solver iteration statistics into
-	// Result.Warm. Every Proposed solve is warm-started: the slot solves
-	// and the TrackBound relaxation solves carry their prices across slots
-	// in per-engine core.SolverSessions, and the greedy allocator seeds its
-	// Q evaluations from its base solve. The allocations are identical to
-	// cold solves'. Costs one histogram per session at construction; the
-	// per-slot recording is allocation-free.
-	SolveStats bool
 	// Recorder, when non-nil, receives slot-by-slot events for post-hoc
 	// analysis (see internal/trace).
 	Recorder *trace.Recorder
-	// Parallel bundles the worker/shard knobs for RunSharded (see
-	// par.Parallelism). Run itself is single-goroutine and ignores it.
+	// Parallel sets RunSharded's worker count (see par.Parallelism). Run
+	// itself is single-goroutine and ignores it.
 	Parallel Parallelism
 
-	// coldSolves runs every solve cold: no sessions (so no Result.Warm) and
-	// unseeded greedy Q evaluations. It exists only as the reference the
-	// warm-start equivalence tests compare against.
+	// coldSolves runs every solve cold: no sessions (so zero Result.Solves
+	// and RelaxSolves) and unseeded greedy Q evaluations. It exists only as
+	// the reference the warm-start equivalence tests compare against.
 	coldSolves bool
 	// disableLazyGreedy makes the greedy allocator re-evaluate every
 	// candidate's marginal gain on every iteration — the literal Table III
@@ -171,11 +163,17 @@ type Result struct {
 	// DualTrace is the per-iteration price trajectory of the first slot's
 	// distributed solve, when CaptureDualTrace was set.
 	DualTrace [][]float64
-	// Warm reports the per-slot solver iteration statistics, nil unless
-	// SolveStats was set. It is diagnostic metadata: exclude it from
-	// determinism comparisons of allocations/quality (which do not depend
-	// on it).
-	Warm *WarmStartReport `json:",omitempty"`
+	// Solves counts the Proposed slot solves recorded by the engine's
+	// warm-start session (core.SessionStats: solves, warm and cold starts,
+	// outer-probe iterations). The greedy's Q evaluations on an interfering
+	// network are not session solves, so there it stays zero, as it does
+	// for the heuristics and the cold reference. It is diagnostic
+	// metadata: the allocations and qualities do not depend on it.
+	Solves core.SessionStats
+	// RelaxSolves counts the TrackBound relaxation solves, which run
+	// through their own session; zero unless the run tracks that bound
+	// (TrackBound with Proposed on an interfering network).
+	RelaxSolves core.SessionStats
 	// GOPs is the number of completed GOPs per user.
 	GOPs int
 	// Slots is the number of simulated slots.
@@ -384,31 +382,11 @@ func (e *engine) record(slot int, st *SlotState, alloc *core.Allocation, gains [
 }
 
 // realize draws the slot's packet-loss outcomes and credits delivered video
-// quality: an MBS user succeeds iff its macro link decodes; an FBS user's
-// delivered rate scales with the channels, among those assigned to its FBS,
-// that are truly idle (transmissions on busy channels collide and are
-// lost). It returns the realized per-user quality increments.
+// quality (see gain). It returns the realized per-user quality increments.
 func (e *engine) realize(in *core.Instance, alloc *core.Allocation, assigned [][]int, truth spectrum.Occupancy) []float64 {
 	gains := e.gains
 	for j := range gains {
-		gains[j] = 0
-	}
-	for j := 0; j < in.K(); j++ {
-		if alloc.MBS[j] {
-			if alloc.Rho0[j] > 0 && !e.net.Users[j].MBSLink.Lost(e.fadeStream) {
-				gains[j] = alloc.Rho0[j] * in.R0[j]
-			}
-		} else if alloc.Rho1[j] > 0 {
-			idle := 0
-			for _, ch := range assigned[in.FBS[j]-1] {
-				if truth.Idle(ch) {
-					idle++
-				}
-			}
-			if idle > 0 && !e.net.Users[j].FBSLink.Lost(e.fadeStream) {
-				gains[j] = alloc.Rho1[j] * float64(idle) * in.R1[j]
-			}
-		}
+		gains[j] = e.gain(in, alloc, j, assigned, truth)
 		e.progress[j].AddPSNR(gains[j])
 	}
 	return gains
@@ -417,28 +395,40 @@ func (e *engine) realize(in *core.Instance, alloc *core.Allocation, assigned [][
 // trackBound advances the upper-bound quality trajectory: the eq. (23)
 // objective bound is converted to per-user quality by inflating every
 // user's expected gain by the common factor theta >= 1 that makes the
-// objective meet the bound, then applying the same realization discipline.
+// objective meet the bound, then applying the same realization discipline
+// with its own loss draws.
 func (e *engine) trackBound(in *core.Instance, alloc *core.Allocation, value, upper float64, assigned [][]int, truth spectrum.Occupancy) {
 	theta := gainInflation(in, alloc, value, upper, e.inflate, e.inflateLogW)
-	for j := 0; j < in.K(); j++ {
-		gain := 0.0
-		if alloc.MBS[j] {
-			if alloc.Rho0[j] > 0 && !e.net.Users[j].MBSLink.Lost(e.fadeStream) {
-				gain = alloc.Rho0[j] * in.R0[j]
-			}
-		} else if alloc.Rho1[j] > 0 {
-			idle := 0
-			for _, ch := range assigned[in.FBS[j]-1] {
-				if truth.Idle(ch) {
-					idle++
-				}
-			}
-			if idle > 0 && !e.net.Users[j].FBSLink.Lost(e.fadeStream) {
-				gain = alloc.Rho1[j] * float64(idle) * in.R1[j]
+	for j := range e.bound {
+		e.bound[j].AddPSNR(theta * e.gain(in, alloc, j, assigned, truth))
+	}
+}
+
+// gain draws user j's packet-loss outcome for the slot and returns its
+// realized quality increment: an MBS user succeeds iff its macro link
+// decodes; an FBS user's delivered rate scales with the channels, among
+// those assigned to its FBS, that are truly idle (transmissions on busy
+// channels collide and are lost). A user without a share draws nothing.
+func (e *engine) gain(in *core.Instance, alloc *core.Allocation, j int, assigned [][]int, truth spectrum.Occupancy) float64 {
+	u := &e.net.Users[j]
+	if alloc.MBS[j] {
+		if alloc.Rho0[j] > 0 && !u.MBSLink.Lost(e.fadeStream) {
+			return alloc.Rho0[j] * in.R0[j]
+		}
+		return 0
+	}
+	if alloc.Rho1[j] > 0 {
+		idle := 0
+		for _, ch := range assigned[in.FBS[j]-1] {
+			if truth.Idle(ch) {
+				idle++
 			}
 		}
-		e.bound[j].AddPSNR(theta * gain)
+		if idle > 0 && !u.FBSLink.Lost(e.fadeStream) {
+			return alloc.Rho1[j] * float64(idle) * in.R1[j]
+		}
 	}
+	return 0
 }
 
 // gainInflation finds theta >= 1 such that inflating every user's allocated
@@ -495,7 +485,12 @@ func (e *engine) result() *Result {
 		GOPs:        e.progress[0].CompletedGOPs(),
 		Slots:       e.slots,
 		DualTrace:   e.dualTrace,
-		Warm:        e.warmReport(),
+	}
+	if sess := e.stage.session; sess != nil {
+		res.Solves = sess.Stats()
+	}
+	if relax := e.stage.relaxSession; relax != nil {
+		res.RelaxSolves = relax.Stats()
 	}
 	sum := 0.0
 	gains := make([]float64, k)

@@ -13,6 +13,7 @@ import (
 	"reflect"
 	"testing"
 
+	"femtocr/internal/core"
 	"femtocr/internal/netmodel"
 	"femtocr/internal/video"
 )
@@ -58,8 +59,9 @@ func warmConfigs(t *testing.T) []struct {
 
 // TestWarmStartMatchesColdAcrossConfigs is the snapshot-diff gate of the
 // always-on warm starts: over the 8 sim configs, an engine run must equal
-// the cold reference field for field (Warm is instrumentation metadata and
-// is cleared before the comparison).
+// the cold reference field for field (the solve counters are
+// instrumentation metadata, zero in the cold reference, and are cleared
+// before the comparison).
 func TestWarmStartMatchesColdAcrossConfigs(t *testing.T) {
 	for _, tc := range warmConfigs(t) {
 		t.Run(tc.name, func(t *testing.T) {
@@ -69,13 +71,11 @@ func TestWarmStartMatchesColdAcrossConfigs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			warmOpts := tc.opts
-			warmOpts.SolveStats = true
-			warm, err := Run(tc.net, warmOpts)
+			warm, err := Run(tc.net, tc.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			warm.Warm = nil
+			warm.Solves, warm.RelaxSolves = core.SessionStats{}, core.SessionStats{}
 			if !reflect.DeepEqual(warm, cold) {
 				t.Errorf("warm run diverged from cold:\n warm %+v\n cold %+v", warm, cold)
 			}
@@ -85,9 +85,8 @@ func TestWarmStartMatchesColdAcrossConfigs(t *testing.T) {
 
 // TestEngineSessionWiring pins which sessions an engine carries: the
 // zero-value options warm-start the slot solves, the relaxation session
-// (and its buffers) exist only where the relaxation bound is tracked, the
-// cold reference carries none, and no warm metadata is reported without
-// SolveStats.
+// (and its buffers) exist only where the relaxation bound is tracked, and
+// the cold reference carries none.
 func TestEngineSessionWiring(t *testing.T) {
 	single := benchNet(t, false)
 	interf := benchNet(t, true)
@@ -122,124 +121,85 @@ func TestEngineSessionWiring(t *testing.T) {
 			}
 		})
 	}
-	res, err := Run(single, Options{Seed: 1, GOPs: 1, Scheme: Proposed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Warm != nil {
-		t.Fatal("Result.Warm populated without SolveStats")
-	}
 }
 
-// TestHistQuantileNearestRank pins the nearest-rank convention on odd and
-// even counts: the q-quantile is the smallest iteration count with at least
-// ceil(q·n) solves at or below it.
-func TestHistQuantileNearestRank(t *testing.T) {
-	hist := func(iters ...int) []int64 {
-		h := make([]int64, 64)
-		for _, it := range iters {
-			h[it]++
-		}
-		return h
-	}
-	upTo := func(n int) []int64 {
-		h := make([]int64, 128)
-		for it := 1; it <= n; it++ {
-			h[it]++
-		}
-		return h
-	}
-	cases := []struct {
-		hist   []int64
-		solves int
-		q      float64
-		want   int
-	}{
-		{hist(5, 20, 40), 3, 0.5, 20},
-		{hist(5, 20, 40), 3, 0, 5},
-		{hist(5, 20, 40), 3, 0.34, 20},
-		{hist(5, 20, 40), 3, 1, 40},
-		{hist(3, 9), 2, 0.5, 3},
-		{upTo(15), 15, 0.9, 14},
-		{upTo(15), 15, 0.5, 8},
-		{upTo(100), 100, 0.07, 7},
-		{upTo(100), 100, 0.99, 99},
-		{nil, 0, 0.5, -1},
-	}
-	for _, c := range cases {
-		if got := histQuantile(c.hist, c.solves, c.q); got != c.want {
-			t.Errorf("%d solves, q=%v: quantile %d, want %d", c.solves, c.q, got, c.want)
-		}
-	}
-}
-
-// TestWarmReportStats checks the instrumentation itself on the default
-// solver: one slot solve per slot on the single-FBS path, warm solves
-// recorded, quantiles in order, and no report from the cold reference,
-// which carries no sessions. The warm start's probe budget is pinned in
-// core (TestWarmSessionProbeBudget).
+// TestWarmReportStats checks the always-on solve counters that report the
+// warm start (Result.Solves and RelaxSolves) on the default solver: one
+// slot solve per slot on the single-FBS path with warm solves recorded;
+// on the interfering path the greedy's Q evaluations are not session
+// solves, while the tracked relaxation bound solves once per slot through
+// its own session; and zero counters from the cold reference and the
+// heuristics, which carry no sessions. The warm start's probe budget is
+// pinned in core (TestWarmSessionProbeBudget).
 func TestWarmReportStats(t *testing.T) {
-	net := benchNet(t, false)
-	opts := Options{Seed: 1, GOPs: 4, Scheme: Proposed, SolveStats: true}
-	res, err := Run(net, opts)
+	single := benchNet(t, false)
+	res, err := Run(single, Options{Seed: 1, GOPs: 4, Scheme: Proposed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := res.Warm
-	if w == nil {
-		t.Fatal("Result.Warm is nil with SolveStats set")
+	if s := res.Solves; s.Solves != res.Slots || s.WarmSolves == 0 || s.TotalIters <= 0 {
+		t.Errorf("single cell: counters %+v over %d slots, want one solve per slot, some warm", s, res.Slots)
 	}
-	if w.Stats.Solves != res.Slots {
-		t.Errorf("%d solves over %d slots", w.Stats.Solves, res.Slots)
+	if res.RelaxSolves != (core.SessionStats{}) {
+		t.Errorf("single cell: relaxation counters %+v without a tracked bound", res.RelaxSolves)
 	}
-	if w.Stats.WarmSolves == 0 {
-		t.Error("no warm solve recorded")
-	}
-	if !(w.IterP50 <= w.IterP90 && w.IterP90 <= w.IterP99 && w.IterP99 <= w.IterMax) {
-		t.Errorf("quantiles out of order: p50=%d p90=%d p99=%d max=%d",
-			w.IterP50, w.IterP90, w.IterP99, w.IterMax)
-	}
-	if w.IterMean <= 0 {
-		t.Errorf("IterMean = %v", w.IterMean)
-	}
-	opts.coldSolves = true
-	cold, err := Run(net, opts)
+
+	interf := benchNet(t, true)
+	res, err = Run(interf, Options{Seed: 1, GOPs: 2, Scheme: Proposed, TrackBound: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cold.Warm != nil {
-		t.Error("the cold reference reported warm-start statistics")
+	if res.Solves.Solves != 0 || res.RelaxSolves.Solves != res.Slots || res.RelaxSolves.WarmSolves == 0 {
+		t.Errorf("interfering bound: slot counters %+v, relaxation counters %+v over %d slots",
+			res.Solves, res.RelaxSolves, res.Slots)
+	}
+
+	for _, tc := range []struct {
+		name string
+		net  *netmodel.Network
+		opts Options
+	}{
+		{"cold reference", single, Options{Seed: 1, GOPs: 4, Scheme: Proposed, coldSolves: true}},
+		{"cold reference, bound", interf, Options{Seed: 1, GOPs: 2, Scheme: Proposed, TrackBound: true, coldSolves: true}},
+		{"heuristic 2", single, Options{Seed: 1, GOPs: 4, Scheme: Heuristic2}},
+		{"heuristic 1, bound", interf, Options{Seed: 1, GOPs: 2, Scheme: Heuristic1, TrackBound: true}},
+	} {
+		res, err := Run(tc.net, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Solves != (core.SessionStats{}) || res.RelaxSolves != (core.SessionStats{}) {
+			t.Errorf("%s: counters %+v / %+v, want zero", tc.name, res.Solves, res.RelaxSolves)
+		}
 	}
 }
 
 // TestShardedWarmMatchesUnsharded extends the sharded bitwise contract to
-// warm runs: per-shard sessions must reproduce the unsharded warm engine
-// exactly on a connected network, for any grouping, and the folded warm
-// report must account for every shard's solves.
+// the warm starts: per-shard sessions must reproduce the unsharded warm
+// engine exactly on a connected network, for any worker count, with the
+// folded solve counters equal to Run's; on a multi-component network the
+// fold must sum every shard's counters.
 func TestShardedWarmMatchesUnsharded(t *testing.T) {
 	net := benchNet(t, false)
-	base := Options{Seed: 1000, GOPs: 4, Scheme: Proposed, SolveStats: true}
+	base := Options{Seed: 1000, GOPs: 4, Scheme: Proposed}
 	ref, err := Run(net, base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 4} {
 		opts := base
-		opts.Parallel = Parallelism{Workers: workers, Shards: 2}
+		opts.Parallel = Parallelism{Workers: workers}
 		sh, err := RunSharded(net, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		compareShardedToRun(t, "warm-sharded", sh, ref)
-		if sh.Warm == nil {
-			t.Fatal("sharded warm report missing")
-		}
-		if !reflect.DeepEqual(sh.Warm, ref.Warm) {
-			t.Errorf("folded warm report %+v, want %+v", sh.Warm, ref.Warm)
+		if sh.Solves != ref.Solves || sh.RelaxSolves != ref.RelaxSolves {
+			t.Errorf("folded counters %+v / %+v, want %+v / %+v", sh.Solves, sh.RelaxSolves, ref.Solves, ref.RelaxSolves)
 		}
 	}
 
-	// Multi-component fold: solves must add across shards.
+	// Multi-component fold: the counters must add across shards.
 	cfg := netmodel.DefaultConfig()
 	trio := video.PaperTrio()
 	multi, err := netmodel.NewNetwork(cfg, netmodel.NonInterferingSpec([][]video.Sequence{trio[:], trio[:], trio[:]}))
@@ -252,17 +212,21 @@ func TestShardedWarmMatchesUnsharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sh.Shards != 3 || sh.Warm == nil {
-		t.Fatalf("shards=%d warm=%v", sh.Shards, sh.Warm)
+	if sh.Shards != 3 {
+		t.Fatalf("shards=%d, want 3", sh.Shards)
 	}
-	total := 0
-	for _, s := range sh.PerShard {
-		if s.Warm == nil {
-			t.Fatal("shard missing warm summary")
+	var total core.SessionStats
+	for c := range sh.PerShard {
+		s := &sh.PerShard[c]
+		if s.Solves.Solves != s.Slots {
+			t.Errorf("shard %d: %d solves over %d slots", c, s.Solves.Solves, s.Slots)
 		}
-		total += s.Warm.Stats.Solves
+		total.Merge(&s.Solves)
 	}
-	if sh.Warm.Stats.Solves != total {
-		t.Errorf("folded solves %d, shards sum to %d", sh.Warm.Stats.Solves, total)
+	if sh.Solves != total {
+		t.Errorf("folded counters %+v, shards merge to %+v", sh.Solves, total)
+	}
+	if sh.Solves.Solves != 3*sh.Slots {
+		t.Errorf("folded %d solves, want %d over 3 shards", sh.Solves.Solves, 3*sh.Slots)
 	}
 }

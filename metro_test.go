@@ -28,19 +28,18 @@ func TestFacadeMetroSharded(t *testing.T) {
 	if res.MeanPSNR <= 0 || res.MinUserPSNR <= 0 {
 		t.Fatalf("degenerate quality: mean=%v min=%v", res.MeanPSNR, res.MinUserPSNR)
 	}
-	if res.Timing == nil || len(res.Timing.TaskNS) != res.Groups || res.Timing.IdealSpeedup() <= 0 {
+	if res.Timing == nil || len(res.Timing.ShardNS) != res.Shards || res.Timing.IdealSpeedup() <= 0 {
 		t.Fatalf("missing per-task ns accounting: %+v", res.Timing)
 	}
 
-	// Different worker/shard settings must not change anything but Timing.
+	// A different worker count must not change anything but Timing.
 	opts2 := opts
-	opts2.Parallel = femtocr.Parallelism{Workers: 1, Shards: 2}
+	opts2.Parallel = femtocr.Parallelism{Workers: 1}
 	res2, err := femtocr.SimulateSharded(net, opts2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	res.Timing, res2.Timing = nil, nil
-	res.Groups, res2.Groups = 0, 0
 	if !reflect.DeepEqual(res, res2) {
 		t.Fatal("sharded result depends on the Parallelism setting")
 	}

@@ -16,6 +16,10 @@
 # example `git archive <commit> | tar -x -C DIR`), alternating the two
 # trees run by run so both see the same host load, and each row records
 # before (DIR) and after (this tree) with the fractional CPU reduction.
+# Which tree runs first flips on every repetition, so neither always pays
+# for a cold cache or rides a warm one, and each row also records the
+# paired view: the median over repetitions of the after/before CPU ratio
+# and the number of repetitions the change (after) won.
 #
 # Usage: scripts/bench_e2e.sh [-b BASELINE_DIR] [output.json]
 # Env:   FEMTOCR_E2E_COUNT (default 3)   runs per row and tree
@@ -58,8 +62,12 @@ rows+="topology everything"
 samples="$tmp/samples"
 : >"$samples"
 for rep in $(seq "$count"); do
+    order=$trees
+    if [ -n "$baseline" ] && [ $((rep % 2)) -eq 0 ]; then
+        order="after before"
+    fi
     for row in $rows; do
-        for tree in $trees; do
+        for tree in $order; do
             arg=${row#fig}
             dir="$tmp/out-$tree"
             if [ "$row" = everything ] || [ "$row" = topology ]; then
@@ -67,7 +75,7 @@ for rep in $(seq "$count"); do
             else
                 c=$(cpu_of "$tmp/$tree" -fig "$arg" -workers 1)
             fi
-            echo "$tree $row $c" | tee -a "$samples"
+            echo "$tree $row $c $rep" | tee -a "$samples"
         done
     done
 done
@@ -90,6 +98,7 @@ awk -v out="$out" -v rows="$rows" -v count="$count" -v files="$files" \
 {
     key = $1 SUBSEP $2
     if (!(key in best) || $3 < best[key]) best[key] = $3
+    cpu[$1, $2, $4] = $3
 }
 END {
     n = split(rows, r, " ")
@@ -110,8 +119,22 @@ END {
         if (baseline == "yes") {
             b = best["before", r[i]]
             red = (b > 0) ? (b - a) / b : 0
-            printf "    {\"figure\": \"%s\", \"before_cpu_s\": %.3f, \"after_cpu_s\": %.3f, \"cpu_reduction\": %.3f}%s\n", \
-                r[i], b, a, red, (i < n ? "," : "") > out
+            # Paired view: the after/before ratio of each repetition,
+            # insertion-sorted for the median, and the repetitions won.
+            m = 0
+            wins = 0
+            for (k = 1; k <= count; k++) {
+                pb = cpu["before", r[i], k]
+                pa = cpu["after", r[i], k]
+                if (pa < pb) wins++
+                x = (pb > 0) ? pa / pb : 1
+                for (j = m; j > 0 && ratio[j] > x; j--) ratio[j + 1] = ratio[j]
+                ratio[j + 1] = x
+                m++
+            }
+            med = (m % 2) ? ratio[(m + 1) / 2] : (ratio[m / 2] + ratio[m / 2 + 1]) / 2
+            printf "    {\"figure\": \"%s\", \"before_cpu_s\": %.3f, \"after_cpu_s\": %.3f, \"cpu_reduction\": %.3f, \"median_after_before_ratio\": %.3f, \"after_wins\": %d}%s\n", \
+                r[i], b, a, red, med, wins, (i < n ? "," : "") > out
         } else {
             printf "    {\"figure\": \"%s\", \"cpu_s\": %.3f}%s\n", r[i], a, (i < n ? "," : "") > out
         }

@@ -1,22 +1,19 @@
 #!/usr/bin/env bash
 # Benchmark the sharded metro engine and record the result as BENCH JSON
 # (format documented in EXPERIMENTS.md). Runs one fixed Poisson metro
-# topology through `femtosim -scenario metro` at shard groupings 1, 2, 4
+# topology through `femtosim -scenario metro` at worker counts 1, 2, 4
 # and 8 and emits BENCH_shard.json with the per-task ns accounting of each
-# grouping plus a cross-check that every grouping folded to the identical
-# PSNR.
+# run plus a cross-check that every run folded to the identical PSNR.
 #
-# The sharded fold is bitwise-deterministic for any -shards/-workers
-# setting, so the interesting numbers are the ns bookkeeping, not the wall
-# clock: wall-clock speedup is capped at min(groups, cpus) — at most ~2x
-# on the 2-CPU containers the checked-in JSON comes from — no matter how
-# many workers run, but sum_task_ns (serialized work) and max_task_ns
-# (critical path) are schedule-arithmetic, and their ratio —
-# ideal_speedup — is the speedup a machine with enough CPUs would reach at
-# that grouping. Near-linear scaling shows up as ideal_speedup tracking
-# the grouping count until the largest shard dominates the critical path.
-# The JSON records "cpus"/"gomaxprocs" so readers can tell the cap from a
-# regression.
+# The engine runs one grid task per shard (interference component), and
+# the fold is bitwise-deterministic for any -workers setting, so the
+# interesting numbers are the ns bookkeeping, not the wall clock:
+# wall-clock speedup is capped at min(workers, cpus) — at most ~2x on the
+# 2-CPU containers the checked-in JSON comes from — but sum_task_ns
+# (serialized work) and max_task_ns (critical path: the slowest shard)
+# are schedule-arithmetic, and their ratio — ideal_speedup — is the
+# speedup a machine with enough CPUs would reach. The JSON records
+# "cpus"/"gomaxprocs" so readers can tell the cap from a regression.
 #
 # Usage: scripts/bench_shard.sh [output.json]
 # Env:   FEMTOCR_METRO_FBS   (default 400)  femtocells in the scatter
@@ -35,10 +32,10 @@ trap 'rm -rf "$bin"' EXIT
 go build -o "$bin/femtosim" ./cmd/femtosim
 
 stats=""
-for groups in 1 2 4 8; do
+for workers in 1 2 4 8; do
     line=$("$bin/femtosim" -scenario metro -metro-fbs "$fbs" \
         -metro-users "$users" -gops "$gops" -seed 1 \
-        -shards "$groups" | grep '^SHARDSTATS ')
+        -workers "$workers" | grep '^SHARDSTATS ')
     echo "$line"
     stats+="$line"$'\n'
 done
@@ -70,17 +67,17 @@ END {
     printf "  \"results\": [\n" > out
     for (r = 1; r <= n; r++) {
         # ns counts overflow the 32-bit %d of mawk; print as exact floats.
-        printf "    {\"groups\": %d, \"workers\": %d, \"wall_ns\": %.0f, \"sum_task_ns\": %.0f, \"max_task_ns\": %.0f, \"ideal_speedup\": %s}%s\n", \
-            v[r, "groups"], v[r, "workers"], v[r, "wall_ns"], \
+        printf "    {\"workers\": %d, \"wall_ns\": %.0f, \"sum_task_ns\": %.0f, \"max_task_ns\": %.0f, \"ideal_speedup\": %s}%s\n", \
+            v[r, "workers"], v[r, "wall_ns"], \
             v[r, "sum_task_ns"], v[r, "max_task_ns"], \
             v[r, "ideal_speedup"], (r < n ? "," : "") > out
     }
     printf "  ],\n" > out
     printf "  \"psnr\": %s,\n", v[1, "psnr"] > out
-    printf "  \"psnr_identical_across_groupings\": %s\n", identical > out
+    printf "  \"psnr_identical_across_workers\": %s\n", identical > out
     printf "}\n" > out
     if (identical != "true") {
-        print "bench_shard.sh: PSNR diverged across shard groupings" > "/dev/stderr"
+        print "bench_shard.sh: PSNR diverged across worker counts" > "/dev/stderr"
         exit 1
     }
 }

@@ -46,9 +46,12 @@
 #                     its shortcut-free reference, the association
 #                     polish's duality certificate against re-filled flips,
 #                     and the inner bisection's early exit against the
-#                     full-depth bisection) and over generated topologies
+#                     full-depth bisection), over generated topologies
 #                     through NewNetwork, Partition and Subnetwork (every
-#                     user in exactly one shard).
+#                     user in exactly one shard), and over generated
+#                     extreme configs through NewNetwork, Run and
+#                     RunSharded (an error or finite results, and
+#                     RunSharded accepts whatever Run accepts).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -104,7 +107,7 @@ GOMAXPROCS=4 go test -race ./...
 
 echo "==> metro smoke (sharded engine end to end through femtosim)"
 go run ./cmd/femtosim -scenario metro -metro-fbs 24 -metro-users 2 \
-    -gops 1 -shards 4 >/dev/null
+    -gops 1 -workers 4 >/dev/null
 
 if [ -n "${FEMTOCR_FUZZ:-}" ]; then
     echo "==> fuzz smoke (FEMTOCR_FUZZ set)"
@@ -116,6 +119,7 @@ if [ -n "${FEMTOCR_FUZZ:-}" ]; then
     go test -run='^$' -fuzz='^FuzzPolishCertificate$' -fuzztime=10s ./internal/core
     go test -run='^$' -fuzz='^FuzzInnerExit$' -fuzztime=10s ./internal/core
     go test -run='^$' -fuzz='^FuzzPartition$' -fuzztime=10s ./internal/netmodel
+    go test -run='^$' -fuzz='^FuzzExtremeConfigs$' -fuzztime=10s ./internal/sim
 fi
 
 echo "check.sh: all gates passed"
