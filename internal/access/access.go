@@ -43,9 +43,6 @@ func NewPolicy(gamma float64) (Policy, error) {
 	return Policy{gamma: gamma}, nil
 }
 
-// Gamma returns the collision threshold.
-func (p Policy) Gamma() float64 { return p.gamma }
-
 // AccessProbability returns P_D of eq. (7) for a channel with prior busy
 // probability priorBusy (the channel's utilization eta_m, or the belief
 // filter's predictive prior) and fused availability posterior pa: the

@@ -167,6 +167,20 @@ func TestEmptySlotDecision(t *testing.T) {
 	}
 }
 
+// fuse folds one channel's sensing results into its availability posterior
+// through a sensing.Fuser started from the prior eta.
+func fuse(t *testing.T, eta float64, obs []sensing.Observation) float64 {
+	t.Helper()
+	f, err := sensing.NewFuser(eta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range obs {
+		f.Update(o)
+	}
+	return f.Posterior()
+}
+
 // TestEndToEndCollisionRate runs the full pipeline — Markov occupancy,
 // noisy sensing, fusion, access — and verifies the realized conditional
 // collision probability stays below gamma. This is the paper's
@@ -211,11 +225,7 @@ func TestEndToEndCollisionRate(t *testing.T) {
 				det.Sense(truth[ch-1], senseStream),
 				det.Sense(truth[ch-1], senseStream),
 			}
-			pa, err := sensing.Posterior(eta, obs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			posteriors[ch-1] = pa
+			posteriors[ch-1] = fuse(t, eta, obs)
 		}
 		var d SlotDecision
 		pol.DecideInto(priors, posteriors, accessStream, &d)
@@ -291,11 +301,7 @@ func TestConditionalRateTracksGammaAcrossEta(t *testing.T) {
 						det.Sense(truth[ch-1], senseStream),
 						det.Sense(truth[ch-1], senseStream),
 					}
-					pa, err := sensing.Posterior(eta, obs)
-					if err != nil {
-						t.Fatal(err)
-					}
-					posteriors[ch-1] = pa
+					posteriors[ch-1] = fuse(t, eta, obs)
 				}
 				var d SlotDecision
 				pol.DecideInto(priors, posteriors, accessStream, &d)

@@ -11,11 +11,12 @@ import (
 
 // The mutation tests: seed one plausible bug of each class into the real
 // package it would land in and prove the matching analyzer — and only it —
-// catches it with exactly one finding. Each bug leaves every runtime gate
-// green (golden outputs, determinism, -race, the AllocsPerRun pins), which
-// is why the analyzer exists. The unmutated packages are silent: the suite
-// is proven clean over the whole module by cmd/femtovet's
-// TestSuiteRunsCleanOnRepo, so each mutation flips exactly one finding.
+// catches it with exactly one finding. Each bug but the floateq one leaves
+// every runtime gate green (golden outputs, determinism, -race, the
+// AllocsPerRun pins), which is why the analyzer exists. The unmutated
+// packages are silent: the suite is proven clean over the whole module by
+// cmd/femtovet's TestSuiteRunsCleanOnRepo, so each mutation flips exactly
+// one finding.
 
 // edit is one textual replacement; old must occur in the file.
 type edit struct{ old, new string }
@@ -133,11 +134,13 @@ func TestMutationUnseededDraw(t *testing.T) {
 	assertSingleFinding(t, diags, "randsource", "import of math/rand/v2 outside internal/rng")
 }
 
-// TestMutationExactLentzStop: stopping the continued fraction on an exact
-// del == 1 instead of a tolerance still converges on every tested input,
-// but can spin to the iteration cap on others.
-func TestMutationExactLentzStop(t *testing.T) {
-	diags := mutatePackage(t, "internal/fading", "gamma.go",
-		edit{"if math.Abs(del-1) < gammaEps {", "if del == 1 {"})
+// TestMutationExactWaterfillStop: stopping waterfillGuided's price
+// bisection on an exact hi == lo instead of its relative width is the
+// classic float-equality bug. Unlike the other mutations it is also caught
+// at runtime: the bisection then runs on past the 1e-12 width, and
+// FuzzWaterfill's seeds and TestGoldenOutputs see the moved prices.
+func TestMutationExactWaterfillStop(t *testing.T) {
+	diags := mutatePackage(t, "internal/core", "waterfill.go",
+		edit{"if hi-lo <= 1e-12*hi {", "if hi == lo {"})
 	assertSingleFinding(t, diags, "floateq", "exact floating-point == comparison")
 }

@@ -44,7 +44,7 @@ func BenchmarkDualSolver(b *testing.B) {
 
 func BenchmarkDualSolverConstantStep(b *testing.B) {
 	in := benchInstance(9, 3)
-	solver := NewDualSolver(WithConstantStep(), WithStep(1e-3))
+	solver := NewDualSolver(WithConstantStep(), WithStepScale(0.01))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

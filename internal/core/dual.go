@@ -15,8 +15,7 @@ import (
 // prices and water-fills each resource exactly, which guarantees a feasible
 // allocation even when the subgradient iteration was stopped early.
 type DualSolver struct {
-	step        float64 // base step size s; 0 means auto-scaled per resource
-	stepScale   float64 // auto-step fraction of the price scale
+	stepScale   float64 // step size s as a fraction of each resource's price scale
 	phi         float64 // termination threshold on squared dual movement
 	maxIter     int
 	diminishing bool        // s_tau = s/sqrt(1+tau)
@@ -29,13 +28,10 @@ var _ Solver = (*DualSolver)(nil)
 // DualOption configures a DualSolver.
 type DualOption func(*DualSolver)
 
-// WithStep sets a fixed base step size s (Table I step 9). The default 0
-// auto-scales the step to each resource's price magnitude.
-func WithStep(s float64) DualOption { return func(d *DualSolver) { d.step = s } }
-
-// WithStepScale sets the auto-scaled step as a fraction of each resource's
-// estimated price magnitude (default 0.1). Smaller fractions converge more
-// slowly but trace the paper's long Fig. 4(a) trajectories.
+// WithStepScale sets the step size s of Table I step 9 as a fraction of
+// each resource's estimated price magnitude (default 0.1). Smaller
+// fractions converge more slowly but trace the paper's long Fig. 4(a)
+// trajectories.
 func WithStepScale(f float64) DualOption { return func(d *DualSolver) { d.stepScale = f } }
 
 // WithPhi sets the termination threshold phi of Table I step 11.
@@ -55,8 +51,9 @@ func WithConstantStep() DualOption { return func(d *DualSolver) { d.diminishing 
 // for concurrent use.
 func WithTrace(r *DualReport) DualOption { return func(d *DualSolver) { d.report = r } }
 
-// NewDualSolver builds the solver with sensible defaults: auto step,
-// phi = 1e-14, 2000 iteration cap, diminishing steps.
+// NewDualSolver builds the solver with sensible defaults: steps of 0.1 of
+// each resource's price scale, phi = 1e-14, 2000 iteration cap, diminishing
+// steps.
 func NewDualSolver(opts ...DualOption) *DualSolver {
 	d := &DualSolver{
 		stepScale:   0.1,
@@ -211,10 +208,7 @@ func (d *DualSolver) iterate(in *Instance, ws *solveWorkspace, lambda, next, sum
 			if g < -10 {
 				g = -10 // clip runaway demand when a price hits zero
 			}
-			s := d.step
-			if s <= 0 {
-				s = d.stepScale * scale[i]
-			}
+			s := d.stepScale * scale[i]
 			if d.diminishing {
 				s /= math.Sqrt(1 + float64(it))
 			}

@@ -121,18 +121,6 @@ func (in *Instance) user1(j int) waterfillUser {
 	return waterfillUser{ps: in.PS1[j], w: in.W[j], r: r, cap: in.capFor(j, r)}
 }
 
-// UsersOf returns the 0-based indices of users served by FBS i (1-based),
-// the set U_i of problem (17).
-func (in *Instance) UsersOf(i int) []int {
-	var out []int
-	for j, f := range in.FBS {
-		if f == i {
-			out = append(out, j)
-		}
-	}
-	return out
-}
-
 // effR1 returns the effective per-unit-rho PSNR increment of user j on its
 // FBS band: G_i * R1_j.
 func (in *Instance) effR1(j int) float64 {
@@ -171,34 +159,7 @@ func NewAllocation(k int) *Allocation {
 // nonnegative shares, per-resource sums at most 1 (within tol), and shares
 // only on the chosen side (Theorem 1 structure).
 func (a *Allocation) Feasible(in *Instance, tol float64) error {
-	k := in.K()
-	if len(a.MBS) != k || len(a.Rho0) != k || len(a.Rho1) != k {
-		return fmt.Errorf("%w: allocation sized for %d users, instance has %d", ErrBadInstance, len(a.MBS), k)
-	}
-	sum0 := 0.0
-	sumI := make([]float64, in.N())
-	for j := 0; j < k; j++ {
-		if a.Rho0[j] < -tol || a.Rho1[j] < -tol {
-			return fmt.Errorf("%w: negative share for user %d", ErrBadInstance, j)
-		}
-		if a.MBS[j] && a.Rho1[j] > tol {
-			return fmt.Errorf("%w: user %d on MBS holds FBS share %v", ErrBadInstance, j, a.Rho1[j])
-		}
-		if !a.MBS[j] && a.Rho0[j] > tol {
-			return fmt.Errorf("%w: user %d on FBS holds MBS share %v", ErrBadInstance, j, a.Rho0[j])
-		}
-		sum0 += a.Rho0[j]
-		sumI[in.FBS[j]-1] += a.Rho1[j]
-	}
-	if sum0 > 1+tol {
-		return fmt.Errorf("%w: common-channel shares sum to %v", ErrBadInstance, sum0)
-	}
-	for i, s := range sumI {
-		if s > 1+tol {
-			return fmt.Errorf("%w: FBS %d shares sum to %v", ErrBadInstance, i+1, s)
-		}
-	}
-	return nil
+	return feasibleCached(in, a, &solveWorkspace{}, tol)
 }
 
 // Objective evaluates the expected log-quality objective of problem (17)

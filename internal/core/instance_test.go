@@ -96,25 +96,6 @@ func TestInstanceValidateErrors(t *testing.T) {
 	}
 }
 
-func TestUsersOf(t *testing.T) {
-	in := randomInstance(rng.New(1), 9, 3)
-	seen := make(map[int]bool)
-	for i := 1; i <= 3; i++ {
-		for _, j := range in.UsersOf(i) {
-			if in.FBS[j] != i {
-				t.Fatalf("UsersOf(%d) includes user %d of FBS %d", i, j, in.FBS[j])
-			}
-			if seen[j] {
-				t.Fatalf("user %d in two groups", j)
-			}
-			seen[j] = true
-		}
-	}
-	if len(seen) != 9 {
-		t.Fatalf("groups cover %d users, want 9", len(seen))
-	}
-}
-
 func TestWithGDoesNotMutate(t *testing.T) {
 	in := paperishInstance()
 	cp := in.WithG([]float64{7})

@@ -177,7 +177,7 @@ func TestDualReportWithoutTrace(t *testing.T) {
 // oscillates.
 func TestDualConstantStepStillFeasible(t *testing.T) {
 	in := paperishInstance()
-	solver := NewDualSolver(WithConstantStep(), WithStep(1e-3), WithMaxIter(500))
+	solver := NewDualSolver(WithConstantStep(), WithStepScale(0.01), WithMaxIter(500))
 	alloc, err := solve(solver, in)
 	if err != nil {
 		t.Fatal(err)

@@ -458,8 +458,8 @@ func (a *Allocation) resize(k int) {
 	}
 }
 
-// feasibleCached is Allocation.Feasible on workspace scratch: identical
-// checks without the per-call slice allocation.
+// feasibleCached is Allocation.Feasible on workspace scratch: the checks
+// without a per-call slice allocation.
 func feasibleCached(in *Instance, a *Allocation, ws *solveWorkspace, tol float64) error {
 	k := in.K()
 	if len(a.MBS) != k || len(a.Rho0) != k || len(a.Rho1) != k {

@@ -6,33 +6,9 @@ import (
 	"femtocr/internal/rng"
 )
 
-func BenchmarkRegularizedGammaSeries(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		RegularizedGammaP(4, 2) // x < a+1: series branch
-	}
-}
-
-func BenchmarkRegularizedGammaContinuedFraction(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		RegularizedGammaP(4, 20) // x >= a+1: continued-fraction branch
-	}
-}
-
 func BenchmarkRayleighSample(b *testing.B) {
 	s := rng.New(1)
 	m := Rayleigh{}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.PowerGain(s)
-	}
-}
-
-func BenchmarkNakagamiSample(b *testing.B) {
-	s := rng.New(1)
-	m, err := NewNakagami(3)
-	if err != nil {
-		b.Fatal(err)
-	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.PowerGain(s)

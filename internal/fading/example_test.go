@@ -21,15 +21,3 @@ func ExampleLink_LossProbability() {
 	// P_F = 0.271
 	// strong P_F = 0.031
 }
-
-// Log-distance path loss: every decade of distance costs 10*n dB.
-func ExamplePathLoss_LossDB() {
-	pl := fading.PathLoss{RefLossDB: 37, Exponent: 3, RefDist: 1}
-	for _, d := range []float64{1, 10, 100} {
-		fmt.Printf("%5.0f m: %.0f dB\n", d, pl.LossDB(d))
-	}
-	// Output:
-	//     1 m: 37 dB
-	//    10 m: 67 dB
-	//   100 m: 97 dB
-}

@@ -52,73 +52,6 @@ func TestRayleighPowerGainUnitMean(t *testing.T) {
 	}
 }
 
-func TestNakagamiValidation(t *testing.T) {
-	if _, err := NewNakagami(0.4); !errors.Is(err, ErrBadModel) {
-		t.Fatalf("m=0.4 err = %v, want ErrBadModel", err)
-	}
-	if _, err := NewNakagami(math.NaN()); !errors.Is(err, ErrBadModel) {
-		t.Fatal("NaN m accepted")
-	}
-	n, err := NewNakagami(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n.M() != 2 || n.Name() != "nakagami-2" {
-		t.Fatalf("M=%v Name=%q", n.M(), n.Name())
-	}
-}
-
-func TestNakagami1MatchesRayleigh(t *testing.T) {
-	n, err := NewNakagami(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := Rayleigh{}
-	for _, x := range []float64{0.1, 0.5, 1, 2, 5} {
-		if got, want := n.OutageCDF(x), r.OutageCDF(x); math.Abs(got-want) > 1e-10 {
-			t.Errorf("Nakagami-1 CDF(%v) = %v, Rayleigh = %v", x, got, want)
-		}
-	}
-}
-
-func TestNakagamiPowerGainUnitMean(t *testing.T) {
-	for _, m := range []float64{0.5, 1, 2.5, 8} {
-		n, err := NewNakagami(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := rng.New(uint64(m * 100))
-		const trials = 200000
-		sum := 0.0
-		for i := 0; i < trials; i++ {
-			sum += n.PowerGain(s)
-		}
-		if mean := sum / trials; math.Abs(mean-1) > 0.03 {
-			t.Fatalf("Nakagami-%v mean gain %v, want ~1", m, mean)
-		}
-	}
-}
-
-func TestNakagamiEmpiricalCDFMatchesAnalytic(t *testing.T) {
-	n, err := NewNakagami(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := rng.New(77)
-	const trials = 100000
-	const x = 0.7
-	below := 0
-	for i := 0; i < trials; i++ {
-		if n.PowerGain(s) <= x {
-			below++
-		}
-	}
-	emp := float64(below) / trials
-	if want := n.OutageCDF(x); math.Abs(emp-want) > 0.01 {
-		t.Fatalf("empirical CDF(%v) = %v, analytic %v", x, emp, want)
-	}
-}
-
 func TestLinkValidation(t *testing.T) {
 	if _, err := NewLink(math.NaN(), 5, nil); !errors.Is(err, ErrBadLink) {
 		t.Fatal("NaN mean SINR accepted")
@@ -197,47 +130,5 @@ func TestSampleLossMatchesAnalytic(t *testing.T) {
 	got := float64(lost) / n
 	if want := l.LossProbability(); math.Abs(got-want) > 0.005 {
 		t.Fatalf("realized loss %v, analytic %v", got, want)
-	}
-}
-
-func TestPathLossModel(t *testing.T) {
-	pl := PathLoss{RefLossDB: 37, Exponent: 3, RefDist: 1}
-	if got := pl.LossDB(1); got != 37 {
-		t.Fatalf("loss at ref distance = %v, want 37", got)
-	}
-	if got := pl.LossDB(10); math.Abs(got-67) > 1e-9 {
-		t.Fatalf("loss at 10 m = %v, want 67", got)
-	}
-	// Inside the reference distance, clamp.
-	if got := pl.LossDB(0.1); got != 37 {
-		t.Fatalf("loss inside ref distance = %v, want clamped 37", got)
-	}
-	// Monotone in distance.
-	if pl.LossDB(20) <= pl.LossDB(10) {
-		t.Fatal("path loss must increase with distance")
-	}
-}
-
-func TestMeanSINRAndLinkAt(t *testing.T) {
-	pl := DefaultPathLoss
-	// 10 dBm tx, -90 dBm noise floor, 10 m: SINR = 10 - 67 - (-90) = 33 dB.
-	got := MeanSINRdB(10, -90, pl, 10)
-	if math.Abs(got-33) > 1e-9 {
-		t.Fatalf("MeanSINRdB = %v, want 33", got)
-	}
-	l, err := LinkAt(10, -90, 5, pl, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(l.MeanSINRdB()-33) > 1e-9 {
-		t.Fatalf("LinkAt mean SINR = %v", l.MeanSINRdB())
-	}
-	// Farther receivers see higher loss probability.
-	far, err := LinkAt(10, -90, 5, pl, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if far.LossProbability() <= l.LossProbability() {
-		t.Fatal("farther link must lose more packets")
 	}
 }

@@ -25,9 +25,6 @@ func (p Point) Dist(q Point) float64 {
 	return math.Hypot(p.X-q.X, p.Y-q.Y)
 }
 
-// Add returns p translated by q.
-func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
-
 // String formats the point.
 func (p Point) String() string { return fmt.Sprintf("(%.1f, %.1f)", p.X, p.Y) }
 
@@ -106,19 +103,4 @@ func GridDeployment(origin Point, rows, cols int, spacing, radius float64) ([]Di
 		}
 	}
 	return disks, nil
-}
-
-// ScatterUsers draws k user positions uniformly inside each disk and returns
-// them grouped per disk.
-func ScatterUsers(disks []Disk, perDisk int, s *rng.Stream) [][]Point {
-	out := make([][]Point, len(disks))
-	for i, d := range disks {
-		stream := s.SplitIndex("geometry/users", i)
-		pts := make([]Point, perDisk)
-		for j := range pts {
-			pts[j] = d.RandomInside(stream)
-		}
-		out[i] = pts
-	}
-	return out
 }

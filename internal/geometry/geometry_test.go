@@ -28,11 +28,8 @@ func TestPointDist(t *testing.T) {
 	}
 }
 
-func TestPointAddString(t *testing.T) {
-	p := Point{1, 2}.Add(Point{3, -1})
-	if p != (Point{4, 1}) {
-		t.Fatalf("Add = %v", p)
-	}
+func TestPointString(t *testing.T) {
+	p := Point{4, 1}
 	if p.String() != "(4.0, 1.0)" {
 		t.Fatalf("String = %q", p.String())
 	}
@@ -157,35 +154,6 @@ func TestGridDeployment(t *testing.T) {
 	}
 	if _, err := GridDeployment(Point{}, -1, 2, 10, 4); err == nil {
 		t.Fatal("negative rows accepted")
-	}
-}
-
-func TestScatterUsers(t *testing.T) {
-	disks, _ := LineDeployment(Point{}, 3, 30, 10)
-	users := ScatterUsers(disks, 4, rng.New(5))
-	if len(users) != 3 {
-		t.Fatalf("groups = %d", len(users))
-	}
-	for i, grp := range users {
-		if len(grp) != 4 {
-			t.Fatalf("disk %d has %d users", i, len(grp))
-		}
-		for _, p := range grp {
-			if !disks[i].Contains(p) {
-				t.Fatalf("user %v outside its femtocell %d", p, i)
-			}
-		}
-	}
-}
-
-func TestScatterUsersDeterministicPerDisk(t *testing.T) {
-	disks, _ := LineDeployment(Point{}, 2, 30, 10)
-	u1 := ScatterUsers(disks, 3, rng.New(9))
-	u2 := ScatterUsers(disks[:1], 3, rng.New(9))
-	for j := range u2[0] {
-		if u1[0][j] != u2[0][j] {
-			t.Fatal("first disk's users changed when a disk was removed; streams must be split per disk")
-		}
 	}
 }
 

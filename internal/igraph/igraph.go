@@ -259,16 +259,6 @@ func (g *Graph) IsIndependent(set []int) bool {
 	return true
 }
 
-// Density returns the edge density: edges present over edges possible
-// (0 for graphs with fewer than two vertices).
-func (g *Graph) Density() float64 {
-	if g.n < 2 {
-		return 0
-	}
-	possible := g.n * (g.n - 1) / 2
-	return float64(g.NumEdges()) / float64(possible)
-}
-
 // IsConnected reports whether the graph has a single connected component
 // (an empty graph counts as connected).
 func (g *Graph) IsConnected() bool {
@@ -302,22 +292,6 @@ func (g *Graph) GreedyColoring() ([]int, int) {
 		}
 	}
 	return colors, maxColor
-}
-
-// Clone returns a deep copy of the graph.
-func (g *Graph) Clone() *Graph {
-	c := New(g.n)
-	for u := 0; u < g.n; u++ {
-		// link maintains both adj and the sorted neighbor lists (writing
-		// adj directly would leave Neighbors empty on the copy); it is
-		// insensitive to the map's iteration order.
-		for v := range g.adj[u] {
-			if u < v {
-				c.link(u, v)
-			}
-		}
-	}
-	return c
 }
 
 // String renders the graph as one "u -- v" line per edge (FBS numbering,

@@ -67,16 +67,3 @@ func TestSubgraphRejectsBadVertexLists(t *testing.T) {
 		t.Fatalf("empty subgraph: %v, n=%d", err, sub.N())
 	}
 }
-
-func TestCloneKeepsNeighborLists(t *testing.T) {
-	g := Path(5)
-	c := g.Clone()
-	for u := 0; u < g.N(); u++ {
-		if !reflect.DeepEqual(c.Neighbors(u), g.Neighbors(u)) {
-			t.Fatalf("clone Neighbors(%d)=%v, want %v", u, c.Neighbors(u), g.Neighbors(u))
-		}
-	}
-	if !reflect.DeepEqual(c.Components(), g.Components()) {
-		t.Fatalf("clone components %v, want %v", c.Components(), g.Components())
-	}
-}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"femtocr/internal/markov"
-	"femtocr/internal/rng"
 )
 
 // The paper's default licensed-channel model: P01 = 0.4, P10 = 0.3,
@@ -15,12 +14,8 @@ func ExampleChain_Utilization() {
 		panic(err)
 	}
 	fmt.Printf("eta = %.4f\n", chain.Utilization())
-	fmt.Printf("mean idle period = %.2f slots\n", chain.MeanIdleRun())
-	fmt.Printf("mean busy period = %.2f slots\n", chain.MeanBusyRun())
 	// Output:
 	// eta = 0.5714
-	// mean idle period = 2.50 slots
-	// mean busy period = 3.33 slots
 }
 
 // Retuning a channel to a target utilization, as the Fig. 4(c) sweep does.
@@ -32,26 +27,4 @@ func ExampleFromUtilization() {
 	fmt.Printf("P01 = %.4f, P10 = %.4f, eta = %.2f\n", chain.P01(), chain.P10(), chain.Utilization())
 	// Output:
 	// P01 = 0.1286, P10 = 0.3000, eta = 0.30
-}
-
-// Simulating occupancy and recovering the parameters by maximum likelihood.
-func ExampleFit() {
-	chain, _ := markov.NewChain(0.4, 0.3)
-	trace := chain.Simulate(200000, rng.New(1))
-	fitted, err := markov.Fit(trace)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("fitted P01 within 0.02: %v\n", diff(fitted.P01(), 0.4) < 0.02)
-	fmt.Printf("fitted P10 within 0.02: %v\n", diff(fitted.P10(), 0.3) < 0.02)
-	// Output:
-	// fitted P01 within 0.02: true
-	// fitted P10 within 0.02: true
-}
-
-func diff(a, b float64) float64 {
-	if a > b {
-		return a - b
-	}
-	return b - a
 }

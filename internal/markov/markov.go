@@ -10,7 +10,6 @@ package markov
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"femtocr/internal/rng"
 )
@@ -37,11 +36,8 @@ func (s State) String() string {
 	}
 }
 
-// Valid reports whether s is one of the two defined states.
-func (s State) Valid() bool { return s == Idle || s == Busy }
-
 // ErrInvalidProbability is returned when a transition probability lies
-// outside [0, 1].
+// outside [0, 1] or is NaN.
 var ErrInvalidProbability = errors.New("markov: transition probability outside [0, 1]")
 
 // ErrDegenerateChain is returned when both transition probabilities are zero,
@@ -57,7 +53,7 @@ type Chain struct {
 // NewChain builds a chain from the idle-to-busy and busy-to-idle transition
 // probabilities.
 func NewChain(p01, p10 float64) (Chain, error) {
-	if p01 < 0 || p01 > 1 || p10 < 0 || p10 > 1 {
+	if !(p01 >= 0 && p01 <= 1 && p10 >= 0 && p10 <= 1) {
 		return Chain{}, fmt.Errorf("%w: P01=%v P10=%v", ErrInvalidProbability, p01, p10)
 	}
 	if p01+p10 == 0 {
@@ -71,7 +67,7 @@ func NewChain(p01, p10 float64) (Chain, error) {
 // sweeps eta in Fig. 4(c) and Fig. 6(a) without changing the busy-period
 // structure. It requires 0 <= eta < 1 and the implied P01 to stay in [0, 1].
 func FromUtilization(eta, p10 float64) (Chain, error) {
-	if eta < 0 || eta >= 1 {
+	if !(eta >= 0 && eta < 1) {
 		return Chain{}, fmt.Errorf("%w: eta=%v must be in [0, 1)", ErrInvalidProbability, eta)
 	}
 	// eta = p01/(p01+p10)  =>  p01 = eta*p10/(1-eta).
@@ -92,12 +88,6 @@ func (c Chain) P10() float64 { return c.p10 }
 // Utilization returns the stationary busy probability eta = P01/(P01+P10)
 // of eq. (1).
 func (c Chain) Utilization() float64 { return c.p01 / (c.p01 + c.p10) }
-
-// Stationary returns the stationary distribution (piIdle, piBusy).
-func (c Chain) Stationary() (idle, busy float64) {
-	busy = c.Utilization()
-	return 1 - busy, busy
-}
 
 // Next samples the state following cur using stream s.
 func (c Chain) Next(cur State, s *rng.Stream) State {
@@ -121,138 +111,4 @@ func (c Chain) SampleStationary(s *rng.Stream) State {
 		return Busy
 	}
 	return Idle
-}
-
-// MeanIdleRun returns the expected length of an idle period in slots
-// (geometric with parameter P01).
-func (c Chain) MeanIdleRun() float64 {
-	if c.p01 == 0 {
-		return 0 // never leaves idle; callers treat 0 as "infinite"
-	}
-	return 1 / c.p01
-}
-
-// MeanBusyRun returns the expected length of a busy period in slots
-// (geometric with parameter P10).
-func (c Chain) MeanBusyRun() float64 {
-	if c.p10 == 0 {
-		return 0
-	}
-	return 1 / c.p10
-}
-
-// TransitionMatrix returns the 2x2 row-stochastic transition matrix
-// [ [P00, P01], [P10, P11] ].
-func (c Chain) TransitionMatrix() [2][2]float64 {
-	return [2][2]float64{
-		{1 - c.p01, c.p01},
-		{c.p10, 1 - c.p10},
-	}
-}
-
-// NStepMatrix returns the n-step transition matrix using the closed form for
-// two-state chains: P^n = Pi + (1-p01-p10)^n * (I - Pi), where Pi has the
-// stationary distribution in both rows.
-func (c Chain) NStepMatrix(n int) [2][2]float64 {
-	if n <= 0 {
-		return [2][2]float64{{1, 0}, {0, 1}}
-	}
-	idle, busy := c.Stationary()
-	r := 1.0
-	base := 1 - c.p01 - c.p10
-	for i := 0; i < n; i++ {
-		r *= base
-	}
-	return [2][2]float64{
-		{idle + r*(1-idle), busy - r*busy},
-		{idle - r*idle, busy + r*(1-busy)},
-	}
-}
-
-// Simulate generates a trajectory of n states starting from the stationary
-// distribution.
-func (c Chain) Simulate(n int, s *rng.Stream) []State {
-	if n <= 0 {
-		return nil
-	}
-	out := make([]State, n)
-	out[0] = c.SampleStationary(s)
-	for i := 1; i < n; i++ {
-		out[i] = c.Next(out[i-1], s)
-	}
-	return out
-}
-
-// Fit estimates a Chain from an observed trajectory by maximum likelihood
-// (transition counting). It needs at least one observed departure from each
-// state; otherwise it returns ErrDegenerateChain.
-func Fit(trace []State) (Chain, error) {
-	var n0, n01, n1, n10 int
-	for i := 1; i < len(trace); i++ {
-		switch trace[i-1] {
-		case Idle:
-			n0++
-			if trace[i] == Busy {
-				n01++
-			}
-		case Busy:
-			n1++
-			if trace[i] == Idle {
-				n10++
-			}
-		}
-	}
-	if n0 == 0 || n1 == 0 {
-		return Chain{}, fmt.Errorf("%w: trace never visits both states", ErrDegenerateChain)
-	}
-	return NewChain(float64(n01)/float64(n0), float64(n10)/float64(n1))
-}
-
-// EmpiricalUtilization returns the busy fraction of a trace, the finite-T
-// version of eq. (1). An empty trace yields 0.
-func EmpiricalUtilization(trace []State) float64 {
-	if len(trace) == 0 {
-		return 0
-	}
-	busy := 0
-	for _, st := range trace {
-		if st == Busy {
-			busy++
-		}
-	}
-	return float64(busy) / float64(len(trace))
-}
-
-// Autocorrelation returns the lag-k autocorrelation of the stationary
-// occupancy process: (1 - P01 - P10)^k. It quantifies how informative past
-// observations are about the current state — the quantity the belief
-// filter of internal/belief exploits.
-func (c Chain) Autocorrelation(k int) float64 {
-	if k < 0 {
-		k = -k
-	}
-	r := 1.0
-	base := 1 - c.p01 - c.p10
-	for i := 0; i < k; i++ {
-		r *= base
-	}
-	return r
-}
-
-// MixingTime returns the number of slots after which the autocorrelation
-// falls below the threshold (0 for already-below at lag 0 is impossible:
-// lag 0 is 1). A non-positive or >= 1 threshold returns 0. Chains with
-// |1 - P01 - P10| = 0 mix in one step.
-func (c Chain) MixingTime(threshold float64) int {
-	if threshold <= 0 || threshold >= 1 {
-		return 0
-	}
-	base := math.Abs(1 - c.p01 - c.p10)
-	if base == 0 {
-		return 1
-	}
-	if base >= 1 {
-		return math.MaxInt32 // periodic or absorbing: never mixes
-	}
-	return int(math.Ceil(math.Log(threshold) / math.Log(base)))
 }

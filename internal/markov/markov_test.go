@@ -29,6 +29,8 @@ func TestNewChainValidation(t *testing.T) {
 		{-0.1, 0.3, ErrInvalidProbability},
 		{0.4, 1.1, ErrInvalidProbability},
 		{0, 0, ErrDegenerateChain},
+		{math.NaN(), 0.3, ErrInvalidProbability},
+		{0.4, math.NaN(), ErrInvalidProbability},
 	}
 	for _, c := range cases {
 		_, err := NewChain(c.p01, c.p10)
@@ -47,10 +49,6 @@ func TestPaperUtilization(t *testing.T) {
 	want := 0.4 / 0.7
 	if got := c.Utilization(); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("Utilization = %v, want %v", got, want)
-	}
-	idle, busy := c.Stationary()
-	if math.Abs(idle+busy-1) > 1e-12 {
-		t.Fatalf("stationary distribution does not sum to 1: %v + %v", idle, busy)
 	}
 }
 
@@ -80,6 +78,12 @@ func TestFromUtilizationRejectsInfeasible(t *testing.T) {
 	if _, err := FromUtilization(-0.1, 0.3); !errors.Is(err, ErrInvalidProbability) {
 		t.Fatalf("eta<0 err = %v, want ErrInvalidProbability", err)
 	}
+	if _, err := FromUtilization(math.NaN(), 0.3); !errors.Is(err, ErrInvalidProbability) {
+		t.Fatalf("eta=NaN err = %v, want ErrInvalidProbability", err)
+	}
+	if _, err := FromUtilization(0.5, math.NaN()); !errors.Is(err, ErrInvalidProbability) {
+		t.Fatalf("P10=NaN err = %v, want ErrInvalidProbability", err)
+	}
 }
 
 func TestStateString(t *testing.T) {
@@ -89,151 +93,73 @@ func TestStateString(t *testing.T) {
 	if State(7).String() != "State(7)" {
 		t.Fatalf("unknown state string = %q", State(7).String())
 	}
-	if !Idle.Valid() || !Busy.Valid() || State(2).Valid() {
-		t.Fatal("Valid() wrong")
+}
+
+// trajectory draws n states of c through SampleStationary and Next, the
+// two calls the spectrum simulator makes.
+func trajectory(c Chain, n int, s *rng.Stream) []State {
+	out := make([]State, n)
+	out[0] = c.SampleStationary(s)
+	for i := 1; i < n; i++ {
+		out[i] = c.Next(out[i-1], s)
 	}
+	return out
 }
 
 func TestSimulateMatchesStationary(t *testing.T) {
 	c := mustChain(t, 0.4, 0.3)
-	s := rng.New(1)
-	trace := c.Simulate(200000, s)
-	got := EmpiricalUtilization(trace)
+	busy := 0
+	for _, st := range trajectory(c, 200000, rng.New(1)) {
+		if st == Busy {
+			busy++
+		}
+	}
+	got := float64(busy) / 200000
 	if want := c.Utilization(); math.Abs(got-want) > 0.01 {
 		t.Fatalf("empirical utilization %v, want ~%v", got, want)
 	}
 }
 
+// TestMeanRunLengths checks Next's two transition frequencies: idle and
+// busy sojourns are geometric, with means 1/P01 and 1/P10.
 func TestMeanRunLengths(t *testing.T) {
 	c := mustChain(t, 0.4, 0.25)
-	if got := c.MeanIdleRun(); math.Abs(got-2.5) > 1e-12 {
-		t.Fatalf("MeanIdleRun = %v, want 2.5", got)
-	}
-	if got := c.MeanBusyRun(); math.Abs(got-4) > 1e-12 {
-		t.Fatalf("MeanBusyRun = %v, want 4", got)
-	}
-	// Empirical check on sojourn lengths.
-	s := rng.New(2)
-	trace := c.Simulate(300000, s)
-	var idleRuns, idleTotal int
+	var runs, total [2]int
 	run := 0
-	for _, st := range trace {
-		if st == Idle {
-			run++
-		} else if run > 0 {
-			idleRuns++
-			idleTotal += run
+	trace := trajectory(c, 300000, rng.New(2))
+	for i, st := range trace {
+		run++
+		if i+1 < len(trace) && trace[i+1] != st {
+			runs[st]++
+			total[st] += run
 			run = 0
 		}
 	}
-	got := float64(idleTotal) / float64(idleRuns)
-	if math.Abs(got-2.5) > 0.05 {
-		t.Fatalf("empirical idle run %v, want ~2.5", got)
-	}
-}
-
-func TestMeanRunLengthsDegenerateEdges(t *testing.T) {
-	c := mustChain(t, 0, 0.3) // never leaves idle
-	if c.MeanIdleRun() != 0 {
-		t.Fatal("MeanIdleRun for absorbing idle should be 0 sentinel")
-	}
-	c2 := mustChain(t, 0.3, 0)
-	if c2.MeanBusyRun() != 0 {
-		t.Fatal("MeanBusyRun for absorbing busy should be 0 sentinel")
-	}
-}
-
-func TestTransitionMatrixRowStochastic(t *testing.T) {
-	err := quick.Check(func(a, b uint8) bool {
-		p01 := float64(a%101) / 100
-		p10 := float64(b%101) / 100
-		if p01+p10 == 0 {
-			return true
-		}
-		c, err := NewChain(p01, p10)
-		if err != nil {
-			return false
-		}
-		m := c.TransitionMatrix()
-		return math.Abs(m[0][0]+m[0][1]-1) < 1e-12 &&
-			math.Abs(m[1][0]+m[1][1]-1) < 1e-12
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestNStepMatrixConvergesToStationary(t *testing.T) {
-	c := mustChain(t, 0.4, 0.3)
-	m := c.NStepMatrix(200)
-	idle, busy := c.Stationary()
-	for row := 0; row < 2; row++ {
-		if math.Abs(m[row][0]-idle) > 1e-9 || math.Abs(m[row][1]-busy) > 1e-9 {
-			t.Fatalf("row %d of P^200 = %v, want (%v, %v)", row, m[row], idle, busy)
+	for st, want := range [2]float64{1 / c.P01(), 1 / c.P10()} {
+		if got := float64(total[st]) / float64(runs[st]); math.Abs(got-want)/want > 0.02 {
+			t.Errorf("mean %v run %v, want ~%v", State(st), got, want)
 		}
 	}
 }
 
-func TestNStepMatrixIdentityAtZero(t *testing.T) {
-	c := mustChain(t, 0.4, 0.3)
-	m := c.NStepMatrix(0)
-	if m != [2][2]float64{{1, 0}, {0, 1}} {
-		t.Fatalf("P^0 = %v, want identity", m)
-	}
-}
-
-func TestNStepMatrixMatchesPower(t *testing.T) {
-	c := mustChain(t, 0.35, 0.2)
-	// Compute P^5 by repeated multiplication and compare.
-	p := c.TransitionMatrix()
-	acc := [2][2]float64{{1, 0}, {0, 1}}
-	for i := 0; i < 5; i++ {
-		var next [2][2]float64
-		for r := 0; r < 2; r++ {
-			for cc := 0; cc < 2; cc++ {
-				for k := 0; k < 2; k++ {
-					next[r][cc] += acc[r][k] * p[k][cc]
-				}
-			}
-		}
-		acc = next
-	}
-	m := c.NStepMatrix(5)
-	for r := 0; r < 2; r++ {
-		for cc := 0; cc < 2; cc++ {
-			if math.Abs(m[r][cc]-acc[r][cc]) > 1e-12 {
-				t.Fatalf("NStepMatrix(5)[%d][%d] = %v, want %v", r, cc, m[r][cc], acc[r][cc])
-			}
-		}
-	}
-}
-
+// TestFitRecoversParameters fits P01 and P10 to a long trajectory by
+// maximum likelihood (transition counting): Next must realize both
+// transition probabilities, not just their ratio, which is all the
+// stationary utilization checks.
 func TestFitRecoversParameters(t *testing.T) {
 	c := mustChain(t, 0.4, 0.3)
-	s := rng.New(3)
-	trace := c.Simulate(500000, s)
-	got, err := Fit(trace)
-	if err != nil {
-		t.Fatal(err)
+	var from, flips [2]int
+	trace := trajectory(c, 500000, rng.New(3))
+	for i := 1; i < len(trace); i++ {
+		from[trace[i-1]]++
+		if trace[i] != trace[i-1] {
+			flips[trace[i-1]]++
+		}
 	}
-	if math.Abs(got.P01()-0.4) > 0.01 || math.Abs(got.P10()-0.3) > 0.01 {
-		t.Fatalf("Fit = (%v, %v), want ~(0.4, 0.3)", got.P01(), got.P10())
-	}
-}
-
-func TestFitDegenerateTrace(t *testing.T) {
-	if _, err := Fit([]State{Idle, Idle, Idle}); !errors.Is(err, ErrDegenerateChain) {
-		t.Fatalf("err = %v, want ErrDegenerateChain", err)
-	}
-	if _, err := Fit(nil); !errors.Is(err, ErrDegenerateChain) {
-		t.Fatalf("err = %v, want ErrDegenerateChain", err)
-	}
-}
-
-func TestSimulateEmpty(t *testing.T) {
-	c := mustChain(t, 0.4, 0.3)
-	if got := c.Simulate(0, rng.New(1)); got != nil {
-		t.Fatalf("Simulate(0) = %v, want nil", got)
+	p01 := float64(flips[Idle]) / float64(from[Idle])
+	p10 := float64(flips[Busy]) / float64(from[Busy])
+	if math.Abs(p01-0.4) > 0.01 || math.Abs(p10-0.3) > 0.01 {
+		t.Fatalf("fitted (P01, P10) = (%v, %v), want ~(0.4, 0.3)", p01, p10)
 	}
 }
 
@@ -258,66 +184,13 @@ func TestUtilizationIsStationaryProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		idle, busy := c.Stationary()
-		m := c.TransitionMatrix()
-		nextIdle := idle*m[0][0] + busy*m[1][0]
-		nextBusy := idle*m[0][1] + busy*m[1][1]
+		busy := c.Utilization()
+		idle := 1 - busy
+		nextIdle := idle*(1-p01) + busy*p10
+		nextBusy := idle*p01 + busy*(1-p10)
 		return math.Abs(nextIdle-idle) < 1e-12 && math.Abs(nextBusy-busy) < 1e-12
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestAutocorrelation(t *testing.T) {
-	c := mustChain(t, 0.4, 0.3)
-	if got := c.Autocorrelation(0); got != 1 {
-		t.Fatalf("lag 0 = %v", got)
-	}
-	if got := c.Autocorrelation(1); math.Abs(got-0.3) > 1e-12 {
-		t.Fatalf("lag 1 = %v, want 1-0.7=0.3", got)
-	}
-	if got := c.Autocorrelation(-2); math.Abs(got-0.09) > 1e-12 {
-		t.Fatalf("lag -2 = %v, want 0.09 (symmetric)", got)
-	}
-	// Empirical check: corr(S_t, S_{t+1}) over a long trace.
-	s := rng.New(21)
-	trace := c.Simulate(300000, s)
-	var sx, sxx, sxy float64
-	n := float64(len(trace) - 1)
-	for i := 0; i+1 < len(trace); i++ {
-		x, y := float64(trace[i]), float64(trace[i+1])
-		sx += x
-		sxx += x * x
-		sxy += x * y
-	}
-	mean := sx / n
-	variance := sxx/n - mean*mean
-	cov := sxy/n - mean*mean
-	if got := cov / variance; math.Abs(got-0.3) > 0.02 {
-		t.Fatalf("empirical lag-1 autocorrelation %v, want ~0.3", got)
-	}
-}
-
-func TestMixingTime(t *testing.T) {
-	fast := mustChain(t, 0.4, 0.3) // base 0.3
-	slow := mustChain(t, 0.04, 0.03)
-	if fast.MixingTime(0.01) >= slow.MixingTime(0.01) {
-		t.Fatalf("fast chain mixes slower: %d vs %d",
-			fast.MixingTime(0.01), slow.MixingTime(0.01))
-	}
-	if got := fast.MixingTime(0.3); got != 1 {
-		t.Fatalf("threshold at base: %d, want 1", got)
-	}
-	if fast.MixingTime(0) != 0 || fast.MixingTime(1.5) != 0 {
-		t.Fatal("degenerate thresholds")
-	}
-	oneStep := mustChain(t, 0.5, 0.5) // base 0: mixes instantly
-	if oneStep.MixingTime(0.01) != 1 {
-		t.Fatal("base-0 chain mixing time")
-	}
-	periodic := mustChain(t, 1, 1) // base -1: alternates forever
-	if periodic.MixingTime(0.01) < 1<<30 {
-		t.Fatal("periodic chain should never mix")
 	}
 }

@@ -25,6 +25,13 @@ import (
 // ErrBadNetwork is returned when a network fails validation.
 var ErrBadNetwork = errors.New("netmodel: invalid network")
 
+// The OFDM PHY's fixed parameters (Config.OFDMSubcarriers): the
+// adjacent-subcarrier amplitude correlation and the EESM calibration factor.
+const (
+	ofdmCorrelation = 0.5
+	ofdmBetaDB      = 5
+)
+
 // User is one CR subscriber: a position, a serving FBS, a video stream, and
 // the two wireless links it can receive on.
 type User struct {
@@ -46,10 +53,6 @@ type Network struct {
 	Detector sensing.Detector // sensing error model shared by sensors
 	T        int              // GOP delivery deadline in slots
 	GOPSize  int              // frames per GOP (16 in the paper)
-	// FBSAntennas is how many licensed channels each FBS can sense per
-	// slot. The paper equips FBSs with M antennas (sense everything);
-	// values below M rotate coverage across slots. 0 means M.
-	FBSAntennas int
 }
 
 // Validate checks structural consistency.
@@ -74,7 +77,7 @@ func (n *Network) Validate() error {
 			return fmt.Errorf("user %d: %w", u.ID, err)
 		}
 	}
-	if n.Gamma < 0 || n.Gamma > 1 {
+	if !(n.Gamma >= 0 && n.Gamma <= 1) {
 		return fmt.Errorf("%w: gamma=%v", ErrBadNetwork, n.Gamma)
 	}
 	if n.T < 1 {
@@ -82,9 +85,6 @@ func (n *Network) Validate() error {
 	}
 	if n.GOPSize < 1 {
 		return fmt.Errorf("%w: GOP size %d", ErrBadNetwork, n.GOPSize)
-	}
-	if n.FBSAntennas < 0 || n.FBSAntennas > n.Band.M() {
-		return fmt.Errorf("%w: %d FBS antennas for %d channels", ErrBadNetwork, n.FBSAntennas, n.Band.M())
 	}
 	// Sensing fuses its observations from the utilization prior, which
 	// must leave a channel some chance of being idle (eq. (1) with
@@ -95,15 +95,6 @@ func (n *Network) Validate() error {
 		}
 	}
 	return nil
-}
-
-// AntennasPerFBS returns the effective per-FBS antenna count (M when the
-// field is zero).
-func (n *Network) AntennasPerFBS() int {
-	if n.FBSAntennas == 0 {
-		return n.Band.M()
-	}
-	return n.FBSAntennas
 }
 
 // K returns the number of users.
@@ -144,24 +135,12 @@ type Config struct {
 	FemtoRadius   float64 // femtocell coverage radius, meters
 	MBSDistance   float64 // distance from the MBS to the femtocell cluster, m
 
-	// FBSAntennas is how many licensed channels each FBS senses per slot;
-	// 0 means all M (the paper's assumption).
-	FBSAntennas int
-
 	// OFDMSubcarriers, when positive, replaces flat Rayleigh links with the
 	// frequency-selective OFDM model of internal/ofdm: that many correlated
-	// subcarriers per channel, packet success by EESM effective SINR.
+	// subcarriers per channel (adjacent-subcarrier correlation
+	// ofdmCorrelation), packet success by EESM effective SINR (calibration
+	// factor ofdmBetaDB).
 	OFDMSubcarriers int
-	// OFDMCorrelation is the adjacent-subcarrier amplitude correlation
-	// (default 0.5 when OFDM is on).
-	OFDMCorrelation float64
-	// OFDMBetaDB is the EESM calibration factor (default 5 dB).
-	OFDMBetaDB float64
-
-	// HeterogeneousEta optionally gives each licensed channel its own
-	// utilization (overriding P01 while keeping P10); its length then
-	// defines M. Nil means all channels share the P01/P10 chain.
-	HeterogeneousEta []float64
 
 	// Seed controls user placement; channel and fading randomness comes
 	// from the per-run stream instead, so positions stay fixed across runs.
@@ -217,30 +196,13 @@ func build(cfg Config, disks []geometry.Disk, videosPerFBS [][]video.Sequence) (
 	if len(disks) != len(videosPerFBS) {
 		return nil, fmt.Errorf("%w: %d femtocells but %d video groups", ErrBadNetwork, len(disks), len(videosPerFBS))
 	}
-	var band *spectrum.Band
-	if len(cfg.HeterogeneousEta) > 0 {
-		chains := make([]markov.Chain, len(cfg.HeterogeneousEta))
-		for i, eta := range cfg.HeterogeneousEta {
-			c, err := markov.FromUtilization(eta, cfg.P10)
-			if err != nil {
-				return nil, fmt.Errorf("channel %d: %w", i+1, err)
-			}
-			chains[i] = c
-		}
-		var err error
-		band, err = spectrum.NewHeterogeneousBand(cfg.B0, cfg.B1, chains)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		chain, err := markov.NewChain(cfg.P01, cfg.P10)
-		if err != nil {
-			return nil, err
-		}
-		band, err = spectrum.NewBand(cfg.M, cfg.B0, cfg.B1, chain)
-		if err != nil {
-			return nil, err
-		}
+	chain, err := markov.NewChain(cfg.P01, cfg.P10)
+	if err != nil {
+		return nil, err
+	}
+	band, err := spectrum.NewBand(cfg.M, cfg.B0, cfg.B1, chain)
+	if err != nil {
+		return nil, err
 	}
 	det, err := sensing.NewDetector(cfg.Eps, cfg.Delta)
 	if err != nil {
@@ -265,16 +227,7 @@ func build(cfg Config, disks []geometry.Disk, videosPerFBS [][]video.Sequence) (
 	// per-link gain models are built at the link's operating SINR.
 	var ofdmChannel *ofdm.Channel
 	if cfg.OFDMSubcarriers > 0 {
-		corr := cfg.OFDMCorrelation
-		if corr == 0 {
-			corr = 0.5
-		}
-		beta := cfg.OFDMBetaDB
-		if beta == 0 {
-			beta = 5
-		}
-		var err error
-		ofdmChannel, err = ofdm.NewChannel(cfg.OFDMSubcarriers, corr, beta)
+		ofdmChannel, err = ofdm.NewChannel(cfg.OFDMSubcarriers, ofdmCorrelation, ofdmBetaDB)
 		if err != nil {
 			return nil, err
 		}
@@ -321,15 +274,14 @@ func build(cfg Config, disks []geometry.Disk, videosPerFBS [][]video.Sequence) (
 	}
 
 	n := &Network{
-		Band:        band,
-		NumFBS:      len(disks),
-		Graph:       igraph.FromCoverage(disks),
-		Users:       users,
-		Gamma:       cfg.Gamma,
-		Detector:    det,
-		T:           cfg.T,
-		GOPSize:     cfg.GOP,
-		FBSAntennas: cfg.FBSAntennas,
+		Band:     band,
+		NumFBS:   len(disks),
+		Graph:    igraph.FromCoverage(disks),
+		Users:    users,
+		Gamma:    cfg.Gamma,
+		Detector: det,
+		T:        cfg.T,
+		GOPSize:  cfg.GOP,
 	}
 	if err := n.Validate(); err != nil {
 		return nil, err

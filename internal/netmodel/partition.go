@@ -123,14 +123,13 @@ func (n *Network) Subnetwork(s *Shard) (*Network, error) {
 		users[localID] = u
 	}
 	return &Network{
-		Band:        n.Band,
-		NumFBS:      len(s.FBSs),
-		Graph:       sub,
-		Users:       users,
-		Gamma:       n.Gamma,
-		Detector:    n.Detector,
-		T:           n.T,
-		GOPSize:     n.GOPSize,
-		FBSAntennas: n.FBSAntennas,
+		Band:     n.Band,
+		NumFBS:   len(s.FBSs),
+		Graph:    sub,
+		Users:    users,
+		Gamma:    n.Gamma,
+		Detector: n.Detector,
+		T:        n.T,
+		GOPSize:  n.GOPSize,
 	}, nil
 }

@@ -78,12 +78,9 @@ type TopologySpec struct {
 	Videos [][]video.Sequence
 
 	// UsersPerFBS is the generated load when Videos is nil: that many users
-	// per FBS, each streaming the next sequence of VideoPool in rotation.
-	// Zero means DefaultUsersPerFBS.
+	// per FBS, each streaming the next of the six standard CIF presets
+	// (video.StandardSequences) in rotation. Zero means DefaultUsersPerFBS.
 	UsersPerFBS int
-	// VideoPool is the sequence rotation for generated load; nil means the
-	// standard six CIF presets.
-	VideoPool []video.Sequence
 
 	// FBSs is the cell count for KindMetroPoisson, and for the line kinds
 	// when Videos is nil.
@@ -196,8 +193,8 @@ func (s TopologySpec) radius(cfg Config) float64 {
 
 // videoLoad resolves the per-FBS video lists for n femtocells: the explicit
 // Videos when given (validated against n), else UsersPerFBS sequences per
-// FBS drawn from VideoPool in rotation. The rotation offset advances with
-// the FBS index so neighboring cells carry different mixes.
+// FBS drawn from the standard presets in rotation. The rotation offset
+// advances with the FBS index so neighboring cells carry different mixes.
 func (s TopologySpec) videoLoad(n int) ([][]video.Sequence, error) {
 	if s.Videos != nil {
 		if len(s.Videos) != n {
@@ -209,10 +206,7 @@ func (s TopologySpec) videoLoad(n int) ([][]video.Sequence, error) {
 	if perFBS <= 0 {
 		perFBS = DefaultUsersPerFBS
 	}
-	pool := s.VideoPool
-	if len(pool) == 0 {
-		pool = video.StandardSequences()
-	}
+	pool := video.StandardSequences()
 	out := make([][]video.Sequence, n)
 	for i := 0; i < n; i++ {
 		group := make([]video.Sequence, perFBS)

@@ -114,16 +114,24 @@ func TestMetroPoissonDeterministicAndSized(t *testing.T) {
 	}
 }
 
+// TestGeneratedLoadRotatesPool: generated load walks the six standard
+// presets in order, wrapping around, and each FBS starts where the previous
+// one stopped.
 func TestGeneratedLoadRotatesPool(t *testing.T) {
 	cfg := DefaultConfig()
-	pool := video.PaperTrio()
-	spec := TopologySpec{Kind: KindMetroGrid, Rows: 1, Cols: 2, FBSPerBlock: 1,
-		UsersPerFBS: 2, VideoPool: pool[:]}
+	pool := video.StandardSequences()
+	spec := TopologySpec{Kind: KindMetroGrid, Rows: 1, Cols: 2, FBSPerBlock: 1, UsersPerFBS: 4}
 	net, err := NewNetwork(cfg, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantNames := []string{pool[0].Name, pool[1].Name, pool[2].Name, pool[0].Name}
+	var wantNames []string
+	for _, i := range []int{0, 1, 2, 3, 4, 5, 0, 1} {
+		wantNames = append(wantNames, pool[i].Name)
+	}
+	if len(net.Users) != len(wantNames) {
+		t.Fatalf("%d users, want %d", len(net.Users), len(wantNames))
+	}
 	for j, u := range net.Users {
 		if u.Seq.Name != wantNames[j] {
 			t.Fatalf("user %d streams %s, want %s", j, u.Seq.Name, wantNames[j])

@@ -102,19 +102,6 @@ func (c *Channel) EffectiveSINR(sinrs []float64) float64 {
 	return min - c.beta*math.Log(sum/float64(len(sinrs)))
 }
 
-// SpectralEfficiency returns the Shannon spectral efficiency of the slot in
-// bits/s/Hz, averaged over subcarriers: (1/S) * sum log2(1 + SINR_s).
-func SpectralEfficiency(sinrs []float64) float64 {
-	if len(sinrs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, g := range sinrs {
-		sum += math.Log2(1 + g)
-	}
-	return sum / float64(len(sinrs))
-}
-
 // GainModel adapts the OFDM channel to the fading.Model interface: the
 // per-slot "power gain" is the normalized effective SINR
 // EESM(meanSINR * gains) / meanSINR, so fading.Link's outage test

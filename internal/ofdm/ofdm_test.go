@@ -119,15 +119,6 @@ func TestEESMLimits(t *testing.T) {
 	}
 }
 
-func TestSpectralEfficiency(t *testing.T) {
-	if SpectralEfficiency(nil) != 0 {
-		t.Fatal("empty")
-	}
-	if got := SpectralEfficiency([]float64{1, 3}); math.Abs(got-1.5) > 1e-12 {
-		t.Fatalf("efficiency %v, want 1.5 (log2(2)=1, log2(4)=2)", got)
-	}
-}
-
 // TestFrequencyDiversityReducesOutage: at the same mean SINR, the
 // frequency-selective OFDM link has fewer deep outages than flat Rayleigh —
 // the diversity payoff that motivates multicarrier transmission.

@@ -27,6 +27,11 @@ import (
 // ErrBadOptions is returned for invalid run options.
 var ErrBadOptions = errors.New("packetsim: invalid options")
 
+// mgsLayers is the number of MGS enhancement layers per frame in the
+// synthesized encodings. Each GOP is encoded at most at its sequence's
+// saturation rate; MGS truncation then adapts downward.
+const mgsLayers = 3
+
 // Options configures one packet-level run.
 type Options struct {
 	// Seed drives all randomness, as in sim.Options.
@@ -37,12 +42,6 @@ type Options struct {
 	Scheme sim.Scheme
 	// SensorPolicy assigns user sensors to channels. Default RoundRobin.
 	SensorPolicy sensing.AssignmentPolicy
-	// MGSLayers is the number of MGS enhancement layers per frame in the
-	// synthesized encodings. Default 3.
-	MGSLayers int
-	// EncodeRateFactor scales each sequence's saturation rate to set the
-	// encoded GOP rate (MGS truncation then adapts downward). Default 1.
-	EncodeRateFactor float64
 	// AdaptiveRate re-encodes each user's next GOP at an EWMA of its
 	// recently delivered throughput (with 25% headroom), instead of always
 	// encoding at the saturation rate. Cuts overdue discards sharply while
@@ -61,12 +60,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if out.SensorPolicy == 0 {
 		out.SensorPolicy = sensing.RoundRobin
-	}
-	if out.MGSLayers == 0 {
-		out.MGSLayers = 3
-	}
-	if out.EncodeRateFactor == 0 {
-		out.EncodeRateFactor = 1
 	}
 	return out
 }
@@ -105,9 +98,6 @@ func Run(net *netmodel.Network, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	if opts.GOPs < 1 {
 		return nil, fmt.Errorf("%w: GOPs=%d", ErrBadOptions, opts.GOPs)
-	}
-	if opts.EncodeRateFactor < 0 {
-		return nil, fmt.Errorf("%w: EncodeRateFactor=%v", ErrBadOptions, opts.EncodeRateFactor)
 	}
 
 	root := rng.New(opts.Seed)
@@ -176,8 +166,7 @@ func (e *engine) init() error {
 	for j, u := range net.Users {
 		e.queues[j] = &packet.Queue{}
 		e.receivers[j] = packet.NewReceiver(u.Seq)
-		g, err := video.BuildGOP(u.Seq, net.GOPSize, e.opts.MGSLayers,
-			u.Seq.MaxRateMbps*e.opts.EncodeRateFactor)
+		g, err := video.BuildGOP(u.Seq, net.GOPSize, mgsLayers, u.Seq.MaxRateMbps)
 		if err != nil {
 			return err
 		}
@@ -295,10 +284,10 @@ func (e *engine) adaptRate(j int) error {
 	if min := 0.1 * seq.MaxRateMbps; target < min {
 		target = min
 	}
-	if target > seq.MaxRateMbps*e.opts.EncodeRateFactor {
-		target = seq.MaxRateMbps * e.opts.EncodeRateFactor
+	if target > seq.MaxRateMbps {
+		target = seq.MaxRateMbps
 	}
-	g, err := video.BuildGOP(seq, e.net.GOPSize, e.opts.MGSLayers, target)
+	g, err := video.BuildGOP(seq, e.net.GOPSize, mgsLayers, target)
 	if err != nil {
 		return err
 	}

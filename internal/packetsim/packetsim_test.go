@@ -29,9 +29,6 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(net, Options{Scheme: sim.Scheme(42)}); !errors.Is(err, ErrBadOptions) {
 		t.Fatalf("bad scheme err = %v", err)
 	}
-	if _, err := Run(net, Options{EncodeRateFactor: -1}); !errors.Is(err, ErrBadOptions) {
-		t.Fatalf("bad rate factor err = %v", err)
-	}
 	broken := *net
 	broken.T = 0
 	if _, err := Run(&broken, Options{}); err == nil {
@@ -163,23 +160,6 @@ func TestInterferingPacketLevel(t *testing.T) {
 	}
 	if res.MeanPSNR <= 0 || res.DeliveredBytes <= 0 {
 		t.Fatal("interfering packet run produced nothing")
-	}
-}
-
-// TestDropsScaleWithEncodeRate: encoding above the channel's capability
-// must increase overdue drops; MGS truncation absorbs the excess.
-func TestDropsScaleWithEncodeRate(t *testing.T) {
-	net := singleNet(t)
-	low, err := Run(net, Options{Seed: 4, GOPs: 8, EncodeRateFactor: 0.3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	high, err := Run(net, Options{Seed: 4, GOPs: 8, EncodeRateFactor: 1.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if high.DroppedPackets <= low.DroppedPackets {
-		t.Fatalf("drops: rate x1.5 %d <= rate x0.3 %d", high.DroppedPackets, low.DroppedPackets)
 	}
 }
 

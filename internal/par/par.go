@@ -17,19 +17,25 @@ import (
 // simulation and experiment APIs. The zero value means "auto": one worker
 // per available CPU. It only changes the wall-clock schedule — every
 // result folded through RunGrid is bitwise-identical for any setting.
+//
+// Workers never exceed GOMAXPROCS: tasks are CPU-bound, so extra workers
+// add no throughput, and a task timed by its own wall clock would count
+// the time it waits for a CPU. A task's wall time equals its CPU time only
+// while no other process contends for the CPUs.
 type Parallelism struct {
-	// Workers caps the number of concurrently executing tasks; zero or
-	// negative means runtime.GOMAXPROCS(0).
+	// Workers caps the number of concurrently executing tasks at
+	// min(Workers, runtime.GOMAXPROCS(0)); zero or negative means
+	// runtime.GOMAXPROCS(0).
 	Workers int
 }
 
 // EffectiveWorkers resolves the worker count: Workers when positive, else
-// one per available CPU.
+// one per available CPU, and never more than runtime.GOMAXPROCS(0).
 func (p Parallelism) EffectiveWorkers() int {
-	if p.Workers > 0 {
-		return p.Workers
+	if n := runtime.GOMAXPROCS(0); p.Workers <= 0 || p.Workers > n {
+		return n
 	}
-	return runtime.GOMAXPROCS(0)
+	return p.Workers
 }
 
 // RunGrid executes n independent tasks over a pool of workers, calling

@@ -12,10 +12,16 @@ import (
 )
 
 func TestEffectiveWorkers(t *testing.T) {
-	if got := (Parallelism{Workers: 3}).EffectiveWorkers(); got != 3 {
-		t.Fatalf("Workers=3: got %d", got)
-	}
 	want := runtime.GOMAXPROCS(0)
+	if got := (Parallelism{Workers: 3}).EffectiveWorkers(); got != min(3, want) {
+		t.Fatalf("Workers=3: got %d, want min(3, GOMAXPROCS %d)", got, want)
+	}
+	if got := (Parallelism{Workers: 1}).EffectiveWorkers(); got != 1 {
+		t.Fatalf("Workers=1: got %d", got)
+	}
+	if got := (Parallelism{Workers: 4 * want}).EffectiveWorkers(); got != want {
+		t.Fatalf("Workers=4*GOMAXPROCS: got %d, want GOMAXPROCS %d", got, want)
+	}
 	if got := (Parallelism{}).EffectiveWorkers(); got != want {
 		t.Fatalf("zero value: got %d, want GOMAXPROCS %d", got, want)
 	}

@@ -12,7 +12,6 @@ package rng
 import (
 	"encoding/binary"
 	"hash/fnv"
-	"math"
 	"math/rand/v2"
 )
 
@@ -86,28 +85,9 @@ func (s *Stream) Bernoulli(p float64) bool {
 	return s.rand.Float64() < p
 }
 
-// Exponential returns an exponential variate with the given rate parameter
-// (mean 1/rate). It panics if rate is not positive, which indicates a
-// programming error in the caller.
-func (s *Stream) Exponential(rate float64) float64 {
-	if rate <= 0 {
-		panic("rng: Exponential rate must be positive")
-	}
-	return s.rand.ExpFloat64() / rate
-}
-
 // Normal returns a normal variate with the given mean and standard deviation.
 func (s *Stream) Normal(mean, stddev float64) float64 {
 	return mean + stddev*s.rand.NormFloat64()
-}
-
-// Rayleigh returns a Rayleigh variate with scale sigma. The squared value is
-// exponential with mean 2*sigma^2, the classical model for the envelope of a
-// Rayleigh-fading channel.
-func (s *Stream) Rayleigh(sigma float64) float64 {
-	// Inverse-CDF sampling: F(x) = 1 - exp(-x^2 / (2 sigma^2)).
-	u := s.rand.Float64()
-	return sigma * math.Sqrt(-2*math.Log1p(-u))
 }
 
 // ExpGain returns a unit-mean exponential variate, the power gain of a
@@ -130,7 +110,3 @@ func (s *Stream) PermInto(p []int) {
 		p[i], p[j] = p[j], p[i]
 	}
 }
-
-// Shuffle randomizes the order of n elements using the provided swap
-// function.
-func (s *Stream) Shuffle(n int, swap func(i, j int)) { s.rand.Shuffle(n, swap) }

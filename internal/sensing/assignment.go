@@ -145,13 +145,3 @@ func AssignByUncertaintyInto(out, order []int, busyProbs []float64) error {
 	}
 	return nil
 }
-
-// PerChannel inverts an assignment: index m-1 lists the sensors assigned to
-// channel m.
-func PerChannel(assignment []int, m int) [][]int {
-	out := make([][]int, m)
-	for sensor, ch := range assignment {
-		out[ch-1] = append(out[ch-1], sensor)
-	}
-	return out
-}

@@ -101,23 +101,6 @@ func TestAssignZeroSensors(t *testing.T) {
 	}
 }
 
-func TestPerChannel(t *testing.T) {
-	assignment := []int{1, 2, 1, 3}
-	pc := PerChannel(assignment, 3)
-	if len(pc) != 3 {
-		t.Fatalf("len = %d, want 3", len(pc))
-	}
-	if len(pc[0]) != 2 || pc[0][0] != 0 || pc[0][1] != 2 {
-		t.Fatalf("channel 1 sensors = %v, want [0 2]", pc[0])
-	}
-	if len(pc[1]) != 1 || pc[1][0] != 1 {
-		t.Fatalf("channel 2 sensors = %v, want [1]", pc[1])
-	}
-	if len(pc[2]) != 1 || pc[2][0] != 3 {
-		t.Fatalf("channel 3 sensors = %v, want [3]", pc[2])
-	}
-}
-
 func TestPolicyString(t *testing.T) {
 	if RoundRobin.String() != "round-robin" ||
 		RandomAssign.String() != "random" ||

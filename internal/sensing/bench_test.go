@@ -1,8 +1,5 @@
 package sensing
 
-// Ablation benchmarks for the fusion strategies of DESIGN.md: batch eq. (2)
-// versus the iterative eqs. (3)-(4) update.
-
 import (
 	"testing"
 
@@ -22,16 +19,6 @@ func benchObservations(b *testing.B, n int) []Observation {
 		obs[i] = d.Sense(markov.Idle, s)
 	}
 	return obs
-}
-
-func BenchmarkFusionBatch(b *testing.B) {
-	obs := benchObservations(b, 12)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Posterior(0.571, obs); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 func BenchmarkFusionIterative(b *testing.B) {

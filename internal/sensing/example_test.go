@@ -6,28 +6,6 @@ import (
 	"femtocr/internal/sensing"
 )
 
-// Fusing sensing results with eq. (2): two idle reports and one busy report
-// from detectors with the paper's error rates epsilon = delta = 0.3, on a
-// channel with utilization 0.571.
-func ExamplePosterior() {
-	det, err := sensing.NewDetector(0.3, 0.3)
-	if err != nil {
-		panic(err)
-	}
-	obs := []sensing.Observation{
-		{Busy: false, Detector: det},
-		{Busy: false, Detector: det},
-		{Busy: true, Detector: det},
-	}
-	pa, err := sensing.Posterior(0.571, obs)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("P_A = %.4f\n", pa)
-	// Output:
-	// P_A = 0.6368
-}
-
 // The iterative decomposition of eqs. (3)-(4): results arrive one at a time
 // over the common channel and the posterior is updated incrementally.
 func ExampleFuser() {

@@ -27,7 +27,7 @@ func FuzzPosterior(f *testing.F) {
 		for i := range obs {
 			obs[i] = Observation{Busy: bits&(1<<i) != 0, Detector: det}
 		}
-		p, err := Posterior(eta, obs)
+		p, err := fuse(eta, obs)
 		if err != nil {
 			t.Fatal(err)
 		}

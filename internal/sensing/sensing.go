@@ -21,10 +21,11 @@ import (
 )
 
 // ErrBadDetector is returned when detector error probabilities lie outside
-// [0, 1).
+// [0, 1) or are NaN.
 var ErrBadDetector = errors.New("sensing: detector error probabilities must be in [0, 1)")
 
-// ErrBadPrior is returned when channel utilization lies outside [0, 1).
+// ErrBadPrior is returned when channel utilization lies outside [0, 1) or is
+// NaN.
 var ErrBadPrior = errors.New("sensing: utilization prior must be in [0, 1)")
 
 // Detector models one spectrum sensor: Pr{report busy | idle} = FalseAlarm
@@ -38,7 +39,7 @@ type Detector struct {
 // lie in [0, 1); exactly-one would make the likelihood ratios degenerate
 // (a sensor that is always wrong).
 func NewDetector(falseAlarm, missDetect float64) (Detector, error) {
-	if falseAlarm < 0 || falseAlarm >= 1 || missDetect < 0 || missDetect >= 1 {
+	if !(falseAlarm >= 0 && falseAlarm < 1 && missDetect >= 0 && missDetect < 1) {
 		return Detector{}, fmt.Errorf("%w: epsilon=%v delta=%v", ErrBadDetector, falseAlarm, missDetect)
 	}
 	return Detector{falseAlarm: falseAlarm, missDetect: missDetect}, nil
@@ -82,32 +83,19 @@ func (o Observation) likelihoodRatio() float64 {
 	return d.missDetect / (1 - d.falseAlarm)
 }
 
-// Posterior computes P_A(Theta_1..Theta_L) of eq. (2): the probability the
-// channel is idle given utilization prior eta and the observations. With no
-// observations it returns the prior idle probability 1-eta.
-func Posterior(eta float64, obs []Observation) (float64, error) {
-	f, err := NewFuser(eta)
-	if err != nil {
-		return 0, err
-	}
-	for _, o := range obs {
-		f.Update(o)
-	}
-	return f.Posterior(), nil
-}
-
 // Fuser accumulates sensing results into the availability posterior using
 // the iterative decomposition of eqs. (3)-(4). The state kept between
-// updates is the busy-vs-idle odds; Posterior converts it back to P_A.
+// updates is the busy-vs-idle odds; Posterior converts it back to P_A, the
+// probability of eq. (2) that the channel is idle given the prior and every
+// result fused so far.
 type Fuser struct {
 	oddsBusy float64 // (1 - P_A) / P_A
-	count    int
 }
 
 // NewFuser starts a fusion with the utilization prior eta, so the initial
 // posterior equals the stationary idle probability 1-eta.
 func NewFuser(eta float64) (*Fuser, error) {
-	if eta < 0 || eta >= 1 {
+	if !(eta >= 0 && eta < 1) {
 		return nil, fmt.Errorf("%w: eta=%v", ErrBadPrior, eta)
 	}
 	return &Fuser{oddsBusy: eta / (1 - eta)}, nil
@@ -117,11 +105,10 @@ func NewFuser(eta float64) (*Fuser, error) {
 // It is the allocation-free equivalent of NewFuser for per-slot loops that
 // keep one Fuser per channel.
 func (f *Fuser) Reset(eta float64) error {
-	if eta < 0 || eta >= 1 {
+	if !(eta >= 0 && eta < 1) {
 		return fmt.Errorf("%w: eta=%v", ErrBadPrior, eta)
 	}
 	f.oddsBusy = eta / (1 - eta)
-	f.count = 0
 	return nil
 }
 
@@ -132,15 +119,11 @@ func (f *Fuser) Reset(eta float64) error {
 // the 0 * Inf = NaN that contradictory certainties (a zero prior meeting a
 // perfect detector's opposite report) would otherwise produce.
 func (f *Fuser) Update(o Observation) {
-	f.count++
 	if f.oddsBusy == 0 || math.IsInf(f.oddsBusy, 1) {
 		return
 	}
 	f.oddsBusy *= o.likelihoodRatio()
 }
-
-// Count returns the number of observations fused so far.
-func (f *Fuser) Count() int { return f.count }
 
 // Posterior returns the current availability probability
 // P_A = 1 / (1 + oddsBusy).

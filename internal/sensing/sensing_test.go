@@ -19,6 +19,19 @@ func det(t *testing.T, eps, delta float64) Detector {
 	return d
 }
 
+// fuse drives a Fuser through obs from the prior eta, the way the sensing
+// front end fuses one channel's results in a slot.
+func fuse(eta float64, obs []Observation) (float64, error) {
+	f, err := NewFuser(eta)
+	if err != nil {
+		return 0, err
+	}
+	for _, o := range obs {
+		f.Update(o)
+	}
+	return f.Posterior(), nil
+}
+
 func TestNewDetectorValidation(t *testing.T) {
 	cases := []struct {
 		eps, delta float64
@@ -31,6 +44,8 @@ func TestNewDetectorValidation(t *testing.T) {
 		{0.3, 1, false},
 		{-0.1, 0.3, false},
 		{0.3, -0.1, false},
+		{math.NaN(), 0.3, false},
+		{0.3, math.NaN(), false},
 	}
 	for _, c := range cases {
 		_, err := NewDetector(c.eps, c.delta)
@@ -66,7 +81,7 @@ func TestSenseErrorRates(t *testing.T) {
 
 func TestPosteriorNoObservationsIsPrior(t *testing.T) {
 	for _, eta := range []float64{0, 0.3, 0.7, 0.99} {
-		got, err := Posterior(eta, nil)
+		got, err := fuse(eta, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,16 +92,23 @@ func TestPosteriorNoObservationsIsPrior(t *testing.T) {
 }
 
 func TestPosteriorBadPrior(t *testing.T) {
-	if _, err := Posterior(1.0, nil); !errors.Is(err, ErrBadPrior) {
+	if _, err := fuse(1.0, nil); !errors.Is(err, ErrBadPrior) {
 		t.Fatalf("eta=1 err = %v, want ErrBadPrior", err)
 	}
-	if _, err := Posterior(-0.1, nil); !errors.Is(err, ErrBadPrior) {
+	if _, err := fuse(-0.1, nil); !errors.Is(err, ErrBadPrior) {
 		t.Fatalf("eta=-0.1 err = %v, want ErrBadPrior", err)
+	}
+	if _, err := fuse(math.NaN(), nil); !errors.Is(err, ErrBadPrior) {
+		t.Fatalf("eta=NaN err = %v, want ErrBadPrior", err)
+	}
+	var f Fuser
+	if err := f.Reset(math.NaN()); !errors.Is(err, ErrBadPrior) {
+		t.Fatalf("Reset(NaN) err = %v, want ErrBadPrior", err)
 	}
 }
 
-// TestPosteriorMatchesEquation2 checks the batch posterior against a direct
-// transcription of eq. (2) for several observation vectors.
+// TestPosteriorMatchesEquation2 checks the iterative fusion of eqs. (3)-(4)
+// against a direct transcription of eq. (2) for several observation vectors.
 func TestPosteriorMatchesEquation2(t *testing.T) {
 	eta := 0.4
 	d1 := det(t, 0.3, 0.3)
@@ -110,47 +132,13 @@ func TestPosteriorMatchesEquation2(t *testing.T) {
 			prod *= num / den
 		}
 		want := 1 / (1 + eta/(1-eta)*prod)
-		got, err := Posterior(eta, obs)
+		got, err := fuse(eta, obs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if math.Abs(got-want) > 1e-12 {
 			t.Fatalf("obs %v: posterior %v, want %v (eq. 2)", obs, got, want)
 		}
-	}
-}
-
-// TestIterativeMatchesBatch verifies eqs. (3)-(4) agree with eq. (2): fusing
-// one result at a time gives the same posterior as the batch formula.
-func TestIterativeMatchesBatch(t *testing.T) {
-	err := quick.Check(func(seed uint64, n uint8, etaPct, epsPct, deltaPct uint8) bool {
-		eta := float64(etaPct%99) / 100
-		eps := float64(epsPct%99) / 100
-		delta := float64(deltaPct%99) / 100
-		d, err := NewDetector(eps, delta)
-		if err != nil {
-			return false
-		}
-		s := rng.New(seed)
-		obs := make([]Observation, int(n%16))
-		for i := range obs {
-			obs[i] = Observation{Busy: s.Bernoulli(0.5), Detector: d}
-		}
-		batch, err := Posterior(eta, obs)
-		if err != nil {
-			return false
-		}
-		f, err := NewFuser(eta)
-		if err != nil {
-			return false
-		}
-		for _, o := range obs {
-			f.Update(o)
-		}
-		return math.Abs(batch-f.Posterior()) < 1e-12 && f.Count() == len(obs)
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -165,7 +153,7 @@ func TestPosteriorOrderInvariant(t *testing.T) {
 		{Busy: true, Detector: d2},
 		{Busy: false, Detector: d1},
 	}
-	ref, err := Posterior(0.5, obs)
+	ref, err := fuse(0.5, obs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +161,7 @@ func TestPosteriorOrderInvariant(t *testing.T) {
 	for i, o := range obs {
 		rev[len(obs)-1-i] = o
 	}
-	got, err := Posterior(0.5, rev)
+	got, err := fuse(0.5, rev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,11 +186,11 @@ func TestPosteriorDirection(t *testing.T) {
 			return false
 		}
 		prior := 1 - eta
-		idlePost, err := Posterior(eta, []Observation{{Busy: false, Detector: d}})
+		idlePost, err := fuse(eta, []Observation{{Busy: false, Detector: d}})
 		if err != nil {
 			return false
 		}
-		busyPost, err := Posterior(eta, []Observation{{Busy: true, Detector: d}})
+		busyPost, err := fuse(eta, []Observation{{Busy: true, Detector: d}})
 		if err != nil {
 			return false
 		}
@@ -226,7 +214,7 @@ func TestPosteriorBounds(t *testing.T) {
 		for i := range obs {
 			obs[i] = Observation{Busy: s.Bernoulli(0.5), Detector: d}
 		}
-		p, err := Posterior(eta, obs)
+		p, err := fuse(eta, obs)
 		if err != nil {
 			return false
 		}
@@ -239,14 +227,14 @@ func TestPosteriorBounds(t *testing.T) {
 
 func TestPerfectDetectorPosterior(t *testing.T) {
 	d := det(t, 0, 0) // never wrong
-	idle, err := Posterior(0.5, []Observation{{Busy: false, Detector: d}})
+	idle, err := fuse(0.5, []Observation{{Busy: false, Detector: d}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if idle != 1 {
 		t.Fatalf("perfect detector idle report: posterior %v, want 1", idle)
 	}
-	busy, err := Posterior(0.5, []Observation{{Busy: true, Detector: d}})
+	busy, err := fuse(0.5, []Observation{{Busy: true, Detector: d}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +275,7 @@ func TestPosteriorCalibration(t *testing.T) {
 			truth = markov.Busy
 		}
 		obs := []Observation{d.Sense(truth, s), d.Sense(truth, s)}
-		p, err := Posterior(eta, obs)
+		p, err := fuse(eta, obs)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -113,8 +113,8 @@ type SlotState struct {
 	AccessedPA []float64
 }
 
-// Step advances occupancy one slot, senses every channel (all FBS antennas
-// plus one channel per user), fuses the results, and draws the access
+// Step advances occupancy one slot, senses every channel (every FBS senses
+// all M channels, each user one), fuses the results, and draws the access
 // decision. The returned SlotState and every slice it holds alias the
 // frontend's reusable buffers and are valid only until the next Step.
 func (f *Frontend) Step(slot int) (*SlotState, error) {
@@ -156,12 +156,11 @@ func (f *Frontend) Step(slot int) (*SlotState, error) {
 			return nil, err
 		}
 	}
-	// FBS sensing: each FBS points its antennas at a rotating window of
-	// channels (all of them at the paper's default of M antennas).
-	antennas := net.AntennasPerFBS()
+	// FBS sensing: every FBS has M antennas and senses every channel,
+	// FBS i starting from channel i+1.
 	for i := 0; i < net.NumFBS; i++ {
-		for a := 0; a < antennas; a++ {
-			ch := (slot*antennas+a+i)%m + 1
+		for a := 0; a < m; a++ {
+			ch := (a+i)%m + 1
 			obs := net.Detector.Sense(truth[ch-1], f.senseStream)
 			fusers[ch-1].Update(obs)
 			if f.estimators != nil {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"femtocr/internal/netmodel"
@@ -22,8 +23,7 @@ func FuzzExtremeConfigs(f *testing.F) {
 	def := netmodel.DefaultConfig()
 	path, line := uint8(netmodel.KindInterferingPath), uint8(netmodel.KindNonInterferingLine)
 	// The TestExtremeConfigs rows on the paper's three-FBS path (three
-	// users each: loads 0x3f), except the heterogeneous-eta one, which
-	// these inputs do not span; its P10 = 0 is the row before it.
+	// users each: loads 0x3f).
 	type row struct {
 		gamma, p01, p10, eps, delta float64
 		m                           uint8
@@ -42,6 +42,13 @@ func FuzzExtremeConfigs(f *testing.F) {
 		func(r *row) { r.b0 = 0 },
 		func(r *row) { r.b1 = 0 },
 		func(r *row) { r.t = 1 },
+		func(r *row) { r.eps = math.NaN() },
+		func(r *row) { r.delta = math.NaN() },
+		func(r *row) { r.gamma = math.NaN() },
+		func(r *row) { r.b0 = math.NaN() },
+		func(r *row) { r.b1 = math.NaN() },
+		func(r *row) { r.p01 = math.NaN() },
+		func(r *row) { r.p10 = math.NaN() },
 		func(r *row) { r.loads = 0x23 },               // FBS without users
 		func(r *row) { r.kind, r.loads = line, 0x33 }, // isolated FBS without users
 	}

@@ -72,7 +72,9 @@ type ShardSummary struct {
 // container pins it at ~1.0 regardless of workers), so scaling claims are
 // made from this bookkeeping instead: SumTaskNS is the serialized work,
 // MaxTaskNS the critical path, and their ratio the speedup a perfectly
-// parallel machine would reach.
+// parallel machine would reach. Every time here is a wall time. The run
+// uses at most GOMAXPROCS workers (par.Parallelism), so a task's time is
+// its CPU time only while no other process contends for the CPUs.
 type ShardTiming struct {
 	// WallNS is the end-to-end wall time of the sharded run.
 	WallNS int64
@@ -154,11 +156,12 @@ var runShard = Run
 // fusion domain, and seed stream (ShardSeed of its component index); a
 // component whose FBSs serve no users has nothing to simulate and is
 // skipped (netmodel.Network.Partition). Each shard is one par.RunGrid task
-// over opts.Parallel.Workers workers, which reduces its shard to a
-// fixed-size summary in the shard's own slot; after the join the summaries
-// fold in ascending component order, so the result is bitwise-identical
-// for any Workers setting. On a connected network the decomposition is
-// trivial and every quality field matches Run exactly, bit for bit.
+// over opts.Parallel.EffectiveWorkers() workers (at most GOMAXPROCS),
+// which reduces its shard to a fixed-size summary in the shard's own slot;
+// after the join the summaries fold in ascending component order, so the
+// result is bitwise-identical for any Workers setting. On a connected
+// network the decomposition is trivial and every quality field matches Run
+// exactly, bit for bit.
 //
 // Run and RunSharded agree only when the components truly are independent
 // coordination domains: on a multi-component network the unsharded engine
@@ -192,7 +195,7 @@ func RunSharded(net *netmodel.Network, opts Options) (*ShardedResult, error) {
 	perShard := make([]ShardSummary, numShards)
 	taskNS := make([]int64, numShards)
 	shardNS := make([]int64, numShards)
-	gridErr := par.RunGrid(numShards, opts.Parallel.Workers, func(c int) error {
+	gridErr := par.RunGrid(numShards, opts.Parallel.EffectiveWorkers(), func(c int) error {
 		t0 := time.Now() //femtovet:ignore randsource -- per-task ns accounting (ShardTiming.SumTaskNS), not simulation state
 		sub, err := net.Subnetwork(&shards[c])
 		if err != nil {

@@ -3,8 +3,11 @@ package sim
 import (
 	"errors"
 	"reflect"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"femtocr/internal/netmodel"
 	"femtocr/internal/video"
@@ -281,5 +284,47 @@ func TestRunShardedRecoversShardPanic(t *testing.T) {
 			!strings.Contains(err.Error(), "shard engine blew up") {
 			t.Fatalf("workers=%d: error %q does not carry the recovered panic", workers, err)
 		}
+	}
+}
+
+// TestRunShardedWorkersCappedAtCPUs counts the shards in flight through the
+// runShard seam: asking for four workers per CPU must still run at most
+// GOMAXPROCS shards at once, since extra workers only queue for a CPU and
+// inflate the per-task wall times of ShardTiming.
+func TestRunShardedWorkersCappedAtCPUs(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	bus := video.PaperTrio()[0]
+	groups := make([][]video.Sequence, 4*procs)
+	for i := range groups {
+		groups[i] = []video.Sequence{bus}
+	}
+	net, err := netmodel.NewNetwork(netmodel.DefaultConfig(), netmodel.NonInterferingSpec(groups))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var inFlight, peak atomic.Int32
+	orig := runShard
+	defer func() { runShard = orig }()
+	runShard = func(n *netmodel.Network, o Options) (*Result, error) {
+		now := inFlight.Add(1)
+		for {
+			p := peak.Load()
+			if now <= p || peak.CompareAndSwap(p, now) {
+				break
+			}
+		}
+		time.Sleep(2 * time.Millisecond) // hold the slot so concurrent shards overlap
+		inFlight.Add(-1)
+		return orig(n, o)
+	}
+	res, err := RunSharded(net, Options{Seed: 1, GOPs: 1, Parallel: Parallelism{Workers: 4 * procs}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Shards != len(groups) {
+		t.Fatalf("%d shards, want %d", res.Shards, len(groups))
+	}
+	if got := int(peak.Load()); got > procs {
+		t.Fatalf("%d shards ran at once with Workers=%d, want at most GOMAXPROCS=%d", got, 4*procs, procs)
 	}
 }

@@ -224,11 +224,9 @@ type engine struct {
 
 	// Reusable per-slot state, owned by this engine and overwritten every
 	// slot (the engine is single-goroutine by design): the users' current
-	// qualities handed to the allocation stage, the realized gains, and the
-	// bound trajectory's inflation scratch (an allocation and the users'
-	// log-qualities).
+	// qualities handed to the allocation stage and the bound trajectory's
+	// inflation scratch (an allocation and the users' log-qualities).
 	w           []float64
-	gains       []float64
 	inflate     *core.Allocation
 	inflateLogW []float64
 
@@ -263,7 +261,6 @@ func newEngine(net *netmodel.Network, opts Options) (*engine, error) {
 		fadeStream: root.Split("fading"),
 		progress:   make([]*video.Progress, k),
 		w:          make([]float64, k),
-		gains:      make([]float64, k),
 	}
 	for j, u := range net.Users {
 		e.progress[j] = video.NewProgress(u.Seq)
@@ -295,8 +292,8 @@ func (e *engine) step(slot int) error {
 	if err != nil {
 		return err
 	}
-	gains := e.realize(sa.Instance, sa.Alloc, sa.Assigned, st.Truth)
-	e.record(slot, st, sa.Alloc, gains)
+	e.realize(sa.Instance, sa.Alloc, sa.Assigned, st.Truth)
+	e.record(slot, st, sa.Alloc)
 	if sa.Greedy && e.opts.TrackBound {
 		e.trackBound(sa.Instance, sa.Alloc, sa.Value, sa.Bound, sa.Assigned, st.Truth)
 	}
@@ -343,7 +340,7 @@ func (e *engine) captureDualTrace(in *core.Instance) error {
 }
 
 // record forwards the slot's events to the configured trace recorder.
-func (e *engine) record(slot int, st *SlotState, alloc *core.Allocation, gains []float64) {
+func (e *engine) record(slot int, st *SlotState, alloc *core.Allocation) {
 	rec := e.opts.Recorder
 	if rec == nil {
 		return
@@ -363,33 +360,26 @@ func (e *engine) record(slot int, st *SlotState, alloc *core.Allocation, gains [
 		ExpectedG:    st.Decision.ExpectedAvailable(),
 		Collisions:   collisions,
 	})
-	gopDone := (slot+1)%e.net.T == 0
-	for j := range gains {
+	for j, p := range e.progress {
 		share := alloc.Rho1[j]
 		if alloc.MBS[j] {
 			share = alloc.Rho0[j]
 		}
 		_ = rec.RecordUser(trace.UserEvent{
-			Slot:    slot,
-			User:    j,
-			OnMBS:   alloc.MBS[j],
-			Share:   share,
-			GainDB:  gains[j],
-			PSNR:    e.progress[j].PSNR(),
-			GOPDone: gopDone,
+			Slot:  slot,
+			User:  j,
+			Share: share,
+			PSNR:  p.PSNR(),
 		})
 	}
 }
 
 // realize draws the slot's packet-loss outcomes and credits delivered video
-// quality (see gain). It returns the realized per-user quality increments.
-func (e *engine) realize(in *core.Instance, alloc *core.Allocation, assigned [][]int, truth spectrum.Occupancy) []float64 {
-	gains := e.gains
-	for j := range gains {
-		gains[j] = e.gain(in, alloc, j, assigned, truth)
-		e.progress[j].AddPSNR(gains[j])
+// quality (see gain).
+func (e *engine) realize(in *core.Instance, alloc *core.Allocation, assigned [][]int, truth spectrum.Occupancy) {
+	for j, p := range e.progress {
+		p.AddPSNR(e.gain(in, alloc, j, assigned, truth))
 	}
-	return gains
 }
 
 // trackBound advances the upper-bound quality trajectory: the eq. (23)

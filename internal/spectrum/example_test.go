@@ -20,9 +20,7 @@ func ExampleNewBand() {
 	}
 	fmt.Printf("licensed channels: %d\n", band.M())
 	fmt.Printf("utilization eta: %.4f\n", band.Utilization(1))
-	fmt.Printf("mean idle channels: %.3f\n", band.MeanAvailableChannels())
 	// Output:
 	// licensed channels: 8
 	// utilization eta: 0.5714
-	// mean idle channels: 3.429
 }

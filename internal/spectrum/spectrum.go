@@ -13,14 +13,12 @@ import (
 	"femtocr/internal/rng"
 )
 
-// CommonChannel is the index of the common (unlicensed) channel. Licensed
-// channels are indexed 1..M, matching the paper's numbering.
-const CommonChannel = 0
-
-// ErrBadConfig is returned for non-positive channel counts or capacities.
+// ErrBadConfig is returned for a non-positive channel count or a
+// non-positive or NaN capacity.
 var ErrBadConfig = errors.New("spectrum: invalid configuration")
 
-// Band describes the spectrum: M licensed channels plus the common channel.
+// Band describes the spectrum: M licensed channels, indexed 1..M as in the
+// paper, plus the common channel.
 type Band struct {
 	m      int
 	b0     float64 // common-channel capacity, Mbps
@@ -34,7 +32,7 @@ func NewBand(m int, b0, b1 float64, chain markov.Chain) (*Band, error) {
 	if m <= 0 {
 		return nil, fmt.Errorf("%w: M=%d licensed channels", ErrBadConfig, m)
 	}
-	if b0 <= 0 || b1 <= 0 {
+	if !(b0 > 0 && b1 > 0) {
 		return nil, fmt.Errorf("%w: B0=%v B1=%v Mbps", ErrBadConfig, b0, b1)
 	}
 	chains := make([]markov.Chain, m)
@@ -42,20 +40,6 @@ func NewBand(m int, b0, b1 float64, chain markov.Chain) (*Band, error) {
 		chains[i] = chain
 	}
 	return &Band{m: m, b0: b0, b1: b1, chains: chains}, nil
-}
-
-// NewHeterogeneousBand builds a band where each licensed channel has its own
-// occupancy chain; len(chains) defines M.
-func NewHeterogeneousBand(b0, b1 float64, chains []markov.Chain) (*Band, error) {
-	if len(chains) == 0 {
-		return nil, fmt.Errorf("%w: no licensed channels", ErrBadConfig)
-	}
-	if b0 <= 0 || b1 <= 0 {
-		return nil, fmt.Errorf("%w: B0=%v B1=%v Mbps", ErrBadConfig, b0, b1)
-	}
-	cp := make([]markov.Chain, len(chains))
-	copy(cp, chains)
-	return &Band{m: len(cp), b0: b0, b1: b1, chains: cp}, nil
 }
 
 // M returns the number of licensed channels.
@@ -73,16 +57,6 @@ func (b *Band) Chain(m int) markov.Chain { return b.chains[m-1] }
 // Utilization returns the stationary utilization eta of licensed channel m
 // (1-based), per eq. (1).
 func (b *Band) Utilization(m int) float64 { return b.chains[m-1].Utilization() }
-
-// MeanAvailableChannels returns the expected number of idle licensed
-// channels in steady state, sum over m of (1 - eta_m).
-func (b *Band) MeanAvailableChannels() float64 {
-	sum := 0.0
-	for _, c := range b.chains {
-		sum += 1 - c.Utilization()
-	}
-	return sum
-}
 
 // Occupancy is the true state vector S(t) of the licensed channels;
 // Occupancy[m-1] is the state of channel m.
@@ -130,9 +104,6 @@ func NewSimulator(band *Band, stream *rng.Stream) *Simulator {
 	}
 	return &Simulator{band: band, state: state, streams: streams}
 }
-
-// Band returns the simulated band.
-func (s *Simulator) Band() *Band { return s.band }
 
 // Slot returns the index of the current slot (0-based; incremented by Step).
 func (s *Simulator) Slot() int { return s.slot }

@@ -31,6 +31,8 @@ func TestNewBandValidation(t *testing.T) {
 		{"negative channels", -1, 0.3, 0.3, true},
 		{"zero B0", 8, 0, 0.3, true},
 		{"negative B1", 8, 0.3, -0.1, true},
+		{"NaN B0", 8, math.NaN(), 0.3, true},
+		{"NaN B1", 8, 0.3, math.NaN(), true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -58,45 +60,6 @@ func TestBandAccessors(t *testing.T) {
 		if got := b.Utilization(m); math.Abs(got-0.4/0.7) > 1e-12 {
 			t.Fatalf("Utilization(%d) = %v", m, got)
 		}
-	}
-	want := 8 * (1 - 0.4/0.7)
-	if got := b.MeanAvailableChannels(); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("MeanAvailableChannels = %v, want %v", got, want)
-	}
-}
-
-func TestHeterogeneousBand(t *testing.T) {
-	c1, _ := markov.NewChain(0.2, 0.8) // eta = 0.2
-	c2, _ := markov.NewChain(0.8, 0.2) // eta = 0.8
-	b, err := NewHeterogeneousBand(0.3, 0.3, []markov.Chain{c1, c2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.M() != 2 {
-		t.Fatalf("M = %d, want 2", b.M())
-	}
-	if math.Abs(b.Utilization(1)-0.2) > 1e-12 || math.Abs(b.Utilization(2)-0.8) > 1e-12 {
-		t.Fatalf("utilizations = %v, %v", b.Utilization(1), b.Utilization(2))
-	}
-	if got := b.MeanAvailableChannels(); math.Abs(got-1.0) > 1e-12 {
-		t.Fatalf("MeanAvailableChannels = %v, want 1", got)
-	}
-	if _, err := NewHeterogeneousBand(0.3, 0.3, nil); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("empty chains err = %v", err)
-	}
-}
-
-func TestHeterogeneousBandCopiesInput(t *testing.T) {
-	c1, _ := markov.NewChain(0.2, 0.8)
-	chains := []markov.Chain{c1}
-	b, err := NewHeterogeneousBand(0.3, 0.3, chains)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, _ := markov.NewChain(0.9, 0.1)
-	chains[0] = c2 // must not affect the band
-	if got := b.Utilization(1); math.Abs(got-0.2) > 1e-12 {
-		t.Fatalf("band aliases caller slice: utilization = %v", got)
 	}
 }
 

@@ -6,7 +6,6 @@ package stats
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // ErrNoData is returned by summaries over empty samples.
@@ -150,20 +149,6 @@ func MeanOf(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// Median returns the sample median, or an error with no data.
-func Median(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrNoData
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	n := len(s)
-	if n%2 == 1 {
-		return s[n/2], nil
-	}
-	return (s[n/2-1] + s[n/2]) / 2, nil
-}
-
 // tTable95 holds two-sided 95% Student-t critical values for 1..30 degrees of
 // freedom; beyond 30 the normal approximation 1.96 is used. The df=9 entry
 // (2.262) is the one exercised by the paper's 10-run experiments.
@@ -254,28 +239,4 @@ func (a *JainAccumulator) Index() float64 {
 		return 0
 	}
 	return a.sum * a.sum / (float64(a.n) * a.sumSq)
-}
-
-// Percentile returns the p-quantile (0 <= p <= 1) of xs by linear
-// interpolation between order statistics.
-func Percentile(xs []float64, p float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrNoData
-	}
-	if p < 0 {
-		p = 0
-	}
-	if p > 1 {
-		p = 1
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	pos := p * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return s[lo], nil
-	}
-	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac, nil
 }

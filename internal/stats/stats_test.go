@@ -143,40 +143,6 @@ func TestTCritical(t *testing.T) {
 	}
 }
 
-func TestMedian(t *testing.T) {
-	cases := []struct {
-		in   []float64
-		want float64
-	}{
-		{[]float64{3}, 3},
-		{[]float64{3, 1}, 2},
-		{[]float64{5, 1, 3}, 3},
-		{[]float64{4, 1, 3, 2}, 2.5},
-	}
-	for _, c := range cases {
-		got, err := Median(c.in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != c.want {
-			t.Errorf("Median(%v) = %v, want %v", c.in, got, c.want)
-		}
-	}
-	if _, err := Median(nil); !errors.Is(err, ErrNoData) {
-		t.Fatalf("Median(nil) err = %v, want ErrNoData", err)
-	}
-}
-
-func TestMedianDoesNotMutateInput(t *testing.T) {
-	in := []float64{9, 1, 5}
-	if _, err := Median(in); err != nil {
-		t.Fatal(err)
-	}
-	if in[0] != 9 || in[1] != 1 || in[2] != 5 {
-		t.Fatalf("Median mutated its input: %v", in)
-	}
-}
-
 func TestMeanOf(t *testing.T) {
 	if MeanOf(nil) != 0 {
 		t.Fatal("MeanOf(nil) != 0")
@@ -225,35 +191,5 @@ func TestJainIndex(t *testing.T) {
 	// More balanced vectors score higher.
 	if JainIndex([]float64{3, 3, 2}) <= JainIndex([]float64{6, 1, 1}) {
 		t.Fatal("balance ordering violated")
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{4, 1, 3, 2}
-	cases := []struct{ p, want float64 }{
-		{0, 1}, {1, 4}, {0.5, 2.5}, {1.0 / 3, 2},
-	}
-	for _, c := range cases {
-		got, err := Percentile(xs, c.p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !almostEqual(got, c.want, 1e-12) {
-			t.Fatalf("Percentile(%v) = %v, want %v", c.p, got, c.want)
-		}
-	}
-	if _, err := Percentile(nil, 0.5); !errors.Is(err, ErrNoData) {
-		t.Fatal("empty accepted")
-	}
-	// Clamping.
-	if got, _ := Percentile(xs, -1); got != 1 {
-		t.Fatal("p<0 not clamped")
-	}
-	if got, _ := Percentile(xs, 2); got != 4 {
-		t.Fatal("p>1 not clamped")
-	}
-	// Input not mutated.
-	if xs[0] != 4 {
-		t.Fatal("input mutated")
 	}
 }

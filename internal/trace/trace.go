@@ -1,7 +1,7 @@
 // Package trace records slot-by-slot simulation events for debugging,
 // visualization, and post-hoc analysis: channel occupancy and access
-// outcomes, per-user allocations and quality trajectories, and GOP
-// completions. Recorders are append-only and render to CSV.
+// outcomes, and per-user allocations and quality trajectories. Recorders
+// are append-only and reduce to a text Summary.
 package trace
 
 import (
@@ -25,13 +25,10 @@ type SlotEvent struct {
 
 // UserEvent captures one user's slot outcome.
 type UserEvent struct {
-	Slot    int
-	User    int
-	OnMBS   bool
-	Share   float64 // rho on the chosen resource
-	GainDB  float64 // realized quality increment
-	PSNR    float64 // W after the slot
-	GOPDone bool    // slot closed a GOP
+	Slot  int
+	User  int
+	Share float64 // rho on the chosen resource
+	PSNR  float64 // W after the slot
 }
 
 // Recorder accumulates events. The zero value is ready to use.
@@ -70,34 +67,6 @@ func (r *Recorder) Users() []UserEvent {
 	out := make([]UserEvent, len(r.users))
 	copy(out, r.users)
 	return out
-}
-
-// SlotCSV renders the spectrum events.
-func (r *Recorder) SlotCSV() string {
-	var b strings.Builder
-	b.WriteString("slot,idle_channels,accessed,expected_g,collisions\n")
-	for _, e := range r.slots {
-		fmt.Fprintf(&b, "%d,%d,%d,%g,%d\n", e.Slot, e.IdleChannels, e.Accessed, e.ExpectedG, e.Collisions)
-	}
-	return b.String()
-}
-
-// UserCSV renders the user events.
-func (r *Recorder) UserCSV() string {
-	var b strings.Builder
-	b.WriteString("slot,user,on_mbs,share,gain_db,psnr_db,gop_done\n")
-	for _, e := range r.users {
-		onMBS := 0
-		if e.OnMBS {
-			onMBS = 1
-		}
-		gop := 0
-		if e.GOPDone {
-			gop = 1
-		}
-		fmt.Fprintf(&b, "%d,%d,%d,%g,%g,%g,%d\n", e.Slot, e.User, onMBS, e.Share, e.GainDB, e.PSNR, gop)
-	}
-	return b.String()
 }
 
 // Summary aggregates headline statistics from the recording.

@@ -33,10 +33,10 @@ func sampleRecorder(t *testing.T) *Recorder {
 		}
 	}
 	userEvents := []UserEvent{
-		{Slot: 0, User: 0, OnMBS: true, Share: 0.5, GainDB: 0.2, PSNR: 28.8},
-		{Slot: 0, User: 1, Share: 1.0, GainDB: 0.6, PSNR: 27.4},
-		{Slot: 1, User: 0, OnMBS: true, Share: 0.3, GainDB: 0, PSNR: 28.8, GOPDone: true},
-		{Slot: 1, User: 1, Share: 0.8, GainDB: 0.5, PSNR: 27.9, GOPDone: true},
+		{Slot: 0, User: 0, Share: 0.5, PSNR: 28.8},
+		{Slot: 0, User: 1, Share: 1.0, PSNR: 27.4},
+		{Slot: 1, User: 0, Share: 0.3, PSNR: 28.8},
+		{Slot: 1, User: 1, Share: 0.8, PSNR: 27.9},
 	}
 	for _, e := range userEvents {
 		if err := r.RecordUser(e); err != nil {
@@ -55,24 +55,6 @@ func TestRecorderAccessors(t *testing.T) {
 	r.Slots()[0].Slot = 99
 	if r.Slots()[0].Slot == 99 {
 		t.Fatal("Slots() aliases internal storage")
-	}
-}
-
-func TestCSVOutputs(t *testing.T) {
-	r := sampleRecorder(t)
-	slotCSV := r.SlotCSV()
-	if !strings.HasPrefix(slotCSV, "slot,idle_channels,accessed,expected_g,collisions\n") {
-		t.Fatalf("slot CSV header wrong:\n%s", slotCSV)
-	}
-	if !strings.Contains(slotCSV, "1,2,2,1.5,1") {
-		t.Fatalf("slot CSV row missing:\n%s", slotCSV)
-	}
-	userCSV := r.UserCSV()
-	if !strings.Contains(userCSV, "0,0,1,0.5,0.2,28.8,0") {
-		t.Fatalf("user CSV row missing:\n%s", userCSV)
-	}
-	if !strings.Contains(userCSV, "1,1,0,0.8,0.5,27.9,1") {
-		t.Fatalf("gop-done row missing:\n%s", userCSV)
 	}
 }
 

@@ -119,19 +119,3 @@ func anchorChainOK(types []FrameType, byFrame []map[int]NALUnit,
 	}
 	return true
 }
-
-// DecodablePSNRFromSet maps DecodableBytes through the rate-quality law of
-// eq. (9): the received decodable fraction of the GOP's rate determines the
-// reconstructed quality, capped at the encoding ceiling.
-func (g GOP) DecodablePSNRFromSet(received func(NALUnit) bool) float64 {
-	total := g.TotalBytes()
-	if total == 0 {
-		return g.Sequence.RD.Alpha
-	}
-	rate := g.RateMbps() * float64(g.DecodableBytes(received)) / float64(total)
-	psnr := g.Sequence.RD.PSNR(rate)
-	if max := g.Sequence.MaxPSNR(); psnr > max {
-		return max
-	}
-	return psnr
-}

@@ -154,14 +154,3 @@ func TestSignificancePrefixMatchesTransmissionAccounting(t *testing.T) {
 		}
 	}
 }
-
-func TestDecodablePSNRFromSet(t *testing.T) {
-	g := buildTestGOP(t)
-	full := g.DecodablePSNRFromSet(all)
-	if fullPrefix := g.DecodablePSNR(len(g.Units)); full != fullPrefix {
-		t.Fatalf("set-based %v != prefix-based %v on full delivery", full, fullPrefix)
-	}
-	if got := g.DecodablePSNRFromSet(none); got != g.Sequence.RD.Alpha {
-		t.Fatalf("empty set PSNR %v, want alpha", got)
-	}
-}

@@ -26,8 +26,8 @@ func ExampleRDModel_PSNR() {
 func ExampleProgress() {
 	bus, _ := video.SequenceByName("Bus")
 	p := video.NewProgress(bus)
-	p.DeliverRate(0.1) // 0.1 Mbps worth of enhancement
-	p.DeliverRate(0.1)
+	p.AddPSNR(bus.RD.Beta * 0.1) // 0.1 Mbps worth of enhancement
+	p.AddPSNR(bus.RD.Beta * 0.1)
 	fmt.Printf("mid-GOP W = %.2f dB\n", p.PSNR())
 	final := p.EndGOP()
 	fmt.Printf("GOP closed at %.2f dB, reset to %.2f dB\n", final, p.PSNR())

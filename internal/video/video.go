@@ -50,15 +50,6 @@ func (m RDModel) PSNR(rateMbps float64) float64 {
 	return m.Alpha + m.Beta*rateMbps
 }
 
-// RateFor inverts eq. (9): the rate in Mbps needed for a target PSNR.
-// Targets at or below Alpha need no enhancement rate.
-func (m RDModel) RateFor(psnr float64) float64 {
-	if psnr <= m.Alpha {
-		return 0
-	}
-	return (psnr - m.Alpha) / m.Beta
-}
-
 // Sequence describes one MGS-encoded test sequence.
 type Sequence struct {
 	Name        string
@@ -130,9 +121,6 @@ func NewProgress(seq Sequence) *Progress {
 	return &Progress{seq: seq, psnr: seq.RD.Alpha}
 }
 
-// Sequence returns the tracked sequence.
-func (p *Progress) Sequence() Sequence { return p.seq }
-
 // PSNR returns the current W^t.
 func (p *Progress) PSNR() float64 { return p.psnr }
 
@@ -147,11 +135,6 @@ func (p *Progress) AddPSNR(inc float64) {
 	if max := p.seq.MaxPSNR(); p.psnr > max {
 		p.psnr = max
 	}
-}
-
-// DeliverRate adds the PSNR increment for rateMbps of received video.
-func (p *Progress) DeliverRate(rateMbps float64) {
-	p.AddPSNR(p.seq.RD.Beta * rateMbps)
 }
 
 // EndGOP records the finished GOP's final PSNR (the W^T sample the paper

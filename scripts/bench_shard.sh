@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Benchmark the sharded metro engine and record the result as BENCH JSON
 # (format documented in EXPERIMENTS.md). Runs one fixed Poisson metro
-# topology through `femtosim -scenario metro` at worker counts 1, 2, 4
-# and 8 and emits BENCH_shard.json with the per-task ns accounting of each
-# run plus a cross-check that every run folded to the identical PSNR.
+# topology through `femtosim -scenario metro` at each worker count of 1, 2,
+# 4 and 8 that does not exceed nproc (the engine never runs more workers
+# than GOMAXPROCS, so a larger count would repeat the nproc row) and emits
+# BENCH_shard.json with the per-task ns accounting of each run plus a
+# cross-check that every run folded to the identical PSNR.
 #
 # The engine runs one grid task per shard (interference component), and
 # the fold is bitwise-deterministic for any -workers setting, so the
@@ -12,8 +14,10 @@
 # 2-CPU containers the checked-in JSON comes from — but sum_task_ns
 # (serialized work) and max_task_ns (critical path: the slowest shard)
 # are schedule-arithmetic, and their ratio — ideal_speedup — is the
-# speedup a machine with enough CPUs would reach. The JSON records
-# "cpus"/"gomaxprocs" so readers can tell the cap from a regression.
+# speedup a machine with enough CPUs would reach. Task times are wall
+# times: they equal CPU time only while no other process contends for the
+# CPUs. The JSON records "cpus"/"gomaxprocs" so readers can tell the cap
+# from a regression; each row's "workers" is the effective count.
 #
 # Usage: scripts/bench_shard.sh [output.json]
 # Env:   FEMTOCR_METRO_FBS   (default 400)  femtocells in the scatter
@@ -31,8 +35,12 @@ bin=$(mktemp -d)
 trap 'rm -rf "$bin"' EXIT
 go build -o "$bin/femtosim" ./cmd/femtosim
 
+cpus=$(nproc)
 stats=""
 for workers in 1 2 4 8; do
+    if [ "$workers" -gt "$cpus" ]; then
+        continue
+    fi
     line=$("$bin/femtosim" -scenario metro -metro-fbs "$fbs" \
         -metro-users "$users" -gops "$gops" -seed 1 \
         -workers "$workers" | grep '^SHARDSTATS ')
@@ -41,7 +49,7 @@ for workers in 1 2 4 8; do
 done
 
 printf '%s' "$stats" | awk -v out="$out" -v fbs="$fbs" -v users="$users" \
-    -v gops="$gops" -v cpus="$(nproc)" \
+    -v gops="$gops" -v cpus="$cpus" \
     -v gomaxprocs="${GOMAXPROCS:-$(nproc)}" '
 {
     n++
