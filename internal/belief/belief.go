@@ -37,19 +37,19 @@ func NewTracker(band *spectrum.Band) *Tracker {
 		band: band,
 		busy: make([]float64, band.M()),
 	}
-	for ch := 1; ch <= band.M(); ch++ {
-		t.busy[ch-1] = band.Utilization(ch)
+	for ch := range t.busy {
+		t.busy[ch] = band.Utilization()
 	}
 	return t
 }
 
-// Predict advances every channel's belief one slot through its transition
-// kernel. Call once at the start of each slot, before sensing.
+// Predict advances every channel's belief one slot through the occupancy
+// chain's transition kernel. Call once at the start of each slot, before
+// sensing.
 func (t *Tracker) Predict() {
-	for ch := 1; ch <= t.band.M(); ch++ {
-		c := t.band.Chain(ch)
-		b := t.busy[ch-1]
-		t.busy[ch-1] = b*(1-c.P10()) + (1-b)*c.P01()
+	c := t.band.Chain()
+	for ch, b := range t.busy {
+		t.busy[ch] = b*(1-c.P10()) + (1-b)*c.P01()
 	}
 }
 

@@ -117,7 +117,7 @@ func TestFilterBeatsStationaryPrior(t *testing.T) {
 
 	var brierFiltered, brierStationary float64
 	const slots = 20000
-	eta := band.Utilization(1)
+	eta := band.Utilization()
 	for s := 0; s < slots; s++ {
 		truth := sim.StepInPlace()
 		tr.Predict()

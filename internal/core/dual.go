@@ -342,6 +342,11 @@ const unitRoundoff = 0x1p-53
 // (a user without an encoding ceiling facing a zero-price resource) proves
 // nothing. obj is the sum of the objective terms t_j in user order, which
 // is alloc.ObjectiveLogW(in, ws.logW) bit for bit.
+//
+// While the workspace holds a live epoch, each user's four summands — t_j,
+// its gap term, its magnitude a_j and its branch-error bound — are kept in
+// polishKeys/polishVals and reused when the user's inputs repeat (see
+// polishKey); the sums are taken in user order either way.
 func polishGap(in *Instance, alloc *Allocation, ws *solveWorkspace) (gap, margin, obj float64) {
 	const u = unitRoundoff
 	k, price := in.K(), ws.fillPrice
@@ -350,33 +355,51 @@ func polishGap(in *Instance, alloc *Allocation, ws *solveWorkspace) (gap, margin
 	for r := range load {
 		load[r] = 0
 	}
+	if ws.memoLive && len(ws.polishKeys) < k {
+		ws.polishKeys = make([]polishKey, k)
+		ws.polishVals = make([]polishTerms, k)
+	}
 	// Per-user magnitudes a >= |log W_j| + 1 bound every objective term a
 	// fill can produce; prefixes sums their running prefix sums past the
 	// first user, which bounds the rounding of a K-term objective sum.
 	var sumA, prefix, prefixes, absGap, branch float64
 	for j := 0; j < k; j++ {
 		i := in.FBS[j]
-		v0, v1 := ws.u0[j], ws.u1[j]
-		lw := ws.logW[j]
-		bv0, s0 := v0.branchAndRhoWR(price[0], lw, ws.wr0[j], ws.bl0[j])
-		bv1, s1 := v1.branchAndRhoWR(price[i], lw, ws.wr1[j], ws.bl1[j])
 		r, rho := 0, alloc.Rho0[j]
 		if !alloc.MBS[j] {
 			r, rho = i, alloc.Rho1[j]
 		}
 		load[r] += rho
-		t := objectiveTerm(in, alloc, lw, j)
-		obj += t
-		d := max(bv0, bv1) - (t - price[r]*rho)
-		gap += d
-		absGap += math.Abs(d)
-		a := math.Abs(lw) + 2*max(v0.r, v1.r)/in.W[j] + 1
-		sumA += a
-		prefix += a
+		var v polishTerms
+		key := polishKey{
+			rho: math.Float64bits(rho), l0: math.Float64bits(price[0]),
+			li: math.Float64bits(price[i]), g: math.Float64bits(in.G[i-1]),
+			epoch: ws.eqEpoch, mbs: alloc.MBS[j],
+		}
+		if ws.memoLive && ws.polishKeys[j] == key {
+			v = ws.polishVals[j]
+		} else {
+			v0, v1 := ws.u0[j], ws.u1[j]
+			lw := ws.logW[j]
+			bv0, s0 := v0.branchAndRhoWR(price[0], lw, ws.wr0[j], ws.bl0[j])
+			bv1, s1 := v1.branchAndRhoWR(price[i], lw, ws.wr1[j], ws.bl1[j])
+			v.t = objectiveTerm(in, alloc, lw, j)
+			v.d = max(bv0, bv1) - (v.t - price[r]*rho)
+			v.a = math.Abs(lw) + 2*max(v0.r, v1.r)/in.W[j] + 1
+			v.branch = max(v0.branchError(price[0], ws.wr0[j], s0, v.a), v1.branchError(price[i], ws.wr1[j], s1, v.a))
+			if ws.memoLive {
+				ws.polishKeys[j], ws.polishVals[j] = key, v
+			}
+		}
+		obj += v.t
+		gap += v.d
+		absGap += math.Abs(v.d)
+		sumA += v.a
+		prefix += v.a
 		if j > 0 {
 			prefixes += prefix
 		}
-		branch += max(v0.branchError(price[0], ws.wr0[j], s0, a), v1.branchError(price[i], ws.wr1[j], s1, a))
+		branch += v.branch
 	}
 	dual := 0.0
 	for r, lam := range price {

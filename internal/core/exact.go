@@ -79,7 +79,8 @@ var _ Solver = (*EquilibriumSolver)(nil)
 //
 //femtovet:borrows in, out
 func (e *EquilibriumSolver) SolveInto(in *Instance, out *Allocation) error {
-	return e.SolveWarmInto(in, out, nil)
+	_, err := e.SolveWarmInto(in, out, nil)
+	return err
 }
 
 // SolveWarmInto is SolveInto seeded from a cross-slot session: when sess
@@ -91,18 +92,20 @@ func (e *EquilibriumSolver) SolveInto(in *Instance, out *Allocation) error {
 // re-cold-start automatically. A non-nil session also records the solve's
 // outer probe count. See SolverSession.
 //
+// It returns the objective of the allocation it writes, out.Objective(in)
+// bit for bit: the polish sums it on the way (see polishAssociation).
+//
 //femtovet:borrows in, out, sess
-func (e *EquilibriumSolver) SolveWarmInto(in *Instance, out *Allocation, sess *SolverSession) error {
+func (e *EquilibriumSolver) SolveWarmInto(in *Instance, out *Allocation, sess *SolverSession) (float64, error) {
 	if err := in.Validate(); err != nil {
-		return err
+		return 0, err
 	}
 	ws := getWorkspace()
 	defer putWorkspace(ws)
 	// A pooled workspace may carry another instance's equilibrium memo;
 	// start a fresh epoch so no stale entry can hit.
 	ws.bumpEqEpoch()
-	_, err := e.solveWS(in, out, ws, sess)
-	return err
+	return e.solveWS(in, out, ws, sess)
 }
 
 // solveWS is the full equilibrium solve on a caller-held workspace

@@ -106,7 +106,7 @@ func FuzzSolverSession(f *testing.F) {
 			if slot == int(sabotageAt) {
 				sess.l0 *= math.Pow(10, logScale)
 			}
-			if err := solver.SolveWarmInto(in, warm, sess); err != nil {
+			if _, err := solver.SolveWarmInto(in, warm, sess); err != nil {
 				t.Fatalf("slot %d warm: %v", slot, err)
 			}
 			if err := solver.SolveInto(in, cold); err != nil {

@@ -154,6 +154,7 @@ type greedyRun struct {
 	round      int     // allocation rounds completed (gain-cache tag)
 	res        *GreedyResult
 	slack      boundSlack
+	last       int // the latest accepted pair, -1 before the first
 }
 
 // newGreedyResult builds the escaping result shell of one Allocate call.
@@ -176,7 +177,7 @@ func (g *GreedyAllocator) Allocate(p *ChannelProblem) (*GreedyResult, error) {
 
 	ws := getWorkspace()
 	defer putWorkspace(ws)
-	r := &greedyRun{p: p, nCh: len(p.Channels), ws: ws, res: res}
+	r := &greedyRun{p: p, nCh: len(p.Channels), ws: ws, res: res, last: -1}
 	r.eq, _ = g.solver.(*EquilibriumSolver)
 	if r.eq == nil {
 		// The cached log(W) terms depend only on Base.W, which every Q
@@ -200,6 +201,10 @@ func (g *GreedyAllocator) Allocate(p *ChannelProblem) (*GreedyResult, error) {
 	for i := range ws.gainRound {
 		ws.gainRound[i] = -1
 	}
+	k := p.Base.K()
+	ws.pairMBS = growB(ws.pairMBS, nPairs*k)
+	ws.pairRho0 = growF(ws.pairRho0, nPairs*k)
+	ws.pairRho1 = growF(ws.pairRho1, nPairs*k)
 
 	var err error
 	if r.cur, err = g.q(r, res.G); err != nil {
@@ -228,18 +233,33 @@ func (g *GreedyAllocator) Allocate(p *ChannelProblem) (*GreedyResult, error) {
 	res.UpperBound = r.cur + r.slack.live
 	res.PaperUpperBound = r.cur + r.slack.full
 	// The final allocation escapes to the caller, so it gets fresh memory
-	// rather than workspace scratch.
-	final := NewAllocation(p.Base.K())
-	inst := &ws.qInstance
-	*inst = *p.Base
-	inst.G = res.G
-	if r.eq != nil {
-		_, err = r.eq.solveWS(inst, final, ws, nil)
+	// rather than workspace scratch. The last accepted pair's Q evaluation
+	// already solved the final G: its trial G is the final G to the bit
+	// (take adds the same posterior to the same entry), and every Q
+	// evaluation after the base solve is a pure function of G (see gainOf),
+	// so the allocation kept from it is the one a re-solve would write.
+	// That pair solved its own trial G, since a gain shared from a twin
+	// leaves the twin, of the same FBS, alive, so a pair accepted on one is
+	// never the last. Only a run that accepted no pair solves, at G = 0:
+	// the base solve there ran unseeded.
+	final := NewAllocation(k)
+	if r.last >= 0 {
+		lo := r.last * k
+		copy(final.MBS, ws.pairMBS[lo:lo+k])
+		copy(final.Rho0, ws.pairRho0[lo:lo+k])
+		copy(final.Rho1, ws.pairRho1[lo:lo+k])
 	} else {
-		err = g.solver.SolveInto(inst, final)
-	}
-	if err != nil {
-		return nil, err
+		inst := &ws.qInstance
+		*inst = *p.Base
+		inst.G = res.G
+		if r.eq != nil {
+			_, err = r.eq.solveWS(inst, final, ws, nil)
+		} else {
+			err = g.solver.SolveInto(inst, final)
+		}
+		if err != nil {
+			return nil, err
+		}
 	}
 	res.Alloc = final
 	ws.qInstance = Instance{} // drop aliases into caller data before pooling
@@ -278,6 +298,8 @@ func (g *GreedyAllocator) q(r *greedyRun, gvec []float64) (float64, error) {
 // solve has fixed the price seed every Q evaluator is a pure function of G
 // within one Allocate (the memos are exact), so a same-round gain of a twin
 // is copied instead of solved.
+//
+// Each solve's allocation is kept under its pair (keep).
 func (g *GreedyAllocator) gainOf(r *greedyRun, idx int) (float64, error) {
 	fbs, ch := idx/r.nCh, idx%r.nCh
 	pa := math.Float64bits(r.p.Posteriors[ch])
@@ -295,7 +317,19 @@ func (g *GreedyAllocator) gainOf(r *greedyRun, idx int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
+	r.keep(idx)
 	return r.recordGain(idx, v-r.cur), nil
+}
+
+// keep stores the allocation of candidate idx's Q evaluation, just solved
+// into qAlloc, in idx's slot of the pair arena. Once idx is accepted its
+// slot stays as it is: an accepted pair is never solved again.
+func (r *greedyRun) keep(idx int) {
+	k, q := r.p.Base.K(), &r.ws.qAlloc
+	lo := idx * k
+	copy(r.ws.pairMBS[lo:lo+k], q.MBS)
+	copy(r.ws.pairRho0[lo:lo+k], q.Rho0)
+	copy(r.ws.pairRho1[lo:lo+k], q.Rho1)
 }
 
 // recordGain caches candidate idx's gain for the current round.
@@ -349,6 +383,7 @@ func (g *GreedyAllocator) take(r *greedyRun, best int, gain float64) error {
 			r.slack.live += lg
 		}
 	}
+	r.last = best
 	r.res.G[fbs] += r.p.Posteriors[chIdx]
 	r.res.Assigned[fbs] = append(r.res.Assigned[fbs], r.p.Channels[chIdx])
 	r.res.Steps = append(r.res.Steps, GreedyStep{

@@ -204,3 +204,89 @@ func TestGreedySeededMatchesCold(t *testing.T) {
 		}
 	}
 }
+
+// countingQ counts the SolveInto calls of the Q solver it wraps.
+type countingQ struct {
+	Solver
+	calls int
+}
+
+func (c *countingQ) SolveInto(in *Instance, out *Allocation) error {
+	c.calls++
+	return c.Solver.SolveInto(in, out)
+}
+
+// TestGreedyAllocMatchesResolve: Allocate keeps the allocation of its last
+// accepted pair's Q evaluation instead of solving the final G again. That
+// allocation must be the one a fresh solve at res.G writes, bit for bit,
+// on path, random-graph and metro-component problems, many with twin
+// channels (whose shared gains leave a pair unsolved), and on problems
+// without channels, where no pair is accepted and Allocate does solve.
+// Through a Q solver that counts its calls, Allocate must solve once per Q
+// evaluation after accepting a pair, and once more when it accepted none.
+func TestGreedyAllocMatchesResolve(t *testing.T) {
+	scale := 1
+	if raceEnabled {
+		scale = 5
+	}
+	s := rng.New(2031)
+	var problems []*ChannelProblem
+	for i := 0; i < 60/scale; i++ {
+		problems = append(problems, interferingProblem(s, 1+s.IntN(5)))
+		problems = append(problems, randomGraphProblem(s, 2+s.IntN(5), 0.2+0.6*s.Float64()))
+	}
+	problems = append(problems, metroProblems(t, s, netmodel.MetroPoissonSpec(60, 2), 8)...)
+	for _, p := range problems[:len(problems)/4] {
+		q := *p
+		q.Channels, q.Posteriors = nil, nil
+		problems = append(problems, &q)
+	}
+	twins, empty := 0, 0
+	for _, p := range problems {
+		seen := map[uint64]bool{}
+		for _, pa := range p.Posteriors {
+			if seen[math.Float64bits(pa)] {
+				twins++
+				break
+			}
+			seen[math.Float64bits(pa)] = true
+		}
+	}
+	for _, lazy := range []bool{true, false} {
+		var opts []GreedyOption
+		if lazy {
+			opts = append(opts, WithLazyEvaluation())
+		}
+		for i, p := range problems {
+			counter := &countingQ{Solver: &EquilibriumSolver{}}
+			for _, q := range []Solver{&EquilibriumSolver{}, counter} {
+				res, err := NewGreedyAllocator(q, opts...).Allocate(p)
+				if err != nil {
+					t.Fatalf("problem %d lazy=%v: %v", i, lazy, err)
+				}
+				want := NewAllocation(p.Base.K())
+				if err := (&EquilibriumSolver{}).SolveInto(p.Base.WithG(res.G), want); err != nil {
+					t.Fatal(err)
+				}
+				if j := allocDiff(res.Alloc, want); j >= 0 {
+					t.Fatalf("problem %d lazy=%v (%d steps): user %d: kept MBS=%v rho=(%v, %v), re-solve MBS=%v rho=(%v, %v)",
+						i, lazy, len(res.Steps), j, res.Alloc.MBS[j], res.Alloc.Rho0[j], res.Alloc.Rho1[j], want.MBS[j], want.Rho0[j], want.Rho1[j])
+				}
+				if q != counter {
+					continue
+				}
+				solves := res.Evaluations
+				if len(res.Steps) == 0 {
+					solves++
+					empty++
+				}
+				if counter.calls != solves {
+					t.Fatalf("problem %d lazy=%v: %d Q solver calls for %d evaluations and %d steps", i, lazy, counter.calls, res.Evaluations, len(res.Steps))
+				}
+			}
+		}
+	}
+	if empty == 0 || twins == 0 {
+		t.Fatalf("%d runs accepted no pair and %d problems have twin channels; want both", empty, twins)
+	}
+}

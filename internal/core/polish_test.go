@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -220,4 +221,119 @@ func TestPolishCertificateRefuses(t *testing.T) {
 			t.Errorf("capped=%v: the polish returned objective %v for an allocation of objective %v", capped, obj, after)
 		}
 	}
+}
+
+// TestPolishGapReuse holds polishGap with its per-user reuse to polishGap
+// on a cleared cache, bit for bit, over greedy-style epochs on one
+// workspace: each opens with a solve at G = 0, then perturbs one FBS's G_i
+// by a posterior, returns it to an earlier value or keeps it (an accepted
+// pair), and hands polishGap the solve's association, now and then with a
+// user flipped. Every epoch moves the ceilings to new values beyond reach,
+// so every share and price at a G is what it was in an earlier epoch, and
+// so is each user's key but for its epoch, while its branch-error bound,
+// which reads the ceiling, is not. Two instances alternate, a large one
+// and a one-user one, and the epoch counter wraps around between them:
+// the large instance's first epoch and its first epoch after the
+// wraparound carry the same tag and open with a solve at the same nonzero
+// G, the first epoch's only solve, and all but the first user have not
+// been written in between.
+func TestPolishGapReuse(t *testing.T) {
+	seeds := 40
+	if testing.Short() || raceEnabled {
+		seeds = 10
+	}
+	hits, terms := 0, 0
+	for seed := 0; seed < seeds; seed++ {
+		s := rng.New(uint64(12000 + seed))
+		large := certInstance(s, 1+s.IntN(3), []int{2, 3, 8, 20}[seed%4])
+		small := certInstance(s, 1, 1)
+		open := make([]float64, large.N()) // the large instance's opening G in epochs 0 and 3
+		for i := range open {
+			open[i] = 0.5 + 4*s.Float64()
+		}
+		ws := new(solveWorkspace)
+		for epoch, in := range []*Instance{large, small, small, large, large, small} {
+			if err := in.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			if epoch == 2 {
+				ws.eqEpoch = math.MaxUint32 - 1 // epoch 3 wraps around to epoch 0's tag
+			}
+			in.WMax = make([]float64, in.K())
+			for j, w := range in.W {
+				in.WMax[j] = w + 10 + 10*s.Float64()
+			}
+			for i := range in.G {
+				in.G[i] = 0
+				if epoch == 0 || epoch == 3 {
+					in.G[i] = open[i]
+				}
+			}
+			ws.eqSeeded = false
+			ws.bumpEqEpoch()
+			steps := 12
+			if epoch == 0 {
+				steps = 1
+			}
+			alloc := NewAllocation(in.K())
+			var seen []float64
+			for step := 0; step < steps; step++ {
+				i, base, keep := 0, in.G[0], true
+				if step > 0 {
+					i = s.IntN(in.N())
+					base, keep = in.G[i], s.IntN(4) == 0
+					if len(seen) > 0 && s.IntN(3) == 0 {
+						in.G[i] = seen[s.IntN(len(seen))]
+					} else {
+						in.G[i] += 1 - s.Float64()
+						seen = append(seen, in.G[i])
+					}
+				}
+				if _, err := (&EquilibriumSolver{}).solveWS(in, alloc, ws, nil); err != nil {
+					t.Fatal(err)
+				}
+				ws.eqSeeded = ws.eqL0 > 0
+				if step > 0 && s.IntN(3) == 0 {
+					j := s.IntN(in.K())
+					alloc.MBS[j] = !alloc.MBS[j]
+				}
+				fillResources(in, alloc, ws)
+				h := checkPolishReuse(t, fmt.Sprintf("seed %d epoch %d step %d", seed, epoch, step), in, alloc, ws)
+				hits, terms = hits+h, terms+in.K()
+				if !keep {
+					in.G[i] = base
+				}
+			}
+		}
+	}
+	t.Logf("%d of %d users' terms reused", hits, terms)
+	if hits == 0 || hits == terms {
+		t.Fatalf("%d of %d users' terms reused; want some, not all", hits, terms)
+	}
+}
+
+// checkPolishReuse runs polishGap on ws and again on ws with the kept
+// terms of in's users cleared, fails unless both give the same gap, margin
+// and objective bit for bit, and returns how many users the first run
+// reused (a reused user's key is left as it was; a recomputed one's
+// changes). The slots past in's users are left as they are.
+func checkPolishReuse(t *testing.T, what string, in *Instance, alloc *Allocation, ws *solveWorkspace) int {
+	t.Helper()
+	before := append([]polishKey(nil), ws.polishKeys...)
+	gap, margin, obj := polishGap(in, alloc, ws)
+	hits := 0
+	for j := 0; j < in.K(); j++ {
+		if j < len(before) && ws.polishKeys[j] == before[j] {
+			hits++
+		}
+	}
+	for j := 0; j < in.K(); j++ {
+		ws.polishKeys[j] = polishKey{}
+	}
+	g, m, o := polishGap(in, alloc, ws)
+	bits := math.Float64bits
+	if bits(gap) != bits(g) || bits(margin) != bits(m) || bits(obj) != bits(o) {
+		t.Fatalf("%s: reused gap %v margin %v objective %v, recomputed %v %v %v", what, gap, margin, obj, g, m, o)
+	}
+	return hits
 }

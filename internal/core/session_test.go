@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sort"
 	"testing"
 
@@ -90,7 +91,8 @@ func TestWarmMatchesColdAllocations(t *testing.T) {
 			cold := NewAllocation(in.K())
 			for slot := 0; slot < 40; slot++ {
 				tr.step(in.G)
-				if err := solver.SolveWarmInto(in, warm, sess); err != nil {
+				obj, err := solver.SolveWarmInto(in, warm, sess)
+				if err != nil {
 					t.Fatal(err)
 				}
 				if err := solver.SolveInto(in, cold); err != nil {
@@ -98,6 +100,9 @@ func TestWarmMatchesColdAllocations(t *testing.T) {
 				}
 				if !sameAllocation(warm, cold) {
 					t.Fatalf("seed %d slot %d: warm and cold allocations differ", seed, slot)
+				}
+				if got := warm.Objective(in); math.Float64bits(obj) != math.Float64bits(got) {
+					t.Fatalf("seed %d slot %d: SolveWarmInto returned objective %v, Objective reads %v", seed, slot, obj, got)
 				}
 			}
 			st := sess.Stats()
@@ -123,7 +128,7 @@ func TestWarmMatchesColdTrivialSlots(t *testing.T) {
 		warm := NewAllocation(in.K())
 		cold := NewAllocation(in.K())
 		for slot := 0; slot < 3; slot++ {
-			if err := solver.SolveWarmInto(in, warm, sess); err != nil {
+			if _, err := solver.SolveWarmInto(in, warm, sess); err != nil {
 				t.Fatal(err)
 			}
 			if err := solver.SolveInto(in, cold); err != nil {
@@ -159,11 +164,11 @@ func TestWarmSessionProbeBudget(t *testing.T) {
 		for slot := 0; slot < 40; slot++ {
 			tr.step(in.G)
 			before := sess.Stats().TotalIters
-			if err := solver.SolveWarmInto(in, out, sess); err != nil {
+			if _, err := solver.SolveWarmInto(in, out, sess); err != nil {
 				t.Fatal(err)
 			}
 			fresh := NewSolverSession()
-			if err := solver.SolveWarmInto(in, out, fresh); err != nil {
+			if _, err := solver.SolveWarmInto(in, out, fresh); err != nil {
 				t.Fatal(err)
 			}
 			if st := fresh.Stats(); st.WarmSolves != 0 {
@@ -254,7 +259,7 @@ func TestSessionShapeChangeColdStarts(t *testing.T) {
 		in  *Instance
 		out *Allocation
 	}{{inA, out}, {inB, outB}, {inC, out}} {
-		if err := e.SolveWarmInto(step.in, step.out, sess); err != nil {
+		if _, err := e.SolveWarmInto(step.in, step.out, sess); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -264,7 +269,7 @@ func TestSessionShapeChangeColdStarts(t *testing.T) {
 	}
 
 	// Same shape again: now the carried state applies.
-	if err := e.SolveWarmInto(inC, out, sess); err != nil {
+	if _, err := e.SolveWarmInto(inC, out, sess); err != nil {
 		t.Fatal(err)
 	}
 	if st := sess.Stats(); st.WarmSolves != 1 {
@@ -280,7 +285,7 @@ func TestSessionStats(t *testing.T) {
 	sess := NewSolverSession()
 	out := NewAllocation(in.K())
 	for i := 0; i < 5; i++ {
-		if err := e.SolveWarmInto(in, out, sess); err != nil {
+		if _, err := e.SolveWarmInto(in, out, sess); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -69,6 +69,12 @@ type solveWorkspace struct {
 	qAlloc    Allocation
 	qInstance Instance
 
+	// The greedy's pair arena (see greedyRun.keep): pair idx's slot is
+	// [idx*K, (idx+1)*K) of pairMBS, pairRho0 and pairRho1, and holds the
+	// allocation of its latest Q evaluation.
+	pairMBS            []bool
+	pairRho0, pairRho1 []float64
+
 	// Per-FBS equilibrium memo (see exact.go solveWS): open-addressed
 	// cache of (fbs, lambda_0, G_i) -> association mask,
 	// epoch-tagged so invalidation on a new base instance is O(1). The
@@ -143,7 +149,28 @@ type solveWorkspace struct {
 	// polishLoad sums each resource's shares for the polish's certificate.
 	polishRho0, polishRho1 []float64
 	polishLoad             []float64
+
+	// polishKeys[j] and polishVals[j] hold user j's summands of the latest
+	// polishGap under a live epoch, keyed by every input they read that may
+	// change within it (see polishKey).
+	polishKeys []polishKey
+	polishVals []polishTerms
 }
+
+// polishKey is the exact key of one user's polishGap summands. Within a
+// memo epoch only G changes, so the user's views, log W and quotients are
+// fixed but for its band view, which reads G_i; the summands then read
+// only its association, its share on the chosen resource, the two prices
+// it faces, λ_0 and λ_i, and G_i. The key holds all five bit for bit.
+type polishKey struct {
+	rho, l0, li, g uint64 // math.Float64bits of the share, λ_0, λ_i and G_i
+	epoch          uint32
+	mbs            bool
+}
+
+// polishTerms is one user's summands of polishGap: its objective term t,
+// its gap term d, its magnitude a and its branch-error bound.
+type polishTerms struct{ t, d, a, branch float64 }
 
 // memoKey is the exact key of one entry of the workspace's open-addressed
 // memo tables, tagged with the epoch that wrote it: an entry is live only
@@ -226,6 +253,9 @@ func (ws *solveWorkspace) bumpEqEpoch() {
 		}
 		for i := range ws.fillKeys {
 			ws.fillKeys[i] = memoKey{}
+		}
+		for i := range ws.polishKeys {
+			ws.polishKeys[i] = polishKey{}
 		}
 		last := ws.eqLast[:cap(ws.eqLast)]
 		for i := range last {

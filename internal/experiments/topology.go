@@ -26,8 +26,6 @@ type TopologyPoint struct {
 	// MeanBoundRatio averages optimal/upper-bound: 1 means the eq. (23)
 	// bound is tight.
 	MeanBoundRatio float64
-	// Instances is the number of random slot problems sampled.
-	Instances int
 }
 
 // TopologyStudy samples random per-slot problems on several canonical
@@ -80,7 +78,6 @@ func TopologyStudy(seed uint64, instances, channels, workers int) ([]TopologyPoi
 			Dmax:            fam.graph.MaxDegree(),
 			GuaranteedRatio: 1 / (1 + float64(fam.graph.MaxDegree())),
 			WorstRatio:      math.Inf(1),
-			Instances:       instances,
 		}
 		stream := root.Split("topology/" + fam.name)
 		// Split every trial's stream before fanning out: SplitIndex is a

@@ -89,10 +89,8 @@ func (n *Network) Validate() error {
 	// Sensing fuses its observations from the utilization prior, which
 	// must leave a channel some chance of being idle (eq. (1) with
 	// P10 = 0 gives eta = 1: busy forever).
-	for m := 1; m <= n.Band.M(); m++ {
-		if eta := n.Band.Utilization(m); !(eta < 1) {
-			return fmt.Errorf("%w: channel %d has utilization eta=%v; it must be below 1 (P10 > 0)", ErrBadNetwork, m, eta)
-		}
+	if eta := n.Band.Utilization(); !(eta < 1) {
+		return fmt.Errorf("%w: the licensed channels have utilization eta=%v; it must be below 1 (P10 > 0)", ErrBadNetwork, eta)
 	}
 	return nil
 }

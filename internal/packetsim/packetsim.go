@@ -20,7 +20,6 @@ import (
 	"femtocr/internal/rng"
 	"femtocr/internal/sensing"
 	"femtocr/internal/sim"
-	"femtocr/internal/stats"
 	"femtocr/internal/video"
 )
 
@@ -78,8 +77,6 @@ type Result struct {
 	DroppedPackets int
 	// SentPackets counts transmissions (including retransmissions).
 	SentPackets int
-	// FairnessIndex is Jain's index over per-user quality gains.
-	FairnessIndex float64
 	// CollisionRate is the worst realized per-channel conditional collision
 	// rate (collisions over truly-busy slots, the eq. (6) quantity).
 	CollisionRate float64
@@ -306,14 +303,11 @@ func (e *engine) result() *Result {
 		GOPs:            e.receivers[0].CompletedGOPs(),
 	}
 	sum := 0.0
-	gains := make([]float64, k)
 	for j, r := range e.receivers {
 		res.PerUserPSNR[j] = r.MeanPSNR()
 		sum += r.MeanPSNR()
-		gains[j] = r.MeanPSNR() - e.net.Users[j].Seq.RD.Alpha
 		res.DroppedPackets += e.queues[j].Dropped()
 	}
 	res.MeanPSNR = sum / float64(k)
-	res.FairnessIndex = stats.JainIndex(gains)
 	return res
 }

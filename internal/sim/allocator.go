@@ -23,7 +23,7 @@ import (
 type Allocator struct {
 	net        *netmodel.Network
 	solver     core.Solver
-	warm       *core.EquilibriumSolver // non-nil exactly when the solves carry sessions
+	eq         *core.EquilibriumSolver // solver, when the scheme is Proposed
 	greedy     *core.GreedyAllocator
 	trackBound bool
 
@@ -86,11 +86,11 @@ func NewAllocator(net *netmodel.Network, opts Options) (*Allocator, error) {
 	}
 	switch opts.Scheme {
 	case Proposed:
-		eq := &core.EquilibriumSolver{}
-		a.solver = eq
-		var q core.Solver = coldQ{eq}
+		a.eq = &core.EquilibriumSolver{}
+		a.solver = a.eq
+		var q core.Solver = coldQ{a.eq}
 		if !opts.coldSolves {
-			a.warm, q = eq, eq
+			q = a.eq
 		}
 		if a.interfering {
 			var gopts []core.GreedyOption
@@ -143,7 +143,7 @@ func NewAllocator(net *netmodel.Network, opts Options) (*Allocator, error) {
 		a.relaxG = make([]float64, net.NumFBS)
 		a.relaxAlloc = core.NewAllocation(k)
 	}
-	if a.warm != nil {
+	if a.eq != nil && !opts.coldSolves {
 		a.session = core.NewSolverSession()
 		if a.trackBound {
 			a.relaxSession = core.NewSolverSession()
@@ -188,11 +188,11 @@ func (a *Allocator) Step(st *SlotState, w []float64) (*SlotAllocation, error) {
 			for i := range a.relaxG {
 				a.relaxG[i] = totalPA
 			}
-			relaxed := a.withG(a.relaxG)
-			if err := a.solve(relaxed, a.relaxAlloc, a.relaxSession); err != nil {
+			v, err := a.eq.SolveWarmInto(a.withG(a.relaxG), a.relaxAlloc, a.relaxSession)
+			if err != nil {
 				return nil, err
 			}
-			if v := a.relaxAlloc.Objective(relaxed); v < bound {
+			if v < bound {
 				bound = v
 			}
 		}
@@ -223,11 +223,13 @@ func (a *Allocator) Step(st *SlotState, w []float64) (*SlotAllocation, error) {
 	return out, nil
 }
 
-// solve is the one per-slot solve dispatch: warm through sess when the
-// solves carry sessions, else the scheme's plain SolveInto.
+// solve is the one per-slot solve dispatch: Proposed through sess, which
+// is nil (the cold path) when the solves carry no sessions, else the
+// scheme's plain SolveInto.
 func (a *Allocator) solve(in *core.Instance, out *core.Allocation, sess *core.SolverSession) error {
-	if a.warm != nil {
-		return a.warm.SolveWarmInto(in, out, sess)
+	if a.eq != nil {
+		_, err := a.eq.SolveWarmInto(in, out, sess)
+		return err
 	}
 	return a.solver.SolveInto(in, out)
 }

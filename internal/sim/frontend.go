@@ -128,8 +128,9 @@ func (f *Frontend) Step(slot int) (*SlotState, error) {
 	priors := f.priors
 	posteriors := f.posteriors
 	fusers := f.fusers
+	eta := net.Band.Utilization()
 	for ch := 1; ch <= m; ch++ {
-		prior := net.Band.Utilization(ch)
+		prior := eta
 		switch {
 		case f.beliefs != nil:
 			var err error

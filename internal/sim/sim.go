@@ -225,10 +225,9 @@ type engine struct {
 	// Reusable per-slot state, owned by this engine and overwritten every
 	// slot (the engine is single-goroutine by design): the users' current
 	// qualities handed to the allocation stage and the bound trajectory's
-	// inflation scratch (an allocation and the users' log-qualities).
-	w           []float64
-	inflate     *core.Allocation
-	inflateLogW []float64
+	// inflation scratch.
+	w       []float64
+	inflate *inflation
 
 	dualTrace [][]float64
 	sumG      float64
@@ -270,8 +269,7 @@ func newEngine(net *netmodel.Network, opts Options) (*engine, error) {
 		for j, u := range net.Users {
 			e.bound[j] = video.NewProgress(u.Seq)
 		}
-		e.inflate = core.NewAllocation(k)
-		e.inflateLogW = make([]float64, k)
+		e.inflate = newInflation(k)
 	}
 	return e, nil
 }
@@ -388,7 +386,7 @@ func (e *engine) realize(in *core.Instance, alloc *core.Allocation, assigned [][
 // objective meet the bound, then applying the same realization discipline
 // with its own loss draws.
 func (e *engine) trackBound(in *core.Instance, alloc *core.Allocation, value, upper float64, assigned [][]int, truth spectrum.Occupancy) {
-	theta := gainInflation(in, alloc, value, upper, e.inflate, e.inflateLogW)
+	theta := e.inflate.solve(in, alloc, value, upper)
 	for j := range e.bound {
 		e.bound[j].AddPSNR(theta * e.gain(in, alloc, j, assigned, truth))
 	}
@@ -421,29 +419,74 @@ func (e *engine) gain(in *core.Instance, alloc *core.Allocation, j int, assigned
 	return 0
 }
 
-// gainInflation finds theta >= 1 such that inflating every user's allocated
-// quality increment by theta lifts the slot objective from value to upper.
-// scratch (an allocation) and logW are k-sized buffers reused across the
-// ~100 bisection evaluations; every entry is overwritten before being read.
-// The users' log-qualities are taken once per call, not once per
-// evaluation.
-func gainInflation(in *core.Instance, alloc *core.Allocation, value, upper float64, scratch *core.Allocation, logW []float64) float64 {
+// inflation finds the bound trajectory's gain inflation: the theta >= 1
+// such that inflating every user's allocated quality increment by theta
+// lifts the slot objective from the greedy value to the bound. It holds
+// the search's per-slot state and scratch, sized for the run's users and
+// reused every bounded slot.
+type inflation struct {
+	in    *core.Instance
+	alloc *core.Allocation
+	upper float64
+
+	scaled *core.Allocation // alloc with every share times theta
+	logW   []float64        // log W_j, taken once per slot
+
+	// The verified bracket (see verify): while fast is set, every probe at
+	// or below a reads below upper and every probe in [b, top] does not.
+	fast      bool
+	a, b, top float64
+}
+
+func newInflation(k int) *inflation {
+	return &inflation{
+		scaled: core.NewAllocation(k),
+		logW:   make([]float64, k),
+	}
+}
+
+// solve returns theta for the slot's allocation alloc on in, whose
+// objective is value, and the bound upper.
+//
+// Every probe of the search only asks whether the objective at theta reads
+// below upper. The computed objective need not be monotone in theta, but
+// it lies within a margin e of one that is (see margin), so two objective
+// evaluations can verify a bracket (a, b] around a predicted crossing
+// (predict) that answers every probe outside it with one comparison
+// (verify, below). The search then takes the same branches as without the
+// bracket, so its theta is the same, bit for bit. A prediction that is not
+// a finite positive theta, or a bracket that fails verification, leaves
+// every probe evaluated.
+func (f *inflation) solve(in *core.Instance, alloc *core.Allocation, value, upper float64) float64 {
 	if upper <= value {
 		return 1
 	}
+	f.start(in, alloc, upper)
+	f.fast = false
+	if theta := f.predict(value); theta > 0 && theta < math.MaxFloat64 {
+		// A half-width of 6e over the slope holds the crossing, which the
+		// prediction finds to within about e, with the 3e each end's check
+		// needs to spare.
+		e := f.margin(theta)
+		h := 6*e/f.slope(theta) + 0x1p-50*theta
+		f.fast = f.verify(theta-h, theta+h, e)
+	}
+	return f.search()
+}
+
+// start readies f for one slot.
+func (f *inflation) start(in *core.Instance, alloc *core.Allocation, upper float64) {
+	f.in, f.alloc, f.upper = in, alloc, upper
 	for j, w := range in.W {
-		logW[j] = math.Log(w)
+		f.logW[j] = math.Log(w)
 	}
-	obj := func(theta float64) float64 {
-		copy(scratch.MBS, alloc.MBS)
-		for j := range scratch.Rho0 {
-			scratch.Rho0[j] = alloc.Rho0[j] * theta
-			scratch.Rho1[j] = alloc.Rho1[j] * theta
-		}
-		return scratch.ObjectiveLogW(in, logW)
-	}
+}
+
+// search is the doubling-and-bisection search on theta down to adjacent
+// floats.
+func (f *inflation) search() float64 {
 	lo, hi := 1.0, 2.0
-	for i := 0; i < 40 && obj(hi) < upper; i++ {
+	for i := 0; i < 40 && f.below(hi); i++ {
 		hi *= 2
 		if hi > 1e6 {
 			break
@@ -455,7 +498,7 @@ func gainInflation(in *core.Instance, alloc *core.Allocation, value, upper float
 		// still set hi = lo, but after it every step probes the same mid
 		// and leaves both as they are.
 		last := !(lo < mid && mid < hi)
-		if obj(mid) < upper {
+		if f.below(mid) {
 			lo = mid
 		} else {
 			hi = mid
@@ -465,6 +508,133 @@ func gainInflation(in *core.Instance, alloc *core.Allocation, value, upper float
 		}
 	}
 	return hi
+}
+
+// below reports whether the objective at theta reads below upper: from the
+// verified bracket when it decides theta, else by evaluating it.
+func (f *inflation) below(theta float64) bool {
+	switch {
+	case !f.fast:
+		return f.obj(theta) < f.upper
+	case theta <= f.a:
+		return true
+	case theta >= f.b && theta <= f.top:
+		return false
+	}
+	return f.obj(theta) < f.upper
+}
+
+// obj is the objective of alloc with every share inflated by theta.
+func (f *inflation) obj(theta float64) float64 {
+	copy(f.scaled.MBS, f.alloc.MBS)
+	for j := range f.scaled.Rho0 {
+		f.scaled.Rho0[j] = f.alloc.Rho0[j] * theta
+		f.scaled.Rho1[j] = f.alloc.Rho1[j] * theta
+	}
+	return f.scaled.ObjectiveLogW(f.in, f.logW)
+}
+
+// user returns user j's success probability, share and rate on the
+// resource alloc serves it on; the rate is computed as Instance.effR1
+// computes it.
+func (f *inflation) user(j int) (ps, rho, r float64) {
+	in := f.in
+	if f.alloc.MBS[j] {
+		return in.PS0[j], f.alloc.Rho0[j], in.R0[j]
+	}
+	return in.PS1[j], f.alloc.Rho1[j], in.G[in.FBS[j]-1] * in.R1[j]
+}
+
+// room returns user j's room below its encoding ceiling, computed as
+// Instance.clampGain computes it, and whether it has a ceiling.
+func (f *inflation) room(j int) (float64, bool) {
+	if f.in.WMax == nil {
+		return 0, false
+	}
+	return f.in.WMax[j] - f.in.W[j], true
+}
+
+// slope is the objective's derivative in theta, in exact arithmetic: each
+// user whose gain rho*theta*r is below its ceiling adds ps*rho*r/(W+gain).
+func (f *inflation) slope(theta float64) float64 {
+	d := 0.0
+	for j := range f.in.W {
+		ps, rho, r := f.user(j)
+		g := rho * theta * r
+		if room, ok := f.room(j); ok && g > room {
+			continue
+		}
+		d += ps * rho * r / (f.in.W[j] + g)
+	}
+	return d
+}
+
+// predict estimates the theta at which the objective meets upper by
+// Newton's method on the objective, which is concave and nondecreasing in
+// theta, from theta = 1, where the objective is close to value, until a
+// step moves theta by at most 1e-7 of itself.
+func (f *inflation) predict(value float64) float64 {
+	theta, obj := 1.0, value
+	for it := 0; ; it++ {
+		if it > 0 {
+			obj = f.obj(theta)
+		}
+		step := (f.upper - obj) / f.slope(theta)
+		theta += step
+		if !(math.Abs(step) > 1e-7*theta) || it == 6 {
+			return theta
+		}
+	}
+}
+
+// margin returns e, which bounds how far the computed objective lies from
+// a monotone one at every theta up to top = max(2, 4*theta), and sets top.
+//
+// With x_j = fl(W_j + gain_j), let F be the exact sum of ps_j*ln(x_j) plus
+// each term's computed constant fl((1-ps_j)*log W_j). Each gain is
+// nondecreasing in theta (rounded products and the clamp are monotone), so
+// F is. Each computed term lies within 4.1u*a_j of F's, with a math.Log
+// within 1 ulp, and the K-term sum within 1.01u times the sum of its
+// partial sums' magnitudes, where a_j = |log W_j| + gmax_j/W_j +
+// |(1-ps_j) log W_j| + 1 bounds every term at a theta up to top (gmax_j
+// bounds the gain there, and ln(W+g) <= ln W + g/W): e = u(4.2 Σa + 1.02
+// Σ_k P_k), P_k = a_0 + ... + a_k for k >= 1.
+func (f *inflation) margin(theta float64) float64 {
+	const u = 0x1p-53 // unit roundoff
+	f.top = max(2, 4*theta)
+	var sumA, prefix, prefixes float64
+	for j, w := range f.in.W {
+		ps, rho, r := f.user(j)
+		g := rho * f.top * r * (1 + 0x1p-40)
+		if room, ok := f.room(j); ok {
+			g = min(g, max(room, 0))
+		}
+		lw := f.logW[j]
+		a := math.Abs(lw) + g/w + math.Abs((1-ps)*lw) + 1
+		sumA += a
+		prefix += a
+		if j > 0 {
+			prefixes += prefix
+		}
+	}
+	return u * (4.2*sumA + 1.02*prefixes)
+}
+
+// verify reports whether the bracket (a, b] holds, given the margin e of
+// top, and makes it f's bracket. For theta <= a, obj(theta) <= F(theta) + e
+// <= F(a) + e <= obj(a) + 2e, so obj(a) + 3e < upper proves that every such
+// probe reads below upper (the extra e covers the check's rounding); and
+// obj(b) - 3e >= upper likewise proves that every probe in [b, top] does
+// not. The search's probes stay at or below the first power of two at or
+// above max(2, b), which is below top when b is within the top its margin
+// was taken for; a probe above top is evaluated, as one inside the bracket
+// is.
+func (f *inflation) verify(a, b, e float64) bool {
+	f.a, f.b = a, b
+	if !(a > 0 && a < b && b <= f.top) {
+		return false
+	}
+	return f.obj(a)+3*e < f.upper && f.obj(b)-3*e >= f.upper
 }
 
 // result finalizes the run metrics.

@@ -19,7 +19,7 @@ func ExampleNewBand() {
 		panic(err)
 	}
 	fmt.Printf("licensed channels: %d\n", band.M())
-	fmt.Printf("utilization eta: %.4f\n", band.Utilization(1))
+	fmt.Printf("utilization eta: %.4f\n", band.Utilization())
 	// Output:
 	// licensed channels: 8
 	// utilization eta: 0.5714

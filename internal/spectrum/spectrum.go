@@ -20,10 +20,10 @@ var ErrBadConfig = errors.New("spectrum: invalid configuration")
 // Band describes the spectrum: M licensed channels, indexed 1..M as in the
 // paper, plus the common channel.
 type Band struct {
-	m      int
-	b0     float64 // common-channel capacity, Mbps
-	b1     float64 // per-licensed-channel capacity, Mbps
-	chains []markov.Chain
+	m     int
+	b0    float64 // common-channel capacity, Mbps
+	b1    float64 // per-licensed-channel capacity, Mbps
+	chain markov.Chain
 }
 
 // NewBand builds a band with M licensed channels, all following the same
@@ -35,11 +35,7 @@ func NewBand(m int, b0, b1 float64, chain markov.Chain) (*Band, error) {
 	if !(b0 > 0 && b1 > 0) {
 		return nil, fmt.Errorf("%w: B0=%v B1=%v Mbps", ErrBadConfig, b0, b1)
 	}
-	chains := make([]markov.Chain, m)
-	for i := range chains {
-		chains[i] = chain
-	}
-	return &Band{m: m, b0: b0, b1: b1, chains: chains}, nil
+	return &Band{m: m, b0: b0, b1: b1, chain: chain}, nil
 }
 
 // M returns the number of licensed channels.
@@ -51,12 +47,12 @@ func (b *Band) B0() float64 { return b.b0 }
 // B1 returns the per-licensed-channel capacity in Mbps.
 func (b *Band) B1() float64 { return b.b1 }
 
-// Chain returns the occupancy chain of licensed channel m (1-based).
-func (b *Band) Chain(m int) markov.Chain { return b.chains[m-1] }
+// Chain returns the occupancy chain every licensed channel follows.
+func (b *Band) Chain() markov.Chain { return b.chain }
 
-// Utilization returns the stationary utilization eta of licensed channel m
-// (1-based), per eq. (1).
-func (b *Band) Utilization(m int) float64 { return b.chains[m-1].Utilization() }
+// Utilization returns the stationary utilization eta of every licensed
+// channel, per eq. (1).
+func (b *Band) Utilization() float64 { return b.chain.Utilization() }
 
 // Occupancy is the true state vector S(t) of the licensed channels;
 // Occupancy[m-1] is the state of channel m.
@@ -100,7 +96,7 @@ func NewSimulator(band *Band, stream *rng.Stream) *Simulator {
 	state := make(Occupancy, band.m)
 	for i := 0; i < band.m; i++ {
 		streams[i] = stream.SplitIndex("spectrum/channel", i+1)
-		state[i] = band.chains[i].SampleStationary(streams[i])
+		state[i] = band.chain.SampleStationary(streams[i])
 	}
 	return &Simulator{band: band, state: state, streams: streams}
 }
@@ -117,7 +113,7 @@ func (s *Simulator) Occupancy() Occupancy { return s.state.Clone() }
 // step, so per-slot loops pay no copy. Clone it to keep it.
 func (s *Simulator) StepInPlace() Occupancy {
 	for i := range s.state {
-		s.state[i] = s.band.chains[i].Next(s.state[i], s.streams[i])
+		s.state[i] = s.band.chain.Next(s.state[i], s.streams[i])
 	}
 	s.slot++
 	return s.state

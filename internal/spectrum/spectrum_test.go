@@ -56,10 +56,8 @@ func TestBandAccessors(t *testing.T) {
 	if b.M() != 8 || b.B0() != 0.5 || b.B1() != 0.3 {
 		t.Fatalf("accessors: M=%d B0=%v B1=%v", b.M(), b.B0(), b.B1())
 	}
-	for m := 1; m <= 8; m++ {
-		if got := b.Utilization(m); math.Abs(got-0.4/0.7) > 1e-12 {
-			t.Fatalf("Utilization(%d) = %v", m, got)
-		}
+	if got := b.Utilization(); math.Abs(got-0.4/0.7) > 1e-12 {
+		t.Fatalf("Utilization() = %v", got)
 	}
 }
 

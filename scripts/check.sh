@@ -48,10 +48,12 @@
 #                     and the inner bisection's early exit against the
 #                     full-depth bisection), over generated topologies
 #                     through NewNetwork, Partition and Subnetwork (every
-#                     user in exactly one shard), and over generated
-#                     extreme configs through NewNetwork, Run and
-#                     RunSharded (an error or finite results, and
-#                     RunSharded accepts whatever Run accepts).
+#                     user in exactly one shard), over generated extreme
+#                     configs through NewNetwork, Run and RunSharded (an
+#                     error or finite results, and RunSharded accepts
+#                     whatever Run accepts), and over random slots of the
+#                     bound trajectory's gain inflation against its literal
+#                     bisection.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -120,6 +122,7 @@ if [ -n "${FEMTOCR_FUZZ:-}" ]; then
     go test -run='^$' -fuzz='^FuzzInnerExit$' -fuzztime=10s ./internal/core
     go test -run='^$' -fuzz='^FuzzPartition$' -fuzztime=10s ./internal/netmodel
     go test -run='^$' -fuzz='^FuzzExtremeConfigs$' -fuzztime=10s ./internal/sim
+    go test -run='^$' -fuzz='^FuzzGainInflation$' -fuzztime=10s ./internal/sim
 fi
 
 echo "check.sh: all gates passed"
