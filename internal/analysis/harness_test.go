@@ -4,7 +4,9 @@ import (
 	"go/ast"
 	"go/parser"
 	"os"
+	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -159,4 +161,29 @@ func checkIn(t *testing.T, m *Module, path string, files []*ast.File) (*Package,
 		t.Fatal(err)
 	}
 	return pkg, m.index(pkg)
+}
+
+// TestBuildFilesHonorsConstraints: the loader sees the files the default
+// build compiles, so a race-only variant of a declaration does not clash
+// with its default one, and test files stay out.
+func TestBuildFilesHonorsConstraints(t *testing.T) {
+	dir := t.TempDir()
+	for name, src := range map[string]string{
+		"a.go":      "package p\n",
+		"norace.go": "//go:build !race\n\npackage p\n",
+		"race.go":   "//go:build race\n\npackage p\n",
+		"a_test.go": "package p\n",
+		"notes.txt": "",
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := buildFiles(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"a.go", "norace.go"}; !slices.Equal(got, want) {
+		t.Fatalf("buildFiles = %v, want %v", got, want)
+	}
 }

@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -255,20 +256,16 @@ func packageDirs(root string) ([]string, error) {
 	return dirs, nil
 }
 
-// parseDir parses the non-test Go files of one directory in sorted filename
-// order, so file sets and positions are stable run to run.
+// parseDir parses the non-test Go files of one directory that the default
+// build compiles, in sorted filename order, so file sets and positions are
+// stable run to run. Files behind a build constraint the default build
+// does not meet (a race-only variant, say) are left out, as go build
+// leaves them out.
 func parseDir(fset *token.FileSet, dir string) ([]*ast.File, error) {
-	entries, err := os.ReadDir(dir)
+	names, err := buildFiles(dir)
 	if err != nil {
 		return nil, err
 	}
-	var names []string
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") && !strings.HasSuffix(e.Name(), "_test.go") {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
 	var files []*ast.File
 	for _, name := range names {
 		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
@@ -278,4 +275,28 @@ func parseDir(fset *token.FileSet, dir string) ([]*ast.File, error) {
 		files = append(files, f)
 	}
 	return files, nil
+}
+
+// buildFiles lists the non-test Go files of dir that the default build
+// compiles, sorted.
+func buildFiles(dir string) ([]string, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var names []string
+	for _, e := range entries {
+		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
+			continue
+		}
+		ok, err := build.Default.MatchFile(dir, e.Name())
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			names = append(names, e.Name())
+		}
+	}
+	sort.Strings(names)
+	return names, nil
 }

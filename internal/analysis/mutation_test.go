@@ -28,16 +28,14 @@ func mutatePackage(t *testing.T, rel, file string, edits ...edit) []Diagnostic {
 	t.Helper()
 	m := loadTestModule(t)
 	dir := filepath.Join(m.Root, filepath.FromSlash(rel))
-	names, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	names, err := buildFiles(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var files []*ast.File
 	mutated := false
 	for _, name := range names {
-		if strings.HasSuffix(name, "_test.go") {
-			continue
-		}
+		name = filepath.Join(dir, name)
 		data, err := os.ReadFile(name)
 		if err != nil {
 			t.Fatal(err)
@@ -102,15 +100,15 @@ func TestMutationBorrowedEscape(t *testing.T) {
 	assertSingleFinding(t, diags, "aliascheck", `borrowed parameter "in" stored into a receiver field`)
 }
 
-// TestMutationUnsortedEdges: dropping the sort after igraph.Edges' map
-// range leaks Go's randomized map order into every caller; the runtime
-// tests see only graphs whose order they do not pin.
-func TestMutationUnsortedEdges(t *testing.T) {
-	diags := mutatePackage(t, "internal/igraph", "igraph.go", edit{
-		"\tsort.Slice(out, func(i, j int) bool {\n\t\tif out[i][0] != out[j][0] {\n\t\t\treturn out[i][0] < out[j][0]\n\t\t}\n\t\treturn out[i][1] < out[j][1]\n\t})\n",
-		"",
-	})
-	assertSingleFinding(t, diags, "mapiter", "append to out inside map iteration")
+// TestMutationUnsortedTraceUsers: dropping the sort after trace.Summary's
+// map range leaks Go's randomized map order into femtosim's per-user trace
+// lines; the runtime tests check which users a summary names, not their
+// order.
+func TestMutationUnsortedTraceUsers(t *testing.T) {
+	diags := mutatePackage(t, "internal/trace", "trace.go",
+		edit{"\t\"sort\"\n", ""},
+		edit{"\tsort.Ints(users)\n", ""})
+	assertSingleFinding(t, diags, "mapiter", "append to users inside map iteration")
 }
 
 // TestMutationDroppedWriteError: discarding the CSV write error makes a

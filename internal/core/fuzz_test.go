@@ -125,8 +125,9 @@ func FuzzSolverSession(f *testing.F) {
 // PFA=PMD=0 fusion output), random posteriors that repeat one time in
 // three (twin channels), and arbitrary small graphs. For valid instances
 // it checks the eq. (23) bound ordering, interference feasibility of the
-// assignment, NaN-freedom, and both allocators against their literal
-// Table III runs (checkTableIII).
+// assignment, NaN-freedom, both allocators against their literal Table III
+// runs (checkTableIII), and both under SkipBound against their runs without
+// it (checkSkipBound).
 func FuzzGreedyChannels(f *testing.F) {
 	// seed, usersPerFBS, nFBS, channels, posterior override (-1: random),
 	// complete graph (vs path), lazy evaluation.
@@ -210,5 +211,6 @@ func FuzzGreedyChannels(f *testing.F) {
 			}
 		}
 		checkTableIII(t, "fuzz", p, func() Solver { return &EquilibriumSolver{} })
+		checkSkipBound(t, "fuzz", p, func() Solver { return &EquilibriumSolver{} })
 	})
 }

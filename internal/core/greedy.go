@@ -37,6 +37,11 @@ type ChannelProblem struct {
 	Graph      *igraph.Graph // vertices 0..N-1 are FBSs 1..N
 	Channels   []int         // 1-based ids of the accessed channels A(t)
 	Posteriors []float64     // P_A of each accessed channel, parallel to Channels
+	// SkipBound spares the Q solves that only the eq. (23) slack reads: a
+	// caller that ignores the bound sets it, and Allocate then leaves
+	// UpperBound and PaperUpperBound at zero. Every other result field is
+	// the same to the bit (see take).
+	SkipBound bool
 }
 
 // Validate checks the problem.
@@ -230,8 +235,10 @@ func (g *GreedyAllocator) Allocate(p *ChannelProblem) (*GreedyResult, error) {
 		sort.Ints(res.Assigned[i])
 	}
 	res.Value = r.cur
-	res.UpperBound = r.cur + r.slack.live
-	res.PaperUpperBound = r.cur + r.slack.full
+	if !p.SkipBound {
+		res.UpperBound = r.cur + r.slack.live
+		res.PaperUpperBound = r.cur + r.slack.full
+	}
 	// The final allocation escapes to the caller, so it gets fresh memory
 	// rather than workspace scratch. The last accepted pair's Q evaluation
 	// already solved the final G: its trial G is the final G to the bit
@@ -362,6 +369,12 @@ type boundSlack struct {
 // against the unchanged partial allocation would return); by Lemma 6 the
 // live gain never exceeds the chosen gain, and summing the actual values
 // instead of Delta_l tightens the bound further.
+//
+// Under SkipBound no conflicting pair is solved. Such a solve writes only
+// the gain-cache entry and the pair-arena slot of a pair this call kills,
+// whose tag round++ retires before any twin lookup, and exact memo
+// entries; every Q evaluation after the base solve is a pure function of G
+// (see gainOf), so no later decision can change.
 func (g *GreedyAllocator) take(r *greedyRun, best int, gain float64) error {
 	fbs, chIdx := best/r.nCh, best%r.nCh
 	deg := r.p.Graph.Degree(fbs)
@@ -372,6 +385,9 @@ func (g *GreedyAllocator) take(r *greedyRun, best int, gain float64) error {
 			continue
 		}
 		live++
+		if r.p.SkipBound {
+			continue
+		}
 		lg, err := g.cachedGainOf(r, idx)
 		if err != nil {
 			return err
@@ -513,33 +529,62 @@ func (g *GreedyAllocator) runLazy(r *greedyRun) error {
 	return nil
 }
 
-// ExhaustiveChannelOptimum enumerates every interference-feasible channel
-// allocation — each channel independently goes to any independent set of
-// the graph — and returns the best objective value found. The cost is
-// O(I(G)^len(Channels)) solver calls, where I(G) counts the graph's
-// independent sets, so this is a ground-truth reference for small
-// instances (tests, the topology study, bound validation), not a
+// ExhaustiveChannelOptimum enumerates the interference-feasible channel
+// allocations that can be optimal — each channel independently goes to any
+// maximal independent set of the graph — and returns the best objective
+// value found. Q is nondecreasing in G, so widening a channel's set never
+// lowers it, and some best allocation gives every channel a maximal set.
+// The cost is O(M(G)^len(Channels)) solver calls, where M(G) counts the
+// graph's maximal independent sets, so this is a ground-truth reference for
+// small instances (tests, the topology study, bound validation), not a
 // production path.
 func ExhaustiveChannelOptimum(p *ChannelProblem, solver Solver) (float64, error) {
 	if err := p.Validate(); err != nil {
 		return 0, err
 	}
+	return bestOverSets(p, solver, maximalIndependentSets(p.Graph))
+}
+
+// maximalIndependentSets lists the graph's maximal independent sets in
+// ascending bitmask order: every member has no neighbor in the set, and
+// every other vertex has one.
+func maximalIndependentSets(g *igraph.Graph) [][]int {
+	n := g.N()
+	var sets [][]int
+	for mask := 0; mask < 1<<n; mask++ {
+		ok := true
+		for v := 0; v < n && ok; v++ {
+			covered := false // v has a neighbor in the set
+			for _, u := range g.Neighbors(v) {
+				if mask&(1<<u) != 0 {
+					covered = true
+					break
+				}
+			}
+			ok = (mask&(1<<v) != 0) != covered
+		}
+		if !ok {
+			continue
+		}
+		var set []int
+		for v := 0; v < n; v++ {
+			if mask&(1<<v) != 0 {
+				set = append(set, v)
+			}
+		}
+		sets = append(sets, set)
+	}
+	return sets
+}
+
+// bestOverSets returns the best objective over the allocations that give
+// each channel, independently, one of sets; a nil solver is the
+// EquilibriumSolver.
+func bestOverSets(p *ChannelProblem, solver Solver, sets [][]int) (float64, error) {
 	if solver == nil {
 		solver = &EquilibriumSolver{}
 	}
 	n := p.Base.N()
-	var indep [][]int
-	for mask := 0; mask < 1<<n; mask++ {
-		var set []int
-		for i := 0; i < n; i++ {
-			if mask&(1<<i) != 0 {
-				set = append(set, i)
-			}
-		}
-		if p.Graph.IsIndependent(set) {
-			indep = append(indep, set)
-		}
-	}
 	best := math.Inf(-1)
 	alloc := NewAllocation(p.Base.K())
 	var rec func(c int, g []float64) error
@@ -554,7 +599,7 @@ func ExhaustiveChannelOptimum(p *ChannelProblem, solver Solver) (float64, error)
 			}
 			return nil
 		}
-		for _, set := range indep {
+		for _, set := range sets {
 			g2 := append([]float64(nil), g...)
 			for _, i := range set {
 				g2[i] += p.Posteriors[c]

@@ -244,11 +244,45 @@ func checkTableIII(t *testing.T, name string, p *ChannelProblem, solver func() S
 	return twins
 }
 
-// TestGreedyMatchesTableIII holds both allocators to the literal Table III
-// runs on the paper's path, random interference graphs and metro
-// components, with the equilibrium and the dual solver as Q evaluators,
-// on channel sets that repeat posteriors.
-func TestGreedyMatchesTableIII(t *testing.T) {
+// checkSkipBound runs the eager and the lazy allocator on p with and
+// without SkipBound. Under it both bounds read zero, every other field but
+// Evaluations is the same bit for bit (LiveDegree included), and it solves
+// no more Q evaluations. It returns the evaluations saved.
+func checkSkipBound(t *testing.T, name string, p *ChannelProblem, solver func() Solver) int {
+	t.Helper()
+	skip := *p
+	skip.SkipBound = true
+	saved := 0
+	for _, lazy := range []bool{false, true} {
+		var opts []GreedyOption
+		if lazy {
+			opts = append(opts, WithLazyEvaluation())
+		}
+		want, err := NewGreedyAllocator(solver(), opts...).Allocate(p)
+		if err != nil {
+			t.Fatalf("%s lazy=%v: %v", name, lazy, err)
+		}
+		got, err := NewGreedyAllocator(solver(), opts...).Allocate(&skip)
+		if err != nil {
+			t.Fatalf("%s lazy=%v SkipBound: %v", name, lazy, err)
+		}
+		cmp := *want
+		cmp.UpperBound, cmp.PaperUpperBound, cmp.Evaluations = 0, 0, got.Evaluations
+		if d := greedyDiff(got, &cmp); d != "" {
+			t.Errorf("%s lazy=%v: SkipBound changed the allocation: %s", name, lazy, d)
+		}
+		if got.Evaluations > want.Evaluations {
+			t.Errorf("%s lazy=%v: %d Q evaluations under SkipBound, %d without", name, lazy, got.Evaluations, want.Evaluations)
+		}
+		saved += want.Evaluations - got.Evaluations
+	}
+	return saved
+}
+
+// tableIIIProblems draws the greedy oracles' problems: the paper's path,
+// random interference graphs and metro components, on channel sets that
+// repeat posteriors; a quarter of them under -short or -race.
+func tableIIIProblems(t *testing.T) []*ChannelProblem {
 	scale := 1
 	if testing.Short() || raceEnabled {
 		scale = 4
@@ -266,15 +300,25 @@ func TestGreedyMatchesTableIII(t *testing.T) {
 			problems = append(problems, p)
 		}
 	}
+	return problems
+}
+
+// oracleSolvers are the Q evaluators the greedy oracles run with.
+var oracleSolvers = []struct {
+	name string
+	new  func() Solver
+}{
+	{"equilibrium", func() Solver { return &EquilibriumSolver{} }},
+	{"dual", func() Solver { return NewDualSolver() }},
+}
+
+// TestGreedyMatchesTableIII holds both allocators to the literal Table III
+// runs on tableIIIProblems, with the equilibrium and the dual solver as Q
+// evaluators.
+func TestGreedyMatchesTableIII(t *testing.T) {
 	twins, runs := 0, 0
-	for i, p := range problems {
-		for _, sv := range []struct {
-			name string
-			new  func() Solver
-		}{
-			{"equilibrium", func() Solver { return &EquilibriumSolver{} }},
-			{"dual", func() Solver { return NewDualSolver() }},
-		} {
+	for i, p := range tableIIIProblems(t) {
+		for _, sv := range oracleSolvers {
 			runs++
 			if checkTableIII(t, fmt.Sprintf("problem %d %s", i, sv.name), p, sv.new) {
 				twins++
@@ -283,5 +327,20 @@ func TestGreedyMatchesTableIII(t *testing.T) {
 	}
 	if twins < runs/4 {
 		t.Fatalf("only %d of %d runs had twin channels: the generators no longer repeat posteriors", twins, runs)
+	}
+}
+
+// TestGreedySkipBoundMatches holds both allocators under SkipBound to
+// their own runs without it (checkSkipBound) on tableIIIProblems, and
+// requires the skip to save some Q evaluations.
+func TestGreedySkipBoundMatches(t *testing.T) {
+	saved := 0
+	for i, p := range tableIIIProblems(t) {
+		for _, sv := range oracleSolvers {
+			saved += checkSkipBound(t, fmt.Sprintf("problem %d %s", i, sv.name), p, sv.new)
+		}
+	}
+	if saved == 0 {
+		t.Fatal("SkipBound saved no Q evaluation on any problem")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"femtocr/internal/igraph"
+	"femtocr/internal/netmodel"
 	"femtocr/internal/rng"
 )
 
@@ -43,6 +44,66 @@ func exhaustiveChannelOpt(t *testing.T, p *ChannelProblem, solver Solver) float6
 		t.Fatal(err)
 	}
 	return best
+}
+
+// allIndependentSets lists every independent set of the graph, maximal or
+// not, in ascending bitmask order: the enumeration ExhaustiveChannelOptimum
+// ran before it kept only the maximal sets.
+func allIndependentSets(g *igraph.Graph) [][]int {
+	var sets [][]int
+	for mask := 0; mask < 1<<g.N(); mask++ {
+		var set []int
+		for i := 0; i < g.N(); i++ {
+			if mask&(1<<i) != 0 {
+				set = append(set, i)
+			}
+		}
+		if g.IsIndependent(set) {
+			sets = append(sets, set)
+		}
+	}
+	return sets
+}
+
+// TestExhaustiveMaximalSetsSuffice: Q is nondecreasing in G, so the best
+// allocation over maximal independent sets is the best over all of them,
+// bit for bit, on random interference graphs and metro components with up
+// to three channels.
+func TestExhaustiveMaximalSetsSuffice(t *testing.T) {
+	s := rng.New(23)
+	var problems []*ChannelProblem
+	for i := 0; i < 60; i++ {
+		problems = append(problems, randomGraphProblem(s, 1+s.IntN(4), 0.2+0.6*s.Float64()))
+	}
+	problems = append(problems, metroProblems(t, s, netmodel.MetroPoissonSpec(40, 2), 4)...)
+	if raceEnabled {
+		problems = problems[:len(problems)/4]
+	}
+	fewer := 0
+	for i, p := range problems {
+		if len(p.Channels) > 3 {
+			p.Channels, p.Posteriors = p.Channels[:3], p.Posteriors[:3]
+		}
+		got, err := ExhaustiveChannelOptimum(p, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all := allIndependentSets(p.Graph)
+		want, err := bestOverSets(p, nil, all)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("problem %d (%d FBSs, %d edges, %d channels): maximal sets give %v, all sets %v",
+				i, p.Graph.N(), p.Graph.NumEdges(), len(p.Channels), got, want)
+		}
+		if len(maximalIndependentSets(p.Graph)) < len(all) {
+			fewer++
+		}
+	}
+	if fewer == 0 {
+		t.Fatal("no problem had a non-maximal independent set to skip")
+	}
 }
 
 func TestGreedyValidation(t *testing.T) {

@@ -2,6 +2,9 @@ package core
 
 import (
 	"math"
+	"os"
+	"reflect"
+	"regexp"
 	"sync"
 	"testing"
 
@@ -74,4 +77,32 @@ func TestSolversBitIdenticalUnderPoolChurn(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestRaceRewriteCoversEveryBuffer: the race build's release check
+// (pool_race.go) rewrites each scratch buffer by name, so a buffer added
+// to solveWorkspace must be named there too. qInstance is left out: its
+// slices alias the caller's instance.
+func TestRaceRewriteCoversEveryBuffer(t *testing.T) {
+	src, err := os.ReadFile("pool_race.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	named := func(path string) bool {
+		return regexp.MustCompile(`\bws\.` + regexp.QuoteMeta(path) + `\b`).Match(src)
+	}
+	typ := reflect.TypeOf(solveWorkspace{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		switch {
+		case f.Type.Kind() == reflect.Slice && !named(f.Name):
+			t.Errorf("solveWorkspace.%s is not rewritten on release", f.Name)
+		case f.Type == reflect.TypeOf(Allocation{}):
+			for j := 0; j < f.Type.NumField(); j++ {
+				if sub := f.Name + "." + f.Type.Field(j).Name; !named(sub) {
+					t.Errorf("solveWorkspace.%s is not rewritten on release", sub)
+				}
+			}
+		}
+	}
 }

@@ -338,10 +338,12 @@ var workspacePool = sync.Pool{New: func() any { return new(solveWorkspace) }}
 
 func getWorkspace() *solveWorkspace { return workspacePool.Get().(*solveWorkspace) }
 
+// putWorkspace releases a workspace: the caller must not touch it again.
+// Race builds check that (see pool_race.go).
 func putWorkspace(ws *solveWorkspace) {
 	ws.eqSeeded = false
 	ws.memoLive = false
-	workspacePool.Put(ws)
+	recycle(ws)
 }
 
 // growF returns a float64 slice of length n, reusing buf's backing array

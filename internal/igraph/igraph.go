@@ -23,11 +23,11 @@ var ErrSelfLoop = errors.New("igraph: self loops not allowed")
 // Graph is an undirected interference graph over vertices 0..N-1 (vertex i
 // is FBS i+1 in the paper's numbering).
 type Graph struct {
-	n   int
-	adj []map[int]bool
-	// nbr mirrors adj as sorted neighbor lists, maintained incrementally at
-	// edge insertion so Neighbors is an allocation-free lookup on the greedy
-	// allocator's per-slot path instead of a per-call build-and-sort.
+	n int
+	// nbr[u] lists u's neighbors in ascending order, the graph's one
+	// adjacency representation: kept sorted at edge insertion, so Neighbors
+	// is an allocation-free lookup on the greedy allocator's per-slot path,
+	// HasEdge a binary search, and Edges an ascending walk.
 	nbr [][]int
 }
 
@@ -36,11 +36,7 @@ func New(n int) *Graph {
 	if n < 0 {
 		n = 0
 	}
-	adj := make([]map[int]bool, n)
-	for i := range adj {
-		adj[i] = make(map[int]bool)
-	}
-	return &Graph{n: n, adj: adj, nbr: make([][]int, n)}
+	return &Graph{n: n, nbr: make([][]int, n)}
 }
 
 // FromCoverage derives the interference graph of a deployment: vertices are
@@ -95,21 +91,19 @@ func (g *Graph) AddEdge(u, v int) error {
 	return nil
 }
 
-// link records the validated undirected edge (u, v) in both the adjacency
-// maps and the sorted neighbor lists. Duplicate edges are ignored.
+// link records the validated undirected edge (u, v) in both endpoints'
+// sorted neighbor lists. Duplicate edges are ignored.
 func (g *Graph) link(u, v int) {
-	if g.adj[u][v] {
+	i := sort.SearchInts(g.nbr[u], v)
+	if i < len(g.nbr[u]) && g.nbr[u][i] == v {
 		return
 	}
-	g.adj[u][v] = true
-	g.adj[v][u] = true
-	g.nbr[u] = insertSorted(g.nbr[u], v)
-	g.nbr[v] = insertSorted(g.nbr[v], u)
+	g.nbr[u] = insertAt(g.nbr[u], i, v)
+	g.nbr[v] = insertAt(g.nbr[v], sort.SearchInts(g.nbr[v], u), u)
 }
 
-// insertSorted inserts v into the ascending slice s, keeping it sorted.
-func insertSorted(s []int, v int) []int {
-	i := sort.SearchInts(s, v)
+// insertAt inserts v at position i of s.
+func insertAt(s []int, i, v int) []int {
 	s = append(s, 0)
 	copy(s[i+1:], s[i:])
 	s[i] = v
@@ -122,7 +116,8 @@ func (g *Graph) HasEdge(u, v int) bool {
 	if u < 0 || u >= g.n || v < 0 || v >= g.n {
 		return false
 	}
-	return g.adj[u][v]
+	i := sort.SearchInts(g.nbr[u], v)
+	return i < len(g.nbr[u]) && g.nbr[u][i] == v
 }
 
 // Neighbors returns R(u): the sorted vertices adjacent to u. The returned
@@ -139,7 +134,7 @@ func (g *Graph) Degree(u int) int {
 	if u < 0 || u >= g.n {
 		return 0
 	}
-	return len(g.adj[u])
+	return len(g.nbr[u])
 }
 
 // MaxDegree returns Dmax, the largest vertex degree; 0 for an empty or
@@ -148,7 +143,7 @@ func (g *Graph) Degree(u int) int {
 func (g *Graph) MaxDegree() int {
 	max := 0
 	for u := 0; u < g.n; u++ {
-		if d := len(g.adj[u]); d > max {
+		if d := len(g.nbr[u]); d > max {
 			max = d
 		}
 	}
@@ -159,27 +154,22 @@ func (g *Graph) MaxDegree() int {
 func (g *Graph) NumEdges() int {
 	total := 0
 	for u := 0; u < g.n; u++ {
-		total += len(g.adj[u])
+		total += len(g.nbr[u])
 	}
 	return total / 2
 }
 
-// Edges returns all undirected edges as ordered pairs (u < v), sorted.
+// Edges returns all undirected edges as ordered pairs (u < v), sorted: the
+// ascending walk of the sorted neighbor lists yields them in order.
 func (g *Graph) Edges() [][2]int {
 	var out [][2]int
 	for u := 0; u < g.n; u++ {
-		for v := range g.adj[u] {
+		for _, v := range g.nbr[u] {
 			if u < v {
 				out = append(out, [2]int{u, v})
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
 	return out
 }
 
@@ -218,13 +208,13 @@ func (g *Graph) Components() [][]int {
 // are in the set and adjacent in g. Partitioning a deployment by
 // Components and inducing each component yields standalone interference
 // graphs for the sharded simulation engine.
+//
+// The cost is O(len(vertices) + their degrees · log len(vertices)),
+// independent of the parent's size: a neighbor's position is its rank in
+// the ascending vertex list, found by binary search.
 func (g *Graph) Subgraph(vertices []int) (*Graph, error) {
-	pos := make([]int, g.n)
-	for i := range pos {
-		pos[i] = -1
-	}
 	prev := -1
-	for i, u := range vertices {
+	for _, u := range vertices {
 		if u < 0 || u >= g.n {
 			return nil, fmt.Errorf("%w: %d with n=%d", ErrBadVertex, u, g.n)
 		}
@@ -232,13 +222,14 @@ func (g *Graph) Subgraph(vertices []int) (*Graph, error) {
 			return nil, fmt.Errorf("%w: vertices must be strictly ascending, got %d after %d", ErrBadVertex, u, prev)
 		}
 		prev = u
-		pos[u] = i
 	}
 	sub := New(len(vertices))
 	for i, u := range vertices {
-		for _, v := range g.Neighbors(u) {
-			j := pos[v]
-			if j > i { // each edge linked once, from its lower endpoint
+		for _, v := range g.nbr[u] {
+			if v <= u {
+				continue // each edge linked once, from its lower endpoint
+			}
+			if j := sort.SearchInts(vertices, v); j < len(vertices) && vertices[j] == v {
 				sub.link(i, j)
 			}
 		}
@@ -275,9 +266,16 @@ func (g *Graph) GreedyColoring() ([]int, int) {
 		colors[i] = -1
 	}
 	maxColor := 0
+	// A vertex's color never exceeds its degree, so colors 0..Dmax cover
+	// every mark; used is cleared again after each vertex, and stays on
+	// the stack unless Dmax is large.
+	var stack [32]bool
+	used := stack[:]
+	if d := g.MaxDegree() + 1; d > len(stack) {
+		used = make([]bool, d)
+	}
 	for u := 0; u < g.n; u++ {
-		used := make(map[int]bool)
-		for v := range g.adj[u] {
+		for _, v := range g.nbr[u] {
 			if colors[v] >= 0 {
 				used[colors[v]] = true
 			}
@@ -289,6 +287,11 @@ func (g *Graph) GreedyColoring() ([]int, int) {
 		colors[u] = c
 		if c+1 > maxColor {
 			maxColor = c + 1
+		}
+		for _, v := range g.nbr[u] {
+			if colors[v] >= 0 {
+				used[colors[v]] = false
+			}
 		}
 	}
 	return colors, maxColor
@@ -303,7 +306,7 @@ func (g *Graph) String() string {
 		fmt.Fprintf(&b, "  FBS %d -- FBS %d\n", e[0]+1, e[1]+1)
 	}
 	for u := 0; u < g.n; u++ {
-		if len(g.adj[u]) == 0 {
+		if len(g.nbr[u]) == 0 {
 			fmt.Fprintf(&b, "  FBS %d (isolated)\n", u+1)
 		}
 	}

@@ -253,3 +253,32 @@ func TestConnectivity(t *testing.T) {
 		t.Fatal("trivial graphs must count as connected")
 	}
 }
+
+// TestGraphKeepsOneAdjacency: the sorted neighbor lists are the graph's
+// only adjacency representation, so building a graph allocates the struct
+// and its list headers, and coloring a sparse graph allocates only the
+// colors, whatever the vertex count.
+func TestGraphKeepsOneAdjacency(t *testing.T) {
+	var g *Graph
+	if n := testing.AllocsPerRun(10, func() { g = New(500) }); n != 2 {
+		t.Errorf("New(500): %v allocations, want 2", n)
+	}
+	g = Path(500)
+	if n := testing.AllocsPerRun(10, func() { g.GreedyColoring() }); n != 1 {
+		t.Errorf("GreedyColoring on a 500-vertex path: %v allocations, want 1", n)
+	}
+	for u := 0; u < 500; u++ {
+		for v := 0; v < 500; v++ {
+			if want := v == u-1 || v == u+1; g.HasEdge(u, v) != want {
+				t.Fatalf("HasEdge(%d, %d) = %v", u, v, !want)
+			}
+		}
+	}
+	// A dense graph takes the marks off the stack: K_40 needs 40 colors.
+	colors, used := Complete(40).GreedyColoring()
+	for u, c := range colors {
+		if c != u || used != 40 {
+			t.Fatalf("K_40 coloring %v with %d colors, want vertex i colored i", colors, used)
+		}
+	}
+}

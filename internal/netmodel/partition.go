@@ -1,6 +1,9 @@
 package netmodel
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+)
 
 // Shard is one independent coordination domain of a deployment: a connected
 // component of the interference graph together with the users its FBSs
@@ -95,14 +98,15 @@ func (n *Network) Subnetwork(s *Shard) (*Network, error) {
 	if s.net != nil {
 		return s.net, nil
 	}
-	// newFBS maps original 0-based vertices to the shard's 1-based ids.
-	newFBS := make([]int, n.NumFBS)
+	// Everything here is sized by the shard, not by the parent: a shard's
+	// id for an original FBS is its rank in the ascending s.FBSs, found by
+	// binary search, so materializing every shard of a city costs O(N + K)
+	// in total.
 	vertices := make([]int, len(s.FBSs))
 	for i, f := range s.FBSs {
 		if f < 1 || f > n.NumFBS {
 			return nil, fmt.Errorf("%w: shard FBS %d of %d", ErrBadNetwork, f, n.NumFBS)
 		}
-		newFBS[f-1] = i + 1
 		vertices[i] = f - 1
 	}
 	sub, err := n.Graph.Subgraph(vertices)
@@ -115,11 +119,12 @@ func (n *Network) Subnetwork(s *Shard) (*Network, error) {
 			return nil, fmt.Errorf("%w: shard user %d of %d", ErrBadNetwork, j, len(n.Users))
 		}
 		u := n.Users[j]
-		u.ID = localID
-		u.FBS = newFBS[u.FBS-1]
-		if u.FBS == 0 {
+		i := sort.SearchInts(s.FBSs, u.FBS)
+		if i == len(s.FBSs) || s.FBSs[i] != u.FBS {
 			return nil, fmt.Errorf("%w: user %d served by FBS outside the shard", ErrBadNetwork, j)
 		}
+		u.ID = localID
+		u.FBS = i + 1
 		users[localID] = u
 	}
 	return &Network{

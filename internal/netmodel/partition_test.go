@@ -2,6 +2,7 @@ package netmodel
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"femtocr/internal/video"
@@ -164,5 +165,39 @@ func TestPartitionPreservesInducedEdges(t *testing.T) {
 			!sub.Graph.HasEdge(0, 1) || !sub.Graph.HasEdge(1, 2) || sub.Graph.HasEdge(0, 2) {
 			t.Fatalf("shard %d induced graph is not the 3-path: %v", ci, sub.Graph.Edges())
 		}
+	}
+}
+
+// TestSubnetworkCostIndependentOfCity: materializing a shard allocates
+// what the shard holds, not scratch sized to its parent. The same
+// one-FBS, two-user shard costs the same bytes in a 40-FBS and a 400-FBS
+// deployment.
+func TestSubnetworkCostIndependentOfCity(t *testing.T) {
+	bytesOf := func(numFBS int) uint64 {
+		net, err := NewNetwork(DefaultConfig(), TopologySpec{Kind: KindNonInterferingLine, FBSs: numFBS, UsersPerFBS: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		shards, err := net.Partition()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(shards) != numFBS || len(shards[0].FBSs) != 1 || len(shards[0].Users) != 2 {
+			t.Fatalf("%d FBSs: %d shards, first %+v", numFBS, len(shards), shards[0])
+		}
+		const runs = 100
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if _, err := net.Subnetwork(&shards[0]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	small, large := bytesOf(40), bytesOf(400)
+	if small != large {
+		t.Fatalf("one-FBS shard: %d B per Subnetwork under 40 FBSs, %d B under 400", small, large)
 	}
 }

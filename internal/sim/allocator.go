@@ -22,8 +22,7 @@ import (
 // free because every shard builds its own engine.
 type Allocator struct {
 	net        *netmodel.Network
-	solver     core.Solver
-	eq         *core.EquilibriumSolver // solver, when the scheme is Proposed
+	solver     core.Solver // a *core.EquilibriumSolver when the scheme is Proposed
 	greedy     *core.GreedyAllocator
 	trackBound bool
 
@@ -69,8 +68,9 @@ type SlotAllocation struct {
 	Greedy bool
 	// Value is the greedy objective Q(pi_L).
 	Value float64
-	// Bound is the tightened eq. (23) upper bound on the optimum, under
-	// TrackBound intersected with the interference-relaxation optimum.
+	// Bound is the tightened eq. (23) upper bound on the optimum
+	// intersected with the interference-relaxation optimum, set only under
+	// TrackBound.
 	Bound float64
 }
 
@@ -86,11 +86,11 @@ func NewAllocator(net *netmodel.Network, opts Options) (*Allocator, error) {
 	}
 	switch opts.Scheme {
 	case Proposed:
-		a.eq = &core.EquilibriumSolver{}
-		a.solver = a.eq
-		var q core.Solver = coldQ{a.eq}
+		eq := &core.EquilibriumSolver{}
+		a.solver = eq
+		var q core.Solver = coldQ{eq}
 		if !opts.coldSolves {
-			q = a.eq
+			q = eq
 		}
 		if a.interfering {
 			var gopts []core.GreedyOption
@@ -143,7 +143,7 @@ func NewAllocator(net *netmodel.Network, opts Options) (*Allocator, error) {
 		a.relaxG = make([]float64, net.NumFBS)
 		a.relaxAlloc = core.NewAllocation(k)
 	}
-	if a.eq != nil && !opts.coldSolves {
+	if opts.Scheme == Proposed && !opts.coldSolves {
 		a.session = core.NewSolverSession()
 		if a.trackBound {
 			a.relaxSession = core.NewSolverSession()
@@ -171,12 +171,12 @@ func (a *Allocator) Step(st *SlotState, w []float64) (*SlotAllocation, error) {
 			Graph:      a.net.Graph,
 			Channels:   st.Accessed,
 			Posteriors: st.AccessedPA,
+			SkipBound:  !a.trackBound,
 		}
 		res, err := a.greedy.Allocate(&a.chanProb)
 		if err != nil {
 			return nil, err
 		}
-		bound := res.UpperBound
 		if a.trackBound {
 			// Intersect the eq. (23) bound with the interference-relaxation
 			// bound: giving every FBS every accessed channel enlarges the
@@ -188,12 +188,14 @@ func (a *Allocator) Step(st *SlotState, w []float64) (*SlotAllocation, error) {
 			for i := range a.relaxG {
 				a.relaxG[i] = totalPA
 			}
-			v, err := a.eq.SolveWarmInto(a.withG(a.relaxG), a.relaxAlloc, a.relaxSession)
+			eq := a.solver.(*core.EquilibriumSolver) // TrackBound runs Proposed
+			v, err := eq.SolveWarmInto(a.withG(a.relaxG), a.relaxAlloc, a.relaxSession)
 			if err != nil {
 				return nil, err
 			}
-			if v < bound {
-				bound = v
+			out.Bound = res.UpperBound
+			if v < out.Bound {
+				out.Bound = v
 			}
 		}
 		out.Instance = a.withG(res.G)
@@ -201,7 +203,6 @@ func (a *Allocator) Step(st *SlotState, w []float64) (*SlotAllocation, error) {
 		out.Assigned = res.Assigned
 		out.Greedy = true
 		out.Value = res.Value
-		out.Bound = bound
 		return out, nil
 	}
 	// Non-interfering (or the heuristics' frequency plan): channel m serves
@@ -227,8 +228,8 @@ func (a *Allocator) Step(st *SlotState, w []float64) (*SlotAllocation, error) {
 // is nil (the cold path) when the solves carry no sessions, else the
 // scheme's plain SolveInto.
 func (a *Allocator) solve(in *core.Instance, out *core.Allocation, sess *core.SolverSession) error {
-	if a.eq != nil {
-		_, err := a.eq.SolveWarmInto(in, out, sess)
+	if eq, ok := a.solver.(*core.EquilibriumSolver); ok {
+		_, err := eq.SolveWarmInto(in, out, sess)
 		return err
 	}
 	return a.solver.SolveInto(in, out)

@@ -25,9 +25,9 @@ func (g goldenCase) name() string {
 // TestGoldenOutputs pins the rate engine's outputs bitwise across commits:
 // MeanPSNR (and BoundPSNR where the bound is tracked) for Proposed and the
 // four baselines on the paper's single-FBS and interfering cells at two seeds,
-// plus one sharded metro GOP. The determinism and warm==cold tests compare
-// the engine against itself within one commit; this test catches a change
-// that moves every path the same way. The interfering Proposed runs track
+// plus sharded metro GOPs with and without the bound. The determinism and
+// warm==cold tests compare the engine against itself within one commit; this
+// test catches a change that moves every path the same way. The interfering Proposed runs track
 // the eq. (23) bound, so they also pin the greedy's bound bits and the
 // relaxation solve.
 func TestGoldenOutputs(t *testing.T) {
@@ -75,6 +75,24 @@ func TestGoldenOutputs(t *testing.T) {
 		t.Fatalf("%s: %v", g.name(), err)
 	}
 	checkGolden(t, g, res.MeanPSNR, res.BoundPSNR, true)
+
+	// perfbench's metro city without TrackBound, where Table III solves no
+	// eq. (23) slack: seed 1 is perfbench's reference op, seed 2 a second
+	// pin of the same path.
+	city, err := netmodel.NewNetwork(netmodel.DefaultConfig(), netmodel.MetroPoissonSpec(400, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []goldenCase{
+		{"metro400", Proposed, 1, 0x403f97932f4026b8, 0},
+		{"metro400", Proposed, 2, 0x403fa96b7b6e5c9a, 0},
+	} {
+		res, err := RunSharded(city, Options{Seed: g.seed, GOPs: 1})
+		if err != nil {
+			t.Fatalf("%s: %v", g.name(), err)
+		}
+		checkGolden(t, g, res.MeanPSNR, res.BoundPSNR, false)
+	}
 }
 
 // checkGolden compares one run's bits against its pinned case.

@@ -110,7 +110,7 @@ func TestEngineSessionWiring(t *testing.T) {
 				t.Fatal(err)
 			}
 			a := e.stage
-			if got := a.session != nil && a.eq != nil; got != tc.session {
+			if got := a.session != nil; got != tc.session {
 				t.Errorf("slot session present = %v, want %v", got, tc.session)
 			}
 			if got := a.relaxSession != nil; got != tc.relaxSession {

@@ -40,7 +40,8 @@
 # Opt-in extras:
 #   FEMTOCR_FUZZ=1  — also run short fuzz smoke passes (-fuzztime=10s) over
 #                     the core solver fuzz targets (water-filling, greedy
-#                     channels against the literal Table III runs, warm==cold
+#                     channels against the literal Table III runs and
+#                     against their own SkipBound runs, warm==cold
 #                     solver sessions, the equilibrium memo against a
 #                     memo-free workspace, the equilibrium solve against
 #                     its shortcut-free reference, the association
