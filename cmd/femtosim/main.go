@@ -6,7 +6,7 @@
 //
 //	femtosim -scenario single -scheme proposed -runs 10 -gops 20
 //	femtosim -scenario interfering -scheme h2 -eta 0.5
-//	femtosim -scenario single -dualtrace
+//	femtosim -scenario single -dualtrace 600
 //	femtosim -scenario metro -metro-fbs 400 -metro-users 2 -gops 1
 package main
 
@@ -56,11 +56,9 @@ func run(args []string, w io.Writer) (retErr error) {
 		eps       = fs.Float64("eps", 0.3, "sensing false-alarm probability")
 		delta     = fs.Float64("delta", 0.3, "sensing miss-detection probability")
 		bound     = fs.Bool("bound", false, "track the eq. (23) upper bound (interfering + proposed)")
-		dualTrace = fs.Bool("dualtrace", false, "print the dual-variable convergence trace of the first slot")
-		dualIters = fs.Int("dualiters", 600, "dual iterations for -dualtrace")
+		dualTrace = fs.Int("dualtrace", 0, "print the dual-variable convergence trace of the first slot over this many iterations (0: none)")
 		packets   = fs.Bool("packets", false, "run the packet-level engine (NAL queues, ARQ, deadlines)")
-		beliefs   = fs.Bool("beliefs", false, "use the Bayesian occupancy filter as the fusion prior")
-		estimate  = fs.Bool("estimate", false, "learn channel utilizations online instead of assuming them known")
+		priorName = fs.String("prior", "stationary", "fusion prior: stationary (known eta) | estimated (eta learned online) | belief (Bayesian occupancy filter)")
 		subcar    = fs.Int("ofdm", 0, "OFDM subcarriers per channel (0: flat Rayleigh links)")
 		showTrace = fs.Bool("trace", false, "print a slot-trace summary of the first run")
 		asJSON    = fs.Bool("json", false, "emit the last run's result as JSON (for scripting)")
@@ -77,6 +75,9 @@ func run(args []string, w io.Writer) (retErr error) {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *runs < 1 {
+		return fmt.Errorf("runs=%d: need at least one replication", *runs)
 	}
 	stopProf, err := profiling.Start(*cpuProf, *memProf)
 	if err != nil {
@@ -96,7 +97,7 @@ func run(args []string, w io.Writer) (retErr error) {
 	cfg.Eps = *eps
 	cfg.Delta = *delta
 	cfg.OFDMSubcarriers = *subcar
-	if *eta >= 0 {
+	if !(*eta < 0) { // NaN included: WithUtilization rejects it
 		var err error
 		cfg, err = cfg.WithUtilization(*eta)
 		if err != nil {
@@ -119,13 +120,18 @@ func run(args []string, w io.Writer) (retErr error) {
 	default:
 		return fmt.Errorf("unknown scheme %q", *scheme)
 	}
+	priors := map[string]sim.Prior{"stationary": sim.StationaryPrior, "estimated": sim.EstimatedPrior, "belief": sim.BeliefPrior}
+	prior, ok := priors[*priorName]
+	if !ok {
+		return fmt.Errorf("unknown prior %q", *priorName)
+	}
 
 	if *scenario == "metro" {
 		var spec netmodel.TopologySpec
 		switch *metroLay {
 		case "poisson":
 			spec = netmodel.MetroPoissonSpec(*metroFBS, *metroUser)
-			spec.Width, spec.Height = *metroArea, *metroArea
+			spec.Side = *metroArea
 		case "grid":
 			spec = netmodel.MetroGridSpec(*metroRows, *metroCols, *metroUser)
 			spec.FBSPerBlock = *metroBloc
@@ -169,17 +175,18 @@ func run(args []string, w io.Writer) (retErr error) {
 		recorders[0] = &trace.Recorder{}
 	}
 	err = par.RunGrid(*runs, *workers, func(r int) error {
-		res, err := sim.Run(net, sim.Options{
-			Seed:                *seed + uint64(r),
-			GOPs:                *gops,
-			Scheme:              sch,
-			TrackBound:          *bound,
-			CaptureDualTrace:    *dualTrace && r == 0,
-			DualIterations:      *dualIters,
-			TrackBeliefs:        *beliefs,
-			EstimateUtilization: *estimate,
-			Recorder:            recorders[r],
-		})
+		opts := sim.Options{
+			Seed:       *seed + uint64(r),
+			GOPs:       *gops,
+			Scheme:     sch,
+			Prior:      prior,
+			TrackBound: *bound,
+			Recorder:   recorders[r],
+		}
+		if r == 0 {
+			opts.DualTrace = *dualTrace
+		}
+		res, err := sim.Run(net, opts)
 		if err != nil {
 			return fmt.Errorf("run %d (seed %d): %w", r, *seed+uint64(r), err)
 		}
@@ -210,7 +217,7 @@ func run(args []string, w io.Writer) (retErr error) {
 			fmt.Fprint(out, recorders[r].Summarize().String())
 			fmt.Fprintln(out)
 		}
-		if *dualTrace && r == 0 && res.DualTrace != nil {
+		if res.DualTrace != nil {
 			fmt.Fprintln(out, "\ndual-variable trace (iteration lambda_0 lambda_1 ...):")
 			for i, row := range res.DualTrace {
 				if i%25 != 0 && i != len(res.DualTrace)-1 {
@@ -251,16 +258,11 @@ func run(args []string, w io.Writer) (retErr error) {
 }
 
 // runMetro generates a metro-scale topology, runs the sharded engine for
-// each replication, and reports folded quality plus the per-task ns
-// accounting that scripts/bench_shard.sh parses (the SHARDSTATS line). The
-// PSNR on that line is printed to full precision: the sharded fold is
-// bitwise-deterministic for any -workers setting, and the bench harness
-// cross-checks that.
+// each replication, and reports folded quality. With asJSON it prints the
+// last run's ShardedResult, whose MeanPSNR (exact, and bitwise-identical
+// for any -workers setting) and Timing scripts/bench_shard.sh reads.
 func runMetro(out *safeio.Writer, cfg netmodel.Config, spec netmodel.TopologySpec,
 	sch sim.Scheme, seed uint64, runs, gops int, parallel sim.Parallelism, asJSON bool) error {
-	if runs < 1 {
-		return fmt.Errorf("metro: runs=%d", runs)
-	}
 	net, err := netmodel.NewNetwork(cfg, spec)
 	if err != nil {
 		return err
@@ -286,9 +288,6 @@ func runMetro(out *safeio.Writer, cfg netmodel.Config, spec netmodel.TopologySpe
 			}
 			fmt.Fprintf(out, "metro: layout=%s scheme=%s fbs=%d users=%d shards=%d largest-shard=%d edges=%d\n",
 				spec.Kind, sch, res.FBSs, res.Users, res.Shards, largest, net.Graph.NumEdges())
-			fmt.Fprintf(out, "SHARDSTATS workers=%d wall_ns=%d sum_task_ns=%d max_task_ns=%d ideal_speedup=%.3f psnr=%.17g\n",
-				parallel.EffectiveWorkers(), res.Timing.WallNS,
-				res.Timing.SumTaskNS, res.Timing.MaxTaskNS, res.Timing.IdealSpeedup(), res.MeanPSNR)
 		}
 		meanAcc.Add(res.MeanPSNR)
 		minAcc.Add(res.MinUserPSNR)

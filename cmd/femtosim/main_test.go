@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 )
@@ -49,7 +50,7 @@ func TestRunNonInterfering(t *testing.T) {
 
 func TestRunDualTrace(t *testing.T) {
 	var b strings.Builder
-	err := run([]string{"-dualtrace", "-gops", "1", "-dualiters", "120"}, &b)
+	err := run([]string{"-dualtrace", "120", "-gops", "1"}, &b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,11 +69,33 @@ func TestRunEtaOverride(t *testing.T) {
 	}
 }
 
+// TestRunPriors: every -prior value runs.
+func TestRunPriors(t *testing.T) {
+	for _, prior := range []string{"stationary", "estimated", "belief"} {
+		var b strings.Builder
+		if err := run([]string{"-prior", prior, "-gops", "1"}, &b); err != nil {
+			t.Fatalf("prior %s: %v", prior, err)
+		}
+	}
+}
+
 func TestRunErrors(t *testing.T) {
+	metro := []string{"-scenario", "metro", "-metro-fbs", "6", "-gops", "1"}
 	cases := [][]string{
 		{"-scenario", "nope"},
 		{"-scheme", "nope"},
+		{"-prior", "nope"},
 		{"-eta", "0.99"}, // infeasible with P10=0.3
+		{"-eta", "NaN"},
+		{"-runs", "-1"},
+		{"-runs", "0", "-packets"},
+		append([]string{"-runs", "-1"}, metro...),
+		{"-dualtrace", "-5", "-gops", "1"},
+		{"-ofdm", "-1"},
+		append([]string{"-metro-users", "-1"}, metro...),
+		append([]string{"-metro-area", "-5"}, metro...),
+		append([]string{"-metro-area", "NaN"}, metro...),
+		append([]string{"-metro-layout", "grid", "-metro-block", "-2"}, metro...),
 	}
 	for _, args := range cases {
 		var b strings.Builder
@@ -99,6 +122,36 @@ func TestRunJSONOutput(t *testing.T) {
 	for _, key := range []string{"MeanPSNR", "PerUserPSNR", "CollisionRate", "FairnessIndex"} {
 		if _, ok := res[key]; !ok {
 			t.Fatalf("JSON missing %q", key)
+		}
+	}
+}
+
+// TestRunMetroJSON pins the fields scripts/bench_shard.sh reads from
+// `-scenario metro -json`: the folded MeanPSNR and the run's Timing.
+func TestRunMetroJSON(t *testing.T) {
+	var b strings.Builder
+	args := []string{"-scenario", "metro", "-metro-fbs", "24", "-metro-users", "2", "-gops", "1", "-json"}
+	if err := run(args, &b); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
+	start := strings.Index(out, "\n{")
+	if start < 0 {
+		t.Fatalf("no JSON in output:\n%s", out)
+	}
+	// A map keeps the keys exact: jq matches them case-sensitively, a
+	// decoded struct would not.
+	var res map[string]any
+	if err := json.Unmarshal([]byte(out[start:]), &res); err != nil {
+		t.Fatalf("invalid JSON: %v", err)
+	}
+	if psnr, ok := res["MeanPSNR"].(float64); !ok || math.IsNaN(psnr) || math.IsInf(psnr, 0) || psnr <= 0 {
+		t.Fatalf("MeanPSNR = %v, want a finite PSNR", res["MeanPSNR"])
+	}
+	timing, _ := res["Timing"].(map[string]any)
+	for _, key := range []string{"WallNS", "SumTaskNS", "MaxTaskNS"} {
+		if ns, ok := timing[key].(float64); !ok || ns <= 0 {
+			t.Fatalf("Timing.%s = %v, want a positive count", key, timing[key])
 		}
 	}
 }

@@ -71,7 +71,7 @@ func run(args []string, w io.Writer) (retErr error) {
 
 	if strings.ToLower(*fig) == "topology" {
 		// Solver-level study (no figure object): render the table directly.
-		pts, err := experiments.TopologyStudy(*seed, *runs*2, 3, *workers)
+		pts, err := experiments.TopologyStudy(*seed, *runs*2, *workers)
 		if err != nil {
 			return err
 		}

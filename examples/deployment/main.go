@@ -43,9 +43,9 @@ func main() {
 	fmt.Printf("  idealized (eta known, stationary prior): %.2f dB\n",
 		mean(femtocr.SimOptions{}))
 	fmt.Printf("  eta learned online:                      %.2f dB\n",
-		mean(femtocr.SimOptions{EstimateUtilization: true}))
+		mean(femtocr.SimOptions{Prior: femtocr.EstimatedPrior}))
 	fmt.Printf("  Bayesian occupancy filter:               %.2f dB\n",
-		mean(femtocr.SimOptions{TrackBeliefs: true}))
+		mean(femtocr.SimOptions{Prior: femtocr.BeliefPrior}))
 
 	// Packet level: fixed full-rate encode vs adaptive re-encode.
 	pkt := func(adaptive bool) (float64, int) {

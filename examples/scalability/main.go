@@ -19,7 +19,7 @@ func main() {
 	fmt.Println("interfering femtocells on a line (path interference graph)")
 	fmt.Printf("%-5s %-6s %-14s %-14s %-14s %-10s %-8s\n",
 		"N", "users", "Proposed (dB)", "H1 (dB)", "H2 (dB)", "bound gap", "elapsed")
-	points, err := femtocr.Scalability(p, []int{2, 3, 4, 6})
+	points, err := femtocr.Scalability(p)
 	if err != nil {
 		log.Fatal(err)
 	}

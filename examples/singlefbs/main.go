@@ -45,10 +45,9 @@ func main() {
 
 	// Dual-variable convergence of the distributed algorithm (Fig. 4(a)).
 	res, err := femtocr.Simulate(net, femtocr.SimOptions{
-		Seed:             100,
-		GOPs:             1,
-		CaptureDualTrace: true,
-		DualIterations:   400,
+		Seed:      100,
+		GOPs:      1,
+		DualTrace: 400,
 	})
 	if err != nil {
 		log.Fatal(err)

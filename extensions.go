@@ -44,17 +44,17 @@ func EngineComparison(p ExperimentParams) (*Figure, error) {
 	return experiments.EngineComparison(p)
 }
 
-// UserCapacity sweeps the user population of a single femtocell and reports
-// mean and worst-user quality per size (nil sizes uses 1,2,3,4,6,8).
-func UserCapacity(p ExperimentParams, sizes []int) (*Figure, error) {
-	return experiments.UserCapacity(p, sizes)
+// UserCapacity sweeps the user population of a single femtocell (1, 2, 3,
+// 4, 6 and 8 users) and reports mean and worst-user quality per size.
+func UserCapacity(p ExperimentParams) (*Figure, error) {
+	return experiments.UserCapacity(p)
 }
 
 // ScalePoint is one deployment size of the scalability study.
 type ScalePoint = experiments.ScalePoint
 
-// Scalability grows the interfering deployment and measures per-scheme
-// quality, the eq. (23) bound gap, and wall time.
-func Scalability(p ExperimentParams, sizes []int) ([]ScalePoint, error) {
-	return experiments.Scalability(p, sizes)
+// Scalability grows the interfering deployment (2, 3, 4 and 6 FBSs) and
+// measures per-scheme quality, the eq. (23) bound gap, and wall time.
+func Scalability(p ExperimentParams) ([]ScalePoint, error) {
+	return experiments.Scalability(p)
 }

@@ -105,7 +105,7 @@ func TestFacadeEngineComparison(t *testing.T) {
 func TestFacadeUserCapacity(t *testing.T) {
 	p := QuickScale()
 	p.GOPs = 2
-	fig, err := UserCapacity(p, []int{1, 2})
+	fig, err := UserCapacity(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,8 +113,8 @@ func TestFacadeUserCapacity(t *testing.T) {
 		t.Fatal("empty user-capacity figure")
 	}
 	for _, c := range fig.Curves {
-		if len(c.X) != 2 {
-			t.Fatalf("curve %q has %d points, want 2", c.Name, len(c.X))
+		if len(c.X) != 6 {
+			t.Fatalf("curve %q has %d points, want 6", c.Name, len(c.X))
 		}
 	}
 }
@@ -156,11 +156,11 @@ func TestFacadeScalability(t *testing.T) {
 	p := QuickScale()
 	p.GOPs = 1
 	p.Runs = 1
-	pts, err := Scalability(p, []int{2})
+	pts, err := Scalability(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pts) != 1 || pts[0].Users != 6 {
+	if len(pts) != 4 || pts[0].Users != 6 {
 		t.Fatalf("points = %+v", pts)
 	}
 }

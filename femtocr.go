@@ -40,9 +40,11 @@ import (
 	"femtocr/internal/video"
 )
 
-// Config is a scenario configuration (channel counts, Markov occupancy,
-// sensing errors, radio calibration). See DefaultConfig for the paper's §V
-// values.
+// Config is a scenario configuration (channel counts and capacities,
+// Markov occupancy, collision budget, sensing errors, deadline, the
+// optional OFDM links and the placement seed). See DefaultConfig for the
+// paper's §V values; the GOP size and the radio calibration behind every
+// link's success probability are fixed.
 type Config = netmodel.Config
 
 // Network is a fully built femtocell CR network.
@@ -53,6 +55,17 @@ type SimOptions = sim.Options
 
 // SimResult is the outcome of one run.
 type SimResult = sim.Result
+
+// Prior selects the sensing fusion prior of SimOptions.
+type Prior = sim.Prior
+
+// The fusion priors: the paper's known stationary utilization, and two
+// extensions that do not assume it.
+const (
+	StationaryPrior = sim.StationaryPrior
+	EstimatedPrior  = sim.EstimatedPrior
+	BeliefPrior     = sim.BeliefPrior
+)
 
 // Scheme selects a resource-allocation scheme.
 type Scheme = sim.Scheme
@@ -196,11 +209,8 @@ func QuickScale() ExperimentParams { return experiments.QuickParams() }
 // Figure3 regenerates Fig. 3 (single FBS, per-user quality).
 func Figure3(p ExperimentParams) (*Figure, error) { return experiments.Fig3(p) }
 
-// Figure4a regenerates Fig. 4(a) (dual-variable convergence); it returns
-// the figure and the raw iteration trace.
-func Figure4a(p ExperimentParams, iterations, stride int) (*Figure, [][]float64, error) {
-	return experiments.Fig4a(p, iterations, stride)
-}
+// Figure4a regenerates Fig. 4(a) (dual-variable convergence).
+func Figure4a(p ExperimentParams) (*Figure, error) { return experiments.Fig4a(p) }
 
 // Figure4b regenerates Fig. 4(b) (quality vs number of channels).
 func Figure4b(p ExperimentParams) (*Figure, error) { return experiments.Fig4b(p) }

@@ -101,16 +101,16 @@ func TestFacadeFigureRunner(t *testing.T) {
 }
 
 func TestFacadeFigure4a(t *testing.T) {
-	fig, trace, err := Figure4a(QuickScale(), 100, 10)
+	fig, err := Figure4a(QuickScale())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(trace) < 50 || len(fig.Curves) != 2 {
-		t.Fatalf("trace %d rows, %d curves", len(trace), len(fig.Curves))
+	if len(fig.Curves) != 2 || fig.Curves[0].Len() < 20 {
+		t.Fatalf("%d curves", len(fig.Curves))
 	}
-	for _, row := range trace {
-		for _, v := range row {
-			if math.IsNaN(v) {
+	for _, c := range fig.Curves {
+		for i := 0; i < c.Len(); i++ {
+			if _, pt := c.At(i); math.IsNaN(pt.Mean) {
 				t.Fatal("NaN in dual trace")
 			}
 		}

@@ -9,12 +9,13 @@ import (
 // enumerating all binary base-station associations (optimal by Theorem 1)
 // and exactly water-filling every resource for each association. It is
 // exponential in the number of users and intended as the ground-truth
-// reference for tests, small scenarios, and the optimality-gap experiments.
-type BruteForceSolver struct {
-	// MaxUsers guards against accidental exponential blow-ups; SolveInto
-	// returns an error beyond it. Zero means the default of 20.
-	MaxUsers int
-}
+// reference for tests, small scenarios, and the optimality-gap experiments;
+// SolveInto refuses instances of more than bruteForceMaxUsers users.
+type BruteForceSolver struct{}
+
+// bruteForceMaxUsers guards BruteForceSolver against accidental
+// exponential blow-ups.
+const bruteForceMaxUsers = 20
 
 var _ Solver = (*BruteForceSolver)(nil)
 
@@ -22,17 +23,13 @@ var _ Solver = (*BruteForceSolver)(nil)
 // caller-owned one.
 //
 //femtovet:borrows in, best
-func (b *BruteForceSolver) SolveInto(in *Instance, best *Allocation) error {
+func (*BruteForceSolver) SolveInto(in *Instance, best *Allocation) error {
 	if err := in.Validate(); err != nil {
 		return err
 	}
-	limit := b.MaxUsers
-	if limit == 0 {
-		limit = 20
-	}
 	k := in.K()
-	if k > limit {
-		return fmt.Errorf("%w: %d users exceeds brute-force limit %d", ErrNoSolution, k, limit)
+	if k > bruteForceMaxUsers {
+		return fmt.Errorf("%w: %d users exceeds brute-force limit %d", ErrNoSolution, k, bruteForceMaxUsers)
 	}
 	ws := getWorkspace()
 	defer putWorkspace(ws)

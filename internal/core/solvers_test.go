@@ -303,9 +303,8 @@ func TestHeuristic2SingleUser(t *testing.T) {
 
 func TestBruteForceLimit(t *testing.T) {
 	s := rng.New(5)
-	in := randomInstance(s, 6, 1)
-	b := &BruteForceSolver{MaxUsers: 4}
-	if _, err := solve(b, in); !errors.Is(err, ErrNoSolution) {
+	in := randomInstance(s, bruteForceMaxUsers+1, 1)
+	if _, err := solve(&BruteForceSolver{}, in); !errors.Is(err, ErrNoSolution) {
 		t.Fatalf("err = %v, want ErrNoSolution", err)
 	}
 }

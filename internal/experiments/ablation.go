@@ -43,11 +43,11 @@ func AblationBelief(p Params) (*stats.Figure, error) {
 	}
 	// Point 2*fi runs factor fi with the stationary prior, 2*fi+1 with the
 	// belief filter.
+	priors := [2]sim.Prior{sim.StationaryPrior, sim.BeliefPrior}
 	g, err := runGrid(p, 2*len(factors), 1, func(pt int, seed uint64, out []float64) error {
-		track := pt%2 == 1
-		res, err := sim.Run(nets[pt/2], sim.Options{Seed: seed, GOPs: p.GOPs, TrackBeliefs: track})
+		res, err := sim.Run(nets[pt/2], sim.Options{Seed: seed, GOPs: p.GOPs, Prior: priors[pt%2]})
 		if err != nil {
-			return fmt.Errorf("factor=%v beliefs=%v: %w", factors[pt/2], track, err)
+			return fmt.Errorf("factor=%v beliefs=%v: %w", factors[pt/2], pt%2 == 1, err)
 		}
 		out[0] = res.MeanPSNR
 		return nil

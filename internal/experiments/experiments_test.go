@@ -15,8 +15,8 @@ func TestParamsValidation(t *testing.T) {
 	if _, err := Fig4b(Params{Runs: 2, GOPs: 0}); !errors.Is(err, ErrBadParams) {
 		t.Fatalf("gops=0 err = %v", err)
 	}
-	if _, _, err := Fig4a(QuickParams(), 1, 1); !errors.Is(err, ErrBadParams) {
-		t.Fatalf("iterations=1 err = %v", err)
+	if _, err := Fig4a(Params{Runs: 0, GOPs: 3}); !errors.Is(err, ErrBadParams) {
+		t.Fatalf("Fig4a runs=0 err = %v", err)
 	}
 }
 
@@ -54,19 +54,21 @@ func TestFig3Shape(t *testing.T) {
 }
 
 func TestFig4aShape(t *testing.T) {
-	fig, trace, err := Fig4a(QuickParams(), 120, 10)
+	fig, err := Fig4a(QuickParams())
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(trace) < 100 {
-		t.Fatalf("trace rows = %d", len(trace))
 	}
 	if len(fig.Curves) != 2 {
 		t.Fatalf("curves = %d, want lambda_0 and lambda_1", len(fig.Curves))
 	}
-	// Subsampled: roughly iterations/stride points.
-	if fig.Curves[0].Len() < 10 || fig.Curves[0].Len() > 15 {
-		t.Fatalf("subsampled points = %d", fig.Curves[0].Len())
+	// Subsampled: every stride-th row of the trace (the starting prices,
+	// then one row per iteration) plus the last one.
+	c := fig.Curves[0]
+	if want := (fig4aIterations+fig4aStride-1)/fig4aStride + 1; c.Len() != want {
+		t.Fatalf("subsampled points = %d, want %d", c.Len(), want)
+	}
+	if last, _ := c.At(c.Len() - 1); last != fig4aIterations {
+		t.Fatalf("last rendered iteration %v, want %d", last, fig4aIterations)
 	}
 }
 

@@ -70,18 +70,16 @@ type ScalePoint struct {
 }
 
 // Scalability grows the interfering deployment along a line (path
-// interference graph, three users per femtocell) and measures quality per
-// scheme, the eq. (23) bound gap, and the proposed scheme's cost. The paper
-// evaluates N = 3; this probes how the greedy algorithm and its bound
-// behave as the conflict graph grows.
-func Scalability(p Params, sizes []int) ([]ScalePoint, error) {
+// interference graph, three users per femtocell) to N = 2, 3, 4 and 6 FBSs
+// and measures quality per scheme, the eq. (23) bound gap, and the
+// proposed scheme's cost. The paper evaluates N = 3; this probes how the
+// greedy algorithm and its bound behave as the conflict graph grows.
+func Scalability(p Params) ([]ScalePoint, error) {
 	p, err := p.normalize()
 	if err != nil {
 		return nil, err
 	}
-	if len(sizes) == 0 {
-		sizes = []int{2, 3, 4, 6}
-	}
+	sizes := []int{2, 3, 4, 6}
 	trio := video.PaperTrio()
 	heuristics := []sim.Scheme{sim.Heuristic1, sim.Heuristic2}
 	var rows []ScalePoint
@@ -172,14 +170,13 @@ func DeadlineSweep(p Params) (*stats.Figure, error) {
 // It grows the user population of the single-FBS scenario (cycling through
 // the sequence presets) and reports the mean quality at each size; the
 // capacity at a target is the largest population whose mean stays above it.
-func UserCapacity(p Params, sizes []int) (*stats.Figure, error) {
+// The populations are K = 1, 2, 3, 4, 6 and 8.
+func UserCapacity(p Params) (*stats.Figure, error) {
 	p, err := p.normalize()
 	if err != nil {
 		return nil, err
 	}
-	if len(sizes) == 0 {
-		sizes = []int{1, 2, 3, 4, 6, 8}
-	}
+	sizes := []int{1, 2, 3, 4, 6, 8}
 	presets := video.StandardSequences()
 	fig := stats.NewFigure("Extension — users per femtocell vs quality",
 		"Users (K)", "Y-PSNR (dB)")
@@ -189,9 +186,6 @@ func UserCapacity(p Params, sizes []int) (*stats.Figure, error) {
 	fig.Add(worst)
 	nets := make([]*netmodel.Network, len(sizes))
 	for i, k := range sizes {
-		if k < 1 {
-			return nil, fmt.Errorf("%w: K=%d", ErrBadParams, k)
-		}
 		videos := make([]video.Sequence, k)
 		for j := range videos {
 			videos[j] = presets[j%len(presets)]

@@ -40,18 +40,18 @@ func TestScalabilityGrows(t *testing.T) {
 	p := QuickParams()
 	p.Runs = 2
 	p.GOPs = 2
-	pts, err := Scalability(p, []int{2, 4})
+	pts, err := Scalability(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pts) != 2 {
+	if len(pts) != 4 {
 		t.Fatalf("points = %d", len(pts))
 	}
 	if pts[0].NumFBS != 2 || pts[0].Users != 6 {
 		t.Fatalf("first point %+v", pts[0])
 	}
-	if pts[1].Users != 12 {
-		t.Fatalf("second point users = %d", pts[1].Users)
+	if pts[3].NumFBS != 6 || pts[3].Users != 18 {
+		t.Fatalf("last point %+v", pts[3])
 	}
 	for _, pt := range pts {
 		if pt.Proposed.Mean < 25 || pt.Proposed.Mean > 45 {
@@ -71,7 +71,7 @@ func TestExtensionsValidation(t *testing.T) {
 	if _, err := GammaTradeoff(bad); err == nil {
 		t.Fatal("bad params accepted")
 	}
-	if _, err := Scalability(bad, nil); err == nil {
+	if _, err := Scalability(bad); err == nil {
 		t.Fatal("bad params accepted")
 	}
 }
@@ -127,18 +127,21 @@ func TestUserCapacityShape(t *testing.T) {
 	p := QuickParams()
 	p.Runs = 2
 	p.GOPs = 8
-	fig, err := UserCapacity(p, []int{1, 3, 6})
+	fig, err := UserCapacity(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mean := fig.Curve("Proposed mean")
 	worst := fig.Curve("Proposed worst user")
-	if mean == nil || worst == nil || mean.Len() != 3 {
+	if mean == nil || worst == nil || mean.Len() != 6 {
 		t.Fatal("curves malformed")
 	}
 	// More users sharing the same spectrum: mean quality must not rise.
 	_, one := mean.At(0)
-	_, six := mean.At(2)
+	k, six := mean.At(4)
+	if k != 6 {
+		t.Fatalf("point 4 has K=%v, want 6", k)
+	}
 	if six.Mean > one.Mean+0.2 {
 		t.Fatalf("quality rose with load: K=1 %v -> K=6 %v", one.Mean, six.Mean)
 	}
@@ -149,9 +152,6 @@ func TestUserCapacityShape(t *testing.T) {
 		if w.Mean > m.Mean+1e-9 {
 			t.Fatalf("point %d: worst %v above mean %v", i, w.Mean, m.Mean)
 		}
-	}
-	if _, err := UserCapacity(p, []int{0}); err == nil {
-		t.Fatal("K=0 accepted")
 	}
 }
 

@@ -53,37 +53,32 @@ func perUserFigure(p Params, title string, spec netmodel.TopologySpec) (*stats.F
 	return fig, nil
 }
 
+// The Fig. 4(a) trace length (the paper shows ~800 iterations) and the
+// stride that subsamples its rendering.
+const (
+	fig4aIterations = 600
+	fig4aStride     = 25
+)
+
 // Fig4a reproduces Fig. 4(a): convergence of the two dual variables
-// lambda_0 (common channel) and lambda_1 (FBS band) over the subgradient
-// iterations of the distributed algorithm, on the first slot of the
-// single-FBS scenario. Iterations is the trace length (the paper shows
-// ~800). Stride subsamples the rendered figure; the returned trace itself
-// is complete.
-func Fig4a(p Params, iterations, stride int) (*stats.Figure, [][]float64, error) {
-	if iterations < 2 {
-		return nil, nil, fmt.Errorf("%w: iterations=%d", ErrBadParams, iterations)
-	}
-	if stride < 1 {
-		stride = 1
-	}
+// lambda_0 (common channel) and lambda_1 (FBS band) over fig4aIterations
+// subgradient iterations of the distributed algorithm, on the first slot
+// of the single-FBS scenario. The figure holds every fig4aStride-th
+// iteration and the last.
+func Fig4a(p Params) (*stats.Figure, error) {
 	p, net, err := setup(p, netmodel.PaperSingleSpec())
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	res, err := sim.Run(net, sim.Options{
-		Seed:             p.BaseSeed,
-		GOPs:             1,
-		CaptureDualTrace: true,
-		DualIterations:   iterations,
-	})
+	res, err := sim.Run(net, sim.Options{Seed: p.BaseSeed, GOPs: 1, DualTrace: fig4aIterations})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	fig := stats.NewFigure("Fig. 4(a) — Convergence of the dual variables", "Iteration", "Dual variable value")
 	l0 := stats.NewSeries("lambda_0")
 	l1 := stats.NewSeries("lambda_1")
 	for i, row := range res.DualTrace {
-		if i%stride != 0 && i != len(res.DualTrace)-1 {
+		if i%fig4aStride != 0 && i != len(res.DualTrace)-1 {
 			continue
 		}
 		l0.Append(float64(i), stats.Summary{N: 1, Mean: row[0]})
@@ -91,7 +86,7 @@ func Fig4a(p Params, iterations, stride int) (*stats.Figure, [][]float64, error)
 	}
 	fig.Add(l0)
 	fig.Add(l1)
-	return fig, res.DualTrace, nil
+	return fig, nil
 }
 
 // Fig4b reproduces Fig. 4(b): single-FBS average quality versus the number
@@ -189,10 +184,7 @@ type Entry struct {
 func Registry() []Entry {
 	return []Entry{
 		{"fig3", true, Fig3},
-		{"fig4a", true, func(p Params) (*stats.Figure, error) {
-			fig, _, err := Fig4a(p, 600, 25)
-			return fig, err
-		}},
+		{"fig4a", true, Fig4a},
 		{"fig4b", true, Fig4b},
 		{"fig4c", true, Fig4c},
 		{"fig5", true, Fig5},
@@ -204,7 +196,7 @@ func Registry() []Entry {
 		{"gamma", false, GammaTradeoff},
 		{"engines", false, EngineComparison},
 		{"deadline", false, DeadlineSweep},
-		{"capacity", false, func(p Params) (*stats.Figure, error) { return UserCapacity(p, nil) }},
+		{"capacity", false, UserCapacity},
 		{"frontier", false, SchemeFrontier},
 	}
 }

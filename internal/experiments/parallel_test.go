@@ -58,11 +58,11 @@ func TestParallelDeterminism(t *testing.T) {
 // randomness flows through pre-split per-trial streams rather than sim
 // seeds.
 func TestTopologyStudyDeterminism(t *testing.T) {
-	base, err := TopologyStudy(42, 6, 2, 1)
+	base, err := TopologyStudy(42, 6, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := TopologyStudy(42, 6, 2, 4)
+	par, err := TopologyStudy(42, 6, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

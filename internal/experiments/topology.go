@@ -35,15 +35,14 @@ type TopologyPoint struct {
 //
 // The study runs at the solver level (no slot simulation): each instance
 // draws user qualities, link reliabilities, and channel posteriors at the
-// paper's scales, with three users per femtocell and `channels` accessed
-// channels. Exhaustive enumeration costs O(I(G)^channels) solver calls,
-// where I(G) counts independent sets, so keep channels small. Trials fan
-// out over `workers` goroutines (non-positive: one per CPU); each trial's
-// stream is split from the family stream before dispatch, so results are
-// identical for any worker count.
-func TopologyStudy(seed uint64, instances, channels, workers int) ([]TopologyPoint, error) {
-	if instances < 1 || channels < 1 {
-		return nil, fmt.Errorf("%w: instances=%d channels=%d", ErrBadParams, instances, channels)
+// paper's scales, with three users per femtocell and topologyChannels
+// accessed channels. Trials fan out over `workers` goroutines
+// (non-positive: one per CPU); each trial's stream is split from the
+// family stream before dispatch, so results are identical for any worker
+// count.
+func TopologyStudy(seed uint64, instances, workers int) ([]TopologyPoint, error) {
+	if instances < 1 {
+		return nil, fmt.Errorf("%w: instances=%d", ErrBadParams, instances)
 	}
 	star := igraph.New(4) // center 0, leaves 1..3: Dmax = 3
 	for leaf := 1; leaf < 4; leaf++ {
@@ -90,7 +89,7 @@ func TopologyStudy(seed uint64, instances, channels, workers int) ([]TopologyPoi
 		type cell struct{ ratio, boundRatio float64 }
 		slots := make([]cell, instances)
 		err := par.RunGrid(instances, workers, func(trial int) error {
-			problem, err := randomChannelProblem(streams[trial], n, channels)
+			problem, err := randomChannelProblem(streams[trial], n)
 			if err != nil {
 				return err
 			}
@@ -127,10 +126,16 @@ func TopologyStudy(seed uint64, instances, channels, workers int) ([]TopologyPoi
 	return out, nil
 }
 
+// topologyChannels is the accessed-channel count of every TopologyStudy
+// instance. The exhaustive optimum costs M(G)^topologyChannels solver
+// calls, where M(G) counts the graph's maximal independent sets, so it
+// stays small.
+const topologyChannels = 3
+
 // randomChannelProblem draws a per-slot problem at the paper's scales:
-// three users per FBS, qualities near the base layers, posteriors in
-// (0.5, 1].
-func randomChannelProblem(s *rng.Stream, n, channels int) (*core.ChannelProblem, error) {
+// three users per FBS, qualities near the base layers, topologyChannels
+// channels with posteriors in (0.5, 1].
+func randomChannelProblem(s *rng.Stream, n int) (*core.ChannelProblem, error) {
 	k := 3 * n
 	in := &core.Instance{
 		W:   make([]float64, k),
@@ -149,8 +154,8 @@ func randomChannelProblem(s *rng.Stream, n, channels int) (*core.ChannelProblem,
 		in.PS1[j] = 0.7 + 0.3*s.Float64()
 		in.FBS[j] = j/3 + 1
 	}
-	chs := make([]int, channels)
-	pas := make([]float64, channels)
+	chs := make([]int, topologyChannels)
+	pas := make([]float64, topologyChannels)
 	for c := range chs {
 		chs[c] = c + 1
 		pas[c] = 0.5 + 0.5*s.Float64()

@@ -6,7 +6,7 @@ import (
 )
 
 func TestTopologyStudyValidatesTheorem2(t *testing.T) {
-	points, err := TopologyStudy(11, 4, 2, 0)
+	points, err := TopologyStudy(11, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,10 +45,7 @@ func TestTopologyStudyValidatesTheorem2(t *testing.T) {
 }
 
 func TestTopologyStudyValidation(t *testing.T) {
-	if _, err := TopologyStudy(1, 0, 2, 0); err == nil {
+	if _, err := TopologyStudy(1, 0, 0); err == nil {
 		t.Fatal("zero instances accepted")
-	}
-	if _, err := TopologyStudy(1, 1, 0, 0); err == nil {
-		t.Fatal("zero channels accepted")
 	}
 }

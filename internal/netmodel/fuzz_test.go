@@ -1,6 +1,8 @@
 package netmodel
 
 import (
+	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -9,30 +11,41 @@ import (
 
 // FuzzPartition drives generated deployments through NewNetwork →
 // Partition → Subnetwork: a layout kind and size, a per-FBS user count of
-// 0 to 3 (a nil video group is an FBS without users), a coverage radius and
-// the layout seed. The chain must never panic, and whenever it returns no
-// error the shards must partition the users exactly: every user in exactly
-// one shard, ascending; each shard one whole interference component with at
-// least one user; and each sub-network mapping its users back to the
-// originals.
+// 0 to 3 (a nil video group is an FBS without users; no loads at all
+// selects the generated load), the Poisson area's side, the grid's FBSs
+// per block, the generated per-FBS load and the layout seed. A negative,
+// infinite or NaN side, or a negative block or load, must fail with
+// ErrBadNetwork. Otherwise the chain must never panic, and whenever it
+// returns no error the shards must partition the users exactly: every
+// user in exactly one shard, ascending; each shard one whole interference
+// component with at least one user; and each sub-network mapping its users
+// back to the originals.
 func FuzzPartition(f *testing.F) {
-	// kind, size, loads (2 bits of users per FBS), radius, seed.
-	f.Add(uint8(KindMetroPoisson), uint8(24), uint64(0xffffffffffffffff), 12.0, uint64(1))
-	f.Add(uint8(KindMetroPoisson), uint8(40), uint64(0x9c3a5f01e2d4b768), 12.0, uint64(7))
-	f.Add(uint8(KindMetroGrid), uint8(17), uint64(0x3300ccff0f0f3c3c), 0.0, uint64(2))
-	f.Add(uint8(KindNonInterferingLine), uint8(3), uint64(0x33), 0.0, uint64(3))
-	f.Add(uint8(KindInterferingPath), uint8(5), uint64(0x303), 25.0, uint64(4))
-	f.Add(uint8(KindSingle), uint8(1), uint64(0), 0.0, uint64(5))
-	f.Fuzz(func(t *testing.T, kind, size uint8, loads uint64, radius float64, seed uint64) {
+	// kind, size, loads (2 bits of users per FBS), side, block, users, seed.
+	f.Add(uint8(KindMetroPoisson), uint8(24), uint64(0xffffffffffffffff), 0.0, int8(0), int8(0), uint64(1))
+	f.Add(uint8(KindMetroPoisson), uint8(40), uint64(0x9c3a5f01e2d4b768), 60.0, int8(0), int8(0), uint64(7))
+	f.Add(uint8(KindMetroGrid), uint8(17), uint64(0x3300ccff0f0f3c3c), 0.0, int8(2), int8(0), uint64(2))
+	f.Add(uint8(KindMetroGrid), uint8(4), uint64(0), 0.0, int8(0), int8(2), uint64(6))
+	f.Add(uint8(KindNonInterferingLine), uint8(3), uint64(0x33), 0.0, int8(0), int8(0), uint64(3))
+	f.Add(uint8(KindInterferingPath), uint8(5), uint64(0x303), 0.0, int8(4), int8(1), uint64(4))
+	f.Add(uint8(KindSingle), uint8(1), uint64(0), 0.0, int8(0), int8(0), uint64(5))
+	// Hostile values: each must fail with ErrBadNetwork.
+	f.Add(uint8(KindMetroPoisson), uint8(24), uint64(0), -5.0, int8(0), int8(0), uint64(1))
+	f.Add(uint8(KindMetroPoisson), uint8(24), uint64(0), math.NaN(), int8(0), int8(0), uint64(1))
+	f.Add(uint8(KindMetroPoisson), uint8(24), uint64(0), 0.0, int8(0), int8(-1), uint64(1))
+	f.Add(uint8(KindMetroGrid), uint8(4), uint64(0), 0.0, int8(-2), int8(0), uint64(1))
+	f.Fuzz(func(t *testing.T, kind, size uint8, loads uint64, side float64, block, users int8, seed uint64) {
 		spec := TopologySpec{
 			Kind:        TopologyKind(kind % 7), // 0 and 6 are invalid kinds
 			FBSs:        1 + int(size)%48,
 			Rows:        1 + int(size)%3,
 			Cols:        1 + int(size/3)%3,
-			FBSPerBlock: 1 + int(size/9)%4,
-			Radius:      radius,
+			FBSPerBlock: int(block % 5),
+			UsersPerFBS: int(users % 4),
+			Side:        side,
 		}
-		if n, err := spec.NumFBS(); err == nil {
+		hostile := spec.FBSPerBlock < 0 || spec.UsersPerFBS < 0 || !(side >= 0 && side <= math.MaxFloat64)
+		if n, err := spec.NumFBS(); err == nil && loads != 0 {
 			pool := video.StandardSequences()
 			spec.Videos = make([][]video.Sequence, n)
 			for i := range spec.Videos {
@@ -45,6 +58,12 @@ func FuzzPartition(f *testing.F) {
 		cfg := DefaultConfig()
 		cfg.Seed = seed
 		net, err := NewNetwork(cfg, spec)
+		if hostile {
+			if !errors.Is(err, ErrBadNetwork) {
+				t.Fatalf("hostile spec %+v: err = %v, want ErrBadNetwork", spec, err)
+			}
+			return
+		}
 		if err != nil {
 			return
 		}

@@ -32,6 +32,27 @@ const (
 	ofdmBetaDB      = 5
 )
 
+// gopSize is the GOP length in frames (16 in the paper).
+const gopSize = 16
+
+// The radio calibration behind every link's success probability (eq. (8)),
+// which the paper does not specify (DESIGN §2). Links are calibrated by the
+// mean SINR a user sees at the nominal distance, then adjusted per user by
+// log-distance path loss relative to that nominal distance and by
+// log-normal shadowing. These are variables, not constants, so products
+// such as 0.7*femtoRadius round at run time: a constant expression would
+// fold exactly and land one ulp away from the placements every result was
+// generated with.
+var (
+	mbsMeanSINRdB = 10.0  // distant macro downlink: SINR at mbsDistance
+	fbsMeanSINRdB = 16.0  // short femto downlink: SINR at 0.7x femtoRadius
+	thresholdDB   = 5.0   // SINR decoding threshold H of eq. (8)
+	shadowStdDB   = 6.0   // per-link log-normal shadowing, dB
+	pathLossExp   = 3.0   // log-distance path-loss exponent
+	femtoRadius   = 12.0  // femtocell coverage radius, m
+	mbsDistance   = 800.0 // distance from the MBS to the femtocell cluster, m
+)
+
 // User is one CR subscriber: a position, a serving FBS, a video stream, and
 // the two wireless links it can receive on.
 type User struct {
@@ -120,24 +141,12 @@ type Config struct {
 	Eps   float64 // sensing false-alarm probability
 	Delta float64 // sensing miss-detection probability
 	T     int     // GOP delivery deadline, slots
-	GOP   int     // GOP size, frames
-
-	// Radio model. Links are calibrated by the mean SINR a user sees at
-	// the nominal distance, then adjusted per user by log-distance path
-	// loss relative to that nominal distance and by log-normal shadowing.
-	MBSMeanSINRdB float64 // macro link SINR at the cluster distance
-	FBSMeanSINRdB float64 // femto link SINR at 0.7x the coverage radius
-	ThresholdDB   float64 // SINR decoding threshold H of eq. (8)
-	ShadowStdDB   float64 // per-link log-normal shadowing, dB
-	PathLossExp   float64 // log-distance path-loss exponent
-	FemtoRadius   float64 // femtocell coverage radius, meters
-	MBSDistance   float64 // distance from the MBS to the femtocell cluster, m
 
 	// OFDMSubcarriers, when positive, replaces flat Rayleigh links with the
 	// frequency-selective OFDM model of internal/ofdm: that many correlated
 	// subcarriers per channel (adjacent-subcarrier correlation
 	// ofdmCorrelation), packet success by EESM effective SINR (calibration
-	// factor ofdmBetaDB).
+	// factor ofdmBetaDB). Zero keeps flat links; negative is invalid.
 	OFDMSubcarriers int
 
 	// Seed controls user placement; channel and fading randomness comes
@@ -146,8 +155,8 @@ type Config struct {
 }
 
 // DefaultConfig returns the paper's §V defaults: M=8, P01=0.4, P10=0.3,
-// gamma=0.2, epsilon=delta=0.3, T=10, GOP=16, B0=B1=0.3 Mbps, plus radio
-// parameters giving femto links a clear SINR advantage over the macro link.
+// gamma=0.2, epsilon=delta=0.3, T=10, B0=B1=0.3 Mbps. The GOP size (16
+// frames) and the radio calibration are fixed.
 func DefaultConfig() Config {
 	return Config{
 		M:     8,
@@ -159,17 +168,7 @@ func DefaultConfig() Config {
 		Eps:   0.3,
 		Delta: 0.3,
 		T:     10,
-		GOP:   16,
-
-		MBSMeanSINRdB: 10, // distant macro downlink
-		FBSMeanSINRdB: 16, // short femto downlink
-		ThresholdDB:   5,
-		ShadowStdDB:   6,
-		PathLossExp:   3,
-		FemtoRadius:   12,
-		MBSDistance:   800,
-
-		Seed: 1,
+		Seed:  1,
 	}
 }
 
@@ -194,6 +193,9 @@ func build(cfg Config, disks []geometry.Disk, videosPerFBS [][]video.Sequence) (
 	if len(disks) != len(videosPerFBS) {
 		return nil, fmt.Errorf("%w: %d femtocells but %d video groups", ErrBadNetwork, len(disks), len(videosPerFBS))
 	}
+	if cfg.OFDMSubcarriers < 0 {
+		return nil, fmt.Errorf("%w: %d OFDM subcarriers", ErrBadNetwork, cfg.OFDMSubcarriers)
+	}
 	chain, err := markov.NewChain(cfg.P01, cfg.P10)
 	if err != nil {
 		return nil, err
@@ -208,9 +210,9 @@ func build(cfg Config, disks []geometry.Disk, videosPerFBS [][]video.Sequence) (
 	}
 
 	placement := rng.New(cfg.Seed).Split("netmodel/placement")
-	mbsPos := geometry.Point{X: -cfg.MBSDistance, Y: 0}
+	mbsPos := geometry.Point{X: -mbsDistance, Y: 0}
 
-	// Per-user mean SINR: the configured nominal SINR, corrected by
+	// Per-user mean SINR: the calibrated nominal SINR, corrected by
 	// log-distance path loss relative to the nominal distance, plus
 	// log-normal shadowing. Shadowing is drawn from the placement stream so
 	// it is fixed per scenario and varies only with the seed.
@@ -218,7 +220,7 @@ func build(cfg Config, disks []geometry.Disk, videosPerFBS [][]video.Sequence) (
 		if dist < 1 {
 			dist = 1
 		}
-		return nominal - 10*cfg.PathLossExp*math.Log10(dist/nominalDist) + shadow
+		return nominal - 10*pathLossExp*math.Log10(dist/nominalDist) + shadow
 	}
 
 	// Optional frequency-selective PHY: one shared OFDM channel profile;
@@ -232,13 +234,13 @@ func build(cfg Config, disks []geometry.Disk, videosPerFBS [][]video.Sequence) (
 	}
 	makeLink := func(sinrDB float64, stream *rng.Stream) (fading.Link, error) {
 		if ofdmChannel == nil {
-			return fading.NewLink(sinrDB, cfg.ThresholdDB, fading.Rayleigh{})
+			return fading.NewLink(sinrDB, thresholdDB, fading.Rayleigh{})
 		}
 		model, err := ofdm.NewGainModel(ofdmChannel, sinrDB, 4000, stream)
 		if err != nil {
 			return fading.Link{}, err
 		}
-		return fading.NewLink(sinrDB, cfg.ThresholdDB, model)
+		return fading.NewLink(sinrDB, thresholdDB, model)
 	}
 
 	var users []User
@@ -247,10 +249,10 @@ func build(cfg Config, disks []geometry.Disk, videosPerFBS [][]video.Sequence) (
 		stream := placement.SplitIndex("fbs", i)
 		for _, seq := range videosPerFBS[i] {
 			pos := disk.RandomInside(stream)
-			mbsSINR := meanSINR(cfg.MBSMeanSINRdB, cfg.MBSDistance, pos.Dist(mbsPos),
-				stream.Normal(0, cfg.ShadowStdDB))
-			fbsSINR := meanSINR(cfg.FBSMeanSINRdB, 0.7*cfg.FemtoRadius, pos.Dist(disk.Center),
-				stream.Normal(0, cfg.ShadowStdDB))
+			mbsSINR := meanSINR(mbsMeanSINRdB, mbsDistance, pos.Dist(mbsPos),
+				stream.Normal(0, shadowStdDB))
+			fbsSINR := meanSINR(fbsMeanSINRdB, 0.7*femtoRadius, pos.Dist(disk.Center),
+				stream.Normal(0, shadowStdDB))
 			mbsLink, err := makeLink(mbsSINR, stream.SplitIndex("ofdm-mbs", id))
 			if err != nil {
 				return nil, err
@@ -279,7 +281,7 @@ func build(cfg Config, disks []geometry.Disk, videosPerFBS [][]video.Sequence) (
 		Gamma:    cfg.Gamma,
 		Detector: det,
 		T:        cfg.T,
-		GOPSize:  cfg.GOP,
+		GOPSize:  gopSize,
 	}
 	if err := n.Validate(); err != nil {
 		return nil, err

@@ -11,8 +11,15 @@ import (
 func TestDefaultConfigMatchesPaper(t *testing.T) {
 	cfg := DefaultConfig()
 	if cfg.M != 8 || cfg.P01 != 0.4 || cfg.P10 != 0.3 || cfg.Gamma != 0.2 ||
-		cfg.Eps != 0.3 || cfg.Delta != 0.3 || cfg.T != 10 || cfg.GOP != 16 {
+		cfg.Eps != 0.3 || cfg.Delta != 0.3 || cfg.T != 10 {
 		t.Fatalf("defaults deviate from §V: %+v", cfg)
+	}
+	n, err := NewNetwork(cfg, PaperSingleSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n.GOPSize != 16 {
+		t.Fatalf("GOP size %d, want 16 frames", n.GOPSize)
 	}
 	if got := cfg.Utilization(); math.Abs(got-0.4/0.7) > 1e-12 {
 		t.Fatalf("eta = %v, want 4/7", got)
@@ -220,14 +227,13 @@ func TestUsersInsideCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig()
 	for _, u := range n.Users {
 		// Users are placed inside their femtocell, so the FBS distance is
 		// at most the coverage radius.
-		center := 1.5 * cfg.FemtoRadius * float64(u.FBS-1)
+		center := 1.5 * femtoRadius * float64(u.FBS-1)
 		d := math.Hypot(u.Pos.X-center, u.Pos.Y)
-		if d > cfg.FemtoRadius+1e-9 {
-			t.Fatalf("user %d at distance %v from its FBS (radius %v)", u.ID, d, cfg.FemtoRadius)
+		if d > femtoRadius+1e-9 {
+			t.Fatalf("user %d at distance %v from its FBS (radius %v)", u.ID, d, femtoRadius)
 		}
 	}
 }

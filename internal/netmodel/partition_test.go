@@ -185,16 +185,24 @@ func TestSubnetworkCostIndependentOfCity(t *testing.T) {
 		if len(shards) != numFBS || len(shards[0].FBSs) != 1 || len(shards[0].Users) != 2 {
 			t.Fatalf("%d FBSs: %d shards, first %+v", numFBS, len(shards), shards[0])
 		}
+		// The minimum over three windows: a one-off allocation by another
+		// goroutine (seen under CPU load, right after a GC cycle) lands in
+		// at most one of them, while a cost that grows with the city
+		// shows in all three.
 		const runs = 100
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < runs; i++ {
-			if _, err := net.Subnetwork(&shards[0]); err != nil {
-				t.Fatal(err)
+		best := ^uint64(0)
+		for w := 0; w < 3; w++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				if _, err := net.Subnetwork(&shards[0]); err != nil {
+					t.Fatal(err)
+				}
 			}
+			runtime.ReadMemStats(&after)
+			best = min(best, (after.TotalAlloc-before.TotalAlloc)/runs)
 		}
-		runtime.ReadMemStats(&after)
-		return (after.TotalAlloc - before.TotalAlloc) / runs
+		return best
 	}
 	small, large := bytesOf(40), bytesOf(400)
 	if small != large {

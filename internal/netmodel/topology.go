@@ -29,7 +29,7 @@ const (
 	// into exactly Rows*Cols path components.
 	KindMetroGrid
 	// KindMetroPoisson scatters FBSs centers uniformly at random over a
-	// Width x Height area. Interference clusters — the connected components
+	// Side x Side area. Interference clusters — the connected components
 	// of the coverage-overlap graph — emerge from the spatial density.
 	KindMetroPoisson
 )
@@ -58,7 +58,7 @@ func (k TopologyKind) String() string {
 const DefaultUsersPerFBS = 3
 
 // defaultPoissonAreaPerFBS is the square meters of city allotted to each
-// FBS when a Poisson spec leaves Width/Height zero. At the paper's 12 m
+// FBS when a Poisson spec leaves Side zero. At the paper's 12 m
 // coverage radius this density (~555 FBS/km^2) sits near the percolation
 // point of the overlap graph, producing a realistic mix of isolated cells
 // and small interference clusters.
@@ -79,7 +79,8 @@ type TopologySpec struct {
 
 	// UsersPerFBS is the generated load when Videos is nil: that many users
 	// per FBS, each streaming the next of the six standard CIF presets
-	// (video.StandardSequences) in rotation. Zero means DefaultUsersPerFBS.
+	// (video.StandardSequences) in rotation. Zero means DefaultUsersPerFBS;
+	// negative is invalid.
 	UsersPerFBS int
 
 	// FBSs is the cell count for KindMetroPoisson, and for the line kinds
@@ -88,14 +89,13 @@ type TopologySpec struct {
 	// Rows and Cols are the city-block grid dimensions for KindMetroGrid.
 	Rows, Cols int
 	// FBSPerBlock is the femtocells per city block for KindMetroGrid; zero
-	// means 3 (the paper's Fig. 5 path replicated per block).
+	// means 3 (the paper's Fig. 5 path replicated per block); negative is
+	// invalid.
 	FBSPerBlock int
-	// Width and Height bound the KindMetroPoisson area in meters; zero
-	// means an automatic area of defaultPoissonAreaPerFBS per FBS.
-	Width, Height float64
-	// Radius overrides the coverage radius in meters; zero means the
-	// config's FemtoRadius.
-	Radius float64
+	// Side is the side of the square KindMetroPoisson area in meters; zero
+	// means an automatic area of defaultPoissonAreaPerFBS per FBS. Negative,
+	// infinite and NaN sides are invalid.
+	Side float64
 }
 
 // SingleSpec declares the single-FBS layout streaming the given sequences.
@@ -146,6 +146,15 @@ func MetroPoissonSpec(fbss, usersPerFBS int) TopologySpec {
 // NumFBS returns the number of femtocells the spec deploys, or an error
 // for inconsistent specs.
 func (s TopologySpec) NumFBS() (int, error) {
+	if s.UsersPerFBS < 0 {
+		return 0, fmt.Errorf("%w: %d users per FBS", ErrBadNetwork, s.UsersPerFBS)
+	}
+	if s.FBSPerBlock < 0 {
+		return 0, fmt.Errorf("%w: %d FBSs per block", ErrBadNetwork, s.FBSPerBlock)
+	}
+	if !(s.Side >= 0 && s.Side <= math.MaxFloat64) {
+		return 0, fmt.Errorf("%w: metro side %v m", ErrBadNetwork, s.Side)
+	}
 	switch s.Kind {
 	case KindSingle:
 		if s.Videos != nil && len(s.Videos) != 1 {
@@ -183,14 +192,6 @@ func (s TopologySpec) blockSize() int {
 	return 3
 }
 
-// radius resolves the coverage radius against the config default.
-func (s TopologySpec) radius(cfg Config) float64 {
-	if s.Radius > 0 {
-		return s.Radius
-	}
-	return cfg.FemtoRadius
-}
-
 // videoLoad resolves the per-FBS video lists for n femtocells: the explicit
 // Videos when given (validated against n), else UsersPerFBS sequences per
 // FBS drawn from the standard presets in rotation. The rotation offset
@@ -203,7 +204,7 @@ func (s TopologySpec) videoLoad(n int) ([][]video.Sequence, error) {
 		return s.Videos, nil
 	}
 	perFBS := s.UsersPerFBS
-	if perFBS <= 0 {
+	if perFBS == 0 {
 		perFBS = DefaultUsersPerFBS
 	}
 	pool := video.StandardSequences()
@@ -224,7 +225,7 @@ func (s TopologySpec) videoLoad(n int) ([][]video.Sequence, error) {
 // from — a generated metro scenario stays reproducible from Config.Seed
 // alone.
 func (s TopologySpec) disks(cfg Config, n int) ([]geometry.Disk, error) {
-	r := s.radius(cfg)
+	r := femtoRadius
 	switch s.Kind {
 	case KindSingle:
 		d, err := geometry.NewDisk(geometry.Point{}, r)
@@ -256,18 +257,14 @@ func (s TopologySpec) disks(cfg Config, n int) ([]geometry.Disk, error) {
 		}
 		return disks, nil
 	case KindMetroPoisson:
-		w, h := s.Width, s.Height
-		if w <= 0 && h <= 0 {
-			side := poissonSide(n)
-			w, h = side, side
-		}
-		if w <= 0 || h <= 0 {
-			return nil, fmt.Errorf("%w: metro poisson area %vx%v m", ErrBadNetwork, w, h)
+		side := s.Side
+		if side == 0 {
+			side = poissonSide(n)
 		}
 		topo := rng.New(cfg.Seed).Split("netmodel/topology")
 		disks := make([]geometry.Disk, 0, n)
 		for i := 0; i < n; i++ {
-			center := geometry.Point{X: w * topo.Float64(), Y: h * topo.Float64()}
+			center := geometry.Point{X: side * topo.Float64(), Y: side * topo.Float64()}
 			d, err := geometry.NewDisk(center, r)
 			if err != nil {
 				return nil, err

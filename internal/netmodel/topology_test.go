@@ -2,6 +2,7 @@ package netmodel
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -17,7 +18,7 @@ import (
 func TestNewNetworkReproducesLegacyConstructors(t *testing.T) {
 	cfg := DefaultConfig()
 	trio := video.PaperTrio()
-	r := cfg.FemtoRadius
+	r := femtoRadius
 	groups := [][]video.Sequence{trio[:], trio[:]}
 	paperGroups := [][]video.Sequence{trio[:], trio[:], trio[:]}
 	origin, err := geometry.NewDisk(geometry.Point{}, r)
@@ -147,6 +148,11 @@ func TestTopologySpecErrors(t *testing.T) {
 		{Kind: KindMetroPoisson},    // no FBS count
 		{Kind: KindInterferingPath}, // neither Videos nor FBSs
 		{Kind: KindMetroPoisson, FBSs: 2, Videos: make([][]video.Sequence, 3)}, // mismatched load
+		{Kind: KindMetroPoisson, FBSs: 4, Side: -5},                            // negative side
+		{Kind: KindMetroPoisson, FBSs: 4, Side: math.NaN()},                    // NaN side
+		{Kind: KindMetroPoisson, FBSs: 4, Side: math.Inf(1)},                   // infinite side
+		{Kind: KindMetroPoisson, FBSs: 4, UsersPerFBS: -1},                     // negative load
+		{Kind: KindMetroGrid, Rows: 2, Cols: 2, FBSPerBlock: -2},               // negative block
 	}
 	for i, spec := range cases {
 		if _, err := NewNetwork(cfg, spec); !errors.Is(err, ErrBadNetwork) {

@@ -39,8 +39,6 @@ type Options struct {
 	GOPs int
 	// Scheme selects the allocation scheme. Default sim.Proposed.
 	Scheme sim.Scheme
-	// SensorPolicy assigns user sensors to channels. Default RoundRobin.
-	SensorPolicy sensing.AssignmentPolicy
 	// AdaptiveRate re-encodes each user's next GOP at an EWMA of its
 	// recently delivered throughput (with 25% headroom), instead of always
 	// encoding at the saturation rate. Cuts overdue discards sharply while
@@ -56,9 +54,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if out.Scheme == 0 {
 		out.Scheme = sim.Proposed
-	}
-	if out.SensorPolicy == 0 {
-		out.SensorPolicy = sensing.RoundRobin
 	}
 	return out
 }
@@ -98,7 +93,7 @@ func Run(net *netmodel.Network, opts Options) (*Result, error) {
 	}
 
 	root := rng.New(opts.Seed)
-	front, err := sim.NewFrontend(net, root, opts.SensorPolicy)
+	front, err := sim.NewFrontend(net, root, sensing.RoundRobin)
 	if err != nil {
 		return nil, err
 	}

@@ -45,13 +45,13 @@ func TestSlotStepSteadyStateAllocs(t *testing.T) {
 		// assignment (sensing.AssignByUncertaintyInto).
 		{"proposed-single-stratified", false, 0, Options{Scheme: Proposed, SensorPolicy: sensing.Stratified}, 0},
 		{"proposed-single-random", false, 0, Options{Scheme: Proposed, SensorPolicy: sensing.RandomAssign}, 0},
-		{"proposed-single-uncertainty", false, 0, Options{Scheme: Proposed, SensorPolicy: sensing.UncertaintyDriven, TrackBeliefs: true}, 0},
+		{"proposed-single-uncertainty", false, 0, Options{Scheme: Proposed, SensorPolicy: sensing.UncertaintyDriven, Prior: BeliefPrior}, 0},
 		// Frequency-selective links sample per-subcarrier gains every slot
 		// (ofdm.SampleGainsInto) into the link's reused buffer.
 		{"proposed-single-ofdm", false, 16, Options{Scheme: Proposed}, 0},
 		// Online utilization estimation and the trace recorder's amortized
 		// appends stay within the same budget.
-		{"proposed-single-estimate", false, 0, Options{Scheme: Proposed, EstimateUtilization: true}, 0},
+		{"proposed-single-estimate", false, 0, Options{Scheme: Proposed, Prior: EstimatedPrior}, 0},
 		{"proposed-single-recorder", false, 0, Options{Scheme: Proposed, Recorder: new(trace.Recorder)}, 0},
 		// The greedy channel allocation returns a fresh result per slot
 		// (~17 allocs observed); anything near the pre-rework ~5900 means

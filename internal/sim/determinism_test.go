@@ -21,7 +21,7 @@ func TestRunBitIdenticalUnderPoolChurn(t *testing.T) {
 		opts        Options
 	}{
 		{"single-proposed", false, Options{Scheme: Proposed, Seed: 11, GOPs: 2}},
-		{"single-proposed-dualtrace", false, Options{Scheme: Proposed, CaptureDualTrace: true, Seed: 11, GOPs: 2}},
+		{"single-proposed-dualtrace", false, Options{Scheme: Proposed, DualTrace: 800, Seed: 11, GOPs: 2}},
 		{"interfering-proposed-bound", true, Options{Scheme: Proposed, Seed: 11, GOPs: 1, TrackBound: true}},
 	}
 	for _, tc := range cases {

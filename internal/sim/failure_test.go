@@ -10,6 +10,7 @@ import (
 	"math"
 	"testing"
 
+	"femtocr/internal/fading"
 	"femtocr/internal/netmodel"
 	"femtocr/internal/video"
 )
@@ -106,9 +107,17 @@ func TestFullCollisionBudget(t *testing.T) {
 // TestHopelessLinks: a decoding threshold far above every link's SINR means
 // nothing ever decodes; quality stays exactly at the base layer.
 func TestHopelessLinks(t *testing.T) {
-	cfg := netmodel.DefaultConfig()
-	cfg.ThresholdDB = 60
-	net := mustNet(t, cfg)
+	net := mustNet(t, netmodel.DefaultConfig())
+	for j := range net.Users {
+		u := &net.Users[j]
+		for _, link := range []*fading.Link{&u.MBSLink, &u.FBSLink} {
+			hopeless, err := fading.NewLink(link.MeanSINRdB(), 60, fading.Rayleigh{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			*link = hopeless
+		}
+	}
 	res, err := Run(net, Options{Seed: 1, GOPs: 10})
 	if err != nil {
 		t.Fatal(err)
@@ -203,6 +212,7 @@ func TestExtremeConfigs(t *testing.T) {
 		{name: "B1 NaN", edit: func(c *netmodel.Config) { c.B1 = math.NaN() }, mustErr: true},
 		{name: "P01 NaN", edit: func(c *netmodel.Config) { c.P01 = math.NaN() }, mustErr: true},
 		{name: "P10 NaN", edit: func(c *netmodel.Config) { c.P10 = math.NaN() }, mustErr: true},
+		{name: "OFDM subcarriers -1", edit: func(c *netmodel.Config) { c.OFDMSubcarriers = -1 }, badNet: true},
 		{name: "FBS without users", spec: emptyFBS},
 		{name: "isolated FBS without users", spec: isolatedEmpty},
 	}

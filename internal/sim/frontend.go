@@ -72,28 +72,39 @@ func NewFrontend(net *netmodel.Network, root *rng.Stream, sensorPolicy sensing.A
 	}, nil
 }
 
-// EnableBeliefTracking switches the fusion prior from the per-slot
-// stationary utilization (the paper's eq. (2)) to a Bayesian filter that
-// carries the previous slot's posterior through the Markov kernel. Call
-// before the first Step.
-func (f *Frontend) EnableBeliefTracking() {
-	f.beliefs = belief.NewTracker(f.net.Band)
-}
+// Prior selects the fusion prior each slot's sensing starts from.
+type Prior int
 
-// EnableUtilizationEstimation makes the frontend learn each channel's
-// utilization online from its own noisy sensing reports (bias-corrected
-// method of moments) instead of assuming eta is known — the realistic
-// deployment where the primary network publishes nothing. Before enough
-// observations accumulate the prior falls back to the uninformative 1/2.
-// Ignored when belief tracking is enabled (the filter subsumes it).
-func (f *Frontend) EnableUtilizationEstimation() error {
-	f.estimators = make([]*sensing.UtilizationEstimator, f.net.Band.M())
-	for ch := range f.estimators {
-		est, err := sensing.NewUtilizationEstimator(f.net.Detector)
-		if err != nil {
-			return err
+const (
+	// StationaryPrior is the paper's eq. (2): every channel's known
+	// stationary utilization eta.
+	StationaryPrior Prior = iota
+	// EstimatedPrior learns each channel's utilization online from the
+	// FBSs' own noisy sensing reports (bias-corrected method of moments)
+	// instead of assuming eta is known — the realistic deployment where
+	// the primary network publishes nothing. Before enough observations
+	// accumulate the prior falls back to the uninformative 1/2 (extension).
+	EstimatedPrior
+	// BeliefPrior is a Bayesian filter that carries the previous slot's
+	// posterior through the Markov kernel (extension; see internal/belief).
+	BeliefPrior
+)
+
+// setPrior switches the fusion prior from the stationary default. Call
+// before the first Step.
+func (f *Frontend) setPrior(p Prior) error {
+	switch p {
+	case EstimatedPrior:
+		f.estimators = make([]*sensing.UtilizationEstimator, f.net.Band.M())
+		for ch := range f.estimators {
+			est, err := sensing.NewUtilizationEstimator(f.net.Detector)
+			if err != nil {
+				return err
+			}
+			f.estimators[ch] = est
 		}
-		f.estimators[ch] = est
+	case BeliefPrior:
+		f.beliefs = belief.NewTracker(f.net.Band)
 	}
 	return nil
 }

@@ -19,7 +19,9 @@ func frontendFor(t *testing.T, seed uint64, policy sensing.AssignmentPolicy, bel
 		t.Fatal(err)
 	}
 	if beliefs {
-		f.EnableBeliefTracking()
+		if err := f.setPrior(BeliefPrior); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return f
 }

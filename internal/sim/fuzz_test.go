@@ -23,7 +23,8 @@ func FuzzExtremeConfigs(f *testing.F) {
 	def := netmodel.DefaultConfig()
 	path, line := uint8(netmodel.KindInterferingPath), uint8(netmodel.KindNonInterferingLine)
 	// The TestExtremeConfigs rows on the paper's three-FBS path (three
-	// users each: loads 0x3f).
+	// users each: loads 0x3f), all but the OFDM one: this target keeps
+	// flat links.
 	type row struct {
 		gamma, p01, p10, eps, delta float64
 		m                           uint8

@@ -170,14 +170,14 @@ var runShard = Run
 // (one macro sector vs one per cluster) and only the connected case is
 // comparable.
 //
-// Recorder and CaptureDualTrace are per-engine diagnostics that cannot be
-// folded and are rejected.
+// Recorder and DualTrace are per-engine diagnostics that cannot be folded
+// and are rejected.
 func RunSharded(net *netmodel.Network, opts Options) (*ShardedResult, error) {
 	if opts.Recorder != nil {
 		return nil, fmt.Errorf("%w: Recorder is not supported by RunSharded (trace one shard with Run instead)", ErrBadOptions)
 	}
-	if opts.CaptureDualTrace {
-		return nil, fmt.Errorf("%w: CaptureDualTrace is not supported by RunSharded (trace one shard with Run instead)", ErrBadOptions)
+	if opts.DualTrace != 0 {
+		return nil, fmt.Errorf("%w: DualTrace is not supported by RunSharded (trace one shard with Run instead)", ErrBadOptions)
 	}
 	if net == nil {
 		return nil, fmt.Errorf("%w: nil network", ErrBadOptions)

@@ -216,8 +216,8 @@ func TestRunShardedRejectsDiagnostics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunSharded(net, Options{Seed: 1, GOPs: 1, CaptureDualTrace: true}); !errors.Is(err, ErrBadOptions) {
-		t.Fatalf("CaptureDualTrace: err=%v, want ErrBadOptions", err)
+	if _, err := RunSharded(net, Options{Seed: 1, GOPs: 1, DualTrace: 800}); !errors.Is(err, ErrBadOptions) {
+		t.Fatalf("DualTrace: err=%v, want ErrBadOptions", err)
 	}
 	if _, err := RunSharded(nil, Options{Seed: 1, GOPs: 1}); !errors.Is(err, ErrBadOptions) {
 		t.Fatalf("nil network: err=%v, want ErrBadOptions", err)

@@ -77,22 +77,17 @@ type Options struct {
 	Scheme Scheme
 	// SensorPolicy assigns user sensors to channels. Default RoundRobin.
 	SensorPolicy sensing.AssignmentPolicy
+	// Prior selects the fusion prior of each slot's sensing. Default
+	// StationaryPrior, the paper's.
+	Prior Prior
 	// TrackBound also tracks the eq. (23) upper-bound quality trajectory
 	// (only meaningful for Proposed on interfering deployments).
 	TrackBound bool
-	// CaptureDualTrace runs the paper's distributed dual algorithm
-	// (Table I/II) on the first slot and records its price trajectory
-	// (Fig. 4(a)). Ignored for heuristic schemes.
-	CaptureDualTrace bool
-	// DualIterations caps the traced dual iterations. Default 800.
-	DualIterations int
-	// TrackBeliefs replaces the stationary fusion prior with the Bayesian
-	// occupancy filter (extension; see internal/belief).
-	TrackBeliefs bool
-	// EstimateUtilization learns each channel's eta online from the FBS's
-	// own sensing reports instead of assuming it known (extension; ignored
-	// when TrackBeliefs is set).
-	EstimateUtilization bool
+	// DualTrace, when positive, runs the paper's distributed dual
+	// algorithm (Table I/II) for that many iterations on the first slot
+	// and records its price trajectory (Fig. 4(a)). Zero traces nothing;
+	// heuristic schemes ignore it.
+	DualTrace int
 	// Recorder, when non-nil, receives slot-by-slot events for post-hoc
 	// analysis (see internal/trace).
 	Recorder *trace.Recorder
@@ -127,9 +122,6 @@ func (o *Options) withDefaults() Options {
 	if out.SensorPolicy == 0 {
 		out.SensorPolicy = sensing.RoundRobin
 	}
-	if out.DualIterations == 0 {
-		out.DualIterations = 800
-	}
 	return out
 }
 
@@ -161,7 +153,7 @@ type Result struct {
 	// MeanExpectedChannels averages G_t over slots (diagnostic).
 	MeanExpectedChannels float64
 	// DualTrace is the per-iteration price trajectory of the first slot's
-	// distributed solve, when CaptureDualTrace was set.
+	// distributed solve, when Options.DualTrace was positive.
 	DualTrace [][]float64
 	// Solves counts the Proposed slot solves recorded by the engine's
 	// warm-start session (core.SessionStats: solves, warm and cold starts,
@@ -193,8 +185,11 @@ func Run(net *netmodel.Network, opts Options) (*Result, error) {
 	if opts.GOPs < 1 {
 		return nil, fmt.Errorf("%w: GOPs=%d", ErrBadOptions, opts.GOPs)
 	}
-	if opts.DualIterations < 0 {
-		return nil, fmt.Errorf("%w: DualIterations=%d", ErrBadOptions, opts.DualIterations)
+	if opts.DualTrace < 0 {
+		return nil, fmt.Errorf("%w: DualTrace=%d", ErrBadOptions, opts.DualTrace)
+	}
+	if opts.Prior < StationaryPrior || opts.Prior > BeliefPrior {
+		return nil, fmt.Errorf("%w: Prior=%d", ErrBadOptions, int(opts.Prior))
 	}
 
 	e, err := newEngine(net, opts)
@@ -240,12 +235,8 @@ func newEngine(net *netmodel.Network, opts Options) (*engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opts.TrackBeliefs {
-		front.EnableBeliefTracking()
-	} else if opts.EstimateUtilization {
-		if err := front.EnableUtilizationEstimation(); err != nil {
-			return nil, err
-		}
+	if err := front.setPrior(opts.Prior); err != nil {
+		return nil, err
 	}
 	stage, err := NewAllocator(net, opts)
 	if err != nil {
@@ -299,7 +290,7 @@ func (e *engine) step(slot int) error {
 	e.slots++
 
 	// Dual-trace capture on the very first slot (Fig. 4(a)).
-	if e.opts.CaptureDualTrace && slot == 0 && e.opts.Scheme == Proposed {
+	if e.opts.DualTrace > 0 && slot == 0 && e.opts.Scheme == Proposed {
 		if err := e.captureDualTrace(sa.Instance); err != nil {
 			return err
 		}
@@ -325,7 +316,7 @@ func (e *engine) captureDualTrace(in *core.Instance) error {
 	var report core.DualReport
 	tracer := core.NewDualSolver(
 		core.WithTrace(&report),
-		core.WithMaxIter(e.opts.DualIterations),
+		core.WithMaxIter(e.opts.DualTrace),
 		core.WithPhi(-1), // never terminate early: full-horizon trace
 		core.WithConstantStep(),
 		core.WithStepScale(0.01),

@@ -51,8 +51,13 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(net, Options{Scheme: Scheme(99)}); !errors.Is(err, ErrBadOptions) {
 		t.Fatalf("unknown scheme err = %v", err)
 	}
-	if _, err := Run(net, Options{CaptureDualTrace: true, DualIterations: -5}); !errors.Is(err, ErrBadOptions) {
-		t.Fatalf("negative DualIterations err = %v", err)
+	if _, err := Run(net, Options{DualTrace: -5}); !errors.Is(err, ErrBadOptions) {
+		t.Fatalf("negative DualTrace err = %v", err)
+	}
+	for _, p := range []Prior{-1, BeliefPrior + 1} {
+		if _, err := Run(net, Options{Prior: p}); !errors.Is(err, ErrBadOptions) {
+			t.Fatalf("unknown prior %d err = %v", p, err)
+		}
 	}
 	broken := *net
 	broken.Gamma = 2
@@ -211,7 +216,7 @@ func TestCollisionProtection(t *testing.T) {
 // column per resource, settling over iterations.
 func TestDualTraceCapture(t *testing.T) {
 	net := singleNet(t)
-	res, err := Run(net, Options{Seed: 1, GOPs: 1, CaptureDualTrace: true, DualIterations: 600})
+	res, err := Run(net, Options{Seed: 1, GOPs: 1, DualTrace: 600})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +246,7 @@ func TestDualTraceCapture(t *testing.T) {
 
 func TestDualTraceNotCapturedForHeuristics(t *testing.T) {
 	net := singleNet(t)
-	res, err := Run(net, Options{Seed: 1, GOPs: 1, Scheme: Heuristic1, CaptureDualTrace: true})
+	res, err := Run(net, Options{Seed: 1, GOPs: 1, Scheme: Heuristic1, DualTrace: 800})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,7 +459,7 @@ func TestEstimatedUtilizationConverges(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Run(net, Options{Seed: seed, GOPs: 50, EstimateUtilization: true})
+		b, err := Run(net, Options{Seed: seed, GOPs: 50, Prior: EstimatedPrior})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -48,8 +48,8 @@ func warmConfigs(t *testing.T) []struct {
 	}{
 		{"single-eq-s1", single, Options{Seed: 1, GOPs: 4, Scheme: Proposed}},
 		{"single-eq-s2", single, Options{Seed: 2, GOPs: 4, Scheme: Proposed}},
-		{"single-eq-beliefs", single, Options{Seed: 3, GOPs: 4, Scheme: Proposed, TrackBeliefs: true}},
-		{"single-eq-estimate", single, Options{Seed: 4, GOPs: 4, Scheme: Proposed, EstimateUtilization: true}},
+		{"single-eq-beliefs", single, Options{Seed: 3, GOPs: 4, Scheme: Proposed, Prior: BeliefPrior}},
+		{"single-eq-estimate", single, Options{Seed: 4, GOPs: 4, Scheme: Proposed, Prior: EstimatedPrior}},
 		{"noninterf-eq-s1", noninterf, Options{Seed: 1, GOPs: 4, Scheme: Proposed}},
 		{"noninterf-eq-s2", noninterf, Options{Seed: 2, GOPs: 4, Scheme: Proposed}},
 		{"interf-eq", interf, Options{Seed: 1, GOPs: 2, Scheme: Proposed}},

@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
 # Benchmark the sharded metro engine and record the result as BENCH JSON
 # (format documented in EXPERIMENTS.md). Runs one fixed Poisson metro
-# topology through `femtosim -scenario metro` at each worker count of 1, 2,
-# 4 and 8 that does not exceed nproc (the engine never runs more workers
-# than GOMAXPROCS, so a larger count would repeat the nproc row) and emits
-# BENCH_shard.json with the per-task ns accounting of each run plus a
-# cross-check that every run folded to the identical PSNR.
+# topology through `femtosim -scenario metro -json` at each worker count of
+# 1, 2, 4 and 8 that does not exceed nproc (the engine never runs more
+# workers than GOMAXPROCS, so a larger count would repeat the nproc row),
+# reads each run's ShardedResult with jq (its MeanPSNR and its Timing
+# ns accounting), and emits BENCH_shard.json with the per-task ns
+# accounting of each run plus a cross-check that every run folded to the
+# identical PSNR.
 #
 # The engine runs one grid task per shard (interference component), and
 # the fold is bitwise-deterministic for any -workers setting, so the
@@ -17,12 +19,14 @@
 # speedup a machine with enough CPUs would reach. Task times are wall
 # times: they equal CPU time only while no other process contends for the
 # CPUs. The JSON records "cpus"/"gomaxprocs" so readers can tell the cap
-# from a regression; each row's "workers" is the effective count.
+# from a regression; each row's "workers" is the effective count,
+# min(requested, GOMAXPROCS).
 #
 # Usage: scripts/bench_shard.sh [output.json]
 # Env:   FEMTOCR_METRO_FBS   (default 400)  femtocells in the scatter
 #        FEMTOCR_METRO_USERS (default 2)    generated streams per cell
 #        FEMTOCR_METRO_GOPS  (default 1)    GOP horizon per run
+# Needs: jq
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -36,58 +40,39 @@ trap 'rm -rf "$bin"' EXIT
 go build -o "$bin/femtosim" ./cmd/femtosim
 
 cpus=$(nproc)
-stats=""
+gomaxprocs="${GOMAXPROCS:-$cpus}"
 for workers in 1 2 4 8; do
     if [ "$workers" -gt "$cpus" ]; then
         continue
     fi
-    line=$("$bin/femtosim" -scenario metro -metro-fbs "$fbs" \
-        -metro-users "$users" -gops "$gops" -seed 1 \
-        -workers "$workers" | grep '^SHARDSTATS ')
-    echo "$line"
-    stats+="$line"$'\n'
+    # femtosim prints its text report first; the JSON object starts at the
+    # first line that opens one.
+    "$bin/femtosim" -scenario metro -metro-fbs "$fbs" -metro-users "$users" \
+        -gops "$gops" -seed 1 -workers "$workers" -json |
+        sed -n '/^{/,$p' |
+        jq -c --argjson workers "$((workers < gomaxprocs ? workers : gomaxprocs))" '{
+            workers: $workers,
+            wall_ns: .Timing.WallNS,
+            sum_task_ns: .Timing.SumTaskNS,
+            max_task_ns: .Timing.MaxTaskNS,
+            ideal_speedup: ((.Timing.SumTaskNS / .Timing.MaxTaskNS * 1000 | round) / 1000),
+            psnr: .MeanPSNR
+        }' | tee -a "$bin/rows.jsonl"
 done
 
-printf '%s' "$stats" | awk -v out="$out" -v fbs="$fbs" -v users="$users" \
-    -v gops="$gops" -v cpus="$cpus" \
-    -v gomaxprocs="${GOMAXPROCS:-$(nproc)}" '
-{
-    n++
-    for (i = 2; i <= NF; i++) {
-        split($i, kv, "=")
-        v[n, kv[1]] = kv[2]
-    }
-}
-END {
-    if (n == 0) {
-        print "bench_shard.sh: no SHARDSTATS rows" > "/dev/stderr"
-        exit 1
-    }
-    identical = "true"
-    for (r = 2; r <= n; r++)
-        if (v[r, "psnr"] != v[1, "psnr"]) identical = "false"
-    printf "{\n" > out
-    printf "  \"benchmark\": \"metro-sharded\",\n" > out
-    printf "  \"package\": \"femtocr/cmd/femtosim\",\n" > out
-    printf "  \"topology\": {\"layout\": \"poisson\", \"fbs\": %d, \"users_per_fbs\": %d, \"gops\": %d, \"seed\": 1},\n", fbs, users, gops > out
-    printf "  \"cpus\": %d,\n", cpus > out
-    printf "  \"gomaxprocs\": %d,\n", gomaxprocs > out
-    printf "  \"results\": [\n" > out
-    for (r = 1; r <= n; r++) {
-        # ns counts overflow the 32-bit %d of mawk; print as exact floats.
-        printf "    {\"workers\": %d, \"wall_ns\": %.0f, \"sum_task_ns\": %.0f, \"max_task_ns\": %.0f, \"ideal_speedup\": %s}%s\n", \
-            v[r, "workers"], v[r, "wall_ns"], \
-            v[r, "sum_task_ns"], v[r, "max_task_ns"], \
-            v[r, "ideal_speedup"], (r < n ? "," : "") > out
-    }
-    printf "  ],\n" > out
-    printf "  \"psnr\": %s,\n", v[1, "psnr"] > out
-    printf "  \"psnr_identical_across_workers\": %s\n", identical > out
-    printf "}\n" > out
-    if (identical != "true") {
-        print "bench_shard.sh: PSNR diverged across worker counts" > "/dev/stderr"
-        exit 1
-    }
-}
-'
+jq -s --argjson fbs "$fbs" --argjson users "$users" --argjson gops "$gops" \
+    --argjson cpus "$cpus" --argjson gomaxprocs "$gomaxprocs" '{
+    benchmark: "metro-sharded",
+    package: "femtocr/cmd/femtosim",
+    topology: {layout: "poisson", fbs: $fbs, users_per_fbs: $users, gops: $gops, seed: 1},
+    cpus: $cpus,
+    gomaxprocs: $gomaxprocs,
+    results: map(del(.psnr)),
+    psnr: .[0].psnr,
+    psnr_identical_across_workers: (map(.psnr) | unique | length == 1)
+}' "$bin/rows.jsonl" >"$out"
+if [ "$(jq .psnr_identical_across_workers "$out")" != true ]; then
+    echo "bench_shard.sh: PSNR diverged across worker counts" >&2
+    exit 1
+fi
 echo "wrote $out"
