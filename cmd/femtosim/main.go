@@ -55,7 +55,7 @@ func run(args []string, w io.Writer) (retErr error) {
 		gamma     = fs.Float64("gamma", 0.2, "collision threshold")
 		eps       = fs.Float64("eps", 0.3, "sensing false-alarm probability")
 		delta     = fs.Float64("delta", 0.3, "sensing miss-detection probability")
-		bound     = fs.Bool("bound", false, "track the eq. (23) upper bound (interfering + proposed)")
+		bound     = fs.Bool("bound", false, "track Proposed's upper bound (eq. (23) where the greedy allocates, the achieved quality elsewhere)")
 		dualTrace = fs.Int("dualtrace", 0, "print the dual-variable convergence trace of the first slot over this many iterations (0: none)")
 		packets   = fs.Bool("packets", false, "run the packet-level engine (NAL queues, ARQ, deadlines)")
 		priorName = fs.String("prior", "stationary", "fusion prior: stationary (known eta) | estimated (eta learned online) | belief (Bayesian occupancy filter)")
@@ -78,6 +78,12 @@ func run(args []string, w io.Writer) (retErr error) {
 	}
 	if *runs < 1 {
 		return fmt.Errorf("runs=%d: need at least one replication", *runs)
+	}
+	if *gops < 1 {
+		return fmt.Errorf("gops=%d: need at least one GOP", *gops)
+	}
+	if err := checkFlagPaths(fs, *scenario, *scheme, *packets); err != nil {
+		return err
 	}
 	stopProf, err := profiling.Start(*cpuProf, *memProf)
 	if err != nil {
@@ -138,8 +144,13 @@ func run(args []string, w io.Writer) (retErr error) {
 		default:
 			return fmt.Errorf("unknown metro layout %q", *metroLay)
 		}
-		return runMetro(out, cfg, spec, sch, *seed, *runs, *gops,
-			sim.Parallelism{Workers: *workers}, *asJSON)
+		return runMetro(out, cfg, spec, sim.Options{
+			GOPs:       *gops,
+			Scheme:     sch,
+			Prior:      prior,
+			TrackBound: *bound,
+			Parallel:   sim.Parallelism{Workers: *workers},
+		}, *seed, *runs, *asJSON)
 	}
 
 	var spec netmodel.TopologySpec
@@ -257,25 +268,49 @@ func run(args []string, w io.Writer) (retErr error) {
 	return out.Err()
 }
 
-// runMetro generates a metro-scale topology, runs the sharded engine for
-// each replication, and reports folded quality. With asJSON it prints the
-// last run's ShardedResult, whose MeanPSNR (exact, and bitwise-identical
-// for any -workers setting) and Timing scripts/bench_shard.sh reads.
+// checkFlagPaths rejects every flag the user set that the chosen path
+// cannot honour, instead of running without it: the sharded metro engine
+// folds no per-engine diagnostics and has no packet-level variant, the
+// packet engine takes neither a fusion prior nor a bound, and only
+// Proposed tracks a bound.
+func checkFlagPaths(fs *flag.FlagSet, scenario, scheme string, packets bool) error {
+	set := make(map[string]bool)
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	var path string
+	var ignored []string
+	switch {
+	case scenario == "metro":
+		path, ignored = "-scenario metro", []string{"dualtrace", "trace", "packets"}
+	case packets:
+		path, ignored = "-packets", []string{"prior", "bound", "dualtrace", "trace"}
+	}
+	for _, name := range ignored {
+		if set[name] {
+			return fmt.Errorf("-%s cannot be used with %s", name, path)
+		}
+	}
+	if set["bound"] && scheme != "proposed" {
+		return fmt.Errorf("-bound needs -scheme proposed: only Proposed tracks the upper bound")
+	}
+	return nil
+}
+
+// runMetro generates a metro-scale topology, runs the sharded engine with
+// opts for each replication, at seeds seed, seed+1, ..., and reports folded
+// quality. With asJSON it prints the last run's ShardedResult, whose
+// MeanPSNR (exact, and bitwise-identical for any -workers setting) and
+// Timing scripts/bench_shard.sh reads.
 func runMetro(out *safeio.Writer, cfg netmodel.Config, spec netmodel.TopologySpec,
-	sch sim.Scheme, seed uint64, runs, gops int, parallel sim.Parallelism, asJSON bool) error {
+	opts sim.Options, seed uint64, runs int, asJSON bool) error {
 	net, err := netmodel.NewNetwork(cfg, spec)
 	if err != nil {
 		return err
 	}
 	var lastResult *sim.ShardedResult
-	var meanAcc, minAcc, fairAcc, collAcc stats.Running
+	var meanAcc, boundAcc, minAcc, fairAcc, collAcc stats.Running
 	for r := 0; r < runs; r++ {
-		res, err := sim.RunSharded(net, sim.Options{
-			Seed:     seed + uint64(r),
-			GOPs:     gops,
-			Scheme:   sch,
-			Parallel: parallel,
-		})
+		opts.Seed = seed + uint64(r)
+		res, err := sim.RunSharded(net, opts)
 		if err != nil {
 			return fmt.Errorf("run %d (seed %d): %w", r, seed+uint64(r), err)
 		}
@@ -287,15 +322,19 @@ func runMetro(out *safeio.Writer, cfg netmodel.Config, spec netmodel.TopologySpe
 				}
 			}
 			fmt.Fprintf(out, "metro: layout=%s scheme=%s fbs=%d users=%d shards=%d largest-shard=%d edges=%d\n",
-				spec.Kind, sch, res.FBSs, res.Users, res.Shards, largest, net.Graph.NumEdges())
+				spec.Kind, opts.Scheme, res.FBSs, res.Users, res.Shards, largest, net.Graph.NumEdges())
 		}
 		meanAcc.Add(res.MeanPSNR)
+		boundAcc.Add(res.BoundPSNR)
 		minAcc.Add(res.MinUserPSNR)
 		fairAcc.Add(res.FairnessIndex)
 		collAcc.Add(res.CollisionRate)
 		lastResult = res
 	}
 	fmt.Fprintf(out, "mean Y-PSNR: %.2f dB (stddev %.2f over %d runs)\n", meanAcc.Mean(), meanAcc.StdDev(), runs)
+	if opts.TrackBound {
+		fmt.Fprintf(out, "eq.(23) upper bound: %.2f dB\n", boundAcc.Mean())
+	}
 	fmt.Fprintf(out, "worst user: %.2f dB | fairness (Jain on gains): %.3f\n", minAcc.Mean(), fairAcc.Mean())
 	fmt.Fprintf(out, "max conditional collision rate: %.3f (gamma = %.2f; worst shard, eq. (6))\n", collAcc.Mean(), cfg.Gamma)
 	if asJSON && lastResult != nil {

@@ -96,6 +96,16 @@ func TestRunErrors(t *testing.T) {
 		append([]string{"-metro-area", "-5"}, metro...),
 		append([]string{"-metro-area", "NaN"}, metro...),
 		append([]string{"-metro-layout", "grid", "-metro-block", "-2"}, metro...),
+		{"-gops", "0"},
+		// Flags the chosen path cannot honour.
+		append([]string{"-dualtrace", "5"}, metro...),
+		append([]string{"-trace"}, metro...),
+		append([]string{"-packets"}, metro...),
+		{"-packets", "-gops", "1", "-prior", "belief"},
+		{"-packets", "-gops", "1", "-bound"},
+		{"-packets", "-gops", "1", "-dualtrace", "5"},
+		{"-packets", "-gops", "1", "-trace"},
+		{"-scenario", "interfering", "-scheme", "h1", "-gops", "1", "-bound"},
 	}
 	for _, args := range cases {
 		var b strings.Builder
@@ -153,5 +163,31 @@ func TestRunMetroJSON(t *testing.T) {
 		if ns, ok := timing[key].(float64); !ok || ns <= 0 {
 			t.Fatalf("Timing.%s = %v, want a positive count", key, timing[key])
 		}
+	}
+}
+
+// TestRunMetroBound: the metro path honours -prior and -bound, so its JSON
+// reports a bound at or above the folded mean.
+func TestRunMetroBound(t *testing.T) {
+	var b strings.Builder
+	args := []string{"-scenario", "metro", "-metro-fbs", "6", "-gops", "1", "-prior", "belief", "-bound", "-json"}
+	if err := run(args, &b); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
+	start := strings.Index(out, "\n{")
+	if start < 0 {
+		t.Fatalf("no JSON in output:\n%s", out)
+	}
+	var res map[string]any
+	if err := json.Unmarshal([]byte(out[start:]), &res); err != nil {
+		t.Fatalf("invalid JSON: %v", err)
+	}
+	mean, _ := res["MeanPSNR"].(float64)
+	if bound, ok := res["BoundPSNR"].(float64); !ok || bound == 0 || bound < mean {
+		t.Fatalf("BoundPSNR = %v, want a bound at or above MeanPSNR %v", res["BoundPSNR"], mean)
+	}
+	if !strings.Contains(out, "eq.(23) upper bound") {
+		t.Fatalf("missing bound line:\n%s", out)
 	}
 }

@@ -1,12 +1,13 @@
 package core
 
 // Allocation-regression pins for the solver hot path. Every solver's
-// SolveInto must be allocation-free in steady state (all scratch comes from
-// the pooled workspace, all output goes into the caller's Allocation), and
-// greedy channel allocation must stay within a small constant budget per
-// Allocate (only the escaping GreedyResult allocates). These tests fail if
-// a future change reintroduces per-solve makes, maps, or sort closures, or
-// stops returning a pooled workspace.
+// SolveInto and the greedy channel allocation's AllocateInto must be
+// allocation-free in steady state: all scratch comes from the pooled
+// workspace, and all output goes into the caller's Allocation or
+// GreedyResult, whose lists and vectors are reused. These tests fail if a
+// future change reintroduces per-solve makes, maps, or sort closures, lets
+// a result field escape to fresh memory, or stops returning a pooled
+// workspace.
 //
 // The pins are the only gate on the hot-path contract. They skip under
 // -race, so scripts/check.sh runs this package once without the race
@@ -66,10 +67,13 @@ func TestGreedyAllocateSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	// The budget covers only the escaping result (GreedyResult, its
-	// allocation, gain vector, and step log) — the pre-rework figure was
-	// ~7400 allocs per Allocate from per-Q-evaluation instance rebuilds.
-	const budget = 48
+	// AllocateInto refills a warm result in place, as sim.Allocator does
+	// every slot: its lists, vectors, step log and allocation keep their
+	// backing arrays. The pre-rework figure was ~7400 allocs per call from
+	// per-Q-evaluation instance rebuilds, and a fresh result per call
+	// still cost ~48. As for SolveInto, the 50 runs average a rare pool
+	// miss below one.
+	const budget = 0
 	p := interferingProblem(rng.New(7), 4)
 	for _, tc := range []struct {
 		name string
@@ -79,16 +83,17 @@ func TestGreedyAllocateSteadyStateAllocs(t *testing.T) {
 		{"lazy", NewGreedyAllocator(&EquilibriumSolver{}, WithLazyEvaluation())},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := tc.g.Allocate(p); err != nil { // warm the pool
+			var res GreedyResult
+			if err := tc.g.AllocateInto(p, &res); err != nil { // warm the pool and the result
 				t.Fatal(err)
 			}
-			avg := testing.AllocsPerRun(10, func() {
-				if _, err := tc.g.Allocate(p); err != nil {
+			avg := testing.AllocsPerRun(50, func() {
+				if err := tc.g.AllocateInto(p, &res); err != nil {
 					t.Fatal(err)
 				}
 			})
 			if avg > budget {
-				t.Errorf("Allocate allocates %.2f/op in steady state, budget %d", avg, budget)
+				t.Errorf("AllocateInto allocates %.2f/op in steady state, budget %d", avg, budget)
 			}
 		})
 	}

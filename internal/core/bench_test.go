@@ -103,33 +103,39 @@ func BenchmarkHeuristic2(b *testing.B) {
 func BenchmarkGreedyEager(b *testing.B) {
 	p := interferingProblemBench(5)
 	g := NewGreedyAllocator(&EquilibriumSolver{})
+	// One result reused across calls, as sim.Allocator does, its buffers
+	// grown before the timer starts.
+	var res GreedyResult
+	if err := g.AllocateInto(p, &res); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	evals := 0
 	for i := 0; i < b.N; i++ {
-		res, err := g.Allocate(p)
-		if err != nil {
+		if err := g.AllocateInto(p, &res); err != nil {
 			b.Fatal(err)
 		}
-		evals = res.Evaluations
 	}
-	b.ReportMetric(float64(evals), "Q_evals")
+	b.ReportMetric(float64(res.Evaluations), "Q_evals")
 }
 
 func BenchmarkGreedyLazy(b *testing.B) {
 	p := interferingProblemBench(5)
 	g := NewGreedyAllocator(&EquilibriumSolver{}, WithLazyEvaluation())
+	// One result reused across calls, as sim.Allocator does, its buffers
+	// grown before the timer starts.
+	var res GreedyResult
+	if err := g.AllocateInto(p, &res); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	evals := 0
 	for i := 0; i < b.N; i++ {
-		res, err := g.Allocate(p)
-		if err != nil {
+		if err := g.AllocateInto(p, &res); err != nil {
 			b.Fatal(err)
 		}
-		evals = res.Evaluations
 	}
-	b.ReportMetric(float64(evals), "Q_evals")
+	b.ReportMetric(float64(res.Evaluations), "Q_evals")
 }
 
 // interferingProblemBench mirrors the test helper at benchmark scale.

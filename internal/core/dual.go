@@ -473,7 +473,7 @@ func fillResources(in *Instance, alloc *Allocation, ws *solveWorkspace) {
 // effective member set, and FBS i's of (i, G_i bits, effective member set),
 // which the key holds exactly as a user bitmask (instances of more than 64
 // users just compute). Polishing flips the same users in every Q evaluation
-// of a greedy Allocate, and a candidate perturbs only one FBS's G_i, so most
+// of a greedy AllocateInto, and a candidate perturbs only one FBS's G_i, so most
 // fills repeat an earlier one of the epoch.
 func fillBand(in *Instance, alloc *Allocation, i int, ws *solveWorkspace) {
 	k := in.K()

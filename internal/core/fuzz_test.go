@@ -126,8 +126,9 @@ func FuzzSolverSession(f *testing.F) {
 // three (twin channels), and arbitrary small graphs. For valid instances
 // it checks the eq. (23) bound ordering, interference feasibility of the
 // assignment, NaN-freedom, both allocators against their literal Table III
-// runs (checkTableIII), and both under SkipBound against their runs without
-// it (checkSkipBound).
+// runs (checkTableIII), both under SkipBound against their runs without it
+// (checkSkipBound), and AllocateInto into a result another problem filled
+// first against the fresh result.
 func FuzzGreedyChannels(f *testing.F) {
 	// seed, usersPerFBS, nFBS, channels, posterior override (-1: random),
 	// complete graph (vs path), lazy evaluation.
@@ -182,6 +183,16 @@ func FuzzGreedyChannels(f *testing.F) {
 		}
 		if err != nil {
 			t.Fatalf("Allocate: %v", err)
+		}
+		var reused GreedyResult
+		if err := g.AllocateInto(interferingProblem(rng.New(seed+1), 1+int(seed%4)), &reused); err != nil {
+			t.Fatalf("AllocateInto, earlier problem: %v", err)
+		}
+		if err := g.AllocateInto(p, &reused); err != nil {
+			t.Fatalf("AllocateInto: %v", err)
+		}
+		if d := greedyDiff(&reused, res); d != "" {
+			t.Fatalf("AllocateInto into a reused result differs from Allocate: %s", d)
 		}
 		if math.IsNaN(res.Value) || math.IsNaN(res.UpperBound) || math.IsNaN(res.PaperUpperBound) {
 			t.Fatalf("NaN in results: %+v", res)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"femtocr/internal/igraph"
@@ -38,7 +39,7 @@ type ChannelProblem struct {
 	Channels   []int         // 1-based ids of the accessed channels A(t)
 	Posteriors []float64     // P_A of each accessed channel, parallel to Channels
 	// SkipBound spares the Q solves that only the eq. (23) slack reads: a
-	// caller that ignores the bound sets it, and Allocate then leaves
+	// caller that ignores the bound sets it, and AllocateInto then leaves
 	// UpperBound and PaperUpperBound at zero. Every other result field is
 	// the same to the bit (see take).
 	SkipBound bool
@@ -144,10 +145,10 @@ func NewGreedyAllocator(solver Solver, opts ...GreedyOption) *GreedyAllocator {
 	return g
 }
 
-// greedyRun bundles one Allocate call's state: the problem, the candidate
-// set keyed by pairIdx over the workspace's alive buffer, and the running
-// objective. Everything scratch lives on the pooled workspace; everything
-// that escapes lives on res.
+// greedyRun bundles one AllocateInto call's state: the problem, the
+// candidate set keyed by pairIdx over the workspace's alive buffer, and the
+// running objective. Everything scratch lives on the pooled workspace;
+// everything the caller reads lives on res.
 type greedyRun struct {
 	p          *ChannelProblem
 	nCh        int
@@ -162,23 +163,52 @@ type greedyRun struct {
 	last       int // the latest accepted pair, -1 before the first
 }
 
-// newGreedyResult builds the escaping result shell of one Allocate call.
-func newGreedyResult(n, maxDegree int) *GreedyResult {
-	return &GreedyResult{
-		Assigned:         make([][]int, n),
-		G:                make([]float64, n),
-		LowerBoundFactor: 1 / (1 + float64(maxDegree)),
+// reset empties res for an n-FBS, k-user problem whose graph has maximum
+// degree maxDegree, keeping every backing array: each list, vector and
+// scalar then reads as on a fresh result, with Alloc zeroed for k users.
+func (res *GreedyResult) reset(n, k, maxDegree int) {
+	res.Assigned = slices.Grow(res.Assigned[:0], n)[:n]
+	for i := range res.Assigned {
+		res.Assigned[i] = res.Assigned[i][:0]
 	}
+	res.G = growF(res.G, n)
+	for i := range res.G {
+		res.G[i] = 0
+	}
+	if res.Alloc == nil {
+		res.Alloc = new(Allocation)
+	}
+	res.Alloc.resize(k)
+	res.Value, res.UpperBound, res.PaperUpperBound = 0, 0, 0
+	res.LowerBoundFactor = 1 / (1 + float64(maxDegree))
+	res.Steps = res.Steps[:0]
+	res.Evaluations = 0
 }
 
-// Allocate runs Table III and solves the user problem on the resulting
-// channel allocation.
+// Allocate runs Table III into a fresh result; see AllocateInto.
 func (g *GreedyAllocator) Allocate(p *ChannelProblem) (*GreedyResult, error) {
-	if err := p.Validate(); err != nil {
+	res := new(GreedyResult)
+	if err := g.AllocateInto(p, res); err != nil {
 		return nil, err
 	}
-	n := p.Base.N()
-	res := newGreedyResult(n, p.Graph.MaxDegree())
+	return res, nil
+}
+
+// AllocateInto runs Table III and solves the user problem on the resulting
+// channel allocation, into a caller-owned result: it resets every field of
+// res and refills it in place, so a caller that keeps one result across
+// calls allocates nothing in steady state. The result equals Allocate's to
+// the bit, whatever res held before. Nothing of p or res stays on g, so
+// goroutines may share one allocator as long as each passes its own res.
+// On error res holds no meaningful result.
+//
+//femtovet:borrows p, res
+func (g *GreedyAllocator) AllocateInto(p *ChannelProblem, res *GreedyResult) error {
+	if err := p.Validate(); err != nil {
+		return err
+	}
+	n, k := p.Base.N(), p.Base.K()
+	res.reset(n, k, p.Graph.MaxDegree())
 
 	ws := getWorkspace()
 	defer putWorkspace(ws)
@@ -206,14 +236,13 @@ func (g *GreedyAllocator) Allocate(p *ChannelProblem) (*GreedyResult, error) {
 	for i := range ws.gainRound {
 		ws.gainRound[i] = -1
 	}
-	k := p.Base.K()
 	ws.pairMBS = growB(ws.pairMBS, nPairs*k)
 	ws.pairRho0 = growF(ws.pairRho0, nPairs*k)
 	ws.pairRho1 = growF(ws.pairRho1, nPairs*k)
 
 	var err error
 	if r.cur, err = g.q(r, res.G); err != nil {
-		return nil, err
+		return err
 	}
 	// Every later equilibrium solve of this call — each Q evaluation and
 	// the final allocation — brackets its common price around the base
@@ -228,7 +257,7 @@ func (g *GreedyAllocator) Allocate(p *ChannelProblem) (*GreedyResult, error) {
 		err = g.runEager(r)
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	for i := range res.Assigned {
@@ -239,7 +268,7 @@ func (g *GreedyAllocator) Allocate(p *ChannelProblem) (*GreedyResult, error) {
 		res.UpperBound = r.cur + r.slack.live
 		res.PaperUpperBound = r.cur + r.slack.full
 	}
-	// The final allocation escapes to the caller, so it gets fresh memory
+	// The final allocation is the caller's, so it is written into res
 	// rather than workspace scratch. The last accepted pair's Q evaluation
 	// already solved the final G: its trial G is the final G to the bit
 	// (take adds the same posterior to the same entry), and every Q
@@ -249,7 +278,7 @@ func (g *GreedyAllocator) Allocate(p *ChannelProblem) (*GreedyResult, error) {
 	// leaves the twin, of the same FBS, alive, so a pair accepted on one is
 	// never the last. Only a run that accepted no pair solves, at G = 0:
 	// the base solve there ran unseeded.
-	final := NewAllocation(k)
+	final := res.Alloc
 	if r.last >= 0 {
 		lo := r.last * k
 		copy(final.MBS, ws.pairMBS[lo:lo+k])
@@ -265,19 +294,18 @@ func (g *GreedyAllocator) Allocate(p *ChannelProblem) (*GreedyResult, error) {
 			err = g.solver.SolveInto(inst, final)
 		}
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	res.Alloc = final
 	ws.qInstance = Instance{} // drop aliases into caller data before pooling
-	return res, nil
+	return nil
 }
 
 // q evaluates the user problem Q(c) for an expected-channel vector, solving
 // into workspace scratch. gvec may alias workspace memory; it is only read
 // during the solve. The default equilibrium solver runs directly on the
-// run's workspace — already validated and epoch-bumped by Allocate — so its
-// per-FBS memo carries over between evaluations, and it returns the
+// run's workspace — already validated and epoch-bumped by AllocateInto — so
+// its per-FBS memo carries over between evaluations, and it returns the
 // objective its polish already summed; any other solver is a plain
 // SolveInto, evaluated afterwards.
 func (g *GreedyAllocator) q(r *greedyRun, gvec []float64) (float64, error) {
@@ -303,7 +331,7 @@ func (g *GreedyAllocator) q(r *greedyRun, gvec []float64) (float64, error) {
 // The same holds across twin channels: a channel of the same FBS whose
 // posterior has the same bits yields the same trial G, and once the base
 // solve has fixed the price seed every Q evaluator is a pure function of G
-// within one Allocate (the memos are exact), so a same-round gain of a twin
+// within one AllocateInto (the memos are exact), so a same-round gain of a twin
 // is copied instead of solved.
 //
 // Each solve's allocation is kept under its pair (keep).

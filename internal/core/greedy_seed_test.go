@@ -11,7 +11,7 @@ package core
 import (
 	"fmt"
 	"math"
-	"reflect"
+	"slices"
 	"testing"
 
 	"femtocr/internal/igraph"
@@ -26,11 +26,16 @@ import (
 type coldQ struct{ Solver }
 
 // greedyDiff names the first field where two greedy results differ, or
-// returns "" when they are bitwise equal.
+// returns "" when they are bitwise equal. A nil and an empty list are
+// equal: a result refilled by AllocateInto keeps its emptied lists.
 func greedyDiff(a, b *GreedyResult) string {
 	bitsEq := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	stepEq := func(x, y GreedyStep) bool {
+		return x.FBS == y.FBS && x.Channel == y.Channel && bitsEq(x.Gain, y.Gain) &&
+			x.Degree == y.Degree && x.LiveDegree == y.LiveDegree
+	}
 	switch {
-	case !reflect.DeepEqual(a.Assigned, b.Assigned):
+	case !slices.EqualFunc(a.Assigned, b.Assigned, func(x, y []int) bool { return slices.Equal(x, y) }):
 		return fmt.Sprintf("Assigned %v vs %v", a.Assigned, b.Assigned)
 	case len(a.G) != len(b.G):
 		return "len(G)"
@@ -40,10 +45,15 @@ func greedyDiff(a, b *GreedyResult) string {
 		return fmt.Sprintf("UpperBound %v vs %v", a.UpperBound, b.UpperBound)
 	case !bitsEq(a.PaperUpperBound, b.PaperUpperBound):
 		return fmt.Sprintf("PaperUpperBound %v vs %v", a.PaperUpperBound, b.PaperUpperBound)
-	case !reflect.DeepEqual(a.Steps, b.Steps):
+	case !bitsEq(a.LowerBoundFactor, b.LowerBoundFactor):
+		return fmt.Sprintf("LowerBoundFactor %v vs %v", a.LowerBoundFactor, b.LowerBoundFactor)
+	case !slices.EqualFunc(a.Steps, b.Steps, stepEq):
 		return fmt.Sprintf("Steps %+v vs %+v", a.Steps, b.Steps)
 	case a.Evaluations != b.Evaluations:
 		return fmt.Sprintf("Evaluations %d vs %d", a.Evaluations, b.Evaluations)
+	case len(a.Alloc.MBS) != len(b.Alloc.MBS) || len(a.Alloc.Rho0) != len(b.Alloc.Rho0) ||
+		len(a.Alloc.Rho1) != len(b.Alloc.Rho1):
+		return "len(Alloc)"
 	}
 	for i := range a.G {
 		if !bitsEq(a.G[i], b.G[i]) {

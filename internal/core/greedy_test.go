@@ -340,6 +340,64 @@ func TestGreedyGainsSubmodular(t *testing.T) {
 	}
 }
 
+// TestGreedyAllocateIntoReuse runs problems back to back through one
+// GreedyResult, as sim.Allocator does every slot: N, K and the channel
+// count grow, then shrink; a problem under SkipBound follows ones that
+// tracked the bound; one problem has no channel, so it accepts no pair;
+// and one has twin channels. Each result must equal a fresh Allocate's bit
+// for bit, so nothing of an earlier problem leaks into a later one.
+func TestGreedyAllocateIntoReuse(t *testing.T) {
+	s := rng.New(41)
+	problem := func(n, usersPerFBS, channels int, graph *igraph.Graph) *ChannelProblem {
+		in := randomInstance(s, n*usersPerFBS, n)
+		for j := range in.FBS {
+			in.FBS[j] = j/usersPerFBS + 1
+		}
+		chs := make([]int, channels)
+		pas := make([]float64, channels)
+		for c := range chs {
+			chs[c] = c + 1
+			pas[c] = 0.5 + 0.5*s.Float64()
+		}
+		return &ChannelProblem{Base: in, Graph: graph, Channels: chs, Posteriors: pas}
+	}
+	twins := problem(3, 3, 4, igraph.Path(3))
+	twins.Posteriors[3] = twins.Posteriors[1]
+	skip := problem(3, 2, 2, igraph.Path(3))
+	skip.SkipBound = true
+	cases := []struct {
+		name string
+		p    *ChannelProblem
+	}{
+		{"2 FBSs, 1 channel", problem(2, 1, 1, igraph.Path(2))},
+		{"3 FBSs, twin channels", twins},
+		{"5-clique, 6 channels", problem(5, 2, 6, igraph.Complete(5))},
+		{"3 FBSs, SkipBound", skip},
+		{"no channels", problem(3, 3, 0, igraph.Path(3))},
+		{"1 FBS, 3 channels", problem(1, 2, 3, igraph.New(1))},
+	}
+	for _, lazy := range []bool{false, true} {
+		var opts []GreedyOption
+		if lazy {
+			opts = append(opts, WithLazyEvaluation())
+		}
+		g := NewGreedyAllocator(nil, opts...)
+		var res GreedyResult
+		for _, tc := range cases {
+			want, err := g.Allocate(tc.p)
+			if err != nil {
+				t.Fatalf("%s lazy=%v: %v", tc.name, lazy, err)
+			}
+			if err := g.AllocateInto(tc.p, &res); err != nil {
+				t.Fatalf("%s lazy=%v: AllocateInto: %v", tc.name, lazy, err)
+			}
+			if d := greedyDiff(&res, want); d != "" {
+				t.Errorf("%s lazy=%v: reused result differs from a fresh one: %s", tc.name, lazy, d)
+			}
+		}
+	}
+}
+
 // TestGreedyEmptyChannelSet: with no accessed channels the greedy returns
 // the MBS-only allocation.
 func TestGreedyEmptyChannelSet(t *testing.T) {

@@ -15,7 +15,7 @@ import (
 // race-free by construction.
 //
 // Ownership rule: a workspace is held for the duration of exactly one
-// SolveInto/SolveWarmInto/Allocate call and released before returning.
+// SolveInto/SolveWarmInto/AllocateInto call and released before returning.
 // Nothing that escapes to the caller (the returned Allocation, reports,
 // traces) may alias workspace memory.
 type solveWorkspace struct {
@@ -79,7 +79,7 @@ type solveWorkspace struct {
 	// cache of (fbs, lambda_0, G_i) -> association mask,
 	// epoch-tagged so invalidation on a new base instance is O(1). The
 	// greedy allocator holds one epoch across all Q evaluations of an
-	// Allocate call; the pooled solver entry points bump the epoch per
+	// AllocateInto call; the pooled solver entry points bump the epoch per
 	// solve so a recycled workspace can never leak another instance's
 	// equilibria. memoLive is set by bumpEqEpoch and cleared by
 	// putWorkspace: only the equilibrium solves and the greedy allocator
@@ -124,7 +124,7 @@ type solveWorkspace struct {
 	// workspace (see exact.go solveWS). An unseeded solve records its
 	// clearing common price in eqL0 (0 when uncontended); while eqSeeded is
 	// set, solves bracket their outer bisection around eqL0 instead and
-	// leave it untouched. The greedy allocator seeds once per Allocate from
+	// leave it untouched. The greedy allocator seeds once per AllocateInto from
 	// its base Q(∅) solve; putWorkspace clears the flag, so a pooled
 	// workspace is never seeded.
 	eqL0     float64
@@ -242,7 +242,7 @@ func memoFind(keys []memoKey, k memoKey) (int, bool) {
 // equilibrium and water-fill in O(1), and makes the memos live on this
 // workspace until it returns to the pool. Callers must bump whenever the
 // base instance behind the memoized solves changes (the greedy allocator
-// once per Allocate, the pooled solver wrappers once per solve).
+// once per AllocateInto, the pooled solver wrappers once per solve).
 func (ws *solveWorkspace) bumpEqEpoch() {
 	ws.memoLive = true
 	ws.fillShares = ws.fillShares[:0]

@@ -1,10 +1,10 @@
 package sim
 
 // Allocation-regression pins for the per-slot hot path. After the engine
-// is constructed, stepping slots must stay within a small constant
-// allocation budget: the single-FBS path is fully allocation-free apart
-// from the amortized per-GOP PSNR bookkeeping, and the interfering path
-// pays only for the escaping greedy result. A regression here is exactly
+// is constructed, stepping slots must allocate nothing: every path, the
+// interfering one included, is allocation-free apart from the amortized
+// per-GOP PSNR bookkeeping, since the greedy refills the allocator's own
+// result (core.GreedyAllocator.AllocateInto). A regression here is exactly
 // the GC pressure that flattened the parallel replication speedup.
 //
 // The table is the only gate on the slot step's allocation contract, so
@@ -53,11 +53,13 @@ func TestSlotStepSteadyStateAllocs(t *testing.T) {
 		// appends stay within the same budget.
 		{"proposed-single-estimate", false, 0, Options{Scheme: Proposed, Prior: EstimatedPrior}, 0},
 		{"proposed-single-recorder", false, 0, Options{Scheme: Proposed, Recorder: new(trace.Recorder)}, 0},
-		// The greedy channel allocation returns a fresh result per slot
-		// (~17 allocs observed); anything near the pre-rework ~5900 means
-		// per-evaluation scratch is being rebuilt again.
-		{"proposed-interfering", true, 0, Options{Scheme: Proposed}, 30},
-		{"proposed-interfering-bound", true, 0, Options{Scheme: Proposed, TrackBound: true}, 30},
+		// The greedy channel allocation refills the allocator's result, and
+		// the bound row adds the relaxation solve and the gain inflation;
+		// one allocation per slot means a result field escapes again
+		// (a fresh result cost ~17), and anything near the pre-rework
+		// ~5900 means per-evaluation scratch is being rebuilt.
+		{"proposed-interfering", true, 0, Options{Scheme: Proposed}, 0},
+		{"proposed-interfering-bound", true, 0, Options{Scheme: Proposed, TrackBound: true}, 0},
 		{"heuristic2-interfering", true, 0, Options{Scheme: Heuristic2}, 0},
 	}
 	for _, tc := range cases {

@@ -22,8 +22,8 @@ import (
 // free because every shard builds its own engine.
 type Allocator struct {
 	net        *netmodel.Network
-	solver     core.Solver // a *core.EquilibriumSolver when the scheme is Proposed
-	greedy     *core.GreedyAllocator
+	solver     core.Solver  // a *core.EquilibriumSolver when the scheme is Proposed
+	greedy     *greedyStage // nil unless Table III allocates the channels
 	trackBound bool
 
 	// Static channel split for schemes without per-slot channel
@@ -44,11 +44,20 @@ type Allocator struct {
 	assigned   [][]int
 	alloc      *core.Allocation
 	relaxAlloc *core.Allocation
-	chanProb   core.ChannelProblem
 	out        SlotAllocation
 
 	session      *core.SolverSession
 	relaxSession *core.SolverSession // only when the relaxation bound is tracked
+}
+
+// greedyStage is Table III's per-slot state, which only Proposed on an
+// interfering network needs: the allocator, the slot's channel problem and
+// the result the allocator refills every slot. It lives behind a pointer so
+// that the Allocator of any other run stays in its size class.
+type greedyStage struct {
+	alloc *core.GreedyAllocator
+	prob  core.ChannelProblem
+	res   core.GreedyResult
 }
 
 // SlotAllocation is the allocation half's output for one slot. It and every
@@ -97,7 +106,7 @@ func NewAllocator(net *netmodel.Network, opts Options) (*Allocator, error) {
 			if !opts.disableLazyGreedy {
 				gopts = append(gopts, core.WithLazyEvaluation())
 			}
-			a.greedy = core.NewGreedyAllocator(q, gopts...)
+			a.greedy = &greedyStage{alloc: core.NewGreedyAllocator(q, gopts...)}
 		}
 	case Heuristic1:
 		a.solver = core.Heuristic1{}
@@ -165,16 +174,16 @@ func (a *Allocator) Step(st *SlotState, w []float64) (*SlotAllocation, error) {
 	a.inst.W = w
 	out := &a.out
 	*out = SlotAllocation{}
-	if a.greedy != nil {
-		a.chanProb = core.ChannelProblem{
+	if g := a.greedy; g != nil {
+		g.prob = core.ChannelProblem{
 			Base:       &a.inst,
 			Graph:      a.net.Graph,
 			Channels:   st.Accessed,
 			Posteriors: st.AccessedPA,
 			SkipBound:  !a.trackBound,
 		}
-		res, err := a.greedy.Allocate(&a.chanProb)
-		if err != nil {
+		res := &g.res
+		if err := g.alloc.AllocateInto(&g.prob, res); err != nil {
 			return nil, err
 		}
 		if a.trackBound {

@@ -104,7 +104,8 @@ type ShardedResult struct {
 	// sum(per-shard user sums)/K — bitwise-equal to Run's MeanPSNR on a
 	// connected network.
 	MeanPSNR float64
-	// BoundPSNR is the mean eq. (23) upper bound (TrackBound runs only).
+	// BoundPSNR is the mean upper-bound quality (TrackBound runs of
+	// Proposed only; see Options.TrackBound).
 	BoundPSNR float64
 	// MinUserPSNR is the worst per-user mean quality across every shard.
 	MinUserPSNR float64

@@ -80,8 +80,11 @@ type Options struct {
 	// Prior selects the fusion prior of each slot's sensing. Default
 	// StationaryPrior, the paper's.
 	Prior Prior
-	// TrackBound also tracks the eq. (23) upper-bound quality trajectory
-	// (only meaningful for Proposed on interfering deployments).
+	// TrackBound also tracks the upper-bound quality trajectory of
+	// Proposed; other schemes ignore it. A slot the greedy of Table III
+	// allocates advances it by the eq. (23) bound; any other slot, where
+	// every FBS holds every accessed channel and the slot solve is the
+	// optimum (the paper's Table II case), by the realized quality itself.
 	TrackBound bool
 	// DualTrace, when positive, runs the paper's distributed dual
 	// algorithm (Table I/II) for that many iterations on the first slot
@@ -132,11 +135,12 @@ type Result struct {
 	// MeanPSNR averages PerUserPSNR over users.
 	MeanPSNR float64
 	// BoundPSNR is the mean upper-bound quality (eq. (23) converted to dB),
-	// zero unless TrackBound was set.
+	// zero unless TrackBound was set with Proposed. On a network without
+	// interference it equals MeanPSNR.
 	BoundPSNR float64
 	// PerUserBound is each user's mean upper-bound quality, nil unless
-	// TrackBound was set. BoundPSNR is its mean; the sharded engine re-sums
-	// it in user order to fold bounds across shards bitwise.
+	// TrackBound was set with Proposed. BoundPSNR is its mean; the sharded
+	// engine re-sums it in user order to fold bounds across shards bitwise.
 	PerUserBound []float64
 	// MinUserPSNR is the worst per-user mean quality — the user experience
 	// floor, which proportional fairness is supposed to protect.
@@ -255,7 +259,7 @@ func newEngine(net *netmodel.Network, opts Options) (*engine, error) {
 	for j, u := range net.Users {
 		e.progress[j] = video.NewProgress(u.Seq)
 	}
-	if opts.TrackBound {
+	if opts.TrackBound && opts.Scheme == Proposed {
 		e.bound = make([]*video.Progress, k)
 		for j, u := range net.Users {
 			e.bound[j] = video.NewProgress(u.Seq)
@@ -281,9 +285,9 @@ func (e *engine) step(slot int) error {
 	if err != nil {
 		return err
 	}
-	e.realize(sa.Instance, sa.Alloc, sa.Assigned, st.Truth)
+	e.realize(sa.Instance, sa.Alloc, sa.Assigned, st.Truth, !sa.Greedy)
 	e.record(slot, st, sa.Alloc)
-	if sa.Greedy && e.opts.TrackBound {
+	if sa.Greedy && e.bound != nil {
 		e.trackBound(sa.Instance, sa.Alloc, sa.Value, sa.Bound, sa.Assigned, st.Truth)
 	}
 	e.sumG += st.Decision.ExpectedAvailable()
@@ -364,10 +368,16 @@ func (e *engine) record(slot int, st *SlotState, alloc *core.Allocation) {
 }
 
 // realize draws the slot's packet-loss outcomes and credits delivered video
-// quality (see gain).
-func (e *engine) realize(in *core.Instance, alloc *core.Allocation, assigned [][]int, truth spectrum.Occupancy) {
+// quality (see gain). With exact set, the slot's allocation is the optimum,
+// so a tracked bound trajectory gains the same increments: theta = 1, and
+// no draws of its own.
+func (e *engine) realize(in *core.Instance, alloc *core.Allocation, assigned [][]int, truth spectrum.Occupancy, exact bool) {
 	for j, p := range e.progress {
-		p.AddPSNR(e.gain(in, alloc, j, assigned, truth))
+		g := e.gain(in, alloc, j, assigned, truth)
+		p.AddPSNR(g)
+		if exact && e.bound != nil {
+			e.bound[j].AddPSNR(g)
+		}
 	}
 }
 

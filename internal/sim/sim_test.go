@@ -196,6 +196,77 @@ func TestInterferingOrderingAndBound(t *testing.T) {
 	}
 }
 
+// TestBoundWithoutGreedy: where the greedy of Table III does not allocate,
+// Proposed's slot solve is the optimum, so its bound trajectory is the
+// realized quality. On the single-FBS and the non-interfering cells,
+// whole and sharded, BoundPSNR equals MeanPSNR bit for bit (each user's
+// bound its quality), and tracking the bound moves no MeanPSNR bit. On a
+// metro that mixes single-FBS and interfering shards the bound stays at or
+// above the mean. The other schemes track no bound.
+func TestBoundWithoutGreedy(t *testing.T) {
+	bits := math.Float64bits
+	trio := video.PaperTrio()
+	noninterf, err := netmodel.NewNetwork(netmodel.DefaultConfig(),
+		netmodel.NonInterferingSpec([][]video.Sequence{trio[:], trio[:]}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		net  *netmodel.Network
+	}{{"single", singleNet(t)}, {"noninterfering", noninterf}} {
+		plain, err := Run(tc.net, Options{Seed: 1, GOPs: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := Options{Seed: 1, GOPs: 4, TrackBound: true}
+		res, err := Run(tc.net, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bits(res.MeanPSNR) != bits(plain.MeanPSNR) {
+			t.Errorf("%s: MeanPSNR %v with the bound tracked, %v without", tc.name, res.MeanPSNR, plain.MeanPSNR)
+		}
+		if bits(res.BoundPSNR) != bits(res.MeanPSNR) {
+			t.Errorf("%s: BoundPSNR %v, MeanPSNR %v", tc.name, res.BoundPSNR, res.MeanPSNR)
+		}
+		for j, v := range res.PerUserPSNR {
+			if len(res.PerUserBound) != len(res.PerUserPSNR) || bits(res.PerUserBound[j]) != bits(v) {
+				t.Fatalf("%s: per-user bounds %v, qualities %v", tc.name, res.PerUserBound, res.PerUserPSNR)
+			}
+		}
+		sh, err := RunSharded(tc.net, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bits(sh.BoundPSNR) != bits(sh.MeanPSNR) {
+			t.Errorf("%s sharded: BoundPSNR %v, MeanPSNR %v", tc.name, sh.BoundPSNR, sh.MeanPSNR)
+		}
+	}
+
+	metro, err := netmodel.NewNetwork(netmodel.DefaultConfig(), netmodel.MetroPoissonSpec(24, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh, err := RunSharded(metro, Options{Seed: 7, GOPs: 1, TrackBound: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sh.BoundPSNR < sh.MeanPSNR {
+		t.Errorf("metro: BoundPSNR %v below MeanPSNR %v", sh.BoundPSNR, sh.MeanPSNR)
+	}
+
+	for _, sch := range []Scheme{Heuristic1, Heuristic2, RoundRobin, MaxThroughput} {
+		res, err := Run(interferingNet(t), Options{Seed: 1, GOPs: 1, Scheme: sch, TrackBound: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.PerUserBound != nil || res.BoundPSNR != 0 {
+			t.Errorf("%v: bound %v (per user %v), want none", sch, res.BoundPSNR, res.PerUserBound)
+		}
+	}
+}
+
 // TestCollisionProtection: over a long run the realized collision rate
 // stays near the threshold gamma.
 func TestCollisionProtection(t *testing.T) {
