@@ -97,6 +97,8 @@ func TestRunErrors(t *testing.T) {
 		append([]string{"-metro-area", "NaN"}, metro...),
 		append([]string{"-metro-layout", "grid", "-metro-block", "-2"}, metro...),
 		{"-gops", "0"},
+		{"-b0", "Inf", "-gops", "1"},
+		{"-b1", "Inf", "-gops", "1"},
 		// Flags the chosen path cannot honour.
 		append([]string{"-dualtrace", "5"}, metro...),
 		append([]string{"-trace"}, metro...),

@@ -55,8 +55,15 @@ func TestRunGrid(t *testing.T) {
 }
 
 func TestRunBadArgs(t *testing.T) {
-	var b strings.Builder
-	if err := run([]string{"-n", "2", "-radius", "0"}, &b); err == nil {
-		t.Fatal("zero radius accepted")
+	for _, args := range [][]string{
+		{"-n", "2", "-radius", "0"},
+		{"-radius", "Inf"},
+		{"-spacing", "NaN"},
+		{"-grid", "-n", "4", "-spacing", "Inf"},
+	} {
+		var b strings.Builder
+		if err := run(args, &b); err == nil {
+			t.Errorf("args %v accepted:\n%s", args, b.String())
+		}
 	}
 }

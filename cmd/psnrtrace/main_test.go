@@ -55,4 +55,9 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-seq", "Bus", "-gop", "0"}, &b); err == nil {
 		t.Fatal("zero gop accepted")
 	}
+	for _, rate := range []string{"NaN", "Inf"} {
+		if err := run([]string{"-seq", "Bus", "-rate", rate}, &b); err == nil {
+			t.Errorf("rate %s accepted", rate)
+		}
+	}
 }

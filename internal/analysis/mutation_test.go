@@ -126,7 +126,7 @@ func TestMutationDroppedWriteError(t *testing.T) {
 // irreproducible, and no golden output uses that policy.
 func TestMutationUnseededDraw(t *testing.T) {
 	diags := mutatePackage(t, "internal/sensing", "assignment.go",
-		edit{"\t\"math\"\n", "\t\"math\"\n\t\"math/rand/v2\"\n"},
+		edit{"\t\"fmt\"\n", "\t\"fmt\"\n\t\"math/rand/v2\"\n"},
 		edit{"\t\t\tout[i] = s.IntN(m) + 1\n", "\t\t\tout[i] = rand.IntN(m) + 1\n"},
 	)
 	assertSingleFinding(t, diags, "randsource", "import of math/rand/v2 outside internal/rng")

@@ -2,8 +2,8 @@ package core
 
 // Ablation benchmarks for the design choices called out in DESIGN.md:
 // solver choice (distributed subgradient vs price equilibrium vs brute
-// force), greedy evaluation strategy (eager vs lazy), and the dual step
-// schedule (diminishing vs constant).
+// force), the greedy channel allocation, and the dual step schedule
+// (diminishing vs constant).
 
 import (
 	"testing"
@@ -100,28 +100,9 @@ func BenchmarkHeuristic2(b *testing.B) {
 	}
 }
 
-func BenchmarkGreedyEager(b *testing.B) {
-	p := interferingProblemBench(5)
-	g := NewGreedyAllocator(&EquilibriumSolver{})
-	// One result reused across calls, as sim.Allocator does, its buffers
-	// grown before the timer starts.
-	var res GreedyResult
-	if err := g.AllocateInto(p, &res); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := g.AllocateInto(p, &res); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(res.Evaluations), "Q_evals")
-}
-
 func BenchmarkGreedyLazy(b *testing.B) {
 	p := interferingProblemBench(5)
-	g := NewGreedyAllocator(&EquilibriumSolver{}, WithLazyEvaluation())
+	g := NewGreedyAllocator(&EquilibriumSolver{})
 	// One result reused across calls, as sim.Allocator does, its buffers
 	// grown before the timer starts.
 	var res GreedyResult

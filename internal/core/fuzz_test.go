@@ -125,19 +125,19 @@ func FuzzSolverSession(f *testing.F) {
 // PFA=PMD=0 fusion output), random posteriors that repeat one time in
 // three (twin channels), and arbitrary small graphs. For valid instances
 // it checks the eq. (23) bound ordering, interference feasibility of the
-// assignment, NaN-freedom, both allocators against their literal Table III
-// runs (checkTableIII), both under SkipBound against their runs without it
+// assignment, NaN-freedom, the allocator against its literal Table III run
+// (checkTableIII), under SkipBound against its run without it
 // (checkSkipBound), and AllocateInto into a result another problem filled
 // first against the fresh result.
 func FuzzGreedyChannels(f *testing.F) {
 	// seed, usersPerFBS, nFBS, channels, posterior override (-1: random),
-	// complete graph (vs path), lazy evaluation.
-	f.Add(uint64(1), 1, 3, 2, -1.0, false, false)
-	f.Add(uint64(2), 0, 2, 2, 0.5, false, false) // zero users
-	f.Add(uint64(3), 2, 2, 3, 0.0, false, true)  // all channels busy
-	f.Add(uint64(4), 2, 3, 2, 1.0, true, true)   // perfect sensing, clique
-	f.Add(uint64(5), 1, 1, 4, 0.25, false, false)
-	f.Fuzz(func(t *testing.T, seed uint64, usersPerFBS, nFBS, channels int, post float64, clique, lazy bool) {
+	// complete graph (vs path).
+	f.Add(uint64(1), 1, 3, 2, -1.0, false)
+	f.Add(uint64(2), 0, 2, 2, 0.5, false) // zero users
+	f.Add(uint64(3), 2, 2, 3, 0.0, false) // all channels busy
+	f.Add(uint64(4), 2, 3, 2, 1.0, true)  // perfect sensing, clique
+	f.Add(uint64(5), 1, 1, 4, 0.25, false)
+	f.Fuzz(func(t *testing.T, seed uint64, usersPerFBS, nFBS, channels int, post float64, clique bool) {
 		if nFBS < 1 || nFBS > 3 || usersPerFBS < 0 || usersPerFBS > 2 || channels < 0 || channels > 3 {
 			return
 		}
@@ -171,9 +171,6 @@ func FuzzGreedyChannels(f *testing.F) {
 		p := &ChannelProblem{Base: in, Graph: graph, Channels: chs, Posteriors: posts}
 
 		g := NewGreedyAllocator(nil)
-		if lazy {
-			g = NewGreedyAllocator(nil, WithLazyEvaluation())
-		}
 		res, err := g.Allocate(p)
 		if k == 0 {
 			if !errors.Is(err, ErrBadInstance) {

@@ -115,34 +115,30 @@ type GreedyResult struct {
 
 // GreedyAllocator implements Table III: repeatedly allocate the FBS-channel
 // pair with the largest objective increase, removing the pair and its
-// interference-graph conflicts from the candidate set.
+// interference-graph conflicts from the candidate set. Gains are evaluated
+// lazily (see runLazy), which the paper's Property 1 makes exact.
 type GreedyAllocator struct {
 	solver Solver
-	lazy   bool
 }
 
-// GreedyOption configures a GreedyAllocator.
+// GreedyOption configures a GreedyAllocator. No option changes it.
 type GreedyOption func(*GreedyAllocator)
 
-// WithLazyEvaluation enables lazy re-evaluation of candidate gains: gains
-// are submodular (the paper's Property 1), so a cached gain that is still
-// the largest after re-evaluation is guaranteed optimal. Reduces Q(.)
-// evaluations substantially with identical results.
-func WithLazyEvaluation() GreedyOption { return func(g *GreedyAllocator) { g.lazy = true } }
+// WithLazyEvaluation is a no-op: every allocator evaluates gains lazily.
+//
+// Deprecated: the option has nothing left to select.
+func WithLazyEvaluation() GreedyOption { return func(*GreedyAllocator) {} }
 
 // NewGreedyAllocator builds the allocator with the given Q(c) evaluator; a
 // nil solver defaults to the EquilibriumSolver. The evaluator must be
 // deterministic, as every Solver of this package is: the allocator reuses
 // a gain wherever it would solve the same instance again (see gainOf).
-func NewGreedyAllocator(solver Solver, opts ...GreedyOption) *GreedyAllocator {
+// The options are no-ops.
+func NewGreedyAllocator(solver Solver, _ ...GreedyOption) *GreedyAllocator {
 	if solver == nil {
 		solver = &EquilibriumSolver{}
 	}
-	g := &GreedyAllocator{solver: solver}
-	for _, o := range opts {
-		o(g)
-	}
-	return g
+	return &GreedyAllocator{solver: solver}
 }
 
 // greedyRun bundles one AllocateInto call's state: the problem, the
@@ -150,17 +146,16 @@ func NewGreedyAllocator(solver Solver, opts ...GreedyOption) *GreedyAllocator {
 // running objective. Everything scratch lives on the pooled workspace;
 // everything the caller reads lives on res.
 type greedyRun struct {
-	p          *ChannelProblem
-	nCh        int
-	ws         *solveWorkspace
-	eq         *EquilibriumSolver // non-nil: Q solves share ws (equilibrium memo)
-	alive      []bool             // candidate liveness, indexed by pairIdx
-	aliveCount int
-	cur        float64 // Q of the current partial allocation
-	round      int     // allocation rounds completed (gain-cache tag)
-	res        *GreedyResult
-	slack      boundSlack
-	last       int // the latest accepted pair, -1 before the first
+	p     *ChannelProblem
+	nCh   int
+	ws    *solveWorkspace
+	eq    *EquilibriumSolver // non-nil: Q solves share ws (equilibrium memo)
+	alive []bool             // candidate liveness, indexed by pairIdx
+	cur   float64            // Q of the current partial allocation
+	round int                // allocation rounds completed (gain-cache tag)
+	res   *GreedyResult
+	slack boundSlack
+	last  int // the latest accepted pair, -1 before the first
 }
 
 // reset empties res for an n-FBS, k-user problem whose graph has maximum
@@ -230,7 +225,6 @@ func (g *GreedyAllocator) AllocateInto(p *ChannelProblem, res *GreedyResult) err
 	for i := range r.alive {
 		r.alive[i] = true
 	}
-	r.aliveCount = nPairs
 	ws.gains = growF(ws.gains, nPairs)
 	ws.gainRound = growI(ws.gainRound, nPairs)
 	for i := range ws.gainRound {
@@ -251,12 +245,7 @@ func (g *GreedyAllocator) AllocateInto(p *ChannelProblem, res *GreedyResult) err
 	// the per-FBS memo answers for every FBS the candidate leaves alone.
 	ws.eqSeeded = r.eq != nil && ws.eqL0 > 0
 
-	if g.lazy {
-		err = g.runLazy(r)
-	} else {
-		err = g.runEager(r)
-	}
-	if err != nil {
+	if err := g.runLazy(r); err != nil {
 		return err
 	}
 
@@ -444,53 +433,21 @@ func (g *GreedyAllocator) take(r *greedyRun, best int, gain float64) error {
 	if gain > 0 {
 		r.slack.full += float64(deg) * gain
 	}
-	r.kill(best)
+	r.alive[best] = false
 	for _, nb := range r.p.Graph.Neighbors(fbs) {
-		r.kill(nb*r.nCh + chIdx)
+		r.alive[nb*r.nCh+chIdx] = false
 	}
 	r.round++ // the partial allocation changed: cached gains are now stale
 	return nil
 }
 
-// kill removes candidate idx from the set if still present.
-func (r *greedyRun) kill(idx int) {
-	if r.alive[idx] {
-		r.alive[idx] = false
-		r.aliveCount--
-	}
-}
-
-// runEager is the literal Table III loop: re-evaluate every remaining
-// candidate each round and take the best. Candidates are scanned in
-// ascending pairIdx order, the same deterministic (fbs, chIdx) order the
-// sorted map keys used to give.
-func (g *GreedyAllocator) runEager(r *greedyRun) error {
-	for r.aliveCount > 0 {
-		bestGain := math.Inf(-1)
-		best := -1
-		for idx := range r.alive {
-			if !r.alive[idx] {
-				continue
-			}
-			gain, err := g.gainOf(r, idx)
-			if err != nil {
-				return err
-			}
-			if gain > bestGain {
-				bestGain = gain
-				best = idx
-			}
-		}
-		if err := g.take(r, best, bestGain); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// runLazy exploits submodularity: cached gains only shrink as the
-// allocation grows, so the best stale gain, once refreshed and still on
-// top, is the true maximum. The max-heap lives on workspace scratch.
+// runLazy is Table III's loop under lazy evaluation. Gains are submodular
+// (the paper's Property 1): cached gains only shrink as the allocation
+// grows, so the best stale gain, once refreshed and still on top, is the
+// true maximum: each round takes a pair of largest current gain, as the
+// literal loop that re-evaluates every candidate does (an exact tie breaks
+// in heap order, not in ascending pair order). The max-heap lives on
+// workspace scratch.
 func (g *GreedyAllocator) runLazy(r *greedyRun) error {
 	heap := r.ws.heap[:0]
 	defer func() { r.ws.heap = heap[:0] }()

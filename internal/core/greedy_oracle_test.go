@@ -13,8 +13,8 @@ import (
 // literalGreedy runs Table III literally: every gain is one fresh SolveInto
 // on a new Allocation, with no gain cache, no twin sharing and no price
 // seed, and the eq. (23) slack accumulates the way GreedyResult documents
-// it. The allocator must reproduce it bit for bit in every field but
-// Evaluations.
+// it. The allocator must reproduce its lazy run bit for bit in every field
+// but Evaluations, and its eager run's value and assignment.
 type literalGreedy struct {
 	t      *testing.T
 	p      *ChannelProblem
@@ -26,11 +26,11 @@ type literalGreedy struct {
 	cur    float64
 	slack  boundSlack
 	// evaluated maps (FBS, posterior bits) to the candidate last evaluated
-	// with them this round; twins reports that some round evaluated two
-	// candidates of one FBS whose posteriors have the same bits, whose
-	// gains the allocator shares instead of solving.
+	// with them this round; shared counts the evaluations of a candidate
+	// whose twin, of the same FBS and posterior bits, was evaluated earlier
+	// in the round: the allocator copies such a gain instead of solving it.
 	evaluated map[[2]uint64]int
-	twins     bool
+	shared    int
 }
 
 func newLiteralGreedy(t *testing.T, p *ChannelProblem, solver Solver) *literalGreedy {
@@ -69,7 +69,7 @@ func (l *literalGreedy) gain(idx int) float64 {
 	fbs, c := idx/l.nCh, idx%l.nCh
 	key := [2]uint64{uint64(fbs), math.Float64bits(l.p.Posteriors[c])}
 	if prev, ok := l.evaluated[key]; ok && prev != idx {
-		l.twins = true
+		l.shared++
 	}
 	l.evaluated[key] = idx
 	trial := append([]float64(nil), l.res.G...)
@@ -203,80 +203,60 @@ func (l *literalGreedy) result() *GreedyResult {
 	return res
 }
 
-// checkTableIII runs the eager and the lazy allocator over one solver on p
-// and holds each to its literal run: every result field bit for bit, and
-// Q evaluations no more than the literal run's (the allocator reuses
-// same-round gains), strictly fewer when some round held twins. The eager
-// allocator solves exactly the literal loop's evaluations when there are
-// none. It reports whether p had twins.
+// checkTableIII runs the allocator over one solver on p and holds it to the
+// literal lazy run: every result field bit for bit, and Q evaluations no
+// more than the literal run's (the allocator reuses same-round gains),
+// strictly fewer when some round held twins. It reports whether p had
+// twins.
 func checkTableIII(t *testing.T, name string, p *ChannelProblem, solver func() Solver) bool {
 	t.Helper()
-	twins := false
-	for _, lazy := range []bool{false, true} {
-		l := newLiteralGreedy(t, p, solver())
-		var opts []GreedyOption
-		if lazy {
-			l.lazy()
-			opts = append(opts, WithLazyEvaluation())
-		} else {
-			l.eager()
-		}
-		want := l.result()
-		twins = twins || l.twins
-		got, err := NewGreedyAllocator(solver(), opts...).Allocate(p)
-		if err != nil {
-			t.Fatalf("%s lazy=%v: %v", name, lazy, err)
-		}
-		cmp := *want
-		cmp.Evaluations = got.Evaluations
-		if d := greedyDiff(got, &cmp); d != "" {
-			t.Errorf("%s lazy=%v: differs from the literal Table III run: %s", name, lazy, d)
-		}
-		switch {
-		case l.twins && got.Evaluations >= want.Evaluations:
-			t.Errorf("%s lazy=%v: %d Q evaluations with twin channels, literal run %d: no twin gain shared",
-				name, lazy, got.Evaluations, want.Evaluations)
-		case !l.twins && !lazy && got.Evaluations != want.Evaluations,
-			got.Evaluations > want.Evaluations:
-			t.Errorf("%s lazy=%v: %d Q evaluations, literal run %d", name, lazy, got.Evaluations, want.Evaluations)
-		}
+	l := newLiteralGreedy(t, p, solver())
+	l.lazy()
+	want := l.result()
+	got, err := NewGreedyAllocator(solver()).Allocate(p)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
 	}
-	return twins
+	cmp := *want
+	cmp.Evaluations = got.Evaluations
+	if d := greedyDiff(got, &cmp); d != "" {
+		t.Errorf("%s: differs from the literal Table III run: %s", name, d)
+	}
+	switch {
+	case l.shared > 0 && got.Evaluations >= want.Evaluations:
+		t.Errorf("%s: %d Q evaluations with twin channels, literal run %d: no twin gain shared",
+			name, got.Evaluations, want.Evaluations)
+	case got.Evaluations > want.Evaluations:
+		t.Errorf("%s: %d Q evaluations, literal run %d", name, got.Evaluations, want.Evaluations)
+	}
+	return l.shared > 0
 }
 
-// checkSkipBound runs the eager and the lazy allocator on p with and
-// without SkipBound. Under it both bounds read zero, every other field but
-// Evaluations is the same bit for bit (LiveDegree included), and it solves
-// no more Q evaluations. It returns the evaluations saved.
+// checkSkipBound runs the allocator on p with and without SkipBound. Under
+// it both bounds read zero, every other field but Evaluations is the same
+// bit for bit (LiveDegree included), and it solves no more Q evaluations.
+// It returns the evaluations saved.
 func checkSkipBound(t *testing.T, name string, p *ChannelProblem, solver func() Solver) int {
 	t.Helper()
 	skip := *p
 	skip.SkipBound = true
-	saved := 0
-	for _, lazy := range []bool{false, true} {
-		var opts []GreedyOption
-		if lazy {
-			opts = append(opts, WithLazyEvaluation())
-		}
-		want, err := NewGreedyAllocator(solver(), opts...).Allocate(p)
-		if err != nil {
-			t.Fatalf("%s lazy=%v: %v", name, lazy, err)
-		}
-		got, err := NewGreedyAllocator(solver(), opts...).Allocate(&skip)
-		if err != nil {
-			t.Fatalf("%s lazy=%v SkipBound: %v", name, lazy, err)
-		}
-		cmp := *want
-		cmp.UpperBound, cmp.PaperUpperBound, cmp.Evaluations = 0, 0, got.Evaluations
-		if d := greedyDiff(got, &cmp); d != "" {
-			t.Errorf("%s lazy=%v: SkipBound changed the allocation: %s", name, lazy, d)
-		}
-		if got.Evaluations > want.Evaluations {
-			t.Errorf("%s lazy=%v: %d Q evaluations under SkipBound, %d without", name, lazy, got.Evaluations, want.Evaluations)
-		}
-		saved += want.Evaluations - got.Evaluations
+	want, err := NewGreedyAllocator(solver()).Allocate(p)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
 	}
-	return saved
+	got, err := NewGreedyAllocator(solver()).Allocate(&skip)
+	if err != nil {
+		t.Fatalf("%s SkipBound: %v", name, err)
+	}
+	cmp := *want
+	cmp.UpperBound, cmp.PaperUpperBound, cmp.Evaluations = 0, 0, got.Evaluations
+	if d := greedyDiff(got, &cmp); d != "" {
+		t.Errorf("%s: SkipBound changed the allocation: %s", name, d)
+	}
+	if got.Evaluations > want.Evaluations {
+		t.Errorf("%s: %d Q evaluations under SkipBound, %d without", name, got.Evaluations, want.Evaluations)
+	}
+	return want.Evaluations - got.Evaluations
 }
 
 // tableIIIProblems draws the greedy oracles' problems: the paper's path,
@@ -312,7 +292,7 @@ var oracleSolvers = []struct {
 	{"dual", func() Solver { return NewDualSolver() }},
 }
 
-// TestGreedyMatchesTableIII holds both allocators to the literal Table III
+// TestGreedyMatchesTableIII holds the allocator to the literal Table III
 // runs on tableIIIProblems, with the equilibrium and the dual solver as Q
 // evaluators.
 func TestGreedyMatchesTableIII(t *testing.T) {
@@ -330,8 +310,8 @@ func TestGreedyMatchesTableIII(t *testing.T) {
 	}
 }
 
-// TestGreedySkipBoundMatches holds both allocators under SkipBound to
-// their own runs without it (checkSkipBound) on tableIIIProblems, and
+// TestGreedySkipBoundMatches holds the allocator under SkipBound to its
+// own runs without it (checkSkipBound) on tableIIIProblems, and
 // requires the skip to save some Q evaluations.
 func TestGreedySkipBoundMatches(t *testing.T) {
 	saved := 0

@@ -192,25 +192,19 @@ func TestGreedySeededMatchesCold(t *testing.T) {
 		}
 	}
 
-	for _, lazy := range []bool{true, false} {
-		var opts []GreedyOption
-		if lazy {
-			opts = append(opts, WithLazyEvaluation())
+	seeded := NewGreedyAllocator(&EquilibriumSolver{})
+	cold := NewGreedyAllocator(coldQ{&EquilibriumSolver{}})
+	for _, tc := range problems {
+		got, err := seeded.Allocate(tc.p)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
 		}
-		seeded := NewGreedyAllocator(&EquilibriumSolver{}, opts...)
-		cold := NewGreedyAllocator(coldQ{&EquilibriumSolver{}}, opts...)
-		for _, tc := range problems {
-			got, err := seeded.Allocate(tc.p)
-			if err != nil {
-				t.Fatalf("%s lazy=%v: %v", tc.name, lazy, err)
-			}
-			want, err := cold.Allocate(tc.p)
-			if err != nil {
-				t.Fatalf("%s lazy=%v: %v", tc.name, lazy, err)
-			}
-			if d := greedyDiff(got, want); d != "" {
-				t.Errorf("%s lazy=%v: seeded differs from cold: %s", tc.name, lazy, d)
-			}
+		want, err := cold.Allocate(tc.p)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if d := greedyDiff(got, want); d != "" {
+			t.Errorf("%s: seeded differs from cold: %s", tc.name, d)
 		}
 	}
 }
@@ -262,37 +256,31 @@ func TestGreedyAllocMatchesResolve(t *testing.T) {
 			seen[math.Float64bits(pa)] = true
 		}
 	}
-	for _, lazy := range []bool{true, false} {
-		var opts []GreedyOption
-		if lazy {
-			opts = append(opts, WithLazyEvaluation())
-		}
-		for i, p := range problems {
-			counter := &countingQ{Solver: &EquilibriumSolver{}}
-			for _, q := range []Solver{&EquilibriumSolver{}, counter} {
-				res, err := NewGreedyAllocator(q, opts...).Allocate(p)
-				if err != nil {
-					t.Fatalf("problem %d lazy=%v: %v", i, lazy, err)
-				}
-				want := NewAllocation(p.Base.K())
-				if err := (&EquilibriumSolver{}).SolveInto(p.Base.WithG(res.G), want); err != nil {
-					t.Fatal(err)
-				}
-				if j := allocDiff(res.Alloc, want); j >= 0 {
-					t.Fatalf("problem %d lazy=%v (%d steps): user %d: kept MBS=%v rho=(%v, %v), re-solve MBS=%v rho=(%v, %v)",
-						i, lazy, len(res.Steps), j, res.Alloc.MBS[j], res.Alloc.Rho0[j], res.Alloc.Rho1[j], want.MBS[j], want.Rho0[j], want.Rho1[j])
-				}
-				if q != counter {
-					continue
-				}
-				solves := res.Evaluations
-				if len(res.Steps) == 0 {
-					solves++
-					empty++
-				}
-				if counter.calls != solves {
-					t.Fatalf("problem %d lazy=%v: %d Q solver calls for %d evaluations and %d steps", i, lazy, counter.calls, res.Evaluations, len(res.Steps))
-				}
+	for i, p := range problems {
+		counter := &countingQ{Solver: &EquilibriumSolver{}}
+		for _, q := range []Solver{&EquilibriumSolver{}, counter} {
+			res, err := NewGreedyAllocator(q).Allocate(p)
+			if err != nil {
+				t.Fatalf("problem %d: %v", i, err)
+			}
+			want := NewAllocation(p.Base.K())
+			if err := (&EquilibriumSolver{}).SolveInto(p.Base.WithG(res.G), want); err != nil {
+				t.Fatal(err)
+			}
+			if j := allocDiff(res.Alloc, want); j >= 0 {
+				t.Fatalf("problem %d (%d steps): user %d: kept MBS=%v rho=(%v, %v), re-solve MBS=%v rho=(%v, %v)",
+					i, len(res.Steps), j, res.Alloc.MBS[j], res.Alloc.Rho0[j], res.Alloc.Rho1[j], want.MBS[j], want.Rho0[j], want.Rho1[j])
+			}
+			if q != counter {
+				continue
+			}
+			solves := res.Evaluations
+			if len(res.Steps) == 0 {
+				solves++
+				empty++
+			}
+			if counter.calls != solves {
+				t.Fatalf("problem %d: %d Q solver calls for %d evaluations and %d steps", i, counter.calls, res.Evaluations, len(res.Steps))
 			}
 		}
 	}

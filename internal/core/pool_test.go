@@ -37,7 +37,7 @@ func TestSolversBitIdenticalUnderPoolChurn(t *testing.T) {
 			want[si] = append(want[si], a)
 		}
 	}
-	greedy := NewGreedyAllocator(&EquilibriumSolver{}, WithLazyEvaluation())
+	greedy := NewGreedyAllocator(&EquilibriumSolver{})
 	problem := interferingProblem(s, 4)
 	wantGreedy, err := greedy.Allocate(problem)
 	if err != nil {

@@ -12,8 +12,12 @@ import (
 	"femtocr/internal/rng"
 )
 
-// ErrBadRadius is returned for non-positive coverage radii.
-var ErrBadRadius = errors.New("geometry: radius must be positive")
+// ErrBadRadius is returned for coverage radii that are not positive and
+// finite.
+var ErrBadRadius = errors.New("geometry: radius must be positive and finite")
+
+// ErrBadSpacing is returned for a deployment spacing that is not finite.
+var ErrBadSpacing = errors.New("geometry: spacing must be finite")
 
 // Point is a location in meters.
 type Point struct {
@@ -36,7 +40,7 @@ type Disk struct {
 
 // NewDisk validates and builds a Disk.
 func NewDisk(center Point, radius float64) (Disk, error) {
-	if radius <= 0 || math.IsNaN(radius) {
+	if !(radius > 0) || math.IsInf(radius, 1) {
 		return Disk{}, fmt.Errorf("%w: %v", ErrBadRadius, radius)
 	}
 	return Disk{Center: center, Radius: radius}, nil
@@ -73,6 +77,9 @@ func LineDeployment(origin Point, n int, spacing, radius float64) ([]Disk, error
 	if n < 0 {
 		return nil, fmt.Errorf("geometry: negative deployment size %d", n)
 	}
+	if math.IsNaN(spacing) || math.IsInf(spacing, 0) {
+		return nil, fmt.Errorf("%w: %v", ErrBadSpacing, spacing)
+	}
 	disks := make([]Disk, 0, n)
 	for i := 0; i < n; i++ {
 		d, err := NewDisk(Point{X: origin.X + float64(i)*spacing, Y: origin.Y}, radius)
@@ -88,6 +95,9 @@ func LineDeployment(origin Point, n int, spacing, radius float64) ([]Disk, error
 func GridDeployment(origin Point, rows, cols int, spacing, radius float64) ([]Disk, error) {
 	if rows < 0 || cols < 0 {
 		return nil, fmt.Errorf("geometry: negative grid %dx%d", rows, cols)
+	}
+	if math.IsNaN(spacing) || math.IsInf(spacing, 0) {
+		return nil, fmt.Errorf("%w: %v", ErrBadSpacing, spacing)
 	}
 	disks := make([]Disk, 0, rows*cols)
 	for r := 0; r < rows; r++ {

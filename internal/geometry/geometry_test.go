@@ -45,6 +45,9 @@ func TestNewDiskValidation(t *testing.T) {
 	if _, err := NewDisk(Point{}, math.NaN()); !errors.Is(err, ErrBadRadius) {
 		t.Fatal("NaN radius accepted")
 	}
+	if _, err := NewDisk(Point{}, math.Inf(1)); !errors.Is(err, ErrBadRadius) {
+		t.Fatal("infinite radius accepted")
+	}
 	if _, err := NewDisk(Point{}, 10); err != nil {
 		t.Fatal(err)
 	}
@@ -132,6 +135,17 @@ func TestLineDeploymentErrors(t *testing.T) {
 	}
 	if _, err := LineDeployment(Point{}, 2, 10, 0); !errors.Is(err, ErrBadRadius) {
 		t.Fatal("bad radius accepted")
+	}
+	if _, err := LineDeployment(Point{}, 2, 10, math.Inf(1)); !errors.Is(err, ErrBadRadius) {
+		t.Fatal("infinite radius accepted")
+	}
+	for _, spacing := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := LineDeployment(Point{}, 3, spacing, 5); !errors.Is(err, ErrBadSpacing) {
+			t.Errorf("line spacing %v: err = %v, want ErrBadSpacing", spacing, err)
+		}
+		if _, err := GridDeployment(Point{}, 2, 2, spacing, 5); !errors.Is(err, ErrBadSpacing) {
+			t.Errorf("grid spacing %v: err = %v, want ErrBadSpacing", spacing, err)
+		}
 	}
 	disks, err := LineDeployment(Point{}, 0, 10, 5)
 	if err != nil || len(disks) != 0 {

@@ -3,8 +3,6 @@ package sensing
 import (
 	"errors"
 	"fmt"
-	"math"
-	"sync"
 
 	"femtocr/internal/rng"
 )
@@ -25,11 +23,6 @@ const (
 	// Stratified spreads users as evenly as possible across channels within
 	// each single slot, randomizing only the channel order.
 	Stratified
-	// UncertaintyDriven targets the channels whose occupancy is least
-	// certain. It needs per-channel busy beliefs (see
-	// AssignByUncertaintyInto); the generic AssignInto falls back to
-	// round-robin for it.
-	UncertaintyDriven
 )
 
 // String names the policy.
@@ -41,47 +34,30 @@ func (p AssignmentPolicy) String() string {
 		return "random"
 	case Stratified:
 		return "stratified"
-	case UncertaintyDriven:
-		return "uncertainty-driven"
 	default:
 		return fmt.Sprintf("AssignmentPolicy(%d)", int(p))
 	}
 }
 
-// ErrBadAssignment is returned for invalid channel counts or ranking
-// buffers, stochastic policies without a stream, and unknown policies.
+// ErrBadAssignment is returned for an empty channel set, stochastic
+// policies without a stream, and unknown policies.
 var ErrBadAssignment = errors.New("sensing: invalid assignment request")
 
-// permBuf is a pooled permutation buffer for the stratified policy, so the
-// per-slot AssignInto stays allocation-free once the pool is warm.
-type permBuf struct{ p []int }
-
-var permPool = sync.Pool{New: func() any { return new(permBuf) }}
-
-// growInt returns an int slice of length n, reusing buf's backing array when
-// it is large enough. Contents are unspecified.
-func growInt(buf []int, n int) []int {
-	if cap(buf) >= n {
-		return buf[:n]
-	}
-	return make([]int, n)
-}
-
 // AssignInto maps each user-sensor to one licensed channel (1-based),
-// writing into a caller-owned buffer whose length gives the sensor count,
-// so per-slot loops reuse one assignment slice. slot rotates deterministic
-// policies over time; s supplies randomness for the stochastic policies and
-// may be nil for RoundRobin.
+// writing into caller-owned buffers, so per-slot loops allocate nothing:
+// out's length gives the sensor count, and perm's the channel count M. The
+// stratified policy draws its channel order into perm; the others leave
+// it as it is. slot rotates deterministic policies over time; s supplies
+// randomness for the stochastic policies and may be nil for RoundRobin.
 //
-//femtovet:borrows out, s
-func AssignInto(out []int, policy AssignmentPolicy, m, slot int, s *rng.Stream) error {
-	if m <= 0 {
-		return fmt.Errorf("%w: numSensors=%d M=%d", ErrBadAssignment, len(out), m)
+//femtovet:borrows out, perm, s
+func AssignInto(out, perm []int, policy AssignmentPolicy, slot int, s *rng.Stream) error {
+	m := len(perm)
+	if m == 0 {
+		return fmt.Errorf("%w: numSensors=%d M=0", ErrBadAssignment, len(out))
 	}
 	switch policy {
-	case RoundRobin, UncertaintyDriven:
-		// UncertaintyDriven needs beliefs; without them (this generic entry
-		// point) it degrades to round-robin.
+	case RoundRobin:
 		for i := range out {
 			out[i] = (i+slot)%m + 1
 		}
@@ -96,52 +72,12 @@ func AssignInto(out []int, policy AssignmentPolicy, m, slot int, s *rng.Stream) 
 		if s == nil {
 			return fmt.Errorf("%w: stratified policy needs a stream", ErrBadAssignment)
 		}
-		buf := permPool.Get().(*permBuf)
-		defer permPool.Put(buf)
-		buf.p = growInt(buf.p, m)
-		s.PermInto(buf.p)
+		s.PermInto(perm)
 		for i := range out {
-			out[i] = buf.p[i%m] + 1
+			out[i] = perm[i%m] + 1
 		}
 	default:
 		return fmt.Errorf("%w: unknown policy %d", ErrBadAssignment, int(policy))
-	}
-	return nil
-}
-
-// AssignByUncertaintyInto assigns sensors to the channels with the most
-// uncertain occupancy: channels are ranked by |Pr{busy} - 1/2| ascending
-// (binary entropy is maximized at 1/2), and sensors are spread round-robin
-// over that ranking. A sensing result is worth the most exactly where the
-// belief is least decided.
-//
-// It writes into caller-owned buffers: out receives the per-sensor channel
-// choices (1-based), and order, of length len(busyProbs), is the ranking
-// scratch (left holding the channel indices sorted by ascending
-// |Pr{busy} - 1/2|). The ranking is a stable insertion sort, so ties keep
-// their ascending channel order.
-//
-//femtovet:borrows out, order, busyProbs
-func AssignByUncertaintyInto(out, order []int, busyProbs []float64) error {
-	m := len(busyProbs)
-	if m == 0 || len(order) != m {
-		return fmt.Errorf("%w: order has %d entries for M=%d", ErrBadAssignment, len(order), m)
-	}
-	for i := range order {
-		order[i] = i
-	}
-	for i := 1; i < m; i++ {
-		j := order[i]
-		dj := math.Abs(busyProbs[j] - 0.5)
-		p := i - 1
-		for p >= 0 && math.Abs(busyProbs[order[p]]-0.5) > dj {
-			order[p+1] = order[p]
-			p--
-		}
-		order[p+1] = j
-	}
-	for i := range out {
-		out[i] = order[i%m] + 1
 	}
 	return nil
 }

@@ -12,7 +12,7 @@ func TestAssignRoundRobinCoverage(t *testing.T) {
 	counts := make([]int, m)
 	for slot := 0; slot < m; slot++ {
 		a := make([]int, 3)
-		if err := AssignInto(a, RoundRobin, m, slot, nil); err != nil {
+		if err := AssignInto(a, make([]int, m), RoundRobin, slot, nil); err != nil {
 			t.Fatal(err)
 		}
 		for _, ch := range a {
@@ -32,10 +32,10 @@ func TestAssignRoundRobinCoverage(t *testing.T) {
 
 func TestAssignRoundRobinRotates(t *testing.T) {
 	a0, a1 := make([]int, 2), make([]int, 2)
-	if err := AssignInto(a0, RoundRobin, 4, 0, nil); err != nil {
+	if err := AssignInto(a0, make([]int, 4), RoundRobin, 0, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := AssignInto(a1, RoundRobin, 4, 1, nil); err != nil {
+	if err := AssignInto(a1, make([]int, 4), RoundRobin, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	if a0[0] == a1[0] {
@@ -46,7 +46,7 @@ func TestAssignRoundRobinRotates(t *testing.T) {
 func TestAssignRandomInRange(t *testing.T) {
 	s := rng.New(1)
 	a := make([]int, 100)
-	if err := AssignInto(a, RandomAssign, 5, 0, s); err != nil {
+	if err := AssignInto(a, make([]int, 5), RandomAssign, 0, s); err != nil {
 		t.Fatal(err)
 	}
 	for _, ch := range a {
@@ -60,7 +60,7 @@ func TestAssignStratifiedEven(t *testing.T) {
 	s := rng.New(2)
 	const m, k = 4, 10
 	a := make([]int, k)
-	if err := AssignInto(a, Stratified, m, 0, s); err != nil {
+	if err := AssignInto(a, make([]int, m), Stratified, 0, s); err != nil {
 		t.Fatal(err)
 	}
 	counts := make([]int, m)
@@ -77,26 +77,45 @@ func TestAssignStratifiedEven(t *testing.T) {
 }
 
 func TestAssignErrors(t *testing.T) {
-	out := make([]int, 3)
-	if err := AssignInto(out, RoundRobin, 0, 0, nil); !errors.Is(err, ErrBadAssignment) {
+	out, perm := make([]int, 3), make([]int, 4)
+	if err := AssignInto(out, nil, RoundRobin, 0, nil); !errors.Is(err, ErrBadAssignment) {
 		t.Fatalf("zero channels err = %v", err)
 	}
-	if err := AssignInto(out, RoundRobin, -2, 0, nil); !errors.Is(err, ErrBadAssignment) {
-		t.Fatalf("negative channels err = %v", err)
-	}
-	if err := AssignInto(out, RandomAssign, 4, 0, nil); !errors.Is(err, ErrBadAssignment) {
+	if err := AssignInto(out, perm, RandomAssign, 0, nil); !errors.Is(err, ErrBadAssignment) {
 		t.Fatalf("random without stream err = %v", err)
 	}
-	if err := AssignInto(out, Stratified, 4, 0, nil); !errors.Is(err, ErrBadAssignment) {
+	if err := AssignInto(out, perm, Stratified, 0, nil); !errors.Is(err, ErrBadAssignment) {
 		t.Fatalf("stratified without stream err = %v", err)
 	}
-	if err := AssignInto(out, AssignmentPolicy(0), 4, 0, nil); !errors.Is(err, ErrBadAssignment) {
-		t.Fatalf("unknown policy err = %v", err)
+	// 4 selected a belief-ranked policy that no entry point could select.
+	for _, p := range []AssignmentPolicy{0, 4} {
+		if err := AssignInto(out, perm, p, 0, nil); !errors.Is(err, ErrBadAssignment) {
+			t.Fatalf("unknown policy %d err = %v", int(p), err)
+		}
+	}
+}
+
+// TestAssignStratifiedIgnoresPermContents: the caller's permutation buffer
+// is scratch, so what it held before never changes the assignment.
+func TestAssignStratifiedIgnoresPermContents(t *testing.T) {
+	const m, k = 5, 12
+	clean, dirty := make([]int, k), make([]int, k)
+	if err := AssignInto(clean, make([]int, m), Stratified, 0, rng.New(3)); err != nil {
+		t.Fatal(err)
+	}
+	perm := []int{9, -1, 4, 4, 7}
+	if err := AssignInto(dirty, perm, Stratified, 0, rng.New(3)); err != nil {
+		t.Fatal(err)
+	}
+	for i := range clean {
+		if clean[i] != dirty[i] {
+			t.Fatalf("stale perm changed the assignment: %v vs %v", dirty, clean)
+		}
 	}
 }
 
 func TestAssignZeroSensors(t *testing.T) {
-	if err := AssignInto(nil, RoundRobin, 4, 0, nil); err != nil {
+	if err := AssignInto(nil, make([]int, 4), RoundRobin, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -109,57 +128,5 @@ func TestPolicyString(t *testing.T) {
 	}
 	if AssignmentPolicy(9).String() != "AssignmentPolicy(9)" {
 		t.Fatalf("unknown policy string = %q", AssignmentPolicy(9).String())
-	}
-}
-
-func TestAssignByUncertainty(t *testing.T) {
-	busy := []float64{0.9, 0.5, 0.1, 0.45}
-	// Uncertainty order: ch2 (0.5), ch4 (0.45), ch1 (0.9) vs ch3 (0.1)
-	// tie at distance 0.4 broken by index (stable): ch1 then ch3.
-	a := make([]int, 4)
-	order := make([]int, len(busy))
-	if err := AssignByUncertaintyInto(a, order, busy); err != nil {
-		t.Fatal(err)
-	}
-	want := []int{2, 4, 1, 3}
-	for i := range want {
-		if a[i] != want[i] {
-			t.Fatalf("assignment %v, want %v", a, want)
-		}
-	}
-	// More sensors than channels wrap around the ranking.
-	a = make([]int, 6)
-	if err := AssignByUncertaintyInto(a, order, busy); err != nil {
-		t.Fatal(err)
-	}
-	if a[4] != 2 || a[5] != 4 {
-		t.Fatalf("wrap-around wrong: %v", a)
-	}
-}
-
-func TestAssignByUncertaintyErrors(t *testing.T) {
-	if err := AssignByUncertaintyInto(make([]int, 2), nil, nil); !errors.Is(err, ErrBadAssignment) {
-		t.Fatal("empty beliefs accepted")
-	}
-	if err := AssignByUncertaintyInto(make([]int, 2), make([]int, 1), []float64{0.5, 0.2}); !errors.Is(err, ErrBadAssignment) {
-		t.Fatal("ranking scratch shorter than the channel count accepted")
-	}
-}
-
-func TestUncertaintyPolicyFallsBackToRoundRobin(t *testing.T) {
-	a, rr := make([]int, 3), make([]int, 3)
-	if err := AssignInto(a, UncertaintyDriven, 4, 1, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := AssignInto(rr, RoundRobin, 4, 1, nil); err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		if a[i] != rr[i] {
-			t.Fatal("fallback differs from round-robin")
-		}
-	}
-	if UncertaintyDriven.String() != "uncertainty-driven" {
-		t.Fatal("name wrong")
 	}
 }

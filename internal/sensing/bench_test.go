@@ -49,9 +49,9 @@ func BenchmarkSense(b *testing.B) {
 }
 
 func BenchmarkAssignRoundRobin(b *testing.B) {
-	out := make([]int, 9)
+	out, perm := make([]int, 9), make([]int, 8)
 	for i := 0; i < b.N; i++ {
-		if err := AssignInto(out, RoundRobin, 8, i, nil); err != nil {
+		if err := AssignInto(out, perm, RoundRobin, i, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -41,11 +41,11 @@ func TestSlotStepSteadyStateAllocs(t *testing.T) {
 		{"proposed-single", false, 0, Options{Scheme: Proposed}, 0},
 		// The sensor policies other than the default RoundRobin each reach a
 		// front-end root no other row does: the stratified permutation
-		// (rng.PermInto), the per-user random draw, and the belief-ranked
-		// assignment (sensing.AssignByUncertaintyInto).
+		// (rng.PermInto into the frontend's buffer) and the per-user random
+		// draw. The belief prior runs the occupancy filter every slot.
 		{"proposed-single-stratified", false, 0, Options{Scheme: Proposed, SensorPolicy: sensing.Stratified}, 0},
 		{"proposed-single-random", false, 0, Options{Scheme: Proposed, SensorPolicy: sensing.RandomAssign}, 0},
-		{"proposed-single-uncertainty", false, 0, Options{Scheme: Proposed, SensorPolicy: sensing.UncertaintyDriven, Prior: BeliefPrior}, 0},
+		{"proposed-single-belief", false, 0, Options{Scheme: Proposed, Prior: BeliefPrior}, 0},
 		// Frequency-selective links sample per-subcarrier gains every slot
 		// (ofdm.SampleGainsInto) into the link's reused buffer.
 		{"proposed-single-ofdm", false, 16, Options{Scheme: Proposed}, 0},

@@ -102,11 +102,7 @@ func NewAllocator(net *netmodel.Network, opts Options) (*Allocator, error) {
 			q = eq
 		}
 		if a.interfering {
-			var gopts []core.GreedyOption
-			if !opts.disableLazyGreedy {
-				gopts = append(gopts, core.WithLazyEvaluation())
-			}
-			a.greedy = &greedyStage{alloc: core.NewGreedyAllocator(q, gopts...)}
+			a.greedy = &greedyStage{alloc: core.NewGreedyAllocator(q)}
 		}
 	case Heuristic1:
 		a.solver = core.Heuristic1{}

@@ -210,6 +210,8 @@ func TestExtremeConfigs(t *testing.T) {
 		{name: "gamma NaN", edit: func(c *netmodel.Config) { c.Gamma = math.NaN() }, badNet: true},
 		{name: "B0 NaN", edit: func(c *netmodel.Config) { c.B0 = math.NaN() }, mustErr: true},
 		{name: "B1 NaN", edit: func(c *netmodel.Config) { c.B1 = math.NaN() }, mustErr: true},
+		{name: "B0 +Inf", edit: func(c *netmodel.Config) { c.B0 = math.Inf(1) }, mustErr: true},
+		{name: "B1 +Inf", edit: func(c *netmodel.Config) { c.B1 = math.Inf(1) }, mustErr: true},
 		{name: "P01 NaN", edit: func(c *netmodel.Config) { c.P01 = math.NaN() }, mustErr: true},
 		{name: "P10 NaN", edit: func(c *netmodel.Config) { c.P10 = math.NaN() }, mustErr: true},
 		{name: "OFDM subcarriers -1", edit: func(c *netmodel.Config) { c.OFDMSubcarriers = -1 }, badNet: true},

@@ -33,8 +33,7 @@ type Frontend struct {
 	posteriors []float64
 	fusers     []sensing.Fuser
 	assignment []int
-	busy       []float64
-	uncOrder   []int
+	perm       []int // the stratified policy's channel order
 	accessed   []int
 	accessedPA []float64
 	decision   access.SlotDecision
@@ -65,8 +64,7 @@ func NewFrontend(net *netmodel.Network, root *rng.Stream, sensorPolicy sensing.A
 		posteriors:   make([]float64, m),
 		fusers:       make([]sensing.Fuser, m),
 		assignment:   make([]int, net.K()),
-		busy:         make([]float64, m),
-		uncOrder:     make([]int, m),
+		perm:         make([]int, m),
 		accessed:     make([]int, 0, m),
 		accessedPA:   make([]float64, 0, m),
 	}, nil
@@ -181,21 +179,8 @@ func (f *Frontend) Step(slot int) (*SlotState, error) {
 		}
 	}
 	assignment := f.assignment
-	var err error
-	if f.sensorPolicy == sensing.UncertaintyDriven && f.beliefs != nil {
-		busy := f.busy
-		for ch := 1; ch <= m; ch++ {
-			if busy[ch-1], err = f.beliefs.PriorBusy(ch); err != nil {
-				return nil, err
-			}
-		}
-		if err := sensing.AssignByUncertaintyInto(assignment, f.uncOrder, busy); err != nil {
-			return nil, err
-		}
-	} else {
-		if err := sensing.AssignInto(assignment, f.sensorPolicy, m, slot, f.assignStream); err != nil {
-			return nil, err
-		}
+	if err := sensing.AssignInto(assignment, f.perm, f.sensorPolicy, slot, f.assignStream); err != nil {
+		return nil, err
 	}
 	for _, ch := range assignment {
 		fusers[ch-1].Update(net.Detector.Sense(truth[ch-1], f.senseStream))

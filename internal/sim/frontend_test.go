@@ -111,27 +111,3 @@ func TestFrontendBeliefsChangePosteriors(t *testing.T) {
 		t.Fatal("belief tracking never changed a posterior")
 	}
 }
-
-// TestFrontendUncertaintyPolicy: with beliefs enabled the uncertainty-driven
-// assignment runs and keeps the collision bound intact.
-func TestFrontendUncertaintyPolicy(t *testing.T) {
-	f := frontendFor(t, 5, sensing.UncertaintyDriven, true)
-	for slot := 0; slot < 100; slot++ {
-		st, err := f.Step(slot)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if b := st.Decision.CollisionBound(); b > 0.2+1e-9 {
-			t.Fatalf("slot %d: bound %v", slot, b)
-		}
-	}
-}
-
-// TestFrontendUncertaintyWithoutBeliefs: the policy degrades to round-robin
-// without a filter rather than failing.
-func TestFrontendUncertaintyWithoutBeliefs(t *testing.T) {
-	f := frontendFor(t, 5, sensing.UncertaintyDriven, false)
-	if _, err := f.Step(0); err != nil {
-		t.Fatal(err)
-	}
-}

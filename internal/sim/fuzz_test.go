@@ -48,6 +48,8 @@ func FuzzExtremeConfigs(f *testing.F) {
 		func(r *row) { r.gamma = math.NaN() },
 		func(r *row) { r.b0 = math.NaN() },
 		func(r *row) { r.b1 = math.NaN() },
+		func(r *row) { r.b0 = math.Inf(1) },
+		func(r *row) { r.b1 = math.Inf(1) },
 		func(r *row) { r.p01 = math.NaN() },
 		func(r *row) { r.p10 = math.NaN() },
 		func(r *row) { r.loads = 0x23 },               // FBS without users

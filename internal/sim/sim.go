@@ -102,12 +102,6 @@ type Options struct {
 	// and RelaxSolves) and unseeded greedy Q evaluations. It exists only as
 	// the reference the warm-start equivalence tests compare against.
 	coldSolves bool
-	// disableLazyGreedy makes the greedy allocator re-evaluate every
-	// candidate's marginal gain on every iteration — the literal Table III
-	// loop. Lazy evaluation produces identical allocations with fewer Q
-	// evaluations; this exists only to cross-check it and to time the
-	// unoptimized loop.
-	disableLazyGreedy bool
 }
 
 // Parallelism is the unified parallel-execution knob bundle shared with the

@@ -8,6 +8,7 @@ package spectrum
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"femtocr/internal/markov"
 	"femtocr/internal/rng"
@@ -32,7 +33,7 @@ func NewBand(m int, b0, b1 float64, chain markov.Chain) (*Band, error) {
 	if m <= 0 {
 		return nil, fmt.Errorf("%w: M=%d licensed channels", ErrBadConfig, m)
 	}
-	if !(b0 > 0 && b1 > 0) {
+	if !(b0 > 0 && b1 > 0) || math.IsInf(b0, 1) || math.IsInf(b1, 1) {
 		return nil, fmt.Errorf("%w: B0=%v B1=%v Mbps", ErrBadConfig, b0, b1)
 	}
 	return &Band{m: m, b0: b0, b1: b1, chain: chain}, nil

@@ -33,6 +33,8 @@ func TestNewBandValidation(t *testing.T) {
 		{"negative B1", 8, 0.3, -0.1, true},
 		{"NaN B0", 8, math.NaN(), 0.3, true},
 		{"NaN B1", 8, 0.3, math.NaN(), true},
+		{"+Inf B0", 8, math.Inf(1), 0.3, true},
+		{"+Inf B1", 8, 0.3, math.Inf(1), true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

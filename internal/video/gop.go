@@ -3,6 +3,7 @@ package video
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -66,10 +67,10 @@ func BuildGOP(seq Sequence, gopSize, mgsLayers int, targetRateMbps float64) (GOP
 	if mgsLayers < 0 {
 		return GOP{}, fmt.Errorf("%w: mgsLayers=%d", ErrBadGOP, mgsLayers)
 	}
-	if targetRateMbps <= 0 {
+	if !positiveFinite(targetRateMbps) {
 		return GOP{}, fmt.Errorf("%w: targetRate=%v Mbps", ErrBadGOP, targetRateMbps)
 	}
-	if seq.FPS <= 0 {
+	if !positiveFinite(seq.FPS) {
 		return GOP{}, fmt.Errorf("%w: sequence fps=%v", ErrBadGOP, seq.FPS)
 	}
 
@@ -140,6 +141,9 @@ func BuildGOP(seq Sequence, gopSize, mgsLayers int, targetRateMbps float64) (GOP
 	}
 	return GOP{Sequence: seq, Units: units}, nil
 }
+
+// positiveFinite reports whether x is a positive finite number; NaN is not.
+func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 
 // significance orders units layer-major (base layer first) and, within a
 // layer, in decoding order: anchor frames (I and P) ahead of the B frames

@@ -26,16 +26,20 @@ func TestBuildGOPValidation(t *testing.T) {
 		{16, -1, 0.5},
 		{16, 2, 0},
 		{16, 2, -1},
+		{16, 2, math.NaN()},
+		{16, 2, math.Inf(1)},
 	}
 	for _, c := range cases {
 		if _, err := BuildGOP(seq, c.gop, c.layers, c.rate); !errors.Is(err, ErrBadGOP) {
 			t.Errorf("BuildGOP(%d, %d, %v) err = %v, want ErrBadGOP", c.gop, c.layers, c.rate, err)
 		}
 	}
-	badSeq := seq
-	badSeq.FPS = 0
-	if _, err := BuildGOP(badSeq, 16, 2, 0.5); !errors.Is(err, ErrBadGOP) {
-		t.Fatal("zero fps accepted")
+	for _, fps := range []float64{0, math.NaN(), math.Inf(1)} {
+		badSeq := seq
+		badSeq.FPS = fps
+		if _, err := BuildGOP(badSeq, 16, 2, 0.5); !errors.Is(err, ErrBadGOP) {
+			t.Errorf("fps %v accepted", fps)
+		}
 	}
 }
 

@@ -40,8 +40,8 @@
 # Opt-in extras:
 #   FEMTOCR_FUZZ=1  — also run short fuzz smoke passes (-fuzztime=10s) over
 #                     the core solver fuzz targets (water-filling, greedy
-#                     channels against the literal Table III runs,
-#                     against their own SkipBound runs and against
+#                     channels against the literal Table III run,
+#                     against its own SkipBound run and against
 #                     AllocateInto into a reused result, warm==cold
 #                     solver sessions, the equilibrium memo against a
 #                     memo-free workspace, the equilibrium solve against
