@@ -55,9 +55,20 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-seq", "Bus", "-gop", "0"}, &b); err == nil {
 		t.Fatal("zero gop accepted")
 	}
-	for _, rate := range []string{"NaN", "Inf"} {
+	for _, rate := range []string{"NaN", "Inf", "1e300"} {
 		if err := run([]string{"-seq", "Bus", "-rate", rate}, &b); err == nil {
 			t.Errorf("rate %s accepted", rate)
+		}
+	}
+	// Layouts past the NAL-unit cap fail before anything is allocated.
+	for _, args := range [][]string{
+		{"-gop", "9223372036854775807"},
+		{"-gop", "4611686018427387904", "-layers", "3"},
+		{"-layers", "9223372036854775807"},
+		{"-gop", "65537", "-layers", "0"},
+	} {
+		if err := run(append([]string{"-seq", "Bus"}, args...), &b); err == nil {
+			t.Errorf("%v accepted", args)
 		}
 	}
 }

@@ -13,13 +13,15 @@ import (
 // bisection stops once its choices are proven (innerExit), it is memoized
 // (exact table and window memo), the water-fills are memoized per epoch,
 // and the association polish skips its flip round when the fills' prices
-// certify that no flip can win. A fresh workspace takes the bound shortcuts
-// and the inner exit too, so only a solve without any of them can catch a
-// wrong bound. refSolver is that solve, the way scalarWaterfill is for
-// waterfillColumns: every probe sums the demand of the members' actual
-// choices, every inner bisection is computed to full depth, every member's
-// choice is a bool, the fills run on a workspace that holds no epoch, and
-// the polish re-fills every flip.
+// certify that no flip can win. A sixth, a warm solve's deferred floor
+// probe, is exact only where MBS demand is monotone. A fresh workspace
+// takes the bound shortcuts and the inner exit too, so only a solve
+// without any of them can catch a wrong bound. refSolver is that solve,
+// the way scalarWaterfill is for waterfillColumns: every probe sums the
+// demand of the members' actual choices, every inner bisection is computed
+// to full depth, every member's choice is a bool, the fills run on a
+// workspace that holds no epoch, the polish re-fills every flip, and the
+// outer search probes every verdict before relying on it.
 
 // refSolver solves one instance the literal way. Its workspace is prepared
 // for the instance but never bumped, so its fills are plain.
@@ -129,7 +131,11 @@ func (r *refSolver) solve(warm bool, seed float64) (*Allocation, float64) {
 // EquilibriumSolver — then fixes the association at the clearing prices and
 // water-fills it: the state the solve hands its polish. It returns the
 // allocation and the clearing common price (0 when no price clears, the
-// trivial case).
+// trivial case). It probes in the probed order, every verdict before the
+// step that relies on it: the floor, the guard, then the warm bracket's
+// lower end, which a grown guard probes twice. A warm production solve
+// defers the floor and the lower end behind its bisection
+// (TestWarmProbeOrderMatchesReference).
 func (r *refSolver) enter(warm bool, seed float64) (*Allocation, float64) {
 	in := r.in
 	exceeds := func(l0 float64) bool { return r.demand0(l0) > 1 }

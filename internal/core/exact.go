@@ -59,8 +59,9 @@ func (*BruteForceSolver) SolveInto(in *Instance, best *Allocation) error {
 // nested price search: an outer bisection on the common-channel price
 // lambda_0 and, for each candidate, an inner bisection per FBS on its band
 // price lambda_i. Users pick the base station with the better Lagrangian
-// branch value at the prices (Theorem 1), demands are monotone in each
-// price, and the final association is repaired by exact water-filling.
+// branch value at the prices (Theorem 1), each user's shares are monotone
+// in each price (MBS demand as a whole need not be; see solveWS), and the
+// final association is repaired by exact water-filling.
 //
 // It is the default Q(c) evaluator inside the greedy channel allocator,
 // where the brute-force reference would be exponential.
@@ -84,7 +85,8 @@ func (e *EquilibriumSolver) SolveInto(in *Instance, out *Allocation) error {
 // carries the previous slot's outer common price for an instance of the
 // same shape, the outer bisection brackets around it ([l0/2, 2*l0], grown
 // outward as needed) at roughly half the cold bisection depth, instead of
-// expanding from the global [floor, sum(ps)] bracket. A nil session
+// expanding from the global [floor, sum(ps)] bracket, and it probes the
+// price floor only if no bisection probe exceeds the budget. A nil session
 // degrades to the cold path; shape changes and a runaway bracket expansion
 // re-cold-start automatically. A non-nil session also records the solve's
 // outer probe count. See SolverSession.
@@ -132,7 +134,16 @@ func (e *EquilibriumSolver) solveWS(in *Instance, alloc *Allocation, ws *solveWo
 	}
 	byFBS := ws.byFBS
 
-	// Outer bisection on lambda_0: MBS demand is non-increasing in it.
+	// Outer bisection on lambda_0. Every user's MBS share is non-increasing
+	// in it, and so is the bound below, but MBS demand is not in general: a
+	// higher common price can swap an FBS's users between base stations so
+	// that the MBS gains demand (TestOuterDemandNotMonotone). The searches
+	// below assume it is monotone — a bracket whose lower end exceeds the
+	// budget and whose upper end fits holds a clearing price, and a probe
+	// that exceeds implies that every lower price does — so where it is
+	// not, two brackets can clear at different prices. The warm == cold
+	// and reference oracles check that the polished allocations agree.
+	//
 	// outerProbes counts the exceeds0 evaluations of one solve — each one
 	// that the bound below does not decide walks every FBS's inner
 	// equilibrium — and is the "iterations" a session records for this
@@ -195,82 +206,109 @@ func (e *EquilibriumSolver) solveWS(in *Instance, alloc *Allocation, ws *solveWo
 		return false
 	}
 
+	// bisect runs the warm bisection of [wlo, whi], half the cold depth plus
+	// four steps, and returns the bracket's final upper end and whether any
+	// of its probes exceeded the budget. The upper end is the clearing
+	// price when wlo exceeds the budget and whi does not.
+	bisect := func(wlo, whi float64) (float64, bool) {
+		over := false
+		for it := 0; it < eqIters/2+4; it++ {
+			mid := 0.5 * (wlo + whi)
+			if exceeds0(mid) {
+				wlo, over = mid, true
+			} else {
+				whi = mid
+			}
+		}
+		return whi, over
+	}
+	// A warm solve defers the floor probe, which decides whether the slot
+	// is contended at all, behind its bisection: most warm slots are
+	// contended, and under monotone demand any probe that exceeds the
+	// budget proves that the floor does too. A cold solve probes the floor
+	// first.
 	warm, seed := ws.eqSeeded, ws.eqL0
 	if sess != nil {
 		sess.observe(in)
 		warm, seed = sess.haveL0, sess.l0
 	}
-	lo := eqLambdaFloor
-	l0 := lo
-	trivial := true
-	if exceeds0(lo) {
-		trivial = false
-		solved := false
-		if warm {
-			// Warm bracket around the seed price (the previous slot's, or
-			// the greedy base solve's): under the Markov channel
-			// correlation it rarely moves by more than 2x, so [l0/2, 2*l0]
-			// usually brackets and half the cold depth resolves it to
-			// comparable relative precision. The expansion guard trips when
-			// the seed is far off (correlation assumption failed) and falls
-			// back to the cold global bracket.
-			wlo := 0.5 * seed
-			if wlo < eqLambdaFloor {
-				wlo = eqLambdaFloor
+	l0 := eqLambdaFloor
+	trivial := !warm && !exceeds0(l0)
+	solved := trivial
+	if warm {
+		// Warm bracket around the seed price (the previous slot's, or the
+		// greedy base solve's): under the Markov channel correlation it
+		// rarely moves by more than 2x, so [l0/2, 2*l0] usually brackets
+		// and half the cold depth resolves it to comparable relative
+		// precision. The expansion guard trips when the seed is far off
+		// (correlation assumption failed) and falls back to the cold
+		// global bracket.
+		wlo := 0.5 * seed
+		if wlo < eqLambdaFloor {
+			wlo = eqLambdaFloor
+		}
+		whi := 2 * seed
+		if whi <= wlo {
+			whi = 1
+		}
+		ok, grown := true, false
+		for guard := 0; exceeds0(whi); guard++ {
+			if guard >= 60 {
+				ok = false
+				break
 			}
-			whi := 2 * seed
-			if whi <= wlo {
-				whi = 1
-			}
-			ok := true
-			for guard := 0; exceeds0(whi); guard++ {
-				if guard >= 60 {
-					ok = false
-					break
-				}
-				wlo = whi
-				whi *= 2
-			}
-			if ok {
-				for wlo > eqLambdaFloor && !exceeds0(wlo) {
-					whi = wlo
-					wlo *= 0.5
-				}
-				// Invariant: exceeds0(wlo) && !exceeds0(whi), like the
-				// cold bracket before its bisection.
-				warmIters := eqIters/2 + 4
-				for it := 0; it < warmIters; it++ {
-					mid := 0.5 * (wlo + whi)
-					if exceeds0(mid) {
-						wlo = mid
-					} else {
-						whi = mid
-					}
-				}
-				l0 = whi
-				solved = true
-			} else if sess != nil {
+			wlo, whi, grown = whi, 2*whi, true
+		}
+		// The bisection needs exceeds0(wlo) && !exceeds0(whi), like the
+		// cold bracket. The guard leaves whi within budget, and a grown
+		// bracket's wlo is the guard probe before it, which exceeded.
+		// Otherwise wlo is unprobed, and the solve bisects first: a probe
+		// that exceeds implies, under monotone demand, that wlo and the
+		// floor exceed too, so probing them first would have bisected the
+		// same bracket to the same price. Only if none exceeds does it
+		// probe the floor: the slot is slack, or its clearing price is at
+		// or below wlo, found by halving wlo while it fits and bisecting
+		// the bracket that leaves.
+		solved = ok
+		switch {
+		case !ok:
+			if sess != nil {
 				sess.stats.Restarts++
 			}
-		}
-		if !solved {
-			hi := sum0PS
-			if hi <= lo {
-				hi = 1
-			}
-			for exceeds0(hi) {
-				hi *= 2
-			}
-			for it := 0; it < eqIters; it++ {
-				mid := 0.5 * (lo + hi)
-				if exceeds0(mid) {
-					lo = mid
+		case grown:
+			l0, _ = bisect(wlo, whi)
+		default:
+			var over bool
+			if l0, over = bisect(wlo, whi); !over {
+				if !exceeds0(eqLambdaFloor) {
+					l0, trivial = eqLambdaFloor, true
 				} else {
-					hi = mid
+					for wlo > eqLambdaFloor && !exceeds0(wlo) {
+						whi = wlo
+						wlo *= 0.5
+					}
+					l0, _ = bisect(wlo, whi)
 				}
 			}
-			l0 = hi
 		}
+	}
+	if !solved {
+		lo, hi := eqLambdaFloor, sum0PS
+		if hi <= lo {
+			hi = 1
+		}
+		for exceeds0(hi) {
+			hi *= 2
+		}
+		for it := 0; it < eqIters; it++ {
+			mid := 0.5 * (lo + hi)
+			if exceeds0(mid) {
+				lo = mid
+			} else {
+				hi = mid
+			}
+		}
+		l0 = hi
 	}
 	if sess != nil {
 		if trivial {

@@ -48,11 +48,12 @@ type SessionStats struct {
 	// Restarts counts bracket-expansion guard trips: warm brackets that ran
 	// away and re-ran cold.
 	Restarts int
-	// TrivialSolves counts trivially-feasible instances short-circuited at
-	// zero prices.
+	// TrivialSolves counts trivially-feasible instances, solved at zero
+	// prices.
 	TrivialSolves int
-	// TotalIters sums the iterations of every solve, including a restarted
-	// warm attempt's.
+	// TotalIters sums the iterations of every contended solve, including a
+	// restarted warm attempt's. A trivial solve records none, even when it
+	// bisected a warm bracket before its floor probe found it slack.
 	TotalIters int64
 	// MaxIters is the largest per-solve iteration count observed.
 	MaxIters int

@@ -150,8 +150,10 @@ func TestWarmMatchesColdTrivialSlots(t *testing.T) {
 
 // TestWarmSessionProbeBudget pins what the carried price buys: over
 // Markov-correlated traces, the median outer probe count of a warm session
-// must be at most 2/3 of the cold one's. The cold baseline solves every
-// slot through a fresh session, whose first solve is cold by construction.
+// must be at most 3/5 of the cold one's (27 vs 47: a contended warm solve
+// probes neither the price floor nor its bracket's lower end). The cold
+// baseline solves every slot through a fresh session, whose first solve
+// is cold by construction.
 func TestWarmSessionProbeBudget(t *testing.T) {
 	solver := &EquilibriumSolver{}
 	var warmProbes, coldProbes []int64
@@ -184,8 +186,8 @@ func TestWarmSessionProbeBudget(t *testing.T) {
 	}
 	warm, cold := medianProbes(warmProbes), medianProbes(coldProbes)
 	t.Logf("median outer probes over %d contended slots: warm %d, cold %d", len(coldProbes), warm, cold)
-	if 3*warm > 2*cold {
-		t.Errorf("warm median %d outer probes is above 2/3 of the cold median %d", warm, cold)
+	if 5*warm > 3*cold {
+		t.Errorf("warm median %d outer probes is above 3/5 of the cold median %d", warm, cold)
 	}
 }
 

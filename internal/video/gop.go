@@ -52,6 +52,15 @@ type GOP struct {
 	Units    []NALUnit
 }
 
+// maxGOPUnits caps a GOP's NAL-unit count, gopSize·(1+mgsLayers): a 3 MB
+// layout, far past any real GOP (the paper's has 16 frames).
+const maxGOPUnits = 1 << 16
+
+// maxGOPBytes caps a GOP's byte budget so that every unit's size and
+// their sum, TotalBytes, fit an int: half the largest int, and at most
+// 2^53, up to which a float64 holds every byte count exactly.
+const maxGOPBytes = min(1<<53, math.MaxInt/2)
+
 // BuildGOP synthesizes the NAL-unit layout of one GOP at the target rate.
 //
 // The layout follows a standard hierarchical structure: one I frame, P
@@ -60,12 +69,18 @@ type GOP struct {
 // enhancement layers per frame (diminishing size per layer). Significance
 // decreases with layer first (base before enhancement) and follows decoding
 // order within a layer (anchors before the B frames that reference them).
+// It refuses a layout of more than maxGOPUnits (65,536) units, and a rate
+// whose byte budget an int cannot count.
 func BuildGOP(seq Sequence, gopSize, mgsLayers int, targetRateMbps float64) (GOP, error) {
 	if gopSize < 1 {
 		return GOP{}, fmt.Errorf("%w: gopSize=%d", ErrBadGOP, gopSize)
 	}
 	if mgsLayers < 0 {
 		return GOP{}, fmt.Errorf("%w: mgsLayers=%d", ErrBadGOP, mgsLayers)
+	}
+	// Divide rather than multiply, so the check cannot overflow.
+	if mgsLayers >= maxGOPUnits || gopSize > maxGOPUnits/(1+mgsLayers) {
+		return GOP{}, fmt.Errorf("%w: %d frames of %d layers exceed %d NAL units", ErrBadGOP, gopSize, 1+mgsLayers, maxGOPUnits)
 	}
 	if !positiveFinite(targetRateMbps) {
 		return GOP{}, fmt.Errorf("%w: targetRate=%v Mbps", ErrBadGOP, targetRateMbps)
@@ -74,9 +89,13 @@ func BuildGOP(seq Sequence, gopSize, mgsLayers int, targetRateMbps float64) (GOP
 		return GOP{}, fmt.Errorf("%w: sequence fps=%v", ErrBadGOP, seq.FPS)
 	}
 
-	// Total bytes available for the GOP at the target rate.
+	// Total bytes available for the GOP at the target rate. Every unit
+	// holds a share of it, truncated, so bounding it bounds them all.
 	gopSeconds := float64(gopSize) / seq.FPS
 	totalBytes := targetRateMbps * 1e6 / 8 * gopSeconds
+	if totalBytes > maxGOPBytes {
+		return GOP{}, fmt.Errorf("%w: targetRate=%v Mbps needs %v bytes per GOP, more than %v", ErrBadGOP, targetRateMbps, totalBytes, float64(maxGOPBytes))
+	}
 
 	// Weight per frame for the base layer.
 	types := make([]FrameType, gopSize)

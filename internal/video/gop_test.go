@@ -28,6 +28,17 @@ func TestBuildGOPValidation(t *testing.T) {
 		{16, 2, -1},
 		{16, 2, math.NaN()},
 		{16, 2, math.Inf(1)},
+		// Finite rates whose byte budget an int cannot count.
+		{16, 2, 1e300},
+		{16, 0, math.MaxFloat64},
+		// Unit counts past maxGOPUnits, refused before any allocation:
+		// one that overflows an int, one whose frame count alone would
+		// overflow a slice, and ones just past the cap.
+		{1 << 62, 3, 0.5},
+		{math.MaxInt, 0, 0.5},
+		{16, math.MaxInt, 0.5},
+		{maxGOPUnits + 1, 0, 0.5},
+		{maxGOPUnits/3 + 1, 2, 0.5},
 	}
 	for _, c := range cases {
 		if _, err := BuildGOP(seq, c.gop, c.layers, c.rate); !errors.Is(err, ErrBadGOP) {
@@ -40,6 +51,34 @@ func TestBuildGOPValidation(t *testing.T) {
 		if _, err := BuildGOP(badSeq, 16, 2, 0.5); !errors.Is(err, ErrBadGOP) {
 			t.Errorf("fps %v accepted", fps)
 		}
+	}
+}
+
+// TestBuildGOPLimits: the largest layout BuildGOP accepts has exactly
+// maxGOPUnits units, and a rate just inside the byte cap counts its bytes
+// in nonnegative unit sizes whose sum does not pass the budget.
+func TestBuildGOPLimits(t *testing.T) {
+	seq := testSeq(t)
+	g, err := BuildGOP(seq, maxGOPUnits/4, 3, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(g.Units) != maxGOPUnits {
+		t.Fatalf("units = %d, want %d", len(g.Units), maxGOPUnits)
+	}
+	budget := 0.99 * maxGOPBytes
+	rate := budget * 8 / 1e6 / (16 / seq.FPS)
+	g, err = BuildGOP(seq, 16, 2, rate)
+	if err != nil {
+		t.Fatalf("rate %v: %v", rate, err)
+	}
+	for _, u := range g.Units {
+		if u.SizeBytes < 0 {
+			t.Fatalf("frame %d layer %d: %d bytes", u.Frame, u.Layer, u.SizeBytes)
+		}
+	}
+	if total := g.TotalBytes(); total <= 0 || float64(total) > 1.000001*budget {
+		t.Fatalf("TotalBytes = %d for a budget of %v bytes", total, budget)
 	}
 }
 

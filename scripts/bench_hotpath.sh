@@ -11,14 +11,16 @@
 # BenchmarkDualSolver, BenchmarkEquilibriumSolver, or any
 # BenchmarkSlotStep* row runs more than 10% slower (ns/op) than its
 # baseline entry, so a hot-path regression fails the CI job instead of
-# shipping inside a green artifact. The baseline was last re-recorded when
-# water-filling began fast-forwarding through a verified price bracket and
-# the greedy's Q evaluations stopped redoing epoch-constant work, by the
-# same min-of-N procedure this script uses (a row that read above its
-# previous baseline kept it), so the gate protects the current numbers
-# rather than older, slower ones. Its SlotStepProposedSingleDualSolver row
-# went with that benchmark when the dual solver left the per-slot path;
-# the cold DualSolver row stays gated.
+# shipping inside a green artifact. Rows are re-recorded by the same
+# min-of-N procedure this script uses (a row that reads above its previous
+# baseline keeps it), or, when the capture host runs faster or slower
+# than the one the baseline was taken on, scaled by the change's own
+# ratio to its parent over interleaved captures (the GreedyLazy and
+# SlotStep* rows, when warm equilibrium solves began deferring their
+# floor probe), so the gate protects the current numbers rather than
+# older, slower ones. Its SlotStepProposedSingleDualSolver row went with
+# that benchmark when the dual solver left the per-slot path; the cold
+# DualSolver row stays gated.
 #
 # Usage: scripts/bench_hotpath.sh [output.json]
 set -euo pipefail

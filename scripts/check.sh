@@ -43,9 +43,11 @@
 #                     channels against the literal Table III run,
 #                     against its own SkipBound run and against
 #                     AllocateInto into a reused result, warm==cold
-#                     solver sessions, the equilibrium memo against a
-#                     memo-free workspace, the equilibrium solve against
-#                     its shortcut-free reference, the association
+#                     solver sessions, warm solves' deferred floor probe
+#                     against the probed order on tiny instances whose
+#                     demand need not be monotone, the equilibrium memo
+#                     against a memo-free workspace, the equilibrium solve
+#                     against its shortcut-free reference, the association
 #                     polish's duality certificate against re-filled flips,
 #                     and the inner bisection's early exit against the
 #                     full-depth bisection), over generated topologies
@@ -118,6 +120,7 @@ if [ -n "${FEMTOCR_FUZZ:-}" ]; then
     go test -run='^$' -fuzz='^FuzzWaterfill$' -fuzztime=10s ./internal/core
     go test -run='^$' -fuzz='^FuzzGreedyChannels$' -fuzztime=10s ./internal/core
     go test -run='^$' -fuzz='^FuzzSolverSession$' -fuzztime=10s ./internal/core
+    go test -run='^$' -fuzz='^FuzzWarmProbeOrder$' -fuzztime=10s ./internal/core
     go test -run='^$' -fuzz='^FuzzEquilibriumMemo$' -fuzztime=10s ./internal/core
     go test -run='^$' -fuzz='^FuzzEquilibriumSolve$' -fuzztime=10s ./internal/core
     go test -run='^$' -fuzz='^FuzzPolishCertificate$' -fuzztime=10s ./internal/core
