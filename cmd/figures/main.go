@@ -36,20 +36,25 @@ func run(args []string, w io.Writer) (retErr error) {
 	fs.SetOutput(out)
 	var ids []string
 	for _, e := range experiments.Registry() {
-		ids = append(ids, shortID(e))
+		ids = append(ids, e.ID)
 	}
+	paper, quickScale := experiments.PaperParams(), experiments.QuickParams()
 	var (
 		fig     = fs.String("fig", "all", "figure id: all (paper figures) | everything (figures + ablations + extensions) | "+strings.Join(ids, " | ")+" | topology")
-		runs    = fs.Int("runs", 10, "independent replications per point")
-		gops    = fs.Int("gops", 20, "GOPs per run")
-		seed    = fs.Uint64("seed", 1000, "base seed")
-		quick   = fs.Bool("quick", false, "smoke scale (2 runs x 3 GOPs)")
+		runs    = fs.Int("runs", paper.Runs, "independent replications per point")
+		gops    = fs.Int("gops", paper.GOPs, "GOPs per run")
+		seed    = fs.Uint64("seed", paper.BaseSeed, "base seed")
+		quick   = fs.Bool("quick", false, fmt.Sprintf("smoke scale (%d runs x %d GOPs)", quickScale.Runs, quickScale.GOPs))
 		workers = fs.Int("workers", 0, "concurrent simulation runs (0: one per CPU); results are identical for any value")
 		dir     = fs.String("out", "", "directory for .txt/.csv output (empty: stdout only)")
 		cpuProf = fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memProf = fs.String("memprofile", "", "write a pprof heap profile to this file on exit")
 	)
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	topology := strings.ToLower(*fig) == "topology"
+	if err := checkFlags(fs, topology, *quick); err != nil {
 		return err
 	}
 	stopProf, err := profiling.Start(*cpuProf, *memProf)
@@ -62,14 +67,7 @@ func run(args []string, w io.Writer) (retErr error) {
 		}
 	}()
 
-	p := experiments.Params{Runs: *runs, GOPs: *gops, BaseSeed: *seed}
-	if *quick {
-		q := experiments.QuickParams()
-		p.Runs, p.GOPs = q.Runs, q.GOPs
-	}
-	p.Parallel.Workers = *workers
-
-	if strings.ToLower(*fig) == "topology" {
+	if topology {
 		// Solver-level study (no figure object): render the table directly.
 		pts, err := experiments.TopologyStudy(*seed, *runs*2, *workers)
 		if err != nil {
@@ -92,11 +90,12 @@ func run(args []string, w io.Writer) (retErr error) {
 		}
 		return out.Err()
 	}
-	entries, err := resolve(*fig)
-	if err != nil {
-		return err
+	p := experiments.Params{Runs: *runs, GOPs: *gops, BaseSeed: *seed}
+	if *quick {
+		p.Runs, p.GOPs = quickScale.Runs, quickScale.GOPs
 	}
-	figures, err := experiments.Run(p, entries)
+	p.Parallel.Workers = *workers
+	figures, err := experiments.Run(p, *fig)
 	if err != nil {
 		return err
 	}
@@ -122,22 +121,25 @@ func run(args []string, w io.Writer) (retErr error) {
 	return out.Err()
 }
 
-// shortID is the id -fig accepts for one entry: a paper figure by its
-// number (3 for fig3), any other entry by its full id.
-func shortID(e experiments.Entry) string { return strings.TrimPrefix(e.ID, "fig") }
-
-// resolve maps a -fig value to registry entries: "all" is the paper's
-// figures, "everything" the whole registry, anything else one figure id.
-func resolve(fig string) ([]experiments.Entry, error) {
-	id := strings.ToLower(fig)
-	var entries []experiments.Entry
-	for _, e := range experiments.Registry() {
-		if id == "everything" || (id == "all" && e.Paper) || shortID(e) == id {
-			entries = append(entries, e)
+// checkFlags rejects every flag the user set that the run would ignore,
+// instead of running without it: -quick sets the scale that -runs and
+// -gops would set, and the topology study simulates no GOPs at any scale
+// (-runs sets its instance count).
+func checkFlags(fs *flag.FlagSet, topology, quick bool) error {
+	set := make(map[string]bool)
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	var path string
+	var ignored []string
+	switch {
+	case topology:
+		path, ignored = "-fig topology", []string{"gops", "quick"}
+	case quick:
+		path, ignored = "-quick", []string{"runs", "gops"}
+	}
+	for _, name := range ignored {
+		if set[name] {
+			return fmt.Errorf("-%s cannot be used with %s", name, path)
 		}
 	}
-	if len(entries) == 0 {
-		return nil, fmt.Errorf("unknown figure %q", fig)
-	}
-	return entries, nil
+	return nil
 }

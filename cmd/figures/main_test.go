@@ -53,9 +53,11 @@ func TestRunFig4a(t *testing.T) {
 }
 
 func TestRunUnknownFigure(t *testing.T) {
-	var b strings.Builder
-	if err := run([]string{"-fig", "99"}, &b); err == nil {
-		t.Fatal("unknown figure accepted")
+	for _, id := range []string{"99", "fig3", ""} {
+		var b strings.Builder
+		if err := run([]string{"-fig", id}, &b); err == nil {
+			t.Fatalf("-fig %q accepted", id)
+		}
 	}
 }
 
@@ -126,72 +128,37 @@ func TestRunQuickKeepsSeedAndWorkers(t *testing.T) {
 	}
 }
 
-// TestRegistryCoverage ties the figure registry to the CLI and to the
-// checked-in results: ids are unique, the registry plus the topology table
-// is exactly the set of files under results/, and every id -fig has
-// accepted resolves to the same output stem.
+// TestRegistryCoverage ties -fig to the figure registry: -h lists every id
+// the registry accepts (experiments' TestFigureIDs holds the grammar and
+// the registry to results/).
 func TestRegistryCoverage(t *testing.T) {
-	seen := map[string]bool{"topology": true}
-	for _, e := range experiments.Registry() {
-		if seen[e.ID] {
-			t.Fatalf("duplicate registry id %q", e.ID)
-		}
-		seen[e.ID] = true
-	}
-	files, err := filepath.Glob(filepath.Join("..", "..", "results", "*"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	stems := map[string]bool{}
-	for _, f := range files {
-		stems[strings.TrimSuffix(filepath.Base(f), filepath.Ext(f))] = true
-	}
-	if len(stems) != len(seen) {
-		t.Fatalf("results/ stems %v, registry ids + topology %v", stems, seen)
-	}
-	for id := range seen {
-		if !stems[id] {
-			t.Fatalf("registry id %q has no file under results/", id)
-		}
-	}
 	var help strings.Builder
 	if err := run([]string{"-h"}, &help); !errors.Is(err, flag.ErrHelp) {
 		t.Fatalf("-h: err = %v, want flag.ErrHelp", err)
 	}
 	usage := help.String()
-	accepted := map[string]string{
-		"3": "fig3", "4a": "fig4a", "4b": "fig4b", "4c": "fig4c", "5": "fig5",
-		"6a": "fig6a", "6b": "fig6b", "6c": "fig6c",
-		"ablation-belief": "ablation-belief", "ablation-sensor": "ablation-sensor",
-		"gamma": "gamma", "engines": "engines", "deadline": "deadline",
-		"capacity": "capacity", "frontier": "frontier",
-	}
-	for id, stem := range accepted {
-		entries, err := resolve(id)
-		if err != nil {
-			t.Fatalf("-fig %s: %v", id, err)
-		}
-		if len(entries) != 1 || entries[0].ID != stem {
-			t.Fatalf("-fig %s resolves to %v, want the single entry %q", id, entries, stem)
-		}
-		if !strings.Contains(usage, " "+id+" |") {
-			t.Fatalf("-fig usage lacks %q:\n%s", id, usage)
+	for _, e := range experiments.Registry() {
+		if !strings.Contains(usage, " "+e.ID+" |") {
+			t.Fatalf("-fig usage lacks %q:\n%s", e.ID, usage)
 		}
 	}
-	for _, id := range []string{"fig3", "99", "topology", ""} {
-		if _, err := resolve(id); err == nil {
-			t.Fatalf("resolve(%q) accepted an id that is not a registry figure", id)
+}
+
+// TestRunRejectsIgnoredFlags: a flag the run would ignore is an error, not
+// a silent no-op.
+func TestRunRejectsIgnoredFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"-fig", "3", "-quick", "-runs", "5"},
+		{"-fig", "3", "-quick", "-gops", "3"},
+		{"-fig", "topology", "-gops", "3"},
+		{"-fig", "topology", "-quick"},
+	} {
+		var b strings.Builder
+		err := run(args, &b)
+		if err == nil || !strings.Contains(err.Error(), "cannot be used with") {
+			t.Errorf("%v: err = %v, want a rejected flag", args, err)
+		} else if b.Len() != 0 {
+			t.Errorf("%v: printed output before rejecting a flag:\n%s", args, b.String())
 		}
-	}
-	all, err := resolve("all")
-	if err != nil {
-		t.Fatal(err)
-	}
-	everything, err := resolve("everything")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all) != 8 || len(everything) != len(experiments.Registry()) {
-		t.Fatalf("all = %d entries, everything = %d; want the 8 paper figures and the whole registry", len(all), len(everything))
 	}
 }

@@ -6,7 +6,8 @@ import (
 )
 
 // Extensions beyond the paper's figures, exposed through the facade:
-// packet-level simulation, ablations, and the scalability/gamma studies.
+// packet-level simulation and the scalability study (the ablations and
+// the other extension figures come from Figures).
 
 // PacketOptions configures a packet-level simulation run.
 type PacketOptions = packetsim.Options
@@ -19,35 +20,6 @@ type PacketResult = packetsim.Result
 // discards (§III-E), instead of the rate-based expected-quality accounting.
 func SimulatePackets(net *Network, opts PacketOptions) (*PacketResult, error) {
 	return packetsim.Run(net, opts)
-}
-
-// AblationBelief compares the stationary fusion prior with the Bayesian
-// occupancy filter across channel-mixing speeds.
-func AblationBelief(p ExperimentParams) (*Figure, error) {
-	return experiments.AblationBelief(p)
-}
-
-// AblationSensorPolicy compares sensor-to-channel assignment policies.
-func AblationSensorPolicy(p ExperimentParams) (*Figure, error) {
-	return experiments.AblationSensorPolicy(p)
-}
-
-// GammaTradeoff sweeps the collision budget gamma, reporting quality and
-// realized primary-user collision rates.
-func GammaTradeoff(p ExperimentParams) (*Figure, error) {
-	return experiments.GammaTradeoff(p)
-}
-
-// EngineComparison cross-validates the rate-based and packet-level engines
-// per scheme.
-func EngineComparison(p ExperimentParams) (*Figure, error) {
-	return experiments.EngineComparison(p)
-}
-
-// UserCapacity sweeps the user population of a single femtocell (1, 2, 3,
-// 4, 6 and 8 users) and reports mean and worst-user quality per size.
-func UserCapacity(p ExperimentParams) (*Figure, error) {
-	return experiments.UserCapacity(p)
 }
 
 // ScalePoint is one deployment size of the scalability study.

@@ -49,76 +49,6 @@ func TestEnginesAgree(t *testing.T) {
 	}
 }
 
-func TestFacadeAblations(t *testing.T) {
-	p := QuickScale()
-	p.GOPs = 2
-	fig, err := AblationSensorPolicy(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fig.Curves) == 0 {
-		t.Fatal("empty ablation figure")
-	}
-}
-
-func TestFacadeBeliefAblation(t *testing.T) {
-	p := QuickScale()
-	p.GOPs = 2
-	fig, err := AblationBelief(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fig.Curves) == 0 {
-		t.Fatal("empty belief-ablation figure")
-	}
-}
-
-func TestFacadeGammaTradeoff(t *testing.T) {
-	p := QuickScale()
-	p.GOPs = 2
-	fig, err := GammaTradeoff(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fig.Curves) == 0 {
-		t.Fatal("empty gamma-tradeoff figure")
-	}
-	for _, c := range fig.Curves {
-		if len(c.X) == 0 {
-			t.Fatalf("curve %q has no points", c.Name)
-		}
-	}
-}
-
-func TestFacadeEngineComparison(t *testing.T) {
-	p := QuickScale()
-	p.GOPs = 2
-	fig, err := EngineComparison(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fig.Curves) == 0 {
-		t.Fatal("empty engine-comparison figure")
-	}
-}
-
-func TestFacadeUserCapacity(t *testing.T) {
-	p := QuickScale()
-	p.GOPs = 2
-	fig, err := UserCapacity(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fig.Curves) == 0 {
-		t.Fatal("empty user-capacity figure")
-	}
-	for _, c := range fig.Curves {
-		if len(c.X) != 6 {
-			t.Fatalf("curve %q has %d points, want 6", c.Name, len(c.X))
-		}
-	}
-}
-
 // TestSimulateDeterminism is the determinism regression: two runs with the
 // same seed must produce structurally identical results, bit for bit.
 func TestSimulateDeterminism(t *testing.T) {

@@ -200,38 +200,19 @@ func SimulateSharded(net *Network, opts SimOptions) (*ShardedResult, error) {
 	return sim.RunSharded(net, opts)
 }
 
-// PaperScale returns the paper's experiment scale (10 runs, 20 GOPs).
-func PaperScale() ExperimentParams { return experiments.PaperParams() }
-
 // QuickScale returns a reduced experiment scale for smoke runs.
 func QuickScale() ExperimentParams { return experiments.QuickParams() }
 
-// Figure3 regenerates Fig. 3 (single FBS, per-user quality).
-func Figure3(p ExperimentParams) (*Figure, error) { return experiments.Fig3(p) }
+// NamedFigure is one figure of a Figures call with its output name (fig3
+// for the paper's Fig. 3, gamma for the collision-budget trade-off).
+type NamedFigure = experiments.Named
 
-// Figure4a regenerates Fig. 4(a) (dual-variable convergence).
-func Figure4a(p ExperimentParams) (*Figure, error) { return experiments.Fig4a(p) }
-
-// Figure4b regenerates Fig. 4(b) (quality vs number of channels).
-func Figure4b(p ExperimentParams) (*Figure, error) { return experiments.Fig4b(p) }
-
-// Figure4c regenerates Fig. 4(c) (quality vs channel utilization).
-func Figure4c(p ExperimentParams) (*Figure, error) { return experiments.Fig4c(p) }
-
-// Figure5 reports per-user quality on the interfering Fig. 5 topology
-// (three FBSs, nine users), the multi-cell analogue of Figure3.
-func Figure5(p ExperimentParams) (*Figure, error) { return experiments.Fig5(p) }
-
-// Figure6a regenerates Fig. 6(a) (interfering FBSs, quality vs utilization,
-// with the eq. (23) upper bound).
-func Figure6a(p ExperimentParams) (*Figure, error) { return experiments.Fig6a(p) }
-
-// Figure6b regenerates Fig. 6(b) (quality vs sensing-error operating
-// points).
-func Figure6b(p ExperimentParams) (*Figure, error) { return experiments.Fig6b(p) }
-
-// Figure6c regenerates Fig. 6(c) (quality vs common-channel bandwidth).
-func Figure6c(p ExperimentParams) (*Figure, error) { return experiments.Fig6c(p) }
-
-// AllFigures regenerates every figure at the given scale.
-func AllFigures(p ExperimentParams) ([]experiments.Named, error) { return experiments.All(p) }
+// Figures regenerates, at the given scale and in registry order, every
+// figure the ids select, reading ids as cmd/figures' -fig does: "all" is
+// the paper's figures, "everything" adds the ablations and extensions, and
+// any other id names one figure, a paper figure by its number (3, 4a, …,
+// 6c) and any other by its output name (gamma, capacity, …). An unknown
+// id, or none, is an error.
+func Figures(p ExperimentParams, ids ...string) ([]NamedFigure, error) {
+	return experiments.Run(p, ids...)
+}

@@ -1,8 +1,11 @@
 package femtocr
 
 import (
+	"errors"
 	"math"
 	"testing"
+
+	"femtocr/internal/experiments"
 )
 
 func TestFacadeQuickstart(t *testing.T) {
@@ -71,6 +74,14 @@ func TestFacadeCustomNetwork(t *testing.T) {
 	if net2.NumFBS != 2 || net2.Graph.NumEdges() != 0 {
 		t.Fatal("non-interfering network malformed")
 	}
+	net3, err := NewNetwork(DefaultConfig(), InterferingPathSpec([][]Sequence{{bus}, {foreman}, {bus}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if net3.NumFBS != 3 || net3.Graph.NumEdges() != 2 || net3.Graph.MaxDegree() != 2 {
+		t.Fatalf("interfering path: %d FBSs, %d edges, Dmax %d; want 3, 2, 2",
+			net3.NumFBS, net3.Graph.NumEdges(), net3.Graph.MaxDegree())
+	}
 }
 
 func TestFacadeInterfering(t *testing.T) {
@@ -87,39 +98,53 @@ func TestFacadeInterfering(t *testing.T) {
 	}
 }
 
-func TestFacadeFigureRunner(t *testing.T) {
-	fig, err := Figure3(QuickScale())
+// TestFacadeFigures regenerates every figure through Figures at a smoke
+// scale and checks, per figure in registry order, its output name, its
+// curve count, its point count per curve and that no point is NaN.
+func TestFacadeFigures(t *testing.T) {
+	p := QuickScale()
+	p.GOPs = 2
+	figs, err := Figures(p, "everything")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fig.Curves) != 3 {
-		t.Fatalf("%d curves", len(fig.Curves))
+	want := []struct {
+		name           string
+		curves, points int
+	}{
+		{"fig3", 3, 3}, {"fig4a", 2, 25}, {"fig4b", 3, 5}, {"fig4c", 3, 5},
+		{"fig5", 3, 9}, {"fig6a", 4, 5}, {"fig6b", 4, 5}, {"fig6c", 4, 5},
+		{"ablation-belief", 2, 4}, {"ablation-sensor", 1, 3}, {"gamma", 2, 5},
+		{"engines", 2, 3}, {"deadline", 1, 4}, {"capacity", 2, 6}, {"frontier", 2, 5},
 	}
-	if fig.CSV() == "" || fig.Render() == "" {
-		t.Fatal("empty rendering")
+	if len(figs) != len(want) {
+		t.Fatalf("%d figures, want %d", len(figs), len(want))
 	}
-}
-
-func TestFacadeFigure4a(t *testing.T) {
-	fig, err := Figure4a(QuickScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fig.Curves) != 2 || fig.Curves[0].Len() < 20 {
-		t.Fatalf("%d curves", len(fig.Curves))
-	}
-	for _, c := range fig.Curves {
-		for i := 0; i < c.Len(); i++ {
-			if _, pt := c.At(i); math.IsNaN(pt.Mean) {
-				t.Fatal("NaN in dual trace")
+	for i, w := range want {
+		t.Run(w.name, func(t *testing.T) {
+			nf := figs[i]
+			if nf.ID != w.name {
+				t.Fatalf("figure %d is %q", i, nf.ID)
 			}
-		}
+			if nf.Figure.CSV() == "" || nf.Figure.Render() == "" {
+				t.Fatal("empty rendering")
+			}
+			if len(nf.Figure.Curves) != w.curves {
+				t.Fatalf("%d curves, want %d", len(nf.Figure.Curves), w.curves)
+			}
+			for _, c := range nf.Figure.Curves {
+				if c.Len() != w.points {
+					t.Fatalf("curve %q has %d points, want %d", c.Name, c.Len(), w.points)
+				}
+				for j := 0; j < c.Len(); j++ {
+					if _, pt := c.At(j); math.IsNaN(pt.Mean) {
+						t.Fatalf("curve %q point %d is NaN", c.Name, j)
+					}
+				}
+			}
+		})
 	}
-}
-
-func TestPaperScaleValues(t *testing.T) {
-	p := PaperScale()
-	if p.Runs != 10 || p.GOPs != 20 {
-		t.Fatalf("paper scale %d x %d", p.Runs, p.GOPs)
+	if _, err := Figures(p); !errors.Is(err, experiments.ErrBadParams) {
+		t.Fatalf("Figures with no id: err = %v, want ErrBadParams", err)
 	}
 }

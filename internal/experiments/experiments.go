@@ -32,8 +32,8 @@ type Params struct {
 	// CPU). Every run derives all randomness from its own seed, so results
 	// are bitwise-identical for any worker count.
 	Parallel par.Parallelism
-	// Config is the scenario configuration; zero value means the paper's
-	// defaults.
+	// Config is the scenario configuration; the zero Config means the
+	// paper's defaults, and any other is used as given.
 	Config netmodel.Config
 }
 
@@ -49,7 +49,8 @@ func QuickParams() Params {
 }
 
 // normalize validates p and substitutes the paper's default configuration
-// when Config was left zero.
+// for the zero Config. Any other Config is kept as given, so NewNetwork
+// rejects an incomplete one.
 func (p Params) normalize() (Params, error) {
 	if p.Runs < 1 {
 		return p, fmt.Errorf("%w: runs=%d", ErrBadParams, p.Runs)
@@ -57,7 +58,7 @@ func (p Params) normalize() (Params, error) {
 	if p.GOPs < 1 {
 		return p, fmt.Errorf("%w: GOPs=%d", ErrBadParams, p.GOPs)
 	}
-	if p.Config.M == 0 {
+	if p.Config == (netmodel.Config{}) {
 		p.Config = netmodel.DefaultConfig()
 	}
 	return p, nil

@@ -2,9 +2,13 @@ package experiments
 
 import (
 	"errors"
+	"maps"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
+	"femtocr/internal/netmodel"
 	"femtocr/internal/sim"
 )
 
@@ -17,6 +21,12 @@ func TestParamsValidation(t *testing.T) {
 	}
 	if _, err := Fig4a(Params{Runs: 0, GOPs: 3}); !errors.Is(err, ErrBadParams) {
 		t.Fatalf("Fig4a runs=0 err = %v", err)
+	}
+	// Only the zero Config stands for the paper's defaults: a partial one
+	// reaches NewNetwork as given, which rejects its zero P01 + P10.
+	partial := Params{Runs: 1, GOPs: 1, Config: netmodel.Config{B0: 5, Gamma: 0.05}}
+	if _, err := Fig3(partial); err == nil {
+		t.Fatal("partial Config {B0: 5, Gamma: 0.05} ran as the paper's defaults")
 	}
 }
 
@@ -153,7 +163,73 @@ func TestFig6cSweepsB0(t *testing.T) {
 
 func TestPaperParams(t *testing.T) {
 	p := PaperParams()
-	if p.Runs != 10 || p.GOPs != 20 {
-		t.Fatalf("paper scale = %d runs x %d GOPs, want 10 x 20", p.Runs, p.GOPs)
+	if p.Runs != 10 || p.GOPs != 20 || p.BaseSeed != 1000 {
+		t.Fatalf("paper scale = %d runs x %d GOPs from seed %d, want 10 x 20 from 1000", p.Runs, p.GOPs, p.BaseSeed)
+	}
+}
+
+// TestFigureIDs holds the figure-id grammar and the registry to the
+// checked-in results: ids are unique, the registry's output names plus the
+// topology table are exactly the stems under results/, each id selects its
+// one entry (ignoring case), a paper figure's full name and the topology
+// table are not ids, "all" is the 8 paper figures and "everything" the
+// whole registry.
+func TestFigureIDs(t *testing.T) {
+	reg := Registry()
+	selected := func(id string) []string {
+		var names []string
+		for _, e := range reg {
+			if selects(id, e) {
+				names = append(names, e.name())
+			}
+		}
+		return names
+	}
+	stems := map[string]bool{"topology": true}
+	for _, e := range reg {
+		if stems[e.name()] {
+			t.Fatalf("duplicate registry entry %q", e.name())
+		}
+		stems[e.name()] = true
+	}
+	files, err := filepath.Glob(filepath.Join("..", "..", "results", "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	onDisk := map[string]bool{}
+	for _, f := range files {
+		onDisk[strings.TrimSuffix(filepath.Base(f), filepath.Ext(f))] = true
+	}
+	if !maps.Equal(onDisk, stems) {
+		t.Fatalf("results/ stems %v, registry names + topology %v", onDisk, stems)
+	}
+	accepted := map[string]string{
+		"3": "fig3", "4a": "fig4a", "4b": "fig4b", "4c": "fig4c", "5": "fig5",
+		"6a": "fig6a", "6b": "fig6b", "6c": "fig6c", "6A": "fig6a",
+		"ablation-belief": "ablation-belief", "ablation-sensor": "ablation-sensor",
+		"gamma": "gamma", "engines": "engines", "deadline": "deadline",
+		"capacity": "capacity", "frontier": "frontier", "Frontier": "frontier",
+	}
+	for id, name := range accepted {
+		if got := selected(id); len(got) != 1 || got[0] != name {
+			t.Fatalf("id %q selects %v, want the single entry %q", id, got, name)
+		}
+	}
+	for _, id := range []string{"fig3", "99", "topology", ""} {
+		if got := selected(id); len(got) != 0 {
+			t.Fatalf("id %q selects %v, want nothing", id, got)
+		}
+		if _, err := Run(QuickParams(), id); !errors.Is(err, ErrBadParams) {
+			t.Fatalf("Run(%q) err = %v, want ErrBadParams", id, err)
+		}
+	}
+	if _, err := Run(QuickParams()); !errors.Is(err, ErrBadParams) {
+		t.Fatalf("Run with no id: err = %v, want ErrBadParams", err)
+	}
+	if all, upper := selected("all"), selected("ALL"); len(all) != 8 || !slices.Equal(all, upper) {
+		t.Fatalf("all = %v, ALL = %v; want the 8 paper figures", all, upper)
+	}
+	if everything := selected("everything"); len(everything) != len(reg) {
+		t.Fatalf("everything = %d entries, want the whole registry (%d)", len(everything), len(reg))
 	}
 }

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"femtocr/internal/netmodel"
 	"femtocr/internal/sim"
@@ -170,27 +172,36 @@ func Fig6c(p Params) (*stats.Figure, error) {
 		}, true)
 }
 
-// Entry is one registered figure: ID names its output (the file stem under
-// results/), Paper marks the figures of the paper's evaluation section, and
-// Run computes the figure at a given scale.
+// Entry is one registered figure: ID is the id that selects it (see Run),
+// Paper marks the figures of the paper's evaluation section, and Run
+// computes the figure at a given scale.
 type Entry struct {
 	ID    string
 	Paper bool
 	Run   func(Params) (*stats.Figure, error)
 }
 
-// Registry lists every figure in presentation order: the paper's figures
-// first, then the ablations and extensions.
+// name is the entry's output name, the file stem under results/: fig3 for
+// the paper's Fig. 3, the ID itself for every other entry.
+func (e Entry) name() string {
+	if e.Paper {
+		return "fig" + e.ID
+	}
+	return e.ID
+}
+
+// Registry lists every figure in presentation order: the paper's figures,
+// by their numbers, first, then the ablations and extensions.
 func Registry() []Entry {
 	return []Entry{
-		{"fig3", true, Fig3},
-		{"fig4a", true, Fig4a},
-		{"fig4b", true, Fig4b},
-		{"fig4c", true, Fig4c},
-		{"fig5", true, Fig5},
-		{"fig6a", true, Fig6a},
-		{"fig6b", true, Fig6b},
-		{"fig6c", true, Fig6c},
+		{"3", true, Fig3},
+		{"4a", true, Fig4a},
+		{"4b", true, Fig4b},
+		{"4c", true, Fig4c},
+		{"5", true, Fig5},
+		{"6a", true, Fig6a},
+		{"6b", true, Fig6b},
+		{"6c", true, Fig6c},
 		{"ablation-belief", false, AblationBelief},
 		{"ablation-sensor", false, AblationSensorPolicy},
 		{"gamma", false, GammaTradeoff},
@@ -201,32 +212,42 @@ func Registry() []Entry {
 	}
 }
 
-// Run computes the entries in order at the given scale, naming each figure
-// by its entry's ID.
-func Run(p Params, entries []Entry) ([]Named, error) {
-	out := make([]Named, 0, len(entries))
-	for _, e := range entries {
+// selects is the figure-id grammar: "all" names the paper's figures,
+// "everything" the whole registry, and any other id the one entry of that
+// ID, ignoring case.
+func selects(id string, e Entry) bool {
+	id = strings.ToLower(id)
+	return id == "everything" || (id == "all" && e.Paper) || id == e.ID
+}
+
+// Run computes, at the given scale and in registry order, every figure some
+// id selects, naming each by its output name (fig3 for the paper's Fig. 3).
+// An id that selects nothing, or no id at all, is an ErrBadParams error.
+func Run(p Params, ids ...string) ([]Named, error) {
+	if len(ids) == 0 {
+		return nil, fmt.Errorf("%w: no figure id", ErrBadParams)
+	}
+	reg := Registry()
+	for _, id := range ids {
+		if !slices.ContainsFunc(reg, func(e Entry) bool { return selects(id, e) }) {
+			return nil, fmt.Errorf("%w: unknown figure %q", ErrBadParams, id)
+		}
+	}
+	var out []Named
+	for _, e := range reg {
+		if !slices.ContainsFunc(ids, func(id string) bool { return selects(id, e) }) {
+			continue
+		}
 		fig, err := e.Run(p)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", e.ID, err)
+			return nil, fmt.Errorf("%s: %w", e.name(), err)
 		}
-		out = append(out, Named{ID: e.ID, Figure: fig})
+		out = append(out, Named{ID: e.name(), Figure: fig})
 	}
 	return out, nil
 }
 
-// All runs the paper's figures at the given scale, in presentation order.
-func All(p Params) ([]Named, error) {
-	var paper []Entry
-	for _, e := range Registry() {
-		if e.Paper {
-			paper = append(paper, e)
-		}
-	}
-	return Run(p, paper)
-}
-
-// Named pairs a figure with its identifier.
+// Named pairs a figure with its output name.
 type Named struct {
 	ID     string
 	Figure *stats.Figure

@@ -66,7 +66,7 @@ func TopologyStudy(seed uint64, instances, workers int) ([]TopologyPoint, error)
 	}
 
 	solver := &core.EquilibriumSolver{}
-	greedy := core.NewGreedyAllocator(solver, core.WithLazyEvaluation())
+	greedy := core.NewGreedyAllocator(solver)
 	root := rng.New(seed)
 
 	var out []TopologyPoint

@@ -30,6 +30,9 @@
 #   9. go test -race — all tests under the race detector
 #  10. metro smoke   — a quick-scale generated metro through the sharded
 #                     engine end to end (femtosim -scenario metro)
+#  11. examples      — every examples/* program built and run end to end;
+#                     a nonzero exit fails the gate (go build only compiles
+#                     them)
 #
 # Both -race steps run with GOMAXPROCS=4: CI containers expose only one or
 # two CPUs (the BENCH_*.json files record `cpus`), and with GOMAXPROCS that
@@ -114,6 +117,16 @@ GOMAXPROCS=4 go test -race ./...
 echo "==> metro smoke (sharded engine end to end through femtosim)"
 go run ./cmd/femtosim -scenario metro -metro-fbs 24 -metro-users 2 \
     -gops 1 -workers 4 >/dev/null
+
+echo "==> examples (each built and run end to end)"
+for ex in examples/*/; do
+    name=$(basename "$ex")
+    go build -o "$tmp/example-$name" "./$ex"
+    if ! "$tmp/example-$name" >/dev/null; then
+        echo "examples: $ex exited nonzero" >&2
+        exit 1
+    fi
+done
 
 if [ -n "${FEMTOCR_FUZZ:-}" ]; then
     echo "==> fuzz smoke (FEMTOCR_FUZZ set)"
