@@ -95,7 +95,7 @@ func TestRunErrors(t *testing.T) {
 		append([]string{"-metro-users", "-1"}, metro...),
 		append([]string{"-metro-area", "-5"}, metro...),
 		append([]string{"-metro-area", "NaN"}, metro...),
-		append([]string{"-metro-layout", "grid", "-metro-block", "-2"}, metro...),
+		{"-scenario", "metro", "-metro-layout", "grid", "-metro-block", "-2", "-gops", "1"},
 		{"-gops", "0"},
 		{"-b0", "Inf", "-gops", "1"},
 		{"-b1", "Inf", "-gops", "1"},
@@ -113,6 +113,18 @@ func TestRunErrors(t *testing.T) {
 		var b strings.Builder
 		if err := run(args, &b); err == nil {
 			t.Fatalf("args %v accepted", args)
+		}
+	}
+	// Flags that only another engine, scenario or metro layout reads.
+	for _, args := range [][]string{
+		{"-packets", "-json", "-gops", "1"},
+		{"-scenario", "single", "-metro-fbs", "400", "-gops", "1"},
+		{"-scenario", "metro", "-metro-layout", "grid", "-metro-fbs", "400", "-metro-area", "50", "-gops", "1"},
+		{"-scenario", "metro", "-metro-rows", "9", "-metro-block", "7", "-metro-fbs", "20", "-gops", "1"},
+	} {
+		var b strings.Builder
+		if err := run(args, &b); err == nil || !strings.Contains(err.Error(), "cannot be used with") {
+			t.Errorf("%v: err = %v, want a rejected flag", args, err)
 		}
 	}
 }

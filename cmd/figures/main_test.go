@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -61,6 +62,9 @@ func TestRunUnknownFigure(t *testing.T) {
 	}
 }
 
+// TestRunTopologyTable: the topology study runs through the registry like
+// every figure, -runs sets its instance count, and -out writes its table
+// and CSV.
 func TestRunTopologyTable(t *testing.T) {
 	dir := t.TempDir()
 	var b strings.Builder
@@ -68,13 +72,15 @@ func TestRunTopologyTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := b.String()
-	for _, want := range []string{"Theorem 2", "path (Fig. 5)", "Dmax=2"} {
+	for _, want := range []string{"Theorem 2", "2=path (Fig. 5)", "floor 1/(1+Dmax)", "gain greedy/opt worst"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("missing %q:\n%s", want, out)
 		}
 	}
-	if _, err := os.ReadFile(filepath.Join(dir, "topology.txt")); err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"topology.txt", "topology.csv"} {
+		if _, err := os.ReadFile(filepath.Join(dir, name)); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -128,19 +134,23 @@ func TestRunQuickKeepsSeedAndWorkers(t *testing.T) {
 	}
 }
 
-// TestRegistryCoverage ties -fig to the figure registry: -h lists every id
-// the registry accepts (experiments' TestFigureIDs holds the grammar and
-// the registry to results/).
+// TestRegistryCoverage ties -fig to the figure registry: -h lists exactly
+// the ids the registry accepts, in registry order, in the form
+// scripts/bench_e2e.sh reads (experiments' TestFigureIDs holds the
+// grammar and the registry to results/).
 func TestRegistryCoverage(t *testing.T) {
 	var help strings.Builder
 	if err := run([]string{"-h"}, &help); !errors.Is(err, flag.ErrHelp) {
 		t.Fatalf("-h: err = %v, want flag.ErrHelp", err)
 	}
-	usage := help.String()
+	_, list, ok := strings.Cut(help.String(), "or one of: ")
+	list, _, _ = strings.Cut(list, " (default")
+	var want []string
 	for _, e := range experiments.Registry() {
-		if !strings.Contains(usage, " "+e.ID+" |") {
-			t.Fatalf("-fig usage lacks %q:\n%s", e.ID, usage)
-		}
+		want = append(want, e.ID)
+	}
+	if got := strings.Fields(list); !ok || !slices.Equal(got, want) {
+		t.Fatalf("-fig usage lists %q, want the registry's ids %q:\n%s", got, want, help.String())
 	}
 }
 
@@ -150,8 +160,6 @@ func TestRunRejectsIgnoredFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-fig", "3", "-quick", "-runs", "5"},
 		{"-fig", "3", "-quick", "-gops", "3"},
-		{"-fig", "topology", "-gops", "3"},
-		{"-fig", "topology", "-quick"},
 	} {
 		var b strings.Builder
 		err := run(args, &b)

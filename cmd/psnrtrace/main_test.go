@@ -60,6 +60,15 @@ func TestRunErrors(t *testing.T) {
 			t.Errorf("rate %s accepted", rate)
 		}
 	}
+	// Flags the chosen output would ignore.
+	for _, args := range [][]string{
+		{"-rate", "9"},
+		{"-seq", "Bus", "-rd", "-rate", "9", "-gop", "3"},
+	} {
+		if err := run(args, &b); err == nil || !strings.Contains(err.Error(), "cannot be used with") {
+			t.Errorf("%v: err = %v, want a rejected flag", args, err)
+		}
+	}
 	// Layouts past the NAL-unit cap fail before anything is allocated.
 	for _, args := range [][]string{
 		{"-gop", "9223372036854775807"},

@@ -1,13 +1,12 @@
 package femtocr
 
 import (
-	"femtocr/internal/experiments"
 	"femtocr/internal/packetsim"
 )
 
-// Extensions beyond the paper's figures, exposed through the facade:
-// packet-level simulation and the scalability study (the ablations and
-// the other extension figures come from Figures).
+// Packet-level simulation, an extension beyond the paper's rate-based
+// model, exposed through the facade (the ablations, the extension figures
+// and the topology and scalability studies come from Figures).
 
 // PacketOptions configures a packet-level simulation run.
 type PacketOptions = packetsim.Options
@@ -20,13 +19,4 @@ type PacketResult = packetsim.Result
 // discards (§III-E), instead of the rate-based expected-quality accounting.
 func SimulatePackets(net *Network, opts PacketOptions) (*PacketResult, error) {
 	return packetsim.Run(net, opts)
-}
-
-// ScalePoint is one deployment size of the scalability study.
-type ScalePoint = experiments.ScalePoint
-
-// Scalability grows the interfering deployment (2, 3, 4 and 6 FBSs) and
-// measures per-scheme quality, the eq. (23) bound gap, and wall time.
-func Scalability(p ExperimentParams) ([]ScalePoint, error) {
-	return experiments.Scalability(p)
 }

@@ -81,16 +81,3 @@ func TestSimulateDeterminism(t *testing.T) {
 		t.Fatalf("packet engine: same seed, different results:\nfirst:  %+v\nsecond: %+v", pa, pb)
 	}
 }
-
-func TestFacadeScalability(t *testing.T) {
-	p := QuickScale()
-	p.GOPs = 1
-	p.Runs = 1
-	pts, err := Scalability(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 4 || pts[0].Users != 6 {
-		t.Fatalf("points = %+v", pts)
-	}
-}

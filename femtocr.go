@@ -209,10 +209,10 @@ type NamedFigure = experiments.Named
 
 // Figures regenerates, at the given scale and in registry order, every
 // figure the ids select, reading ids as cmd/figures' -fig does: "all" is
-// the paper's figures, "everything" adds the ablations and extensions, and
-// any other id names one figure, a paper figure by its number (3, 4a, …,
-// 6c) and any other by its output name (gamma, capacity, …). An unknown
-// id, or none, is an error.
+// the paper's figures, "everything" adds the ablations, the extensions and
+// the topology study, and any other id names one figure, a paper figure by
+// its number (3, 4a, …, 6c) and any other by its output name (gamma,
+// scalability, topology, …). An unknown id, or none, is an error.
 func Figures(p ExperimentParams, ids ...string) ([]NamedFigure, error) {
 	return experiments.Run(p, ids...)
 }

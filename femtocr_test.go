@@ -116,6 +116,7 @@ func TestFacadeFigures(t *testing.T) {
 		{"fig5", 3, 9}, {"fig6a", 4, 5}, {"fig6b", 4, 5}, {"fig6c", 4, 5},
 		{"ablation-belief", 2, 4}, {"ablation-sensor", 1, 3}, {"gamma", 2, 5},
 		{"engines", 2, 3}, {"deadline", 1, 4}, {"capacity", 2, 6}, {"frontier", 2, 5},
+		{"scalability", 4, 4}, {"topology", 7, 5},
 	}
 	if len(figs) != len(want) {
 		t.Fatalf("%d figures, want %d", len(figs), len(want))

@@ -27,7 +27,7 @@ func EngineComparison(p Params) (*stats.Figure, error) {
 	fig.Add(pkt)
 
 	schs := schemes()
-	g, err := runGrid(p, len(schs), 2, func(pt int, seed uint64, out []float64) error {
+	sums, err := runGrid(p, len(schs), 2, func(pt int, seed uint64, out []float64) error {
 		sch := schs[pt]
 		rr, err := sim.Run(net, sim.Options{Seed: seed, GOPs: p.GOPs, Scheme: sch})
 		if err != nil {
@@ -44,8 +44,8 @@ func EngineComparison(p Params) (*stats.Figure, error) {
 		return nil, err
 	}
 	for si, sch := range schs {
-		rate.Append(float64(sch), g.sum[si][0])
-		pkt.Append(float64(sch), g.sum[si][1])
+		rate.Append(float64(sch), sums[si][0])
+		pkt.Append(float64(sch), sums[si][1])
 	}
 	return fig, nil
 }

@@ -1,6 +1,10 @@
 package experiments
 
-import "testing"
+import (
+	"testing"
+
+	"femtocr/internal/sim"
+)
 
 func TestGammaTradeoffShape(t *testing.T) {
 	p := QuickParams()
@@ -40,28 +44,28 @@ func TestScalabilityGrows(t *testing.T) {
 	p := QuickParams()
 	p.Runs = 2
 	p.GOPs = 2
-	pts, err := Scalability(p)
+	fig, err := Scalability(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pts) != 4 {
-		t.Fatalf("points = %d", len(pts))
+	bound, prop := fig.Curve("Upper bound"), fig.Curve(sim.Proposed.String())
+	if len(fig.Curves) != 4 || bound == nil || prop == nil || prop.Len() != 4 {
+		t.Fatalf("want Upper bound and three schemes over 4 sizes, got %d curves", len(fig.Curves))
 	}
-	if pts[0].NumFBS != 2 || pts[0].Users != 6 {
-		t.Fatalf("first point %+v", pts[0])
+	if n, _ := prop.At(0); n != 2 {
+		t.Fatalf("first N = %v, want 2", n)
 	}
-	if pts[3].NumFBS != 6 || pts[3].Users != 18 {
-		t.Fatalf("last point %+v", pts[3])
+	if n, _ := prop.At(3); n != 6 {
+		t.Fatalf("last N = %v, want 6", n)
 	}
-	for _, pt := range pts {
-		if pt.Proposed.Mean < 25 || pt.Proposed.Mean > 45 {
-			t.Fatalf("N=%d proposed %v implausible", pt.NumFBS, pt.Proposed.Mean)
+	for i := 0; i < prop.Len(); i++ {
+		n, pr := prop.At(i)
+		_, b := bound.At(i)
+		if pr.Mean < 25 || pr.Mean > 45 {
+			t.Fatalf("N=%v proposed %v implausible", n, pr.Mean)
 		}
-		if pt.BoundGapDB < -0.2 {
-			t.Fatalf("N=%d bound below proposed by %v", pt.NumFBS, pt.BoundGapDB)
-		}
-		if pt.Elapsed <= 0 {
-			t.Fatal("elapsed not recorded")
+		if b.Mean < pr.Mean-0.2 {
+			t.Fatalf("N=%v bound %v below proposed %v", n, b.Mean, pr.Mean)
 		}
 	}
 }

@@ -33,7 +33,7 @@ func perUserFigure(p Params, title string, spec netmodel.TopologySpec) (*stats.F
 		return nil, err
 	}
 	schs := schemes()
-	g, err := runGrid(p, len(schs), net.K(), func(pt int, seed uint64, out []float64) error {
+	sums, err := runGrid(p, len(schs), net.K(), func(pt int, seed uint64, out []float64) error {
 		res, err := sim.Run(net, sim.Options{Seed: seed, GOPs: p.GOPs, Scheme: schs[pt]})
 		if err != nil {
 			return fmt.Errorf("scheme=%v: %w", schs[pt], err)
@@ -47,7 +47,7 @@ func perUserFigure(p Params, title string, spec netmodel.TopologySpec) (*stats.F
 	fig := stats.NewFigure(title, "User index", "Y-PSNR (dB)")
 	for si, sch := range schs {
 		series := stats.NewSeries(sch.String())
-		for j, sum := range g.sum[si] {
+		for j, sum := range sums[si] {
 			series.Append(float64(j+1), sum)
 		}
 		fig.Add(series)
@@ -94,42 +94,49 @@ func Fig4a(p Params) (*stats.Figure, error) {
 // Fig4b reproduces Fig. 4(b): single-FBS average quality versus the number
 // of licensed channels M = 4..12 step 2.
 func Fig4b(p Params) (*stats.Figure, error) {
-	xs := []float64{4, 6, 8, 10, 12}
-	return sweep(p, "Fig. 4(b) — Video quality vs number of channels", "Number of channels (M)", xs,
-		func(p Params, x float64) (*netmodel.Network, error) {
-			cfg := p.Config
+	return sweep(p, compared(sweepSpec{
+		title:  "Fig. 4(b) — Video quality vs number of channels",
+		xLabel: "Number of channels (M)",
+		xs:     []float64{4, 6, 8, 10, 12},
+		network: func(cfg netmodel.Config, x float64) (*netmodel.Network, error) {
 			cfg.M = int(x)
 			return netmodel.NewNetwork(cfg, netmodel.PaperSingleSpec())
-		}, false)
+		},
+	}, false))
 }
 
 // Fig4c reproduces Fig. 4(c): single-FBS average quality versus channel
 // utilization eta = 0.3..0.7, holding P10 fixed.
 func Fig4c(p Params) (*stats.Figure, error) {
-	xs := []float64{0.3, 0.4, 0.5, 0.6, 0.7}
-	return sweep(p, "Fig. 4(c) — Video quality vs channel utilization", "Channel utilization (eta)", xs,
-		func(p Params, x float64) (*netmodel.Network, error) {
-			cfg, err := p.Config.WithUtilization(x)
+	return sweep(p, compared(sweepSpec{
+		title:  "Fig. 4(c) — Video quality vs channel utilization",
+		xLabel: "Channel utilization (eta)",
+		xs:     []float64{0.3, 0.4, 0.5, 0.6, 0.7},
+		network: func(cfg netmodel.Config, x float64) (*netmodel.Network, error) {
+			cfg, err := cfg.WithUtilization(x)
 			if err != nil {
 				return nil, err
 			}
 			return netmodel.NewNetwork(cfg, netmodel.PaperSingleSpec())
-		}, false)
+		},
+	}, false))
 }
 
 // Fig6a reproduces Fig. 6(a): interfering-FBS average quality versus
 // channel utilization, including the eq. (23) upper bound.
 func Fig6a(p Params) (*stats.Figure, error) {
-	xs := []float64{0.3, 0.4, 0.5, 0.6, 0.7}
-	return sweep(p, "Fig. 6(a) — Interfering FBSs: video quality vs channel utilization",
-		"Channel utilization (eta)", xs,
-		func(p Params, x float64) (*netmodel.Network, error) {
-			cfg, err := p.Config.WithUtilization(x)
+	return sweep(p, compared(sweepSpec{
+		title:  "Fig. 6(a) — Interfering FBSs: video quality vs channel utilization",
+		xLabel: "Channel utilization (eta)",
+		xs:     []float64{0.3, 0.4, 0.5, 0.6, 0.7},
+		network: func(cfg netmodel.Config, x float64) (*netmodel.Network, error) {
+			cfg, err := cfg.WithUtilization(x)
 			if err != nil {
 				return nil, err
 			}
 			return netmodel.NewNetwork(cfg, netmodel.PaperInterferingSpec())
-		}, true)
+		},
+	}, true))
 }
 
 // SensingErrorPairs are the five {epsilon, delta} operating points of
@@ -148,28 +155,31 @@ func Fig6b(p Params) (*stats.Figure, error) {
 		xs[i] = pair[0]
 		deltaOf[pair[0]] = pair[1]
 	}
-	return sweep(p, "Fig. 6(b) — Interfering FBSs: video quality vs sensing error",
-		"Probability of false alarm (epsilon)", xs,
-		func(p Params, x float64) (*netmodel.Network, error) {
-			cfg := p.Config
+	return sweep(p, compared(sweepSpec{
+		title:  "Fig. 6(b) — Interfering FBSs: video quality vs sensing error",
+		xLabel: "Probability of false alarm (epsilon)",
+		xs:     xs,
+		network: func(cfg netmodel.Config, x float64) (*netmodel.Network, error) {
 			cfg.Eps = x
 			cfg.Delta = deltaOf[x]
 			return netmodel.NewNetwork(cfg, netmodel.PaperInterferingSpec())
-		}, true)
+		},
+	}, true))
 }
 
 // Fig6c reproduces Fig. 6(c): interfering-FBS average quality versus the
 // common-channel bandwidth B0 = 0.1..0.5 Mbps with B1 fixed at 0.3 Mbps.
 func Fig6c(p Params) (*stats.Figure, error) {
-	xs := []float64{0.1, 0.2, 0.3, 0.4, 0.5}
-	return sweep(p, "Fig. 6(c) — Interfering FBSs: video quality vs common-channel bandwidth",
-		"Bandwidth of the common channel (Mbps)", xs,
-		func(p Params, x float64) (*netmodel.Network, error) {
-			cfg := p.Config
+	return sweep(p, compared(sweepSpec{
+		title:  "Fig. 6(c) — Interfering FBSs: video quality vs common-channel bandwidth",
+		xLabel: "Bandwidth of the common channel (Mbps)",
+		xs:     []float64{0.1, 0.2, 0.3, 0.4, 0.5},
+		network: func(cfg netmodel.Config, x float64) (*netmodel.Network, error) {
 			cfg.B0 = x
 			cfg.B1 = 0.3
 			return netmodel.NewNetwork(cfg, netmodel.PaperInterferingSpec())
-		}, true)
+		},
+	}, true))
 }
 
 // Entry is one registered figure: ID is the id that selects it (see Run),
@@ -191,7 +201,8 @@ func (e Entry) name() string {
 }
 
 // Registry lists every figure in presentation order: the paper's figures,
-// by their numbers, first, then the ablations and extensions.
+// by their numbers, first, then the ablations and extensions, and last the
+// Theorem 2 / eq. (23) topology study.
 func Registry() []Entry {
 	return []Entry{
 		{"3", true, Fig3},
@@ -209,6 +220,8 @@ func Registry() []Entry {
 		{"deadline", false, DeadlineSweep},
 		{"capacity", false, UserCapacity},
 		{"frontier", false, SchemeFrontier},
+		{"scalability", false, Scalability},
+		{"topology", false, Topology},
 	}
 }
 

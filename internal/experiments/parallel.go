@@ -7,25 +7,17 @@ import (
 	"femtocr/internal/stats"
 )
 
-// grid is the outcome of runGrid: sum[pt][m] is metric m of point pt
-// folded over the runs by mergeSummary in ascending run order, and
-// raw[pt][m][r] keeps run r's value.
-type grid struct {
-	sum [][]stats.Summary
-	raw [][][]float64
-}
-
 // runGrid is the replication contract every experiment driver shares. It
 // calls cell(pt, BaseSeed+r, out) for every point pt < points and run
 // r < p.Runs as task i = pt*p.Runs + r of par.RunGrid over
 // p.Parallel.Workers workers; cell fills out, its task's own slot of
 // length metrics, with that run's results. After the join each
-// (point, metric) column is folded in ascending run order, so the figures
-// are bitwise-identical for any worker count. A failing run's error is
-// returned with its run index.
-func runGrid(p Params, points, metrics int, cell func(pt int, seed uint64, out []float64) error) (grid, error) {
+// (point, metric) column is folded in ascending run order by
+// mergeSummary into sums[pt][m], so the figures are bitwise-identical for
+// any worker count. A failing run's error is returned with its run index.
+func runGrid(p Params, points, metrics int, cell func(pt int, seed uint64, out []float64) error) (sums [][]stats.Summary, err error) {
 	vals := make([]float64, points*p.Runs*metrics)
-	err := par.RunGrid(points*p.Runs, p.Parallel.EffectiveWorkers(), func(i int) error {
+	err = par.RunGrid(points*p.Runs, p.Parallel.EffectiveWorkers(), func(i int) error {
 		r := i % p.Runs
 		if err := cell(i/p.Runs, p.BaseSeed+uint64(r), vals[i*metrics:(i+1)*metrics]); err != nil {
 			return fmt.Errorf("run %d: %w", r, err)
@@ -33,24 +25,22 @@ func runGrid(p Params, points, metrics int, cell func(pt int, seed uint64, out [
 		return nil
 	})
 	if err != nil {
-		return grid{}, err
+		return nil, err
 	}
-	g := grid{sum: make([][]stats.Summary, points), raw: make([][][]float64, points)}
-	for pt := range g.sum {
-		g.sum[pt] = make([]stats.Summary, metrics)
-		g.raw[pt] = make([][]float64, metrics)
-		for m := range g.sum[pt] {
-			col := make([]float64, p.Runs)
+	sums = make([][]stats.Summary, points)
+	col := make([]float64, p.Runs)
+	for pt := range sums {
+		sums[pt] = make([]stats.Summary, metrics)
+		for m := range sums[pt] {
 			for r := range col {
 				col[r] = vals[(pt*p.Runs+r)*metrics+m]
 			}
-			g.raw[pt][m] = col
-			if g.sum[pt][m], err = mergeSummary(col); err != nil {
-				return grid{}, err
+			if sums[pt][m], err = mergeSummary(col); err != nil {
+				return nil, err
 			}
 		}
 	}
-	return g, nil
+	return sums, nil
 }
 
 // mergeSummary folds per-task observations into a Summary by merging

@@ -137,18 +137,6 @@ func Summarize(xs []float64) (Summary, error) {
 	return r.Summary()
 }
 
-// MeanOf returns the arithmetic mean of xs, or 0 for an empty slice.
-func MeanOf(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
 // tTable95 holds two-sided 95% Student-t critical values for 1..30 degrees of
 // freedom; beyond 30 the normal approximation 1.96 is used. The df=9 entry
 // (2.262) is the one exercised by the paper's 10-run experiments.

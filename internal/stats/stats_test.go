@@ -143,15 +143,6 @@ func TestTCritical(t *testing.T) {
 	}
 }
 
-func TestMeanOf(t *testing.T) {
-	if MeanOf(nil) != 0 {
-		t.Fatal("MeanOf(nil) != 0")
-	}
-	if got := MeanOf([]float64{1, 2, 3}); !almostEqual(got, 2, 1e-12) {
-		t.Fatalf("MeanOf = %v, want 2", got)
-	}
-}
-
 func TestSummaryBoundsProperty(t *testing.T) {
 	err := quick.Check(func(seed uint64, n uint8) bool {
 		s := rng.New(seed)

@@ -3,17 +3,19 @@
 # regenerating each paper-scale figure, recorded as BENCH_e2e.json. It is
 # the end-to-end number behind a hot-path claim, not a CI gate.
 #
-# cmd/figures runs once per registry entry (-fig ID, plus -fig topology)
-# and once for the whole set (-fig everything), each with -workers 1, and
-# the script takes the process's user+sys CPU time: with one worker that is
-# the serialized work, comparable across machines with different CPU
-# counts. Each row runs -count times (default 3) and keeps the minimum,
-# the noise-robust statistic on a shared host. The outputs of the
-# everything and topology runs are compared byte for byte against
-# results/; a mismatch fails the script.
+# cmd/figures runs once per registry entry (-fig ID, each id read from
+# the -fig usage that `figures -h` prints, in registry order) and once for
+# the whole set (-fig everything), each with -workers 1, and the script
+# takes the process's user+sys CPU time: with one worker that is the
+# serialized work, comparable across machines with different CPU counts.
+# Each row runs -count times (default 3) and keeps the minimum, the
+# noise-robust statistic on a shared host. The outputs of the everything
+# run are compared byte for byte against results/; a mismatch fails the
+# script.
 #
 # With -b DIR the same runs are also taken on the checkout in DIR (for
-# example `git archive <commit> | tar -x -C DIR`), alternating the two
+# example `git archive <commit> | tar -x -C DIR`, whose figures must accept
+# every id this tree's does), alternating the two
 # trees run by run so both see the same host load, and each row records
 # before (DIR) and after (this tree) with the fractional CPU reduction.
 # Which tree runs first flips on every repetition, so neither always pays
@@ -51,13 +53,16 @@ cpu_of() {
     awk -v t="$t" 'BEGIN { split(t, f, " "); printf "%.3f", f[1] + f[2] }'
 }
 
-# Row ids: every registry entry, read from the CSV names in results/,
-# then the topology study and the whole set.
-rows=""
-for f in results/*.csv; do
-    rows+="$(basename "$f" .csv) "
-done
-rows+="topology everything"
+# Row ids: every registry entry, as `figures -h` lists them after "or one
+# of: " (cmd/figures' TestRegistryCoverage pins that list to the registry),
+# then the whole set. -h exits nonzero after printing the usage.
+usage=$("$tmp/after" -h 2>&1 || true)
+ids=$(sed -n 's/.*or one of: \(.*\) (default "all")$/\1/p' <<<"$usage")
+if [ -z "$ids" ]; then
+    echo "bench_e2e.sh: no figure ids in the -fig usage of figures -h" >&2
+    exit 1
+fi
+rows="$ids everything"
 
 samples="$tmp/samples"
 : >"$samples"
@@ -68,12 +73,10 @@ for rep in $(seq "$count"); do
     fi
     for row in $rows; do
         for tree in $order; do
-            arg=${row#fig}
-            dir="$tmp/out-$tree"
-            if [ "$row" = everything ] || [ "$row" = topology ]; then
-                c=$(cpu_of "$tmp/$tree" -fig "$arg" -workers 1 -out "$dir")
+            if [ "$row" = everything ]; then
+                c=$(cpu_of "$tmp/$tree" -fig everything -workers 1 -out "$tmp/out-$tree")
             else
-                c=$(cpu_of "$tmp/$tree" -fig "$arg" -workers 1)
+                c=$(cpu_of "$tmp/$tree" -fig "$row" -workers 1)
             fi
             echo "$tree $row $c $rep" | tee -a "$samples"
         done

@@ -13,20 +13,21 @@
 #                     AllocsPerRun pins skip under -race, and the full-scale
 #                     solver oracles shrink there, so this is the only step
 #                     that runs them
-#   6. results/     — every figure regenerated at the default scale
-#                     (figures -fig everything, then -fig topology) into a
-#                     temp dir must match the checked-in results/ byte for
-#                     byte, file for file: a change that means to move a
-#                     result commits the new files and explains the diff in
-#                     EXPERIMENTS.md
+#   6. results/     — every registry figure, the topology study included,
+#                     regenerated at the default scale by one figures
+#                     -fig everything run into a temp dir must match the
+#                     checked-in results/ byte for byte, file for file: a
+#                     change that means to move a result commits the new
+#                     files and explains the diff in EXPERIMENTS.md
 #   7. perfbench    — the benchmark module's own tests (traced replay
 #                     against the engine, bit for bit, and its references
 #                     against results/); `go test ./...` from the root
 #                     skips the nested module
-#   8. determinism  — the parallel-replication regression: figures must be
-#                     byte-identical for workers=1, 4, and GOMAXPROCS, run
-#                     under the race detector (named explicitly so a test
-#                     rename can't silently drop the gate)
+#   8. determinism  — the parallel-replication regression: figures, the
+#                     topology study's included, must be byte-identical for
+#                     workers=1, 4, and GOMAXPROCS, run under the race
+#                     detector (named explicitly so a test rename can't
+#                     silently drop the gate)
 #   9. go test -race — all tests under the race detector
 #  10. metro smoke   — a quick-scale generated metro through the sharded
 #                     engine end to end (femtosim -scenario metro)
@@ -90,7 +91,6 @@ go test -count=1 ./internal/core ./internal/sim
 echo "==> results/ (regenerated at the default scale, byte-identical)"
 go build -o "$tmp/figures" ./cmd/figures
 "$tmp/figures" -fig everything -out "$tmp/results" >/dev/null
-"$tmp/figures" -fig topology -out "$tmp/results" >/dev/null
 if ! diff <(ls results) <(ls "$tmp/results"); then
     echo "results/: the regenerated file set differs from the checked-in one" >&2
     exit 1
@@ -107,8 +107,7 @@ go -C perfbench test -count=1 ./...
 
 echo "==> parallel determinism (workers=1/4/GOMAXPROCS, byte-identical figures)"
 echo "    GOMAXPROCS=4 (forced: 1-2 CPU runners barely interleave goroutines)"
-GOMAXPROCS=4 go test -race -run '^(TestParallelDeterminism|TestTopologyStudyDeterminism)$' \
-    -count=1 ./internal/experiments
+GOMAXPROCS=4 go test -race -run '^TestParallelDeterminism$' -count=1 ./internal/experiments
 
 echo "==> go test -race"
 echo "    GOMAXPROCS=4 (forced: 1-2 CPU runners barely interleave goroutines)"
